@@ -1,27 +1,22 @@
-//! Dispatch overhead of the unified API: `run(&Query)` vs the legacy entry
-//! points it replaced.
+//! What it costs to reach the engine through the `Query` surface.
 //!
-//! The legacy methods are now thin `#[deprecated]` wrappers that build a
-//! `Query` per call, so three variants bracket the redesign's cost on an
-//! identical workload:
+//! Three variants bracket one identical workload, from the cheapest way in
+//! to the dearest:
 //!
-//! * `legacy_search_opts` — the old call shape (wrapper: per-call `Query`
-//!   build + `run`);
 //! * `run_prebuilt` — `run` with queries built once outside the loop (what
-//!   a serving layer holding decoded wire queries does);
-//! * `run_with_build` — `Query` construction + validation + `run` per call.
+//!   a serving layer holding decoded wire queries does): the search alone;
+//! * `run_with_build` — `Query` construction + validation + `run` per call:
+//!   adds the builder;
+//! * `wire_decode` — a full JSON `from_json` per call, then `run`: adds the
+//!   wire format, i.e. the serving path itself.
 //!
-//! All three must land within noise of each other: validation is a handful
-//! of float/len checks and the dispatch is a monomorphized match, so the
-//! unified surface adds no measurable overhead over the legacy direct
-//! calls. The `wire_decode` variant adds a full JSON `from_json` per call
-//! to price the serving path itself.
-
-#![allow(deprecated)] // comparing against the legacy entry points is the point
+//! The first two must land within noise of each other: validation is a
+//! handful of float/len checks and the dispatch is a monomorphized match.
+//! The gap to the third is the price of JSON decoding per query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trajsearch_bench::data::{Dataset, FuncKind, Scale};
-use trajsearch_core::{EngineBuilder, Query, SearchOptions};
+use trajsearch_core::{EngineBuilder, Query};
 
 fn bench(c: &mut Criterion) {
     let d = Dataset::load("beijing", Scale::tiny());
@@ -46,17 +41,6 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("api_dispatch");
     g.sample_size(10);
-    g.bench_with_input(
-        BenchmarkId::from("legacy_search_opts"),
-        &workload,
-        |b, wl| {
-            b.iter(|| {
-                for (q, tau) in wl {
-                    std::hint::black_box(engine.search_opts(q, *tau, SearchOptions::default()));
-                }
-            })
-        },
-    );
     g.bench_with_input(BenchmarkId::from("run_prebuilt"), &prebuilt, |b, qs| {
         b.iter(|| {
             for q in qs {

@@ -1,15 +1,13 @@
-//! Mixed-workload experiment for the unified `Query`/`Response` API
-//! (`repro api`).
+//! Mixed-workload experiment for the `Query`/`Response` API (`repro api`).
 //!
-//! Exercises what the API redesign made possible: **one** `run_batch` call
-//! answering a workload that mixes threshold queries, top-k queries and
-//! temporal queries (TF pre-filter + §4.3 by-departure postings) — shapes
-//! the retired `(Vec<Sym>, f64)` tuple workload could not express together.
-//! Every query is additionally round-tripped through its JSON wire format
-//! before execution, so the measured path is exactly what a serving
-//! front-end would drive. The 1-thread run is the correctness reference for
-//! every other thread count, and the dump (`BENCH_api.json`) uses the
-//! shared `BENCH_*.json` envelope for CI trend tracking.
+//! **One** `run_batch` call answers a workload that mixes threshold
+//! queries, top-k queries and temporal queries (TF pre-filter + §4.3
+//! by-departure postings). Every query is additionally round-tripped
+//! through its JSON wire format before execution, so the measured path is
+//! exactly what a serving front-end would drive. The 1-thread run is the
+//! correctness reference for every other thread count, and the dump
+//! (`BENCH_api.json`) uses the shared `BENCH_*.json` envelope for CI trend
+//! tracking.
 
 use super::{host_cpus, write_bench_json};
 use crate::data::{Dataset, FuncKind, Scale};

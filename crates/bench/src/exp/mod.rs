@@ -13,9 +13,8 @@
 //! vs full span recording, with a result-identity self-check).
 //!
 //! Each module exposes a `run_*` function returning plain rows plus a
-//! `print_*` helper; the `repro` binary wires them to subcommands. The
-//! mapping to the paper is tabulated in `DESIGN.md` §5 and the measured
-//! shapes are recorded in `EXPERIMENTS.md`.
+//! `print_*` helper; the `repro` binary wires them to subcommands, named
+//! after the table or figure of the paper's §6 each one reproduces.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -30,7 +30,7 @@ pub fn run(scale: Scale) -> Vec<Table2Row> {
 }
 
 pub fn print(rows: &[Table2Row]) {
-    println!("\nTable 2: dataset statistics (synthetic stand-ins, see DESIGN.md §4)");
+    println!("\nTable 2: dataset statistics (synthetic stand-ins)");
     print_table(
         &["Dataset", "#Trajectories", "Avg. Length", "|V|", "|E|"],
         &rows

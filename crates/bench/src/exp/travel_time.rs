@@ -10,8 +10,7 @@
 //! WED instances go through the search engine; the non-WED comparators
 //! (DTW, LCSS, LORS, LCRS) are evaluated by sliding-window scans over the
 //! trajectories sharing symbols with the query (the paper enumerates
-//! subtrajectories; the window scan is the documented substitution — see
-//! EXPERIMENTS.md).
+//! subtrajectories; the window scan is the substitution made here).
 
 use crate::data::{Dataset, FuncKind, Scale};
 use crate::table::print_table;

@@ -1,6 +1,7 @@
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (§6) on synthetic datasets (see `DESIGN.md` §4 for the
-//! substitutions and §5 for the experiment index).
+//! evaluation (§6) on synthetic datasets (the README section "Reproducing
+//! the paper's experiments" names the substitutions; `repro --help` is the
+//! experiment index).
 //!
 //! * [`data`] — the four synthetic datasets standing in for Beijing, Porto,
 //!   Singapore and San Francisco, plus query sampling and model defaults.

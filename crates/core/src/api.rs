@@ -1,12 +1,14 @@
-//! The unified request/response surface: [`EngineBuilder`] constructs a
+//! The request/response surface: [`EngineBuilder`] constructs a
 //! [`SearchEngine`], [`SearchEngine::run`] answers a [`Query`], and
 //! [`SearchEngine::run_batch`] answers a mixed workload of them.
 //!
 //! Everything the engine can do — threshold and top-k objectives, all
-//! verification strategies, temporal constraints, sequential / in-query /
-//! whole-batch parallelism, single or sharded postings layouts — is reached
-//! through these two methods; the pre-redesign entry points remain as
-//! `#[deprecated]` wrappers over them. Dispatch stays monomorphized over
+//! verification strategies and metrics, temporal constraints, sequential /
+//! in-query / whole-batch parallelism, every postings layout — is reached
+//! through these two methods. [`SearchEngine::run_traced`] is `run` with
+//! span recording, and [`SearchEngine::execute`] is the form both forward
+//! to: the caller supplies the [`Deadline`] and the [`Tracer`], as a serving
+//! front-end does. Dispatch stays monomorphized over
 //! [`PostingSource`], and [`Response`] carries the same wire-format JSON as
 //! [`Query`], so a serving front-end or shard server can speak this exact
 //! type over a socket.
@@ -18,7 +20,7 @@ use crate::index::{InvertedIndex, Posting, PostingSource};
 use crate::json::JsonValue;
 use crate::query::{Objective, Parallelism, Query, QueryError};
 use crate::results::MatchResult;
-use crate::search::{SearchEngine, SearchOutcome};
+use crate::search::{ExecCtx, SearchEngine};
 use crate::sharded::ShardedIndex;
 use crate::stats::SearchStats;
 use crate::topk::TopKEntry;
@@ -186,9 +188,7 @@ impl PostingSource for AnyIndex {
     }
 }
 
-/// One constructor for every engine configuration, replacing the four
-/// pre-redesign constructors (`new`, `with_temporal_postings`,
-/// `new_sharded`, `with_index`):
+/// One constructor for every engine configuration:
 ///
 /// ```
 /// use trajsearch_core::{EngineBuilder, IndexLayout, Query};
@@ -285,8 +285,8 @@ impl<'a, M: WedInstance> EngineBuilder<'a, M> {
     }
 
     /// Wraps a pre-built posting source instead (built, appended to, or
-    /// temporal-enabled by the caller) — the expert escape hatch that
-    /// replaces the old `with_index`. The index must cover exactly the
+    /// temporal-enabled by the caller) — the expert escape hatch. The
+    /// index must cover exactly the
     /// trajectories of the store; `layout`/`temporal_postings` settings are
     /// ignored, and [`build_time`](SearchEngine::build_time) reports zero
     /// since construction happened outside.
@@ -502,33 +502,17 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
         Ok(())
     }
 
-    /// Answers one [`Query`] — the single entry point for every search
-    /// path. Returns [`QueryError::TemporalPostingsUnavailable`] when the
-    /// query asks for by-departure candidate generation on an index built
-    /// without it (formerly a silent fallback); every other invalid shape
-    /// was already rejected by [`QueryBuilder::build`](crate::QueryBuilder::build).
+    /// Answers one [`Query`]. Returns
+    /// [`QueryError::TemporalPostingsUnavailable`] when the query asks for
+    /// by-departure candidate generation on an index built without it;
+    /// every other invalid shape was already rejected by
+    /// [`QueryBuilder::build`](crate::QueryBuilder::build).
     ///
     /// A [`Query::deadline_ms`] budget starts counting *now*: expiry at any
     /// cooperative checkpoint (see [`crate::deadline`]) returns
     /// [`QueryError::DeadlineExceeded`] instead of a late answer.
     pub fn run(&self, query: &Query) -> Result<Response, QueryError> {
-        self.run_with_deadline(
-            query,
-            Deadline::for_query(Instant::now(), query.deadline_ms()),
-        )
-    }
-
-    /// [`run`](SearchEngine::run) against a caller-supplied [`Deadline`] —
-    /// the serving entry point. The deadline is used **exactly as given**
-    /// (it replaces, not combines with, [`Query::deadline_ms`]), so a
-    /// front-end can start the clock at admission and make queue time count
-    /// against the budget.
-    pub fn run_with_deadline(
-        &self,
-        query: &Query,
-        deadline: Deadline,
-    ) -> Result<Response, QueryError> {
-        self.run_with_deadline_traced(query, deadline, Tracer::disabled())
+        self.run_traced(query, Tracer::disabled())
     }
 
     /// [`run`](SearchEngine::run) with span recording: phase spans (filter,
@@ -537,101 +521,66 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     /// bound to, under a root `"query"` span. A disabled tracer makes this
     /// exactly [`run`](SearchEngine::run).
     pub fn run_traced(&self, query: &Query, tracer: Tracer<'_>) -> Result<Response, QueryError> {
-        self.run_with_deadline_traced(
+        let deadline = Deadline::for_query(Instant::now(), query.deadline_ms());
+        self.execute(query, deadline, tracer)
+    }
+
+    /// [`run_traced`](SearchEngine::run_traced) against a caller-supplied
+    /// [`Deadline`] — the serving entry point. The deadline is used
+    /// **exactly as given** (it replaces, not combines with,
+    /// [`Query::deadline_ms`]), so a front-end can start the clock at
+    /// admission and make queue time count against the budget.
+    /// [`Deadline::NONE`] is unbounded, [`Tracer::disabled`] is untraced.
+    pub fn execute(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+        tracer: Tracer<'_>,
+    ) -> Result<Response, QueryError> {
+        self.execute_with(
             query,
-            Deadline::for_query(Instant::now(), query.deadline_ms()),
-            tracer,
+            ExecCtx {
+                deadline,
+                tracer,
+                cache: None,
+            },
         )
     }
 
-    /// [`run_with_deadline`](SearchEngine::run_with_deadline) with span
-    /// recording — the traced serving entry point.
-    pub fn run_with_deadline_traced(
-        &self,
-        query: &Query,
-        deadline: Deadline,
-        tracer: Tracer<'_>,
-    ) -> Result<Response, QueryError> {
+    /// [`execute`](SearchEngine::execute) with the whole [`ExecCtx`] — the
+    /// batch workers pass their shared [`TrieCache`]
+    /// ([`BatchOptions::share_tries`]) through it. A threshold objective is
+    /// one call of the execution core; top-k is the growth loop around the
+    /// same call.
+    fn execute_with(&self, query: &Query, ctx: ExecCtx<'_>) -> Result<Response, QueryError> {
         self.admit(query)?;
-        deadline.check()?;
-        let root = tracer.span("query");
-        self.run_admitted(query, deadline, None, root.child())
-    }
-
-    /// Post-admission execution, shared by `run` and the batch workers.
-    /// `cache` is the batch-level shared [`TrieCache`]
-    /// ([`BatchOptions::share_tries`]); `run` always passes `None`.
-    pub(crate) fn run_admitted(
-        &self,
-        query: &Query,
-        deadline: Deadline,
-        cache: Option<&TrieCache>,
-        tracer: Tracer<'_>,
-    ) -> Result<Response, QueryError> {
-        let opts = query.search_options();
+        ctx.deadline.check()?;
+        let root = ctx.tracer.span("query");
+        let ctx = ExecCtx {
+            tracer: root.child(),
+            ..ctx
+        };
+        let (q, opts) = (query.pattern(), query.search_options());
+        let threads = match query.parallelism() {
+            Parallelism::Sequential => 1,
+            Parallelism::InQuery(threads) => threads,
+        };
         match query.objective() {
-            Objective::Threshold { tau } => {
-                let out = self.threshold_outcome(
-                    query.pattern(),
-                    tau,
-                    opts,
-                    query.parallelism(),
-                    deadline,
-                    cache,
-                    tracer,
-                )?;
-                Ok(Response {
-                    matches: out.matches,
-                    stats: out.stats,
-                })
-            }
+            Objective::Threshold { tau } => self.execute_threshold(q, tau, &opts, threads, ctx),
             Objective::TopK {
                 k,
                 initial_tau,
                 max_tau,
-            } => {
-                let (matches, stats) = crate::topk::top_k_growth(
-                    self,
-                    query.pattern(),
-                    k,
-                    initial_tau,
-                    max_tau,
-                    opts,
-                    query.parallelism(),
-                    deadline,
-                    cache,
-                    tracer,
-                )?;
-                Ok(Response { matches, stats })
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn threshold_outcome(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: crate::search::SearchOptions,
-        parallelism: Parallelism,
-        deadline: Deadline,
-        cache: Option<&TrieCache>,
-        tracer: Tracer<'_>,
-    ) -> Result<SearchOutcome, QueryError> {
-        match parallelism {
-            Parallelism::Sequential | Parallelism::InQuery(1) => {
-                self.search_opts_impl(q, tau, opts, deadline, cache, tracer)
-            }
-            Parallelism::InQuery(threads) => {
-                self.par_search_opts_impl(q, tau, opts, threads, deadline, cache, tracer)
-            }
+            } => crate::topk::top_k_growth(k, initial_tau, max_tau, ctx, |tau, ctx| {
+                self.execute_threshold(q, tau, &opts, threads, ctx)
+            }),
         }
     }
 
     /// Answers a workload of queries across scoped worker threads, outcomes
-    /// in input order. Unlike the retired `search_batch`, one batch may
-    /// freely mix thresholds, top-k, temporal constraints and verify modes
-    /// — each [`Query`] is self-contained.
+    /// in input order. One batch may freely mix thresholds, top-k, temporal
+    /// constraints, metrics and verify modes — each [`Query`] is
+    /// self-contained.
     ///
     /// All queries are admission-checked up front: an invalid one fails the
     /// whole batch *before* any work starts, so a partially executed batch
@@ -673,11 +622,13 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
         // and cannot carry a sink reference; workloads that need spans run
         // their queries through `run_traced` individually.
         let run_claimed = |query: &Query| -> Result<Response, QueryError> {
-            self.run_admitted(
+            self.execute_with(
                 query,
-                Deadline::for_query(Instant::now(), query.deadline_ms()),
-                trie_cache.as_ref(),
-                Tracer::disabled(),
+                ExecCtx {
+                    deadline: Deadline::for_query(Instant::now(), query.deadline_ms()),
+                    tracer: Tracer::disabled(),
+                    cache: trie_cache.as_ref(),
+                },
             )
         };
 
@@ -901,7 +852,7 @@ mod tests {
                 .unwrap(),
         ] {
             assert_eq!(
-                engine.run_with_deadline(&q, past).unwrap_err(),
+                engine.execute(&q, past, Tracer::disabled()).unwrap_err(),
                 QueryError::DeadlineExceeded
             );
         }
@@ -919,7 +870,11 @@ mod tests {
         assert_eq!(relaxed.stats.candidates, bare.stats.candidates);
         assert_eq!(
             engine
-                .run_with_deadline(&q, Deadline::within(Duration::from_secs(3600)))
+                .execute(
+                    &q,
+                    Deadline::within(Duration::from_secs(3600)),
+                    Tracer::disabled()
+                )
                 .unwrap()
                 .matches,
             bare.matches

@@ -5,7 +5,7 @@
 //! fans whole queries out across `std::thread::scope` workers (no external
 //! thread-pool dependency) claiming from a shared atomic cursor:
 //!
-//! * **Across queries** — each worker claims whole [`Query`]
+//! * **Across queries** — each worker claims whole [`Query`](crate::Query)
 //!   values and runs the ordinary pipeline on them. By default a query's
 //!   bidirectional-trie caches stay on the worker that built them (the
 //!   [`Verifier`](crate::verify::Verifier) is thread-local), so cache
@@ -15,7 +15,7 @@
 //!   patterns reuse each other's DP columns. One batch may mix thresholds,
 //!   top-k, temporal and plain queries freely.
 //! * **Within a query** —
-//!   [`Parallelism::InQuery`] shards one
+//!   [`Parallelism::InQuery`](crate::Parallelism::InQuery) shards one
 //!   query's candidate trajectories across workers; useful for
 //!   tail-latency on a single heavy query, not for throughput.
 //!
@@ -25,20 +25,15 @@
 //! the per-triple min-merge is associative.
 //!
 //! This module holds the workload-level types: [`BatchOptions`] (worker
-//! count), [`BatchStats`] (wall-clock vs summed-CPU time so a throughput
-//! experiment can report queries/sec and effective parallel speedup
-//! directly), and the legacy `(pattern, tau)` wrapper
-//! [`SearchEngine::search_batch`].
+//! count, trie sharing) and [`BatchStats`] (wall-clock vs summed-CPU time so
+//! a throughput experiment can report queries/sec and effective parallel
+//! speedup directly).
 
-use crate::index::PostingSource;
-use crate::query::{Parallelism, Query};
-use crate::search::{SearchEngine, SearchOptions, SearchOutcome};
 use crate::stats::SearchStats;
 use std::time::Duration;
-use wed::{Sym, WedInstance};
 
 /// Options for one batch run. Per-query behavior lives in each
-/// [`Query`]; this only schedules the workload.
+/// [`Query`](crate::Query); this only schedules the workload.
 ///
 /// Batch workers run untraced (this is a plain `Copy` bag and cannot carry
 /// a [`TraceSink`](trajsearch_obs::TraceSink) reference); workloads that
@@ -126,49 +121,6 @@ impl BatchStats {
     }
 }
 
-/// A batch answer in the legacy shape: per-query outcomes in workload order
-/// plus batch stats. The unified surface returns the equivalent
-/// [`BatchResponse`](crate::BatchResponse).
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// One [`SearchOutcome`] per workload entry, in input order.
-    pub outcomes: Vec<SearchOutcome>,
-    pub stats: BatchStats,
-}
-
-impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> {
-    /// Executes a workload of `(query, τ)` pairs, all with the same
-    /// [`SearchOptions`], across scoped worker threads.
-    #[deprecated(
-        note = "build `Query` values and call `run_batch` (one batch may now mix objectives)"
-    )]
-    pub fn search_batch(
-        &self,
-        workload: &[(Vec<Sym>, f64)],
-        opts: BatchOptions,
-        search: SearchOptions,
-    ) -> BatchOutcome {
-        let queries: Vec<Query> = workload
-            .iter()
-            .map(|(q, tau)| self.legacy_threshold_query(q, *tau, search, Parallelism::Sequential))
-            .collect();
-        let response = self
-            .run_batch(&queries, opts)
-            .expect("legacy queries are admissible by construction");
-        BatchOutcome {
-            outcomes: response
-                .responses
-                .into_iter()
-                .map(|r| SearchOutcome {
-                    matches: r.matches,
-                    stats: r.stats,
-                })
-                .collect(),
-            stats: response.stats,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +128,7 @@ mod tests {
     use crate::{EngineBuilder, Query};
     use traj::{Trajectory, TrajectoryStore};
     use wed::models::Lev;
+    use wed::Sym;
 
     fn store() -> TrajectoryStore {
         let mut s = TrajectoryStore::new();
@@ -224,36 +177,6 @@ mod tests {
                     assert_eq!(g.stats.fallback, w.stats.fallback);
                 }
             }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_search_batch_matches_run_batch() {
-        let store = store();
-        let engine = EngineBuilder::new(&Lev, &store, 10).build();
-        let wl = workload();
-        let search = SearchOptions {
-            verify: VerifyMode::Local,
-            ..Default::default()
-        };
-        let legacy = engine.search_batch(&wl, BatchOptions::with_threads(2), search);
-        let qs: Vec<Query> = wl
-            .iter()
-            .map(|(q, tau)| {
-                Query::threshold(q.clone(), *tau)
-                    .verify(VerifyMode::Local)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let unified = engine
-            .run_batch(&qs, BatchOptions::with_threads(2))
-            .unwrap();
-        assert_eq!(legacy.outcomes.len(), unified.responses.len());
-        for (l, u) in legacy.outcomes.iter().zip(&unified.responses) {
-            assert_eq!(l.matches, u.matches);
-            assert_eq!(l.stats.candidates, u.stats.candidates);
         }
     }
 

@@ -15,7 +15,7 @@
 //! * between threshold-growth rounds of a top-k query.
 //!
 //! Expiry surfaces as [`QueryError::DeadlineExceeded`] from
-//! [`SearchEngine::run_with_deadline`](crate::SearchEngine::run_with_deadline)
+//! [`SearchEngine::execute`](crate::SearchEngine::execute)
 //! (or [`run`](crate::SearchEngine::run), which derives the deadline from
 //! [`Query::deadline_ms`](crate::Query::deadline_ms) at call time). Partial
 //! results are never returned: a query either completes exactly or fails

@@ -48,9 +48,11 @@
 //!   a validated, JSON-serializable [`Query`] answered by
 //!   [`SearchEngine::run`](search::SearchEngine::run) /
 //!   [`run_batch`](search::SearchEngine::run_batch), with engines built by
-//!   [`EngineBuilder`]. These two methods are the only non-deprecated query
-//!   entry points; the pre-redesign methods remain as `#[deprecated]`
-//!   wrappers with byte-identical results.
+//!   [`EngineBuilder`]. [`run_traced`](search::SearchEngine::run_traced)
+//!   adds span recording and
+//!   [`execute`](search::SearchEngine::execute) takes the deadline and the
+//!   tracer from the caller; all of them reach the same single execution
+//!   path in [`search`].
 //!
 //! ## Quick example
 //!
@@ -97,7 +99,7 @@ pub mod topk;
 pub mod verify;
 
 pub use api::{AnyIndex, BatchResponse, EngineBuilder, IndexLayout, RemoteSpec, Response};
-pub use batch::{BatchOptions, BatchOutcome, BatchStats};
+pub use batch::{BatchOptions, BatchStats};
 pub use compact::CompactIndex;
 pub use deadline::Deadline;
 pub use filter::FilterPlan;
@@ -105,7 +107,7 @@ pub use index::{InvertedIndex, Posting, PostingSource, SizeBreakdown};
 pub use metric::{DtwVerifier, FrechetVerifier, LcssVerifier, Metric};
 pub use query::{Objective, Parallelism, Query, QueryBuilder, QueryError};
 pub use results::{MatchResult, ResultSet};
-pub use search::{exact_fallback_scan, SearchEngine, SearchOptions, SearchOutcome};
+pub use search::{exact_fallback_scan, SearchEngine, SearchOptions};
 pub use sharded::{IndexShard, ShardedIndex};
 pub use stats::SearchStats;
 pub use temporal::{TemporalConstraint, TemporalPredicate, TimeInterval};

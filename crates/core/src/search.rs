@@ -6,37 +6,39 @@
 //! no algorithmic adaptation, only a different cost model.
 //!
 //! Construct engines with [`EngineBuilder`](crate::EngineBuilder) and query
-//! them through the unified surface: [`SearchEngine::run`] answers one
-//! [`Query`]; [`SearchEngine::run_batch`] answers a workload of
-//! them.
-//! The pre-redesign entry points (`search`, `search_opts`,
-//! `par_search_opts`, plus the constructors) remain as `#[deprecated]`
-//! wrappers over that surface and return byte-identical results.
+//! them with [`SearchEngine::run`] (one [`Query`](crate::Query)) or
+//! [`SearchEngine::run_batch`] (a workload of them). Every threshold search
+//! — whatever the metric, thread count, deadline or tracing — is one call of
+//! `execute_threshold` in this module: MinCand plan → postings lookup →
+//! dedup → verification, with an exact scan when no sound filter bound
+//! exists; top-k is a loop around it ([`crate::topk`]).
 //!
 //! The default configuration is the paper's **OSF-BT**: optimized
 //! subsequence filtering (MinCand) + bidirectional-trie verification.
-//! [`SearchOptions`] (the legacy per-query option bag, now produced from a
-//! [`Query`]) selects the verification strategy (for the
-//! `OSF-SW` baseline and the `Local` ablation), temporal constraints, and
-//! the TF strategy of §4.3.
+//! [`SearchOptions`] (everything a [`Query`](crate::Query) says besides its
+//! objective) selects the verification strategy (for the `OSF-SW` baseline
+//! and the `Local` ablation), the metric, temporal constraints, and the TF
+//! strategy of §4.3.
 
+use crate::api::Response;
 use crate::deadline::Deadline;
 use crate::filter::FilterPlan;
 use crate::index::{InvertedIndex, PostingSource};
 use crate::metric::{metric_scan_all, DtwVerifier, FrechetVerifier, LcssVerifier, Metric};
-use crate::query::{Parallelism, Query, QueryError};
-use crate::results::MatchResult;
-use crate::sharded::ShardedIndex;
+use crate::query::QueryError;
+use crate::results::{MatchResult, ResultSet};
 use crate::stats::SearchStats;
 use crate::temporal::TemporalConstraint;
-use crate::verify::{TrieCache, VerifyMode};
+use crate::verify::{
+    finish_verification, verify_sharded, Candidate, TrieCache, Verifier, VerifyMode, WedVerifier,
+};
 use std::time::{Duration, Instant};
 use traj::TrajectoryStore;
 use trajsearch_obs::Tracer;
 use wed::{sw_scan_all, Sym, WedInstance};
 
-/// Per-query options of the internal pipeline. [`Query`]
-/// produces one of these; the legacy wrappers still accept them directly.
+/// Per-query options of the pipeline: everything a
+/// [`Query`](crate::Query) carries besides its objective and schedule.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchOptions {
     pub verify: VerifyMode,
@@ -50,27 +52,28 @@ pub struct SearchOptions {
     /// temporal constraint.
     pub temporal_filter: bool,
     /// §4.3 extension: generate candidates by binary search on
-    /// by-departure-sorted postings instead of scanning full lists. The
-    /// unified surface validates availability up front
-    /// ([`QueryError::TemporalPostingsUnavailable`]); the legacy wrappers
-    /// keep their historical silent fallback.
+    /// by-departure-sorted postings instead of scanning full lists.
+    /// Availability is validated at admission
+    /// ([`QueryError::TemporalPostingsUnavailable`]).
     pub use_temporal_postings: bool,
 }
 
-/// A query answer: the exact Definition 3 result set plus instrumentation.
-/// The unified surface returns the equivalent [`Response`](crate::Response)
-/// envelope; this type remains for the legacy wrappers.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome {
-    pub matches: Vec<MatchResult>,
-    pub stats: SearchStats,
+/// What one execution carries besides the query itself: when to stop, where
+/// spans go, and the batch-level trie cache when the workload shares one
+/// ([`crate::BatchOptions::share_tries`]). Unbounded is [`Deadline::NONE`],
+/// untraced is [`Tracer::disabled`], private tries is `None`.
+#[derive(Clone, Copy)]
+pub(crate) struct ExecCtx<'a> {
+    pub deadline: Deadline,
+    pub tracer: Tracer<'a>,
+    pub cache: Option<&'a TrieCache>,
 }
 
 /// Subtrajectory similarity search engine (OSF filtering + pluggable
 /// verification), generic over the postings layout `I` — the single-list
-/// [`InvertedIndex`] by default, [`ShardedIndex`], or the
-/// [`AnyIndex`](crate::AnyIndex) produced by
-/// [`EngineBuilder`](crate::EngineBuilder). All search paths are
+/// [`InvertedIndex`] by default, [`ShardedIndex`](crate::ShardedIndex), or
+/// the [`AnyIndex`](crate::AnyIndex) produced by
+/// [`EngineBuilder`](crate::EngineBuilder). The search path is
 /// monomorphized over `I`; results are byte-identical for every layout over
 /// the same store.
 pub struct SearchEngine<'a, M: WedInstance, I: PostingSource = InvertedIndex> {
@@ -80,62 +83,8 @@ pub struct SearchEngine<'a, M: WedInstance, I: PostingSource = InvertedIndex> {
     build_time: Duration,
 }
 
-impl<'a, M: WedInstance> SearchEngine<'a, M> {
-    /// Builds the inverted index over `store`. `alphabet_size` is `|V|` or
-    /// `|E|` depending on the representation the store uses.
-    #[deprecated(note = "use `EngineBuilder::new(model, store, alphabet_size).build()`")]
-    pub fn new(model: M, store: &'a TrajectoryStore, alphabet_size: usize) -> Self {
-        let t0 = Instant::now();
-        let index = InvertedIndex::build(store, alphabet_size);
-        SearchEngine::from_parts(model, store, index, t0.elapsed())
-    }
-
-    /// Like `new`, additionally building the by-departure postings ordering
-    /// for temporal-postings queries.
-    #[deprecated(note = "use `EngineBuilder::new(..).temporal_postings(true).build()`")]
-    pub fn with_temporal_postings(
-        model: M,
-        store: &'a TrajectoryStore,
-        alphabet_size: usize,
-    ) -> Self {
-        let t0 = Instant::now();
-        let mut index = InvertedIndex::build(store, alphabet_size);
-        index.enable_temporal_postings();
-        SearchEngine::from_parts(model, store, index, t0.elapsed())
-    }
-}
-
-impl<'a, M: WedInstance> SearchEngine<'a, M, ShardedIndex> {
-    /// Builds a [`ShardedIndex`] over `store` with `num_shards` shards
-    /// constructed in parallel.
-    #[deprecated(note = "use `EngineBuilder::new(..).layout(IndexLayout::Sharded(n)).build()`")]
-    pub fn new_sharded(
-        model: M,
-        store: &'a TrajectoryStore,
-        alphabet_size: usize,
-        num_shards: usize,
-    ) -> Self {
-        let t0 = Instant::now();
-        let index = ShardedIndex::build_parallel(store, alphabet_size, num_shards);
-        SearchEngine::from_parts(model, store, index, t0.elapsed())
-    }
-}
-
 impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
-    /// Wraps a pre-built posting source (built, appended to, or
-    /// temporal-enabled by the caller).
-    #[deprecated(note = "use `EngineBuilder::new(..).build_with(index)`")]
-    pub fn with_index(model: M, store: &'a TrajectoryStore, index: I) -> Self {
-        assert_eq!(
-            index.num_trajectories(),
-            store.len(),
-            "index and store must cover the same trajectories"
-        );
-        SearchEngine::from_parts(model, store, index, Duration::ZERO)
-    }
-
-    /// The one real constructor, used by [`EngineBuilder`](crate::EngineBuilder)
-    /// and the deprecated constructor wrappers.
+    /// The one constructor, used by [`EngineBuilder`](crate::EngineBuilder).
     pub(crate) fn from_parts(
         model: M,
         store: &'a TrajectoryStore,
@@ -174,10 +123,16 @@ impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
         self.build_time
     }
 
-    /// Phases 1–2, shared by the sequential and parallel paths: the MinCand
-    /// τ-subsequence plan, then candidate lookup (binary-searched when the
-    /// §4.3 temporal postings are available and requested). `None` means no
-    /// τ-subsequence exists and the caller must fall back to an exact scan.
+    /// Phases 1–2: the candidate plan, then candidate lookup
+    /// (binary-searched when the §4.3 temporal postings are requested).
+    /// `None` means no sound filter bound exists and the caller must fall
+    /// back to an exact scan.
+    ///
+    /// The plan is the strongest bound that is *sound* for the metric (see
+    /// [`crate::metric`]): the full MinCand τ-subsequence for WED and DTW,
+    /// the single-symbol plan for Fréchet, none for LCSS. The temporal
+    /// lookup applies unchanged to every metric: it prunes by trajectory
+    /// time spans.
     fn filter_and_lookup(
         &self,
         q: &[Sym],
@@ -185,54 +140,13 @@ impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
         opts: &SearchOptions,
         stats: &mut SearchStats,
         tracer: Tracer<'_>,
-    ) -> Option<Vec<crate::verify::Candidate>> {
-        assert!(tau > 0.0, "threshold must be positive");
-        assert!(!q.is_empty(), "query must be non-empty");
-
-        let t0 = Instant::now();
-        let plan = FilterPlan::build(&self.model, &self.index, q, tau);
-        stats.mincand_time = t0.elapsed();
-        tracer.record_interval("filter", 0, t0, Instant::now());
-        stats.tsubseq_len = plan.chosen.len();
-
-        if !plan.feasible {
-            return None;
-        }
-
-        let t1 = Instant::now();
-        let candidates = match (
-            &opts.temporal,
-            opts.use_temporal_postings && self.index.has_temporal_postings(),
-        ) {
-            (Some(c), true) => plan.candidates_temporal(&self.index, c),
-            _ => plan.candidates(&self.index),
-        };
-        stats.lookup_time = t1.elapsed();
-        tracer.record_interval("lookup", candidates.len() as u64, t1, Instant::now());
-        Some(candidates)
-    }
-
-    /// Metric variant of [`filter_and_lookup`](Self::filter_and_lookup):
-    /// chooses the strongest candidate bound that is *sound* for the metric
-    /// (see [`crate::metric`]) — the full MinCand plan for DTW, the
-    /// single-symbol plan for Fréchet, none for LCSS (always the exact
-    /// fallback scan). The temporal lookup variants apply unchanged: they
-    /// prune by trajectory time spans, which is metric-independent.
-    fn metric_filter_and_lookup(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: &SearchOptions,
-        stats: &mut SearchStats,
-        tracer: Tracer<'_>,
-    ) -> Option<Vec<crate::verify::Candidate>> {
+    ) -> Option<Vec<Candidate>> {
         assert!(tau > 0.0, "threshold must be positive");
         assert!(!q.is_empty(), "query must be non-empty");
 
         let t0 = Instant::now();
         let plan = match opts.metric {
-            Metric::Wed => unreachable!("WED goes through filter_and_lookup"),
-            Metric::Dtw => FilterPlan::build(&self.model, &self.index, q, tau),
+            Metric::Wed | Metric::Dtw => FilterPlan::build(&self.model, &self.index, q, tau),
             Metric::Frechet => FilterPlan::build_single(&self.model, &self.index, q, tau),
             Metric::Lcss { .. } => return None,
         };
@@ -242,6 +156,7 @@ impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
         if !plan.feasible {
             return None;
         }
+
         let t1 = Instant::now();
         let candidates = match (
             &opts.temporal,
@@ -254,310 +169,97 @@ impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
         tracer.record_interval("lookup", candidates.len() as u64, t1, Instant::now());
         Some(candidates)
     }
-
-    /// The sequential non-WED execution path: shared front half, one exact
-    /// per-trajectory scan per candidate group in the back half.
-    pub(crate) fn metric_search_impl(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: SearchOptions,
-        deadline: Deadline,
-        tracer: Tracer<'_>,
-    ) -> Result<SearchOutcome, QueryError> {
-        let mut stats = SearchStats::default();
-        let Some(candidates) = self.metric_filter_and_lookup(q, tau, &opts, &mut stats, tracer)
-        else {
-            return self.metric_fallback_scan(q, tau, opts, stats, deadline, tracer);
-        };
-        deadline.check()?;
-
-        let t2 = Instant::now();
-        let matches = match opts.metric {
-            Metric::Wed => unreachable!("WED goes through search_opts_impl"),
-            Metric::Dtw => self.metric_verify(
-                &candidates,
-                DtwVerifier::new(&self.model, q, tau),
-                &opts,
-                deadline,
-                &mut stats,
-                tracer,
-            ),
-            Metric::Lcss { eps } => self.metric_verify(
-                &candidates,
-                LcssVerifier::new(&self.model, q, tau, eps),
-                &opts,
-                deadline,
-                &mut stats,
-                tracer,
-            ),
-            Metric::Frechet => self.metric_verify(
-                &candidates,
-                FrechetVerifier::new(&self.model, q, tau),
-                &opts,
-                deadline,
-                &mut stats,
-                tracer,
-            ),
-        }?;
-        stats.verify_time = t2.elapsed();
-        tracer.record_interval("verify", 0, t2, Instant::now());
-
-        Ok(SearchOutcome { matches, stats })
-    }
-
-    fn metric_verify<V: crate::verify::Verifier>(
-        &self,
-        candidates: &[crate::verify::Candidate],
-        mut verifier: V,
-        opts: &SearchOptions,
-        deadline: Deadline,
-        stats: &mut SearchStats,
-        tracer: Tracer<'_>,
-    ) -> Result<Vec<MatchResult>, QueryError> {
-        crate::verify::verify_candidates_with(
-            self.store,
-            |id| self.index.span(id),
-            candidates,
-            &mut verifier,
-            opts.temporal.as_ref(),
-            opts.temporal_filter,
-            deadline,
-            stats,
-            tracer,
-        )
-    }
-
-    /// Exact metric full scan used when no sound filter bound exists (LCSS,
-    /// or an infeasible plan); the metric analogue of
-    /// [`exact_fallback_scan`].
-    fn metric_fallback_scan(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: SearchOptions,
-        mut stats: SearchStats,
-        deadline: Deadline,
-        tracer: Tracer<'_>,
-    ) -> Result<SearchOutcome, QueryError> {
-        let span = tracer.span("fallback_scan");
-        let matches = metric_fallback_scan_deadline(
-            &self.model,
-            self.store,
-            q,
-            tau,
-            opts.metric,
-            opts.temporal.as_ref(),
-            opts.temporal_filter,
-            deadline,
-            &mut stats,
-        )?;
-        span.finish();
-        Ok(SearchOutcome { matches, stats })
-    }
-
-    /// Algorithm 2 with configurable verification and temporal handling —
-    /// the sequential execution path behind
-    /// [`run`](SearchEngine::run).
-    ///
-    /// When no τ-subsequence exists (`c(Q) < τ`, possible for continuous
-    /// cost models with small η), subsequence filtering would be unsound;
-    /// the engine transparently falls back to an exact Smith–Waterman scan
-    /// and sets `stats.fallback`.
-    /// `cache` is the batch-level [`TrieCache`], if the workload opted in
-    /// ([`crate::BatchOptions::share_tries`]); metric paths ignore it.
-    pub(crate) fn search_opts_impl(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: SearchOptions,
-        deadline: Deadline,
-        cache: Option<&TrieCache>,
-        tracer: Tracer<'_>,
-    ) -> Result<SearchOutcome, QueryError> {
-        if !opts.metric.is_wed() {
-            return self.metric_search_impl(q, tau, opts, deadline, tracer);
-        }
-        let mut stats = SearchStats::default();
-        let Some(candidates) = self.filter_and_lookup(q, tau, &opts, &mut stats, tracer) else {
-            return self.fallback_scan(q, tau, opts, stats, deadline, tracer);
-        };
-        deadline.check()?;
-
-        // Phase 3: verification.
-        let t2 = Instant::now();
-        let matches = crate::verify::verify_candidates_deadline(
-            &self.model,
-            self.store,
-            |id| self.index.span(id),
-            q,
-            tau,
-            &candidates,
-            opts.verify,
-            opts.temporal.as_ref(),
-            opts.temporal_filter,
-            deadline,
-            cache,
-            &mut stats,
-            tracer,
-        )?;
-        stats.verify_time = t2.elapsed();
-        tracer.record_interval("verify", 0, t2, Instant::now());
-
-        Ok(SearchOutcome { matches, stats })
-    }
-
-    /// Exact full scan used when filtering is infeasible; see
-    /// [`exact_fallback_scan`] for the stats contract.
-    fn fallback_scan(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: SearchOptions,
-        mut stats: SearchStats,
-        deadline: Deadline,
-        tracer: Tracer<'_>,
-    ) -> Result<SearchOutcome, QueryError> {
-        let span = tracer.span("fallback_scan");
-        let matches = fallback_scan_deadline(
-            &self.model,
-            self.store,
-            q,
-            tau,
-            opts.temporal.as_ref(),
-            opts.temporal_filter,
-            deadline,
-            &mut stats,
-        )?;
-        span.finish();
-        Ok(SearchOutcome { matches, stats })
-    }
 }
 
 impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> {
-    /// The in-query parallel execution path behind
-    /// [`run`](SearchEngine::run) with
-    /// [`Parallelism::InQuery`](crate::Parallelism::InQuery): verification
-    /// — the dominant cost in the paper's Table 4 breakdown — sharded
-    /// across `threads` scoped workers, each verifying whole trajectories
-    /// with its own [`Verifier`](crate::verify::Verifier); Trie-mode workers
-    /// share DP columns through one [`TrieCache`] (the batch-level `cache`
-    /// when provided, else a query-local one). The result set (distances
-    /// included) is identical to the sequential path for any thread count;
-    /// `threads <= 1` *is* the sequential path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn par_search_opts_impl(
+    /// Algorithm 2 — the one threshold execution path behind
+    /// [`run`](SearchEngine::run), every batch worker and every top-k
+    /// growth round.
+    ///
+    /// Verification — the dominant cost in the paper's Table 4 breakdown —
+    /// is sharded by trajectory across `threads` scoped workers, each with
+    /// its own [`Verifier`]; `threads = 1` is the paper's sequential
+    /// pipeline, and the result set (distances included) is identical for
+    /// any thread count. Trie-mode workers share DP columns through one
+    /// [`TrieCache`]: the batch-level `ctx.cache` when provided, else a
+    /// query-local one when `threads > 1`.
+    ///
+    /// When no sound filter bound exists (`c(Q) < τ`, possible for
+    /// continuous cost models with small η; always for LCSS), filtering
+    /// would be unsound; the engine transparently falls back to an exact
+    /// scan and sets `stats.fallback`.
+    pub(crate) fn execute_threshold(
         &self,
         q: &[Sym],
         tau: f64,
-        opts: SearchOptions,
+        opts: &SearchOptions,
         threads: usize,
-        deadline: Deadline,
-        cache: Option<&TrieCache>,
-        tracer: Tracer<'_>,
-    ) -> Result<SearchOutcome, QueryError> {
-        if !opts.metric.is_wed() {
-            return self.par_metric_search_impl(q, tau, opts, threads, deadline, tracer);
-        }
+        ctx: ExecCtx<'_>,
+    ) -> Result<Response, QueryError> {
         let mut stats = SearchStats::default();
-        let Some(candidates) = self.filter_and_lookup(q, tau, &opts, &mut stats, tracer) else {
-            return self.fallback_scan(q, tau, opts, stats, deadline, tracer);
+        let Some(candidates) = self.filter_and_lookup(q, tau, opts, &mut stats, ctx.tracer) else {
+            let span = ctx.tracer.span("fallback_scan");
+            let matches = fallback_scan(
+                &self.model,
+                self.store,
+                q,
+                tau,
+                opts,
+                ctx.deadline,
+                &mut stats,
+            )?;
+            span.finish();
+            return Ok(Response { matches, stats });
         };
-        deadline.check()?;
+        ctx.deadline.check()?;
 
         let t2 = Instant::now();
-        let matches = crate::verify::par_verify_candidates_deadline(
-            &self.model,
-            self.store,
-            |id| self.index.span(id),
-            q,
-            tau,
-            &candidates,
-            opts.verify,
-            opts.temporal.as_ref(),
-            opts.temporal_filter,
-            threads,
-            deadline,
-            cache,
-            &mut stats,
-            tracer,
-        )?;
-        stats.verify_time = t2.elapsed();
-        tracer.record_interval("verify", 0, t2, Instant::now());
-
-        Ok(SearchOutcome { matches, stats })
-    }
-
-    /// In-query parallel non-WED path: same front half as
-    /// [`metric_search_impl`](Self::metric_search_impl), with the exact
-    /// per-trajectory scans sharded across workers (one verifier per
-    /// worker). Falls back to the sequential exact scan when no sound
-    /// filter bound exists, exactly like the WED parallel path does.
-    pub(crate) fn par_metric_search_impl(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: SearchOptions,
-        threads: usize,
-        deadline: Deadline,
-        tracer: Tracer<'_>,
-    ) -> Result<SearchOutcome, QueryError> {
-        let mut stats = SearchStats::default();
-        let Some(candidates) = self.metric_filter_and_lookup(q, tau, &opts, &mut stats, tracer)
-        else {
-            return self.metric_fallback_scan(q, tau, opts, stats, deadline, tracer);
-        };
-        deadline.check()?;
-
-        let t2 = Instant::now();
+        let model = &self.model;
+        let local;
         let matches = match opts.metric {
-            Metric::Wed => unreachable!("WED goes through par_search_opts_impl"),
-            Metric::Dtw => self.par_metric_verify(
-                &candidates,
-                || DtwVerifier::new(&self.model, q, tau),
-                &opts,
-                threads,
-                deadline,
-                &mut stats,
-                tracer,
-            ),
-            Metric::Lcss { eps } => self.par_metric_verify(
-                &candidates,
-                || LcssVerifier::new(&self.model, q, tau, eps),
-                &opts,
-                threads,
-                deadline,
-                &mut stats,
-                tracer,
-            ),
-            Metric::Frechet => self.par_metric_verify(
-                &candidates,
-                || FrechetVerifier::new(&self.model, q, tau),
-                &opts,
-                threads,
-                deadline,
-                &mut stats,
-                tracer,
-            ),
+            Metric::Wed => {
+                let cache = match (ctx.cache, opts.verify) {
+                    (Some(c), VerifyMode::Trie) => Some(c),
+                    (None, VerifyMode::Trie) if threads > 1 => {
+                        local = TrieCache::new();
+                        Some(&local)
+                    }
+                    _ => None,
+                };
+                let make = || WedVerifier::with_cache(model, q, tau, opts.verify, cache);
+                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
+            }
+            Metric::Dtw => {
+                let make = || DtwVerifier::new(model, q, tau);
+                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
+            }
+            Metric::Lcss { eps } => {
+                let make = || LcssVerifier::new(model, q, tau, eps);
+                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
+            }
+            Metric::Frechet => {
+                let make = || FrechetVerifier::new(model, q, tau);
+                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
+            }
         }?;
         stats.verify_time = t2.elapsed();
-        tracer.record_interval("verify", 0, t2, Instant::now());
+        ctx.tracer.record_interval("verify", 0, t2, Instant::now());
 
-        Ok(SearchOutcome { matches, stats })
+        Ok(Response { matches, stats })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn par_metric_verify<V: crate::verify::Verifier, F: Fn() -> V + Sync>(
+    /// Phase 3 for whichever verifier the metric picked; generic, so each
+    /// arm of the metric match stays monomorphized.
+    fn verify<V: Verifier, F: Fn() -> V + Sync>(
         &self,
-        candidates: &[crate::verify::Candidate],
+        candidates: &[Candidate],
         make_verifier: F,
         opts: &SearchOptions,
         threads: usize,
-        deadline: Deadline,
+        ctx: ExecCtx<'_>,
         stats: &mut SearchStats,
-        tracer: Tracer<'_>,
     ) -> Result<Vec<MatchResult>, QueryError> {
-        crate::verify::par_verify_candidates_with(
+        verify_sharded(
             self.store,
             |id| self.index.span(id),
             candidates,
@@ -565,104 +267,9 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
             opts.temporal.as_ref(),
             opts.temporal_filter,
             threads,
-            deadline,
+            ctx,
             stats,
-            tracer,
         )
-    }
-
-    /// Translates a legacy `(pattern, tau, options)` call into a [`Query`],
-    /// preserving the historical contract exactly: panics (not errors) on
-    /// the old assertion failures, the silent fallback to plain candidate
-    /// generation when temporal postings are requested but unavailable or
-    /// no temporal constraint is set, and acceptance of `tau = +∞` (which
-    /// the old `assert!(tau > 0.0)` admitted) — mapped to [`f64::MAX`],
-    /// behaviorally identical for the finite-cost WED models since every
-    /// finite distance is below both.
-    pub(crate) fn legacy_threshold_query(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: SearchOptions,
-        parallelism: Parallelism,
-    ) -> Query {
-        let tau = legacy_tau(tau);
-        let use_tp = opts.use_temporal_postings
-            && opts.temporal.is_some()
-            && self.index.has_temporal_postings();
-        let mut builder = Query::threshold(q, tau)
-            .verify(opts.verify)
-            .temporal_filter(opts.temporal_filter)
-            .temporal_postings(use_tp)
-            .parallelism(parallelism);
-        if let Some(c) = opts.temporal {
-            builder = builder.temporal(c);
-        }
-        match builder.build() {
-            Ok(query) => query,
-            Err(QueryError::EmptyPattern) => panic!("query must be non-empty"),
-            Err(QueryError::InvalidTau(_)) => panic!("threshold must be positive"),
-            Err(e) => panic!("invalid legacy query: {e}"),
-        }
-    }
-
-    /// OSF-BT search with defaults: trie verification, no temporal
-    /// constraint.
-    #[deprecated(note = "build a `Query::threshold(..)` and call `SearchEngine::run`")]
-    pub fn search(&self, q: &[Sym], tau: f64) -> SearchOutcome {
-        #[allow(deprecated)]
-        self.search_opts(q, tau, SearchOptions::default())
-    }
-
-    /// Algorithm 2 with configurable verification and temporal handling.
-    #[deprecated(note = "build a `Query::threshold(..)` and call `SearchEngine::run`")]
-    pub fn search_opts(&self, q: &[Sym], tau: f64, opts: SearchOptions) -> SearchOutcome {
-        let query = self.legacy_threshold_query(q, tau, opts, Parallelism::Sequential);
-        let r = self
-            .run(&query)
-            .expect("legacy queries are admissible by construction");
-        SearchOutcome {
-            matches: r.matches,
-            stats: r.stats,
-        }
-    }
-
-    /// `search_opts` with verification sharded across `threads` workers.
-    #[deprecated(
-        note = "build a `Query::threshold(..).parallelism(Parallelism::InQuery(n))` and call `run`"
-    )]
-    pub fn par_search_opts(
-        &self,
-        q: &[Sym],
-        tau: f64,
-        opts: SearchOptions,
-        threads: usize,
-    ) -> SearchOutcome {
-        let parallelism = if threads <= 1 {
-            Parallelism::Sequential
-        } else {
-            Parallelism::InQuery(threads)
-        };
-        let query = self.legacy_threshold_query(q, tau, opts, parallelism);
-        let r = self
-            .run(&query)
-            .expect("legacy queries are admissible by construction");
-        SearchOutcome {
-            matches: r.matches,
-            stats: r.stats,
-        }
-    }
-}
-
-/// Legacy thresholds admitted `+∞` ("match everything"); the unified
-/// surface requires finite τ (the wire format has no ∞ token). `f64::MAX`
-/// is an exact stand-in: WED distances are finite sums of finite costs, so
-/// `d < MAX` and `d < ∞` select the same matches.
-pub(crate) fn legacy_tau(tau: f64) -> f64 {
-    if tau == f64::INFINITY {
-        f64::MAX
-    } else {
-        tau
     }
 }
 
@@ -684,111 +291,53 @@ pub fn exact_fallback_scan<M: wed::CostModel>(
     temporal: Option<&TemporalConstraint>,
     temporal_filter: bool,
     stats: &mut SearchStats,
-) -> Vec<crate::results::MatchResult> {
-    fallback_scan_deadline(
-        model,
-        store,
-        q,
-        tau,
-        temporal,
+) -> Vec<MatchResult> {
+    let opts = SearchOptions {
+        temporal: temporal.copied(),
         temporal_filter,
-        Deadline::NONE,
-        stats,
-    )
-    .expect("a scan without a deadline cannot expire")
+        ..SearchOptions::default()
+    };
+    fallback_scan(model, store, q, tau, &opts, Deadline::NONE, stats)
+        .expect("a scan without a deadline cannot expire")
 }
 
-/// [`exact_fallback_scan`] with a cooperative [`Deadline`] checked between
-/// scanned trajectories — the fallback path's equivalent of the
-/// between-group checkpoints in verification.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fallback_scan_deadline<M: wed::CostModel>(
-    model: &M,
-    store: &TrajectoryStore,
-    q: &[Sym],
-    tau: f64,
-    temporal: Option<&TemporalConstraint>,
-    temporal_filter: bool,
-    deadline: Deadline,
-    stats: &mut SearchStats,
-) -> Result<Vec<crate::results::MatchResult>, QueryError> {
-    stats.fallback = true;
-    let scan = fallback_selection(store, temporal, temporal_filter, stats);
-
-    let t2 = Instant::now();
-    let mut rs = crate::results::ResultSet::new();
-    for id in scan {
-        deadline.check()?;
-        let traj = store.get(id);
-        stats.sw_columns += traj.len() as u64;
-        stats.verify_cost += traj.len() as u64;
-        for m in sw_scan_all(model, traj.path(), q, tau) {
-            rs.push(id, m.start, m.end, m.dist);
-        }
-    }
-    finish_fallback(rs, store, temporal, t2, stats)
-}
-
-/// Exact full scan under a non-WED metric — used when the metric admits no
-/// sound filter bound (LCSS always; DTW/Fréchet when their plan is
-/// infeasible). Same stats contract as [`exact_fallback_scan`], except the
-/// scan work lands in the metric-neutral `verify_cost` (the WED-specific
-/// `sw_columns` stays zero).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn metric_fallback_scan_deadline<M: wed::CostModel>(
-    model: &M,
-    store: &TrajectoryStore,
-    q: &[Sym],
-    tau: f64,
-    metric: Metric,
-    temporal: Option<&TemporalConstraint>,
-    temporal_filter: bool,
-    deadline: Deadline,
-    stats: &mut SearchStats,
-) -> Result<Vec<crate::results::MatchResult>, QueryError> {
-    stats.fallback = true;
-    let scan = fallback_selection(store, temporal, temporal_filter, stats);
-
-    let t2 = Instant::now();
-    let mut rs = crate::results::ResultSet::new();
-    for id in scan {
-        deadline.check()?;
-        let traj = store.get(id);
-        let (found, rows) = metric_scan_all(model, metric, traj.path(), q, tau);
-        stats.verify_cost += rows;
-        for m in found {
-            rs.push(id, m.start, m.end, m.dist);
-        }
-    }
-    finish_fallback(rs, store, temporal, t2, stats)
-}
-
-/// The fallback paths' "lookup" phase: select the trajectories to scan
-/// (TF pre-filter), mirroring candidate generation on the indexed path.
-/// Span-based, hence sound for every metric.
+/// The exact scan behind [`exact_fallback_scan`], for any metric and with a
+/// cooperative [`Deadline`] checked between scanned trajectories — the
+/// fallback path's equivalent of the between-group checkpoints in
+/// verification. Under a non-WED metric the scan work lands in the
+/// metric-neutral `verify_cost` only (the WED-specific `sw_columns` stays
+/// zero).
 ///
 /// Counter contract (pinned by `fallback_stats_are_coherent` and
 /// `metric_fallback_stats_are_coherent`): the three candidate counters are
-/// **pre-verification** quantities on every path, exactly as on the indexed
-/// path. `candidates` counts every trajectory position, the TF pre-filter
-/// (and only it) separates `candidates_after_temporal` from `candidates`,
-/// and `candidates_deduped == candidates_after_temporal` because positions
-/// of distinct trajectories are inherently distinct. Rows dropped by the
-/// exact temporal *post*-check never touch these counters — they are
-/// reflected in `results` alone, again matching the indexed path.
-fn fallback_selection(
+/// **pre-verification** quantities, exactly as on the indexed path.
+/// `candidates` counts every trajectory position, the TF pre-filter (and
+/// only it; span-based, hence sound for every metric) separates
+/// `candidates_after_temporal` from `candidates`, and
+/// `candidates_deduped == candidates_after_temporal` because positions of
+/// distinct trajectories are inherently distinct. Rows dropped by the exact
+/// temporal *post*-check never touch these counters — they are reflected in
+/// `results` alone, again matching the indexed path.
+fn fallback_scan<M: wed::CostModel>(
+    model: &M,
     store: &TrajectoryStore,
-    temporal: Option<&TemporalConstraint>,
-    temporal_filter: bool,
+    q: &[Sym],
+    tau: f64,
+    opts: &SearchOptions,
+    deadline: Deadline,
     stats: &mut SearchStats,
-) -> Vec<traj::TrajId> {
+) -> Result<Vec<MatchResult>, QueryError> {
+    stats.fallback = true;
+
+    // The scan's "lookup" phase: select the trajectories to scan (TF
+    // pre-filter), mirroring candidate generation on the indexed path.
     let t1 = Instant::now();
     let mut scan: Vec<traj::TrajId> = Vec::with_capacity(store.len());
     let mut total_positions = 0usize;
     let mut scanned_positions = 0usize;
     for (id, traj) in store.iter() {
         total_positions += traj.len();
-        if let (Some(c), true) = (temporal, temporal_filter) {
+        if let (Some(c), true) = (&opts.temporal, opts.temporal_filter) {
             if !c.may_contain_match(traj.span()) {
                 continue;
             }
@@ -800,26 +349,26 @@ fn fallback_selection(
     stats.candidates_after_temporal = scanned_positions;
     stats.candidates_deduped = scanned_positions;
     stats.lookup_time = t1.elapsed();
-    scan
-}
 
-/// Exact temporal post-check and deterministic ordering shared by the
-/// fallback scans.
-fn finish_fallback(
-    mut rs: crate::results::ResultSet,
-    store: &TrajectoryStore,
-    temporal: Option<&TemporalConstraint>,
-    t2: Instant,
-    stats: &mut SearchStats,
-) -> Result<Vec<crate::results::MatchResult>, QueryError> {
-    if let Some(c) = temporal {
-        rs.retain(|id, s, t| {
-            let times = store.get(id).times();
-            c.accepts(times[s], times[t])
-        });
+    let t2 = Instant::now();
+    let mut rs = ResultSet::new();
+    for id in scan {
+        deadline.check()?;
+        let traj = store.get(id);
+        let found = if opts.metric.is_wed() {
+            stats.sw_columns += traj.len() as u64;
+            stats.verify_cost += traj.len() as u64;
+            sw_scan_all(model, traj.path(), q, tau)
+        } else {
+            let (found, rows) = metric_scan_all(model, opts.metric, traj.path(), q, tau);
+            stats.verify_cost += rows;
+            found
+        };
+        for m in found {
+            rs.push(id, m.start, m.end, m.dist);
+        }
     }
-    let matches = rs.into_sorted_vec();
-    stats.results = matches.len();
+    let matches = finish_verification(rs, store, opts.temporal.as_ref(), stats);
     stats.verify_time = t2.elapsed();
     Ok(matches)
 }
@@ -1000,8 +549,8 @@ mod tests {
 
     #[test]
     fn metric_fallback_stats_are_coherent() {
-        // LCSS admits no sound filter bound, so `metric_fallback_scan` is
-        // its *only* execution path; pin every counter of that contract.
+        // LCSS admits no sound filter bound, so the exact scan is its
+        // *only* execution path; pin every counter of that contract.
         use crate::metric::Metric;
         use crate::temporal::{TemporalConstraint, TimeInterval};
         let mut store = TrajectoryStore::new();
@@ -1087,72 +636,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_match_run() {
-        // The deprecated entry points are wrappers over `run`; spot-check
-        // byte-identical matches and the preserved constructor behavior.
-        let store = toy_store();
-        let legacy = SearchEngine::new(&Lev, &store, 10);
-        let unified = EngineBuilder::new(&Lev, &store, 10).build();
-        let q: Vec<Sym> = vec![1, 5, 2];
-        let want = unified
-            .run(&Query::threshold(q.clone(), 2.0).build().unwrap())
-            .unwrap();
-        assert_eq!(legacy.search(&q, 2.0).matches, want.matches);
-        assert_eq!(
-            legacy
-                .search_opts(&q, 2.0, SearchOptions::default())
-                .matches,
-            want.matches
-        );
-        assert_eq!(
-            legacy
-                .par_search_opts(&q, 2.0, SearchOptions::default(), 2)
-                .matches,
-            want.matches
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_silent_fallback_preserved() {
-        // use_temporal_postings without index support silently degrades on
-        // the legacy wrapper (the unified surface rejects it instead).
-        use crate::temporal::{TemporalConstraint, TimeInterval};
-        let mut store = TrajectoryStore::new();
-        store.push(Trajectory::new(vec![1, 2, 3], vec![0.0, 1.0, 2.0]));
-        let engine = SearchEngine::new(&Lev, &store, 8);
-        let opts = SearchOptions {
-            temporal: Some(TemporalConstraint::overlaps(TimeInterval::new(0.0, 5.0))),
-            use_temporal_postings: true,
-            ..Default::default()
-        };
-        let out = engine.search_opts(&[1, 2], 1.0, opts);
-        assert_eq!(out.matches.len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_infinite_tau_still_matches_everything() {
-        // The old `assert!(tau > 0.0)` admitted +∞ ("match everything");
-        // the wrappers must keep accepting it even though the unified
-        // surface requires finite τ for the wire format.
-        let mut store = TrajectoryStore::new();
-        store.push(Trajectory::untimed(vec![1, 2, 3]));
-        let engine = SearchEngine::new(&Lev, &store, 8);
-        let out = engine.search(&[1, 2], f64::INFINITY);
-        assert_eq!(out.matches.len(), 6, "every substring matches at tau=∞");
-        let top = engine.search_top_k(&[1, 2], 1, 0.5, f64::INFINITY);
-        assert_eq!(top.len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "query must be non-empty")]
-    #[allow(deprecated)]
     fn empty_query_rejected() {
+        // `QueryBuilder::build` already rejects an empty pattern with a
+        // typed error; the execution core keeps its own guard for callers
+        // inside the crate.
         let store = toy_store();
-        let engine = SearchEngine::new(&Lev, &store, 10);
-        engine.search(&[], 1.0);
+        let engine = EngineBuilder::new(&Lev, &store, 10).build();
+        let ctx = ExecCtx {
+            deadline: Deadline::NONE,
+            tracer: Tracer::disabled(),
+            cache: None,
+        };
+        let _ = engine.execute_threshold(&[], 1.0, &SearchOptions::default(), 1, ctx);
     }
 
     #[test]

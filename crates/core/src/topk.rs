@@ -14,18 +14,14 @@
 //! [`SearchEngine::run`](crate::SearchEngine::run); the responses' `matches`
 //! are the ranked best matches (position = rank).
 
-use crate::deadline::Deadline;
-use crate::index::PostingSource;
-use crate::query::{Parallelism, QueryError};
+use crate::api::Response;
+use crate::query::QueryError;
 use crate::results::MatchResult;
-use crate::search::{SearchEngine, SearchOptions};
+use crate::search::ExecCtx;
 use crate::stats::SearchStats;
-use crate::verify::TrieCache;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use traj::TrajId;
-use trajsearch_obs::Tracer;
-use wed::{Sym, WedInstance};
 
 /// One top-k entry: the best match of one trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,37 +30,39 @@ pub struct TopKEntry {
     pub best: MatchResult,
 }
 
-/// The threshold-growth loop behind [`Objective::TopK`](crate::Objective):
-/// ranked best matches (rank order) plus the per-round stats merged over
-/// every growth round, with `results` set to the returned entry count.
+/// The threshold-growth loop behind [`Objective::TopK`](crate::Objective),
+/// around `threshold_search(tau, ctx)` — the engine's one threshold
+/// execution path with the query's pattern, options and thread count bound.
+/// Returns the ranked best matches (rank order) plus the per-round stats
+/// merged over every growth round, with `results` set to the returned entry
+/// count.
 ///
-/// The [`Deadline`] is checked between growth rounds (on top of the
-/// checkpoints each round's threshold search performs internally); expiry
-/// is [`QueryError::DeadlineExceeded`] — a partially grown ranking is never
+/// The deadline is checked between growth rounds (on top of the checkpoints
+/// each round's threshold search performs internally); expiry is
+/// [`QueryError::DeadlineExceeded`] — a partially grown ranking is never
 /// returned.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn top_k_growth<M: WedInstance + Sync, I: PostingSource + Sync>(
-    engine: &SearchEngine<'_, M, I>,
-    q: &[Sym],
+pub(crate) fn top_k_growth(
     k: usize,
     initial_tau: f64,
     max_tau: f64,
-    opts: SearchOptions,
-    parallelism: Parallelism,
-    deadline: Deadline,
-    cache: Option<&TrieCache>,
-    tracer: Tracer<'_>,
-) -> Result<(Vec<MatchResult>, SearchStats), QueryError> {
+    ctx: ExecCtx<'_>,
+    mut threshold_search: impl FnMut(f64, ExecCtx<'_>) -> Result<Response, QueryError>,
+) -> Result<Response, QueryError> {
     let mut stats = SearchStats::default();
     let mut tau = initial_tau;
     let mut round: u64 = 0;
     loop {
-        deadline.check()?;
+        ctx.deadline.check()?;
         // One span per growth round (`detail` = round index), so a trace
         // shows how many thresholds a top-k answer burned through.
-        let span = tracer.span_with("topk_round", round);
-        let out =
-            engine.threshold_outcome(q, tau, opts, parallelism, deadline, cache, span.child());
+        let span = ctx.tracer.span_with("topk_round", round);
+        let out = threshold_search(
+            tau,
+            ExecCtx {
+                tracer: span.child(),
+                ..ctx
+            },
+        );
         span.finish();
         round += 1;
         let out = out?;
@@ -75,7 +73,10 @@ pub(crate) fn top_k_growth<M: WedInstance + Sync, I: PostingSource + Sync>(
             ranked.sort_by(rank_cmp);
             ranked.truncate(k);
             stats.results = ranked.len();
-            return Ok((ranked, stats));
+            return Ok(Response {
+                matches: ranked,
+                stats,
+            });
         }
         tau = (tau * 2.0).min(max_tau);
     }
@@ -91,38 +92,6 @@ pub(crate) fn rank_cmp(a: &MatchResult, b: &MatchResult) -> Ordering {
         .total_cmp(&b.dist)
         .then((a.end - a.start).cmp(&(b.end - b.start)))
         .then((a.id, a.start).cmp(&(b.id, b.start)))
-}
-
-impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> {
-    /// The `k` trajectories most similar to `q` (by their best-matching
-    /// subtrajectory), or fewer if the whole database has fewer matching
-    /// trajectories below `max_tau`.
-    ///
-    /// `initial_tau` seeds the threshold-growth loop (e.g. 10% of
-    /// `Σ c(q)`); `max_tau` bounds it (e.g. the total insertion cost of `q`,
-    /// above which everything matches).
-    #[deprecated(note = "build a `Query::top_k(..)` and call `SearchEngine::run`")]
-    pub fn search_top_k(
-        &self,
-        q: &[Sym],
-        k: usize,
-        initial_tau: f64,
-        max_tau: f64,
-    ) -> Vec<TopKEntry> {
-        // The old asserts admitted infinite bounds; `legacy_tau` maps them
-        // to the behaviorally identical `f64::MAX` (see its docs).
-        let initial_tau = crate::search::legacy_tau(initial_tau);
-        let max_tau = crate::search::legacy_tau(max_tau);
-        let query = match crate::query::Query::top_k(q, k, initial_tau, max_tau).build() {
-            Ok(query) => query,
-            Err(crate::query::QueryError::InvalidK) => panic!("k must be positive"),
-            Err(crate::query::QueryError::EmptyPattern) => panic!("query must be non-empty"),
-            Err(e) => panic!("invalid legacy top-k query: {e}"),
-        };
-        self.run(&query)
-            .expect("legacy queries are admissible by construction")
-            .ranked()
-    }
 }
 
 /// Per-trajectory best match: smallest distance, tie-broken by shorter span,
@@ -150,7 +119,7 @@ pub fn per_trajectory_best(matches: &[MatchResult]) -> HashMap<TrajId, MatchResu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineBuilder, Query};
+    use crate::{EngineBuilder, Query, SearchEngine};
     use traj::{Trajectory, TrajectoryStore};
     use wed::models::Lev;
 
@@ -223,18 +192,6 @@ mod tests {
         let top = run_top_k(&engine, &[1, 2], 1, 0.5, 4.0);
         assert_eq!(top[0].best.start, 0, "earlier span must win the tie");
         assert_eq!(top[0].best.end, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_search_top_k_matches_run() {
-        let s = store();
-        let engine = EngineBuilder::new(&Lev, &s, 12).build();
-        let q = [1u32, 2, 3, 4];
-        assert_eq!(
-            engine.search_top_k(&q, 3, 0.5, 10.0),
-            run_top_k(&engine, &q, 3, 0.5, 10.0)
-        );
     }
 
     #[test]

@@ -41,7 +41,8 @@
 
 use crate::deadline::Deadline;
 use crate::query::QueryError;
-use crate::results::ResultSet;
+use crate::results::{MatchResult, ResultSet};
+use crate::search::ExecCtx;
 use crate::stats::SearchStats;
 use crate::temporal::TemporalConstraint;
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -49,7 +50,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use traj::{TrajId, TrajectoryStore};
-use trajsearch_obs::Tracer;
 use wed::dp::{initial_column_into, step_dp_into};
 use wed::{sw_scan_all, CostModel, Sym};
 
@@ -676,13 +676,14 @@ fn verify_shard_with<V: Verifier>(
     Ok(())
 }
 
-/// Exact temporal post-check, deterministic ordering, result count.
-fn finish_verification(
+/// Exact temporal post-check, deterministic ordering, result count — the
+/// tail of verification and of the exact fallback scan alike.
+pub(crate) fn finish_verification(
     mut results: ResultSet,
     store: &TrajectoryStore,
     temporal: Option<&TemporalConstraint>,
     stats: &mut SearchStats,
-) -> Vec<crate::results::MatchResult> {
+) -> Vec<MatchResult> {
     if let Some(c) = temporal {
         results.retain(|id, s, t| {
             let times = store.get(id).times();
@@ -702,7 +703,12 @@ fn finish_verification(
 /// applied afterwards in both cases. Exact duplicate triples are verified
 /// once (`stats.candidates_deduped`).
 ///
-/// This is the single-shard special case of [`par_verify_candidates`].
+/// This is the engine's verification phase on one thread, without deadline,
+/// tracing or a shared cache, for callers that bring their own candidates
+/// (the filtering baselines, the benchmark's layer ledger). It composes the
+/// same steps as the engine's routine rather than calling it because that
+/// one may spawn workers and so needs `M: Sync`, which this signature does
+/// not ask for.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidates<M: CostModel>(
     model: &M,
@@ -715,90 +721,21 @@ pub fn verify_candidates<M: CostModel>(
     temporal: Option<&TemporalConstraint>,
     temporal_filter: bool,
     stats: &mut SearchStats,
-) -> Vec<crate::results::MatchResult> {
-    verify_candidates_deadline(
-        model,
-        store,
-        index_span,
-        q,
-        tau,
-        candidates,
-        mode,
-        temporal,
-        temporal_filter,
-        Deadline::NONE,
-        None,
-        stats,
-        Tracer::disabled(),
-    )
-    .expect("verification without a deadline cannot expire")
-}
-
-/// [`verify_candidates`] with a cooperative [`Deadline`], checked between
-/// trajectory groups; expiry returns [`QueryError::DeadlineExceeded`] and no
-/// partial results. A `cache` resolves Trie-mode tries through the shared
-/// batch-level [`TrieCache`] instead of building them privately.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_candidates_deadline<M: CostModel>(
-    model: &M,
-    store: &TrajectoryStore,
-    index_span: impl Fn(TrajId) -> (f64, f64),
-    q: &[Sym],
-    tau: f64,
-    candidates: &[Candidate],
-    mode: VerifyMode,
-    temporal: Option<&TemporalConstraint>,
-    temporal_filter: bool,
-    deadline: Deadline,
-    cache: Option<&TrieCache>,
-    stats: &mut SearchStats,
-    tracer: Tracer<'_>,
-) -> Result<Vec<crate::results::MatchResult>, QueryError> {
-    verify_candidates_with(
-        store,
-        index_span,
-        candidates,
-        &mut WedVerifier::with_cache(model, q, tau, mode, cache),
-        temporal,
-        temporal_filter,
-        deadline,
-        stats,
-        tracer,
-    )
-}
-
-/// Metric-generic sequential verification: the shared front half (TF
-/// pre-filter, sort/dedup, per-trajectory grouping) followed by one
-/// `verifier` pass over all groups and the exact temporal post-check.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_candidates_with<V: Verifier>(
-    store: &TrajectoryStore,
-    index_span: impl Fn(TrajId) -> (f64, f64),
-    candidates: &[Candidate],
-    verifier: &mut V,
-    temporal: Option<&TemporalConstraint>,
-    temporal_filter: bool,
-    deadline: Deadline,
-    stats: &mut SearchStats,
-    tracer: Tracer<'_>,
-) -> Result<Vec<crate::results::MatchResult>, QueryError> {
-    let dedup = tracer.span("dedup");
+) -> Vec<MatchResult> {
     let sorted = prepare_candidates(index_span, candidates, temporal, temporal_filter, stats);
     let groups = trajectory_groups(&sorted);
-    dedup.finish();
     let mut results = ResultSet::new();
-    let shard = tracer.span_with("verify_shard", 0);
     verify_shard_with(
         store,
         &sorted,
         &groups,
-        verifier,
-        deadline,
+        &mut WedVerifier::new(model, q, tau, mode),
+        Deadline::NONE,
         &mut results,
         stats,
-    )?;
-    shard.finish();
-    Ok(finish_verification(results, store, temporal, stats))
+    )
+    .expect("verification without a deadline cannot expire");
+    finish_verification(results, store, temporal, stats)
 }
 
 /// Splits the group list into at most `shards` contiguous slices of roughly
@@ -833,104 +770,27 @@ fn partition_groups(
     out
 }
 
-/// Parallel [`verify_candidates`]: trajectory groups are sharded across
-/// `threads` scoped workers, each with a private [`ResultSet`]; shard
-/// outputs are min-merged, so the result set — distances included — is
-/// identical to the sequential path for any thread count.
+/// The engine's verification phase, for any metric: the shared front half
+/// (TF pre-filter, sort/dedup, per-trajectory grouping), then trajectory
+/// groups sharded across `threads` scoped workers, each running a fresh
+/// verifier from `make_verifier` into a private [`ResultSet`], then the
+/// exact temporal post-check. Shard outputs are min-merged, so the result
+/// set — distances included — is identical for any thread count; one shard
+/// (`threads = 1`, or too few groups to split) runs on the calling thread.
 ///
-/// In Trie mode the workers share one [`TrieCache`] (the cross-shard level
-/// of the hierarchy), so a DP column two shards both need is computed once
-/// instead of once per worker and `stepdp_calls` stays the number of
-/// distinct columns rather than multiplying with the thread count. Counter
-/// totals (`sw_columns`, `columns_passed`, `stepdp_calls`, `verify_cost`,
+/// Every worker checks `ctx.deadline` between its trajectory groups and
+/// bails out early; if any shard expired the whole verification returns
+/// [`QueryError::DeadlineExceeded`] (partial shard outputs are discarded,
+/// never merged into an answer).
+///
+/// WED Trie-mode workers built over one [`TrieCache`] (the cross-shard level
+/// of the hierarchy) compute a DP column two shards both need once instead
+/// of once per worker, so `stepdp_calls` stays the number of distinct
+/// columns rather than multiplying with the thread count. Counter totals
+/// (`sw_columns`, `columns_passed`, `stepdp_calls`, `verify_cost`,
 /// `trie_cache_hits`, `trie_cache_misses`) are summed across shards.
 #[allow(clippy::too_many_arguments)]
-pub fn par_verify_candidates<M: CostModel + Sync>(
-    model: &M,
-    store: &TrajectoryStore,
-    index_span: impl Fn(TrajId) -> (f64, f64),
-    q: &[Sym],
-    tau: f64,
-    candidates: &[Candidate],
-    mode: VerifyMode,
-    temporal: Option<&TemporalConstraint>,
-    temporal_filter: bool,
-    threads: usize,
-    stats: &mut SearchStats,
-) -> Vec<crate::results::MatchResult> {
-    par_verify_candidates_deadline(
-        model,
-        store,
-        index_span,
-        q,
-        tau,
-        candidates,
-        mode,
-        temporal,
-        temporal_filter,
-        threads,
-        Deadline::NONE,
-        None,
-        stats,
-        Tracer::disabled(),
-    )
-    .expect("verification without a deadline cannot expire")
-}
-
-/// [`par_verify_candidates`] with a cooperative [`Deadline`]: every worker
-/// checks it between its trajectory groups and bails out early; if any shard
-/// expired the whole verification returns [`QueryError::DeadlineExceeded`]
-/// (partial shard outputs are discarded, never merged into an answer).
-///
-/// An explicit `cache` (the batch level) takes precedence; otherwise Trie
-/// mode at `threads > 1` gets a query-local [`TrieCache`] for its workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_verify_candidates_deadline<M: CostModel + Sync>(
-    model: &M,
-    store: &TrajectoryStore,
-    index_span: impl Fn(TrajId) -> (f64, f64),
-    q: &[Sym],
-    tau: f64,
-    candidates: &[Candidate],
-    mode: VerifyMode,
-    temporal: Option<&TemporalConstraint>,
-    temporal_filter: bool,
-    threads: usize,
-    deadline: Deadline,
-    cache: Option<&TrieCache>,
-    stats: &mut SearchStats,
-    tracer: Tracer<'_>,
-) -> Result<Vec<crate::results::MatchResult>, QueryError> {
-    let local;
-    let cache = match (cache, mode) {
-        (Some(c), VerifyMode::Trie) => Some(c),
-        (None, VerifyMode::Trie) if threads > 1 => {
-            local = TrieCache::new();
-            Some(&local)
-        }
-        _ => None,
-    };
-    par_verify_candidates_with(
-        store,
-        index_span,
-        candidates,
-        || WedVerifier::with_cache(model, q, tau, mode, cache),
-        temporal,
-        temporal_filter,
-        threads,
-        deadline,
-        stats,
-        tracer,
-    )
-}
-
-/// Metric-generic parallel verification: the shared front half, then
-/// trajectory groups sharded across `threads` scoped workers, each running
-/// a fresh verifier from `make_verifier` into a private [`ResultSet`];
-/// shard outputs are min-merged, so the result set — distances included —
-/// is identical to the sequential path for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn par_verify_candidates_with<V: Verifier, F: Fn() -> V + Sync>(
+pub(crate) fn verify_sharded<V: Verifier, F: Fn() -> V + Sync>(
     store: &TrajectoryStore,
     index_span: impl Fn(TrajId) -> (f64, f64),
     candidates: &[Candidate],
@@ -938,10 +798,12 @@ pub(crate) fn par_verify_candidates_with<V: Verifier, F: Fn() -> V + Sync>(
     temporal: Option<&TemporalConstraint>,
     temporal_filter: bool,
     threads: usize,
-    deadline: Deadline,
+    ctx: ExecCtx<'_>,
     stats: &mut SearchStats,
-    tracer: Tracer<'_>,
-) -> Result<Vec<crate::results::MatchResult>, QueryError> {
+) -> Result<Vec<MatchResult>, QueryError> {
+    let ExecCtx {
+        deadline, tracer, ..
+    } = ctx;
     let dedup = tracer.span("dedup");
     let sorted = prepare_candidates(index_span, candidates, temporal, temporal_filter, stats);
     let groups = trajectory_groups(&sorted);
@@ -1062,12 +924,7 @@ mod tests {
         out
     }
 
-    fn run(
-        store: &TrajectoryStore,
-        q: &[Sym],
-        tau: f64,
-        mode: VerifyMode,
-    ) -> Vec<crate::results::MatchResult> {
+    fn run(store: &TrajectoryStore, q: &[Sym], tau: f64, mode: VerifyMode) -> Vec<MatchResult> {
         let cands = all_candidates(store, q);
         let mut stats = SearchStats::default();
         verify_candidates(
@@ -1082,6 +939,37 @@ mod tests {
             false,
             &mut stats,
         )
+    }
+
+    /// [`run`] through [`verify_sharded`] with WED verifiers sharing
+    /// `cache` — the engine's call shape.
+    fn run_sharded(
+        store: &TrajectoryStore,
+        q: &[Sym],
+        tau: f64,
+        mode: VerifyMode,
+        threads: usize,
+        deadline: Deadline,
+        cache: Option<&TrieCache>,
+    ) -> (Result<Vec<MatchResult>, QueryError>, SearchStats) {
+        let cands = all_candidates(store, q);
+        let mut stats = SearchStats::default();
+        let got = verify_sharded(
+            store,
+            |id| store.get(id).span(),
+            &cands,
+            || WedVerifier::with_cache(&Lev, q, tau, mode, cache),
+            None,
+            false,
+            threads,
+            ExecCtx {
+                deadline,
+                tracer: trajsearch_obs::Tracer::disabled(),
+                cache,
+            },
+            &mut stats,
+        );
+        (got, stats)
     }
 
     #[test]
@@ -1306,26 +1194,10 @@ mod tests {
             &[5, 1, 2, 5],
         ]);
         let q: Vec<Sym> = vec![1, 5, 2];
-        let cands = all_candidates(&store, &q);
         let run_with = |cache: Option<&TrieCache>| {
-            let mut stats = SearchStats::default();
-            let got = verify_candidates_deadline(
-                &Lev,
-                &store,
-                |id| store.get(id).span(),
-                &q,
-                2.0,
-                &cands,
-                VerifyMode::Trie,
-                None,
-                false,
-                Deadline::NONE,
-                cache,
-                &mut stats,
-                Tracer::disabled(),
-            )
-            .unwrap();
-            (got, stats)
+            let (got, stats) =
+                run_sharded(&store, &q, 2.0, VerifyMode::Trie, 1, Deadline::NONE, cache);
+            (got.unwrap(), stats)
         };
         let (want, private) = run_with(None);
         assert_eq!(private.trie_cache_hits + private.trie_cache_misses, 0);
@@ -1373,22 +1245,20 @@ mod tests {
             &mut seq_stats,
         );
         for threads in [2, 4] {
+            // One query-local cache across the workers, as the engine
+            // gives Trie mode at `threads > 1`.
             let run = || {
-                let mut stats = SearchStats::default();
-                let got = par_verify_candidates(
-                    &Lev,
+                let cache = TrieCache::new();
+                let (got, stats) = run_sharded(
                     &store,
-                    |id| store.get(id).span(),
                     &q,
                     2.0,
-                    &cands,
                     VerifyMode::Trie,
-                    None,
-                    false,
                     threads,
-                    &mut stats,
+                    Deadline::NONE,
+                    Some(&cache),
                 );
-                (got, stats)
+                (got.unwrap(), stats)
             };
             let (got_a, stats_a) = run();
             let (got_b, stats_b) = run();
@@ -1501,20 +1371,17 @@ mod tests {
                     &mut seq_stats,
                 );
                 for threads in [1, 2, 3, 8] {
-                    let mut stats = SearchStats::default();
-                    let got = par_verify_candidates(
-                        &Lev,
+                    let cache = TrieCache::new();
+                    let (got, stats) = run_sharded(
                         &store,
-                        |id| store.get(id).span(),
                         &q,
                         tau,
-                        &cands,
                         mode,
-                        None,
-                        false,
                         threads,
-                        &mut stats,
+                        Deadline::NONE,
+                        (threads > 1).then_some(&cache),
                     );
+                    let got = got.unwrap();
                     assert_eq!(got, want, "mode {mode:?} tau {tau} threads {threads}");
                     assert_eq!(stats.candidates_deduped, seq_stats.candidates_deduped);
                     // SW columns are per distinct trajectory, independent of
@@ -1532,48 +1399,12 @@ mod tests {
         use std::time::{Duration, Instant};
         let store = store_of(&[&[0, 1, 2, 3, 4], &[3, 1, 5, 1, 2], &[1, 2, 1, 2, 1, 2]]);
         let q: Vec<Sym> = vec![1, 5, 2];
-        let cands = all_candidates(&store, &q);
         let past = Deadline::at(Instant::now() - Duration::from_millis(1));
         for mode in [VerifyMode::Sw, VerifyMode::Local, VerifyMode::Trie] {
-            let mut stats = SearchStats::default();
-            let err = verify_candidates_deadline(
-                &Lev,
-                &store,
-                |id| store.get(id).span(),
-                &q,
-                2.0,
-                &cands,
-                mode,
-                None,
-                false,
-                past,
-                None,
-                &mut stats,
-                Tracer::disabled(),
-            )
-            .unwrap_err();
-            assert_eq!(err, QueryError::DeadlineExceeded, "mode {mode:?}");
             for threads in [1, 3] {
-                let mut stats = SearchStats::default();
-                let err = par_verify_candidates_deadline(
-                    &Lev,
-                    &store,
-                    |id| store.get(id).span(),
-                    &q,
-                    2.0,
-                    &cands,
-                    mode,
-                    None,
-                    false,
-                    threads,
-                    past,
-                    None,
-                    &mut stats,
-                    Tracer::disabled(),
-                )
-                .unwrap_err();
+                let (got, _) = run_sharded(&store, &q, 2.0, mode, threads, past, None);
                 assert_eq!(
-                    err,
+                    got.unwrap_err(),
                     QueryError::DeadlineExceeded,
                     "mode {mode:?} x{threads}"
                 );
@@ -1581,24 +1412,8 @@ mod tests {
         }
         // A generous deadline changes nothing about the results.
         let relaxed = Deadline::within(Duration::from_secs(3600));
-        let mut s1 = SearchStats::default();
-        let got = verify_candidates_deadline(
-            &Lev,
-            &store,
-            |id| store.get(id).span(),
-            &q,
-            2.0,
-            &cands,
-            VerifyMode::Trie,
-            None,
-            false,
-            relaxed,
-            None,
-            &mut s1,
-            Tracer::disabled(),
-        )
-        .unwrap();
-        assert_eq!(got, run(&store, &q, 2.0, VerifyMode::Trie));
+        let (got, _) = run_sharded(&store, &q, 2.0, VerifyMode::Trie, 1, relaxed, None);
+        assert_eq!(got.unwrap(), run(&store, &q, 2.0, VerifyMode::Trie));
     }
 
     #[test]

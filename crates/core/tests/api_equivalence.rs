@@ -1,24 +1,23 @@
-//! Randomized equivalence of the unified surface vs every legacy entry
-//! point, plus wire-format round-trip properties.
+//! Randomized equivalence of every way to reach the engine, plus
+//! wire-format round-trip properties.
 //!
-//! The API redesign's contract is that `SearchEngine::run`/`run_batch` are
-//! pure re-plumbing: for every option combination the legacy methods could
-//! express — verify modes × temporal constraints (TF and by-departure
-//! postings included) × index layouts × thread counts — the unified surface
-//! returns **byte-identical** results (`assert_eq!` on matches including
-//! `f64` distances, no epsilon) to `search`, `search_opts`,
-//! `par_search_opts`, `search_top_k` and `search_batch`. JSON round-trips
-//! (`from_json(to_json(q)) == q`, same for responses) are property-tested
-//! on the same random workloads.
-
-#![allow(deprecated)] // exercising the legacy entry points is the point
+//! The engine has one execution path; layout, in-query parallelism and
+//! batching only decide where its pieces run. So for every option
+//! combination a query can express — verify modes × temporal constraints
+//! (TF and by-departure postings included) — `SearchEngine::run` on the
+//! single-list layout, sequentially, is the reference, and every other
+//! route (sharded and compact layouts, `InQuery(2)`, `run_batch` on two
+//! threads) returns **byte-identical** results (`assert_eq!` on matches
+//! including `f64` distances, no epsilon) and identical counters. JSON
+//! round-trips (`from_json(to_json(q)) == q`, same for responses) are
+//! property-tested on the same random workloads.
 
 use proptest::prelude::*;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
 use trajsearch_core::{
-    EngineBuilder, IndexLayout, Parallelism, Query, Response, SearchEngine, SearchOptions,
-    SearchOutcome, TemporalConstraint, TimeInterval, VerifyMode,
+    EngineBuilder, IndexLayout, Parallelism, Query, Response, SearchOptions, TemporalConstraint,
+    TimeInterval, VerifyMode,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -39,7 +38,7 @@ fn timed_store(paths: Vec<Vec<Sym>>) -> TrajectoryStore {
         .collect()
 }
 
-/// The full legacy option grid: every verify mode × no-temporal / temporal
+/// The full option grid: every verify mode × no-temporal / temporal
 /// with and without the TF pre-filter and the by-departure postings path.
 fn option_grid(constraint: TemporalConstraint) -> Vec<SearchOptions> {
     let mut grid = Vec::new();
@@ -61,21 +60,19 @@ fn option_grid(constraint: TemporalConstraint) -> Vec<SearchOptions> {
     grid
 }
 
-/// The unified `Query` equivalent of a legacy `(pattern, tau, opts)` call
-/// against an engine whose temporal-postings availability is `available`
-/// (the legacy path silently fell back; the unified path must be told).
-fn unified(q: &[Sym], tau: f64, opts: SearchOptions, available: bool) -> Query {
+/// The sequential `Query` a grid point describes.
+fn query_for(q: &[Sym], tau: f64, opts: SearchOptions) -> Query {
     let mut b = Query::threshold(q, tau)
         .verify(opts.verify)
         .temporal_filter(opts.temporal_filter)
-        .temporal_postings(opts.use_temporal_postings && available && opts.temporal.is_some());
+        .temporal_postings(opts.use_temporal_postings && opts.temporal.is_some());
     if let Some(c) = opts.temporal {
         b = b.temporal(c);
     }
-    b.build().expect("legacy-expressible queries are valid")
+    b.build().expect("grid points are valid queries")
 }
 
-fn assert_same(got: &Response, want: &SearchOutcome, label: &str) -> Result<(), TestCaseError> {
+fn assert_same(got: &Response, want: &Response, label: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(&got.matches, &want.matches, "matches diverged ({})", label);
     prop_assert_eq!(got.stats.fallback, want.stats.fallback, "{}", label);
     prop_assert_eq!(got.stats.candidates, want.stats.candidates, "{}", label);
@@ -107,11 +104,10 @@ fn assert_same(got: &Response, want: &SearchOutcome, label: &str) -> Result<(), 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `run` / `run_batch` vs `search` / `search_opts` / `par_search_opts` /
-    /// `search_batch`, across the whole option grid and three layouts
-    /// (legacy single-list engine, builder single, builder sharded).
+    /// Sequential `run` on the single-list layout vs every other layout,
+    /// `InQuery(2)` and `run_batch`, across the whole option grid.
     #[test]
-    fn run_matches_every_legacy_threshold_path(
+    fn every_route_matches_the_sequential_single_list_run(
         paths in proptest::collection::vec(
             proptest::collection::vec(0u32..(ALPHABET as u32), 1..10),
             1..8,
@@ -132,65 +128,64 @@ proptest! {
         let constraint =
             TemporalConstraint::overlaps(TimeInterval::new(win_start, win_start + win_len));
 
-        // The legacy engine answers through the deprecated wrappers; the
-        // unified engines answer through `run`. All three must agree.
-        let legacy = SearchEngine::with_temporal_postings(Lev, &store, ALPHABET);
-        let single = EngineBuilder::new(Lev, &store, ALPHABET)
-            .temporal_postings(true)
-            .build();
-        let sharded = EngineBuilder::new(Lev, &store, ALPHABET)
-            .layout(IndexLayout::Sharded(3))
-            .temporal_postings(true)
-            .build();
+        let [single, sharded, compact] =
+            [IndexLayout::Single, IndexLayout::Sharded(3), IndexLayout::Compact].map(|layout| {
+                EngineBuilder::new(Lev, &store, ALPHABET)
+                    .layout(layout)
+                    .temporal_postings(true)
+                    .build()
+            });
+        let others = [("sharded", &sharded), ("compact", &compact)];
 
         for opts in option_grid(constraint) {
-            let unified_queries: Vec<Query> = workload
+            let batch: Vec<Query> = workload
                 .iter()
-                .map(|(q, tau)| unified(q, *tau, opts, true))
+                .map(|(q, tau)| query_for(q, *tau, opts))
                 .collect();
-            for ((q, tau), query) in workload.iter().zip(&unified_queries) {
-                let want = legacy.search_opts(q, *tau, opts);
-                let label = format!("opts={opts:?}, q={q:?}, tau={tau}");
-                assert_same(&legacy.run(query).unwrap(), &want, &format!("legacy/run {label}"))?;
-                assert_same(&single.run(query).unwrap(), &want, &format!("single {label}"))?;
-                assert_same(&sharded.run(query).unwrap(), &want, &format!("sharded {label}"))?;
+            let want: Vec<Response> = batch.iter().map(|q| single.run(q).unwrap()).collect();
 
-                // In-query parallelism vs the legacy parallel wrapper.
-                let par_want = legacy.par_search_opts(q, *tau, opts, 2);
+            for (query, want) in batch.iter().zip(&want) {
+                let label = format!("opts={opts:?}, query={}", query.to_json());
+                for (name, engine) in others {
+                    assert_same(&engine.run(query).unwrap(), want, &format!("{name} {label}"))?;
+                }
+
+                // In-query parallelism: the same matches as the sequential
+                // run, and the same counters on every layout. (Its workers
+                // share one suffix-keyed trie cache, so `stepdp_calls` may
+                // undercut the sequential run's private tries; the layouts
+                // must still agree on it.)
                 let par_query = query
                     .clone()
                     .with_parallelism(Parallelism::InQuery(2))
                     .unwrap();
-                assert_same(
-                    &single.run(&par_query).unwrap(),
-                    &par_want,
-                    &format!("par {label}"),
-                )?;
+                let par_want = single.run(&par_query).unwrap();
+                prop_assert_eq!(&par_want.matches, &want.matches, "par {}", label);
+                for (name, engine) in others {
+                    assert_same(
+                        &engine.run(&par_query).unwrap(),
+                        &par_want,
+                        &format!("par {name} {label}"),
+                    )?;
+                }
             }
 
-            // Whole-batch path vs the legacy tuple-workload wrapper.
-            let want_batch = legacy.search_batch(&workload, BatchOptions::with_threads(2), opts);
-            for engine_batch in [
-                single.run_batch(&unified_queries, BatchOptions::with_threads(2)).unwrap(),
-                sharded.run_batch(&unified_queries, BatchOptions::with_threads(2)).unwrap(),
-            ] {
-                prop_assert_eq!(engine_batch.responses.len(), want_batch.outcomes.len());
-                for (i, (got, want)) in engine_batch
-                    .responses
-                    .iter()
-                    .zip(&want_batch.outcomes)
-                    .enumerate()
-                {
-                    assert_same(got, want, &format!("batch query {i}, opts={opts:?}"))?;
+            // Whole-batch path, on every layout.
+            for (name, engine) in [("single", &single), ("sharded", &sharded), ("compact", &compact)] {
+                let got = engine.run_batch(&batch, BatchOptions::with_threads(2)).unwrap();
+                prop_assert_eq!(got.responses.len(), want.len());
+                for (i, (got, want)) in got.responses.iter().zip(&want).enumerate() {
+                    assert_same(got, want, &format!("batch {name} query {i}, opts={opts:?}"))?;
                 }
             }
         }
     }
 
-    /// Top-k: `run(Query::top_k)` vs the legacy `search_top_k`, at both
-    /// layouts, including k larger than the match count and tight max_tau.
+    /// Top-k: the sequential single-list ranking vs every layout and
+    /// `InQuery(2)`, including k larger than the match count and tight
+    /// max_tau.
     #[test]
-    fn run_matches_legacy_top_k(
+    fn top_k_ranking_is_the_same_on_every_route(
         paths in proptest::collection::vec(
             proptest::collection::vec(0u32..(ALPHABET as u32), 1..10),
             1..8,
@@ -203,21 +198,28 @@ proptest! {
         let store = timed_store(paths);
         let initial_tau = tau0_i as f64 * 0.5;
         let max_tau = initial_tau * (1 << growth) as f64;
-        let legacy = SearchEngine::new(Lev, &store, ALPHABET);
-        let want = legacy.search_top_k(&q, k, initial_tau, max_tau);
+        let query = Query::top_k(q.clone(), k, initial_tau, max_tau).build().unwrap();
+        let want = EngineBuilder::new(Lev, &store, ALPHABET)
+            .build()
+            .run(&query)
+            .unwrap()
+            .ranked();
         for layout in [IndexLayout::Single, IndexLayout::Sharded(2), IndexLayout::Compact] {
             let engine = EngineBuilder::new(Lev, &store, ALPHABET).layout(layout.clone()).build();
-            let query = Query::top_k(q.clone(), k, initial_tau, max_tau).build().unwrap();
-            let got = engine.run(&query).unwrap().ranked();
-            prop_assert_eq!(
-                &got,
-                &want,
-                "top-k diverged (layout={:?}, k={}, tau0={}, max={})",
-                layout,
-                k,
-                initial_tau,
-                max_tau
-            );
+            for parallelism in [Parallelism::Sequential, Parallelism::InQuery(2)] {
+                let routed = query.clone().with_parallelism(parallelism).unwrap();
+                let got = engine.run(&routed).unwrap().ranked();
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "top-k diverged (layout={:?}, {:?}, k={}, tau0={}, max={})",
+                    layout,
+                    parallelism,
+                    k,
+                    initial_tau,
+                    max_tau
+                );
+            }
         }
     }
 

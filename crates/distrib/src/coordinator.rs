@@ -111,10 +111,7 @@ impl<M: WedInstance + Sync> QueryHandler for Coordinator<'_, M> {
         // before the MinCand plan asks for them one by one.
         let syms: Vec<Sym> = query.pattern().to_vec();
         remote.prime_freqs(&syms);
-        match self
-            .engine
-            .run_with_deadline_traced(query, deadline, tracer)
-        {
+        match self.engine.execute(query, deadline, tracer) {
             Ok(response) => match remote.degraded_since(mark) {
                 Some(degraded) => Handled::Degraded {
                     degraded,

@@ -1,9 +1,8 @@
 //! Synthetic road-network generation.
 //!
 //! The paper evaluates on OSM road networks (Beijing, Porto, Singapore, San
-//! Francisco). Those datasets are not available here, so — per the
-//! substitution rule in `DESIGN.md` §4 — we generate networks that reproduce
-//! the structural properties the algorithms exploit:
+//! Francisco). Those datasets are not available here, so we generate
+//! networks that reproduce the structural properties the algorithms exploit:
 //!
 //! * **sparsity**: small out-degree (≈3), which drives bidirectional-trie
 //!   cache sharing (§5.2);

@@ -7,7 +7,7 @@
 //!   stored in compressed sparse row (CSR) form for cache-friendly traversal.
 //! * [`generator`] — synthetic "city" network generators (jittered grids with
 //!   one-way streets, removed blocks and diagonal arterials) standing in for
-//!   the OSM networks used by the paper (see `DESIGN.md` §4).
+//!   the OSM networks used by the paper.
 //! * [`dijkstra`] — single-source, bounded-radius and point-to-point shortest
 //!   paths, used by the NetEDR/NetERP cost models, substitution-neighborhood
 //!   computation and trip generation.

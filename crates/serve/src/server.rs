@@ -6,7 +6,7 @@
 //! clients ──────────▶ readers ───────────────────▶ queue ──────────────▶ workers
 //!    ▲                  │  overloaded / malformed /           │ deadline check at
 //!    │                  ▼  shutting-down replies              ▼ dequeue, then
-//!    └───────────── shared per-connection writer ◀── engine.run_with_deadline
+//!    └───────────── shared per-connection writer ◀── engine.execute
 //! ```
 //!
 //! Design points, mirroring the batch engine's scheduling:
@@ -92,7 +92,7 @@ where
     }
 
     fn handle_traced(&self, query: &Query, deadline: Deadline, tracer: Tracer<'_>) -> Handled {
-        match self.run_with_deadline_traced(query, deadline, tracer) {
+        match self.execute(query, deadline, tracer) {
             Ok(response) => Handled::Response(response),
             Err(e) => Handled::Rejected(e),
         }

@@ -1,7 +1,7 @@
 //! Synthetic trajectory generation.
 //!
-//! Substitutes for the taxi corpora of the paper (see `DESIGN.md` §4). Two
-//! generators are provided:
+//! Substitutes for the taxi corpora of the paper. Two generators are
+//! provided:
 //!
 //! * [`TripConfig`] — *purposeful* trips: a start vertex and a sequence of
 //!   waypoints connected by shortest paths, with optional detour

@@ -8,7 +8,7 @@
 //! * [`edges`] — vertex ⇄ edge representation conversion (§2.1 supports both).
 //! * [`generator`] — synthetic trip generation (waypoint-routed paths with
 //!   detours and congestion-noised timestamps) and random walks, substituting
-//!   for the taxi GPS corpora of the paper (`DESIGN.md` §4).
+//!   for the taxi GPS corpora of the paper.
 //! * [`mapmatch`] — HMM map matching (Newson–Krumm style), the preprocessing
 //!   step the paper applies to raw GPS traces.
 

@@ -5,9 +5,8 @@
 //! (each worker keeps its own DP-trie caches), so results are identical to
 //! running the queries one by one — this example asserts that, then prints
 //! the throughput curve. Because every `Query` is self-contained, one batch
-//! freely mixes threshold and top-k objectives (impossible with the retired
-//! tuple-workload API). Expect the speedup to flatten at the host's core
-//! count.
+//! freely mixes threshold and top-k objectives. Expect the speedup to
+//! flatten at the host's core count.
 //!
 //! ```sh
 //! cargo run --release --example batch_throughput
