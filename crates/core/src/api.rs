@@ -17,7 +17,7 @@ use crate::batch::{BatchOptions, BatchStats};
 use crate::compact::CompactIndex;
 use crate::deadline::Deadline;
 use crate::index::{InvertedIndex, Posting, PostingSource};
-use crate::json::JsonValue;
+use crate::json::{JsonValue, Wire};
 use crate::query::{Objective, Parallelism, Query, QueryError};
 use crate::results::MatchResult;
 use crate::search::{ExecCtx, SearchEngine};
@@ -307,20 +307,22 @@ impl<'a, M: WedInstance> EngineBuilder<'a, M> {
 // Response envelope
 // ---------------------------------------------------------------------------
 
-/// A query answer behind one envelope, whatever the objective:
-///
-/// * **Threshold** — `matches` is the exact Definition 3 result set in
-///   canonical `(id, start, end)` order;
-/// * **Top-k** — `matches` holds each ranked trajectory's best match in
-///   rank order (position = rank; see [`Response::ranked`]).
-///
-/// `stats` carries the per-query instrumentation (merged over the
-/// threshold-growth rounds for top-k). [`Response::to_json`] /
-/// [`Response::from_json`] are the wire format.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Response {
-    pub matches: Vec<MatchResult>,
-    pub stats: SearchStats,
+crate::wire_struct! {
+    /// A query answer behind one envelope, whatever the objective:
+    ///
+    /// * **Threshold** — `matches` is the exact Definition 3 result set in
+    ///   canonical `(id, start, end)` order;
+    /// * **Top-k** — `matches` holds each ranked trajectory's best match in
+    ///   rank order (position = rank; see [`Response::ranked`]).
+    ///
+    /// `stats` carries the per-query instrumentation (merged over the
+    /// threshold-growth rounds for top-k). [`Response::to_json`] /
+    /// [`Response::from_json`] are the wire format.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Response {
+        pub matches: Vec<MatchResult>,
+        pub stats: SearchStats,
+    }
 }
 
 impl Response {
@@ -336,60 +338,14 @@ impl Response {
     /// Encodes the response for the wire; [`Response::from_json`] inverts
     /// it losslessly (distances bit-for-bit, durations in nanoseconds).
     pub fn to_json(&self) -> String {
-        self.to_value().to_string()
+        self.to_wire().to_string()
     }
 
     /// The document-model form of [`Response::to_json`] — for embedding a
     /// response inside a larger envelope (as the serve protocol does)
     /// without a render-and-reparse round trip.
     pub fn to_value(&self) -> JsonValue {
-        let matches = JsonValue::Arr(
-            self.matches
-                .iter()
-                .map(|m| {
-                    JsonValue::Obj(vec![
-                        ("id".into(), JsonValue::num_u64(m.id as u64)),
-                        ("start".into(), JsonValue::num_usize(m.start)),
-                        ("end".into(), JsonValue::num_usize(m.end)),
-                        ("dist".into(), JsonValue::num_f64(m.dist)),
-                    ])
-                })
-                .collect(),
-        );
-        let s = &self.stats;
-        let stats = JsonValue::Obj(vec![
-            ("mincand_ns".into(), nanos(s.mincand_time)),
-            ("lookup_ns".into(), nanos(s.lookup_time)),
-            ("verify_ns".into(), nanos(s.verify_time)),
-            ("candidates".into(), JsonValue::num_usize(s.candidates)),
-            (
-                "candidates_after_temporal".into(),
-                JsonValue::num_usize(s.candidates_after_temporal),
-            ),
-            (
-                "candidates_deduped".into(),
-                JsonValue::num_usize(s.candidates_deduped),
-            ),
-            ("tsubseq_len".into(), JsonValue::num_usize(s.tsubseq_len)),
-            ("fallback".into(), JsonValue::Bool(s.fallback)),
-            ("sw_columns".into(), JsonValue::num_u64(s.sw_columns)),
-            (
-                "columns_passed".into(),
-                JsonValue::num_u64(s.columns_passed),
-            ),
-            ("stepdp_calls".into(), JsonValue::num_u64(s.stepdp_calls)),
-            ("verify_cost".into(), JsonValue::num_u64(s.verify_cost)),
-            (
-                "trie_cache_hits".into(),
-                JsonValue::num_u64(s.trie_cache_hits),
-            ),
-            (
-                "trie_cache_misses".into(),
-                JsonValue::num_u64(s.trie_cache_misses),
-            ),
-            ("results".into(), JsonValue::num_usize(s.results)),
-        ]);
-        JsonValue::Obj(vec![("matches".into(), matches), ("stats".into(), stats)])
+        self.to_wire()
     }
 
     /// Decodes a wire response.
@@ -401,82 +357,7 @@ impl Response {
     /// The document-model form of [`Response::from_json`] — for decoding a
     /// response already sitting inside a parsed envelope.
     pub fn from_value(doc: &JsonValue) -> Result<Response, QueryError> {
-        let parse = |msg: &str| QueryError::Parse(msg.to_string());
-        let matches = doc
-            .get("matches")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| parse("missing \"matches\" array"))?
-            .iter()
-            .map(|m| {
-                Some(MatchResult {
-                    id: u32::try_from(m.get("id")?.as_u64()?).ok()?,
-                    start: m.get("start")?.as_usize()?,
-                    end: m.get("end")?.as_usize()?,
-                    dist: m.get("dist")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| parse("malformed match entry"))?;
-        let s = doc.get("stats").ok_or_else(|| parse("missing \"stats\""))?;
-        let dur = |key: &str| -> Result<Duration, QueryError> {
-            s.get(key)
-                .and_then(|v| v.as_u64())
-                .map(Duration::from_nanos)
-                .ok_or_else(|| parse(&format!("stats field \"{key}\" must be u64 nanoseconds")))
-        };
-        let count = |key: &str| -> Result<usize, QueryError> {
-            s.get(key)
-                .and_then(|v| v.as_usize())
-                .ok_or_else(|| parse(&format!("stats field \"{key}\" must be an integer")))
-        };
-        let count64 = |key: &str| -> Result<u64, QueryError> {
-            s.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| parse(&format!("stats field \"{key}\" must be an integer")))
-        };
-        let stats = SearchStats {
-            mincand_time: dur("mincand_ns")?,
-            lookup_time: dur("lookup_ns")?,
-            verify_time: dur("verify_ns")?,
-            candidates: count("candidates")?,
-            candidates_after_temporal: count("candidates_after_temporal")?,
-            candidates_deduped: count("candidates_deduped")?,
-            tsubseq_len: count("tsubseq_len")?,
-            fallback: s
-                .get("fallback")
-                .and_then(|v| v.as_bool())
-                .ok_or_else(|| parse("stats field \"fallback\" must be a boolean"))?,
-            sw_columns: count64("sw_columns")?,
-            columns_passed: count64("columns_passed")?,
-            stepdp_calls: count64("stepdp_calls")?,
-            // Absent on older wire responses: decode as 0, not an error, so
-            // a new client can front an old server. (`verify_cost` predates
-            // the trie-cache counters but shares the same rule.)
-            verify_cost: lenient64(s, "verify_cost", &parse)?,
-            trie_cache_hits: lenient64(s, "trie_cache_hits", &parse)?,
-            trie_cache_misses: lenient64(s, "trie_cache_misses", &parse)?,
-            results: count("results")?,
-        };
-        Ok(Response { matches, stats })
-    }
-}
-
-fn nanos(d: Duration) -> JsonValue {
-    JsonValue::num_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-}
-
-/// Decodes a u64 stats field that absent (or `null`) on older wire peers:
-/// missing means 0, present-but-not-an-integer is still a parse error.
-fn lenient64(
-    s: &JsonValue,
-    key: &str,
-    parse: &impl Fn(&str) -> QueryError,
-) -> Result<u64, QueryError> {
-    match s.get(key) {
-        None | Some(JsonValue::Null) => Ok(0),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| parse(&format!("stats field \"{key}\" must be an integer"))),
+        Response::from_wire(doc).map_err(QueryError::Parse)
     }
 }
 

@@ -6,12 +6,46 @@
 //! and (when timestamps are present) a by-departure ordering that enables
 //! the binary-search refinement for temporal constraints described in §4.3.
 
+use crate::json::{JsonValue, Wire};
 use traj::{TrajId, TrajectoryStore};
 use wed::Sym;
 
 /// A single postings record: trajectory `id` has the indexed symbol at
 /// position `j` (0-based).
 pub type Posting = (TrajId, u32);
+
+/// On the wire: `[traj_id, pos]`.
+impl Wire for Posting {
+    fn to_wire(&self) -> JsonValue {
+        JsonValue::Arr(vec![self.0.to_wire(), self.1.to_wire()])
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        match v.as_arr() {
+            Some([id, pos]) => Ok((u32::from_wire(id)?, u32::from_wire(pos)?)),
+            _ => Err("must be a [traj_id, pos] pair".to_string()),
+        }
+    }
+}
+
+/// A by-departure entry on the wire: the **flat** `[departure, traj_id, pos]`
+/// triple, not a nested pair.
+impl Wire for (f64, Posting) {
+    fn to_wire(&self) -> JsonValue {
+        let (departure, (id, pos)) = self;
+        JsonValue::Arr(vec![departure.to_wire(), id.to_wire(), pos.to_wire()])
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        match v.as_arr() {
+            Some([departure, id, pos]) => Ok((
+                f64::from_wire(departure)?,
+                (u32::from_wire(id)?, u32::from_wire(pos)?),
+            )),
+            _ => Err("must be a [departure, traj_id, pos] triple".to_string()),
+        }
+    }
+}
 
 /// Everything the filtering and search layers consume from a postings
 /// index, abstracted so the storage layout is swappable: contiguous

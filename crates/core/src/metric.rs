@@ -19,7 +19,7 @@
 //! metric-neutral `SearchStats::verify_cost`, leaving the WED-specific
 //! counters at zero.
 
-use crate::json::JsonValue;
+use crate::json::{put, take, JsonValue, Wire};
 use crate::query::QueryError;
 use crate::results::ResultSet;
 use crate::stats::SearchStats;
@@ -74,49 +74,41 @@ impl Metric {
         }
         Ok(())
     }
+}
 
-    /// Wire encoding: `None` for WED — the field is omitted so pre-metric
-    /// query JSON stays byte-identical — otherwise `{"name": ...}` with an
-    /// `"eps"` number for LCSS.
-    pub(crate) fn to_value(self) -> Option<JsonValue> {
-        match self {
-            Metric::Wed => None,
-            Metric::Dtw | Metric::Frechet => Some(JsonValue::Obj(vec![(
-                "name".into(),
-                JsonValue::Str(self.name().into()),
-            )])),
-            Metric::Lcss { eps } => Some(JsonValue::Obj(vec![
-                ("name".into(), JsonValue::Str("lcss".into())),
-                ("eps".into(), JsonValue::num_f64(eps)),
-            ])),
+/// `{"name":…}`, plus a numeric `"eps"` for LCSS. WED is the absent key:
+/// omitted on encode, so pre-metric query JSON stays byte-identical, and
+/// what an absent (or `null`) `metric` decodes to. An unknown name is an
+/// error — never a silent fall-back to WED, which would answer under the
+/// wrong metric.
+impl Wire for Metric {
+    fn to_wire(&self) -> JsonValue {
+        let mut fields = Vec::with_capacity(2);
+        put(&mut fields, "name", &self.name().to_string());
+        if let Metric::Lcss { eps } = self {
+            put(&mut fields, "eps", eps);
+        }
+        JsonValue::Obj(fields)
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        match take::<String>(v, "name")?.as_str() {
+            "wed" => Ok(Metric::Wed),
+            "dtw" => Ok(Metric::Dtw),
+            "frechet" => Ok(Metric::Frechet),
+            "lcss" => Ok(Metric::Lcss {
+                eps: take(v, "eps")?,
+            }),
+            other => Err(format!("unknown metric {other:?}")),
         }
     }
 
-    /// Wire decoding: absent (or `null`) means WED for back-compat; an
-    /// unknown name is a typed [`QueryError::Parse`] — never a silent
-    /// fall-back to WED, which would answer under the wrong metric.
-    pub(crate) fn from_value(doc: Option<&JsonValue>) -> Result<Metric, QueryError> {
-        let parse = |msg: String| QueryError::Parse(msg);
-        let Some(doc) = doc else {
-            return Ok(Metric::Wed);
-        };
-        if matches!(doc, JsonValue::Null) {
-            return Ok(Metric::Wed);
-        }
-        match doc.get("name").and_then(|v| v.as_str()) {
-            Some("wed") => Ok(Metric::Wed),
-            Some("dtw") => Ok(Metric::Dtw),
-            Some("frechet") => Ok(Metric::Frechet),
-            Some("lcss") => {
-                let eps = doc
-                    .get("eps")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| parse("lcss metric needs a numeric \"eps\"".into()))?;
-                Ok(Metric::Lcss { eps })
-            }
-            Some(other) => Err(parse(format!("unknown metric {other:?}"))),
-            None => Err(parse("\"metric\" needs a \"name\" string".into())),
-        }
+    fn absent() -> Option<Self> {
+        Some(Metric::Wed)
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_wed()
     }
 }
 
@@ -249,10 +241,10 @@ mod tests {
 
     #[test]
     fn wed_is_omitted_on_the_wire() {
-        assert!(Metric::Wed.to_value().is_none());
-        assert_eq!(Metric::from_value(None).unwrap(), Metric::Wed);
+        assert!(Metric::Wed.omitted());
+        assert_eq!(Metric::absent().unwrap(), Metric::Wed);
         assert_eq!(
-            Metric::from_value(Some(&JsonValue::Null)).unwrap(),
+            take::<Metric>(&JsonValue::parse(r#"{"metric":null}"#).unwrap(), "metric").unwrap(),
             Metric::Wed
         );
     }
@@ -260,8 +252,8 @@ mod tests {
     #[test]
     fn non_wed_metrics_round_trip() {
         for m in [Metric::Dtw, Metric::Frechet, Metric::Lcss { eps: 0.25 }] {
-            let v = m.to_value().expect("non-WED metrics are encoded");
-            let back = Metric::from_value(Some(&v)).unwrap();
+            assert!(!m.omitted(), "non-WED metrics are encoded");
+            let back = Metric::from_wire(&m.to_wire()).unwrap();
             assert_eq!(back, m);
         }
     }
@@ -270,17 +262,17 @@ mod tests {
     fn unknown_metric_is_a_typed_error() {
         let doc = JsonValue::parse(r#"{"name":"hausdorff"}"#).unwrap();
         assert!(matches!(
-            Metric::from_value(Some(&doc)),
+            Metric::from_wire(&doc).map_err(QueryError::Parse),
             Err(QueryError::Parse(_))
         ));
         let doc = JsonValue::parse(r#"{"eps":1}"#).unwrap();
         assert!(matches!(
-            Metric::from_value(Some(&doc)),
+            Metric::from_wire(&doc).map_err(QueryError::Parse),
             Err(QueryError::Parse(_))
         ));
         let doc = JsonValue::parse(r#"{"name":"lcss"}"#).unwrap();
         assert!(matches!(
-            Metric::from_value(Some(&doc)),
+            Metric::from_wire(&doc).map_err(QueryError::Parse),
             Err(QueryError::Parse(_))
         ));
     }

@@ -17,7 +17,7 @@
 //! round-trip losslessly, so the exact same type serves as the request
 //! format for a serving front-end or a remote shard protocol.
 
-use crate::json::JsonValue;
+use crate::json::{put, take, JsonValue, Wire};
 use crate::metric::Metric;
 use crate::search::SearchOptions;
 use crate::temporal::{TemporalConstraint, TemporalPredicate, TimeInterval};
@@ -25,35 +25,39 @@ use crate::verify::VerifyMode;
 use std::fmt;
 use wed::Sym;
 
-/// What the query asks for.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Objective {
-    /// Every subtrajectory with `wed < tau` (Definition 3).
-    Threshold { tau: f64 },
-    /// The `k` trajectories whose best-matching subtrajectory is closest to
-    /// the pattern (Table 3 setting), found by geometric threshold growth
-    /// from `initial_tau` up to at most `max_tau`.
-    TopK {
-        k: usize,
-        initial_tau: f64,
-        max_tau: f64,
-    },
+crate::wire_enum! {
+    /// What the query asks for.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Objective {
+        /// Every subtrajectory with `wed < tau` (Definition 3).
+        Threshold as "threshold" { tau: f64 },
+        /// The `k` trajectories whose best-matching subtrajectory is closest to
+        /// the pattern (Table 3 setting), found by geometric threshold growth
+        /// from `initial_tau` up to at most `max_tau`.
+        TopK as "top_k" {
+            k: usize,
+            initial_tau: f64,
+            max_tau: f64,
+        },
+    }
 }
 
-/// How one query's work is scheduled.
-///
-/// For throughput over many queries prefer
-/// [`run_batch`](crate::SearchEngine::run_batch) (whole-query fan-out) over
-/// `InQuery`, which shards a single query's verification phase and exists
-/// for tail latency on one heavy query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// The paper's single-threaded pipeline.
-    #[default]
-    Sequential,
-    /// Verification sharded across this many scoped worker threads
-    /// (`>= 1`; `1` is equivalent to `Sequential`).
-    InQuery(usize),
+crate::wire_enum! {
+    /// How one query's work is scheduled.
+    ///
+    /// For throughput over many queries prefer
+    /// [`run_batch`](crate::SearchEngine::run_batch) (whole-query fan-out) over
+    /// `InQuery`, which shards a single query's verification phase and exists
+    /// for tail latency on one heavy query.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum Parallelism {
+        /// The paper's single-threaded pipeline.
+        #[default]
+        Sequential as "sequential",
+        /// Verification sharded across this many scoped worker threads
+        /// (`>= 1`; `1` is equivalent to `Sequential`).
+        InQuery as "in_query" (threads: usize),
+    }
 }
 
 /// Why a query was rejected — at [`QueryBuilder::build`] for
@@ -253,85 +257,21 @@ impl Query {
 
     /// The document-model form of [`Query::to_json`] — for embedding a
     /// query inside a larger envelope (as the serve protocol does) without
-    /// a render-and-reparse round trip.
+    /// a render-and-reparse round trip. `metric` is omitted for WED and
+    /// `temporal`/`deadline_ms` when unset, so pre-metric, untimed query
+    /// JSON stays byte-identical.
     pub fn to_value(&self) -> JsonValue {
-        let objective = match self.objective {
-            Objective::Threshold { tau } => JsonValue::Obj(vec![
-                ("type".into(), JsonValue::Str("threshold".into())),
-                ("tau".into(), JsonValue::num_f64(tau)),
-            ]),
-            Objective::TopK {
-                k,
-                initial_tau,
-                max_tau,
-            } => JsonValue::Obj(vec![
-                ("type".into(), JsonValue::Str("top_k".into())),
-                ("k".into(), JsonValue::num_usize(k)),
-                ("initial_tau".into(), JsonValue::num_f64(initial_tau)),
-                ("max_tau".into(), JsonValue::num_f64(max_tau)),
-            ]),
-        };
-        let mut pairs = vec![
-            (
-                "pattern".into(),
-                JsonValue::Arr(
-                    self.pattern
-                        .iter()
-                        .map(|&s| JsonValue::num_u64(s as u64))
-                        .collect(),
-                ),
-            ),
-            ("objective".into(), objective),
-            (
-                "verify".into(),
-                JsonValue::Str(verify_name(self.verify).into()),
-            ),
-        ];
-        // Omitted for WED, so pre-metric query JSON is byte-identical.
-        if let Some(metric) = self.metric.to_value() {
-            pairs.push(("metric".into(), metric));
-        }
-        if let Some(c) = &self.temporal {
-            pairs.push((
-                "temporal".into(),
-                JsonValue::Obj(vec![
-                    (
-                        "predicate".into(),
-                        JsonValue::Str(
-                            match c.predicate {
-                                TemporalPredicate::Overlaps => "overlaps",
-                                TemporalPredicate::Within => "within",
-                            }
-                            .into(),
-                        ),
-                    ),
-                    ("start".into(), JsonValue::num_f64(c.interval.start)),
-                    ("end".into(), JsonValue::num_f64(c.interval.end)),
-                ]),
-            ));
-        }
-        pairs.push((
-            "temporal_filter".into(),
-            JsonValue::Bool(self.temporal_filter),
-        ));
-        pairs.push((
-            "temporal_postings".into(),
-            JsonValue::Bool(self.temporal_postings),
-        ));
-        let parallelism = match self.parallelism {
-            Parallelism::Sequential => {
-                JsonValue::Obj(vec![("type".into(), JsonValue::Str("sequential".into()))])
-            }
-            Parallelism::InQuery(n) => JsonValue::Obj(vec![
-                ("type".into(), JsonValue::Str("in_query".into())),
-                ("threads".into(), JsonValue::num_usize(n)),
-            ]),
-        };
-        pairs.push(("parallelism".into(), parallelism));
-        if let Some(ms) = self.deadline_ms {
-            pairs.push(("deadline_ms".into(), JsonValue::num_u64(ms)));
-        }
-        JsonValue::Obj(pairs)
+        let mut fields = Vec::with_capacity(9);
+        put(&mut fields, "pattern", &self.pattern);
+        put(&mut fields, "objective", &self.objective);
+        put(&mut fields, "verify", &self.verify);
+        put(&mut fields, "metric", &self.metric);
+        put(&mut fields, "temporal", &self.temporal);
+        put(&mut fields, "temporal_filter", &self.temporal_filter);
+        put(&mut fields, "temporal_postings", &self.temporal_postings);
+        put(&mut fields, "parallelism", &self.parallelism);
+        put(&mut fields, "deadline_ms", &self.deadline_ms);
+        JsonValue::Obj(fields)
     }
 
     /// Decodes and **validates** a wire query — the result went through the
@@ -344,126 +284,109 @@ impl Query {
 
     /// The document-model form of [`Query::from_json`], validating the
     /// same way — for decoding a query already sitting inside a parsed
-    /// envelope.
+    /// envelope. Only `pattern` and `objective` are required; every other
+    /// key decodes to the builder's default when absent.
     pub fn from_value(doc: &JsonValue) -> Result<Query, QueryError> {
-        let parse = |msg: &str| QueryError::Parse(msg.to_string());
-
-        let pattern: Vec<Sym> = doc
-            .get("pattern")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| parse("missing \"pattern\" array"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| parse("pattern symbols must be u32"))
+        let decode = || -> Result<QueryBuilder, String> {
+            Ok(QueryBuilder {
+                pattern: take(doc, "pattern")?,
+                objective: take(doc, "objective")?,
+                verify: take::<Option<_>>(doc, "verify")?.unwrap_or_default(),
+                metric: take(doc, "metric")?,
+                temporal: take(doc, "temporal")?,
+                temporal_filter: take::<Option<_>>(doc, "temporal_filter")?.unwrap_or_default(),
+                temporal_postings: take::<Option<_>>(doc, "temporal_postings")?.unwrap_or_default(),
+                parallelism: take::<Option<_>>(doc, "parallelism")?.unwrap_or_default(),
+                deadline_ms: take(doc, "deadline_ms")?,
             })
-            .collect::<Result<_, _>>()?;
-
-        let obj = doc
-            .get("objective")
-            .ok_or_else(|| parse("missing \"objective\""))?;
-        let objective = match obj.get("type").and_then(|v| v.as_str()) {
-            Some("threshold") => Objective::Threshold {
-                tau: obj
-                    .get("tau")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| parse("threshold objective needs a numeric \"tau\""))?,
-            },
-            Some("top_k") => Objective::TopK {
-                k: obj
-                    .get("k")
-                    .and_then(|v| v.as_usize())
-                    .ok_or_else(|| parse("top_k objective needs an integer \"k\""))?,
-                initial_tau: obj
-                    .get("initial_tau")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| parse("top_k objective needs \"initial_tau\""))?,
-                max_tau: obj
-                    .get("max_tau")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| parse("top_k objective needs \"max_tau\""))?,
-            },
-            other => return Err(parse(&format!("unknown objective type {other:?}"))),
         };
-
-        let verify = match doc.get("verify").and_then(|v| v.as_str()) {
-            None | Some("trie") => VerifyMode::Trie,
-            Some("local") => VerifyMode::Local,
-            Some("sw") => VerifyMode::Sw,
-            Some(other) => return Err(parse(&format!("unknown verify mode {other:?}"))),
-        };
-
-        let metric = Metric::from_value(doc.get("metric"))?;
-
-        let temporal = match doc.get("temporal") {
-            None | Some(JsonValue::Null) => None,
-            Some(t) => {
-                let start = t
-                    .get("start")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| parse("temporal constraint needs numeric \"start\""))?;
-                let end = t
-                    .get("end")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| parse("temporal constraint needs numeric \"end\""))?;
-                if !(start.is_finite() && end.is_finite() && start <= end) {
-                    return Err(QueryError::InvalidTemporalInterval { start, end });
-                }
-                let interval = TimeInterval::new(start, end);
-                Some(match t.get("predicate").and_then(|v| v.as_str()) {
-                    None | Some("overlaps") => TemporalConstraint::overlaps(interval),
-                    Some("within") => TemporalConstraint::within(interval),
-                    Some(other) => {
-                        return Err(parse(&format!("unknown temporal predicate {other:?}")))
-                    }
-                })
-            }
-        };
-
-        let flag = |key: &str| -> Result<bool, QueryError> {
-            match doc.get(key) {
-                None => Ok(false),
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| parse(&format!("\"{key}\" must be a boolean"))),
-            }
-        };
-
-        let parallelism = match doc.get("parallelism") {
-            None => Parallelism::Sequential,
-            Some(p) => match p.get("type").and_then(|v| v.as_str()) {
-                None | Some("sequential") => Parallelism::Sequential,
-                Some("in_query") => Parallelism::InQuery(
-                    p.get("threads")
-                        .and_then(|v| v.as_usize())
-                        .ok_or_else(|| parse("in_query parallelism needs \"threads\""))?,
-                ),
-                Some(other) => return Err(parse(&format!("unknown parallelism {other:?}"))),
-            },
-        };
-
-        let deadline_ms = match doc.get("deadline_ms") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| parse("\"deadline_ms\" must be a u64 millisecond count"))?,
-            ),
-        };
-
-        let mut builder = QueryBuilder::new(pattern, objective)
-            .verify(verify)
-            .metric(metric)
-            .temporal_filter(flag("temporal_filter")?)
-            .temporal_postings(flag("temporal_postings")?)
-            .parallelism(parallelism);
-        if let Some(c) = temporal {
-            builder = builder.temporal(c);
+        match decode() {
+            Ok(builder) => builder.build(),
+            // A threshold token that overflows `f64` (`1e999`) is not a
+            // syntax error: report it as the invalid threshold it is.
+            Err(msg) => Err(doc
+                .get("objective")
+                .and_then(|objective| objective.get("tau"))
+                .and_then(JsonValue::as_f64)
+                .filter(|tau| tau.is_infinite())
+                .map_or(QueryError::Parse(msg), QueryError::InvalidTau)),
         }
-        if let Some(ms) = deadline_ms {
-            builder = builder.deadline_ms(ms);
+    }
+}
+
+impl Wire for Query {
+    fn to_wire(&self) -> JsonValue {
+        self.to_value()
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        Query::from_value(v).map_err(|e| e.to_string())
+    }
+}
+
+impl Wire for VerifyMode {
+    fn to_wire(&self) -> JsonValue {
+        JsonValue::Str(
+            match self {
+                VerifyMode::Trie => "trie",
+                VerifyMode::Local => "local",
+                VerifyMode::Sw => "sw",
+            }
+            .to_string(),
+        )
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        match v.as_str() {
+            Some("trie") => Ok(VerifyMode::Trie),
+            Some("local") => Ok(VerifyMode::Local),
+            Some("sw") => Ok(VerifyMode::Sw),
+            _ => Err(format!("unknown verify mode {v}")),
         }
-        builder.build()
+    }
+}
+
+impl Wire for TemporalPredicate {
+    fn to_wire(&self) -> JsonValue {
+        JsonValue::Str(
+            match self {
+                TemporalPredicate::Overlaps => "overlaps",
+                TemporalPredicate::Within => "within",
+            }
+            .to_string(),
+        )
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        match v.as_str() {
+            Some("overlaps") => Ok(TemporalPredicate::Overlaps),
+            Some("within") => Ok(TemporalPredicate::Within),
+            _ => Err(format!("unknown temporal predicate {v}")),
+        }
+    }
+}
+
+/// `{"predicate":…,"start":…,"end":…}` — the interval's bounds sit inline,
+/// and an absent predicate means `overlaps`.
+impl Wire for TemporalConstraint {
+    fn to_wire(&self) -> JsonValue {
+        let mut fields = Vec::with_capacity(3);
+        put(&mut fields, "predicate", &self.predicate);
+        put(&mut fields, "start", &self.interval.start);
+        put(&mut fields, "end", &self.interval.end);
+        JsonValue::Obj(fields)
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        Ok(TemporalConstraint {
+            // Not `TimeInterval::new`, which asserts the ordering: an
+            // unordered wire interval is `build()`'s typed error to report.
+            interval: TimeInterval {
+                start: take(v, "start")?,
+                end: take(v, "end")?,
+            },
+            predicate: take::<Option<_>>(v, "predicate")?.unwrap_or(TemporalPredicate::Overlaps),
+        })
     }
 }
 
@@ -611,14 +534,6 @@ impl QueryBuilder {
             parallelism: self.parallelism,
             deadline_ms: self.deadline_ms,
         })
-    }
-}
-
-pub(crate) fn verify_name(mode: VerifyMode) -> &'static str {
-    match mode {
-        VerifyMode::Trie => "trie",
-        VerifyMode::Local => "local",
-        VerifyMode::Sw => "sw",
     }
 }
 

@@ -10,14 +10,16 @@
 use std::collections::HashMap;
 use traj::TrajId;
 
-/// One similarity-search result: `wed(P^(id)[s..=t], Q) = dist < τ`
-/// (0-based inclusive positions).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatchResult {
-    pub id: TrajId,
-    pub start: usize,
-    pub end: usize,
-    pub dist: f64,
+crate::wire_struct! {
+    /// One similarity-search result: `wed(P^(id)[s..=t], Q) = dist < τ`
+    /// (0-based inclusive positions).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct MatchResult {
+        pub id: TrajId,
+        pub start: usize,
+        pub end: usize,
+        pub dist: f64,
+    }
 }
 
 /// Deduplicating accumulator for `(id, s, t)` triples keeping the minimum

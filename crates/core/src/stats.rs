@@ -7,72 +7,74 @@
 
 use std::time::Duration;
 
-/// Counters and timings collected during one query. `PartialEq` compares
-/// every field (timings included) — it exists for the wire-format
-/// round-trip guarantee of [`Response`](crate::Response), not for
-/// cross-run comparisons.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SearchStats {
-    /// Time spent choosing the τ-subsequence (Algorithm 1).
-    pub mincand_time: Duration,
-    /// Time spent materializing neighborhoods and scanning postings lists.
-    pub lookup_time: Duration,
-    /// Time spent verifying candidates (Algorithms 3–6).
-    pub verify_time: Duration,
-    /// Number of generated candidates `(id, j, iq)`. On the fallback path
-    /// (no τ-subsequence) every trajectory position counts as a candidate —
-    /// that is exactly what the exact scan verifies — so workload-merged
-    /// stats stay comparable across the two paths.
-    pub candidates: usize,
-    /// Candidates surviving the temporal filter (equals `candidates` when no
-    /// temporal constraint is active).
-    pub candidates_after_temporal: usize,
-    /// Candidates remaining after exact-triple deduplication (overlapping
-    /// substitution neighborhoods can emit the same `(id, j, iq)` several
-    /// times; only distinct triples are verified). Always
-    /// `≤ candidates_after_temporal`.
-    pub candidates_deduped: usize,
-    /// Length of the chosen τ-subsequence `|Q'|`.
-    pub tsubseq_len: usize,
-    /// True when no τ-subsequence exists (`c(Q) < τ`) and the engine fell
-    /// back to an exact Smith–Waterman scan.
-    pub fallback: bool,
-    /// DP columns an exact Smith–Waterman verification would compute — the
-    /// UPR denominator. In SW mode the scan runs once per **distinct**
-    /// candidate trajectory, so `Σ |P|` is accumulated once per deduped id
-    /// (not per candidate, which would inflate the Table 5 denominator
-    /// whenever one trajectory carries several anchors). Local/Trie modes
-    /// accumulate `|P|` per verified (deduped) candidate, the work a
-    /// per-candidate scan would have done in their place.
-    pub sw_columns: u64,
-    /// DP columns actually visited before early termination (Eq. 11) —
-    /// UPR numerator / CMR denominator.
-    pub columns_passed: u64,
-    /// Columns computed fresh (trie cache misses; Algorithm 5 line 6) —
-    /// the CMR numerator.
-    pub stepdp_calls: u64,
-    /// Metric-neutral verification cost: DP columns/rows actually evaluated,
-    /// each `O(|Q|)`. For WED this equals `sw_columns` on scan paths
-    /// (SW verification and the fallback scan) and `columns_passed` on the
-    /// Local/Trie paths; DTW/LCSS/Fréchet verifiers count their per-start DP
-    /// rows here and leave the WED-specific counters (`sw_columns`,
-    /// `columns_passed`, `stepdp_calls`) at zero, so merged workload stats
-    /// never mix incomparable units.
-    pub verify_cost: u64,
-    /// Shared-trie acquisitions that found a [`TrieCache`] entry an earlier
-    /// worker or query had already created (the cross-shard and batch cache
-    /// levels; stays zero with private tries and for non-WED verifiers).
-    ///
-    /// [`TrieCache`]: crate::verify::TrieCache
-    pub trie_cache_hits: u64,
-    /// Shared-trie acquisitions that created the [`TrieCache`] entry —
-    /// exactly one per distinct query suffix regardless of thread
-    /// interleaving (insert-race losers count as hits).
-    ///
-    /// [`TrieCache`]: crate::verify::TrieCache
-    pub trie_cache_misses: u64,
-    /// Number of result triples `(id, s, t)`.
-    pub results: usize,
+crate::wire_struct! {
+    /// Counters and timings collected during one query. `PartialEq` compares
+    /// every field (timings included) — it exists for the wire-format
+    /// round-trip guarantee of [`Response`](crate::Response), not for
+    /// cross-run comparisons.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct SearchStats {
+        /// Time spent choosing the τ-subsequence (Algorithm 1).
+        pub mincand_time as "mincand_ns": Duration,
+        /// Time spent materializing neighborhoods and scanning postings lists.
+        pub lookup_time as "lookup_ns": Duration,
+        /// Time spent verifying candidates (Algorithms 3–6).
+        pub verify_time as "verify_ns": Duration,
+        /// Number of generated candidates `(id, j, iq)`. On the fallback path
+        /// (no τ-subsequence) every trajectory position counts as a candidate —
+        /// that is exactly what the exact scan verifies — so workload-merged
+        /// stats stay comparable across the two paths.
+        pub candidates: usize,
+        /// Candidates surviving the temporal filter (equals `candidates` when no
+        /// temporal constraint is active).
+        pub candidates_after_temporal: usize,
+        /// Candidates remaining after exact-triple deduplication (overlapping
+        /// substitution neighborhoods can emit the same `(id, j, iq)` several
+        /// times; only distinct triples are verified). Always
+        /// `≤ candidates_after_temporal`.
+        pub candidates_deduped: usize,
+        /// Length of the chosen τ-subsequence `|Q'|`.
+        pub tsubseq_len: usize,
+        /// True when no τ-subsequence exists (`c(Q) < τ`) and the engine fell
+        /// back to an exact Smith–Waterman scan.
+        pub fallback: bool,
+        /// DP columns an exact Smith–Waterman verification would compute — the
+        /// UPR denominator. In SW mode the scan runs once per **distinct**
+        /// candidate trajectory, so `Σ |P|` is accumulated once per deduped id
+        /// (not per candidate, which would inflate the Table 5 denominator
+        /// whenever one trajectory carries several anchors). Local/Trie modes
+        /// accumulate `|P|` per verified (deduped) candidate, the work a
+        /// per-candidate scan would have done in their place.
+        pub sw_columns: u64,
+        /// DP columns actually visited before early termination (Eq. 11) —
+        /// UPR numerator / CMR denominator.
+        pub columns_passed: u64,
+        /// Columns computed fresh (trie cache misses; Algorithm 5 line 6) —
+        /// the CMR numerator.
+        pub stepdp_calls: u64,
+        /// Metric-neutral verification cost: DP columns/rows actually evaluated,
+        /// each `O(|Q|)`. For WED this equals `sw_columns` on scan paths
+        /// (SW verification and the fallback scan) and `columns_passed` on the
+        /// Local/Trie paths; DTW/LCSS/Fréchet verifiers count their per-start DP
+        /// rows here and leave the WED-specific counters (`sw_columns`,
+        /// `columns_passed`, `stepdp_calls`) at zero, so merged workload stats
+        /// never mix incomparable units.
+        pub verify_cost: u64 = default,
+        /// Shared-trie acquisitions that found a [`TrieCache`] entry an earlier
+        /// worker or query had already created (the cross-shard and batch cache
+        /// levels; stays zero with private tries and for non-WED verifiers).
+        ///
+        /// [`TrieCache`]: crate::verify::TrieCache
+        pub trie_cache_hits: u64 = default,
+        /// Shared-trie acquisitions that created the [`TrieCache`] entry —
+        /// exactly one per distinct query suffix regardless of thread
+        /// interleaving (insert-race losers count as hits).
+        ///
+        /// [`TrieCache`]: crate::verify::TrieCache
+        pub trie_cache_misses: u64 = default,
+        /// Number of result triples `(id, s, t)`.
+        pub results: usize,
+    }
 }
 
 impl SearchStats {

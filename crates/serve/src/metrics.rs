@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use trajsearch_core::json::JsonValue;
+use trajsearch_core::wire_struct;
 
 /// Default ring capacity for each latency series.
 pub const SAMPLE_CAP: usize = 4096;
@@ -78,41 +78,16 @@ fn summarize(mut samples: Vec<u64>, seen: u64) -> LatencySummary {
     }
 }
 
-/// Percentiles over the retained window; `count` is total observations
-/// (may exceed the window size).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    pub count: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    pub max_ns: u64,
-}
-
-impl LatencySummary {
-    fn to_json_value(self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("count".into(), JsonValue::num_u64(self.count)),
-            ("p50_ns".into(), JsonValue::num_u64(self.p50_ns)),
-            ("p95_ns".into(), JsonValue::num_u64(self.p95_ns)),
-            ("p99_ns".into(), JsonValue::num_u64(self.p99_ns)),
-            ("max_ns".into(), JsonValue::num_u64(self.max_ns)),
-        ])
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<LatencySummary, String> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("latency summary needs u64 \"{key}\""))
-        };
-        Ok(LatencySummary {
-            count: field("count")?,
-            p50_ns: field("p50_ns")?,
-            p95_ns: field("p95_ns")?,
-            p99_ns: field("p99_ns")?,
-            max_ns: field("max_ns")?,
-        })
+wire_struct! {
+    /// Percentiles over the retained window; `count` is total observations
+    /// (may exceed the window size).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LatencySummary {
+        pub count: u64,
+        pub p50_ns: u64,
+        pub p95_ns: u64,
+        pub p99_ns: u64,
+        pub max_ns: u64,
     }
 }
 
@@ -230,114 +205,49 @@ impl Metrics {
     }
 }
 
-/// A point-in-time copy of the server's metrics — what a `stats` request
-/// returns over the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Queries currently waiting for a worker.
-    pub queue_depth: usize,
-    /// The admission bound those queries sit under.
-    pub queue_capacity: usize,
-    /// Worker pool size.
-    pub workers: usize,
-    /// Queries accepted into the queue.
-    pub admitted: u64,
-    /// Queries rejected because the queue was full (backpressure).
-    pub rejected_overload: u64,
-    /// Queries rejected because the server was draining.
-    pub rejected_shutdown: u64,
-    /// Queries whose deadline expired (queued or mid-execution).
-    pub timed_out: u64,
-    /// Queries answered successfully.
-    pub completed: u64,
-    /// Queries answered with a typed `degraded` reply (shards missing; the
-    /// coordinator role only — always 0 on single-process servers).
-    pub degraded: u64,
-    /// Queries failing engine admission (typed `invalid_query` replies).
-    pub invalid: u64,
-    /// Frames that were not well-formed requests.
-    pub malformed: u64,
-    /// Admission → dequeue queue-wait time of dequeued queries.
-    pub queue: LatencySummary,
-    /// Dequeue → reply-written wall time of completed queries.
-    pub wall: LatencySummary,
-    /// Engine CPU time (summed phases) of completed queries.
-    pub cpu: LatencySummary,
-}
-
-impl MetricsSnapshot {
-    pub(crate) fn to_json_value(self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("queue_depth".into(), JsonValue::num_usize(self.queue_depth)),
-            (
-                "queue_capacity".into(),
-                JsonValue::num_usize(self.queue_capacity),
-            ),
-            ("workers".into(), JsonValue::num_usize(self.workers)),
-            ("admitted".into(), JsonValue::num_u64(self.admitted)),
-            (
-                "rejected_overload".into(),
-                JsonValue::num_u64(self.rejected_overload),
-            ),
-            (
-                "rejected_shutdown".into(),
-                JsonValue::num_u64(self.rejected_shutdown),
-            ),
-            ("timed_out".into(), JsonValue::num_u64(self.timed_out)),
-            ("completed".into(), JsonValue::num_u64(self.completed)),
-            ("degraded".into(), JsonValue::num_u64(self.degraded)),
-            ("invalid".into(), JsonValue::num_u64(self.invalid)),
-            ("malformed".into(), JsonValue::num_u64(self.malformed)),
-            ("queue".into(), self.queue.to_json_value()),
-            ("wall".into(), self.wall.to_json_value()),
-            ("cpu".into(), self.cpu.to_json_value()),
-        ])
-    }
-
-    pub(crate) fn from_json_value(v: &JsonValue) -> Result<MetricsSnapshot, String> {
-        let u64_field = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("metrics snapshot needs u64 \"{key}\""))
-        };
-        let usize_field = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_usize())
-                .ok_or_else(|| format!("metrics snapshot needs usize \"{key}\""))
-        };
-        Ok(MetricsSnapshot {
-            queue_depth: usize_field("queue_depth")?,
-            queue_capacity: usize_field("queue_capacity")?,
-            workers: usize_field("workers")?,
-            admitted: u64_field("admitted")?,
-            rejected_overload: u64_field("rejected_overload")?,
-            rejected_shutdown: u64_field("rejected_shutdown")?,
-            timed_out: u64_field("timed_out")?,
-            completed: u64_field("completed")?,
-            // Absent on snapshots from pre-PR6 servers (minor-version
-            // tolerance: added fields default rather than fail).
-            degraded: v.get("degraded").and_then(|x| x.as_u64()).unwrap_or(0),
-            invalid: u64_field("invalid")?,
-            malformed: u64_field("malformed")?,
-            // Absent on snapshots from pre-PR10 servers; defaults like
-            // `degraded` above.
-            queue: match v.get("queue") {
-                Some(q) => LatencySummary::from_json_value(q)?,
-                None => LatencySummary::default(),
-            },
-            wall: LatencySummary::from_json_value(
-                v.get("wall").ok_or("metrics snapshot needs \"wall\"")?,
-            )?,
-            cpu: LatencySummary::from_json_value(
-                v.get("cpu").ok_or("metrics snapshot needs \"cpu\"")?,
-            )?,
-        })
+wire_struct! {
+    /// A point-in-time copy of the server's metrics — what a `stats` request
+    /// returns over the wire. `degraded` and `queue` were added after the
+    /// first release of the frame, so a snapshot from an older server
+    /// decodes them as zero.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MetricsSnapshot {
+        /// Queries currently waiting for a worker.
+        pub queue_depth: usize,
+        /// The admission bound those queries sit under.
+        pub queue_capacity: usize,
+        /// Worker pool size.
+        pub workers: usize,
+        /// Queries accepted into the queue.
+        pub admitted: u64,
+        /// Queries rejected because the queue was full (backpressure).
+        pub rejected_overload: u64,
+        /// Queries rejected because the server was draining.
+        pub rejected_shutdown: u64,
+        /// Queries whose deadline expired (queued or mid-execution).
+        pub timed_out: u64,
+        /// Queries answered successfully.
+        pub completed: u64,
+        /// Queries answered with a typed `degraded` reply (shards missing; the
+        /// coordinator role only — always 0 on single-process servers).
+        pub degraded: u64 = default,
+        /// Queries failing engine admission (typed `invalid_query` replies).
+        pub invalid: u64,
+        /// Frames that were not well-formed requests.
+        pub malformed: u64,
+        /// Admission → dequeue queue-wait time of dequeued queries.
+        pub queue: LatencySummary = default,
+        /// Dequeue → reply-written wall time of completed queries.
+        pub wall: LatencySummary,
+        /// Engine CPU time (summed phases) of completed queries.
+        pub cpu: LatencySummary,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trajsearch_core::json::{JsonValue, Wire};
 
     #[test]
     fn percentiles_over_a_known_series() {
@@ -481,8 +391,8 @@ mod tests {
         m.record_latency(123_456, 98_765);
         m.record_queue_wait(2_222);
         let s = m.snapshot(1, 32, 2);
-        let v = s.to_json_value();
-        assert_eq!(MetricsSnapshot::from_json_value(&v).unwrap(), s);
+        let v = s.to_wire();
+        assert_eq!(MetricsSnapshot::from_wire(&v).unwrap(), s);
         // A pre-queue-series snapshot (no "queue" key) still decodes.
         let legacy = match v {
             JsonValue::Obj(fields) => {
@@ -490,7 +400,7 @@ mod tests {
             }
             other => other,
         };
-        let back = MetricsSnapshot::from_json_value(&legacy).unwrap();
+        let back = MetricsSnapshot::from_wire(&legacy).unwrap();
         assert_eq!(back.queue, LatencySummary::default());
         assert_eq!(back.wall, s.wall);
     }

@@ -7,6 +7,12 @@
 //! larger than [`MAX_FRAME_BYTES`] are rejected before parsing — the peer
 //! controls the bytes, the server bounds the memory.
 //!
+//! Every frame and payload below is declared **once**, through
+//! [`wire_enum!`]/[`wire_struct!`] (see [`trajsearch_core::json`] for the
+//! rules): adding a frame or a field is one declaration. An additive field
+//! must be an `Option` or `= default` — that is what keeps a minor bump
+//! compatible — and `null` means absent on every optional key.
+//!
 //! Requests (client → server):
 //!
 //! ```json
@@ -111,9 +117,9 @@
 
 use crate::metrics::MetricsSnapshot;
 use std::fmt;
-use std::io::{self, BufRead, Write};
-use trajsearch_core::json::JsonValue;
-use trajsearch_core::{Posting, Query, Response};
+use std::io::{self, BufRead, Read, Write};
+use trajsearch_core::json::{JsonValue, Wire};
+use trajsearch_core::{wire_enum, wire_struct, Posting, Query, Response};
 use wed::Sym;
 
 /// Hard bound on a single frame's size, both directions. Large enough for
@@ -159,6 +165,16 @@ fn check_version(doc: &JsonValue) -> Result<(), ServerError> {
             )),
         },
     }
+}
+
+/// Renders a frame: the protocol major, then the shape's own keys (`type`,
+/// `id`, fields in declaration order).
+fn render_frame(shape: JsonValue) -> String {
+    let JsonValue::Obj(mut fields) = shape else {
+        unreachable!("wire_enum! shapes encode as objects");
+    };
+    fields.insert(0, ("v".to_string(), PROTO_MAJOR.to_wire()));
+    JsonValue::Obj(fields).to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -216,12 +232,26 @@ impl ServerErrorKind {
     }
 }
 
-/// A typed error reply; `kind` is the machine-readable classification
-/// (overload vs timeout vs invalid), `message` the human-readable detail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerError {
-    pub kind: ServerErrorKind,
-    pub message: String,
+impl Wire for ServerErrorKind {
+    fn to_wire(&self) -> JsonValue {
+        JsonValue::Str(self.as_str().to_string())
+    }
+
+    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+        v.as_str()
+            .and_then(ServerErrorKind::from_str)
+            .ok_or_else(|| "must be a known error kind".to_string())
+    }
+}
+
+wire_struct! {
+    /// A typed error reply; `kind` is the machine-readable classification
+    /// (overload vs timeout vs invalid), `message` the human-readable detail.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ServerError {
+        pub kind: ServerErrorKind,
+        pub message: String = default,
+    }
 }
 
 impl ServerError {
@@ -230,27 +260,6 @@ impl ServerError {
             kind,
             message: message.into(),
         }
-    }
-
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("kind".into(), JsonValue::Str(self.kind.as_str().into())),
-            ("message".into(), JsonValue::Str(self.message.clone())),
-        ])
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<ServerError, String> {
-        let kind = v
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .and_then(ServerErrorKind::from_str)
-            .ok_or("error frame needs a known \"kind\"")?;
-        let message = v
-            .get("message")
-            .and_then(|m| m.as_str())
-            .unwrap_or_default()
-            .to_string();
-        Ok(ServerError { kind, message })
     }
 }
 
@@ -266,57 +275,18 @@ impl std::error::Error for ServerError {}
 // Shard-RPC payloads
 // ---------------------------------------------------------------------------
 
-/// Why a reply is partial: the answer was computed, but these shards did
-/// not contribute (dropped connection, missed deadline, stale epoch).
-/// Carried by the `degraded` reply frame — an explicit envelope, *not* an
-/// error: the caller gets real matches plus an honest account of what may
-/// be missing.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DegradedInfo {
-    /// Shard ids (ascending, deduplicated) whose data may be missing.
-    pub missing_shards: Vec<u32>,
-    /// Human-readable detail for the first failure observed.
-    pub reason: String,
-}
-
-impl DegradedInfo {
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            (
-                "missing_shards".into(),
-                JsonValue::Arr(
-                    self.missing_shards
-                        .iter()
-                        .map(|&s| JsonValue::num_u64(s as u64))
-                        .collect(),
-                ),
-            ),
-            ("reason".into(), JsonValue::Str(self.reason.clone())),
-        ])
-    }
-
-    pub fn from_json_value(v: &JsonValue) -> Result<DegradedInfo, String> {
-        let shards = v
-            .get("missing_shards")
-            .and_then(|a| a.as_arr())
-            .ok_or("degraded info needs a \"missing_shards\" array")?;
-        let missing_shards = shards
-            .iter()
-            .map(|s| {
-                s.as_u64()
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or("missing_shards entries must be u32")
-            })
-            .collect::<Result<Vec<u32>, _>>()?;
-        let reason = v
-            .get("reason")
-            .and_then(|r| r.as_str())
-            .unwrap_or_default()
-            .to_string();
-        Ok(DegradedInfo {
-            missing_shards,
-            reason,
-        })
+wire_struct! {
+    /// Why a reply is partial: the answer was computed, but these shards did
+    /// not contribute (dropped connection, missed deadline, stale epoch).
+    /// Carried by the `degraded` reply frame — an explicit envelope, *not* an
+    /// error: the caller gets real matches plus an honest account of what may
+    /// be missing.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct DegradedInfo {
+        /// Shard ids (ascending, deduplicated) whose data may be missing.
+        pub missing_shards: Vec<u32>,
+        /// Human-readable detail for the first failure observed.
+        pub reason: String = default,
     }
 }
 
@@ -330,374 +300,152 @@ impl fmt::Display for DegradedInfo {
     }
 }
 
-/// What a shard server reports about itself — everything a coordinator
-/// needs to validate a cluster (complete, non-overlapping partition of one
-/// dataset) and to fill the size/count half of the `PostingSource`
-/// contract without further round trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardInfo {
-    /// This server's slice: trajectories with `id % num_shards == shard_id`.
-    pub shard_id: u32,
-    pub num_shards: u32,
-    /// Identifies the index build; all data RPCs must echo it.
-    pub epoch: u64,
-    pub alphabet_size: u64,
-    /// Trajectories owned by this shard.
-    pub local_trajectories: u64,
-    /// Trajectories in the whole dataset the shard was cut from.
-    pub num_trajectories: u64,
-    /// Postings held by this shard.
-    pub total_postings: u64,
-    pub size_bytes: u64,
-    pub has_temporal_postings: bool,
-}
-
-impl ShardInfo {
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("shard_id".into(), JsonValue::num_u64(self.shard_id as u64)),
-            (
-                "num_shards".into(),
-                JsonValue::num_u64(self.num_shards as u64),
-            ),
-            ("epoch".into(), JsonValue::num_u64(self.epoch)),
-            (
-                "alphabet_size".into(),
-                JsonValue::num_u64(self.alphabet_size),
-            ),
-            (
-                "local_trajectories".into(),
-                JsonValue::num_u64(self.local_trajectories),
-            ),
-            (
-                "num_trajectories".into(),
-                JsonValue::num_u64(self.num_trajectories),
-            ),
-            (
-                "total_postings".into(),
-                JsonValue::num_u64(self.total_postings),
-            ),
-            ("size_bytes".into(), JsonValue::num_u64(self.size_bytes)),
-            (
-                "has_temporal_postings".into(),
-                JsonValue::Bool(self.has_temporal_postings),
-            ),
-        ])
-    }
-
-    pub fn from_json_value(v: &JsonValue) -> Result<ShardInfo, String> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("shard info needs u64 \"{key}\""))
-        };
-        let u32_field = |key: &str| {
-            field(key)?
-                .try_into()
-                .map_err(|_| format!("shard info \"{key}\" exceeds u32"))
-        };
-        Ok(ShardInfo {
-            shard_id: u32_field("shard_id")?,
-            num_shards: u32_field("num_shards")?,
-            epoch: field("epoch")?,
-            alphabet_size: field("alphabet_size")?,
-            local_trajectories: field("local_trajectories")?,
-            num_trajectories: field("num_trajectories")?,
-            total_postings: field("total_postings")?,
-            size_bytes: field("size_bytes")?,
-            has_temporal_postings: v
-                .get("has_temporal_postings")
-                .and_then(|b| b.as_bool())
-                .ok_or("shard info needs bool \"has_temporal_postings\"")?,
-        })
+wire_struct! {
+    /// What a shard server reports about itself — everything a coordinator
+    /// needs to validate a cluster (complete, non-overlapping partition of one
+    /// dataset) and to fill the size/count half of the `PostingSource`
+    /// contract without further round trips.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ShardInfo {
+        /// This server's slice: trajectories with `id % num_shards == shard_id`.
+        pub shard_id: u32,
+        pub num_shards: u32,
+        /// Identifies the index build; all data RPCs must echo it.
+        pub epoch: u64,
+        pub alphabet_size: u64,
+        /// Trajectories owned by this shard.
+        pub local_trajectories: u64,
+        /// Trajectories in the whole dataset the shard was cut from.
+        pub num_trajectories: u64,
+        /// Postings held by this shard.
+        pub total_postings: u64,
+        pub size_bytes: u64,
+        pub has_temporal_postings: bool,
     }
 }
 
-/// One page of a shard's span table (parallel departure/arrival arrays,
-/// dense by local slot). `total` is the shard's local trajectory count;
-/// the caller pages until `start + departures.len() == total`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SpanPage {
-    pub start: u64,
-    pub total: u64,
-    pub departures: Vec<f64>,
-    pub arrivals: Vec<f64>,
-}
-
-impl SpanPage {
-    pub fn to_json_value(&self) -> JsonValue {
-        let floats =
-            |xs: &[f64]| JsonValue::Arr(xs.iter().map(|&x| JsonValue::num_f64(x)).collect());
-        JsonValue::Obj(vec![
-            ("start".into(), JsonValue::num_u64(self.start)),
-            ("total".into(), JsonValue::num_u64(self.total)),
-            ("departures".into(), floats(&self.departures)),
-            ("arrivals".into(), floats(&self.arrivals)),
-        ])
-    }
-
-    pub fn from_json_value(v: &JsonValue) -> Result<SpanPage, String> {
-        let floats = |key: &str| {
-            v.get(key)
-                .and_then(|a| a.as_arr())
-                .ok_or_else(|| format!("span page needs array \"{key}\""))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .filter(|f| f.is_finite())
-                        .ok_or("span entries must be finite numbers")
-                })
-                .collect::<Result<Vec<f64>, _>>()
-                .map_err(String::from)
-        };
-        let page = SpanPage {
-            start: v
-                .get("start")
-                .and_then(|x| x.as_u64())
-                .ok_or("span page needs u64 \"start\"")?,
-            total: v
-                .get("total")
-                .and_then(|x| x.as_u64())
-                .ok_or("span page needs u64 \"total\"")?,
-            departures: floats("departures")?,
-            arrivals: floats("arrivals")?,
-        };
-        if page.departures.len() != page.arrivals.len() {
-            return Err("span page arrays must have equal length".into());
-        }
-        Ok(page)
+wire_struct! {
+    /// One page of a shard's span table (parallel departure/arrival arrays,
+    /// dense by local slot). `total` is the shard's local trajectory count;
+    /// the caller pages until `start + departures.len() == total`.
+    /// [`Reply::from_json`] rejects a page whose arrays differ in length.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct SpanPage {
+        pub start: u64,
+        pub total: u64,
+        pub departures: Vec<f64>,
+        pub arrivals: Vec<f64>,
     }
 }
 
-/// One span on the wire — a [`trajsearch_obs::SpanRecord`] with the name
-/// owned (the in-process record borrows a `&'static str`, which cannot be
-/// decoded) and without the trace id (the enclosing [`TraceEntry`] carries
-/// it once). Times are nanoseconds relative to the serving process's sink
-/// epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireSpan {
-    pub span_id: u64,
-    /// 0 for a root span.
-    pub parent_id: u64,
-    pub name: String,
-    /// Span-specific payload (candidate count, worker index, round index).
-    pub detail: u64,
-    pub start_ns: u64,
-    pub dur_ns: u64,
-}
-
-impl WireSpan {
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("span_id".into(), JsonValue::num_u64(self.span_id)),
-            ("parent_id".into(), JsonValue::num_u64(self.parent_id)),
-            ("name".into(), JsonValue::Str(self.name.clone())),
-            ("detail".into(), JsonValue::num_u64(self.detail)),
-            ("start_ns".into(), JsonValue::num_u64(self.start_ns)),
-            ("dur_ns".into(), JsonValue::num_u64(self.dur_ns)),
-        ])
-    }
-
-    pub fn from_json_value(v: &JsonValue) -> Result<WireSpan, String> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("span needs u64 \"{key}\""))
-        };
-        Ok(WireSpan {
-            span_id: field("span_id")?,
-            parent_id: field("parent_id")?,
-            name: v
-                .get("name")
-                .and_then(|n| n.as_str())
-                .ok_or("span needs string \"name\"")?
-                .to_string(),
-            detail: field("detail")?,
-            start_ns: field("start_ns")?,
-            dur_ns: field("dur_ns")?,
-        })
+wire_struct! {
+    /// One span on the wire — a [`trajsearch_obs::SpanRecord`] with the name
+    /// owned (the in-process record borrows a `&'static str`, which cannot be
+    /// decoded) and without the trace id (the enclosing [`TraceEntry`] carries
+    /// it once). Times are nanoseconds relative to the serving process's sink
+    /// epoch.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireSpan {
+        pub span_id: u64,
+        /// 0 for a root span.
+        pub parent_id: u64,
+        pub name: String,
+        /// Span-specific payload (candidate count, worker index, round index).
+        pub detail: u64,
+        pub start_ns: u64,
+        pub dur_ns: u64,
     }
 }
 
-/// One traced query's timeline as the `trace` request returns it: the
-/// trace id, the wire id of the query when the server knows it (slow-log
-/// entries do; ad-hoc sink lookups answer `None`), the query's wall time
-/// and its spans sorted by start.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    pub trace_id: u64,
-    pub query_id: Option<u64>,
-    pub wall_ns: u64,
-    pub spans: Vec<WireSpan>,
-}
-
-impl TraceEntry {
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut fields = vec![("trace_id".into(), JsonValue::num_u64(self.trace_id))];
-        if let Some(qid) = self.query_id {
-            fields.push(("query_id".into(), JsonValue::num_u64(qid)));
-        }
-        fields.push(("wall_ns".into(), JsonValue::num_u64(self.wall_ns)));
-        fields.push((
-            "spans".into(),
-            JsonValue::Arr(self.spans.iter().map(|s| s.to_json_value()).collect()),
-        ));
-        JsonValue::Obj(fields)
+wire_struct! {
+    /// One traced query's timeline as the `trace` request returns it: the
+    /// trace id, the wire id of the query when the server knows it (slow-log
+    /// entries do; ad-hoc sink lookups answer `None`), the query's wall time
+    /// and its spans sorted by start.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TraceEntry {
+        pub trace_id: u64,
+        pub query_id: Option<u64>,
+        pub wall_ns: u64,
+        pub spans: Vec<WireSpan>,
     }
-
-    pub fn from_json_value(v: &JsonValue) -> Result<TraceEntry, String> {
-        Ok(TraceEntry {
-            trace_id: v
-                .get("trace_id")
-                .and_then(|x| x.as_u64())
-                .ok_or("trace entry needs u64 \"trace_id\"")?,
-            query_id: v.get("query_id").and_then(|x| x.as_u64()),
-            wall_ns: v
-                .get("wall_ns")
-                .and_then(|x| x.as_u64())
-                .ok_or("trace entry needs u64 \"wall_ns\"")?,
-            spans: v
-                .get("spans")
-                .and_then(|a| a.as_arr())
-                .ok_or("trace entry needs \"spans\" array")?
-                .iter()
-                .map(WireSpan::from_json_value)
-                .collect::<Result<Vec<WireSpan>, _>>()?,
-        })
-    }
-}
-
-fn syms_to_value(syms: &[Sym]) -> JsonValue {
-    JsonValue::Arr(syms.iter().map(|&q| JsonValue::num_u64(q as u64)).collect())
-}
-
-fn syms_from_value(v: &JsonValue, what: &str) -> Result<Vec<Sym>, String> {
-    v.as_arr()
-        .ok_or_else(|| format!("{what} must be an array"))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .and_then(|n| Sym::try_from(n).ok())
-                .ok_or_else(|| format!("{what} entries must be u32 symbols"))
-        })
-        .collect()
-}
-
-fn posting_to_value(p: Posting) -> JsonValue {
-    JsonValue::Arr(vec![
-        JsonValue::num_u64(p.0 as u64),
-        JsonValue::num_u64(p.1 as u64),
-    ])
-}
-
-fn posting_from_slice(pair: &[JsonValue]) -> Option<Posting> {
-    match pair {
-        [id, pos] => Some((
-            u32::try_from(id.as_u64()?).ok()?,
-            u32::try_from(pos.as_u64()?).ok()?,
-        )),
-        _ => None,
-    }
-}
-
-fn postings_from_value(v: &JsonValue, what: &str) -> Result<Vec<Posting>, String> {
-    v.as_arr()
-        .ok_or_else(|| format!("{what} must be an array"))?
-        .iter()
-        .map(|e| {
-            e.as_arr()
-                .and_then(posting_from_slice)
-                .ok_or_else(|| format!("{what} entries must be [traj_id, pos] pairs"))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
 // Request / Reply envelopes
 // ---------------------------------------------------------------------------
 
-/// A client → server frame. Every variant's first field is the `id` that
-/// correlates the eventual reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Answer one query. `trace_id` (minor 3, optional) names the
-    /// end-to-end trace this query belongs to; `None` (the wire default)
-    /// means untraced and encodes byte-identically to the minor-2 frame.
-    Query {
-        id: u64,
-        query: Query,
-        trace_id: Option<u64>,
-    },
-    /// Return the server's metrics snapshot.
-    Stats { id: u64 },
-    /// Return trace timelines: the spans of `trace_id` when given, the
-    /// slow-query log otherwise (minor 3).
-    Trace { id: u64, trace_id: Option<u64> },
-    /// Return the Prometheus text exposition of the server's metrics
-    /// (minor 3).
-    MetricsText { id: u64 },
-    /// Version negotiation: the client announces what it speaks, the
-    /// server replies with its own `major`/`minor`.
-    Hello { id: u64, major: u32, minor: u32 },
-    /// Describe the served shard ([`ShardInfo`]), including the `epoch`
-    /// every data RPC must echo.
-    ShardInfo { id: u64 },
-    /// Postings-list lengths for a batch of symbols (one round trip primes
-    /// a whole pattern's frequencies).
-    ShardFreqs {
-        id: u64,
-        epoch: u64,
-        deadline_ms: Option<u64>,
-        trace_id: Option<u64>,
-        syms: Vec<Sym>,
-    },
-    /// Full postings lists for a batch of symbols, in this shard's build
-    /// order.
-    ShardPostings {
-        id: u64,
-        epoch: u64,
-        deadline_ms: Option<u64>,
-        trace_id: Option<u64>,
-        syms: Vec<Sym>,
-    },
-    /// The departure-sorted prefix of one symbol's list with departure
-    /// `<= t_max` (finite).
-    ShardDepartingBy {
-        id: u64,
-        epoch: u64,
-        deadline_ms: Option<u64>,
-        trace_id: Option<u64>,
-        sym: Sym,
-        t_max: f64,
-    },
-    /// One page of the shard's span table, `count` clamped to
-    /// [`SPAN_PAGE_MAX`].
-    ShardSpans {
-        id: u64,
-        epoch: u64,
-        deadline_ms: Option<u64>,
-        trace_id: Option<u64>,
-        start: u64,
-        count: u64,
-    },
+wire_enum! {
+    /// A client → server frame. Every variant's first field is the `id` that
+    /// correlates the eventual reply. Shard data RPCs carry the shard's build
+    /// `epoch`, an optional `deadline_ms` budget and an optional `trace_id`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Answer one query. `trace_id` (minor 3, optional) names the
+        /// end-to-end trace this query belongs to; `None` (the wire default)
+        /// means untraced and encodes byte-identically to the minor-2 frame.
+        Query as "query" {
+            id: u64,
+            query: Query,
+            trace_id: Option<u64>,
+        },
+        /// Return the server's metrics snapshot.
+        Stats as "stats" { id: u64 },
+        /// Return trace timelines: the spans of `trace_id` when given, the
+        /// slow-query log otherwise (minor 3).
+        Trace as "trace" { id: u64, trace_id: Option<u64> },
+        /// Return the Prometheus text exposition of the server's metrics
+        /// (minor 3).
+        MetricsText as "metrics_text" { id: u64 },
+        /// Version negotiation: the client announces what it speaks, the
+        /// server replies with its own `major`/`minor`.
+        Hello as "hello" { id: u64, major: u32, minor: u32 },
+        /// Describe the served shard ([`ShardInfo`]), including the `epoch`
+        /// every data RPC must echo.
+        ShardInfo as "shard_info" { id: u64 },
+        /// Postings-list lengths for a batch of symbols (one round trip primes
+        /// a whole pattern's frequencies).
+        ShardFreqs as "shard_freqs" {
+            id: u64,
+            epoch: u64,
+            deadline_ms: Option<u64>,
+            trace_id: Option<u64>,
+            syms: Vec<Sym>,
+        },
+        /// Full postings lists for a batch of symbols, in this shard's build
+        /// order.
+        ShardPostings as "shard_postings" {
+            id: u64,
+            epoch: u64,
+            deadline_ms: Option<u64>,
+            trace_id: Option<u64>,
+            syms: Vec<Sym>,
+        },
+        /// The departure-sorted prefix of one symbol's list with departure
+        /// `<= t_max` (finite).
+        ShardDepartingBy as "shard_departing_by" {
+            id: u64,
+            epoch: u64,
+            deadline_ms: Option<u64>,
+            trace_id: Option<u64>,
+            sym: Sym,
+            t_max: f64,
+        },
+        /// One page of the shard's span table, `count` clamped to
+        /// [`SPAN_PAGE_MAX`].
+        ShardSpans as "shard_spans" {
+            id: u64,
+            epoch: u64,
+            deadline_ms: Option<u64>,
+            trace_id: Option<u64>,
+            start: u64,
+            count: u64,
+        },
+    }
+    pub fn id(&self) -> u64;
 }
 
 impl Request {
-    pub fn id(&self) -> u64 {
-        match self {
-            Request::Query { id, .. }
-            | Request::Stats { id }
-            | Request::Trace { id, .. }
-            | Request::MetricsText { id }
-            | Request::Hello { id, .. }
-            | Request::ShardInfo { id }
-            | Request::ShardFreqs { id, .. }
-            | Request::ShardPostings { id, .. }
-            | Request::ShardDepartingBy { id, .. }
-            | Request::ShardSpans { id, .. } => *id,
-        }
-    }
-
     /// The trace id this frame carries, for the variants that can.
     pub fn trace_id(&self) -> Option<u64> {
         match self {
@@ -725,321 +473,82 @@ impl Request {
     }
 
     pub fn to_json(&self) -> String {
-        let envelope = |ty: &str, id: u64| {
-            vec![
-                ("v".into(), JsonValue::num_u64(PROTO_MAJOR as u64)),
-                ("type".into(), JsonValue::Str(ty.into())),
-                ("id".into(), JsonValue::num_u64(id)),
-            ]
-        };
-        // `trace_id` is omitted when absent, so untraced frames stay
-        // byte-identical to the pre-minor-3 encoding.
-        let with_trace = |mut fields: Vec<(String, JsonValue)>, trace_id: &Option<u64>| {
-            if let Some(t) = trace_id {
-                fields.push(("trace_id".into(), JsonValue::num_u64(*t)));
-            }
-            fields
-        };
-        let with_shard_args = |fields: Vec<(String, JsonValue)>,
-                               epoch: u64,
-                               deadline_ms: Option<u64>,
-                               trace_id: &Option<u64>| {
-            let mut fields = fields;
-            fields.push(("epoch".into(), JsonValue::num_u64(epoch)));
-            if let Some(ms) = deadline_ms {
-                fields.push(("deadline_ms".into(), JsonValue::num_u64(ms)));
-            }
-            with_trace(fields, trace_id)
-        };
-        let fields = match self {
-            Request::Query {
-                id,
-                query,
-                trace_id,
-            } => {
-                let mut f = envelope("query", *id);
-                // The query's canonical wire object, embedded directly —
-                // not re-rendered and re-parsed, and not a string.
-                f.push(("query".into(), query.to_value()));
-                with_trace(f, trace_id)
-            }
-            Request::Stats { id } => envelope("stats", *id),
-            Request::Trace { id, trace_id } => with_trace(envelope("trace", *id), trace_id),
-            Request::MetricsText { id } => envelope("metrics_text", *id),
-            Request::Hello { id, major, minor } => {
-                let mut f = envelope("hello", *id);
-                f.push(("major".into(), JsonValue::num_u64(*major as u64)));
-                f.push(("minor".into(), JsonValue::num_u64(*minor as u64)));
-                f
-            }
-            Request::ShardInfo { id } => envelope("shard_info", *id),
-            Request::ShardFreqs {
-                id,
-                epoch,
-                deadline_ms,
-                trace_id,
-                syms,
-            } => {
-                let mut f =
-                    with_shard_args(envelope("shard_freqs", *id), *epoch, *deadline_ms, trace_id);
-                f.push(("syms".into(), syms_to_value(syms)));
-                f
-            }
-            Request::ShardPostings {
-                id,
-                epoch,
-                deadline_ms,
-                trace_id,
-                syms,
-            } => {
-                let mut f = with_shard_args(
-                    envelope("shard_postings", *id),
-                    *epoch,
-                    *deadline_ms,
-                    trace_id,
-                );
-                f.push(("syms".into(), syms_to_value(syms)));
-                f
-            }
-            Request::ShardDepartingBy {
-                id,
-                epoch,
-                deadline_ms,
-                trace_id,
-                sym,
-                t_max,
-            } => {
-                let mut f = with_shard_args(
-                    envelope("shard_departing_by", *id),
-                    *epoch,
-                    *deadline_ms,
-                    trace_id,
-                );
-                f.push(("sym".into(), JsonValue::num_u64(*sym as u64)));
-                f.push(("t_max".into(), JsonValue::num_f64(*t_max)));
-                f
-            }
-            Request::ShardSpans {
-                id,
-                epoch,
-                deadline_ms,
-                trace_id,
-                start,
-                count,
-            } => {
-                let mut f =
-                    with_shard_args(envelope("shard_spans", *id), *epoch, *deadline_ms, trace_id);
-                f.push(("start".into(), JsonValue::num_u64(*start)));
-                f.push(("count".into(), JsonValue::num_u64(*count)));
-                f
-            }
-        };
-        JsonValue::Obj(fields).to_string()
+        render_frame(self.to_wire())
     }
 
     /// Decodes a request frame. The error side carries the frame's `id`
     /// when one could be extracted, so the server can still address its
     /// error reply. An unknown protocol major is a typed
-    /// `unsupported_version`, not `malformed`.
+    /// `unsupported_version`, a query body that fails validation a typed
+    /// `invalid_query`, anything else wrong with the envelope `malformed`.
     pub fn from_json(text: &str) -> Result<Request, (Option<u64>, ServerError)> {
         let malformed =
-            |id: Option<u64>, msg: &str| (id, ServerError::new(ServerErrorKind::Malformed, msg));
+            |id: Option<u64>, msg: String| (id, ServerError::new(ServerErrorKind::Malformed, msg));
         let doc = match JsonValue::parse(text) {
             Ok(doc) => doc,
-            Err(e) => return Err(malformed(None, &format!("unparseable frame: {e}"))),
+            Err(e) => return Err(malformed(None, format!("unparseable frame: {e}"))),
         };
         let id = doc.get("id").and_then(|v| v.as_u64());
         if let Err(error) = check_version(&doc) {
             return Err((id, error));
         }
-        let Some(id) = id else {
-            return Err(malformed(None, "request frame needs a u64 \"id\""));
-        };
-        let u64_field = |key: &str| {
-            doc.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("request needs u64 \"{key}\""))
-        };
-        let trace_arg = || -> Result<Option<u64>, String> {
-            match doc.get("trace_id") {
-                None | Some(JsonValue::Null) => Ok(None),
-                Some(v) => Ok(Some(v.as_u64().ok_or("\"trace_id\" must be a u64")?)),
-            }
-        };
-        let shard_args = || -> Result<(u64, Option<u64>, Option<u64>), String> {
-            let epoch = u64_field("epoch")?;
-            let deadline_ms = match doc.get("deadline_ms") {
-                None => None,
-                Some(v) => Some(v.as_u64().ok_or("\"deadline_ms\" must be a u64")?),
-            };
-            Ok((epoch, deadline_ms, trace_arg()?))
-        };
-        let decode = |what: &str| -> Result<Request, String> {
-            match what {
-                "stats" => Ok(Request::Stats { id }),
-                "trace" => Ok(Request::Trace {
-                    id,
-                    trace_id: trace_arg()?,
-                }),
-                "metrics_text" => Ok(Request::MetricsText { id }),
-                "hello" => Ok(Request::Hello {
-                    id,
-                    major: u64_field("major")?
-                        .try_into()
-                        .map_err(|_| "\"major\" exceeds u32")?,
-                    minor: u64_field("minor")?
-                        .try_into()
-                        .map_err(|_| "\"minor\" exceeds u32")?,
-                }),
-                "shard_info" => Ok(Request::ShardInfo { id }),
-                "shard_freqs" | "shard_postings" => {
-                    let (epoch, deadline_ms, trace_id) = shard_args()?;
-                    let syms = syms_from_value(
-                        doc.get("syms").ok_or("request needs \"syms\"")?,
-                        "\"syms\"",
-                    )?;
-                    Ok(if what == "shard_freqs" {
-                        Request::ShardFreqs {
-                            id,
-                            epoch,
-                            deadline_ms,
-                            trace_id,
-                            syms,
-                        }
-                    } else {
-                        Request::ShardPostings {
-                            id,
-                            epoch,
-                            deadline_ms,
-                            trace_id,
-                            syms,
-                        }
-                    })
-                }
-                "shard_departing_by" => {
-                    let (epoch, deadline_ms, trace_id) = shard_args()?;
-                    let sym = u64_field("sym")?
-                        .try_into()
-                        .map_err(|_| "\"sym\" exceeds u32")?;
-                    let t_max = doc
-                        .get("t_max")
-                        .and_then(|v| v.as_f64())
-                        .filter(|t| t.is_finite())
-                        .ok_or("request needs finite \"t_max\"")?;
-                    Ok(Request::ShardDepartingBy {
-                        id,
-                        epoch,
-                        deadline_ms,
-                        trace_id,
-                        sym,
-                        t_max,
-                    })
-                }
-                "shard_spans" => {
-                    let (epoch, deadline_ms, trace_id) = shard_args()?;
-                    Ok(Request::ShardSpans {
-                        id,
-                        epoch,
-                        deadline_ms,
-                        trace_id,
-                        start: u64_field("start")?,
-                        count: u64_field("count")?,
-                    })
-                }
-                other => Err(format!("unknown request type {other:?}")),
-            }
-        };
-        match doc.get("type").and_then(|v| v.as_str()) {
-            Some("query") => {
-                let Some(query) = doc.get("query") else {
-                    return Err(malformed(Some(id), "query request needs a \"query\""));
-                };
-                let trace_id = match trace_arg() {
-                    Ok(t) => t,
-                    Err(e) => return Err(malformed(Some(id), &e)),
-                };
-                match Query::from_value(query) {
-                    Ok(query) => Ok(Request::Query {
-                        id,
-                        query,
-                        trace_id,
-                    }),
-                    Err(e) => Err((
-                        Some(id),
-                        ServerError::new(ServerErrorKind::InvalidQuery, e.to_string()),
-                    )),
-                }
-            }
-            Some(what) => decode(what).map_err(|e| malformed(Some(id), &e)),
-            None => Err(malformed(Some(id), "request frame needs a \"type\"")),
+        if id.is_none() {
+            return Err(malformed(None, "request frame needs a u64 \"id\"".into()));
         }
+        Request::from_wire(&doc).map_err(|msg| {
+            // Decode the query body once more, on this error path only, to
+            // tell the caller's query being wrong from the frame being wrong.
+            let is_query = doc.get("type").and_then(JsonValue::as_str) == Some("query");
+            match doc.get("query").map(Query::from_value) {
+                Some(Err(e)) if is_query => (
+                    id,
+                    ServerError::new(ServerErrorKind::InvalidQuery, e.to_string()),
+                ),
+                _ => malformed(id, msg),
+            }
+        })
     }
 }
 
-/// A server → client frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reply {
-    Response {
-        id: u64,
-        response: Response,
-    },
-    /// The query ran but the answer may be missing shard contributions —
-    /// a first-class outcome, deliberately not an [`Reply::Error`].
-    Degraded {
-        id: u64,
-        degraded: DegradedInfo,
-        response: Option<Response>,
-    },
-    Error {
-        id: Option<u64>,
-        error: ServerError,
-    },
-    Stats {
-        id: u64,
-        stats: MetricsSnapshot,
-    },
-    /// Trace timelines (minor 3): the requested trace's spans, or the
-    /// slow-query log when the request named no trace id.
-    Trace {
-        id: u64,
-        entries: Vec<TraceEntry>,
-    },
-    /// Prometheus text exposition of the server's metrics (minor 3).
-    MetricsText {
-        id: u64,
-        text: String,
-    },
-    Hello {
-        id: u64,
-        major: u32,
-        minor: u32,
-        /// Metric capability list ([`SUPPORTED_METRICS`] on a current
-        /// server). Empty means the peer predates minor 2 (or chose not to
-        /// advertise): assume WED only.
-        metrics: Vec<String>,
-    },
-    ShardInfo {
-        id: u64,
-        info: ShardInfo,
-    },
-    /// Lengths, parallel to the request's `syms`.
-    ShardFreqs {
-        id: u64,
-        freqs: Vec<u32>,
-    },
-    /// Lists, parallel to the request's `syms`.
-    ShardPostings {
-        id: u64,
-        lists: Vec<Vec<Posting>>,
-    },
-    ShardDepartingBy {
-        id: u64,
-        entries: Vec<(f64, Posting)>,
-    },
-    ShardSpans {
-        id: u64,
-        page: SpanPage,
-    },
+wire_enum! {
+    /// A server → client frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Reply {
+        Response as "response" { id: u64, response: Response },
+        /// The query ran but the answer may be missing shard contributions —
+        /// a first-class outcome, deliberately not an [`Reply::Error`].
+        Degraded as "degraded" {
+            id: u64,
+            degraded: DegradedInfo,
+            response: Option<Response>,
+        },
+        /// `id` is `None` (rendered `null`) when the offending frame was too
+        /// malformed to carry one.
+        Error as "error" { id: Option<u64>, error: ServerError },
+        Stats as "stats" { id: u64, stats: MetricsSnapshot },
+        /// Trace timelines (minor 3): the requested trace's spans, or the
+        /// slow-query log when the request named no trace id.
+        Trace as "trace" { id: u64, entries: Vec<TraceEntry> },
+        /// Prometheus text exposition of the server's metrics (minor 3).
+        MetricsText as "metrics_text" { id: u64, text: String },
+        Hello as "hello" {
+            id: u64,
+            major: u32,
+            minor: u32,
+            /// Metric capability list ([`SUPPORTED_METRICS`] on a current
+            /// server). Empty means the peer predates minor 2 (or chose not to
+            /// advertise): assume WED only. Omitted when empty, keeping the
+            /// minor-1 frame unchanged.
+            metrics: Vec<String> = sparse,
+        },
+        ShardInfo as "shard_info" { id: u64, info: ShardInfo },
+        /// Lengths, parallel to the request's `syms`.
+        ShardFreqs as "shard_freqs" { id: u64, freqs: Vec<u32> },
+        /// Lists, parallel to the request's `syms`.
+        ShardPostings as "shard_postings" { id: u64, lists: Vec<Vec<Posting>> },
+        ShardDepartingBy as "shard_departing_by" { id: u64, entries: Vec<(f64, Posting)> },
+        ShardSpans as "shard_spans" { id: u64, page: SpanPage },
+    }
 }
 
 impl Reply {
@@ -1061,297 +570,25 @@ impl Reply {
     }
 
     pub fn to_json(&self) -> String {
-        let envelope = |ty: &str, id: u64| {
-            vec![
-                ("v".into(), JsonValue::num_u64(PROTO_MAJOR as u64)),
-                ("type".into(), JsonValue::Str(ty.into())),
-                ("id".into(), JsonValue::num_u64(id)),
-            ]
-        };
-        let fields = match self {
-            Reply::Response { id, response } => {
-                let mut f = envelope("response", *id);
-                f.push(("response".into(), response.to_value()));
-                f
-            }
-            Reply::Degraded {
-                id,
-                degraded,
-                response,
-            } => {
-                let mut f = envelope("degraded", *id);
-                f.push(("degraded".into(), degraded.to_json_value()));
-                if let Some(r) = response {
-                    f.push(("response".into(), r.to_value()));
-                }
-                f
-            }
-            Reply::Error { id, error } => vec![
-                ("v".into(), JsonValue::num_u64(PROTO_MAJOR as u64)),
-                ("type".into(), JsonValue::Str("error".into())),
-                ("id".into(), id.map_or(JsonValue::Null, JsonValue::num_u64)),
-                ("error".into(), error.to_json_value()),
-            ],
-            Reply::Stats { id, stats } => {
-                let mut f = envelope("stats", *id);
-                f.push(("stats".into(), stats.to_json_value()));
-                f
-            }
-            Reply::Trace { id, entries } => {
-                let mut f = envelope("trace", *id);
-                f.push((
-                    "entries".into(),
-                    JsonValue::Arr(entries.iter().map(|e| e.to_json_value()).collect()),
-                ));
-                f
-            }
-            Reply::MetricsText { id, text } => {
-                let mut f = envelope("metrics_text", *id);
-                f.push(("text".into(), JsonValue::Str(text.clone())));
-                f
-            }
-            Reply::Hello {
-                id,
-                major,
-                minor,
-                metrics,
-            } => {
-                let mut f = envelope("hello", *id);
-                f.push(("major".into(), JsonValue::num_u64(*major as u64)));
-                f.push(("minor".into(), JsonValue::num_u64(*minor as u64)));
-                // Omitted when empty, keeping the minor-1 frame unchanged.
-                if !metrics.is_empty() {
-                    f.push((
-                        "metrics".into(),
-                        JsonValue::Arr(metrics.iter().map(|m| JsonValue::Str(m.clone())).collect()),
-                    ));
-                }
-                f
-            }
-            Reply::ShardInfo { id, info } => {
-                let mut f = envelope("shard_info", *id);
-                f.push(("info".into(), info.to_json_value()));
-                f
-            }
-            Reply::ShardFreqs { id, freqs } => {
-                let mut f = envelope("shard_freqs", *id);
-                f.push((
-                    "freqs".into(),
-                    JsonValue::Arr(
-                        freqs
-                            .iter()
-                            .map(|&n| JsonValue::num_u64(n as u64))
-                            .collect(),
-                    ),
-                ));
-                f
-            }
-            Reply::ShardPostings { id, lists } => {
-                let mut f = envelope("shard_postings", *id);
-                f.push((
-                    "lists".into(),
-                    JsonValue::Arr(
-                        lists
-                            .iter()
-                            .map(|list| {
-                                JsonValue::Arr(list.iter().map(|&p| posting_to_value(p)).collect())
-                            })
-                            .collect(),
-                    ),
-                ));
-                f
-            }
-            Reply::ShardDepartingBy { id, entries } => {
-                let mut f = envelope("shard_departing_by", *id);
-                f.push((
-                    "entries".into(),
-                    JsonValue::Arr(
-                        entries
-                            .iter()
-                            .map(|&(dep, (tid, pos))| {
-                                JsonValue::Arr(vec![
-                                    JsonValue::num_f64(dep),
-                                    JsonValue::num_u64(tid as u64),
-                                    JsonValue::num_u64(pos as u64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                f
-            }
-            Reply::ShardSpans { id, page } => {
-                let mut f = envelope("shard_spans", *id);
-                f.push(("page".into(), page.to_json_value()));
-                f
-            }
-        };
-        JsonValue::Obj(fields).to_string()
+        let mut shape = self.to_wire();
+        if let (Reply::Error { id: None, .. }, JsonValue::Obj(fields)) = (self, &mut shape) {
+            // The one key that renders `null` instead of being omitted: an
+            // error addressed to nobody still shows its `id`, after `type`.
+            fields.insert(1, ("id".to_string(), JsonValue::Null));
+        }
+        render_frame(shape)
     }
 
     pub fn from_json(text: &str) -> Result<Reply, String> {
         let doc = JsonValue::parse(text)?;
         check_version(&doc).map_err(|e| e.to_string())?;
-        let need_id = |what: &str| {
-            doc.get("id")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("{what} frame needs a u64 \"id\""))
-        };
-        match doc.get("type").and_then(|v| v.as_str()) {
-            Some("response") => {
-                let id = need_id("response")?;
-                let response = doc.get("response").ok_or("missing \"response\"")?;
-                let response = Response::from_value(response).map_err(|e| e.to_string())?;
-                Ok(Reply::Response { id, response })
+        let reply = Reply::from_wire(&doc)?;
+        if let Reply::ShardSpans { page, .. } = &reply {
+            if page.departures.len() != page.arrivals.len() {
+                return Err("span page arrays must have equal length".into());
             }
-            Some("degraded") => {
-                let id = need_id("degraded")?;
-                let degraded = doc.get("degraded").ok_or("missing \"degraded\"")?;
-                let response = match doc.get("response") {
-                    None => None,
-                    Some(r) => Some(Response::from_value(r).map_err(|e| e.to_string())?),
-                };
-                Ok(Reply::Degraded {
-                    id,
-                    degraded: DegradedInfo::from_json_value(degraded)?,
-                    response,
-                })
-            }
-            Some("error") => {
-                let id = doc.get("id").and_then(|v| v.as_u64());
-                let error = doc.get("error").ok_or("missing \"error\"")?;
-                Ok(Reply::Error {
-                    id,
-                    error: ServerError::from_json_value(error)?,
-                })
-            }
-            Some("stats") => {
-                let id = need_id("stats")?;
-                let stats = doc.get("stats").ok_or("missing \"stats\"")?;
-                Ok(Reply::Stats {
-                    id,
-                    stats: MetricsSnapshot::from_json_value(stats)?,
-                })
-            }
-            Some("trace") => {
-                let id = need_id("trace")?;
-                let entries = doc
-                    .get("entries")
-                    .and_then(|a| a.as_arr())
-                    .ok_or("missing \"entries\" array")?
-                    .iter()
-                    .map(TraceEntry::from_json_value)
-                    .collect::<Result<Vec<TraceEntry>, _>>()?;
-                Ok(Reply::Trace { id, entries })
-            }
-            Some("metrics_text") => {
-                let id = need_id("metrics_text")?;
-                let text = doc
-                    .get("text")
-                    .and_then(|t| t.as_str())
-                    .ok_or("missing string \"text\"")?
-                    .to_string();
-                Ok(Reply::MetricsText { id, text })
-            }
-            Some("hello") => {
-                let id = need_id("hello")?;
-                let field = |key: &str| {
-                    doc.get(key)
-                        .and_then(|v| v.as_u64())
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| format!("hello frame needs u32 \"{key}\""))
-                };
-                let metrics = match doc.get("metrics") {
-                    None | Some(JsonValue::Null) => Vec::new(),
-                    Some(v) => v
-                        .as_arr()
-                        .ok_or("hello \"metrics\" must be an array")?
-                        .iter()
-                        .map(|m| {
-                            m.as_str()
-                                .map(str::to_string)
-                                .ok_or("hello \"metrics\" entries must be strings")
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                Ok(Reply::Hello {
-                    id,
-                    major: field("major")?,
-                    minor: field("minor")?,
-                    metrics,
-                })
-            }
-            Some("shard_info") => {
-                let id = need_id("shard_info")?;
-                let info = doc.get("info").ok_or("missing \"info\"")?;
-                Ok(Reply::ShardInfo {
-                    id,
-                    info: ShardInfo::from_json_value(info)?,
-                })
-            }
-            Some("shard_freqs") => {
-                let id = need_id("shard_freqs")?;
-                let freqs = doc
-                    .get("freqs")
-                    .and_then(|a| a.as_arr())
-                    .ok_or("missing \"freqs\" array")?
-                    .iter()
-                    .map(|x| {
-                        x.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("freqs entries must be u32")
-                    })
-                    .collect::<Result<Vec<u32>, _>>()?;
-                Ok(Reply::ShardFreqs { id, freqs })
-            }
-            Some("shard_postings") => {
-                let id = need_id("shard_postings")?;
-                let lists = doc
-                    .get("lists")
-                    .and_then(|a| a.as_arr())
-                    .ok_or("missing \"lists\" array")?
-                    .iter()
-                    .map(|l| postings_from_value(l, "\"lists\""))
-                    .collect::<Result<Vec<Vec<Posting>>, _>>()?;
-                Ok(Reply::ShardPostings { id, lists })
-            }
-            Some("shard_departing_by") => {
-                let id = need_id("shard_departing_by")?;
-                let entries = doc
-                    .get("entries")
-                    .and_then(|a| a.as_arr())
-                    .ok_or("missing \"entries\" array")?
-                    .iter()
-                    .map(|e| {
-                        let triple = e.as_arr().ok_or("entries must be arrays")?;
-                        match triple {
-                            [dep, tid, pos] => {
-                                let dep = dep
-                                    .as_f64()
-                                    .filter(|d| d.is_finite())
-                                    .ok_or("departure must be finite")?;
-                                let posting = posting_from_slice(&[tid.clone(), pos.clone()])
-                                    .ok_or("entry ids must be u32")?;
-                                Ok((dep, posting))
-                            }
-                            _ => {
-                                Err("entries must be [departure, traj_id, pos] triples".to_string())
-                            }
-                        }
-                    })
-                    .collect::<Result<Vec<(f64, Posting)>, String>>()?;
-                Ok(Reply::ShardDepartingBy { id, entries })
-            }
-            Some("shard_spans") => {
-                let id = need_id("shard_spans")?;
-                let page = doc.get("page").ok_or("missing \"page\"")?;
-                Ok(Reply::ShardSpans {
-                    id,
-                    page: SpanPage::from_json_value(page)?,
-                })
-            }
-            other => Err(format!("unknown reply type {other:?}")),
         }
+        Ok(reply)
     }
 }
 
@@ -1368,35 +605,30 @@ pub fn write_frame(w: &mut impl Write, json: &str) -> io::Result<()> {
 }
 
 /// Reads one frame from a blocking buffered reader. `Ok(None)` is a clean
-/// EOF; an oversized frame is an `InvalidData` error.
+/// EOF; an oversized frame is an `InvalidData` error. The read itself is
+/// capped one byte past [`MAX_FRAME_BYTES`], so a peer streaming bytes
+/// without ever sending a newline cannot grow the buffer beyond the bound.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    let mut total = 0usize;
-    loop {
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
-            return if total == 0 {
-                Ok(None)
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            };
-        }
-        total += n;
-        if total > MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds MAX_FRAME_BYTES",
-            ));
-        }
-        if line.ends_with('\n') {
-            line.pop();
-            return Ok(Some(line));
-        }
-        // read_line only returns without a trailing '\n' at EOF; loop once
-        // more to observe the n == 0 and report the truncation.
+    let mut line = Vec::new();
+    let n = r
+        .take(MAX_FRAME_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if n > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame exceeds MAX_FRAME_BYTES",
+        ));
+    }
+    match line.pop() {
+        None => Ok(None),
+        Some(b'\n') => String::from_utf8(line)
+            .map(Some)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
+        // `read_until` only stops short of a newline at EOF.
+        Some(_) => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        )),
     }
 }
 
@@ -1486,60 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_metrics_text_frames_round_trip() {
-        for trace_id in [None, Some(9u64)] {
-            let req = Request::Trace { id: 5, trace_id };
-            assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
-        }
-        let req = Request::MetricsText { id: 6 };
-        assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
-        let reply = Reply::Trace {
-            id: 5,
-            entries: vec![TraceEntry {
-                trace_id: 9,
-                query_id: Some(12),
-                wall_ns: 5_000,
-                spans: vec![
-                    WireSpan {
-                        span_id: 1,
-                        parent_id: 0,
-                        name: "query".into(),
-                        detail: 0,
-                        start_ns: 0,
-                        dur_ns: 5_000,
-                    },
-                    WireSpan {
-                        span_id: 2,
-                        parent_id: 1,
-                        name: "verify".into(),
-                        detail: 3,
-                        start_ns: 100,
-                        dur_ns: 4_000,
-                    },
-                ],
-            }],
-        };
-        assert_eq!(Reply::from_json(&reply.to_json()).unwrap(), reply);
-        // An entry without a query id omits the key.
-        let anon = Reply::Trace {
-            id: 5,
-            entries: vec![TraceEntry {
-                trace_id: 9,
-                query_id: None,
-                wall_ns: 1,
-                spans: Vec::new(),
-            }],
-        };
-        assert!(!anon.to_json().contains("query_id"));
-        assert_eq!(Reply::from_json(&anon.to_json()).unwrap(), anon);
-        let reply = Reply::MetricsText {
-            id: 6,
-            text: "# HELP x X.\n# TYPE x counter\nx 1\n".into(),
-        };
-        assert_eq!(Reply::from_json(&reply.to_json()).unwrap(), reply);
-    }
-
-    #[test]
     fn malformed_requests_carry_ids_when_possible() {
         // No id at all → addressable to nobody.
         let (id, err) = Request::from_json("{}").unwrap_err();
@@ -1587,6 +765,31 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn read_frame_bounds_a_stream_that_never_sends_a_newline() {
+        /// Yields `x` forever and counts what the consumer pulled.
+        struct Endless(usize);
+        impl io::Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                buf.fill(b'x');
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+        }
+        let mut r = BufReader::new(Endless(0));
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The bound holds on the read itself, not only on its result: at
+        // most the frame limit plus one buffer was ever pulled in.
+        let pulled = r.get_ref().0;
+        assert!(pulled <= MAX_FRAME_BYTES + 1 + r.capacity(), "{pulled}");
+        // A frame of exactly the limit (newline included) still passes.
+        let mut exact = vec![b'x'; MAX_FRAME_BYTES - 1];
+        exact.push(b'\n');
+        let frame = read_frame(&mut BufReader::new(&exact[..])).unwrap();
+        assert_eq!(frame.map(|f| f.len()), Some(MAX_FRAME_BYTES - 1));
     }
 
     #[test]
@@ -1666,104 +869,6 @@ mod tests {
         };
         assert!(!legacy.to_json().contains("metrics"));
         assert_eq!(Reply::from_json(&legacy.to_json()).unwrap(), legacy);
-    }
-
-    #[test]
-    fn shard_rpc_requests_round_trip() {
-        let frames = [
-            Request::ShardInfo { id: 10 },
-            Request::ShardFreqs {
-                id: 11,
-                epoch: 7,
-                deadline_ms: Some(250),
-                trace_id: None,
-                syms: vec![0, 4, 9],
-            },
-            Request::ShardPostings {
-                id: 12,
-                epoch: 7,
-                deadline_ms: None,
-                trace_id: Some(31),
-                syms: vec![4],
-            },
-            Request::ShardDepartingBy {
-                id: 13,
-                epoch: 7,
-                deadline_ms: Some(1),
-                trace_id: None,
-                sym: 4,
-                t_max: 180.5,
-            },
-            Request::ShardSpans {
-                id: 14,
-                epoch: 7,
-                deadline_ms: None,
-                trace_id: Some(31),
-                start: 0,
-                count: 65536,
-            },
-        ];
-        for req in frames {
-            let back = Request::from_json(&req.to_json()).unwrap();
-            assert_eq!(back, req);
-            assert_eq!(back.id(), req.id());
-        }
-    }
-
-    #[test]
-    fn shard_rpc_replies_round_trip() {
-        let frames = [
-            Reply::ShardInfo {
-                id: 20,
-                info: ShardInfo {
-                    shard_id: 1,
-                    num_shards: 3,
-                    epoch: 7,
-                    alphabet_size: 64,
-                    local_trajectories: 40,
-                    num_trajectories: 120,
-                    total_postings: 960,
-                    size_bytes: 7680,
-                    has_temporal_postings: true,
-                },
-            },
-            Reply::ShardFreqs {
-                id: 21,
-                freqs: vec![0, 3, 17],
-            },
-            Reply::ShardPostings {
-                id: 22,
-                lists: vec![vec![(1, 0), (4, 2)], vec![]],
-            },
-            Reply::ShardDepartingBy {
-                id: 23,
-                entries: vec![(0.25, (1, 0)), (180.5, (4, 2))],
-            },
-            Reply::ShardSpans {
-                id: 24,
-                page: SpanPage {
-                    start: 0,
-                    total: 40,
-                    departures: vec![0.25, 1.5],
-                    arrivals: vec![2.75, 9.0],
-                },
-            },
-            Reply::Degraded {
-                id: 25,
-                degraded: DegradedInfo {
-                    missing_shards: vec![2],
-                    reason: "shard 2: connection reset".into(),
-                },
-                response: None,
-            },
-        ];
-        for reply in frames {
-            assert_eq!(
-                Reply::from_json(&reply.to_json()).unwrap(),
-                reply,
-                "{reply:?}"
-            );
-        }
     }
 
     #[test]

@@ -7,12 +7,18 @@
 //! second table holds *legacy* frames (no `"v"`, fields later minors
 //! added missing, unknown keys present) that must keep decoding.
 //!
+//! The same literals seed a mutation fuzz: truncated, byte-flipped,
+//! key-edited and type-swapped frames must come back as typed errors or as
+//! values that round-trip — never a panic.
+//!
 //! Values are hand-built with fixed nanosecond fields — live responses vary
 //! in digit count from run to run — and the literals were rendered by the
 //! hand-paired codec that preceded the `Wire` field table, so a refactor of
 //! the codec that changes one byte of one frame fails here.
 
+use proptest::prelude::*;
 use std::time::Duration;
+use trajsearch_core::json::JsonValue;
 use trajsearch_core::{
     MatchResult, Metric, Parallelism, Query, Response, SearchStats, TemporalConstraint,
     TimeInterval, VerifyMode,
@@ -650,5 +656,137 @@ fn legacy_frames_keep_decoding() {
     ];
     for (literal, value) in replies {
         assert_eq!(Reply::from_json(literal).unwrap(), value, "{literal}");
+    }
+}
+
+/// The two decode behaviours the single leaf impls changed, each of which
+/// fails on the hand-paired codec: `null` means absent on *every* optional
+/// key (a shard RPC's `deadline_ms` used to be the exception), and a float
+/// that overflows to ∞ is rejected wherever it appears (a match's `dist`
+/// used to decode to +∞, which cannot be re-encoded).
+#[test]
+fn null_is_absent_and_floats_are_finite_on_every_key() {
+    assert_eq!(
+        Request::from_json(
+            r#"{"v":1,"type":"shard_freqs","id":3,"epoch":7,"deadline_ms":null,"syms":[4]}"#
+        )
+        .unwrap(),
+        Request::ShardFreqs {
+            id: 3,
+            epoch: 7,
+            deadline_ms: None,
+            trace_id: None,
+            syms: vec![4],
+        }
+    );
+    let overflowing = reply_rows()[0]
+        .1
+        .replace(r#""dist":0.5"#, r#""dist":1e999"#);
+    let err = Reply::from_json(&overflowing).unwrap_err();
+    assert!(err.contains("\"dist\": must be a finite number"), "{err}");
+}
+
+/// Characters that keep a flipped byte "almost JSON".
+const SOUP: &[u8] = br#"{}[]",:.-+eE0123456789 truefalsenul\"abc"#;
+
+/// Applies `edit` to the `n`-th node (depth-first) that `edit` accepts.
+fn edit_nth(v: &mut JsonValue, n: &mut usize, edit: &dyn Fn(&mut JsonValue) -> bool) -> bool {
+    let mut probe = v.clone();
+    if edit(&mut probe) {
+        if *n == 0 {
+            *v = probe;
+            return true;
+        }
+        *n -= 1;
+    }
+    match v {
+        JsonValue::Arr(items) => items.iter_mut().any(|item| edit_nth(item, n, edit)),
+        JsonValue::Obj(pairs) => pairs.iter_mut().any(|(_, item)| edit_nth(item, n, edit)),
+        _ => false,
+    }
+}
+
+/// One seeded mutation of a golden frame.
+fn mutate(frame: &str, kind: u8, at: usize, pick: usize) -> String {
+    let structural = |edit: &dyn Fn(&mut JsonValue) -> bool| {
+        let mut doc = JsonValue::parse(frame).unwrap();
+        edit_nth(&mut doc, &mut (at % 8), edit);
+        doc.to_string()
+    };
+    match kind {
+        0 => frame[..at % frame.len()].to_string(),
+        1 => {
+            let mut bytes = frame.as_bytes().to_vec();
+            bytes[at % frame.len()] = SOUP[pick % SOUP.len()];
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        // Delete, or duplicate, the `pick`-th key of an object.
+        2 | 3 => structural(&|v| match v {
+            JsonValue::Obj(pairs) if !pairs.is_empty() => {
+                let i = pick % pairs.len();
+                if kind == 2 {
+                    pairs.remove(i);
+                } else {
+                    pairs.push(pairs[i].clone());
+                }
+                true
+            }
+            _ => false,
+        }),
+        // Swap a number for a string, an array or `null`.
+        4 => structural(&|v| {
+            let is_num = matches!(v, JsonValue::Num(_));
+            if is_num {
+                *v = [
+                    JsonValue::Str("7".into()),
+                    JsonValue::Arr(vec![]),
+                    JsonValue::Null,
+                ][pick % 3]
+                    .clone();
+            }
+            is_num
+        }),
+        // Splice in a nesting bomb.
+        _ => {
+            let at = at % (frame.len() + 1);
+            format!("{}{}{}", &frame[..at], "[".repeat(10_000), &frame[at..])
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn mutated_golden_frames_are_typed_errors_or_round_trip(
+        row in 0usize..1024,
+        kind in 0u8..6,
+        at in 0usize..65_536,
+        pick in 0usize..1024,
+    ) {
+        let requests = request_rows();
+        let replies = reply_rows();
+        let literals: Vec<&str> = requests.iter().map(|r| r.1).chain(replies.iter().map(|r| r.1)).collect();
+        let text = mutate(literals[row % literals.len()], kind, at, pick);
+        match Request::from_json(&text) {
+            Ok(request) => {
+                prop_assert_eq!(Request::from_json(&request.to_json()).unwrap(), request);
+            }
+            Err((id, error)) => {
+                prop_assert!(matches!(
+                    error.kind,
+                    ServerErrorKind::Malformed
+                        | ServerErrorKind::InvalidQuery
+                        | ServerErrorKind::UnsupportedVersion
+                ), "{}: {}", text, error);
+                // The error stays addressable whenever the frame's id survived.
+                if let Ok(doc) = JsonValue::parse(&text) {
+                    prop_assert_eq!(id, doc.get("id").and_then(|v| v.as_u64()), "{}", text);
+                }
+            }
+        }
+        if let Ok(reply) = Reply::from_json(&text) {
+            prop_assert_eq!(Reply::from_json(&reply.to_json()).unwrap(), reply);
+        }
     }
 }
