@@ -14,10 +14,21 @@
 //!   (§5.2): DP columns are cached per `(iq, direction)` in a trie keyed by
 //!   the data symbols, exploiting the small out-degree of road networks.
 //!
-//! Trie-mode caching is a three-level hierarchy. The per-query level above
-//! is always on. When in-query parallelism shards one query's groups across
-//! workers, the workers share one [`TrieCache`] instead of rebuilding
-//! identical tries per worker (cross-shard level). A batch may opt in to
+//! Every Local- and Trie-mode walk extends DP columns with the row kernel
+//! [`wed::dp::step_dp_rows`] over the verifier's **cost profile**
+//! ([`wed::dp::SubProfile`]): per data symbol met, the row `sub(p, Q[·])`
+//! computed once and kept forward and reversed, so the forward suffix
+//! `Q[iq+1..]` and the backward suffix `rev(Q[..iq])` of any anchor are
+//! contiguous slices of it. No walk calls `CostModel::sub`; the
+//! model-calling kernel stays in [`wed::dp`] as the reference (what `wed()`,
+//! [`VerifyMode::Sw`] and the baselines run), and the two agree to the bit.
+//! The profile is private to its verifier.
+//!
+//! Above the profile, Trie-mode caching is a three-level hierarchy. The
+//! per-query level (one verifier's own tries) is always on. When in-query
+//! parallelism shards one query's groups across workers, the workers share
+//! one [`TrieCache`] instead of rebuilding identical tries per worker
+//! (cross-shard level). A batch may opt in to
 //! the same cache across its queries (`BatchOptions::share_tries`), so
 //! repeated or overlapping patterns hit warm columns. Sharing never changes
 //! results: a trie is fully determined by its query suffix `Q^d` and the
@@ -48,9 +59,9 @@ use crate::temporal::TemporalConstraint;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use traj::{TrajId, TrajectoryStore};
-use wed::dp::{initial_column_into, step_dp_into};
+use wed::dp::{SubProfile, Suffix};
 use wed::{sw_scan_all, CostModel, Sym};
 
 /// A filtering candidate `(id, j, iq)` (§3.1): `P^(id)[j] ∈ B(Q[iq])`.
@@ -80,12 +91,16 @@ pub enum VerifyMode {
 /// Sentinel for absent node links in the flat arena.
 const NIL: u32 = u32::MAX;
 
-/// Arena node: 24 bytes of links and bound, no owned storage. The DP column
-/// itself lives in the trie's contiguous `cols` slab at the node's index.
+/// Arena node: 32 bytes, two to a cache line, no owned storage. A walk that
+/// finds its column cached needs the links, the bound and the column's last
+/// entry, so all three sit here; the full DP column lives in the trie's
+/// contiguous `cols` slab at the node's index and is read only to extend it.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     /// Column minimum — the Eq. (11) lower bound `LB^d_k`.
     min: f64,
+    /// The column's last entry, `wed(P^d[..k], Q^d)`.
+    ed: f64,
     /// Head of this node's intrusive child list (`NIL` for a leaf).
     first_child: u32,
     /// Next child of the same parent (`NIL` at the end of the list).
@@ -105,22 +120,28 @@ struct Node {
 /// form intrusive sibling lists inside the node table, so a trie makes two
 /// allocations' worth of growth instead of two per node, and a walk touches
 /// memory sequentially within each column.
+///
+/// The trie holds numbers only. Which suffix it is for, and what extending
+/// a column by a data symbol costs, is the [`SubProfile`]'s knowledge; the
+/// caller passes the same [`Suffix`] window to [`DpTrie::new`] and to every
+/// extension.
 #[derive(Debug)]
 pub struct DpTrie {
-    qd: Vec<Sym>,
+    stride: usize,
     nodes: Vec<Node>,
     cols: Vec<f64>,
 }
 
 impl DpTrie {
     /// Creates the trie with a root column for the empty data prefix.
-    pub fn new<M: CostModel>(model: &M, qd: Vec<Sym>) -> Self {
+    pub fn new<M: CostModel + ?Sized>(costs: &SubProfile<'_, M>, suffix: Suffix) -> Self {
         let mut cols = Vec::new();
-        let min = initial_column_into(model, &qd, &mut cols);
+        let min = costs.initial_column_into(suffix, &mut cols);
         DpTrie {
-            qd,
+            stride: cols.len(),
             nodes: vec![Node {
                 min,
+                ed: cols[suffix.len()],
                 first_child: NIL,
                 next_sibling: NIL,
                 sym: 0,
@@ -129,18 +150,12 @@ impl DpTrie {
         }
     }
 
-    #[inline]
-    fn stride(&self) -> usize {
-        self.qd.len() + 1
-    }
-
     /// The cached DP column of `node`:
     /// `col[j] = wed(P^d[..k], Q^d[..j])` for the node's depth `k`.
     /// Threshold-independent, hence reusable across candidates and queries.
     fn col(&self, node: u32) -> &[f64] {
-        let s = self.stride();
-        let at = node as usize * s;
-        &self.cols[at..at + s]
+        let at = node as usize * self.stride;
+        &self.cols[at..at + self.stride]
     }
 
     /// Existing child `node --sym-->`, if cached. The linear sibling scan is
@@ -158,36 +173,48 @@ impl DpTrie {
     }
 
     /// Returns `(child id, freshly created?)` for `node --sym-->`.
-    fn child<M: CostModel>(&mut self, model: &M, node: u32, sym: Sym) -> (u32, bool) {
+    fn child<M: CostModel + ?Sized>(
+        &mut self,
+        costs: &mut SubProfile<'_, M>,
+        suffix: Suffix,
+        node: u32,
+        sym: Sym,
+    ) -> (u32, bool) {
         if let Some(c) = self.lookup(node, sym) {
             return (c, false);
         }
-        let s = self.stride();
-        let old_len = self.cols.len();
+        let s = self.stride;
+        let old_len = self.nodes.len() * s;
         self.cols.resize(old_len + s, 0.0);
         // The parent's column sits strictly below the freshly reserved tail,
         // so a split borrow lets StepDP read it while writing in place.
         let (head, fresh) = self.cols.split_at_mut(old_len);
         let at = node as usize * s;
-        let min = step_dp_into(model, &self.qd, sym, &head[at..at + s], fresh);
-        (self.link(node, sym, min), true)
+        let min = costs.step(suffix, sym, &head[at..at + s], fresh);
+        let ed = fresh[s - 1];
+        (self.link(node, sym, min, ed), true)
     }
 
     /// Adopts an externally computed column — the shared-cache path, where
     /// StepDP ran outside the trie lock.
     fn insert_child(&mut self, node: u32, sym: Sym, col: &[f64], min: f64) -> u32 {
-        debug_assert_eq!(col.len(), self.stride());
+        debug_assert_eq!(col.len(), self.stride);
+        // Column first, at the new node's own index, then the node: a panic
+        // between the two leaves a tail no node points at, which the next
+        // insert overwrites — a poisoned trie is still a valid one.
+        self.cols.truncate(self.nodes.len() * self.stride);
         self.cols.extend_from_slice(col);
-        self.link(node, sym, min)
+        self.link(node, sym, min, col[self.stride - 1])
     }
 
     /// Appends a node and heads it into `parent`'s child list (order among
     /// siblings is unobservable — lookup is by symbol).
-    fn link(&mut self, parent: u32, sym: Sym, min: f64) -> u32 {
+    fn link(&mut self, parent: u32, sym: Sym, min: f64, ed: f64) -> u32 {
         let id = self.nodes.len() as u32;
         let head = self.nodes[parent as usize].first_child;
         self.nodes.push(Node {
             min,
+            ed,
             first_child: NIL,
             next_sibling: head,
             sym,
@@ -196,12 +223,10 @@ impl DpTrie {
         id
     }
 
-    fn ed(&self, node: u32) -> f64 {
-        self.cols[(node as usize + 1) * self.stride() - 1]
-    }
-
-    fn min(&self, node: u32) -> f64 {
-        self.nodes[node as usize].min
+    /// `(LB^d_k, E^d[k])` of a node: the Eq. (11) bound and the prefix WED.
+    fn bound_and_ed(&self, node: u32) -> (f64, f64) {
+        let n = &self.nodes[node as usize];
+        (n.min, n.ed)
     }
 
     /// Number of materialized nodes (diagnostics/tests).
@@ -223,6 +248,20 @@ impl DpTrie {
 
 const CACHE_SHARDS: usize = 8;
 
+/// Locks a cache mutex whether or not a thread panicked while holding it.
+///
+/// Both kinds of mutex here guard pure caches of deterministic values — a
+/// shard's suffix → trie map and a [`DpTrie`] — and every update leaves
+/// them valid at every step (a map insert; [`DpTrie::insert_child`]). A
+/// poisoned lock therefore says that some worker died, never that the data
+/// is wrong, and must not turn every later query on the engine into a panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One lock-sharded slice of the cache: suffix symbols → shared trie.
+type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
+
 /// A concurrency-safe cache of [`DpTrie`]s keyed by their query suffix
 /// `Q^d`, shared across in-query verification workers and (opt-in,
 /// [`crate::BatchOptions::share_tries`]) across the queries of one batch.
@@ -236,13 +275,11 @@ const CACHE_SHARDS: usize = 8;
 /// caches per query or per batch, which pins the model.
 ///
 /// The locking discipline follows `Memo` in the `wed` crate: the key map is
-/// sharded across [`CACHE_SHARDS`] mutexes, misses build the root column
+/// sharded across `CACHE_SHARDS` (8) mutexes, misses build the root column
 /// outside the lock, and a double-checked insert lets race losers adopt the
 /// winner's trie — so `trie_cache_misses` counts each distinct suffix
-/// exactly once regardless of interleaving.
-/// One lock-sharded slice of the cache: suffix symbols → shared trie.
-type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
-
+/// exactly once regardless of interleaving. Lock poisoning is ignored
+/// (`lock` in this module says why that is sound).
 pub struct TrieCache {
     shards: [TrieShard; CACHE_SHARDS],
 }
@@ -260,17 +297,22 @@ impl TrieCache {
         h.finish() as usize & (CACHE_SHARDS - 1)
     }
 
-    /// Returns `(trie, warm?)`: the shared trie for `qd`, and whether it
-    /// already existed (a cache hit at trie granularity).
-    fn get_or_create<M: CostModel>(&self, model: &M, qd: &[Sym]) -> (Arc<Mutex<DpTrie>>, bool) {
+    /// Returns `(trie, warm?)`: the shared trie for the suffix, and whether
+    /// it already existed (a cache hit at trie granularity).
+    fn get_or_create<M: CostModel + ?Sized>(
+        &self,
+        costs: &SubProfile<'_, M>,
+        suffix: Suffix,
+    ) -> (Arc<Mutex<DpTrie>>, bool) {
+        let qd = costs.symbols(suffix);
         let shard = &self.shards[Self::shard_of(qd)];
-        if let Some(t) = shard.lock().unwrap().get(qd) {
+        if let Some(t) = lock(shard).get(qd) {
             return (t.clone(), true);
         }
         // Build the root column outside the lock; losers of the insert race
         // drop their fresh trie and adopt the winner's.
-        let fresh = Arc::new(Mutex::new(DpTrie::new(model, qd.to_vec())));
-        match shard.lock().unwrap().entry(qd.to_vec().into_boxed_slice()) {
+        let fresh = Arc::new(Mutex::new(DpTrie::new(costs, suffix)));
+        match lock(shard).entry(qd.into()) {
             Entry::Occupied(e) => (e.get().clone(), true),
             Entry::Vacant(v) => {
                 v.insert(fresh.clone());
@@ -290,10 +332,7 @@ impl Default for TrieCache {
 /// [`TrieCache`] entry shared with other workers/queries.
 enum TrieHandle {
     Private(DpTrie),
-    Shared {
-        qd: Vec<Sym>,
-        trie: Arc<Mutex<DpTrie>>,
-    },
+    Shared(Arc<Mutex<DpTrie>>),
 }
 
 // ---------------------------------------------------------------------------
@@ -327,8 +366,20 @@ pub trait Verifier {
     );
 }
 
-/// Stateful WED verifier holding the bidirectional tries of one query —
-/// the [`Verifier`] back half for all three [`VerifyMode`] strategies.
+/// Buffers a verifier reuses across candidates instead of allocating per
+/// walk.
+#[derive(Default)]
+struct Scratch {
+    /// `E^b` and `E^f` of the candidate at hand (Algorithm 4).
+    ed: [Vec<f64>; 2],
+    /// Ping-pong columns: the Local walk's pair, and the shared walk's
+    /// parent copy and fresh column while StepDP runs outside the trie lock.
+    col: [Vec<f64>; 2],
+}
+
+/// Stateful WED verifier holding the cost profile and the bidirectional
+/// tries of one query — the [`Verifier`] back half for all three
+/// [`VerifyMode`] strategies.
 pub struct WedVerifier<'a, M: CostModel> {
     model: &'a M,
     q: &'a [Sym],
@@ -337,9 +388,13 @@ pub struct WedVerifier<'a, M: CostModel> {
     /// Shared [`TrieCache`] for the cross-shard/batch levels; `None` keeps
     /// every trie private to this verifier (the classic §5.2 behavior).
     cache: Option<&'a TrieCache>,
-    /// Trie handles keyed by candidate query position `iq`; `[0]` backward,
+    /// The level below the tries: every `sub(p, Q[·])` this query has
+    /// needed, as rows StepDP reads slices of. Private to this verifier.
+    costs: SubProfile<'a, M>,
+    /// Trie handles by candidate query position `iq`; `[0]` backward,
     /// `[1]` forward.
-    tries: HashMap<u32, [TrieHandle; 2]>,
+    tries: Vec<Option<[TrieHandle; 2]>>,
+    scratch: Scratch,
 }
 
 impl<'a, M: CostModel> WedVerifier<'a, M> {
@@ -364,7 +419,9 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
             tau,
             mode,
             cache,
-            tries: HashMap::new(),
+            costs: SubProfile::new(model, q),
+            tries: std::iter::repeat_with(|| None).take(q.len()).collect(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -388,57 +445,37 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
         }
         let tau_p = self.tau - sub0;
 
-        let (eb, ef) = match self.mode {
+        let (costs, cache) = (&mut self.costs, self.cache);
+        let suffixes = [costs.backward(iq), costs.forward(iq)];
+        let Scratch { ed, col } = &mut self.scratch;
+        let [eb, ef] = ed;
+        let back = path[..j].iter().rev().copied();
+        let fwd = path[j + 1..].iter().copied();
+        match self.mode {
             VerifyMode::Trie => {
-                let (model, q, cache) = (self.model, self.q, self.cache);
-                let tries = self.tries.entry(cand.iq).or_insert_with(|| {
-                    let qb_rev: Vec<Sym> = q[..iq].iter().rev().cloned().collect();
-                    let qf: Vec<Sym> = q[iq + 1..].to_vec();
-                    [qb_rev, qf].map(|qd| match cache {
+                let [tb, tf] = self.tries[iq].get_or_insert_with(|| {
+                    suffixes.map(|suffix| match cache {
                         Some(c) => {
-                            let (trie, warm) = c.get_or_create(model, &qd);
+                            let (trie, warm) = c.get_or_create(costs, suffix);
                             if warm {
                                 stats.trie_cache_hits += 1;
                             } else {
                                 stats.trie_cache_misses += 1;
                             }
-                            TrieHandle::Shared { qd, trie }
+                            TrieHandle::Shared(trie)
                         }
-                        None => TrieHandle::Private(DpTrie::new(model, qd)),
+                        None => TrieHandle::Private(DpTrie::new(costs, suffix)),
                     })
                 });
-                let eb = walk_handle(
-                    &mut tries[0],
-                    model,
-                    path[..j].iter().rev().cloned(),
-                    tau_p,
-                    stats,
-                );
-                let ef = walk_handle(
-                    &mut tries[1],
-                    model,
-                    path[j + 1..].iter().cloned(),
-                    tau_p,
-                    stats,
-                );
-                (eb, ef)
+                walk_handle(tb, costs, suffixes[0], back, tau_p, col, eb, stats);
+                walk_handle(tf, costs, suffixes[1], fwd, tau_p, col, ef, stats);
             }
             VerifyMode::Local => {
-                let qb_rev: Vec<Sym> = self.q[..iq].iter().rev().cloned().collect();
-                let qf: Vec<Sym> = self.q[iq + 1..].to_vec();
-                let eb = prefix_weds_local(
-                    self.model,
-                    &qb_rev,
-                    path[..j].iter().rev().cloned(),
-                    tau_p,
-                    stats,
-                );
-                let ef =
-                    prefix_weds_local(self.model, &qf, path[j + 1..].iter().cloned(), tau_p, stats);
-                (eb, ef)
+                prefix_weds_local(costs, suffixes[0], back, tau_p, col, eb, stats);
+                prefix_weds_local(costs, suffixes[1], fwd, tau_p, col, ef, stats);
             }
             VerifyMode::Sw => unreachable!("SW mode is handled per trajectory"),
-        };
+        }
 
         // Enumerate (s, t) pairs through the anchor (Algorithm 4 line 6).
         for (kb, &b) in eb.iter().enumerate() {
@@ -484,32 +521,41 @@ impl<M: CostModel> Verifier for WedVerifier<'_, M> {
 }
 
 /// Dispatches Algorithm 5 to the private or shared walk.
-fn walk_handle<M: CostModel>(
+#[allow(clippy::too_many_arguments)]
+fn walk_handle<M: CostModel + ?Sized>(
     handle: &mut TrieHandle,
-    model: &M,
+    costs: &mut SubProfile<'_, M>,
+    suffix: Suffix,
     syms: impl Iterator<Item = Sym>,
     tau_p: f64,
+    col: &mut [Vec<f64>; 2],
+    ed: &mut Vec<f64>,
     stats: &mut SearchStats,
-) -> Vec<f64> {
+) {
     match handle {
-        TrieHandle::Private(trie) => walk_trie(trie, model, syms, tau_p, stats),
-        TrieHandle::Shared { qd, trie } => walk_shared_trie(trie, qd, model, syms, tau_p, stats),
+        TrieHandle::Private(trie) => walk_trie(trie, costs, suffix, syms, tau_p, ed, stats),
+        TrieHandle::Shared(trie) => {
+            walk_shared_trie(trie, costs, suffix, syms, tau_p, col, ed, stats)
+        }
     }
 }
 
-/// Algorithm 5 (AllPrefixWED) against a trie: returns
+/// Algorithm 5 (AllPrefixWED) against a trie: fills `ed` with
 /// `E^d[k] = wed(P^d[..k], Q^d)` for `k = 0..` until early termination.
-fn walk_trie<M: CostModel>(
+fn walk_trie<M: CostModel + ?Sized>(
     trie: &mut DpTrie,
-    model: &M,
+    costs: &mut SubProfile<'_, M>,
+    suffix: Suffix,
     syms: impl Iterator<Item = Sym>,
     tau_p: f64,
+    ed: &mut Vec<f64>,
     stats: &mut SearchStats,
-) -> Vec<f64> {
-    let mut ed = vec![trie.ed(0)];
+) {
+    ed.clear();
+    ed.push(trie.bound_and_ed(0).1);
     let mut node = 0u32;
     for sym in syms {
-        let (child, created) = trie.child(model, node, sym);
+        let (child, created) = trie.child(costs, suffix, node, sym);
         stats.columns_passed += 1;
         stats.verify_cost += 1;
         if created {
@@ -518,34 +564,42 @@ fn walk_trie<M: CostModel>(
         // Eq. (11): if every alignment of this prefix already costs ≥ τ',
         // extensions cannot recover — stop. The column value for this k is
         // ≥ min ≥ τ' and thus cannot contribute to a pair either.
-        if trie.min(child) >= tau_p {
+        let (min, e) = trie.bound_and_ed(child);
+        if min >= tau_p {
             break;
         }
-        ed.push(trie.ed(child));
+        ed.push(e);
         node = child;
     }
-    ed
 }
 
 /// [`walk_trie`] against a [`TrieCache`] entry other workers walk
-/// concurrently. Misses compute their column *outside* the lock (into a
-/// reused scratch buffer) and re-check on re-lock; a race loser adopts the
-/// winner's bit-identical column and its StepDP is left uncounted, so
+/// concurrently. Misses compute their column *outside* the lock (into the
+/// verifier's scratch columns) and re-check on re-lock; a race loser adopts
+/// the winner's bit-identical column and its StepDP is left uncounted, so
 /// `stepdp_calls` equals the number of distinct columns materialized —
 /// deterministic at any thread count (the walks themselves depend only on
 /// column values, never on which worker computed them).
-fn walk_shared_trie<M: CostModel>(
+///
+/// The trie may have been built by another query whose profile windows the
+/// same suffix symbols elsewhere; this walk extends it from its own rows,
+/// which hold the same numbers for the same symbols.
+#[allow(clippy::too_many_arguments)]
+fn walk_shared_trie<M: CostModel + ?Sized>(
     shared: &Mutex<DpTrie>,
-    qd: &[Sym],
-    model: &M,
+    costs: &mut SubProfile<'_, M>,
+    suffix: Suffix,
     syms: impl Iterator<Item = Sym>,
     tau_p: f64,
+    [parent, fresh]: &mut [Vec<f64>; 2],
+    ed: &mut Vec<f64>,
     stats: &mut SearchStats,
-) -> Vec<f64> {
-    let mut parent = Vec::new();
-    let mut fresh = vec![0.0; qd.len() + 1];
-    let mut guard = shared.lock().unwrap();
-    let mut ed = vec![guard.ed(0)];
+) {
+    fresh.clear();
+    fresh.resize(suffix.len() + 1, 0.0);
+    let mut guard = lock(shared);
+    ed.clear();
+    ed.push(guard.bound_and_ed(0).1);
     let mut node = 0u32;
     for sym in syms {
         let child = match guard.lookup(node, sym) {
@@ -554,52 +608,55 @@ fn walk_shared_trie<M: CostModel>(
                 parent.clear();
                 parent.extend_from_slice(guard.col(node));
                 drop(guard);
-                let min = step_dp_into(model, qd, sym, &parent, &mut fresh);
-                guard = shared.lock().unwrap();
+                let min = costs.step(suffix, sym, parent, fresh);
+                guard = lock(shared);
                 match guard.lookup(node, sym) {
                     Some(c) => c, // lost the insert race; adopt the winner's
                     None => {
                         stats.stepdp_calls += 1;
-                        guard.insert_child(node, sym, &fresh, min)
+                        guard.insert_child(node, sym, fresh, min)
                     }
                 }
             }
         };
         stats.columns_passed += 1;
         stats.verify_cost += 1;
-        if guard.min(child) >= tau_p {
+        let (min, e) = guard.bound_and_ed(child);
+        if min >= tau_p {
             break;
         }
-        ed.push(guard.ed(child));
+        ed.push(e);
         node = child;
     }
-    ed
 }
 
 /// AllPrefixWED without caching (ablation; every column is computed fresh).
-fn prefix_weds_local<M: CostModel>(
-    model: &M,
-    qd: &[Sym],
+fn prefix_weds_local<M: CostModel + ?Sized>(
+    costs: &mut SubProfile<'_, M>,
+    suffix: Suffix,
     syms: impl Iterator<Item = Sym>,
     tau_p: f64,
+    [col, next]: &mut [Vec<f64>; 2],
+    ed: &mut Vec<f64>,
     stats: &mut SearchStats,
-) -> Vec<f64> {
-    let mut col = Vec::new();
-    initial_column_into(model, qd, &mut col);
-    let mut next = vec![0.0; col.len()];
-    let mut ed = vec![col[qd.len()]];
+) {
+    let last = suffix.len();
+    costs.initial_column_into(suffix, col);
+    next.clear();
+    next.resize(last + 1, 0.0);
+    ed.clear();
+    ed.push(col[last]);
     for sym in syms {
-        let min = step_dp_into(model, qd, sym, &col, &mut next);
-        std::mem::swap(&mut col, &mut next);
+        let min = costs.step(suffix, sym, col, next);
+        std::mem::swap(col, next);
         stats.columns_passed += 1;
         stats.verify_cost += 1;
         stats.stepdp_calls += 1;
         if min >= tau_p {
             break;
         }
-        ed.push(col[qd.len()]);
+        ed.push(col[last]);
     }
-    ed
 }
 
 // ---------------------------------------------------------------------------
@@ -1140,13 +1197,28 @@ mod tests {
         assert_eq!(stats2.candidates_after_temporal, stats2.candidates);
     }
 
+    /// A profile of `[9] ++ qd` and its forward window at 0, which is `qd`.
+    fn profile_of(qd: &[Sym]) -> (SubProfile<'static, Lev>, Suffix) {
+        let q: Vec<Sym> = std::iter::once(9).chain(qd.iter().copied()).collect();
+        let costs = SubProfile::new(&Lev, &q);
+        let suffix = costs.forward(0);
+        assert_eq!(costs.symbols(suffix), qd);
+        (costs, suffix)
+    }
+
+    #[test]
+    fn node_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Node>(), 32);
+    }
+
     #[test]
     fn trie_len_grows_only_on_miss() {
-        let mut trie = DpTrie::new(&Lev, vec![1, 2]);
+        let (mut costs, suffix) = profile_of(&[1, 2]);
+        let mut trie = DpTrie::new(&costs, suffix);
         assert_eq!(trie.len(), 1);
-        let (a, created_a) = trie.child(&Lev, 0, 5);
+        let (a, created_a) = trie.child(&mut costs, suffix, 0, 5);
         assert!(created_a);
-        let (b, created_b) = trie.child(&Lev, 0, 5);
+        let (b, created_b) = trie.child(&mut costs, suffix, 0, 5);
         assert!(!created_b);
         assert_eq!(a, b);
         assert_eq!(trie.len(), 2);
@@ -1157,10 +1229,11 @@ mod tests {
     fn trie_is_empty_iff_root_only() {
         // Regression: `is_empty` used to return `false` unconditionally,
         // contradicting the root-only state that `len() == 1` reports.
-        let mut trie = DpTrie::new(&Lev, vec![1, 2]);
+        let (mut costs, suffix) = profile_of(&[1, 2]);
+        let mut trie = DpTrie::new(&costs, suffix);
         assert!(trie.is_empty(), "a fresh trie caches no data columns");
         assert_eq!(trie.len(), 1);
-        trie.child(&Lev, 0, 9);
+        trie.child(&mut costs, suffix, 0, 9);
         assert!(!trie.is_empty());
         assert_eq!(trie.len(), 2);
     }
@@ -1168,20 +1241,31 @@ mod tests {
     #[test]
     fn arena_trie_columns_match_direct_dp() {
         let qd = vec![1u32, 2, 3];
-        let mut trie = DpTrie::new(&Lev, qd.clone());
+        let (mut costs, suffix) = profile_of(&qd);
+        let mut trie = DpTrie::new(&costs, suffix);
         let syms = [4u32, 2, 3, 1, 2];
         let mut node = 0u32;
         for (k, &s) in syms.iter().enumerate() {
-            let (child, created) = trie.child(&Lev, node, s);
+            let (child, created) = trie.child(&mut costs, suffix, node, s);
             assert!(created);
-            // `ed` reads the slab column: it must equal a fresh DP.
-            assert_eq!(trie.ed(child), wed(&Lev, &syms[..k + 1], &qd));
+            // The node's `ed` and the slab column's last entry are one
+            // number, and it must equal a fresh DP.
+            let (min, ed) = trie.bound_and_ed(child);
+            assert_eq!(ed, wed(&Lev, &syms[..k + 1], &qd));
+            assert_eq!(ed, trie.col(child)[qd.len()]);
+            assert_eq!(
+                min,
+                trie.col(child)
+                    .iter()
+                    .cloned()
+                    .fold(f64::INFINITY, f64::min)
+            );
             node = child;
         }
         // A branch off the root shares nothing but the root column.
-        let (b, created) = trie.child(&Lev, 0, 9);
+        let (b, created) = trie.child(&mut costs, suffix, 0, 9);
         assert!(created);
-        assert_eq!(trie.ed(b), wed(&Lev, &[9], &qd));
+        assert_eq!(trie.bound_and_ed(b).1, wed(&Lev, &[9], &qd));
         assert_eq!(trie.len(), syms.len() + 2);
     }
 
@@ -1217,6 +1301,56 @@ mod tests {
         assert_eq!(warm.stepdp_calls, 0);
         assert_eq!(warm.trie_cache_misses, 0);
         assert!(warm.trie_cache_hits > 0);
+    }
+
+    #[test]
+    fn poisoned_cache_answers_like_a_fresh_one() {
+        let store = store_of(&[
+            &[0, 1, 2, 3, 4],
+            &[3, 1, 5, 1, 2],
+            &[1, 2, 1, 2, 1, 2],
+            &[5, 1, 2, 5],
+        ]);
+        let run_with = |q: &[Sym], threads: usize, cache: &TrieCache| {
+            let mode = VerifyMode::Trie;
+            let (got, stats) =
+                run_sharded(&store, q, 2.0, mode, threads, Deadline::NONE, Some(cache));
+            (got.unwrap(), stats)
+        };
+        let cache = TrieCache::new();
+        let _ = run_with(&[1, 5, 2], 1, &cache);
+
+        // A worker dies holding every lock of the cache: all eight shards
+        // and every trie in them.
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let shards: Vec<_> = cache.shards.iter().map(|s| s.lock().unwrap()).collect();
+                    let _tries: Vec<_> = shards
+                        .iter()
+                        .flat_map(|s| s.values())
+                        .map(|t| t.lock().unwrap())
+                        .collect();
+                    // Unwinds like a panic, without the hook's stderr noise.
+                    std::panic::resume_unwind(Box::new("worker died"));
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(cache.shards.iter().all(|s| s.is_poisoned()));
+
+        // The same query again (warm, poisoned tries) and a longer one that
+        // shares suffixes with it (poisoned shards take new tries, poisoned
+        // tries take new columns), sequential and sharded.
+        for q in [&[1, 5, 2][..], &[2, 1, 5, 2][..]] {
+            for threads in [1, 3] {
+                let (want, fresh) = run_with(q, threads, &TrieCache::new());
+                let (got, stats) = run_with(q, threads, &cache);
+                assert_eq!(got, want, "q {q:?} x{threads}");
+                assert_eq!(stats.columns_passed, fresh.columns_passed);
+                assert!(stats.stepdp_calls <= fresh.stepdp_calls);
+            }
+        }
     }
 
     #[test]

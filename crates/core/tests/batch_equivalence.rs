@@ -242,6 +242,86 @@ fn shared_cache_overlapping_batch_is_byte_identical() {
     }
 }
 
+/// Every WED verification path reads its substitution costs from the
+/// verifier's own cost profile: private tries and the Local walk from one
+/// profile, in-query shards each from their own over one `TrieCache`, and a
+/// sharing batch extends a trie another query built — through a profile of a
+/// different length that windows the same suffix at a different offset. On
+/// `counter_golden`'s store, under ERP (real-valued costs), all of them must
+/// return the same matches with the same distance **bits**.
+#[test]
+fn every_wed_path_returns_the_same_distance_bits_on_the_golden_store() {
+    let net = Arc::new(CityParams::tiny(NetworkKind::Grid).seed(13).generate());
+    let store = traj::generator::TripConfig::default()
+        .count(80)
+        .lengths(12, 30)
+        .seed(29)
+        .generate(&net);
+    let erp = Erp::new(net.clone(), 5.0);
+    let engine = EngineBuilder::new(&erp, &store, net.num_vertices()).build();
+
+    // A pattern, a prefix of it (same backward suffixes at equal `iq`) and a
+    // tail of it (same forward suffixes), each at two thresholds.
+    let path = store.get(7).path();
+    let patterns = [&path[2..10], &path[2..7], &path[5..10], &path[4..12]];
+    let build = |mode: VerifyMode, par: Parallelism| -> Vec<Query> {
+        patterns
+            .iter()
+            .flat_map(|p| [250.0, 400.0].map(|tau| (p.to_vec(), tau)))
+            .map(|(p, tau)| {
+                Query::threshold(p, tau)
+                    .verify(mode)
+                    .parallelism(par)
+                    .build()
+                    .unwrap()
+            })
+            .collect()
+    };
+    let bits = |matches: &[trajsearch_core::MatchResult]| -> Vec<(u32, usize, usize, u64)> {
+        matches
+            .iter()
+            .map(|m| (m.id, m.start, m.end, m.dist.to_bits()))
+            .collect()
+    };
+
+    let private = build(VerifyMode::Trie, Parallelism::Sequential);
+    let want: Vec<_> = private
+        .iter()
+        .map(|q| bits(&engine.run(q).unwrap().matches))
+        .collect();
+    assert!(want.iter().any(|m| m.len() > 1), "the fixture must match");
+
+    let local = build(VerifyMode::Local, Parallelism::Sequential);
+    let sharded = build(VerifyMode::Trie, Parallelism::InQuery(3));
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(
+            &bits(&engine.run(&local[i]).unwrap().matches),
+            want,
+            "Local, query {i}"
+        );
+        assert_eq!(
+            &bits(&engine.run(&sharded[i]).unwrap().matches),
+            want,
+            "InQuery(3), query {i}"
+        );
+    }
+    for threads in [1, 2] {
+        let opts = BatchOptions::with_threads(threads).share_tries(true);
+        let shared = engine.run_batch(&private, opts).unwrap();
+        assert!(
+            shared.stats.merged.trie_cache_hits > 0,
+            "the patterns must share tries"
+        );
+        for (i, (got, want)) in shared.responses.iter().zip(&want).enumerate() {
+            assert_eq!(
+                &bits(&got.matches),
+                want,
+                "share_tries x{threads}, query {i}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

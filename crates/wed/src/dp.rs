@@ -1,11 +1,27 @@
 //! Dynamic programming for weighted edit distance (§2.2.1).
 //!
 //! `wed(P, Q)` fills the classic (m+1)×(n+1) table column by column; the
-//! column primitive [`step_dp`] is Algorithm 6 of the paper and is shared
-//! verbatim with trie-based verification, so the engine and this reference
-//! implementation cannot drift apart.
+//! column primitive [`step_dp`] is Algorithm 6 of the paper.
+//!
+//! There are two kernels for that column, with one operation order and
+//! therefore one result down to the last bit:
+//!
+//! * [`step_dp_into`] is the **reference**: it asks the cost model for
+//!   `sub(p, q_j)` and `ins(q_j)` cell by cell. [`wed`], [`wed_within`],
+//!   Smith–Waterman, the baselines and the benchmark's kernel probe run it.
+//! * [`step_dp_rows`] is what the **engine** runs: the same sweep over cost
+//!   rows that are already numbers. Trie verification extends hundreds of
+//!   columns per query over suffixes of one `Q`, so a [`SubProfile`] asks
+//!   the model once per `(data symbol, query position)` and every column
+//!   after that reads a contiguous slice.
+//!
+//! `tests/properties.rs` holds the two equal by `f64::to_bits` for every
+//! cost model, so the engine and the reference cannot drift apart.
 
 use crate::cost::{CostModel, Sym};
+use crate::hash::BuildMix;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// The DP column for the empty data prefix: entry `j` is
 /// `wed(ε, Q[..j]) = Σ_{j' ≤ j} ins(Q_{j'})`.
@@ -19,13 +35,19 @@ pub fn initial_column<M: CostModel + ?Sized>(m: &M, q: &[Sym]) -> Vec<f64> {
 /// the column minimum. With non-negative insertion costs the minimum is the
 /// first entry (0.0), but the fold stays exact for any cost model.
 pub fn initial_column_into<M: CostModel + ?Sized>(m: &M, q: &[Sym], out: &mut Vec<f64>) -> f64 {
+    prefix_sums_into(q.iter().map(|&s| m.ins(s)), out)
+}
+
+/// `0, ins_0, ins_0 + ins_1, …` into `out` (cleared first), returning the
+/// minimum.
+fn prefix_sums_into(ins: impl ExactSizeIterator<Item = f64>, out: &mut Vec<f64>) -> f64 {
     out.clear();
-    out.reserve(q.len() + 1);
+    out.reserve(ins.len() + 1);
     let mut acc = 0.0f64;
     let mut min = 0.0f64;
     out.push(0.0);
-    for &s in q {
-        acc += m.ins(s);
+    for cost in ins {
+        acc += cost;
         min = min.min(acc);
         out.push(acc);
     }
@@ -43,14 +65,15 @@ pub fn step_dp<M: CostModel + ?Sized>(m: &M, q: &[Sym], p: Sym, a: &[f64]) -> Ve
     b
 }
 
-/// [`step_dp`] into a caller-owned slice, returning the column minimum.
+/// [`step_dp`] into a caller-owned slice, returning the column minimum —
+/// the reference kernel (see the module docs).
 ///
-/// This is the engine's hot kernel: `del(p)` is hoisted out of the loop,
-/// the `left` dependency is carried in a register instead of re-read from
-/// `out`, and the three-way min plus the running column minimum compile to
-/// branchless `minsd` chains. The returned minimum is the Eq. (11) lower
-/// bound on every extension of the current data prefix, fused into the
-/// sweep so callers do not re-scan the column.
+/// `del(p)` is hoisted out of the loop, the `left` dependency is carried in
+/// a register instead of re-read from `out`, and the three-way min plus the
+/// running column minimum compile to branchless `minsd` chains. The
+/// returned minimum is the Eq. (11) lower bound on every extension of the
+/// current data prefix, fused into the sweep so callers do not re-scan the
+/// column.
 pub fn step_dp_into<M: CostModel + ?Sized>(
     m: &M,
     q: &[Sym],
@@ -73,6 +96,157 @@ pub fn step_dp_into<M: CostModel + ?Sized>(
         min = min.min(v);
     }
     min
+}
+
+/// [`step_dp_into`] over cost rows instead of a cost model — the engine's
+/// kernel: `sub[j] = sub(p, q_j)`, `ins[j] = ins(q_j)`, `del_p = del(p)`.
+///
+/// Operation for operation the same sweep, so column and minimum are
+/// bit-identical to the reference whenever the rows hold what the model
+/// would have answered.
+pub fn step_dp_rows(sub: &[f64], ins: &[f64], del_p: f64, a: &[f64], out: &mut [f64]) -> f64 {
+    let n = sub.len();
+    // All four lengths checked once, here, so the loop's indexing needs no
+    // per-cell bounds checks.
+    assert!(ins.len() == n && a.len() == n + 1 && out.len() == n + 1);
+    let mut left = a[0] + del_p;
+    out[0] = left;
+    let mut min = left;
+    for j in 0..n {
+        let diag = a[j] + sub[j];
+        let up = a[j + 1] + del_p;
+        let v = diag.min(up).min(left + ins[j]);
+        out[j + 1] = v;
+        left = v;
+        min = min.min(v);
+    }
+    min
+}
+
+/// A query suffix `Q^d` as a window into a [`SubProfile`]'s rows.
+#[derive(Debug, Clone, Copy)]
+pub struct Suffix {
+    off: usize,
+    len: usize,
+}
+
+impl Suffix {
+    /// `|Q^d|`; a DP column over the suffix has one more entry.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The substitution-cost profile of one query: for every data symbol `p` it
+/// has been asked about, the row `sub(p, Q[0]), …, sub(p, Q[n-1])`, computed
+/// once on first touch.
+///
+/// Bidirectional verification (§5) runs StepDP over `2·|Q'|` different
+/// suffixes of the same `Q` — `Q[iq+1..]` forward of an anchor at `iq`,
+/// `rev(Q[..iq])` backward of it. Each row is stored **forward and
+/// reversed**, so either kind of suffix is one contiguous slice of it
+/// ([`SubProfile::forward`], [`SubProfile::backward`]) and
+/// [`SubProfile::step`] hands [`step_dp_rows`] plain slices. The two
+/// `ins(Q[·])` rows and the symbols themselves are laid out the same way.
+///
+/// A profile borrows its cost model and is never shared across models: the
+/// rows *are* that model's answers.
+pub struct SubProfile<'a, M: CostModel + ?Sized> {
+    model: &'a M,
+    /// `Q` then `rev(Q)`: every suffix is a slice of this.
+    syms: Vec<Sym>,
+    /// `ins` of each of `syms`.
+    ins: Vec<f64>,
+    /// Data symbol → its row number.
+    index: HashMap<Sym, u32, BuildMix>,
+    /// Rows back to back, `2n + 1` wide: `del(p)`, then `sub(p, ·)` over
+    /// `syms`.
+    rows: Vec<f64>,
+}
+
+impl<'a, M: CostModel + ?Sized> SubProfile<'a, M> {
+    pub fn new(model: &'a M, q: &[Sym]) -> Self {
+        let syms: Vec<Sym> = q.iter().chain(q.iter().rev()).copied().collect();
+        let ins = syms.iter().map(|&s| model.ins(s)).collect();
+        SubProfile {
+            model,
+            syms,
+            ins,
+            index: HashMap::default(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn n(&self) -> usize {
+        self.syms.len() / 2
+    }
+
+    /// The window of `Q[iq+1..]`, the suffix a forward trie at `iq` covers.
+    pub fn forward(&self, iq: usize) -> Suffix {
+        assert!(iq < self.n());
+        Suffix {
+            off: iq + 1,
+            len: self.n() - 1 - iq,
+        }
+    }
+
+    /// The window of `rev(Q[..iq])`, the suffix a backward trie at `iq`
+    /// covers.
+    pub fn backward(&self, iq: usize) -> Suffix {
+        assert!(iq < self.n());
+        Suffix {
+            off: 2 * self.n() - iq,
+            len: iq,
+        }
+    }
+
+    /// The suffix's symbols.
+    pub fn symbols(&self, s: Suffix) -> &[Sym] {
+        &self.syms[s.off..s.off + s.len]
+    }
+
+    /// [`initial_column_into`] for the suffix, from the `ins` row.
+    pub fn initial_column_into(&self, s: Suffix, out: &mut Vec<f64>) -> f64 {
+        prefix_sums_into(self.ins[s.off..s.off + s.len].iter().copied(), out)
+    }
+
+    /// StepDP for data symbol `p` over the suffix: what
+    /// `step_dp_into(model, symbols(s), p, a, out)` computes, bit for bit.
+    pub fn step(&mut self, s: Suffix, p: Sym, a: &[f64], out: &mut [f64]) -> f64 {
+        let at = self.row(p);
+        let window = s.off..s.off + s.len;
+        step_dp_rows(
+            &self.rows[at + 1..][window.clone()],
+            &self.ins[window],
+            self.rows[at],
+            a,
+            out,
+        )
+    }
+
+    /// Start of `p`'s row in `rows`, building the row on first touch.
+    fn row(&mut self, p: Sym) -> usize {
+        let n = self.n();
+        let stride = 2 * n + 1;
+        match self.index.entry(p) {
+            Entry::Occupied(e) => *e.get() as usize * stride,
+            Entry::Vacant(v) => {
+                let at = self.rows.len();
+                self.rows.push(self.model.del(p));
+                let model = self.model;
+                self.rows
+                    .extend(self.syms[..n].iter().map(|&qj| model.sub(p, qj)));
+                self.rows.extend_from_within(at + 1..at + 1 + n);
+                self.rows[at + 1 + n..].reverse();
+                v.insert((at / stride) as u32);
+                at
+            }
+        }
+    }
 }
 
 /// Weighted edit distance `wed(P, Q)` (§2.2.1), O(|P|·|Q|) time,

@@ -11,8 +11,10 @@
 //!   additionally exposes substitution neighborhoods `B(q)` (Definition 4)
 //!   and lower costs `c(q)` (Eq. 7) to the filtering layer.
 //! * [`models`] — the six concrete instances used in the paper's evaluation.
-//! * [`dp`] — the quadratic DP for `wed(P, Q)` plus the column-at-a-time
-//!   `step_dp` primitive shared with trie verification (Algorithm 6).
+//! * [`dp`] — the quadratic DP for `wed(P, Q)` and the column-at-a-time
+//!   StepDP primitive (Algorithm 6) in its two forms: the model-calling
+//!   reference and the row-reading kernel trie verification runs over a
+//!   per-query [`dp::SubProfile`].
 //! * [`sw`] — the Smith–Waterman adaptation for subtrajectory matching
 //!   (Algorithm 7) and a threshold-scan variant that returns *all* matching
 //!   substrings.
@@ -24,6 +26,7 @@
 
 pub mod cost;
 pub mod dp;
+mod hash;
 pub mod metric;
 pub mod models;
 pub mod nonwed;

@@ -14,11 +14,12 @@
 //! reference point (barycenter by default), and `w` the road length.
 
 use crate::cost::{CostModel, Sym, WedInstance};
+use crate::hash::{mix64, BuildMix};
 use rnet::dijkstra::{bounded, Mode};
 use rnet::geo::barycenter;
 use rnet::{HubLabels, KdTree, Point, RoadNetwork};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Levenshtein
@@ -339,28 +340,37 @@ impl WedInstance for Surs {
 const MEMO_SHARDS: usize = 16;
 
 /// Memoizes substitution costs of an inner model. NetEDR/NetERP evaluate
-/// `spd(a, b)` in the innermost DP loop; queries repeat heavily across
-/// verification candidates, so a memo pays off.
+/// `spd(a, b)` for every cost-profile row of every query; symbols repeat
+/// heavily across queries, so a memo pays off.
 ///
-/// The cache is a **sharded-lock map** (16 mutex-guarded shards, picked by
-/// a hash of the symmetric key), so `Memo<M>` is `Sync` whenever `M` is and
-/// batch workers share one memoized model: parallel
-/// [`run_batch`](../trajsearch_core) runs get cross-query memoization
-/// instead of the unmemoized fallback the old `RefCell` cache forced.
-/// Misses compute `inner.sub` *outside* any lock (hub-label queries are the
-/// expensive part), so two threads may race to fill the same key — both
-/// write the same deterministic value, and results are unaffected.
+/// The cache is a **sharded-lock map** (16 mutex-guarded shards), so
+/// `Memo<M>` is `Sync` whenever `M` is and batch workers share one memoized
+/// model: parallel [`run_batch`](../trajsearch_core) runs get cross-query
+/// memoization instead of the unmemoized fallback the old `RefCell` cache
+/// forced. Misses compute `inner.sub` *outside* any lock (hub-label queries
+/// are the expensive part), so two threads may race to fill the same key —
+/// both write the same deterministic value, and results are unaffected.
+///
+/// The symmetric pair is packed into one `u64` and mixed once
+/// (`hash::mix64`); that one hash picks the shard and, through a
+/// pass-through hasher, the slot in the shard's map. A shard holds finished
+/// values only and a map insert leaves it valid at every step, so a lock
+/// poisoned by a panicking worker is recovered rather than propagated: the
+/// memo must not turn one dead thread into a panic in every later query.
 pub struct Memo<M> {
     inner: M,
-    shards: Vec<Mutex<HashMap<(Sym, Sym), f64>>>,
+    shards: Vec<MemoShard>,
 }
+
+/// Packed symmetric pair → `sub`.
+type MemoShard = Mutex<HashMap<u64, f64, BuildMix>>;
 
 impl<M> Memo<M> {
     pub fn new(inner: M) -> Self {
         Memo {
             inner,
             shards: (0..MEMO_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
         }
     }
@@ -369,24 +379,24 @@ impl<M> Memo<M> {
         self.inner
     }
 
-    fn shard(&self, key: (Sym, Sym)) -> &Mutex<HashMap<(Sym, Sym), f64>> {
-        // Fibonacci-style mix of both halves; the top bits select the shard.
-        let h = (key.0 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((key.1 as u64).wrapping_mul(0x517C_C1B7_2722_0A95));
-        &self.shards[(h >> 60) as usize & (MEMO_SHARDS - 1)]
+    /// The shard of a packed key, locked. Bits 40.. of the mix pick it: the
+    /// map indexes by the low bits and tags slots by the top seven, and a
+    /// shard's keys should differ in both.
+    fn shard(&self, key: u64) -> MutexGuard<'_, HashMap<u64, f64, BuildMix>> {
+        let shard = &self.shards[(mix64(key) >> 40) as usize & (MEMO_SHARDS - 1)];
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl<M: CostModel> CostModel for Memo<M> {
     fn sub(&self, a: Sym, b: Sym) -> f64 {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let shard = self.shard(key);
-        if let Some(&v) = shard.lock().expect("memo shard poisoned").get(&key) {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let key = (lo as u64) << 32 | hi as u64;
+        if let Some(&v) = self.shard(key).get(&key) {
             return v;
         }
         let v = self.inner.sub(a, b);
-        shard.lock().expect("memo shard poisoned").insert(key, v);
+        self.shard(key).insert(key, v);
         v
     }
     fn ins(&self, a: Sym) -> f64 {
@@ -575,6 +585,35 @@ mod tests {
         // And the cache is actually warm afterwards.
         for a in 0..12u32 {
             assert_eq!(raw.sub(a, a + 1), memo.sub(a, a + 1));
+        }
+    }
+
+    #[test]
+    fn memo_survives_a_worker_that_died_holding_its_shards() {
+        let (net, hubs) = setup();
+        let raw = NetErp::new(net.clone(), hubs.clone(), 2000.0, 130.0);
+        let memo = Memo::new(NetErp::new(net.clone(), hubs.clone(), 2000.0, 130.0));
+        for a in 0..8u32 {
+            for b in 0..8u32 {
+                memo.sub(a, b);
+            }
+        }
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held: Vec<_> = memo.shards.iter().map(|s| s.lock().unwrap()).collect();
+                    // Unwinds like a panic, without the hook's stderr noise.
+                    std::panic::resume_unwind(Box::new("worker died"));
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(memo.shards.iter().all(|s| s.is_poisoned()));
+        // Warm keys and cold ones both answer as the unmemoized model does.
+        for a in 0..12u32 {
+            for b in 0..12u32 {
+                assert_eq!(raw.sub(a, b).to_bits(), memo.sub(a, b).to_bits());
+            }
         }
     }
 

@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use rnet::{CityParams, HubLabels, NetworkKind, RoadNetwork};
 use std::sync::Arc;
-use wed::models::{Edr, Erp, Lev, NetEdr, NetErp, Surs};
+use wed::dp::{initial_column_into, step_dp_into, SubProfile};
+use wed::models::{Edr, Erp, Lev, Memo, NetEdr, NetErp, Surs};
 use wed::nonwed::lors;
-use wed::{sw_best, sw_scan_all, wed, wed_within, Sym, WedInstance};
+use wed::{sw_best, sw_scan_all, wed, wed_within, CostModel, Sym, WedInstance};
 
 fn net() -> Arc<RoadNetwork> {
     Arc::new(CityParams::tiny(NetworkKind::Grid).generate())
@@ -25,8 +26,70 @@ fn boxed_models() -> Vec<Box<dyn WedInstance>> {
     ]
 }
 
+/// Every cost model the engine is run with, the edge-alphabet SURS and a
+/// memoised network model included (symbols below 32 are valid in all).
+fn cost_models() -> Vec<(&'static str, Box<dyn CostModel>)> {
+    let n = net();
+    let hubs = Arc::new(HubLabels::build(&n));
+    let net_edr = || NetEdr::new(n.clone(), hubs.clone(), 130.0);
+    vec![
+        ("Lev", Box::new(Lev)),
+        ("EDR", Box::new(Edr::new(n.clone(), 130.0))),
+        ("ERP", Box::new(Erp::new(n.clone(), 150.0))),
+        ("NetEDR", Box::new(net_edr())),
+        (
+            "NetERP",
+            Box::new(NetErp::new(n.clone(), hubs.clone(), 2000.0, 130.0)),
+        ),
+        ("SURS", Box::new(Surs::new(n.clone()))),
+        ("Memo<NetEDR>", Box::new(Memo::new(net_edr()))),
+    ]
+}
+
+fn bits(col: &[f64]) -> Vec<u64> {
+    col.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The engine's kernel against the reference: for either suffix of `Q`
+    /// around an anchor `iq` — `Q[iq+1..]` and `rev(Q[..iq])` — the profile's
+    /// window holds the suffix's symbols, its root column is
+    /// `initial_column_into`'s, and `step_dp_rows` over its row slices
+    /// returns `step_dp_into`'s column and minimum, all by `to_bits`, from
+    /// any parent column, on a row's first touch and on its reuse.
+    #[test]
+    fn step_dp_rows_is_bit_identical_to_step_dp_into(
+        q in proptest::collection::vec(0u32..32, 1..12),
+        iq in 0usize..12,
+        ps in proptest::collection::vec(0u32..32, 1..4),
+        parent in proptest::collection::vec(0.0f64..3000.0, 12),
+    ) {
+        let iq = iq % q.len();
+        let fwd: Vec<Sym> = q[iq + 1..].to_vec();
+        let back: Vec<Sym> = q[..iq].iter().rev().copied().collect();
+        for (name, m) in cost_models() {
+            let mut costs = SubProfile::new(&*m, &q);
+            let windows = [(costs.forward(iq), &fwd), (costs.backward(iq), &back)];
+            for (suffix, qd) in windows {
+                prop_assert_eq!(costs.symbols(suffix), &qd[..], "{}", name);
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                let want_min = initial_column_into(&*m, qd, &mut want);
+                let got_min = costs.initial_column_into(suffix, &mut got);
+                prop_assert_eq!(bits(&got), bits(&want), "{} root", name);
+                prop_assert_eq!(got_min.to_bits(), want_min.to_bits(), "{} root", name);
+
+                let a = &parent[..qd.len() + 1];
+                for &p in ps.iter().chain(&ps) {
+                    let want_min = step_dp_into(&*m, qd, p, a, &mut want);
+                    let got_min = costs.step(suffix, p, a, &mut got);
+                    prop_assert_eq!(bits(&got), bits(&want), "{} p={}", name, p);
+                    prop_assert_eq!(got_min.to_bits(), want_min.to_bits(), "{} p={}", name, p);
+                }
+            }
+        }
+    }
 
     /// Proposition 1 for every vertex-alphabet instance: non-negativity,
     /// symmetry, identity.
