@@ -1,82 +1,54 @@
-//! `repro` — regenerates every table and figure of the paper.
+//! `repro` — regenerates every table and figure of the paper's §6.
 //!
 //! ```text
-//! repro <experiment> [--scale S] [--queries N]
-//!
-//! experiments:
-//!   table2   dataset statistics
-//!   fig4     travel-time estimation RMSE
-//!   table3   subtrajectory vs whole matching RMSE
-//!   fig5     alternative-route naturalness
-//!   fig6     query time vs tau-ratio
-//!   fig7     query time vs |Q|
-//!   fig8     query time vs dataset size
-//!   fig9     vs DITA / ERP-index, varying tau-ratio
-//!   fig10    vs DITA / ERP-index, varying #trajectories
-//!   table4   OSF-BT running-time breakdown
-//!   table5   verification pruning rates (UPR/CMR/TUR)
-//!   table6   index construction time / size
-//!   fig11    candidate counts
-//!   fig12    temporal filtering
-//!   fig13    eta sweep (ERP / NetERP)
-//!   throughput  batch-engine queries/sec at 1/2/4/8 threads
-//!               (also writes BENCH_throughput.json)
-//!   index-build sharded-index construction at 1/2/4/8 shards plus the
-//!               snapshot-reopen cold-start row (also writes
-//!               BENCH_index.json)
-//!   snapshot    persistence loop (rebuild vs write/open, on-disk and
-//!               reopened footprint) with a match- and counter-identical
-//!               workload self-check (also writes BENCH_snapshot.json)
-//!   api      mixed threshold/top-k/temporal workload through the unified
-//!               Query/Response API at 1/2/4/8 threads, queries arriving
-//!               over their JSON wire format (also writes BENCH_api.json)
-//!   metrics  the same patterns under WED/DTW/LCSS/Fréchet through the
-//!               metric-pluggable verifier, per-metric and mixed in one
-//!               run_batch (also writes BENCH_metrics.json)
-//!   serve    mixed threshold/top-k workload through the loopback TCP
-//!               front-end (trajsearch-serve) at 1/2/4 workers vs
-//!               in-process run_batch (also writes BENCH_serve.json)
-//!   distrib  the same style of workload through a coordinator over 1/2/3
-//!               loopback shard servers (trajsearch-distrib) vs in-process
-//!               run_batch (also writes BENCH_distrib.json)
-//!   verify-cache  repeated/overlapping Trie-mode workloads with private
-//!               vs shared verification tries at 1/2/4 batch threads,
-//!               shared runs self-checked match-identical (also writes
-//!               BENCH_verify_cache.json)
-//!   all      everything above
+//! repro <experiment|all> [--scale S] [--queries N]
 //! ```
+//!
+//! `EXPERIMENTS` is the one list of experiments: `--help`, dispatch, `all`
+//! and the unknown-name exit all read it, and so does the tier-1 smoke test
+//! (`tests/integration_pipeline.rs` includes this file as a module, which
+//! is what the `pub(crate)`s are for).
 //!
 //! Defaults are laptop-scale; `--scale 1.0` roughly doubles the default
 //! workload, `--scale 0.05` matches the criterion benches.
-//! `--fail-on-regress PCT` arms the cross-run trend gate: deterministic
-//! counter columns moving more than PCT percent in the worsening direction
-//! against the previous `BENCH_history.jsonl` entry fail the run instead
-//! of printing an advisory delta.
 
 use trajsearch_bench::data::{FuncKind, Scale};
 use trajsearch_bench::exp::*;
 use trajsearch_bench::methods::MethodKind;
 
-struct Args {
-    experiment: String,
-    scale: Scale,
-    queries: usize,
-    /// `throughput` only: panic when the best multi-thread speedup falls
-    /// below this (skipped on hosts with < 4 cpus).
-    min_speedup: Option<f64>,
-    /// Cross-run trend gate: fail when a deterministic counter column of
-    /// any written `BENCH_*.json` worsens by more than this percentage vs
-    /// the previous `BENCH_history.jsonl` entry.
-    fail_on_regress: Option<f64>,
+pub(crate) struct Args {
+    pub(crate) experiment: String,
+    pub(crate) scale: Scale,
+    pub(crate) queries: usize,
 }
+
+/// Name, one-line description, runner.
+pub(crate) type Experiment = (&'static str, &'static str, fn(&Args));
+
+/// Every experiment, in the paper's order.
+pub(crate) const EXPERIMENTS: &[Experiment] = &[
+    ("table2", "dataset statistics", table2),
+    ("fig4", "travel-time estimation RMSE", fig4),
+    ("table3", "subtrajectory vs whole matching RMSE", table3),
+    ("fig5", "alternative-route naturalness", fig5),
+    ("fig6", "query time vs tau-ratio", fig6),
+    ("fig7", "query time vs |Q|", fig7),
+    ("fig8", "query time vs dataset size", fig8),
+    ("fig9", "vs DITA / ERP-index, varying tau-ratio", fig9),
+    ("fig10", "vs DITA / ERP-index, varying #trajectories", fig10),
+    ("table4", "OSF-BT running-time breakdown", table4),
+    ("table5", "verification pruning rates (UPR/CMR/TUR)", table5),
+    ("table6", "index construction time / size", table6),
+    ("fig11", "candidate counts", fig11),
+    ("fig12", "temporal filtering", fig12),
+    ("fig13", "eta sweep (ERP / NetERP)", fig13),
+];
 
 fn parse_args() -> Args {
     let mut args = Args {
         experiment: String::new(),
         scale: Scale::default_repro(),
         queries: 20,
-        min_speedup: None,
-        fail_on_regress: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -88,15 +60,6 @@ fn parse_args() -> Args {
             "--queries" => {
                 let v = it.next().expect("--queries needs a value");
                 args.queries = v.parse().expect("queries must be an integer");
-            }
-            "--min-speedup" => {
-                let v = it.next().expect("--min-speedup needs a value");
-                args.min_speedup = Some(v.parse().expect("min-speedup must be a number"));
-            }
-            "--fail-on-regress" => {
-                let v = it.next().expect("--fail-on-regress needs a value");
-                args.fail_on_regress =
-                    Some(v.parse().expect("fail-on-regress must be a percentage"));
             }
             "--help" | "-h" => {
                 print_usage();
@@ -114,9 +77,11 @@ fn parse_args() -> Args {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: repro <table2|fig4|table3|fig5|fig6|fig7|fig8|fig9|fig10|table4|table5|table6|fig11|fig12|fig13|throughput|index-build|snapshot|api|metrics|serve|distrib|verify-cache|obs|all> [--scale S] [--queries N] [--min-speedup X] [--fail-on-regress PCT]"
-    );
+    eprintln!("usage: repro <experiment> [--scale S] [--queries N]\n\nexperiments:");
+    for (name, what, _) in EXPERIMENTS {
+        eprintln!("  {name:<8} {what}");
+    }
+    eprintln!("  {:<8} everything above", "all");
 }
 
 // Core sweep parameters mirroring §6 (figures list the same axes).
@@ -125,293 +90,160 @@ const QLENS: [usize; 4] = [20, 40, 60, 80];
 const FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 const DATASETS: [&str; 4] = ["beijing", "porto", "singapore", "sanfran"];
 
+// The Figure 6 method set (Plain-SW included; the paper restricts it to
+// fewer queries for the same cost reasons — use --queries to match).
+const METHODS: [MethodKind; 8] = [
+    MethodKind::OsfBt,
+    MethodKind::OsfSw,
+    MethodKind::DisonBt,
+    MethodKind::DisonSw,
+    MethodKind::TorchBt,
+    MethodKind::TorchSw,
+    MethodKind::QGram,
+    MethodKind::PlainSw,
+];
+
 fn main() {
     let args = parse_args();
-    let scale = args.scale;
-    let nq = args.queries;
-    let exp = args.experiment.as_str();
-    let all = exp == "all";
-    if let Some(pct) = args.fail_on_regress {
-        set_history_regression_threshold(pct);
-    }
-
-    // The Figure 6 method set (Plain-SW included; the paper restricts it to
-    // fewer queries for the same cost reasons — use --queries to match).
-    let methods = [
-        MethodKind::OsfBt,
-        MethodKind::OsfSw,
-        MethodKind::DisonBt,
-        MethodKind::DisonSw,
-        MethodKind::TorchBt,
-        MethodKind::TorchSw,
-        MethodKind::QGram,
-        MethodKind::PlainSw,
-    ];
-
-    if all || exp == "table2" {
-        table2::print(&table2::run(scale));
-    }
-    if all || exp == "fig4" {
-        let rows = travel_time::run_fig4(30, nq, &[0.02, 0.06, 0.1, 0.14, 0.2], scale);
-        travel_time::print_fig4(&rows);
-    }
-    if all || exp == "table3" {
-        let rows = travel_time::run_table3(30, nq, &[5, 10, 15, 20, 25], scale);
-        travel_time::print_table3(&rows);
-    }
-    if all || exp == "fig5" {
-        let mut rows = naturalness::run(&[40, 50, 60], &[0.05, 0.1, 0.2, 0.3], nq, scale);
-        rows.extend(naturalness::run_nonwed(
-            &[40, 50, 60],
-            &[0.05, 0.1, 0.2, 0.3],
-            nq,
-            scale,
-        ));
-        naturalness::print(&rows);
-    }
-    if all || exp == "fig6" {
-        let rows = query_time::run_fig6(
-            &DATASETS,
-            &FuncKind::ALL,
-            &methods,
-            &TAU_RATIOS,
-            60,
-            nq,
-            scale,
-        );
-        query_time::print_rows(
-            "Figure 6: query time vs tau-ratio (|Q|=60)",
-            "tau-ratio",
-            &rows,
-        );
-    }
-    if all || exp == "fig7" {
-        let rows = query_time::run_fig7(
-            &DATASETS,
-            &[FuncKind::Edr, FuncKind::Erp, FuncKind::Surs],
-            &methods,
-            &QLENS,
-            nq,
-            scale,
-        );
-        query_time::print_rows("Figure 7: query time vs |Q| (tau-ratio=0.1)", "|Q|", &rows);
-    }
-    if all || exp == "fig8" {
-        let rows = query_time::run_fig8(
-            &DATASETS,
-            &[FuncKind::Edr, FuncKind::Erp, FuncKind::Surs],
-            &methods,
-            &FRACTIONS,
-            60,
-            nq,
-            scale,
-        );
-        query_time::print_rows(
-            "Figure 8: query time vs dataset size (tau-ratio=0.1)",
-            "fraction",
-            &rows,
-        );
-    }
-    if all || exp == "fig9" {
-        let ntraj = ((600.0 * scale.0).round() as usize).max(50);
-        let rows = enum_baselines::run(&[0.05, 0.1, 0.15, 0.2], true, ntraj, 20, nq, scale);
-        enum_baselines::print(&rows, "tau-ratio");
-    }
-    if all || exp == "fig10" {
-        let base = ((600.0 * scale.0).round()).max(50.0);
-        let counts = [(base * 0.33).round(), (base * 0.66).round(), base];
-        let rows = enum_baselines::run(&counts, false, 0, 20, nq, scale);
-        enum_baselines::print(&rows, "#traj");
-    }
-    if all || exp == "table4" {
-        query_time::print_table4(&query_time::run_table4(scale));
-    }
-    if all || exp == "table5" {
-        verification::print(&verification::run(scale));
-    }
-    if all || exp == "table6" {
-        table6::print(&table6::run(scale));
-    }
-    if all || exp == "fig11" {
-        let rows = candidates::run("beijing", &FuncKind::ALL, &TAU_RATIOS, true, 60, nq, scale);
-        candidates::print(&rows, "tau-ratio");
-        let rows = candidates::run(
-            "beijing",
-            &FuncKind::ALL,
-            &[20.0, 40.0, 60.0],
-            false,
-            60,
-            nq,
-            scale,
-        );
-        candidates::print(&rows, "|Q|");
-    }
-    if all || exp == "fig12" {
-        let rows = temporal::run(
-            &["beijing", "porto", "sanfran"],
-            &[0.01, 0.02, 0.05, 0.1],
-            60,
-            nq,
-            scale,
-        );
-        temporal::print(&rows);
-    }
-    if all || exp == "fig13" {
-        // The paper sweeps eta up to 1e2 x the natural scale; the largest
-        // point makes B(q) cover whole districts and is only tractable on
-        // tiny workloads, so the default sweep stops at 10x (the blow-up
-        // trend is already visible from 1e-2 -> 1 -> 10).
-        let rows = eta::run(
-            &["beijing"],
-            &[1e-4, 1e-2, 1.0, 10.0],
-            &[(0.1, 40), (0.2, 40)],
-            nq,
-            scale,
-        );
-        eta::print(&rows);
-    }
-    if all || exp == "throughput" {
-        let rows = throughput::run(
-            "beijing",
-            FuncKind::Edr,
-            &[1, 2, 4, 8],
-            60,
-            nq.max(8),
-            0.1,
-            scale,
-        );
-        throughput::print(&rows);
-        let path = "BENCH_throughput.json";
-        throughput::write_json(&rows, path)
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-        if let Some(floor) = args.min_speedup {
-            throughput::enforce_speedup_floor(&rows, floor);
+    let all = args.experiment == "all";
+    let mut ran = false;
+    for (name, _, run) in EXPERIMENTS {
+        if all || args.experiment == *name {
+            run(&args);
+            ran = true;
         }
     }
-    if all || exp == "index-build" {
-        let rows = index_build::run("beijing", &[1, 2, 4, 8], scale);
-        index_build::print(&rows);
-        let path = "BENCH_index.json";
-        index_build::write_json(&rows, path)
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if all || exp == "snapshot" {
-        let rows = snapshot::run("beijing", 40, nq.max(8), 0.1, scale);
-        snapshot::print(&rows);
-        let path = "BENCH_snapshot.json";
-        snapshot::write_json(&rows, path).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if all || exp == "api" {
-        let rows = api_workload::run(
-            "beijing",
-            FuncKind::Edr,
-            &[1, 2, 4, 8],
-            60,
-            nq.max(9),
-            0.1,
-            scale,
-        );
-        api_workload::print(&rows);
-        let path = "BENCH_api.json";
-        api_workload::write_json(&rows, path)
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if all || exp == "metrics" {
-        let rows = metrics_workload::run("beijing", FuncKind::Edr, 2, 60, nq.max(6), 0.1, scale);
-        metrics_workload::print(&rows);
-        let path = "BENCH_metrics.json";
-        metrics_workload::write_json(&rows, path)
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if all || exp == "serve" {
-        let rows = serve_load::run(
-            "beijing",
-            FuncKind::Edr,
-            &[1, 2, 4],
-            60,
-            nq.max(9),
-            0.1,
-            scale,
-        );
-        serve_load::print(&rows);
-        let path = "BENCH_serve.json";
-        serve_load::write_json(&rows, path)
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if all || exp == "distrib" {
-        let rows = distrib::run(
-            "beijing",
-            FuncKind::Edr,
-            &[1, 2, 3],
-            60,
-            nq.max(9),
-            0.1,
-            scale,
-        );
-        distrib::print(&rows);
-        let path = "BENCH_distrib.json";
-        distrib::write_json(&rows, path).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if all || exp == "verify-cache" {
-        let rows = verify_cache::run(
-            "beijing",
-            FuncKind::Edr,
-            &[1, 2, 4],
-            60,
-            nq.max(8),
-            0.1,
-            scale,
-        );
-        verify_cache::print(&rows);
-        let path = "BENCH_verify_cache.json";
-        verify_cache::write_json(&rows, path)
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if all || exp == "obs" {
-        let rows = obs::run("beijing", FuncKind::Edr, 60, nq.max(9), 0.1, scale);
-        obs::print(&rows);
-        let path = "BENCH_obs.json";
-        obs::write_json(&rows, path).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-    if !all
-        && ![
-            "table2",
-            "fig4",
-            "table3",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "table4",
-            "table5",
-            "table6",
-            "fig11",
-            "fig12",
-            "fig13",
-            "throughput",
-            "index-build",
-            "snapshot",
-            "api",
-            "metrics",
-            "serve",
-            "distrib",
-            "verify-cache",
-            "obs",
-        ]
-        .contains(&exp)
-    {
+    if !ran {
         print_usage();
         std::process::exit(1);
     }
+}
+
+fn table2(args: &Args) {
+    table2::print(&table2::run(args.scale));
+}
+
+fn fig4(args: &Args) {
+    let taus = [0.02, 0.06, 0.1, 0.14, 0.2];
+    travel_time::print_fig4(&travel_time::run_fig4(30, args.queries, &taus, args.scale));
+}
+
+fn table3(args: &Args) {
+    let ks = [5, 10, 15, 20, 25];
+    travel_time::print_table3(&travel_time::run_table3(30, args.queries, &ks, args.scale));
+}
+
+fn fig5(args: &Args) {
+    let (qlens, taus) = ([40, 50, 60], [0.05, 0.1, 0.2, 0.3]);
+    let (nq, scale) = (args.queries, args.scale);
+    let mut rows = naturalness::run(&qlens, &taus, nq, scale);
+    rows.extend(naturalness::run_nonwed(&qlens, &taus, nq, scale));
+    naturalness::print(&rows);
+}
+
+fn fig6(args: &Args) {
+    let rows = query_time::run_fig6(
+        &DATASETS,
+        &FuncKind::ALL,
+        &METHODS,
+        &TAU_RATIOS,
+        60,
+        args.queries,
+        args.scale,
+    );
+    query_time::print_rows(
+        "Figure 6: query time vs tau-ratio (|Q|=60)",
+        "tau-ratio",
+        &rows,
+    );
+}
+
+fn fig7(args: &Args) {
+    let rows = query_time::run_fig7(
+        &DATASETS,
+        &[FuncKind::Edr, FuncKind::Erp, FuncKind::Surs],
+        &METHODS,
+        &QLENS,
+        args.queries,
+        args.scale,
+    );
+    query_time::print_rows("Figure 7: query time vs |Q| (tau-ratio=0.1)", "|Q|", &rows);
+}
+
+fn fig8(args: &Args) {
+    let rows = query_time::run_fig8(
+        &DATASETS,
+        &[FuncKind::Edr, FuncKind::Erp, FuncKind::Surs],
+        &METHODS,
+        &FRACTIONS,
+        60,
+        args.queries,
+        args.scale,
+    );
+    query_time::print_rows(
+        "Figure 8: query time vs dataset size (tau-ratio=0.1)",
+        "fraction",
+        &rows,
+    );
+}
+
+fn fig9(args: &Args) {
+    let ntraj = ((600.0 * args.scale.0).round() as usize).max(50);
+    let taus = [0.05, 0.1, 0.15, 0.2];
+    let rows = enum_baselines::run(&taus, true, ntraj, 20, args.queries, args.scale);
+    enum_baselines::print(&rows, "tau-ratio");
+}
+
+fn fig10(args: &Args) {
+    let base = (600.0 * args.scale.0).round().max(50.0);
+    let counts = [(base * 0.33).round(), (base * 0.66).round(), base];
+    let rows = enum_baselines::run(&counts, false, 0, 20, args.queries, args.scale);
+    enum_baselines::print(&rows, "#traj");
+}
+
+fn table4(args: &Args) {
+    query_time::print_table4(&query_time::run_table4(args.scale));
+}
+
+fn table5(args: &Args) {
+    verification::print(&verification::run(args.scale));
+}
+
+fn table6(args: &Args) {
+    table6::print(&table6::run(args.scale));
+}
+
+fn fig11(args: &Args) {
+    let (nq, scale) = (args.queries, args.scale);
+    let rows = candidates::run("beijing", &FuncKind::ALL, &TAU_RATIOS, true, 60, nq, scale);
+    candidates::print(&rows, "tau-ratio");
+    let qlens = [20.0, 40.0, 60.0];
+    let rows = candidates::run("beijing", &FuncKind::ALL, &qlens, false, 60, nq, scale);
+    candidates::print(&rows, "|Q|");
+}
+
+fn fig12(args: &Args) {
+    let rows = temporal::run(
+        &["beijing", "porto", "sanfran"],
+        &[0.01, 0.02, 0.05, 0.1],
+        60,
+        args.queries,
+        args.scale,
+    );
+    temporal::print(&rows);
+}
+
+fn fig13(args: &Args) {
+    // The paper sweeps eta up to 1e2 x the natural scale; the largest
+    // point makes B(q) cover whole districts and is only tractable on
+    // tiny workloads, so the default sweep stops at 10x (the blow-up
+    // trend is already visible from 1e-2 -> 1 -> 10).
+    let rows = eta::run(
+        &["beijing"],
+        &[1e-4, 1e-2, 1.0, 10.0],
+        &[(0.1, 40), (0.2, 40)],
+        args.queries,
+        args.scale,
+    );
+    eta::print(&rows);
 }

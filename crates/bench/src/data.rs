@@ -215,10 +215,9 @@ impl Dataset {
     }
 
     /// Instantiates a similarity function with the paper's §6.1 defaults
-    /// (scaled to meters). NetEDR/NetERP come memoized; since `Memo` grew a
-    /// sharded-lock cache every instance is `Sync`, so one model serves the
-    /// sequential pipeline and the parallel batch engine alike (the old
-    /// unmemoized `model_sync` split is retired).
+    /// (scaled to meters). NetEDR/NetERP come memoized; `Memo`'s cache is
+    /// behind sharded locks, so every instance is `Sync` and one model serves
+    /// the sequential pipeline and the parallel batch engine alike.
     pub fn model(&self, kind: FuncKind) -> Box<dyn WedInstance + Sync> {
         self.model_with_eta(kind, None)
     }

@@ -36,10 +36,6 @@ use wed::{Sym, WedInstance};
 // ---------------------------------------------------------------------------
 
 /// Postings storage layout for [`EngineBuilder`].
-///
-/// Migration note (PR 6): the enum gained [`IndexLayout::Remote`] and, since
-/// that variant carries endpoint strings, the type is now `Clone` but no
-/// longer `Copy` — clone it where a copy was implicit before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexLayout {
     /// One contiguous postings list per symbol ([`InvertedIndex`]).

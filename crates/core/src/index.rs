@@ -115,9 +115,9 @@ pub trait PostingSource {
 /// for raw postings records, which for per-symbol bookkeeping (list
 /// headers / offset tables), which for the span tables, and which for the
 /// optional §4.3 by-departure orderings. Summing the fields reproduces the
-/// layout's [`PostingSource::size_bytes`], so `BENCH_index.json`'s shard
-/// overhead (list headers replicated per shard) is attributable instead of
-/// a single opaque number.
+/// layout's [`PostingSource::size_bytes`], so a sharded layout's overhead
+/// (list headers replicated per shard) is attributable instead of a single
+/// opaque number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SizeBreakdown {
     /// Raw postings records (`(id, j)` pairs, or their encoded bytes in a

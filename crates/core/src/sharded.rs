@@ -214,8 +214,7 @@ impl ShardedIndex {
     /// Component attribution of [`size_bytes`](PostingSource::size_bytes),
     /// summed over all shards. The `list_headers` component is what grows
     /// with the shard count (every shard keeps a full per-symbol list
-    /// table), which is the 7–47% overhead `BENCH_index.json` reports over
-    /// the single-list layout.
+    /// table): the sharded layout's overhead over the single-list one.
     pub fn size_breakdown(&self) -> SizeBreakdown {
         self.shards
             .iter()

@@ -10,9 +10,15 @@
 //! spans, `f64::to_bits` of the distances). A refactor of the execution
 //! core that moves any of them — a double-counted column, a lost dedup, a
 //! different fallback contract — fails here even if all paths still agree
-//! with each other.
+//! with each other. Each case also runs a second time under a live
+//! [`TraceSink`]: recording spans must leave the whole row untouched.
 //!
-//! The constants in [`GOLDEN`] are regenerated with
+//! [`BATCH_GOLDEN`] does the same for the batch-level trie cache: one fixed
+//! 1-thread `run_batch` of repeated and overlapping Trie-mode queries with
+//! `share_tries` off and on, pinning the merged fresh-column and cache
+//! hit/miss counters.
+//!
+//! The constants in [`GOLDEN`] and [`BATCH_GOLDEN`] are regenerated with
 //! `cargo test -p trajsearch-core --test counter_golden -- --ignored --nocapture`
 //! and must only change together with a deliberate change to what a counter
 //! means.
@@ -22,16 +28,20 @@ use std::sync::Arc;
 use traj::generator::TripConfig;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::{
-    EngineBuilder, Metric, Parallelism, Query, QueryBuilder, Response, TemporalConstraint,
-    TimeInterval, VerifyMode,
+    AnyIndex, BatchOptions, EngineBuilder, Metric, Parallelism, Query, QueryBuilder, Response,
+    SearchEngine, TemporalConstraint, TimeInterval, TraceSink, VerifyMode,
 };
 use wed::models::{Edr, Erp};
-use wed::Sym;
+use wed::{Sym, WedInstance};
 
 /// `candidates`, `candidates_after_temporal`, `candidates_deduped`,
 /// `tsubseq_len`, `sw_columns`, `columns_passed`, `stepdp_calls`,
 /// `verify_cost`, `results`, `fallback`, matches digest.
 type Row = [u64; 11];
+
+/// Merged `stepdp_calls`, `trie_cache_hits`, `trie_cache_misses` of one
+/// batch, digest of all its matches.
+type BatchRow = [u64; 4];
 
 /// 80 purposeful trips on the 8×8 grid. The generator's timestamps go
 /// through a normal sampler; restamp them with plain integer arithmetic so
@@ -67,14 +77,15 @@ fn near_pattern(store: &TrajectoryStore, id: u32) -> Vec<Sym> {
     q
 }
 
-fn digest(r: &Response) -> u64 {
+/// FNV-1a over the matches of `responses`, in order.
+fn digest(responses: &[Response]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
             h = (h ^ b as u64).wrapping_mul(0x100000001b3);
         }
     };
-    for m in &r.matches {
+    for m in responses.iter().flat_map(|r| &r.matches) {
         eat(&m.id.to_le_bytes());
         eat(&(m.start as u64).to_le_bytes());
         eat(&(m.end as u64).to_le_bytes());
@@ -96,8 +107,23 @@ fn row(r: &Response) -> Row {
         s.verify_cost,
         s.results as u64,
         s.fallback as u64,
-        digest(r),
+        digest(std::slice::from_ref(r)),
     ]
+}
+
+/// The row of one query, asserted identical with span recording on.
+fn traced_row<M: WedInstance + Sync>(
+    engine: &SearchEngine<'_, M, AnyIndex>,
+    query: &Query,
+    sink: &TraceSink,
+    name: &str,
+) -> Row {
+    let plain = row(&engine.run(query).unwrap());
+    let id = sink.next_trace_id();
+    let traced = row(&engine.run_traced(query, sink.tracer(id)).unwrap());
+    assert_eq!(traced, plain, "{name}: tracing moved a counter or a match");
+    assert!(!sink.spans_for(id).is_empty(), "{name}: no spans recorded");
+    plain
 }
 
 /// Runs every case at both schedules, in [`GOLDEN`] order.
@@ -150,6 +176,7 @@ fn measure() -> Vec<(String, Row)> {
         ("erp_fallback", threshold(1e9).temporal(window)),
     ];
 
+    let sink = TraceSink::new(1 << 12);
     let mut out = Vec::new();
     for (label, par) in [
         ("seq", Parallelism::Sequential),
@@ -157,20 +184,62 @@ fn measure() -> Vec<(String, Row)> {
     ] {
         for (name, b) in &edr_cases {
             let query = b.clone().parallelism(par).build().unwrap();
-            out.push((
-                format!("{name}/{label}"),
-                row(&edr_engine.run(&query).unwrap()),
-            ));
+            let name = format!("{name}/{label}");
+            let row = traced_row(&edr_engine, &query, &sink, &name);
+            out.push((name, row));
         }
         for (name, b) in &erp_cases {
             let query = b.clone().parallelism(par).build().unwrap();
-            out.push((
-                format!("{name}/{label}"),
-                row(&erp_engine.run(&query).unwrap()),
-            ));
+            let name = format!("{name}/{label}");
+            let row = traced_row(&erp_engine, &query, &sink, &name);
+            out.push((name, row));
         }
     }
     out
+}
+
+/// One batch on one thread, private tries then shared, in [`BATCH_GOLDEN`]
+/// order: three patterns four times each at one threshold (repeated), then
+/// each at three thresholds (overlapping — distinct queries whose anchor
+/// suffixes, the cache key, coincide).
+fn measure_batch() -> Vec<(&'static str, BatchRow)> {
+    let (net, store) = fixture();
+    let edr = Edr::new(net.clone(), 130.0);
+    let engine = EngineBuilder::new(&edr, &store, net.num_vertices()).build();
+
+    let patterns = [
+        near_pattern(&store, 7),
+        exact_pattern(&store, 7),
+        near_pattern(&store, 11),
+    ];
+    let repeated = patterns.iter().flat_map(|q| [(q, 2.5); 4]);
+    let overlapping = patterns
+        .iter()
+        .flat_map(|q| [2.0, 2.5, 3.0].map(|tau| (q, tau)));
+    let queries: Vec<Query> = repeated
+        .chain(overlapping)
+        .map(|(q, tau)| {
+            Query::threshold(q.clone(), tau)
+                .verify(VerifyMode::Trie)
+                .build()
+                .unwrap()
+        })
+        .collect();
+
+    [("batch_private", false), ("batch_shared", true)]
+        .map(|(name, share)| {
+            let opts = BatchOptions::with_threads(1).share_tries(share);
+            let out = engine.run_batch(&queries, opts).unwrap();
+            let m = &out.stats.merged;
+            let row = [
+                m.stepdp_calls,
+                m.trie_cache_hits,
+                m.trie_cache_misses,
+                digest(&out.responses),
+            ];
+            (name, row)
+        })
+        .to_vec()
 }
 
 #[rustfmt::skip]
@@ -213,12 +282,26 @@ fn counters_and_matches_are_pinned() {
     }
 }
 
-/// Prints the table to paste into [`GOLDEN`].
+#[rustfmt::skip]
+const BATCH_GOLDEN: &[(&str, BatchRow)] = &[
+    ("batch_private", [20025, 0, 0, 0xd9cd8847634327a4]),
+    ("batch_shared", [2909, 106, 14, 0xd9cd8847634327a4]),
+];
+
 #[test]
-#[ignore = "regenerates the GOLDEN table"]
+fn batch_trie_cache_counters_are_pinned() {
+    assert_eq!(measure_batch(), BATCH_GOLDEN, "batch counters moved");
+}
+
+/// Prints the tables to paste into [`GOLDEN`] and [`BATCH_GOLDEN`].
+#[test]
+#[ignore = "regenerates the GOLDEN tables"]
 fn print_golden() {
     for (name, r) in measure() {
         let [a, b, c, d, e, f, g, h, i, j, k] = r;
         println!("    ({name:?}, [{a}, {b}, {c}, {d}, {e}, {f}, {g}, {h}, {i}, {j}, {k:#018x}]),");
+    }
+    for (name, [a, b, c, d]) in measure_batch() {
+        println!("    ({name:?}, [{a}, {b}, {c}, {d:#018x}]),");
     }
 }

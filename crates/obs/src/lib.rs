@@ -51,7 +51,7 @@ pub use prom::PromText;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One finished span: a named interval on a trace's timeline.
@@ -218,7 +218,7 @@ impl TraceSink {
     pub fn spans_for(&self, trace_id: u64) -> Vec<SpanRecord> {
         let mut out: Vec<SpanRecord> = Vec::new();
         for shard in &self.shards {
-            let ring = shard.lock().expect("trace ring poisoned");
+            let ring = lock(shard);
             out.extend(ring.records.iter().filter(|r| r.trace_id == trace_id));
         }
         out.sort_by_key(|r| (r.start_ns, r.span_id));
@@ -232,7 +232,7 @@ impl TraceSink {
     fn push(&self, record: SpanRecord) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[(record.span_id as usize) % RING_SHARDS];
-        let mut ring = shard.lock().expect("trace ring poisoned");
+        let mut ring = lock(shard);
         if ring.records.len() < self.shard_cap {
             ring.records.push(record);
         } else {
@@ -242,6 +242,14 @@ impl TraceSink {
         }
         ring.next = (ring.next + 1) % self.shard_cap;
     }
+}
+
+/// Locks a ring shard whether or not a thread panicked while holding it:
+/// the ring is a log whose every update leaves it valid (a push or an
+/// in-place overwrite, then the cursor), so poison says a recorder died,
+/// not that the spans are wrong — later queries must still trace.
+fn lock(shard: &Mutex<RingShard>) -> MutexGuard<'_, RingShard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn saturating_ns(d: std::time::Duration) -> u64 {
@@ -503,6 +511,34 @@ mod tests {
         assert!(spans
             .windows(2)
             .all(|w| (w[0].start_ns, w[0].span_id) <= (w[1].start_ns, w[1].span_id)));
+    }
+
+    #[test]
+    fn poisoned_ring_keeps_recording_and_reading() {
+        let sink = TraceSink::new(64);
+        let tracer = sink.tracer(5);
+        tracer.span("query").finish();
+
+        // A recorder dies holding every ring shard.
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _rings: Vec<_> = sink.shards.iter().map(|s| s.lock().unwrap()).collect();
+                    // Unwinds like a panic, without the hook's stderr noise.
+                    std::panic::resume_unwind(Box::new("recorder died"));
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(sink.shards.iter().all(|s| s.is_poisoned()));
+
+        // One span per shard, so every poisoned lock is taken for a write,
+        // then all of them for the read.
+        for _ in 0..RING_SHARDS {
+            tracer.span("verify").finish();
+        }
+        assert_eq!(sink.recorded(), 1 + RING_SHARDS as u64);
+        assert_eq!(sink.spans_for(5).len(), 1 + RING_SHARDS);
     }
 
     #[test]

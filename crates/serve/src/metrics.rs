@@ -14,7 +14,7 @@
 //! against wall measures in-query parallelism and scheduling overhead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use trajsearch_core::wire_struct;
 
 /// Default ring capacity for each latency series.
@@ -52,6 +52,14 @@ impl Ring {
     fn summary(&self) -> LatencySummary {
         summarize(self.samples.clone(), self.seen)
     }
+}
+
+/// Locks a latency series whether or not a thread panicked while holding
+/// it: the ring is a sample log whose every update leaves it valid (see
+/// [`Ring::push`]), so poison says a worker died, not that the samples are
+/// wrong — later queries must still be counted and `stats` still answered.
+fn lock(series: &Mutex<Option<Ring>>) -> MutexGuard<'_, Option<Ring>> {
+    series.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Percentile math over an owned sample copy — runs **outside** any ring
@@ -143,9 +151,7 @@ impl Metrics {
     }
 
     fn push_sample(&self, series: &Mutex<Option<Ring>>, v: u64) {
-        series
-            .lock()
-            .expect("metrics mutex poisoned")
+        lock(series)
             .get_or_insert_with(|| Ring::new(self.sample_cap))
             .push(v);
     }
@@ -176,11 +182,7 @@ impl Metrics {
         // summarizing a full window must not block concurrent
         // `record_latency` calls for the duration of a 4096-element sort.
         let ring_summary = |m: &Mutex<Option<Ring>>| {
-            let raw = m
-                .lock()
-                .expect("metrics mutex poisoned")
-                .as_ref()
-                .map(|r| (r.samples.clone(), r.seen));
+            let raw = lock(m).as_ref().map(|r| (r.samples.clone(), r.seen));
             match raw {
                 Some((samples, seen)) => summarize(samples, seen),
                 None => LatencySummary::default(),
@@ -279,6 +281,33 @@ mod tests {
         // Two samples: p50 is the 1st (ceil(0.5·2) = 1), p99 the 2nd.
         let two = summarize(vec![3, 9], 2);
         assert_eq!((two.p50_ns, two.p99_ns), (3, 9));
+    }
+
+    #[test]
+    fn poisoned_series_keep_counting_and_summarizing() {
+        let m = Metrics::new();
+        m.record_latency(1_000, 100);
+        m.record_queue_wait(10);
+
+        // A worker dies holding all three series.
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = [&m.queue_ns, &m.wall_ns, &m.cpu_ns].map(|s| s.lock().unwrap());
+                    // Unwinds like a panic, without the hook's stderr noise.
+                    std::panic::resume_unwind(Box::new("worker died"));
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(m.wall_ns.is_poisoned() && m.cpu_ns.is_poisoned() && m.queue_ns.is_poisoned());
+
+        m.record_latency(3_000, 300);
+        m.record_queue_wait(30);
+        let s = m.snapshot(0, 8, 1);
+        assert_eq!((s.wall.count, s.wall.max_ns), (2, 3_000));
+        assert_eq!((s.cpu.count, s.cpu.max_ns), (2, 300));
+        assert_eq!((s.queue.count, s.queue.max_ns), (2, 30));
     }
 
     #[test]
