@@ -30,7 +30,7 @@
 //! hooks) after ingestion settles, or rebuild from a fresh snapshot.
 
 use crate::index::{Posting, PostingSource, SizeBreakdown};
-use traj::TrajId;
+use traj::{TrajId, TrajectoryStore};
 use wed::Sym;
 
 // ---------------------------------------------------------------------------
@@ -183,115 +183,43 @@ impl CompactIndex {
         }
     }
 
-    /// Reassembles a `CompactIndex` from decoded snapshot sections,
-    /// **validating every structural invariant** the iterators rely on:
-    /// offset tables must be monotone prefix sums ending at the arena
-    /// length, every list must decode to exactly `freqs[q]` records with
-    /// in-range trajectory ids, and the temporal arena (when present) must
-    /// be departure-sorted per symbol. Returns a human-readable description
-    /// of the first violation — the persist layer wraps it into its typed
-    /// `SnapshotError` — so CRC-valid-but-semantically-broken input can
-    /// never panic or mis-answer at query time.
-    #[allow(clippy::too_many_arguments)]
+    /// Reassembles a `CompactIndex` from decoded snapshot sections, **proving
+    /// they index `store`**: each arena is walked once, in lockstep with the
+    /// store, and must be record for record the sequence
+    /// [`from_source`](CompactIndex::from_source) would have written (see
+    /// [`PartsError`] for what that covers). The span tables are taken from
+    /// `store` itself. On success the iterators can neither panic nor
+    /// mis-answer; on failure the error names the first record that lies.
+    ///
+    /// By-departure records that tie on departure have one accepted order,
+    /// ascending `(id, j)` — the one `from_source` writes. Any other
+    /// permutation of a tie answers queries identically but is refused as
+    /// non-canonical.
     pub fn from_parts(
+        store: &TrajectoryStore,
         freqs: Vec<u32>,
         offsets: Vec<u64>,
         arena: Vec<u8>,
-        departures: Vec<f64>,
-        arrivals: Vec<f64>,
         temporal: Option<(Vec<u64>, Vec<u8>)>,
-    ) -> Result<CompactIndex, String> {
-        let alphabet = freqs.len();
-        let n = departures.len();
-        if arrivals.len() != n {
-            return Err(format!(
-                "span tables disagree: {} departures vs {} arrivals",
-                n,
-                arrivals.len()
-            ));
-        }
-        validate_offsets("postings", &offsets, alphabet, arena.len())?;
-        let mut total = 0usize;
-        for q in 0..alphabet {
-            let slice = &arena[offsets[q] as usize..offsets[q + 1] as usize];
-            let mut pos = 0usize;
-            let mut prev = 0u64;
-            for k in 0..freqs[q] {
-                let delta = read_varint(slice, &mut pos)
-                    .ok_or_else(|| format!("postings of symbol {q} truncated at record {k}"))?;
-                let j = read_varint(slice, &mut pos)
-                    .ok_or_else(|| format!("postings of symbol {q} truncated at record {k}"))?;
-                let id = prev + delta;
-                if id >= n as u64 {
-                    return Err(format!(
-                        "postings of symbol {q}: trajectory id {id} out of range (n={n})"
-                    ));
-                }
-                if j > u64::from(u32::MAX) {
-                    return Err(format!(
-                        "postings of symbol {q}: position {j} overflows u32"
-                    ));
-                }
-                prev = id;
-            }
-            if pos != slice.len() {
-                return Err(format!(
-                    "postings of symbol {q}: {} trailing bytes after {} records",
-                    slice.len() - pos,
-                    freqs[q]
-                ));
-            }
-            total += freqs[q] as usize;
-        }
+    ) -> Result<CompactIndex, PartsError> {
+        let n = store.len() as TrajId;
+        prove_arena(Arena::Main, store, 0..n, &freqs, &offsets, &arena)?;
+        let (departures, arrivals): (Vec<f64>, Vec<f64>) =
+            store.iter().map(|(_, t)| t.span()).unzip();
         let temporal = match temporal {
             None => None,
             Some((t_offsets, t_arena)) => {
-                validate_offsets("temporal", &t_offsets, alphabet, t_arena.len())?;
-                for q in 0..alphabet {
-                    let slice = &t_arena[t_offsets[q] as usize..t_offsets[q + 1] as usize];
-                    let mut pos = 0usize;
-                    let mut prev = 0i64;
-                    let mut last_dep = f64::NEG_INFINITY;
-                    for k in 0..freqs[q] {
-                        let delta = read_varint(slice, &mut pos).ok_or_else(|| {
-                            format!("temporal list of symbol {q} truncated at record {k}")
-                        })?;
-                        let j = read_varint(slice, &mut pos).ok_or_else(|| {
-                            format!("temporal list of symbol {q} truncated at record {k}")
-                        })?;
-                        let id = prev + unzigzag(delta);
-                        if id < 0 || id >= n as i64 {
-                            return Err(format!(
-                                "temporal list of symbol {q}: trajectory id {id} out of range"
-                            ));
-                        }
-                        if j > u64::from(u32::MAX) {
-                            return Err(format!(
-                                "temporal list of symbol {q}: position {j} overflows u32"
-                            ));
-                        }
-                        let dep = departures[id as usize];
-                        if dep < last_dep {
-                            return Err(format!(
-                                "temporal list of symbol {q} is not departure-sorted"
-                            ));
-                        }
-                        last_dep = dep;
-                        prev = id;
-                    }
-                    if pos != slice.len() {
-                        return Err(format!(
-                            "temporal list of symbol {q}: trailing bytes after {} records",
-                            freqs[q]
-                        ));
-                    }
-                }
+                let mut ids: Vec<TrajId> = (0..n).collect();
+                let key = |id: TrajId| departures[id as usize];
+                ids.sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
+                prove_arena(Arena::Temporal, store, ids, &freqs, &t_offsets, &t_arena)?;
                 Some(TemporalArena {
                     offsets: t_offsets,
                     arena: t_arena,
                 })
             }
         };
+        let total_postings = freqs.iter().map(|&f| f as usize).sum();
         Ok(CompactIndex {
             freqs,
             offsets,
@@ -299,7 +227,7 @@ impl CompactIndex {
             departures,
             arrivals,
             temporal,
-            total_postings: total,
+            total_postings,
         })
     }
 
@@ -354,30 +282,121 @@ impl CompactIndex {
     }
 }
 
-fn validate_offsets(
-    what: &str,
+/// Which arena a [`PartsError`] is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arena {
+    /// The `L_q` arena: ascending `(id, j)`, plain id deltas.
+    Main,
+    /// The by-departure arena: ascending `(departure, id, j)`, zigzag deltas.
+    Temporal,
+}
+
+/// Why [`CompactIndex::from_parts`] refused its input: where an arena first
+/// stops being the store's own occurrence sequence.
+///
+/// The canonical order of a list is the order in which a walk over the
+/// store meets that symbol, so acceptance is *sequence equality* with the
+/// walk. That one condition covers ids and positions in range, strict
+/// order, no duplicate and no missing record, `freqs[q]` records per list,
+/// no trailing bytes — and that every record is a real occurrence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartsError {
+    pub arena: Arena,
+    /// The symbol whose list (or offset-table entry) is at fault.
+    pub symbol: Sym,
+    /// Records of that list already matched when the fault showed.
+    pub record: u32,
+    pub reason: &'static str,
+}
+
+impl std::fmt::Display for PartsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (arena, symbol, record) = (self.arena, self.symbol, self.record);
+        write!(f, "{arena:?} arena, symbol {symbol}, record {record}: ")?;
+        f.write_str(self.reason)
+    }
+}
+
+impl std::error::Error for PartsError {}
+
+/// One list's state in the lockstep walk: where its next record starts,
+/// the id that record's delta is relative to, and how many records `freqs`
+/// still promises. 16 bytes, so a road network's alphabet stays in cache.
+struct Cursor {
+    pos: usize,
+    prev: TrajId,
+    left: u32,
+}
+
+/// Visits `ids` in order and each path left to right — which meets every
+/// symbol's occurrences in `which` arena's canonical order — and requires
+/// the next undecoded record of list `path[j]` to be `(id, j)`; at the end
+/// every list must be used up.
+fn prove_arena(
+    which: Arena,
+    store: &TrajectoryStore,
+    ids: impl IntoIterator<Item = TrajId>,
+    freqs: &[u32],
     offsets: &[u64],
-    alphabet: usize,
-    arena_len: usize,
-) -> Result<(), String> {
-    if offsets.len() != alphabet + 1 {
-        return Err(format!(
-            "{what} offset table has {} entries, expected {}",
-            offsets.len(),
-            alphabet + 1
-        ));
+    arena: &[u8],
+) -> Result<(), PartsError> {
+    let fail = |q: usize, record: u32, reason: &'static str| PartsError {
+        arena: which,
+        symbol: q as Sym,
+        record,
+        reason,
+    };
+    if offsets.len() != freqs.len() + 1 {
+        return Err(fail(0, 0, "offset table is not alphabet + 1 entries"));
     }
-    if offsets.first() != Some(&0) {
-        return Err(format!("{what} offset table does not start at 0"));
+    if offsets[0] != 0 || offsets[freqs.len()] != arena.len() as u64 {
+        return Err(fail(0, 0, "offset table does not span the arena"));
     }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(format!("{what} offset table is not monotone"));
+    if let Some(q) = offsets.windows(2).position(|w| w[0] > w[1]) {
+        return Err(fail(q, 0, "offset table is not monotone"));
     }
-    if offsets.last() != Some(&(arena_len as u64)) {
-        return Err(format!(
-            "{what} offset table ends at {:?}, arena is {arena_len} bytes",
-            offsets.last()
-        ));
+    let mut cursors: Vec<Cursor> = std::iter::zip(freqs, offsets)
+        .map(|(&left, &offset)| Cursor {
+            pos: offset as usize,
+            prev: 0,
+            left,
+        })
+        .collect();
+    let at = |q: usize, c: &Cursor, reason| fail(q, freqs[q] - c.left, reason);
+    for id in ids {
+        for (j, &q) in store.get(id).path().iter().enumerate() {
+            let q = q as usize;
+            let Some(c) = cursors.get_mut(q) else {
+                return Err(fail(q, 0, "store symbol outside the index alphabet"));
+            };
+            if c.left == 0 {
+                return Err(at(q, c, "the store has more occurrences"));
+            }
+            // Bounded by the arena, not the list: a cursor only moves
+            // forward and must finish exactly on its list's end (below), so
+            // a record that strays past that end cannot go unnoticed.
+            let (delta, pos) = (
+                read_varint(arena, &mut c.pos),
+                read_varint(arena, &mut c.pos),
+            );
+            let want = match which {
+                Arena::Main => u64::from(id - c.prev),
+                Arena::Temporal => zigzag(i64::from(id) - i64::from(c.prev)),
+            };
+            if (delta, pos) != (Some(want), Some(j as u64)) {
+                return Err(at(q, c, "not the store's next occurrence"));
+            }
+            c.prev = id;
+            c.left -= 1;
+        }
+    }
+    for (q, c) in cursors.iter().enumerate() {
+        if c.left != 0 {
+            return Err(at(q, c, "the store has no more occurrences"));
+        }
+        if c.pos as u64 != offsets[q + 1] {
+            return Err(at(q, c, "list does not end at its offset-table entry"));
+        }
     }
     Ok(())
 }
@@ -611,64 +630,76 @@ mod tests {
         let mut reference = InvertedIndex::build(&s, 5);
         reference.enable_temporal_postings();
         let c = CompactIndex::from_source(&reference);
+        let temporal = || c.temporal_parts().map(|(o, a)| (o.to_vec(), a.to_vec()));
+        let (freqs, offsets, arena) = (c.freqs().to_vec(), c.offsets().to_vec(), c.arena());
         let rebuilt = CompactIndex::from_parts(
-            c.freqs().to_vec(),
-            c.offsets().to_vec(),
-            c.arena().to_vec(),
-            c.departures().to_vec(),
-            c.arrivals().to_vec(),
-            c.temporal_parts().map(|(o, a)| (o.to_vec(), a.to_vec())),
+            &s,
+            freqs.clone(),
+            offsets.clone(),
+            arena.to_vec(),
+            temporal(),
         )
         .expect("faithful parts must validate");
         assert_eq!(rebuilt.arena(), c.arena());
+        assert_eq!(rebuilt.temporal_parts(), c.temporal_parts());
+        assert_eq!(rebuilt.departures(), c.departures());
+        assert_eq!(rebuilt.arrivals(), c.arrivals());
         assert_eq!(rebuilt.total_postings, c.total_postings);
 
+        let refused = |s: &TrajectoryStore, freqs: &[u32], offsets: &[u64], arena: &[u8]| {
+            CompactIndex::from_parts(s, freqs.to_vec(), offsets.to_vec(), arena.to_vec(), None)
+                .expect_err("garbage must be refused")
+        };
         // Truncated arena.
-        let mut arena = c.arena().to_vec();
-        arena.pop();
-        assert!(CompactIndex::from_parts(
-            c.freqs().to_vec(),
-            c.offsets().to_vec(),
-            arena,
-            c.departures().to_vec(),
-            c.arrivals().to_vec(),
-            None,
-        )
-        .is_err());
+        let e = refused(&s, &freqs, &offsets, &arena[..arena.len() - 1]);
+        assert_eq!(e.reason, "offset table does not span the arena");
         // Non-monotone offsets.
-        let mut offsets = c.offsets().to_vec();
-        offsets[1] = offsets[2] + 1;
-        assert!(CompactIndex::from_parts(
-            c.freqs().to_vec(),
-            offsets,
-            c.arena().to_vec(),
-            c.departures().to_vec(),
-            c.arrivals().to_vec(),
-            None,
-        )
-        .is_err());
-        // Frequency table lying about a list's length.
-        let mut freqs = c.freqs().to_vec();
-        freqs[1] += 1;
-        assert!(CompactIndex::from_parts(
+        let mut bad = offsets.clone();
+        bad[1] = bad[2] + 1;
+        let e = refused(&s, &freqs, &bad, arena);
+        assert_eq!((e.symbol, e.reason), (1, "offset table is not monotone"));
+        // Frequency table lying about a list's length, either way.
+        let mut bad = freqs.clone();
+        bad[1] += 1;
+        let e = refused(&s, &bad, &offsets, arena);
+        assert_eq!((e.arena, e.symbol, e.record), (Arena::Main, 1, freqs[1]));
+        bad[1] -= 2;
+        let e = refused(&s, &bad, &offsets, arena);
+        assert_eq!((e.arena, e.symbol, e.record), (Arena::Main, 1, bad[1]));
+        // Two frequencies swapped: offsets stay valid prefix sums.
+        let mut bad = freqs.clone();
+        bad.swap(0, 1);
+        assert_eq!(refused(&s, &bad, &offsets, arena).arena, Arena::Main);
+        // Faithful parts of a *different* store: the first record of symbol
+        // 0's list is (0, 0), but this store's trajectory 0 starts with 4.
+        let mut other = TrajectoryStore::new();
+        other.push(Trajectory::new(vec![4, 1, 2], vec![10.0, 11.0, 12.0]));
+        for (_, t) in s.iter().skip(1) {
+            other.push(t.clone());
+        }
+        let e = refused(&other, &freqs, &offsets, arena);
+        assert_eq!((e.symbol, e.record), (4, 0));
+        // A symbol the index alphabet does not have.
+        other = TrajectoryStore::new();
+        other.push(Trajectory::untimed(vec![5]));
+        let e = refused(&other, &freqs, &offsets, arena);
+        assert_eq!(e.reason, "store symbol outside the index alphabet");
+        // A lie confined to the by-departure arena is named as such.
+        let (t_offsets, mut t_arena) = temporal().unwrap();
+        t_arena[1] ^= 1; // position of symbol 0's first by-departure record
+        let e = CompactIndex::from_parts(
+            &s,
             freqs,
-            c.offsets().to_vec(),
-            c.arena().to_vec(),
-            c.departures().to_vec(),
-            c.arrivals().to_vec(),
-            None,
+            offsets,
+            arena.to_vec(),
+            Some((t_offsets, t_arena)),
         )
-        .is_err());
-        // Span tables of different lengths.
-        assert!(CompactIndex::from_parts(
-            c.freqs().to_vec(),
-            c.offsets().to_vec(),
-            c.arena().to_vec(),
-            c.departures().to_vec(),
-            vec![0.0],
-            None,
-        )
-        .is_err());
+        .expect_err("temporal lie");
+        assert_eq!((e.arena, e.symbol, e.record), (Arena::Temporal, 0, 0));
+        assert_eq!(
+            e.to_string(),
+            "Temporal arena, symbol 0, record 0: not the store's next occurrence"
+        );
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //!   write time, so the same logical index produces identical bytes
 //!   whether it was held as an `InvertedIndex` or a `ShardedIndex` at any
 //!   shard count.
+//! * **Proven** — the reader walks each postings arena once, in lockstep
+//!   with the decoded store, and accepts it only if it is record for record
+//!   the store's occurrences in canonical order
+//!   ([`CompactIndex::from_parts`](trajsearch_core::CompactIndex::from_parts)),
+//!   so a file whose checksums agree but whose index lies is refused too.
 //! * **Equivalent** — an engine over the reopened index answers every
 //!   query byte-identically to the original layouts; the proptest suites
 //!   in `tests/` gate this exactly like sharding was gated.

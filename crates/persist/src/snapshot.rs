@@ -22,19 +22,32 @@
 //! | 5    | postings | freqs `u32` LE ×a · offsets `u64` LE ×(a+1) · arena  |
 //! | 6    | temporal | offsets `u64` LE ×(a+1) · arena (flag bit 0 only)    |
 //!
-//! The reader validates in strict order — magic, version, flags, manifest
-//! bounds, header CRC, per-section CRCs — and only then parses payloads,
-//! with every count bounded against the bytes that actually exist. A final
-//! semantic pass proves the decoded postings are exactly the store's
-//! occurrences (and the temporal arena a permutation of them), so even a
+//! The reader validates in strict order, each step trusting only what the
+//! steps before it established:
+//!
+//! 1. header: magic, version, flags, section count;
+//! 2. the header + manifest CRC, before any offset in it is believed;
+//! 3. manifest entries: known kinds, no duplicates, ranges inside the file;
+//! 4. each section's CRC, before its payload is parsed;
+//! 5. `meta`, every count bounded by the bytes that actually exist;
+//! 6. `paths` + `times` into the store, with nothing left over in either;
+//! 7. `spans`, bitwise equal to the store's own first and last times;
+//! 8. `postings` and `temporal`: each arena is walked **once, in lockstep
+//!    with the store** ([`CompactIndex::from_parts`]) and must be, record for
+//!    record, the sequence the store's occurrences form in canonical order.
+//!
+//! Step 8 is the structural and the semantic validation at once, so even a
 //! CRC-consistent file written by a buggy tool cannot serve wrong answers.
+//! Canonical order is part of the format: by-departure records that tie on
+//! departure are accepted in ascending `(id, j)` order only. No writer in
+//! this repository produces another order.
 
 use crate::error::SnapshotError;
 use crate::format::{crc32, read_f64, read_u16, read_u32, read_u64};
 use std::path::Path;
 use traj::{Trajectory, TrajectoryStore};
-use trajsearch_core::compact::{read_varint, write_varint};
-use trajsearch_core::{CompactIndex, Posting, PostingSource};
+use trajsearch_core::compact::{read_varint, write_varint, Arena};
+use trajsearch_core::{CompactIndex, PostingSource};
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"TSNP";
@@ -89,9 +102,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes `store` + `index` and writes the file atomically (a
-    /// temporary sibling is written first, then renamed over `path`), so a
-    /// crash mid-write can never leave a torn snapshot under the real name.
+    /// Serializes `store` + `index` and writes the file atomically: the
+    /// bytes go to `<file name>.tmp` beside `path`, which is then renamed
+    /// over it, and removed again if either step fails. A process that
+    /// crashes mid-write therefore never leaves a torn snapshot under the
+    /// real name. Power loss is not covered: nothing here calls `sync_all`,
+    /// so the rename can reach the disk before the data does.
     ///
     /// `index` may be any [`PostingSource`] — single-list, sharded at any
     /// count, or an already-compact index; canonicalization makes the bytes
@@ -101,15 +117,19 @@ impl Snapshot {
         store: &TrajectoryStore,
         index: &I,
     ) -> Result<SnapshotInfo, SnapshotError> {
-        let bytes = Self::encode(store, index)?;
-        let info = SnapshotInfo {
-            file_bytes: bytes.len(),
-            sections: if index.has_temporal_postings() { 6 } else { 5 },
-            temporal: index.has_temporal_postings(),
-        };
-        let tmp = path.with_extension("snap.tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
+        let (bytes, info) = encode_sections(store, index)?;
+        let mut tmp_name = path
+            .file_name()
+            .ok_or_else(|| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+            })?
+            .to_os_string();
+        tmp_name.push(".tmp");
+        let tmp = path.with_file_name(tmp_name);
+        if let Err(e) = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, path)) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e.into());
+        }
         Ok(info)
     }
 
@@ -122,66 +142,7 @@ impl Snapshot {
         store: &TrajectoryStore,
         index: &I,
     ) -> Result<Vec<u8>, SnapshotError> {
-        check_encode_coherence(store, index)?;
-        let compact = CompactIndex::from_source(index);
-
-        let n = store.len();
-        let alphabet = compact.alphabet_size();
-        let total = compact.total_postings();
-
-        let mut meta = Vec::new();
-        write_varint(&mut meta, n as u64);
-        write_varint(&mut meta, alphabet as u64);
-        write_varint(&mut meta, total as u64);
-
-        let mut paths = Vec::new();
-        let mut times = Vec::with_capacity(total * 8);
-        for (_, t) in store.iter() {
-            write_varint(&mut paths, t.path().len() as u64);
-            for &sym in t.path() {
-                write_varint(&mut paths, u64::from(sym));
-            }
-            for &time in t.times() {
-                times.extend_from_slice(&time.to_bits().to_le_bytes());
-            }
-        }
-
-        let mut spans = Vec::with_capacity(n * 16);
-        for &dep in compact.departures() {
-            spans.extend_from_slice(&dep.to_bits().to_le_bytes());
-        }
-        for &arr in compact.arrivals() {
-            spans.extend_from_slice(&arr.to_bits().to_le_bytes());
-        }
-
-        let mut postings = Vec::new();
-        for &f in compact.freqs() {
-            postings.extend_from_slice(&f.to_le_bytes());
-        }
-        for &off in compact.offsets() {
-            postings.extend_from_slice(&off.to_le_bytes());
-        }
-        postings.extend_from_slice(compact.arena());
-
-        let mut sections: Vec<(u32, Vec<u8>)> = vec![
-            (SEC_META, meta),
-            (SEC_PATHS, paths),
-            (SEC_TIMES, times),
-            (SEC_SPANS, spans),
-            (SEC_POSTINGS, postings),
-        ];
-        let mut flags = 0u16;
-        if let Some((t_offsets, t_arena)) = compact.temporal_parts() {
-            let mut temporal = Vec::with_capacity(t_offsets.len() * 8 + t_arena.len());
-            for &off in t_offsets {
-                temporal.extend_from_slice(&off.to_le_bytes());
-            }
-            temporal.extend_from_slice(t_arena);
-            sections.push((SEC_TEMPORAL, temporal));
-            flags |= FLAG_TEMPORAL;
-        }
-
-        Ok(assemble(flags, &sections))
+        encode_sections(store, index).map(|(bytes, _)| bytes)
     }
 
     /// Reads and [`decode`](Snapshot::decode)s the file at `path`.
@@ -192,9 +153,9 @@ impl Snapshot {
 
     /// Validates and decodes snapshot bytes. Validation runs in strict
     /// order — magic, version, flags, manifest bounds, header CRC,
-    /// per-section CRCs, bounded parses, then the semantic
-    /// postings-vs-store pass; any defect yields a typed
-    /// [`SnapshotError`], never a panic.
+    /// per-section CRCs, bounded parses, then one lockstep walk of each
+    /// arena against the decoded store ([`CompactIndex::from_parts`]); any
+    /// defect yields a typed [`SnapshotError`], never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let (store, index) = decode_validated(bytes)?;
         Ok(Snapshot {
@@ -266,39 +227,105 @@ fn check_encode_coherence<I: PostingSource>(
     Ok(())
 }
 
-fn assemble(flags: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let manifest_len = sections.len() * MANIFEST_ENTRY_LEN;
-    let mut offset = (HEADER_LEN + manifest_len) as u64;
+/// Writes every section straight into the file buffer: the header and
+/// manifest are reserved up front, each payload is appended in place, and
+/// the manifest is filled in from the ranges that were actually written.
+fn encode_sections<I: PostingSource>(
+    store: &TrajectoryStore,
+    index: &I,
+) -> Result<(Vec<u8>, SnapshotInfo), SnapshotError> {
+    check_encode_coherence(store, index)?;
+    let compact = CompactIndex::from_source(index);
+    let (n, total) = (store.len(), compact.total_postings());
+    let temporal = compact.temporal_parts();
+    let temporal_len = temporal.map_or(0, |(offsets, arena)| offsets.len() * 8 + arena.len());
 
-    let mut manifest = Vec::with_capacity(manifest_len);
-    for (kind, payload) in sections {
-        manifest.extend_from_slice(&kind.to_le_bytes());
-        manifest.extend_from_slice(&offset.to_le_bytes());
-        manifest.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        manifest.extend_from_slice(&crc32(payload).to_le_bytes());
-        offset += payload.len() as u64;
+    let section_count = if temporal.is_some() { 6 } else { 5 };
+    let body_start = HEADER_LEN + section_count * MANIFEST_ENTRY_LEN;
+    // Exact but for `paths`, budgeted at two bytes a symbol (alphabets up
+    // to 16 384); past that the buffer grows, the bytes are the same.
+    let mut out = Vec::with_capacity(
+        body_start
+            + 3 * 10
+            + (n + total) * 2
+            + (total + 2 * n) * 8
+            + compact.freqs().len() * 4
+            + compact.offsets().len() * 8
+            + compact.arena().len()
+            + temporal_len,
+    );
+    out.resize(body_start, 0);
+    let mut starts = Vec::with_capacity(section_count);
+    let put_f64s = |out: &mut Vec<u8>, values: &[f64]| {
+        out.extend(values.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    };
+    let put_u64s = |out: &mut Vec<u8>, values: &[u64]| {
+        out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+    };
+
+    starts.push((SEC_META, out.len()));
+    for count in [n, compact.alphabet_size(), total] {
+        write_varint(&mut out, count as u64);
+    }
+    starts.push((SEC_PATHS, out.len()));
+    for (_, t) in store.iter() {
+        write_varint(&mut out, t.path().len() as u64);
+        for &sym in t.path() {
+            write_varint(&mut out, u64::from(sym));
+        }
+    }
+    starts.push((SEC_TIMES, out.len()));
+    for (_, t) in store.iter() {
+        put_f64s(&mut out, t.times());
+    }
+    starts.push((SEC_SPANS, out.len()));
+    put_f64s(&mut out, compact.departures());
+    put_f64s(&mut out, compact.arrivals());
+    starts.push((SEC_POSTINGS, out.len()));
+    for f in compact.freqs() {
+        out.extend_from_slice(&f.to_le_bytes());
+    }
+    put_u64s(&mut out, compact.offsets());
+    out.extend_from_slice(compact.arena());
+    if let Some((t_offsets, t_arena)) = temporal {
+        starts.push((SEC_TEMPORAL, out.len()));
+        put_u64s(&mut out, t_offsets);
+        out.extend_from_slice(t_arena);
     }
 
-    let mut head = Vec::with_capacity(12 + manifest.len());
-    head.extend_from_slice(&MAGIC);
-    head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    head.extend_from_slice(&flags.to_le_bytes());
-    head.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    head.extend_from_slice(&manifest);
-    let header_crc = crc32(&head);
-
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(&head[..12]);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.extend_from_slice(&manifest);
-    for (_, payload) in sections {
-        out.extend_from_slice(payload);
+    debug_assert_eq!(starts.len(), section_count, "manifest space reserved");
+    for (i, &(kind, start)) in starts.iter().enumerate() {
+        let end = starts.get(i + 1).map_or(out.len(), |&(_, next)| next);
+        let crc = crc32(&out[start..end]);
+        let entry = &mut out[HEADER_LEN + i * MANIFEST_ENTRY_LEN..][..MANIFEST_ENTRY_LEN];
+        entry[..4].copy_from_slice(&kind.to_le_bytes());
+        entry[4..12].copy_from_slice(&(start as u64).to_le_bytes());
+        entry[12..20].copy_from_slice(&((end - start) as u64).to_le_bytes());
+        entry[20..].copy_from_slice(&crc.to_le_bytes());
     }
-    out
+    let flags = if temporal.is_some() { FLAG_TEMPORAL } else { 0 };
+    out[..4].copy_from_slice(&MAGIC);
+    out[4..6].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out[6..8].copy_from_slice(&flags.to_le_bytes());
+    out[8..12].copy_from_slice(&(starts.len() as u32).to_le_bytes());
+    let crc = header_crc(&out, body_start);
+    out[12..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+
+    let info = SnapshotInfo {
+        file_bytes: out.len(),
+        sections: starts.len(),
+        temporal: temporal.is_some(),
+    };
+    Ok((out, info))
 }
 
-struct SectionRef<'a> {
-    payload: &'a [u8],
+/// The header CRC covers bytes `0..12` and the manifest — everything before
+/// the payloads except the four bytes that hold the CRC itself.
+fn header_crc(bytes: &[u8], body_start: usize) -> u32 {
+    let mut head = Vec::with_capacity(body_start - 4);
+    head.extend_from_slice(&bytes[..12]);
+    head.extend_from_slice(&bytes[HEADER_LEN..body_start]);
+    crc32(&head)
 }
 
 fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), SnapshotError> {
@@ -344,10 +371,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
 
     // 2. Header + manifest CRC, before trusting any offset in it.
     let stored_crc = read_u32(bytes, 12).expect("header length checked");
-    let mut head = Vec::with_capacity(12 + manifest_len);
-    head.extend_from_slice(&bytes[..12]);
-    head.extend_from_slice(&bytes[HEADER_LEN..body_start]);
-    let computed_crc = crc32(&head);
+    let computed_crc = header_crc(bytes, body_start);
     if stored_crc != computed_crc {
         return Err(SnapshotError::ChecksumMismatch {
             section: "header",
@@ -357,7 +381,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
     }
 
     // 3. Manifest entries: known kinds, unique, in-bounds ranges.
-    let mut sections: [Option<SectionRef<'_>>; 6] = [const { None }; 6];
+    let mut sections: [Option<&[u8]>; 6] = [None; 6];
     for i in 0..section_count as usize {
         let base = HEADER_LEN + i * MANIFEST_ENTRY_LEN;
         let kind = read_u32(bytes, base).expect("manifest length checked");
@@ -394,7 +418,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
                 computed,
             });
         }
-        *slot = Some(SectionRef { payload });
+        *slot = Some(payload);
     }
     let want_temporal = flags & FLAG_TEMPORAL != 0;
     let required: &[u32] = &[SEC_META, SEC_PATHS, SEC_TIMES, SEC_SPANS, SEC_POSTINGS];
@@ -412,12 +436,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
             "temporal flag and temporal section disagree".into(),
         ));
     }
-    let section = |kind: u32| {
-        sections[kind as usize - 1]
-            .as_ref()
-            .map(|s| s.payload)
-            .expect("presence checked above")
-    };
+    let section = |kind: u32| sections[kind as usize - 1].expect("presence checked above");
 
     // 5. Meta, with every count bounded by real bytes before allocation.
     let meta = section(SEC_META);
@@ -479,12 +498,12 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
                 format!("alphabet {alphabet} does not fit the postings section"),
             )
         })?;
-    let (n, alphabet, total) = (n as usize, alphabet as usize, total as usize);
+    let (n, alphabet) = (n as usize, alphabet as usize);
 
     // 6. Store sections.
     let mut store = TrajectoryStore::new();
     let mut path_pos = 0usize;
-    let mut time_pos = 0usize;
+    let mut stamps = times_sec.chunks_exact(8);
     for id in 0..n {
         let len = read_varint(paths_sec, &mut path_pos)
             .ok_or_else(|| corrupt("paths", format!("trajectory {id} length truncated")))?;
@@ -513,9 +532,10 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
         let mut times = Vec::with_capacity(len as usize);
         let mut last = f64::NEG_INFINITY;
         for k in 0..len {
-            let t = read_f64(times_sec, time_pos)
+            let stamp = stamps
+                .next()
                 .ok_or_else(|| corrupt("times", format!("trajectory {id} truncated at {k}")))?;
-            time_pos += 8;
+            let t = f64::from_le_bytes(stamp.try_into().expect("chunk of 8"));
             if t.is_nan() || t < last {
                 return Err(corrupt(
                     "times",
@@ -530,107 +550,53 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
     if path_pos != paths_sec.len() {
         return Err(corrupt("paths", "trailing bytes".into()));
     }
+    if stamps.next().is_some() {
+        return Err(corrupt("times", "trailing bytes".into()));
+    }
 
-    // 7. Spans must agree bitwise with the store's own times.
-    let mut departures = Vec::with_capacity(n);
-    let mut arrivals = Vec::with_capacity(n);
-    for id in 0..n {
-        let dep = read_f64(spans_sec, id * 8).expect("length checked");
-        let arr = read_f64(spans_sec, (n + id) * 8).expect("length checked");
-        let t = store.get(id as u32);
+    // 7. Spans must agree bitwise with the store's own times (the index
+    //    takes its span tables from the store, so this is their check).
+    for (id, t) in store.iter() {
+        let dep = read_f64(spans_sec, id as usize * 8).expect("length checked");
+        let arr = read_f64(spans_sec, (n + id as usize) * 8).expect("length checked");
         if dep.to_bits() != t.departure().to_bits() || arr.to_bits() != t.arrival().to_bits() {
             return Err(corrupt(
                 "spans",
                 format!("span of trajectory {id} disagrees with the times section"),
             ));
         }
-        departures.push(dep);
-        arrivals.push(arr);
     }
 
-    // 8. Postings tables + arena, structurally validated by CompactIndex.
-    let mut freqs = Vec::with_capacity(alphabet);
-    for q in 0..alphabet {
-        freqs.push(read_u32(postings_sec, q * 4).expect("length checked"));
-    }
-    let mut offsets = Vec::with_capacity(alphabet + 1);
-    for q in 0..=alphabet {
-        offsets.push(read_u64(postings_sec, alphabet * 4 + q * 8).expect("length checked"));
-    }
-    if freqs.iter().map(|&f| f as u64).sum::<u64>() != total as u64 {
-        return Err(corrupt(
-            "postings",
-            "frequency table does not sum to the meta postings count".into(),
-        ));
-    }
-    let arena = postings_sec[tables_len as usize..].to_vec();
+    // 8. Postings tables + arenas, proven against the store in one lockstep
+    //    walk each. With step 6 (`total` time stamps, all consumed) this
+    //    also settles that the frequencies sum to `total`.
+    let u64s = |table: &[u8]| -> Vec<u64> {
+        let le = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("chunk of 8"));
+        table.chunks_exact(8).map(le).collect()
+    };
+    let (tables, arena) = postings_sec.split_at(tables_len as usize);
+    let (freqs, offsets) = tables.split_at(alphabet * 4);
+    let freqs = freqs
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
+        .collect();
     let temporal = if want_temporal {
         let temporal_sec = section(SEC_TEMPORAL);
-        let offsets_len = (alphabet + 1) * 8;
-        if temporal_sec.len() < offsets_len {
-            return Err(corrupt(
-                "temporal",
-                "section shorter than its offset table".into(),
-            ));
-        }
-        let mut t_offsets = Vec::with_capacity(alphabet + 1);
-        for q in 0..=alphabet {
-            t_offsets.push(read_u64(temporal_sec, q * 8).expect("length checked"));
-        }
-        Some((t_offsets, temporal_sec[offsets_len..].to_vec()))
+        let (t_offsets, t_arena) = temporal_sec
+            .split_at_checked((alphabet + 1) * 8)
+            .ok_or_else(|| corrupt("temporal", "shorter than its offset table".into()))?;
+        Some((u64s(t_offsets), t_arena.to_vec()))
     } else {
         None
     };
-    let index = CompactIndex::from_parts(freqs, offsets, arena, departures, arrivals, temporal)
-        .map_err(|detail| {
-            let section = if detail.starts_with("temporal") {
-                "temporal"
-            } else {
-                "postings"
+    let index = CompactIndex::from_parts(&store, freqs, u64s(offsets), arena.to_vec(), temporal)
+        .map_err(|e| {
+            let section = match e.arena {
+                Arena::Main => "postings",
+                Arena::Temporal => "temporal",
             };
-            corrupt(section, detail)
+            corrupt(section, e.to_string())
         })?;
-
-    // 9. Semantic pass: the index must describe exactly the store's symbol
-    //    occurrences — a checksum cannot catch a coherent-but-wrong writer.
-    let mut main_records: Vec<Posting> = Vec::new();
-    for q in 0..alphabet as u32 {
-        main_records.clear();
-        let mut prev: Option<Posting> = None;
-        for (id, j) in index.postings(q) {
-            if prev.is_some_and(|p| p >= (id, j)) {
-                return Err(corrupt(
-                    "postings",
-                    format!("list of symbol {q} is not strictly (id, j)-sorted"),
-                ));
-            }
-            prev = Some((id, j));
-            let path = store.get(id).path();
-            if j as usize >= path.len() || path[j as usize] != q {
-                return Err(corrupt(
-                    "postings",
-                    format!("posting ({id}, {j}) of symbol {q} does not match the store"),
-                ));
-            }
-            main_records.push((id, j));
-        }
-        if index.has_temporal_postings() {
-            let mut temporal: Vec<Posting> = index
-                .postings_departing_by(q, f64::INFINITY)
-                .map(|(_, p)| p)
-                .collect();
-            temporal.sort_unstable();
-            if temporal != main_records {
-                return Err(corrupt(
-                    "temporal",
-                    format!("by-departure list of symbol {q} is not a permutation of L_q"),
-                ));
-            }
-        }
-    }
-    // `from_parts` proved per-list counts match `freqs`, and freqs sum to
-    // `total`, which matched the times section — so postings ≡ store
-    // occurrences is now fully established.
 
     Ok((store, index))
 }
@@ -639,7 +605,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
 mod tests {
     use super::*;
     use crate::error::SnapshotErrorKind;
-    use trajsearch_core::{InvertedIndex, ShardedIndex};
+    use trajsearch_core::{InvertedIndex, Posting, ShardedIndex};
 
     fn store() -> TrajectoryStore {
         let mut s = TrajectoryStore::new();
@@ -824,25 +790,54 @@ mod tests {
         );
     }
 
+    fn tmp_files_in(dir: &Path) -> Vec<std::ffi::OsString> {
+        let names = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name());
+        names
+            .filter(|name| Path::new(name).extension().is_some_and(|ext| ext == "tmp"))
+            .collect()
+    }
+
     #[test]
-    fn crc_patched_semantic_corruption_is_caught() {
-        // Re-point one posting at the wrong symbol and fix up every CRC so
-        // only the semantic pass can catch it.
-        let (_, bytes) = encode_with_temporal();
-        let snap = Snapshot::decode(&bytes).unwrap();
-        let c = snap.index();
-        // Swap the freq counts of two symbols with different frequencies;
-        // offsets stay valid prefix sums, so only record counting notices.
-        let mut freqs = c.freqs().to_vec();
-        freqs.swap(0, 1);
-        let err = CompactIndex::from_parts(
-            freqs,
-            c.offsets().to_vec(),
-            c.arena().to_vec(),
-            c.departures().to_vec(),
-            c.arrivals().to_vec(),
-            None,
+    fn same_stem_targets_do_not_share_a_temp_file() {
+        // `day.v1` and `day.v2` both used to stage through `day.snap.tmp`.
+        let dir =
+            std::env::temp_dir().join(format!("trajsearch_persist_stem_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = store();
+        let plain = InvertedIndex::build(&s, 5);
+        let mut temporal = InvertedIndex::build(&s, 5);
+        temporal.enable_temporal_postings();
+        let infos = [
+            Snapshot::write(&dir.join("day.v1"), &s, &plain).unwrap(),
+            Snapshot::write(&dir.join("day.v2"), &s, &temporal).unwrap(),
+        ];
+        assert_eq!(
+            infos.map(|i| (i.sections, i.temporal)),
+            [(5, false), (6, true)]
         );
-        assert!(err.is_err());
+        for (name, info) in ["day.v1", "day.v2"].iter().zip(infos) {
+            let snap = Snapshot::open(&dir.join(name)).unwrap();
+            assert_eq!(snap.file_bytes(), info.file_bytes);
+            assert_eq!(snap.index().has_temporal_postings(), info.temporal);
+        }
+        assert_eq!(tmp_files_in(&dir), Vec::<std::ffi::OsString>::new());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_write_is_io_and_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("trajsearch_persist_fail_{}", std::process::id()));
+        // The target is a non-empty directory: the rename must fail.
+        let target = dir.join("taken.snap");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        let s = store();
+        let err = Snapshot::write(&target, &s, &InvertedIndex::build(&s, 5)).unwrap_err();
+        assert_eq!(err.kind(), SnapshotErrorKind::Io);
+        assert_eq!(tmp_files_in(&dir), Vec::<std::ffi::OsString>::new());
+        assert!(target.is_dir(), "the target itself is untouched");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
