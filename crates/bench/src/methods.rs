@@ -36,17 +36,6 @@ impl MethodKind {
         MethodKind::PlainSw,
     ];
 
-    /// The indexed methods typically compared (skipping the very slow scan).
-    pub const INDEXED: [MethodKind; 7] = [
-        MethodKind::OsfBt,
-        MethodKind::OsfSw,
-        MethodKind::DisonBt,
-        MethodKind::DisonSw,
-        MethodKind::TorchBt,
-        MethodKind::TorchSw,
-        MethodKind::QGram,
-    ];
-
     pub fn name(&self) -> &'static str {
         match self {
             MethodKind::OsfBt => "OSF-BT",

@@ -36,7 +36,7 @@ use wed::{Sym, WedInstance};
 // ---------------------------------------------------------------------------
 
 /// Postings storage layout for [`EngineBuilder`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexLayout {
     /// One contiguous postings list per symbol ([`InvertedIndex`]).
     Single,
@@ -50,17 +50,14 @@ pub enum IndexLayout {
     /// this way is byte-identical to one reopened from a snapshot of the
     /// same store.
     Compact,
-    /// Postings served by remote shard servers. This is a *descriptor*:
-    /// `trajsearch-core` has no networking, so [`EngineBuilder::build`]
-    /// panics on it — connect a `trajsearch_distrib::RemoteShards` from the
-    /// spec and pass it to [`EngineBuilder::build_with`] instead (the
-    /// `trajsearch-distrib` coordinator does exactly that). Results are
-    /// byte-identical to `Sharded(spec.endpoints.len())` at any placement.
-    Remote(RemoteSpec),
 }
 
-/// Endpoint list for [`IndexLayout::Remote`]: one `host:port` per shard
-/// server, ordered by shard id.
+/// Endpoint list of a remote placement: one `host:port` per shard server,
+/// ordered by shard id. `trajsearch-core` has no networking, so this is
+/// only a descriptor — `trajsearch_distrib::Coordinator::connect` dials it
+/// and passes the connected `RemoteShards` to
+/// [`EngineBuilder::build_with`]. Results are byte-identical to
+/// `IndexLayout::Sharded(endpoints.len())` at any placement.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RemoteSpec {
     pub endpoints: Vec<String>,
@@ -241,20 +238,9 @@ impl<'a, M: WedInstance> EngineBuilder<'a, M> {
     }
 
     /// Builds the index and wraps it into an engine.
-    ///
-    /// # Panics
-    /// Panics on [`IndexLayout::Remote`] — that layout is a descriptor for
-    /// the networked builder in `trajsearch-distrib`
-    /// (`RemoteShards::connect` + [`EngineBuilder::build_with`]); core
-    /// cannot dial sockets.
     pub fn build(self) -> SearchEngine<'a, M, AnyIndex> {
         let t0 = Instant::now();
         let index = match self.layout {
-            IndexLayout::Remote(spec) => panic!(
-                "IndexLayout::Remote({} endpoints) cannot be built by trajsearch-core: \
-                 connect trajsearch_distrib::RemoteShards and use EngineBuilder::build_with",
-                spec.endpoints.len()
-            ),
             IndexLayout::Single => {
                 let mut index = InvertedIndex::build(self.store, self.alphabet_size);
                 if self.temporal_postings {
@@ -626,18 +612,6 @@ mod tests {
         );
         assert!(matches!(single.index(), AnyIndex::Single(_)));
         assert!(matches!(sharded.index(), AnyIndex::Sharded(_)));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be built by trajsearch-core")]
-    fn remote_layout_is_a_descriptor_not_a_local_build() {
-        let store = store();
-        let _ = EngineBuilder::new(Lev, &store, 10)
-            .layout(IndexLayout::Remote(RemoteSpec::new([
-                "127.0.0.1:7001",
-                "127.0.0.1:7002",
-            ])))
-            .build();
     }
 
     #[test]

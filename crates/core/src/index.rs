@@ -155,74 +155,61 @@ impl std::ops::Add for SizeBreakdown {
     }
 }
 
-/// Inverted index with per-symbol postings and frequencies.
+/// The one list layout under [`InvertedIndex`],
+/// [`ShardedIndex`](crate::sharded::ShardedIndex) and
+/// [`IndexShard`](crate::sharded::IndexShard): per-symbol postings lists over
+/// the trajectories with `id % num_shards == shard_id`. Postings carry
+/// *global* ids; the per-trajectory spans are stored densely at local slot
+/// `id / num_shards`.
 #[derive(Debug, Clone)]
-pub struct InvertedIndex {
-    postings: Vec<Vec<Posting>>,
+pub(crate) struct Shard {
+    pub(crate) postings: Vec<Vec<Posting>>,
     /// Per-trajectory departure times, for temporal pre-filtering.
-    departures: Vec<f64>,
+    pub(crate) departures: Vec<f64>,
     /// Per-trajectory arrival times.
-    arrivals: Vec<f64>,
-    total_postings: usize,
+    pub(crate) arrivals: Vec<f64>,
+    pub(crate) total_postings: usize,
     /// §4.3 extension: per-symbol postings sorted by trajectory departure
     /// time, so temporal candidate generation can binary-search instead of
-    /// scanning. Built on demand by [`enable_temporal_postings`].
-    ///
-    /// [`enable_temporal_postings`]: InvertedIndex::enable_temporal_postings
-    dep_postings: Option<Vec<Vec<(f64, Posting)>>>,
+    /// scanning. Built on demand by
+    /// [`enable_temporal_postings`](Shard::enable_temporal_postings);
+    /// dropped by every [`push`](Shard::push).
+    pub(crate) dep_postings: Option<Vec<Vec<(f64, Posting)>>>,
+    pub(crate) num_shards: usize,
 }
 
-impl InvertedIndex {
-    /// Builds the index over `store`; `alphabet_size` is `|V|` (vertex
-    /// representation) or `|E|` (edge representation).
-    ///
+impl Shard {
     /// Single pass, append-only — matching the paper's observation that the
     /// index is updatable by appending records (§4.1).
-    pub fn build(store: &TrajectoryStore, alphabet_size: usize) -> Self {
-        let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); alphabet_size];
-        let mut departures = Vec::with_capacity(store.len());
-        let mut arrivals = Vec::with_capacity(store.len());
-        let mut total = 0usize;
-        for (id, t) in store.iter() {
-            for (j, &q) in t.path().iter().enumerate() {
-                postings[q as usize].push((id, j as u32));
-                total += 1;
-            }
-            departures.push(t.departure());
-            arrivals.push(t.arrival());
-        }
-        InvertedIndex {
-            postings,
-            departures,
-            arrivals,
-            total_postings: total,
+    pub(crate) fn build(
+        store: &TrajectoryStore,
+        alphabet_size: usize,
+        shard_id: usize,
+        num_shards: usize,
+    ) -> Self {
+        // Visit only owned ids (ascending, so local slots stay dense):
+        // per-shard cost is O(total/num_shards), not a full store scan.
+        let owned = (shard_id..store.len()).step_by(num_shards);
+        let mut shard = Shard {
+            postings: vec![Vec::new(); alphabet_size],
+            departures: Vec::with_capacity(owned.len()),
+            arrivals: Vec::with_capacity(owned.len()),
+            total_postings: 0,
             dep_postings: None,
+            num_shards,
+        };
+        for id in owned {
+            shard.push(id as TrajId, store.get(id as TrajId));
         }
+        shard
     }
 
-    /// Appends one trajectory's postings (§4.1: "we can update the index by
-    /// appending a new record to the corresponding postings list"). The id
-    /// must be the next dense id (i.e. the store's `push` return value).
-    ///
-    /// **Drops the optional by-departure ordering**: keeping `dep_postings`
-    /// across an append would let `postings_departing_by` serve answers that
-    /// silently omit the appended trajectory, so the ordering is invalidated
-    /// instead — [`has_temporal_postings`] reports `false` (searches with
-    /// `use_temporal_postings` fall back to full-list candidate generation)
-    /// and [`postings_departing_by`] panics until the next
-    /// [`enable_temporal_postings`] call rebuilds the ordering with the new
-    /// records included.
-    ///
-    /// [`has_temporal_postings`]: InvertedIndex::has_temporal_postings
-    /// [`postings_departing_by`]: InvertedIndex::postings_departing_by
-    /// [`enable_temporal_postings`]: InvertedIndex::enable_temporal_postings
-    pub fn append(&mut self, id: TrajId, t: &traj::Trajectory) {
-        assert_eq!(
-            id as usize,
-            self.departures.len(),
-            "ids must stay dense: expected {}, got {id}",
-            self.departures.len()
-        );
+    /// Records one trajectory. Callers guarantee `id` belongs to this shard
+    /// and arrives in ascending order, so local slots stay dense. Drops the
+    /// by-departure ordering: keeping it would let
+    /// [`departing_by`](Shard::departing_by) serve answers that silently
+    /// omit the new trajectory.
+    pub(crate) fn push(&mut self, id: TrajId, t: &traj::Trajectory) {
         for (j, &q) in t.path().iter().enumerate() {
             self.postings[q as usize].push((id, j as u32));
             self.total_postings += 1;
@@ -232,13 +219,19 @@ impl InvertedIndex {
         self.dep_postings = None;
     }
 
-    /// Builds the by-departure ordering of every postings list (§4.3:
-    /// "we may sort the records in each postings list by their temporal
-    /// information such as departure time"). Doubles postings memory;
-    /// enables [`postings_departing_by`].
-    ///
-    /// [`postings_departing_by`]: InvertedIndex::postings_departing_by
-    pub fn enable_temporal_postings(&mut self) {
+    /// Local slot of an owned trajectory's span.
+    fn slot(&self, id: TrajId) -> usize {
+        id as usize / self.num_shards
+    }
+
+    /// Time span of an owned trajectory, by its global id.
+    pub(crate) fn span(&self, id: TrajId) -> (f64, f64) {
+        let slot = self.slot(id);
+        (self.departures[slot], self.arrivals[slot])
+    }
+
+    /// Builds the by-departure ordering of every list; idempotent.
+    pub(crate) fn enable_temporal_postings(&mut self) {
         if self.dep_postings.is_some() {
             return;
         }
@@ -246,7 +239,7 @@ impl InvertedIndex {
         for list in &self.postings {
             let mut v: Vec<(f64, Posting)> = list
                 .iter()
-                .map(|&(id, j)| (self.departures[id as usize], (id, j)))
+                .map(|&(id, j)| (self.departures[self.slot(id)], (id, j)))
                 .collect();
             v.sort_by(|a, b| a.0.total_cmp(&b.0));
             dp.push(v);
@@ -254,67 +247,16 @@ impl InvertedIndex {
         self.dep_postings = Some(dp);
     }
 
-    /// Whether [`enable_temporal_postings`] has been called.
-    ///
-    /// [`enable_temporal_postings`]: InvertedIndex::enable_temporal_postings
-    pub fn has_temporal_postings(&self) -> bool {
-        self.dep_postings.is_some()
-    }
-
-    /// The prefix of `L_q` whose trajectories depart no later than `t_max`,
-    /// found by binary search on the by-departure ordering. A trajectory
-    /// departing after the query interval ends cannot overlap it, so this
-    /// prefix is a complete candidate source for overlap constraints.
-    ///
-    /// # Panics
-    /// Panics if temporal postings were not enabled.
-    pub fn postings_departing_by(&self, q: Sym, t_max: f64) -> &[(f64, Posting)] {
-        let list = &self
-            .dep_postings
-            .as_ref()
-            .expect("temporal postings not enabled")[q as usize];
+    /// The departure-sorted prefix of this shard's `L_q` whose trajectories
+    /// depart no later than `t_max`, found by binary search; `None` until
+    /// the ordering is built.
+    pub(crate) fn departing_by(&self, q: Sym, t_max: f64) -> Option<&[(f64, Posting)]> {
+        let list = &self.dep_postings.as_ref()?[q as usize];
         let cut = list.partition_point(|&(dep, _)| dep <= t_max);
-        &list[..cut]
+        Some(&list[..cut])
     }
 
-    /// The postings list `L_q`.
-    pub fn postings(&self, q: Sym) -> &[Posting] {
-        &self.postings[q as usize]
-    }
-
-    /// Symbol frequency `n(q)` (with multiplicity, per the Definition 5
-    /// remark).
-    pub fn freq(&self, q: Sym) -> u32 {
-        self.postings[q as usize].len() as u32
-    }
-
-    pub fn alphabet_size(&self) -> usize {
-        self.postings.len()
-    }
-
-    pub fn num_trajectories(&self) -> usize {
-        self.departures.len()
-    }
-
-    pub fn total_postings(&self) -> usize {
-        self.total_postings
-    }
-
-    /// Trajectory time span `[T_1, T_n]` (the `I^(id)` of §4.3).
-    pub fn span(&self, id: TrajId) -> (f64, f64) {
-        (self.departures[id as usize], self.arrivals[id as usize])
-    }
-
-    /// Approximate index memory footprint in bytes (postings + spans +
-    /// per-symbol list headers + the by-departure ordering when built),
-    /// reported in Table 6. See [`size_breakdown`](InvertedIndex::size_breakdown)
-    /// for the attribution.
-    pub fn size_bytes(&self) -> usize {
-        self.size_breakdown().total()
-    }
-
-    /// Component attribution of [`size_bytes`](InvertedIndex::size_bytes).
-    pub fn size_breakdown(&self) -> SizeBreakdown {
+    pub(crate) fn size_breakdown(&self) -> SizeBreakdown {
         SizeBreakdown {
             postings: self.total_postings * std::mem::size_of::<Posting>(),
             list_headers: self.postings.len() * std::mem::size_of::<Vec<Posting>>(),
@@ -328,6 +270,117 @@ impl InvertedIndex {
                 })
                 .unwrap_or(0),
         }
+    }
+}
+
+/// Inverted index with per-symbol postings and frequencies: shard 0 of 1
+/// of the list layout, so global ids are local slots and every accessor
+/// indexes the dense arrays directly.
+#[derive(Debug, Clone)]
+pub struct InvertedIndex(Shard);
+
+impl InvertedIndex {
+    /// Builds the index over `store`; `alphabet_size` is `|V|` (vertex
+    /// representation) or `|E|` (edge representation).
+    pub fn build(store: &TrajectoryStore, alphabet_size: usize) -> Self {
+        InvertedIndex(Shard::build(store, alphabet_size, 0, 1))
+    }
+
+    /// Appends one trajectory's postings (§4.1: "we can update the index by
+    /// appending a new record to the corresponding postings list"). The id
+    /// must be the next dense id (i.e. the store's `push` return value).
+    ///
+    /// **Drops the optional by-departure ordering**: keeping it across an
+    /// append would let `postings_departing_by` serve answers that
+    /// silently omit the appended trajectory, so the ordering is invalidated
+    /// instead — [`has_temporal_postings`] reports `false` (searches with
+    /// `use_temporal_postings` fall back to full-list candidate generation)
+    /// and [`postings_departing_by`] panics until the next
+    /// [`enable_temporal_postings`] call rebuilds the ordering with the new
+    /// records included.
+    ///
+    /// [`has_temporal_postings`]: InvertedIndex::has_temporal_postings
+    /// [`postings_departing_by`]: InvertedIndex::postings_departing_by
+    /// [`enable_temporal_postings`]: InvertedIndex::enable_temporal_postings
+    pub fn append(&mut self, id: TrajId, t: &traj::Trajectory) {
+        assert_eq!(
+            id as usize,
+            self.num_trajectories(),
+            "ids must stay dense: expected {}, got {id}",
+            self.num_trajectories()
+        );
+        self.0.push(id, t);
+    }
+
+    /// Builds the by-departure ordering of every postings list (§4.3:
+    /// "we may sort the records in each postings list by their temporal
+    /// information such as departure time"). Doubles postings memory;
+    /// enables [`postings_departing_by`].
+    ///
+    /// [`postings_departing_by`]: InvertedIndex::postings_departing_by
+    pub fn enable_temporal_postings(&mut self) {
+        self.0.enable_temporal_postings();
+    }
+
+    /// Whether [`enable_temporal_postings`] has been called.
+    ///
+    /// [`enable_temporal_postings`]: InvertedIndex::enable_temporal_postings
+    pub fn has_temporal_postings(&self) -> bool {
+        self.0.dep_postings.is_some()
+    }
+
+    /// The prefix of `L_q` whose trajectories depart no later than `t_max`,
+    /// found by binary search on the by-departure ordering. A trajectory
+    /// departing after the query interval ends cannot overlap it, so this
+    /// prefix is a complete candidate source for overlap constraints.
+    ///
+    /// # Panics
+    /// Panics if temporal postings were not enabled.
+    pub fn postings_departing_by(&self, q: Sym, t_max: f64) -> &[(f64, Posting)] {
+        self.0
+            .departing_by(q, t_max)
+            .expect("temporal postings not enabled")
+    }
+
+    /// The postings list `L_q`.
+    pub fn postings(&self, q: Sym) -> &[Posting] {
+        &self.0.postings[q as usize]
+    }
+
+    /// Symbol frequency `n(q)` (with multiplicity, per the Definition 5
+    /// remark).
+    pub fn freq(&self, q: Sym) -> u32 {
+        self.0.postings[q as usize].len() as u32
+    }
+
+    pub fn alphabet_size(&self) -> usize {
+        self.0.postings.len()
+    }
+
+    pub fn num_trajectories(&self) -> usize {
+        self.0.departures.len()
+    }
+
+    pub fn total_postings(&self) -> usize {
+        self.0.total_postings
+    }
+
+    /// Trajectory time span `[T_1, T_n]` (the `I^(id)` of §4.3).
+    pub fn span(&self, id: TrajId) -> (f64, f64) {
+        (self.0.departures[id as usize], self.0.arrivals[id as usize])
+    }
+
+    /// Approximate index memory footprint in bytes (postings + spans +
+    /// per-symbol list headers + the by-departure ordering when built),
+    /// reported in Table 6. See [`size_breakdown`](InvertedIndex::size_breakdown)
+    /// for the attribution.
+    pub fn size_bytes(&self) -> usize {
+        self.size_breakdown().total()
+    }
+
+    /// Component attribution of [`size_bytes`](InvertedIndex::size_bytes).
+    pub fn size_breakdown(&self) -> SizeBreakdown {
+        self.0.size_breakdown()
     }
 
     /// Snapshot hook: compacts this index into the immutable delta+varint
@@ -346,7 +399,7 @@ impl InvertedIndex {
 /// preferred API when the concrete type is known.
 impl PostingSource for InvertedIndex {
     fn postings(&self, q: Sym) -> impl Iterator<Item = Posting> + '_ {
-        self.postings[q as usize].iter().copied()
+        InvertedIndex::postings(self, q).iter().copied()
     }
 
     fn freq(&self, q: Sym) -> u32 {

@@ -74,10 +74,6 @@ impl JsonValue {
         JsonValue::Num(x.to_string())
     }
 
-    pub fn num_usize(x: usize) -> JsonValue {
-        JsonValue::Num(x.to_string())
-    }
-
     /// First value under `key` if this is an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {

@@ -104,7 +104,7 @@ pub use compact::CompactIndex;
 pub use deadline::Deadline;
 pub use filter::FilterPlan;
 pub use index::{InvertedIndex, Posting, PostingSource, SizeBreakdown};
-pub use metric::{DtwVerifier, FrechetVerifier, LcssVerifier, Metric};
+pub use metric::{Metric, ScanVerifier};
 pub use query::{Objective, Parallelism, Query, QueryBuilder, QueryError};
 pub use results::{MatchResult, ResultSet};
 pub use search::{exact_fallback_scan, SearchEngine, SearchOptions};

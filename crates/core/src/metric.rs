@@ -1,4 +1,4 @@
-//! Distance-metric selection and the non-WED verifier back halves.
+//! Distance-metric selection and the non-WED verifier back half.
 //!
 //! The engine defaults to the paper's weighted edit distance, but a
 //! [`Query`](crate::Query) may select DTW, LCSS(ε) or discrete Fréchet
@@ -14,8 +14,8 @@
 //! | Fréchet | single symbol with `c(q) ≥ τ` ([`FilterPlan::build_single`](crate::filter::FilterPlan::build_single)) | the bottleneck does not add, but one sufficiently expensive symbol prunes alone |
 //! | LCSS(ε) | none — exact fallback scan         | the ε-match predicate is unrelated to the lower costs `c(q)`, so no neighborhood bound applies |
 //!
-//! Metric verifiers score **whole candidate trajectories** (one scan per
-//! distinct id, like the WED SW strategy) and charge their DP rows to the
+//! [`ScanVerifier`] scores **whole candidate trajectories** (one scan per
+//! distinct id, like the WED SW strategy) and charges its DP rows to the
 //! metric-neutral `SearchStats::verify_cost`, leaving the WED-specific
 //! counters at zero.
 
@@ -113,8 +113,8 @@ impl Wire for Metric {
 }
 
 /// One scan of a whole data sequence under a non-WED metric: all matching
-/// substrings plus the DP rows evaluated. Shared by the metric verifiers
-/// and the metric fallback scan.
+/// substrings plus the DP rows evaluated. Shared by [`ScanVerifier`] and
+/// the metric fallback scan.
 pub(crate) fn metric_scan_all<M: CostModel>(
     model: &M,
     metric: Metric,
@@ -130,80 +130,32 @@ pub(crate) fn metric_scan_all<M: CostModel>(
     }
 }
 
-macro_rules! scan_verifier {
-    ($(#[$doc:meta])* $name:ident, $metric:expr) => {
-        $(#[$doc])*
-        pub struct $name<'a, M: CostModel> {
-            model: &'a M,
-            q: &'a [Sym],
-            tau: f64,
-            metric: Metric,
-        }
-
-        impl<'a, M: CostModel> $name<'a, M> {
-            pub fn new(model: &'a M, q: &'a [Sym], tau: f64) -> Self {
-                $name {
-                    model,
-                    q,
-                    tau,
-                    metric: $metric,
-                }
-            }
-        }
-
-        impl<M: CostModel> Verifier for $name<'_, M> {
-            fn verify_group(
-                &mut self,
-                path: &[Sym],
-                group: &[Candidate],
-                results: &mut ResultSet,
-                stats: &mut SearchStats,
-            ) {
-                // One exact scan per distinct candidate trajectory,
-                // whatever the number of anchors the group carries.
-                let id = group[0].id;
-                let (matches, rows) =
-                    metric_scan_all(self.model, self.metric, path, self.q, self.tau);
-                stats.verify_cost += rows;
-                for m in matches {
-                    results.push(id, m.start, m.end, m.dist);
-                }
-            }
-        }
-    };
-}
-
-scan_verifier!(
-    /// DTW back half: one [`wed::metric::dtw_scan_all`] per candidate
-    /// trajectory.
-    DtwVerifier,
-    Metric::Dtw
-);
-scan_verifier!(
-    /// Discrete-Fréchet back half: one [`wed::metric::frechet_scan_all`]
-    /// per candidate trajectory.
-    FrechetVerifier,
-    Metric::Frechet
-);
-
-/// LCSS back half: one [`wed::metric::lcss_scan_all`] per candidate
+/// The back half of every non-WED metric: one exact scan
+/// ([`wed::metric::dtw_scan_all`], [`lcss_scan_all`](wed::metric::lcss_scan_all)
+/// or [`frechet_scan_all`](wed::metric::frechet_scan_all)) per candidate
 /// trajectory. In the current pipeline LCSS always takes the fallback scan
-/// (no sound filter bound exists), but the verifier is provided for custom
-/// candidate sets.
-pub struct LcssVerifier<'a, M: CostModel> {
+/// (no sound filter bound exists), but the verifier serves it too, for
+/// custom candidate sets. [`Metric::Wed`] is not a scan metric — verifying
+/// under it panics; use [`WedVerifier`](crate::verify::WedVerifier).
+pub struct ScanVerifier<'a, M: CostModel> {
     model: &'a M,
     q: &'a [Sym],
     tau: f64,
-    eps: f64,
+    metric: Metric,
 }
 
-impl<'a, M: CostModel> LcssVerifier<'a, M> {
-    pub fn new(model: &'a M, q: &'a [Sym], tau: f64, eps: f64) -> Self {
-        LcssVerifier { model, q, tau, eps }
+impl<'a, M: CostModel> ScanVerifier<'a, M> {
+    pub fn new(model: &'a M, q: &'a [Sym], tau: f64, metric: Metric) -> Self {
+        ScanVerifier {
+            model,
+            q,
+            tau,
+            metric,
+        }
     }
 }
 
-impl<M: CostModel> Verifier for LcssVerifier<'_, M> {
+impl<M: CostModel> Verifier for ScanVerifier<'_, M> {
     fn verify_group(
         &mut self,
         path: &[Sym],
@@ -211,14 +163,10 @@ impl<M: CostModel> Verifier for LcssVerifier<'_, M> {
         results: &mut ResultSet,
         stats: &mut SearchStats,
     ) {
+        // One exact scan per distinct candidate trajectory, whatever the
+        // number of anchors the group carries.
         let id = group[0].id;
-        let (matches, rows) = metric_scan_all(
-            self.model,
-            Metric::Lcss { eps: self.eps },
-            path,
-            self.q,
-            self.tau,
-        );
+        let (matches, rows) = metric_scan_all(self.model, self.metric, path, self.q, self.tau);
         stats.verify_cost += rows;
         for m in matches {
             results.push(id, m.start, m.end, m.dist);

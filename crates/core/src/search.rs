@@ -24,7 +24,7 @@ use crate::api::Response;
 use crate::deadline::Deadline;
 use crate::filter::FilterPlan;
 use crate::index::{InvertedIndex, PostingSource};
-use crate::metric::{metric_scan_all, DtwVerifier, FrechetVerifier, LcssVerifier, Metric};
+use crate::metric::{metric_scan_all, Metric, ScanVerifier};
 use crate::query::QueryError;
 use crate::results::{MatchResult, ResultSet};
 use crate::stats::SearchStats;
@@ -229,16 +229,8 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
                 let make = || WedVerifier::with_cache(model, q, tau, opts.verify, cache);
                 self.verify(&candidates, make, opts, threads, ctx, &mut stats)
             }
-            Metric::Dtw => {
-                let make = || DtwVerifier::new(model, q, tau);
-                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
-            }
-            Metric::Lcss { eps } => {
-                let make = || LcssVerifier::new(model, q, tau, eps);
-                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
-            }
-            Metric::Frechet => {
-                let make = || FrechetVerifier::new(model, q, tau);
+            metric => {
+                let make = || ScanVerifier::new(model, q, tau, metric);
                 self.verify(&candidates, make, opts, threads, ctx, &mut stats)
             }
         }?;

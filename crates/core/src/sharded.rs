@@ -1,10 +1,14 @@
 //! Sharded inverted index: postings partitioned by trajectory id.
 //!
-//! The paper's index (§4.1) is one set of per-symbol postings lists;
-//! [`InvertedIndex`](crate::index::InvertedIndex) realizes that directly and
-//! PR 2's batch engine parallelizes *queries* against it — but construction
-//! and appends stayed serial. [`ShardedIndex`] removes that bottleneck by
-//! partitioning every postings list by `traj_id % num_shards`:
+//! The paper's index (§4.1) is one set of per-symbol postings lists. This
+//! crate keeps **one list layout** for it — the crate-private `Shard` of
+//! [`crate::index`]: the lists of the trajectories with
+//! `id % num_shards == shard_id`, global ids in the postings, spans dense by
+//! local slot `id / num_shards` — and three views over it:
+//! [`InvertedIndex`](crate::index::InvertedIndex) is shard 0 of 1,
+//! [`ShardedIndex`] is all `n` shards of one partition in one process, and
+//! [`IndexShard`] is one of them standing alone, ready to be served. What
+//! the partition buys:
 //!
 //! * **Parallel build** — each shard indexes a disjoint subset of
 //!   trajectories, so [`ShardedIndex::build_parallel`] constructs all shards
@@ -17,97 +21,18 @@
 //! * **Lock-free reads** — queries iterate shards through the
 //!   [`PostingSource`] trait with plain shared references; there is no
 //!   interior mutability anywhere.
+//! * **Placement** — shards can live in other processes
+//!   (`trajsearch-distrib`); a coordinator concatenating them in shard-id
+//!   order reproduces [`ShardedIndex`]'s iteration order exactly.
 //!
 //! The layout is invisible to search: `freq`, spans and the candidate
 //! *multiset* are identical to the single-list index, and verification
 //! sorts/dedups candidates, so `SearchEngine` results are byte-identical at
-//! any shard count (enforced by `tests/index_equivalence.rs`). This is the
-//! stepping stone to shards living on different machines (see ROADMAP).
+//! any shard count (enforced by `tests/index_equivalence.rs`).
 
-use crate::index::{Posting, PostingSource, SizeBreakdown};
+use crate::index::{Posting, PostingSource, Shard, SizeBreakdown};
 use traj::{TrajId, TrajectoryStore};
 use wed::Sym;
-
-/// One shard: a complete mini inverted index over the trajectories with
-/// `id % num_shards == shard_id`. Postings carry *global* ids; the
-/// per-trajectory spans are stored densely at local slot `id / num_shards`.
-#[derive(Debug, Clone)]
-struct Shard {
-    postings: Vec<Vec<Posting>>,
-    departures: Vec<f64>,
-    arrivals: Vec<f64>,
-    total_postings: usize,
-    /// By-departure ordering of this shard's lists (§4.3), built on demand;
-    /// dropped by appends *to this shard only*.
-    dep_postings: Option<Vec<Vec<(f64, Posting)>>>,
-}
-
-impl Shard {
-    fn build(
-        store: &TrajectoryStore,
-        alphabet_size: usize,
-        shard_id: usize,
-        num_shards: usize,
-    ) -> Self {
-        let mut shard = Shard {
-            postings: vec![Vec::new(); alphabet_size],
-            departures: Vec::new(),
-            arrivals: Vec::new(),
-            total_postings: 0,
-            dep_postings: None,
-        };
-        // Visit only owned ids (ascending, so local slots stay dense):
-        // per-worker cost is O(total/num_shards), not a full store scan.
-        for id in (shard_id..store.len()).step_by(num_shards) {
-            shard.push(id as TrajId, store.get(id as TrajId));
-        }
-        shard
-    }
-
-    /// Records one trajectory. Callers guarantee `id` belongs to this shard
-    /// and arrives in ascending order, so local slots stay dense.
-    fn push(&mut self, id: TrajId, t: &traj::Trajectory) {
-        for (j, &q) in t.path().iter().enumerate() {
-            self.postings[q as usize].push((id, j as u32));
-            self.total_postings += 1;
-        }
-        self.departures.push(t.departure());
-        self.arrivals.push(t.arrival());
-        self.dep_postings = None;
-    }
-
-    fn enable_temporal_postings(&mut self, num_shards: usize) {
-        if self.dep_postings.is_some() {
-            return;
-        }
-        let mut dp: Vec<Vec<(f64, Posting)>> = Vec::with_capacity(self.postings.len());
-        for list in &self.postings {
-            let mut v: Vec<(f64, Posting)> = list
-                .iter()
-                .map(|&(id, j)| (self.departures[id as usize / num_shards], (id, j)))
-                .collect();
-            v.sort_by(|a, b| a.0.total_cmp(&b.0));
-            dp.push(v);
-        }
-        self.dep_postings = Some(dp);
-    }
-
-    fn size_breakdown(&self) -> SizeBreakdown {
-        SizeBreakdown {
-            postings: self.total_postings * std::mem::size_of::<Posting>(),
-            list_headers: self.postings.len() * std::mem::size_of::<Vec<Posting>>(),
-            spans: self.departures.len() * 2 * std::mem::size_of::<f64>(),
-            by_departure: self
-                .dep_postings
-                .as_ref()
-                .map(|dp| {
-                    self.total_postings * std::mem::size_of::<(f64, Posting)>()
-                        + dp.len() * std::mem::size_of::<Vec<(f64, Posting)>>()
-                })
-                .unwrap_or(0),
-        }
-    }
-}
 
 /// Inverted index partitioned by `traj_id % num_shards` — same query
 /// semantics as [`InvertedIndex`](crate::index::InvertedIndex) (which is the
@@ -128,15 +53,7 @@ impl ShardedIndex {
     /// # Panics
     /// Panics if `num_shards == 0`.
     pub fn build(store: &TrajectoryStore, alphabet_size: usize, num_shards: usize) -> Self {
-        assert!(num_shards >= 1, "need at least one shard");
-        let shards = (0..num_shards)
-            .map(|s| Shard::build(store, alphabet_size, s, num_shards))
-            .collect();
-        ShardedIndex {
-            shards,
-            alphabet_size,
-            num_trajectories: store.len(),
-        }
+        Self::assemble(store, alphabet_size, num_shards, false)
     }
 
     /// Builds all shards concurrently, one `std::thread::scope` worker per
@@ -150,19 +67,30 @@ impl ShardedIndex {
         alphabet_size: usize,
         num_shards: usize,
     ) -> Self {
+        Self::assemble(store, alphabet_size, num_shards, true)
+    }
+
+    fn assemble(
+        store: &TrajectoryStore,
+        alphabet_size: usize,
+        num_shards: usize,
+        parallel: bool,
+    ) -> Self {
         assert!(num_shards >= 1, "need at least one shard");
-        if num_shards == 1 {
-            return Self::build(store, alphabet_size, 1);
-        }
-        let shards = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_shards)
-                .map(|s| scope.spawn(move || Shard::build(store, alphabet_size, s, num_shards)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build worker panicked"))
-                .collect::<Vec<_>>()
-        });
+        let build = |s| Shard::build(store, alphabet_size, s, num_shards);
+        let shards = if parallel && num_shards > 1 {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..num_shards)
+                    .map(|s| scope.spawn(move || build(s)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard build worker panicked"))
+                    .collect()
+            })
+        } else {
+            (0..num_shards).map(build).collect()
+        };
         ShardedIndex {
             shards,
             alphabet_size,
@@ -198,10 +126,9 @@ impl ShardedIndex {
     /// Shards whose ordering is already current are skipped, so re-enabling
     /// after [`append`](ShardedIndex::append) is incremental.
     pub fn enable_temporal_postings(&mut self) {
-        let n = self.shards.len();
         std::thread::scope(|scope| {
             for shard in self.shards.iter_mut().filter(|s| s.dep_postings.is_none()) {
-                scope.spawn(move || shard.enable_temporal_postings(n));
+                scope.spawn(move || shard.enable_temporal_postings());
             }
         });
     }
@@ -239,8 +166,8 @@ impl ShardedIndex {
 ///
 /// `IndexShard::build(store, a, k, n)` constructs byte-for-byte the same
 /// postings, orderings and spans as shard `k` inside
-/// `ShardedIndex::build(store, a, n)` — both delegate to the same internal
-/// shard builder. That identity is what makes remote placement provably
+/// `ShardedIndex::build(store, a, n)` — both are the same list layout from
+/// the same builder. That identity is what makes remote placement provably
 /// equivalent to in-process sharding: a coordinator concatenating remote
 /// shards in shard-id order reproduces [`ShardedIndex`]'s iteration order
 /// exactly.
@@ -252,8 +179,6 @@ impl ShardedIndex {
 pub struct IndexShard {
     shard: Shard,
     shard_id: usize,
-    num_shards: usize,
-    alphabet_size: usize,
     num_trajectories: usize,
 }
 
@@ -277,15 +202,13 @@ impl IndexShard {
         IndexShard {
             shard: Shard::build(store, alphabet_size, shard_id, num_shards),
             shard_id,
-            num_shards,
-            alphabet_size,
             num_trajectories: store.len(),
         }
     }
 
     /// Builds this shard's by-departure orderings (§4.3); idempotent.
     pub fn enable_temporal_postings(&mut self) {
-        self.shard.enable_temporal_postings(self.num_shards);
+        self.shard.enable_temporal_postings();
     }
 
     pub fn has_temporal_postings(&self) -> bool {
@@ -297,11 +220,11 @@ impl IndexShard {
     }
 
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.shard.num_shards
     }
 
     pub fn alphabet_size(&self) -> usize {
-        self.alphabet_size
+        self.shard.postings.len()
     }
 
     /// Trajectories owned by this shard.
@@ -329,9 +252,7 @@ impl IndexShard {
     /// `<= t_max`; `None` until
     /// [`enable_temporal_postings`](IndexShard::enable_temporal_postings).
     pub fn postings_departing_by(&self, q: Sym, t_max: f64) -> Option<&[(f64, Posting)]> {
-        let list = &self.shard.dep_postings.as_ref()?[q as usize];
-        let cut = list.partition_point(|&(dep, _)| dep <= t_max);
-        Some(&list[..cut])
+        self.shard.departing_by(q, t_max)
     }
 
     /// Departures of the owned trajectories, dense by local slot
@@ -376,10 +297,7 @@ impl PostingSource for ShardedIndex {
     }
 
     fn span(&self, id: TrajId) -> (f64, f64) {
-        let n = self.shards.len();
-        let shard = &self.shards[id as usize % n];
-        let slot = id as usize / n;
-        (shard.departures[slot], shard.arrivals[slot])
+        self.shards[id as usize % self.shards.len()].span(id)
     }
 
     /// Shard-major; **departure-sorted within each shard only**. Complete
@@ -391,12 +309,10 @@ impl PostingSource for ShardedIndex {
         t_max: f64,
     ) -> impl Iterator<Item = (f64, Posting)> + '_ {
         self.shards.iter().flat_map(move |s| {
-            let list = &s
-                .dep_postings
-                .as_ref()
-                .expect("temporal postings not enabled")[q as usize];
-            let cut = list.partition_point(|&(dep, _)| dep <= t_max);
-            list[..cut].iter().copied()
+            s.departing_by(q, t_max)
+                .expect("temporal postings not enabled")
+                .iter()
+                .copied()
         })
     }
 

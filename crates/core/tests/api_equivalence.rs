@@ -205,7 +205,7 @@ proptest! {
             .unwrap()
             .ranked();
         for layout in [IndexLayout::Single, IndexLayout::Sharded(2), IndexLayout::Compact] {
-            let engine = EngineBuilder::new(Lev, &store, ALPHABET).layout(layout.clone()).build();
+            let engine = EngineBuilder::new(Lev, &store, ALPHABET).layout(layout).build();
             for parallelism in [Parallelism::Sequential, Parallelism::InQuery(2)] {
                 let routed = query.clone().with_parallelism(parallelism).unwrap();
                 let got = engine.run(&routed).unwrap().ranked();

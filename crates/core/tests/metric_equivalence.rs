@@ -58,7 +58,7 @@ proptest! {
             let want = oracle(metric, &store, &pattern, tau);
             for layout in [IndexLayout::Single, IndexLayout::Sharded(3), IndexLayout::Compact] {
                 let engine = EngineBuilder::new(&Lev, &store, ALPHABET)
-                    .layout(layout.clone())
+                    .layout(layout)
                     .build();
                 for parallelism in [Parallelism::Sequential, Parallelism::InQuery(2)] {
                     let query = Query::threshold(pattern.clone(), tau)

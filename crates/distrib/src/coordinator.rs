@@ -31,8 +31,7 @@ pub struct Coordinator<'a, M: WedInstance> {
 impl<'a, M: WedInstance + Sync> Coordinator<'a, M> {
     /// Connects a [`RemoteShards`] from `spec` and wires it under an
     /// engine over `store` — the networked counterpart of
-    /// [`EngineBuilder::build`] with
-    /// [`IndexLayout::Remote`](trajsearch_core::IndexLayout::Remote).
+    /// [`EngineBuilder::build`], which only constructs local layouts.
     /// The store must be the same one the shard servers indexed.
     pub fn connect(
         model: M,

@@ -353,31 +353,21 @@ impl RemoteShards {
             let local = conn.info.local_trajectories;
             let mut start = 0u64;
             while start < local {
-                let mut state = conn.client.lock().expect("shard client mutex poisoned");
-                let id = state.client.allocate_id();
-                let page = (|| -> Result<_, ClientError> {
-                    state.client.send_request(&Request::ShardSpans {
-                        id,
-                        epoch: conn.info.epoch,
-                        deadline_ms: Some(self.rpc_deadline_ms),
-                        trace_id: None,
+                let page = conn
+                    .client
+                    .lock()
+                    .expect("shard client mutex poisoned")
+                    .client
+                    .shard_spans(
+                        conn.info.epoch,
+                        Some(self.rpc_deadline_ms),
                         start,
-                        count: local - start,
+                        local - start,
+                    )
+                    .map_err(|source| DistribError::Connect {
+                        endpoint: conn.endpoint.clone(),
+                        source,
                     })?;
-                    state.client.flush()?;
-                    match state.client.recv_reply()? {
-                        Reply::ShardSpans { id: got, page } if got == id => Ok(page),
-                        Reply::Error { error, .. } => Err(ClientError::Server(error)),
-                        other => Err(ClientError::Protocol(format!(
-                            "expected shard_spans reply, got {other:?}"
-                        ))),
-                    }
-                })()
-                .map_err(|source| DistribError::Connect {
-                    endpoint: conn.endpoint.clone(),
-                    source,
-                })?;
-                drop(state);
                 if page.departures.is_empty() {
                     return Err(DistribError::Topology(format!(
                         "shard {k} returned an empty span page at {start}/{local}"
@@ -581,22 +571,27 @@ impl RemoteShards {
             missing.dedup();
             missing
         };
-        if missing.is_empty() {
-            return;
+        if !missing.is_empty() {
+            self.fetch_freqs(&missing);
         }
+    }
+
+    /// One `shard_freqs` fan-out for `syms`: the sums over the shards that
+    /// answered, parallel to `syms`; cached only when every shard answered.
+    fn fetch_freqs(&self, syms: &[Sym]) -> Vec<u32> {
         let deadline = self.rpc_deadline_ms;
         let replies = self.fanout(|id, info| Request::ShardFreqs {
             id,
             epoch: info.epoch,
             deadline_ms: Some(deadline),
             trace_id: None,
-            syms: missing.clone(),
+            syms: syms.to_vec(),
         });
-        let mut sums = vec![0u32; missing.len()];
+        let mut sums = vec![0u32; syms.len()];
         let mut complete = true;
         for reply in replies {
             match reply {
-                Some(Reply::ShardFreqs { freqs, .. }) if freqs.len() == missing.len() => {
+                Some(Reply::ShardFreqs { freqs, .. }) if freqs.len() == syms.len() => {
                     for (sum, f) in sums.iter_mut().zip(freqs) {
                         *sum += f;
                     }
@@ -606,10 +601,9 @@ impl RemoteShards {
         }
         if complete {
             let mut cache = self.freq_cache.lock().expect("freq cache poisoned");
-            for (&q, &sum) in missing.iter().zip(&sums) {
-                cache.insert(q, sum);
-            }
+            cache.extend(syms.iter().copied().zip(sums.iter().copied()));
         }
+        sums
     }
 
     /// Fetches one symbol's postings from every shard, concatenated
@@ -676,26 +670,10 @@ impl PostingSource for RemoteShards {
         if let Some(&hit) = self.freq_cache.lock().expect("freq cache poisoned").get(&q) {
             return hit;
         }
-        self.prime_freqs(std::slice::from_ref(&q));
-        if let Some(&hit) = self.freq_cache.lock().expect("freq cache poisoned").get(&q) {
-            return hit;
-        }
-        // Degraded: some shard did not answer (already logged). The partial
-        // count keeps the plan total; the coordinator flags the query.
-        let deadline = self.rpc_deadline_ms;
-        self.fanout(|id, info| Request::ShardFreqs {
-            id,
-            epoch: info.epoch,
-            deadline_ms: Some(deadline),
-            trace_id: None,
-            syms: vec![q],
-        })
-        .into_iter()
-        .filter_map(|reply| match reply {
-            Some(Reply::ShardFreqs { freqs, .. }) => freqs.first().copied(),
-            _ => None,
-        })
-        .sum()
+        // When a shard did not answer (already logged) the sum is partial
+        // and uncached: it keeps the plan total, the coordinator flags the
+        // query.
+        self.fetch_freqs(&[q])[0]
     }
 
     fn span(&self, id: TrajId) -> (f64, f64) {

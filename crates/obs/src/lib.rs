@@ -383,14 +383,6 @@ impl<'a> SpanGuard<'a> {
         }
     }
 
-    /// Replaces the span's `detail` payload.
-    #[inline]
-    pub fn set_detail(&mut self, detail: u64) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.detail = detail;
-        }
-    }
-
     /// Ends the span now (equivalent to dropping the guard; named for
     /// call sites where an explicit end reads better).
     #[inline]

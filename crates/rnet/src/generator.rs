@@ -115,13 +115,6 @@ impl CityParams {
         self
     }
 
-    /// Returns a copy with the given dimensions.
-    pub fn dims(mut self, width: usize, height: usize) -> Self {
-        self.width = width;
-        self.height = height;
-        self
-    }
-
     /// Generates the network (deterministic in the parameters).
     pub fn generate(&self) -> RoadNetwork {
         assert!(

@@ -24,7 +24,6 @@ pub mod generator;
 pub mod geo;
 pub mod graph;
 pub mod hubs;
-pub mod io;
 pub mod kdtree;
 
 pub use generator::{CityParams, NetworkKind};

@@ -22,11 +22,11 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::proto::{
-    read_frame, write_frame, DegradedInfo, Reply, Request, ServerError, ServerErrorKind, ShardInfo,
-    TraceEntry, PROTO_MAJOR, PROTO_MINOR,
+    write_frame, DegradedInfo, FrameReader, Reply, Request, ServerError, ServerErrorKind,
+    ShardInfo, SpanPage, TraceEntry, PROTO_MAJOR, PROTO_MINOR,
 };
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use trajsearch_core::{Query, Response};
@@ -192,7 +192,7 @@ const PIPELINE_WINDOW: usize = 64;
 /// server — the framing and the `stats`/`hello` surface are shared).
 pub struct Client {
     writer: BufWriter<TcpStream>,
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<TcpStream>,
     next_id: u64,
     retry: RetryPolicy,
 }
@@ -242,7 +242,7 @@ impl Client {
 
     fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
+        let reader = FrameReader::new(stream.try_clone()?);
         Ok(Client {
             writer: BufWriter::new(stream),
             reader,
@@ -256,10 +256,6 @@ impl Client {
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Client {
         self.retry = policy;
         self
-    }
-
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Bounds every reply wait; `None` restores blocking reads. With a
@@ -282,7 +278,7 @@ impl Client {
     /// Writes one request frame without flushing — callers batch frames
     /// and [`flush`](Client::flush) once.
     pub fn send_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, &request.to_json())?;
+        write_frame(&mut self.writer, request.to_json())?;
         Ok(())
     }
 
@@ -291,17 +287,34 @@ impl Client {
         Ok(())
     }
 
-    /// Reads one reply frame (respecting any read timeout).
+    /// Reads one reply frame (respecting any read timeout; a frame the
+    /// timeout interrupted is resumed by the next call).
     pub fn recv_reply(&mut self) -> Result<Reply, ClientError> {
-        let frame = read_frame(&mut self.reader)?
+        let frame = self
+            .reader
+            .read_frame()?
             .ok_or_else(|| ClientError::Protocol("server closed the connection".into()))?;
-        Reply::from_json(&frame).map_err(ClientError::Protocol)
+        let text = std::str::from_utf8(&frame)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        Reply::from_json(text).map_err(ClientError::Protocol)
     }
 
-    fn round_trip(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        self.send_request(request)?;
+    /// The one single-reply path: sends `make(id)` under a fresh id and
+    /// returns the reply to it. Strict, like [`QueryOutcome::into_result`]:
+    /// a typed error frame is [`ClientError::Server`] and a degraded reply
+    /// [`ClientError::Degraded`], whatever the request; a reply under
+    /// another id is a protocol error, as is (at the caller, through
+    /// [`unexpected`]) one of another shape.
+    fn call(&mut self, make: impl FnOnce(u64) -> Request) -> Result<Reply, ClientError> {
+        let id = self.allocate_id();
+        self.send_request(&make(id))?;
         self.flush()?;
-        self.recv_reply()
+        match self.recv_reply()? {
+            Reply::Error { error, .. } => Err(ClientError::Server(error)),
+            Reply::Degraded { degraded, .. } => Err(ClientError::Degraded(degraded)),
+            reply if reply.id() == Some(id) => Ok(reply),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Version negotiation: announces [`PROTO_MAJOR`]/[`PROTO_MINOR`],
@@ -316,38 +329,51 @@ impl Client {
     /// [`hello`](Client::hello) with the full negotiated capabilities,
     /// including the server's advertised metric list.
     pub fn hello_caps(&mut self) -> Result<HelloCaps, ClientError> {
-        let id = self.allocate_id();
-        match self.round_trip(&Request::Hello {
-            id,
-            major: PROTO_MAJOR,
-            minor: PROTO_MINOR,
-        })? {
+        let (major, minor) = (PROTO_MAJOR, PROTO_MINOR);
+        match self.call(|id| Request::Hello { id, major, minor })? {
             Reply::Hello {
-                id: got,
                 major,
                 minor,
                 metrics,
-            } if got == id => Ok(HelloCaps {
+                ..
+            } => Ok(HelloCaps {
                 major,
                 minor,
                 metrics,
             }),
-            Reply::Error { error, .. } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected hello reply for id {id}, got {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Fetches a shard server's self-description.
     pub fn shard_info(&mut self) -> Result<ShardInfo, ClientError> {
-        let id = self.allocate_id();
-        match self.round_trip(&Request::ShardInfo { id })? {
-            Reply::ShardInfo { id: got, info } if got == id => Ok(info),
-            Reply::Error { error, .. } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected shard_info reply for id {id}, got {other:?}"
-            ))),
+        match self.call(|id| Request::ShardInfo { id })? {
+            Reply::ShardInfo { info, .. } => Ok(info),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Fetches one page of a shard server's span table, from local slot
+    /// `start`; the server clamps `count` to
+    /// [`SPAN_PAGE_MAX`](crate::proto::SPAN_PAGE_MAX).
+    pub fn shard_spans(
+        &mut self,
+        epoch: u64,
+        deadline_ms: Option<u64>,
+        start: u64,
+        count: u64,
+    ) -> Result<SpanPage, ClientError> {
+        let request = |id| Request::ShardSpans {
+            id,
+            epoch,
+            deadline_ms,
+            trace_id: None,
+            start,
+            count,
+        };
+        match self.call(request)? {
+            Reply::ShardSpans { page, .. } => Ok(page),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -461,12 +487,9 @@ impl Client {
 
     /// Fetches the server's metrics snapshot over the wire.
     pub fn stats(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        let id = self.allocate_id();
-        match self.round_trip(&Request::Stats { id })? {
-            Reply::Stats { id: got, stats } if got == id => Ok(stats),
-            other => Err(ClientError::Protocol(format!(
-                "expected stats reply for id {id}, got {other:?}"
-            ))),
+        match self.call(|id| Request::Stats { id })? {
+            Reply::Stats { stats, .. } => Ok(stats),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -479,19 +502,14 @@ impl Client {
     /// timeline. Requires a minor ≥ 3 server (older ones reject the frame
     /// as malformed).
     pub fn query_traced(&mut self, query: &Query, trace_id: u64) -> Result<Response, ClientError> {
-        let id = self.allocate_id();
-        let reply = self.round_trip(&Request::Query {
+        let request = |id| Request::Query {
             id,
             query: query.clone(),
             trace_id: Some(trace_id),
-        })?;
-        match reply {
-            Reply::Response { id: got, response } if got == id => Ok(response),
-            Reply::Degraded { degraded, .. } => Err(ClientError::Degraded(degraded)),
-            Reply::Error { error, .. } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected response for id {id}, got {other:?}"
-            ))),
+        };
+        match self.call(request)? {
+            Reply::Response { response, .. } => Ok(response),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -501,27 +519,24 @@ impl Client {
     /// server was configured with
     /// [`slow_query_threshold`](crate::ServerConfig::slow_query_threshold)).
     pub fn trace(&mut self, trace_id: Option<u64>) -> Result<Vec<TraceEntry>, ClientError> {
-        let id = self.allocate_id();
-        match self.round_trip(&Request::Trace { id, trace_id })? {
-            Reply::Trace { id: got, entries } if got == id => Ok(entries),
-            Reply::Error { error, .. } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected trace reply for id {id}, got {other:?}"
-            ))),
+        match self.call(|id| Request::Trace { id, trace_id })? {
+            Reply::Trace { entries, .. } => Ok(entries),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Fetches the Prometheus text exposition (`metrics_text` request).
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        let id = self.allocate_id();
-        match self.round_trip(&Request::MetricsText { id })? {
-            Reply::MetricsText { id: got, text } if got == id => Ok(text),
-            Reply::Error { error, .. } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected metrics_text reply for id {id}, got {other:?}"
-            ))),
+        match self.call(|id| Request::MetricsText { id })? {
+            Reply::MetricsText { text, .. } => Ok(text),
+            other => Err(unexpected(other)),
         }
     }
+}
+
+/// A well-formed reply that is not an answer to the request it follows.
+fn unexpected(reply: Reply) -> ClientError {
+    ClientError::Protocol(format!("unexpected reply {reply:?}"))
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 //! Responses over the socket are **byte-identical** (matches and stats
 //! counters) to in-process [`SearchEngine::run`](trajsearch_core::SearchEngine::run)
 //! — the loopback equivalence suite in `tests/loopback.rs` enforces this
-//! across both index layouts.
+//! across the single, sharded and compact index layouts.
 //!
 //! ## Roles (PR 6)
 //!
@@ -96,6 +96,6 @@ pub use proto::{
     DegradedInfo, Reply, Request, ServerError, ServerErrorKind, ShardInfo, SpanPage, TraceEntry,
     WireSpan, MAX_FRAME_BYTES, PROTO_MAJOR, PROTO_MINOR, SPAN_PAGE_MAX, SUPPORTED_METRICS,
 };
-pub use queue::{BoundedQueue, Pop, PushError};
+pub use queue::{BoundedQueue, PushError};
 pub use server::{Handled, QueryHandler, Server, ServerConfig, ServerHandle, DEFAULT_SINK_SPANS};
 pub use shard::{IndexShardSource, ShardSource};

@@ -5,11 +5,10 @@
 //! Counters are lock-free atomics bumped on the hot path. Latencies go into
 //! a fixed-size ring of the most recent [`SAMPLE_CAP`] queries (bounded
 //! memory under unbounded traffic, recency-weighted percentiles — the
-//! usual dashboard trade-off; the window is configurable via
-//! [`ServerConfig::sample_cap`](crate::ServerConfig::sample_cap)). Three
-//! series are kept per query: **queue** time (admission → dequeue, what
-//! backpressure costs the client), **wall** time (dequeue → reply written)
-//! and **CPU** time (the engine's summed phase time from
+//! usual dashboard trade-off). Three series are kept per query: **queue**
+//! time (admission → dequeue, what backpressure costs the client), **wall**
+//! time (dequeue → reply written) and **CPU** time (the engine's summed
+//! phase time from
 //! [`SearchStats::total_time`](trajsearch_core::SearchStats)), whose gap
 //! against wall measures in-query parallelism and scheduling overhead.
 
@@ -17,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use trajsearch_core::wire_struct;
 
-/// Default ring capacity for each latency series.
+/// Ring capacity of each latency series on a server.
 pub const SAMPLE_CAP: usize = 4096;
 
 /// Fixed-size ring of the most recent samples.

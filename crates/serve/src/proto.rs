@@ -3,9 +3,10 @@
 //! One frame is one JSON document followed by `\n`. The core codec
 //! ([`trajsearch_core::json`]) never emits a raw newline (control
 //! characters are `\u`-escaped inside strings), so the framing is
-//! unambiguous and a plain `read_line` recovers frame boundaries. Frames
-//! larger than [`MAX_FRAME_BYTES`] are rejected before parsing — the peer
-//! controls the bytes, the server bounds the memory.
+//! unambiguous and a newline scan recovers frame boundaries. Both ends read
+//! through the one [`FrameReader`]; a frame whose content exceeds
+//! [`MAX_FRAME_BYTES`] is rejected before parsing — the peer controls the
+//! bytes, the reader bounds the memory.
 //!
 //! Every frame and payload below is declared **once**, through
 //! [`wire_enum!`]/[`wire_struct!`] (see [`trajsearch_core::json`] for the
@@ -117,12 +118,13 @@
 
 use crate::metrics::MetricsSnapshot;
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use trajsearch_core::json::{JsonValue, Wire};
 use trajsearch_core::{wire_enum, wire_struct, Posting, Query, Response};
 use wed::Sym;
 
-/// Hard bound on a single frame's size, both directions. Large enough for
+/// Hard bound on a single frame's content (the newline not counted), both
+/// directions and both ends ([`FrameReader`]). Large enough for
 /// any realistic query batch element; small enough that a hostile peer
 /// cannot balloon server memory through one connection.
 pub const MAX_FRAME_BYTES: usize = 8 << 20;
@@ -596,46 +598,76 @@ impl Reply {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Writes one frame (document + `\n`). The caller flushes — batch writers
-/// amortize one flush over many frames.
-pub fn write_frame(w: &mut impl Write, json: &str) -> io::Result<()> {
+/// Writes one frame — the rendered document plus `\n` — as **one**
+/// `write_all`, so an unbuffered `TCP_NODELAY` socket carries a reply in one
+/// `write(2)`. The caller flushes — batch writers amortize one flush over
+/// many frames.
+pub fn write_frame(w: &mut impl Write, mut json: String) -> io::Result<()> {
     debug_assert!(!json.contains('\n'), "frames are single-line by contract");
-    w.write_all(json.as_bytes())?;
-    w.write_all(b"\n")
+    json.push('\n');
+    w.write_all(json.as_bytes())
 }
 
-/// Reads one frame from a blocking buffered reader. `Ok(None)` is a clean
-/// EOF; an oversized frame is an `InvalidData` error. The read itself is
-/// capped one byte past [`MAX_FRAME_BYTES`], so a peer streaming bytes
-/// without ever sending a newline cannot grow the buffer beyond the bound.
-pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = Vec::new();
-    let n = r
-        .take(MAX_FRAME_BYTES as u64 + 1)
-        .read_until(b'\n', &mut line)?;
-    if n > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME_BYTES",
-        ));
+/// The frame reader of both ends of a connection: a buffered reader plus
+/// the bytes of the frame in progress, so a read that times out mid-frame
+/// loses nothing and the next [`read_frame`](FrameReader::read_frame)
+/// carries on where it stopped.
+pub struct FrameReader<R: Read> {
+    inner: BufReader<R>,
+    partial: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner: BufReader::new(inner),
+            partial: Vec::new(),
+        }
     }
-    match line.pop() {
-        None => Ok(None),
-        Some(b'\n') => String::from_utf8(line)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
-        // `read_until` only stops short of a newline at EOF.
-        Some(_) => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        )),
+
+    /// The underlying stream (to set socket options on it).
+    pub fn get_ref(&self) -> &R {
+        self.inner.get_ref()
+    }
+
+    /// Reads one frame's content (the newline stripped; UTF-8 is the
+    /// caller's check). `Ok(None)` is a clean EOF, EOF inside a frame is
+    /// `UnexpectedEof`, and content longer than [`MAX_FRAME_BYTES`] is
+    /// `InvalidData`: the read itself is capped one byte past the bound, so
+    /// a peer that never sends a newline cannot grow the buffer beyond it.
+    /// Any other error — a socket read timeout (`WouldBlock`/`TimedOut`)
+    /// above all — leaves the partial frame in place for the next call.
+    pub fn read_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let room = (MAX_FRAME_BYTES + 1 - self.partial.len()) as u64;
+        // On error `read_until` keeps what it read in the buffer (std's
+        // documented contract), which is what makes this resumable.
+        (&mut self.inner)
+            .take(room)
+            .read_until(b'\n', &mut self.partial)?;
+        if self.partial.last() == Some(&b'\n') {
+            let mut frame = std::mem::take(&mut self.partial);
+            frame.pop();
+            Ok(Some(frame))
+        } else if self.partial.len() > MAX_FRAME_BYTES {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "frame exceeds MAX_FRAME_BYTES",
+            ))
+        } else if self.partial.is_empty() {
+            Ok(None)
+        } else {
+            // Under the cap, `read_until` stops short of a newline only at EOF.
+            Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-frame",
+            ))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     #[test]
     fn request_frames_round_trip() {
@@ -752,17 +784,17 @@ mod tests {
     #[test]
     fn framing_round_trips_and_bounds_size() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, r#"{"a":1}"#).unwrap();
-        write_frame(&mut buf, r#"{"b":2}"#).unwrap();
-        let mut r = BufReader::new(&buf[..]);
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(r#"{"a":1}"#));
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(r#"{"b":2}"#));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
+        write_frame(&mut buf, r#"{"a":1}"#.to_string()).unwrap();
+        write_frame(&mut buf, r#"{"b":2}"#.to_string()).unwrap();
+        let mut r = FrameReader::new(&buf[..]);
+        assert_eq!(r.read_frame().unwrap().as_deref(), Some(&b"{\"a\":1}"[..]));
+        assert_eq!(r.read_frame().unwrap().as_deref(), Some(&b"{\"b\":2}"[..]));
+        assert_eq!(r.read_frame().unwrap(), None);
 
         // A frame cut off mid-document is an error, not a silent partial.
-        let mut r = BufReader::new(&b"{\"a\":1"[..]);
+        let mut r = FrameReader::new(&b"{\"a\":1"[..]);
         assert_eq!(
-            read_frame(&mut r).unwrap_err().kind(),
+            r.read_frame().unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
     }
@@ -778,18 +810,70 @@ mod tests {
                 Ok(buf.len())
             }
         }
-        let mut r = BufReader::new(Endless(0));
-        let err = read_frame(&mut r).unwrap_err();
+        let mut r = FrameReader::new(Endless(0));
+        let err = r.read_frame().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // The bound holds on the read itself, not only on its result: at
         // most the frame limit plus one buffer was ever pulled in.
         let pulled = r.get_ref().0;
-        assert!(pulled <= MAX_FRAME_BYTES + 1 + r.capacity(), "{pulled}");
-        // A frame of exactly the limit (newline included) still passes.
-        let mut exact = vec![b'x'; MAX_FRAME_BYTES - 1];
+        assert!(
+            pulled <= MAX_FRAME_BYTES + 1 + r.inner.capacity(),
+            "{pulled}"
+        );
+        // The refusal is sticky and pulls nothing more.
+        assert_eq!(
+            r.read_frame().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(r.get_ref().0, pulled);
+        // Content of exactly the limit still passes; one byte more does not.
+        let mut exact = vec![b'x'; MAX_FRAME_BYTES];
         exact.push(b'\n');
-        let frame = read_frame(&mut BufReader::new(&exact[..])).unwrap();
-        assert_eq!(frame.map(|f| f.len()), Some(MAX_FRAME_BYTES - 1));
+        let frame = FrameReader::new(&exact[..]).read_frame().unwrap();
+        assert_eq!(frame.map(|f| f.len()), Some(MAX_FRAME_BYTES));
+        exact.insert(0, b'x');
+        let err = FrameReader::new(&exact[..]).read_frame().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_timed_out_read_resumes_where_it_stopped() {
+        /// Hands out the stream in the given chunks, answering `WouldBlock`
+        /// (a socket read timeout) before each one.
+        struct Stuttering {
+            chunks: std::vec::IntoIter<&'static [u8]>,
+            timed_out: bool,
+        }
+        impl io::Read for Stuttering {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.timed_out = !self.timed_out;
+                if self.timed_out {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let chunk = self.chunks.next().unwrap_or(&[]);
+                buf[..chunk.len()].copy_from_slice(chunk);
+                Ok(chunk.len())
+            }
+        }
+        // Two frames cut mid-document, across the newline, and mid-document
+        // again; the second chunk ends one frame and starts the next.
+        let chunks: Vec<&'static [u8]> = vec![b"{\"a\"", b":1}\n{\"b", b"\":", b"2}", b"\n"];
+        let mut r = FrameReader::new(Stuttering {
+            chunks: chunks.into_iter(),
+            timed_out: false,
+        });
+        let mut frames = Vec::new();
+        let mut timeouts = 0;
+        loop {
+            match r.read_frame() {
+                Ok(Some(frame)) => frames.push(String::from_utf8(frame).unwrap()),
+                Ok(None) => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => timeouts += 1,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert_eq!(frames, [r#"{"a":1}"#, r#"{"b":2}"#]);
+        assert!(timeouts >= 5, "every chunk was preceded by a timeout");
     }
 
     #[test]

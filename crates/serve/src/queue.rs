@@ -8,11 +8,12 @@
 //! makes the shutdown drain race-free, because "no new work" and "queue
 //! empty" are decided under the same mutex: once a reader observes
 //! [`PushError::Closed`], no push can interleave with a worker observing
-//! [`Pop::Drained`].
+//! the drained queue ([`BoundedQueue::pop`] returning `None`). Workers
+//! **block** on the condvar — every push and the close notify it — so an
+//! idle pool costs no wake-ups.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Why a push was refused; the item comes back to the caller either way.
 #[derive(Debug)]
@@ -21,18 +22,6 @@ pub enum PushError<T> {
     Full(T),
     /// Closed for shutdown — no new work is admitted.
     Closed(T),
-}
-
-/// What a pop observed.
-#[derive(Debug)]
-pub enum Pop<T> {
-    /// A unit of work.
-    Item(T),
-    /// Timed out with the queue still open (or still holding a race with
-    /// another worker); poll again.
-    Empty,
-    /// Closed **and** empty: the drain is complete, workers may exit.
-    Drained,
 }
 
 struct Inner<T> {
@@ -75,32 +64,18 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Waits up to `timeout` for work. Workers loop on this: `Item` is
-    /// processed, `Empty` re-polls (giving the caller a chance to observe
-    /// external state), `Drained` ends the worker.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
+    /// Blocks until there is work. `None` means closed **and** empty: the
+    /// drain is complete and the worker may exit.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue mutex poisoned");
         loop {
             if let Some(item) = inner.items.pop_front() {
-                return Pop::Item(item);
+                return Some(item);
             }
             if inner.closed {
-                return Pop::Drained;
+                return None;
             }
-            let (guard, wait) = self
-                .ready
-                .wait_timeout(inner, timeout)
-                .expect("queue mutex poisoned");
-            inner = guard;
-            if wait.timed_out() {
-                return if inner.items.is_empty() && inner.closed {
-                    Pop::Drained
-                } else if let Some(item) = inner.items.pop_front() {
-                    Pop::Item(item)
-                } else {
-                    Pop::Empty
-                };
-            }
+            inner = self.ready.wait(inner).expect("queue mutex poisoned");
         }
     }
 
@@ -129,6 +104,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn rejects_when_full_and_after_close() {
@@ -154,56 +130,30 @@ mod tests {
         q.try_push("a").unwrap();
         q.try_push("b").unwrap();
         q.close();
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Item("a")
-        ));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Item("b")
-        ));
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Drained
-        ));
+        assert_eq!(q.pop(), Some("a"));
+        assert_eq!(q.pop(), Some("b"));
+        assert_eq!(q.pop(), None);
         // Drained is sticky.
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Drained
-        ));
-    }
-
-    #[test]
-    fn empty_open_queue_times_out_as_empty() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(1);
-        assert!(matches!(
-            q.pop_timeout(Duration::from_millis(1)),
-            Pop::Empty
-        ));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn push_wakes_a_blocked_popper() {
         let q = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || match q2.pop_timeout(Duration::from_secs(10)) {
-            Pop::Item(v) => v,
-            other => panic!("expected an item, got {other:?}"),
-        });
+        let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.try_push(99).unwrap();
-        assert_eq!(h.join().unwrap(), 99);
+        assert_eq!(h.join().unwrap(), Some(99));
     }
 
     #[test]
     fn close_wakes_blocked_poppers() {
         let q: Arc<BoundedQueue<u8>> = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || {
-            matches!(q2.pop_timeout(Duration::from_secs(10)), Pop::Drained)
-        });
+        let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert!(h.join().unwrap());
+        assert_eq!(h.join().unwrap(), None);
     }
 }

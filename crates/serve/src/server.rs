@@ -2,7 +2,7 @@
 //! bounded worker pool — all `std` scoped threads, no async runtime.
 //!
 //! ```text
-//!           accept()            try_push (bounded)          pop_timeout
+//!           accept()            try_push (bounded)           pop (blocks)
 //! clients ──────────▶ readers ───────────────────▶ queue ──────────────▶ workers
 //!    ▲                  │  overloaded / malformed /           │ deadline check at
 //!    │                  ▼  shutting-down replies              ▼ dequeue, then
@@ -14,7 +14,8 @@
 //! * **Backpressure, never unbounded memory** — admission is
 //!   [`BoundedQueue::try_push`]; a full queue is a typed `overloaded`
 //!   reply, and per-frame size is capped by
-//!   [`crate::proto::MAX_FRAME_BYTES`].
+//!   [`crate::proto::MAX_FRAME_BYTES`] inside the one
+//!   [`FrameReader`] both ends of a connection read through.
 //! * **Deadlines start at admission** — the reader stamps arrival; workers
 //!   re-check at dequeue (a query that aged out while queued is answered
 //!   `deadline_exceeded` without touching the engine) and the engine checks
@@ -28,16 +29,16 @@
 //!   trajectory store), so serving needs no `'static` gymnastics and no
 //!   `Arc` over the dataset.
 
-use crate::metrics::{Metrics, MetricsSnapshot, SAMPLE_CAP};
+use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::proto::{
-    write_frame, DegradedInfo, Reply, Request, ServerError, ServerErrorKind, TraceEntry, WireSpan,
-    MAX_FRAME_BYTES, PROTO_MAJOR, PROTO_MINOR,
+    write_frame, DegradedInfo, FrameReader, Reply, Request, ServerError, ServerErrorKind,
+    TraceEntry, WireSpan, PROTO_MAJOR, PROTO_MINOR,
 };
-use crate::queue::{BoundedQueue, Pop, PushError};
+use crate::queue::{BoundedQueue, PushError};
 use crate::shard::{answer_shard_rpc, RpcDisposition, ShardSource};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -111,17 +112,16 @@ pub struct ServerConfig {
     /// Admission queue bound. `0` is legal and rejects every query with
     /// `overloaded` — useful for drills and tests.
     pub queue_capacity: usize,
-    /// Poll granularity for shutdown checks (reader read timeouts and
-    /// worker pop timeouts). Bounds how long shutdown can lag.
+    /// Read timeout of the connection readers — how often a reader on an
+    /// idle connection re-checks the shutdown flag, and hence how long
+    /// shutdown can lag — and the back-off after a failed `accept`.
+    /// Workers do not poll: they block on the queue and its close wakes
+    /// them.
     pub poll_interval: Duration,
     /// Advertise [`SUPPORTED_METRICS`](crate::proto::SUPPORTED_METRICS) on
     /// the hello reply (default). `false` sends the pre-minor-2 hello
     /// (no `metrics` key) — kept for tests simulating an old server.
     pub advertise_metrics: bool,
-    /// Rolling window size for the queue/wall/cpu latency series behind
-    /// `stats` percentiles (see [`crate::metrics::SAMPLE_CAP`], the
-    /// default). `0` is clamped to 1.
-    pub sample_cap: usize,
     /// Queries whose wall time reaches this threshold are captured — spans
     /// and all — in the slow-query log readable via the `trace` wire
     /// request. `None` (default) disables the log; with it armed, every
@@ -149,7 +149,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             poll_interval: Duration::from_millis(20),
             advertise_metrics: true,
-            sample_cap: SAMPLE_CAP,
             slow_query_threshold: None,
             slow_log_capacity: 32,
             sink: None,
@@ -274,13 +273,6 @@ impl ServerHandle {
         )
     }
 
-    /// The server's span sink — the one from [`ServerConfig::sink`], or the
-    /// privately allocated one. Read spans out-of-band with
-    /// [`TraceSink::spans_for`].
-    pub fn trace_sink(&self) -> Arc<TraceSink> {
-        Arc::clone(&self.shared.sink)
-    }
-
     /// The Prometheus text exposition, identical to the `metrics_text` wire
     /// reply, no round trip needed.
     pub fn metrics_text(&self) -> String {
@@ -309,7 +301,7 @@ impl Server {
             shared: Arc::new(Shared {
                 shutdown: AtomicBool::new(false),
                 queue: BoundedQueue::new(config.queue_capacity),
-                metrics: Metrics::with_sample_cap(config.sample_cap),
+                metrics: Metrics::new(),
                 workers,
                 advertise_metrics: config.advertise_metrics,
                 sink,
@@ -318,18 +310,6 @@ impl Server {
                 slow_queries: AtomicU64::new(0),
             }),
             poll_interval: config.poll_interval,
-        })
-    }
-
-    /// Binds to `addr` with otherwise-default configuration.
-    pub fn bind_addr(addr: impl ToSocketAddrs) -> io::Result<Server> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        Server::bind(ServerConfig {
-            addr,
-            ..ServerConfig::default()
         })
     }
 
@@ -379,7 +359,7 @@ impl Server {
         };
         let shared = &*handle.shared;
         let accept_result = std::thread::scope(|scope| {
-            role.spawn_pool(scope, shared, poll);
+            role.spawn_pool(scope, shared);
             // Transient accept() failures must not kill a long-running
             // server: ECONNABORTED/ECONNRESET mean one *client* vanished
             // mid-handshake (accept(2) documents these as retryable), and
@@ -432,7 +412,8 @@ impl Server {
             drop(listener);
             accept_result
             // Scope join: readers exit on their next poll tick (shutdown
-            // flag), workers after Pop::Drained — the graceful drain.
+            // flag), workers once the closed queue is empty — the graceful
+            // drain.
         });
         accept_result?;
         Ok(handle.metrics())
@@ -448,7 +429,6 @@ trait Role: Sync {
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
         shared: &'env Shared,
-        poll: Duration,
     );
 
     /// Handles one decoded request. `arrived` is the frame's read-off-the-
@@ -473,11 +453,10 @@ impl<H: QueryHandler> Role for QueryRole<'_, H> {
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
         shared: &'env Shared,
-        poll: Duration,
     ) {
         for _ in 0..shared.workers {
             let handler = self.handler;
-            scope.spawn(move || worker_loop(shared, handler, poll));
+            scope.spawn(move || worker_loop(shared, handler));
         }
     }
 
@@ -495,15 +474,11 @@ impl<H: QueryHandler> Role for QueryRole<'_, H> {
         } = request
         else {
             Metrics::bump(&shared.metrics.invalid);
-            send_reply(
+            reject(
                 writer,
-                &Reply::Error {
-                    id: Some(request.id()),
-                    error: ServerError::new(
-                        ServerErrorKind::InvalidQuery,
-                        "shard RPCs are answered by shard servers, not query servers",
-                    ),
-                },
+                Some(request.id()),
+                ServerErrorKind::InvalidQuery,
+                "shard RPCs are answered by shard servers, not query servers",
             );
             return;
         };
@@ -518,31 +493,23 @@ impl<H: QueryHandler> Role for QueryRole<'_, H> {
             Ok(()) => Metrics::bump(&shared.metrics.admitted),
             Err(PushError::Full(job)) => {
                 Metrics::bump(&shared.metrics.rejected_overload);
-                send_reply(
+                reject(
                     writer,
-                    &Reply::Error {
-                        id: Some(job.id),
-                        error: ServerError::new(
-                            ServerErrorKind::Overloaded,
-                            format!(
-                                "admission queue full (capacity {})",
-                                shared.queue.capacity()
-                            ),
-                        ),
-                    },
+                    Some(job.id),
+                    ServerErrorKind::Overloaded,
+                    format!(
+                        "admission queue full (capacity {})",
+                        shared.queue.capacity()
+                    ),
                 );
             }
             Err(PushError::Closed(job)) => {
                 Metrics::bump(&shared.metrics.rejected_shutdown);
-                send_reply(
+                reject(
                     writer,
-                    &Reply::Error {
-                        id: Some(job.id),
-                        error: ServerError::new(
-                            ServerErrorKind::ShuttingDown,
-                            "server is draining; no new queries admitted",
-                        ),
-                    },
+                    Some(job.id),
+                    ServerErrorKind::ShuttingDown,
+                    "server is draining; no new queries admitted",
                 );
             }
         }
@@ -560,7 +527,6 @@ impl<S: ShardSource> Role for ShardRole<'_, S> {
         &'env self,
         _scope: &'scope std::thread::Scope<'scope, 'env>,
         _shared: &'env Shared,
-        _poll: Duration,
     ) {
     }
 
@@ -573,15 +539,11 @@ impl<S: ShardSource> Role for ShardRole<'_, S> {
     ) {
         if let Request::Query { id, .. } = &request {
             Metrics::bump(&shared.metrics.invalid);
-            send_reply(
+            reject(
                 writer,
-                &Reply::Error {
-                    id: Some(*id),
-                    error: ServerError::new(
-                        ServerErrorKind::InvalidQuery,
-                        "this is a shard server; send queries to a coordinator",
-                    ),
-                },
+                Some(*id),
+                ServerErrorKind::InvalidQuery,
+                "this is a shard server; send queries to a coordinator",
             );
             return;
         }
@@ -610,10 +572,22 @@ impl<S: ShardSource> Role for ShardRole<'_, S> {
 fn send_reply(writer: &Mutex<TcpStream>, reply: &Reply) {
     let json = reply.to_json();
     let mut w = writer.lock().expect("connection writer poisoned");
-    let _ = write_frame(&mut *w, &json).and_then(|()| w.flush());
+    let _ = write_frame(&mut *w, json).and_then(|()| w.flush());
 }
 
-/// Per-connection reader: splits frames, answers `stats`/`hello` and
+/// Answers a request with a typed error; `id` is `None` when the offending
+/// frame carried none.
+fn reject(
+    writer: &Mutex<TcpStream>,
+    id: Option<u64>,
+    kind: ServerErrorKind,
+    message: impl Into<String>,
+) {
+    let error = ServerError::new(kind, message);
+    send_reply(writer, &Reply::Error { id, error });
+}
+
+/// Per-connection reader: reads frames, answers `stats`/`hello` and
 /// protocol errors inline, hands everything else to the role.
 fn connection_loop<R: Role>(stream: TcpStream, shared: &Shared, poll: Duration, role: &R) {
     // Read timeouts turn the blocking reader into a shutdown-aware poller.
@@ -624,46 +598,28 @@ fn connection_loop<R: Role>(stream: TcpStream, shared: &Shared, poll: Duration, 
         Ok(clone) => Arc::new(Mutex::new(clone)),
         Err(_) => return,
     };
-    let mut reader = stream;
-    let mut acc: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        // Drain complete frames from the accumulator first.
-        while let Some(nl) = acc.iter().position(|&b| b == b'\n') {
-            let frame: Vec<u8> = acc.drain(..=nl).collect();
-            let text = String::from_utf8_lossy(&frame[..frame.len() - 1]).into_owned();
-            handle_frame(&text, shared, &writer, role);
-        }
-        if acc.len() > MAX_FRAME_BYTES {
-            Metrics::bump(&shared.metrics.malformed);
-            send_reply(
-                &writer,
-                &Reply::Error {
-                    id: None,
-                    error: ServerError::new(
-                        ServerErrorKind::Malformed,
-                        "frame exceeds MAX_FRAME_BYTES",
-                    ),
-                },
-            );
-            return; // close the connection: framing is unrecoverable
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Stop reading new requests. Replies for this connection's
-            // in-flight queries are written by workers through `writer`,
-            // which stays alive inside their jobs until drained.
-            return;
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => return, // client closed
-            Ok(n) => acc.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // poll tick: loop re-checks shutdown
+    let mut frames = FrameReader::new(stream);
+    // Shutdown stops the reading of new requests. Replies for this
+    // connection's in-flight queries are written by workers through
+    // `writer`, which stays alive inside their jobs until drained.
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        match frames.read_frame() {
+            // Lossy: invalid UTF-8 fails to parse and gets its typed
+            // `malformed` reply like any other junk, on a live connection.
+            Ok(Some(frame)) => {
+                handle_frame(&String::from_utf8_lossy(&frame), shared, &writer, role)
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
+            Ok(None) => return, // client closed
+            Err(e) => match e.kind() {
+                // Poll tick: the partial frame stays in `frames`.
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {}
+                io::ErrorKind::InvalidData => {
+                    Metrics::bump(&shared.metrics.malformed);
+                    reject(&writer, None, ServerErrorKind::Malformed, e.to_string());
+                    return; // close the connection: framing is unrecoverable
+                }
+                _ => return,
+            },
         }
     }
 }
@@ -729,17 +685,11 @@ fn handle_frame<R: Role>(text: &str, shared: &Shared, writer: &Arc<Mutex<TcpStre
                 );
             } else {
                 Metrics::bump(&shared.metrics.malformed);
-                send_reply(
+                reject(
                     writer,
-                    &Reply::Error {
-                        id: Some(id),
-                        error: ServerError::new(
-                            ServerErrorKind::UnsupportedVersion,
-                            format!(
-                                "client speaks major {major}; this server speaks {PROTO_MAJOR}"
-                            ),
-                        ),
-                    },
+                    Some(id),
+                    ServerErrorKind::UnsupportedVersion,
+                    format!("client speaks major {major}; this server speaks {PROTO_MAJOR}"),
                 );
             }
         }
@@ -749,13 +699,9 @@ fn handle_frame<R: Role>(text: &str, shared: &Shared, writer: &Arc<Mutex<TcpStre
 
 /// Worker: claim → dequeue-time deadline check → handler (with cooperative
 /// checkpoints) → reply.
-fn worker_loop<H: QueryHandler>(shared: &Shared, handler: &H, poll: Duration) {
-    loop {
-        match shared.queue.pop_timeout(poll) {
-            Pop::Item(job) => process(job, shared, handler),
-            Pop::Empty => continue,
-            Pop::Drained => return,
-        }
+fn worker_loop<H: QueryHandler>(shared: &Shared, handler: &H) {
+    while let Some(job) = shared.queue.pop() {
+        process(job, shared, handler);
     }
 }
 
@@ -770,15 +716,11 @@ fn process<H: QueryHandler>(job: Job, shared: &Shared, handler: &H) {
     // without paying for any engine work.
     if deadline.expired() {
         Metrics::bump(&shared.metrics.timed_out);
-        send_reply(
+        reject(
             &job.writer,
-            &Reply::Error {
-                id: Some(job.id),
-                error: ServerError::new(
-                    ServerErrorKind::DeadlineExceeded,
-                    "deadline expired while queued",
-                ),
-            },
+            Some(job.id),
+            ServerErrorKind::DeadlineExceeded,
+            "deadline expired while queued",
         );
         return;
     }
@@ -826,25 +768,20 @@ fn process<H: QueryHandler>(job: Job, shared: &Shared, handler: &H) {
         }
         Handled::Rejected(QueryError::DeadlineExceeded) => {
             Metrics::bump(&shared.metrics.timed_out);
-            send_reply(
+            reject(
                 &job.writer,
-                &Reply::Error {
-                    id: Some(job.id),
-                    error: ServerError::new(
-                        ServerErrorKind::DeadlineExceeded,
-                        "deadline expired during execution",
-                    ),
-                },
+                Some(job.id),
+                ServerErrorKind::DeadlineExceeded,
+                "deadline expired during execution",
             );
         }
         Handled::Rejected(e) => {
             Metrics::bump(&shared.metrics.invalid);
-            send_reply(
+            reject(
                 &job.writer,
-                &Reply::Error {
-                    id: Some(job.id),
-                    error: ServerError::new(ServerErrorKind::InvalidQuery, e.to_string()),
-                },
+                Some(job.id),
+                ServerErrorKind::InvalidQuery,
+                e.to_string(),
             );
         }
     }

@@ -500,3 +500,185 @@ fn malformed_and_invalid_frames_get_typed_errors() {
         serving.join().expect("serve thread").expect("serve ok");
     });
 }
+
+/// A one-shot fake server for driving [`Client`] with bytes no real server
+/// sends: accepts one connection, reads one request line, writes `reply`
+/// verbatim and closes.
+fn answer_once(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let thread = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut request = String::new();
+        BufReader::new(stream.try_clone().expect("clone"))
+            .read_line(&mut request)
+            .expect("read request");
+        // The client may hang up before the last byte of a refused frame.
+        let _ = stream.write_all(&reply);
+    });
+    (addr, thread)
+}
+
+/// The frame limit is one number at both ends of a connection: content of
+/// exactly `MAX_FRAME_BYTES` passes the server's reader and the client's,
+/// one byte more is refused by both.
+#[test]
+fn one_frame_limit_at_both_ends() {
+    use std::io::{BufRead, BufReader, Write};
+    use trajsearch_serve::MAX_FRAME_BYTES;
+
+    // The server end.
+    let store = store(30, 16, 9);
+    let engine = EngineBuilder::new(Lev, &store, ALPHABET).build();
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let handle = server.handle();
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(handle.clone());
+        let serving = scope.spawn(|| server.serve(&engine));
+        let mut raw = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+        let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+        let mut read_line = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            line
+        };
+
+        // Invalid UTF-8 is junk like any other: a typed reply, and the
+        // connection stays usable.
+        raw.write_all(b"\xff\xfe{\"type\":\"stats\"\n")
+            .expect("write");
+        let line = read_line();
+        assert!(
+            line.contains("\"malformed\"") && line.contains("\"id\":null"),
+            "{line}"
+        );
+
+        // Exactly the limit: the framer passes it on, the parser refuses it.
+        let mut frame = vec![b'x'; MAX_FRAME_BYTES];
+        frame.push(b'\n');
+        raw.write_all(&frame).expect("write");
+        let line = read_line();
+        assert!(
+            line.contains("\"malformed\"") && line.contains("unparseable"),
+            "{line}"
+        );
+        raw.write_all(b"{\"type\":\"stats\",\"id\":9}\n")
+            .expect("write");
+        let line = read_line();
+        assert!(
+            line.contains("\"type\":\"stats\"") && line.contains("\"id\":9"),
+            "{line}"
+        );
+
+        // One byte more: the framer refuses it — still with a typed reply —
+        // and closes the connection.
+        raw.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+            .expect("write");
+        let line = read_line();
+        assert!(
+            line.contains("\"malformed\"") && line.contains("exceeds MAX_FRAME_BYTES"),
+            "{line}"
+        );
+        assert_eq!(read_line(), "", "the connection is closed");
+
+        drop(guard);
+        serving.join().expect("serve thread").expect("serve ok");
+    });
+
+    // The client end: a `metrics_text` reply padded to the byte.
+    let reply_of = |content_len: usize| {
+        let (head, tail) = (r#"{"v":1,"type":"metrics_text","id":1,"text":""#, "\"}\n");
+        let pad = content_len + 1 - head.len() - tail.len();
+        let mut reply = head.as_bytes().to_vec();
+        reply.resize(head.len() + pad, b'x');
+        reply.extend_from_slice(tail.as_bytes());
+        (reply, pad)
+    };
+    let (reply, pad) = reply_of(MAX_FRAME_BYTES);
+    let (addr, fake) = answer_once(reply);
+    let text = Client::connect(addr)
+        .expect("connect")
+        .metrics_text()
+        .expect("a frame of exactly the limit is read");
+    assert_eq!(text.len(), pad);
+    fake.join().expect("fake server");
+
+    let (reply, _) = reply_of(MAX_FRAME_BYTES + 1);
+    let (addr, fake) = answer_once(reply);
+    let err = Client::connect(addr)
+        .expect("connect")
+        .metrics_text()
+        .expect_err("one byte over the limit");
+    match err {
+        ClientError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+        other => panic!("expected the framer's refusal, got {other}"),
+    }
+    fake.join().expect("fake server");
+}
+
+/// A typed error frame is `ClientError::Server` on every single-reply
+/// request — `stats` used to report it as a protocol failure.
+#[test]
+fn a_typed_error_reply_to_stats_is_a_server_error() {
+    let reply = br#"{"v":1,"type":"error","id":1,"error":{"kind":"overloaded","message":"busy"}}"#;
+    let (addr, fake) = answer_once([&reply[..], b"\n"].concat());
+    let err = Client::connect(addr)
+        .expect("connect")
+        .stats()
+        .expect_err("the server refused");
+    match err {
+        ClientError::Server(e) => {
+            assert_eq!(e.kind, ServerErrorKind::Overloaded);
+            assert_eq!(e.message, "busy");
+        }
+        other => panic!("expected a typed server error, got {other}"),
+    }
+    fake.join().expect("fake server");
+}
+
+/// Framing cost is linear in the frame: a reader thread answers a junk
+/// frame just under the limit in about 8× the time of a 1 MiB one, not the
+/// 56× of a splitter that rescans its buffer after every read. Run in
+/// release for a meaningful ratio (CI does); the bound leaves 3× headroom.
+#[test]
+fn max_size_frame_costs_time_linear_in_its_size() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Instant;
+    use trajsearch_serve::MAX_FRAME_BYTES;
+
+    let store = store(30, 16, 9);
+    let engine = EngineBuilder::new(Lev, &store, ALPHABET).build();
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let handle = server.handle();
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(handle.clone());
+        let serving = scope.spawn(|| server.serve(&engine));
+        let mut raw = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+        let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+        // Best of three: first byte written → typed reply read.
+        let mut reply_time = |content_len: usize| {
+            let mut frame = vec![b'x'; content_len];
+            frame.push(b'\n');
+            (0..3)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    raw.write_all(&frame).expect("write");
+                    let mut line = String::new();
+                    reader.read_line(&mut line).expect("read");
+                    assert!(line.contains("\"malformed\""), "{line}");
+                    t0.elapsed()
+                })
+                .min()
+                .expect("three runs")
+        };
+        let small = reply_time(1 << 20);
+        let large = reply_time(MAX_FRAME_BYTES - 16);
+        assert!(
+            large <= small * 24,
+            "1 MiB frame answered in {small:?}, 8 MiB frame in {large:?}"
+        );
+        drop(guard);
+        serving.join().expect("serve thread").expect("serve ok");
+    });
+}

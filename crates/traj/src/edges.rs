@@ -10,15 +10,6 @@ use crate::dataset::TrajectoryStore;
 use crate::model::Trajectory;
 use rnet::RoadNetwork;
 
-/// Which alphabet a symbol string is drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Representation {
-    /// Symbols are vertex ids, alphabet `V`.
-    Vertex,
-    /// Symbols are edge ids, alphabet `E`.
-    Edge,
-}
-
 /// Converts a vertex-path trajectory to edge representation.
 ///
 /// The timestamp of edge `ei` is the departure time from `vi`. Returns

@@ -15,7 +15,6 @@
 pub mod dataset;
 pub mod edges;
 pub mod generator;
-pub mod io;
 pub mod mapmatch;
 pub mod model;
 

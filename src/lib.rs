@@ -48,11 +48,10 @@ pub mod prelude {
     pub use rnet::{CityParams, NetworkKind, RoadNetwork};
     pub use traj::{Trajectory, TrajectoryStore, TripConfig};
     pub use trajsearch_core::{
-        AnyIndex, BatchOptions, BatchResponse, CompactIndex, Deadline, DtwVerifier, EngineBuilder,
-        FrechetVerifier, IndexLayout, IndexShard, InvertedIndex, LcssVerifier, Metric, Objective,
-        Parallelism, PostingSource, Query, QueryBuilder, QueryError, RemoteSpec, Response,
-        SearchEngine, ShardedIndex, TemporalConstraint, TimeInterval, Verifier, VerifyMode,
-        WedVerifier,
+        AnyIndex, BatchOptions, BatchResponse, CompactIndex, Deadline, EngineBuilder, IndexLayout,
+        IndexShard, InvertedIndex, Metric, Objective, Parallelism, PostingSource, Query,
+        QueryBuilder, QueryError, RemoteSpec, Response, ScanVerifier, SearchEngine, ShardedIndex,
+        TemporalConstraint, TimeInterval, Verifier, VerifyMode, WedVerifier,
     };
     pub use trajsearch_distrib::{Coordinator, RemoteShards, ShardEndpoint};
     pub use trajsearch_persist::{Snapshot, SnapshotError, SnapshotErrorKind, SnapshotInfo};
