@@ -17,7 +17,12 @@
 //! [`ScanVerifier`] scores **whole candidate trajectories** (one scan per
 //! distinct id, like the WED SW strategy) and charges its DP rows to the
 //! metric-neutral `SearchStats::verify_cost`, leaving the WED-specific
-//! counters at zero.
+//! counters at zero. Under DTW and Fréchet a scan is not a row per
+//! position: the kernel opens a start `s` only when its first cell
+//! `sub(P[s], Q[0])` is below `τ` (every later cell of that start is at
+//! least that one, §5.1's rule of never extending a DP whose lower bound
+//! reached `τ`), so a start that cannot match costs one `sub` call and
+//! **no row** — `verify_cost` counts rows *evaluated*.
 
 use crate::json::{put, take, JsonValue, Wire};
 use crate::query::QueryError;
@@ -113,8 +118,9 @@ impl Wire for Metric {
 }
 
 /// One scan of a whole data sequence under a non-WED metric: all matching
-/// substrings plus the DP rows evaluated. Shared by [`ScanVerifier`] and
-/// the metric fallback scan.
+/// substrings plus the DP rows evaluated (none for a DTW/Fréchet start the
+/// kernel's first-cell gate skips). Shared by [`ScanVerifier`] and the
+/// metric fallback scan.
 pub(crate) fn metric_scan_all<M: CostModel>(
     model: &M,
     metric: Metric,
@@ -133,10 +139,11 @@ pub(crate) fn metric_scan_all<M: CostModel>(
 /// The back half of every non-WED metric: one exact scan
 /// ([`wed::metric::dtw_scan_all`], [`lcss_scan_all`](wed::metric::lcss_scan_all)
 /// or [`frechet_scan_all`](wed::metric::frechet_scan_all)) per candidate
-/// trajectory. In the current pipeline LCSS always takes the fallback scan
-/// (no sound filter bound exists), but the verifier serves it too, for
-/// custom candidate sets. [`Metric::Wed`] is not a scan metric — verifying
-/// under it panics; use [`WedVerifier`](crate::verify::WedVerifier).
+/// trajectory, charging the rows that scan evaluated to `verify_cost`. In
+/// the current pipeline LCSS always takes the fallback scan (no sound
+/// filter bound exists), but the verifier serves it too, for custom
+/// candidate sets. [`Metric::Wed`] is not a scan metric — verifying under
+/// it panics; use [`WedVerifier`](crate::verify::WedVerifier).
 pub struct ScanVerifier<'a, M: CostModel> {
     model: &'a M,
     q: &'a [Sym],

@@ -248,7 +248,7 @@ const GOLDEN: &[(&str, Row)] = &[
     ("wed_local/seq", [431, 431, 431, 3, 9275, 2970, 2970, 2970, 41, 0, 0x31f25821c10ced53]),
     ("wed_sw/seq", [431, 431, 431, 3, 1441, 0, 0, 1441, 41, 0, 0x31f25821c10ced53]),
     ("dtw/seq", [431, 431, 431, 3, 0, 0, 0, 5397, 198, 0, 0x11bcb86199d13075]),
-    ("frechet/seq", [129, 129, 129, 1, 0, 0, 0, 1463, 36, 0, 0xb80d432bc79e412c]),
+    ("frechet/seq", [129, 129, 129, 1, 0, 0, 0, 545, 36, 0, 0xb80d432bc79e412c]),
     ("lcss/seq", [1664, 1664, 1664, 0, 0, 0, 0, 19244, 856, 1, 0xbd099b9c71068b67]),
     ("wed_fallback/seq", [1664, 1664, 1664, 0, 1664, 0, 0, 1664, 5589, 1, 0x71d9410280802c39]),
     ("dtw_fallback/seq", [1664, 1664, 1664, 0, 0, 0, 0, 14620, 5906, 1, 0xeb25ef0789ceb9c8]),
@@ -261,7 +261,7 @@ const GOLDEN: &[(&str, Row)] = &[
     ("wed_local/par3", [431, 431, 431, 3, 9275, 2970, 2970, 2970, 41, 0, 0x31f25821c10ced53]),
     ("wed_sw/par3", [431, 431, 431, 3, 1441, 0, 0, 1441, 41, 0, 0x31f25821c10ced53]),
     ("dtw/par3", [431, 431, 431, 3, 0, 0, 0, 5397, 198, 0, 0x11bcb86199d13075]),
-    ("frechet/par3", [129, 129, 129, 1, 0, 0, 0, 1463, 36, 0, 0xb80d432bc79e412c]),
+    ("frechet/par3", [129, 129, 129, 1, 0, 0, 0, 545, 36, 0, 0xb80d432bc79e412c]),
     ("lcss/par3", [1664, 1664, 1664, 0, 0, 0, 0, 19244, 856, 1, 0xbd099b9c71068b67]),
     ("wed_fallback/par3", [1664, 1664, 1664, 0, 1664, 0, 0, 1664, 5589, 1, 0x71d9410280802c39]),
     ("dtw_fallback/par3", [1664, 1664, 1664, 0, 0, 0, 0, 14620, 5906, 1, 0xeb25ef0789ceb9c8]),

@@ -20,8 +20,13 @@
 //! metric-neutral `verify_cost` unit. DTW and Fréchet rows are monotone
 //! non-decreasing in their minimum entry (costs are non-negative and `max`
 //! only grows), so both scans early-terminate once a row's minimum reaches
-//! `tau`; LCSS distances *shrink* as substrings grow, so its scan must run
-//! each start to the end of the sequence.
+//! `tau` — the paper's rule (§5.1, Eq. 11) of never extending a DP whose
+//! lower bound reached `τ`. The same monotonicity bounds a start before
+//! its first row: every cell of start `s` is at least its first cell
+//! `sub(p[s], q[0])`, so a start whose first cell is `≥ tau` is skipped for
+//! the price of that one `sub` and counts no row. LCSS distances *shrink*
+//! as substrings grow, so its scan must run each start to the end of the
+//! sequence.
 
 use crate::cost::{CostModel, Sym};
 use crate::sw::SubMatch;
@@ -30,30 +35,26 @@ use crate::sw::SubMatch;
 /// at distance `0` from each other and `+∞` from anything non-empty (no
 /// coupling exists).
 pub fn dtw_dist<M: CostModel + ?Sized>(m: &M, a: &[Sym], b: &[Sym]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return if a.len() == b.len() {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-    }
-    let n = b.len();
-    let mut prev = vec![f64::INFINITY; n + 1];
-    prev[0] = 0.0;
-    for &x in a {
-        let mut cur = vec![f64::INFINITY; n + 1];
-        for j in 1..=n {
-            let reach = prev[j].min(cur[j - 1]).min(prev[j - 1]);
-            cur[j] = m.sub(x, b[j - 1]) + reach;
-        }
-        prev = cur;
-    }
-    prev[n]
+    whole_sum_or_max(m, a, b, |c, reach| c + reach)
 }
 
 /// Discrete Fréchet between whole sequences under `m.sub` ground costs;
 /// empty-input convention as in [`dtw_dist`].
 pub fn frechet_dist<M: CostModel + ?Sized>(m: &M, a: &[Sym], b: &[Sym]) -> f64 {
+    whole_sum_or_max(m, a, b, f64::max)
+}
+
+/// Whole-sequence coupling DP behind [`dtw_dist`] (`combine` adds a cell's
+/// cost to the best way of reaching it) and [`frechet_dist`] (`combine`
+/// maxes them). This is the oracle the scans are tested against, so it
+/// stays a textbook `(|a| + 1) × (|b| + 1)` table with `+∞` borders and
+/// shares nothing with [`scan_all_sum_or_max`].
+fn whole_sum_or_max<M: CostModel + ?Sized>(
+    m: &M,
+    a: &[Sym],
+    b: &[Sym],
+    combine: impl Fn(f64, f64) -> f64,
+) -> f64 {
     if a.is_empty() || b.is_empty() {
         return if a.len() == b.len() {
             0.0
@@ -63,14 +64,16 @@ pub fn frechet_dist<M: CostModel + ?Sized>(m: &M, a: &[Sym], b: &[Sym]) -> f64 {
     }
     let n = b.len();
     let mut prev = vec![f64::INFINITY; n + 1];
+    let mut cur = vec![f64::INFINITY; n + 1];
     prev[0] = 0.0;
     for &x in a {
-        let mut cur = vec![f64::INFINITY; n + 1];
+        // Column 0 of every row but the virtual one above `a[0]` is +∞.
+        cur[0] = f64::INFINITY;
         for j in 1..=n {
             let reach = prev[j].min(cur[j - 1]).min(prev[j - 1]);
-            cur[j] = m.sub(x, b[j - 1]).max(reach);
+            cur[j] = combine(m.sub(x, b[j - 1]), reach);
         }
-        prev = cur;
+        std::mem::swap(&mut prev, &mut cur);
     }
     prev[n]
 }
@@ -97,20 +100,20 @@ pub fn lcss_dist<M: CostModel + ?Sized>(m: &M, p: &[Sym], q: &[Sym], eps: f64) -
 }
 
 /// All non-empty substrings `p[s..=t]` with `dtw(p[s..=t], q) < tau`, plus
-/// the number of DP rows evaluated. Per-start DP with early termination:
-/// the row minimum never decreases as the substring grows, so once it
-/// reaches `tau` no extension of this start can match.
+/// the number of DP rows evaluated. Per-start DP behind a start gate, with
+/// early termination: the row minimum never decreases as the substring
+/// grows, so once it reaches `tau` no extension of this start can match.
 pub fn dtw_scan_all<M: CostModel + ?Sized>(
     m: &M,
     p: &[Sym],
     q: &[Sym],
     tau: f64,
 ) -> (Vec<SubMatch>, u64) {
-    scan_all_sum_or_max(m, p, q, tau, false)
+    scan_all_sum_or_max(m, p, q, tau, |c, reach| c + reach)
 }
 
 /// All non-empty substrings `p[s..=t]` with discrete Fréchet `< tau`, plus
-/// the number of DP rows evaluated; early termination as in
+/// the number of DP rows evaluated; start gate and early termination as in
 /// [`dtw_scan_all`] (the bottleneck cost also never decreases).
 pub fn frechet_scan_all<M: CostModel + ?Sized>(
     m: &M,
@@ -118,19 +121,26 @@ pub fn frechet_scan_all<M: CostModel + ?Sized>(
     q: &[Sym],
     tau: f64,
 ) -> (Vec<SubMatch>, u64) {
-    scan_all_sum_or_max(m, p, q, tau, true)
+    scan_all_sum_or_max(m, p, q, tau, f64::max)
 }
 
-/// Shared per-start DP for DTW (`bottleneck = false`: costs add) and
-/// discrete Fréchet (`bottleneck = true`: costs max). Row `t` holds
-/// `cur[j] = d(p[s..=t], q[..=j])`; the first row of each start couples the
-/// single symbol `p[s]` against every query prefix.
+/// Shared per-start DP for DTW (`combine` adds a cell's cost to the best
+/// way of reaching it) and discrete Fréchet (`combine` maxes them). Row `t`
+/// holds `cur[j] = d(p[s..=t], q[..=j])`; the first row of each start
+/// couples the single symbol `p[s]` against every query prefix.
+///
+/// **Start gate.** Every coupling of `p[s..=t]` with a prefix of `q` pairs
+/// `p[s]` with `q[0]`, and costs are non-negative, so under sum and max
+/// alike every cell of every row of start `s` is `≥ sub(p[s], q[0])`. A
+/// start whose first cell is already `≥ tau` can neither match nor survive
+/// its first row's bound; it is skipped before any row is filled or
+/// counted. A NaN first cell fails the comparison and takes the rows.
 fn scan_all_sum_or_max<M: CostModel + ?Sized>(
     m: &M,
     p: &[Sym],
     q: &[Sym],
     tau: f64,
-    bottleneck: bool,
+    combine: impl Fn(f64, f64) -> f64,
 ) -> (Vec<SubMatch>, u64) {
     assert!(!q.is_empty(), "query must be non-empty");
     let n = q.len();
@@ -139,41 +149,39 @@ fn scan_all_sum_or_max<M: CostModel + ?Sized>(
     let mut prev = vec![0.0f64; n];
     let mut cur = vec![0.0f64; n];
     for s in 0..p.len() {
+        let first = m.sub(p[s], q[0]);
+        if first >= tau {
+            continue;
+        }
         for t in s..p.len() {
             rows += 1;
             let sym = p[t];
-            if t == s {
-                cur[0] = m.sub(sym, q[0]);
-                for j in 1..n {
-                    let c = m.sub(sym, q[j]);
-                    cur[j] = if bottleneck {
-                        c.max(cur[j - 1])
-                    } else {
-                        c + cur[j - 1]
-                    };
-                }
+            // `left` is `cur[j - 1]`; `min` is the row's running minimum,
+            // folded from +∞ so that a NaN cell is passed over, not kept.
+            let mut left = if t == s {
+                first
             } else {
-                let c0 = m.sub(sym, q[0]);
-                cur[0] = if bottleneck {
-                    c0.max(prev[0])
+                combine(m.sub(sym, q[0]), prev[0])
+            };
+            cur[0] = left;
+            let mut min = f64::INFINITY.min(left);
+            for j in 1..n {
+                let reach = if t == s {
+                    left
                 } else {
-                    c0 + prev[0]
+                    prev[j].min(left).min(prev[j - 1])
                 };
-                for j in 1..n {
-                    let reach = prev[j].min(cur[j - 1]).min(prev[j - 1]);
-                    let c = m.sub(sym, q[j]);
-                    cur[j] = if bottleneck { c.max(reach) } else { c + reach };
-                }
+                left = combine(m.sub(sym, q[j]), reach);
+                cur[j] = left;
+                min = min.min(left);
             }
-            let d = cur[n - 1];
-            if d < tau {
+            if left < tau {
                 out.push(SubMatch {
                     start: s,
                     end: t,
-                    dist: d,
+                    dist: left,
                 });
             }
-            let min = cur.iter().cloned().fold(f64::INFINITY, f64::min);
             if min >= tau {
                 break;
             }
@@ -239,6 +247,58 @@ mod tests {
             .collect()
     }
 
+    /// Continuous ground costs: symbols are points on a line, 0.1 apart.
+    struct Line;
+
+    impl CostModel for Line {
+        fn sub(&self, a: Sym, b: Sym) -> f64 {
+            (a as f64 - b as f64).abs() * 0.1
+        }
+
+        fn ins(&self, _: Sym) -> f64 {
+            1.0
+        }
+    }
+
+    /// A scan by definition, from the whole-sequence `dist` alone: every
+    /// `(s, t, d)` with `d < tau`, and the rows the scan may charge — none
+    /// for a start whose first cell `sub(p[s], q[0])` is `≥ tau`, else one
+    /// per `t` up to and including the first whose prefix minimum
+    /// `min_j dist(p[s..=t], q[..=j])` reaches `tau`.
+    fn brute_scan<M: CostModel>(
+        m: &M,
+        dist: fn(&M, &[Sym], &[Sym]) -> f64,
+        p: &[Sym],
+        q: &[Sym],
+        tau: f64,
+    ) -> (Vec<(usize, usize, u64)>, u64) {
+        let mut matches = Vec::new();
+        let mut rows = 0;
+        for s in 0..p.len() {
+            let mut open = m.sub(p[s], q[0]) < tau;
+            for t in s..p.len() {
+                let d = dist(m, &p[s..=t], q);
+                if d < tau {
+                    matches.push((s, t, d.to_bits()));
+                }
+                if open {
+                    rows += 1;
+                    let min = (0..q.len())
+                        .map(|j| dist(m, &p[s..=t], &q[..=j]))
+                        .fold(f64::INFINITY, f64::min);
+                    open = min < tau;
+                }
+            }
+        }
+        (matches, rows)
+    }
+
+    fn bits(got: &[SubMatch]) -> Vec<(usize, usize, u64)> {
+        got.iter()
+            .map(|m| (m.start, m.end, m.dist.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn dtw_of_identical_sequences_is_zero() {
         assert_eq!(dtw_dist(&Lev, &[1, 2, 3], &[1, 2, 3]), 0.0);
@@ -284,21 +344,9 @@ mod tests {
             let q = random_seq(&mut rng, 7, 5);
             let tau = rng.gen_range(0.5..4.0);
             let (got, rows) = dtw_scan_all(&Lev, &p, &q, tau);
-            assert!(rows >= 1);
-            let mut brute = Vec::new();
-            for s in 0..p.len() {
-                for t in s..p.len() {
-                    let d = dtw_dist(&Lev, &p[s..=t], &q);
-                    if d < tau {
-                        brute.push((s, t, d));
-                    }
-                }
-            }
-            assert_eq!(got.len(), brute.len(), "p={p:?} q={q:?} tau={tau}");
-            for (a, &(s, t, d)) in got.iter().zip(&brute) {
-                assert_eq!((a.start, a.end), (s, t));
-                assert!((a.dist - d).abs() < 1e-9);
-            }
+            let (want, want_rows) = brute_scan(&Lev, dtw_dist, &p, &q, tau);
+            assert_eq!(bits(&got), want, "p={p:?} q={q:?} tau={tau}");
+            assert_eq!(rows, want_rows, "p={p:?} q={q:?} tau={tau}");
         }
     }
 
@@ -309,22 +357,41 @@ mod tests {
             let p = random_seq(&mut rng, 16, 5);
             let q = random_seq(&mut rng, 7, 5);
             let tau = rng.gen_range(0.3..1.6);
-            let (got, _) = frechet_scan_all(&Lev, &p, &q, tau);
-            let mut brute = Vec::new();
-            for s in 0..p.len() {
-                for t in s..p.len() {
-                    let d = frechet_dist(&Lev, &p[s..=t], &q);
-                    if d < tau {
-                        brute.push((s, t, d));
-                    }
-                }
-            }
-            assert_eq!(got.len(), brute.len(), "p={p:?} q={q:?} tau={tau}");
-            for (a, &(s, t, d)) in got.iter().zip(&brute) {
-                assert_eq!((a.start, a.end), (s, t));
-                assert!((a.dist - d).abs() < 1e-9);
-            }
+            let (got, rows) = frechet_scan_all(&Lev, &p, &q, tau);
+            let (want, want_rows) = brute_scan(&Lev, frechet_dist, &p, &q, tau);
+            assert_eq!(bits(&got), want, "p={p:?} q={q:?} tau={tau}");
+            assert_eq!(rows, want_rows, "p={p:?} q={q:?} tau={tau}");
         }
+    }
+
+    /// Continuous costs, with `tau` drawn from the realised first cells so
+    /// the gate's boundary is hit: matches bit-for-bit and rows evaluated
+    /// both equal the brute-force scan's.
+    #[test]
+    fn continuous_cost_scans_equal_brute_force() {
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let mut gated = 0;
+        for _ in 0..60 {
+            let p = random_seq(&mut rng, 16, 12);
+            let q = random_seq(&mut rng, 6, 12);
+            let at = Line.sub(p[rng.gen_range(0..p.len())], q[0]);
+            let tau = match rng.gen_range(0..3) {
+                0 => at,
+                1 => at.next_up(),
+                _ => at + rng.gen_range(0.0..0.5),
+            };
+            let all_rows = (p.len() * (p.len() + 1) / 2) as u64;
+            let (got, rows) = dtw_scan_all(&Line, &p, &q, tau);
+            let (want, want_rows) = brute_scan(&Line, dtw_dist, &p, &q, tau);
+            assert_eq!(bits(&got), want, "dtw p={p:?} q={q:?} tau={tau}");
+            assert_eq!(rows, want_rows, "dtw p={p:?} q={q:?} tau={tau}");
+            let (got, rows) = frechet_scan_all(&Line, &p, &q, tau);
+            let (want, want_rows) = brute_scan(&Line, frechet_dist, &p, &q, tau);
+            assert_eq!(bits(&got), want, "frechet p={p:?} q={q:?} tau={tau}");
+            assert_eq!(rows, want_rows, "frechet p={p:?} q={q:?} tau={tau}");
+            gated += (rows < all_rows) as usize;
+        }
+        assert!(gated > 30, "the draws must exercise the gate and the bound");
     }
 
     #[test]
@@ -357,16 +424,68 @@ mod tests {
 
     #[test]
     fn scan_all_early_termination_saves_rows() {
-        // A long sequence sharing nothing with the query: each start should
-        // stop after one row, not scan to the end.
+        // A long sequence sharing nothing with the query: every start is
+        // gated on its first cell, so no row is filled at all.
         let p = vec![9u32; 50];
         let q = [1, 2];
         let (got, rows) = dtw_scan_all(&Lev, &p, &q, 1.0);
         assert!(got.is_empty());
-        assert_eq!(rows, 50, "one row per start, then the bound fires");
+        assert_eq!(rows, 0, "a gated start costs no row");
         let (got_f, rows_f) = frechet_scan_all(&Lev, &p, &q, 0.5);
         assert!(got_f.is_empty());
-        assert_eq!(rows_f, 50);
+        assert_eq!(rows_f, 0);
+    }
+
+    #[test]
+    fn bound_fires_on_the_second_row_of_a_viable_start() {
+        // Start 0 passes the gate (`sub(1, 1) = 0`) and its first row's
+        // minimum is 0; the second row `[1, 1]` reaches tau = 1 and stops
+        // the start 48 symbols early. Starts 1.. are gated.
+        let mut p = vec![9u32; 50];
+        p[0] = 1;
+        let q = [1, 2];
+        let (got, rows) = dtw_scan_all(&Lev, &p, &q, 1.0);
+        assert!(got.is_empty());
+        assert_eq!(rows, 2);
+        // Fréchet's second row is `[1, 1]` too. Under a tau above every
+        // cost nothing is gated or bounded, and every substring matches.
+        let (got_f, rows_f) = frechet_scan_all(&Lev, &p, &q, 1.0);
+        assert!(got_f.is_empty());
+        assert_eq!(rows_f, 2);
+        let (got_f, rows_f) = frechet_scan_all(&Lev, &p, &q, 1.5);
+        assert_eq!(got_f.len(), 50 * 51 / 2);
+        assert_eq!(rows_f, 50 * 51 / 2);
+    }
+
+    #[test]
+    fn start_gate_is_strict_at_the_boundary() {
+        // One start, one query symbol: the first cell is the distance.
+        let p = [4];
+        let q = [1];
+        let c = Line.sub(4, 1);
+        assert!(c > 0.0 && c != 0.3, "a cost with rounding in it");
+        for scan in [dtw_scan_all::<Line>, frechet_scan_all::<Line>] {
+            // `sub == tau` exactly: gated, and (Definition 3) not a match.
+            assert_eq!(scan(&Line, &p, &q, c), (vec![], 0));
+            // One ulp higher: the start is scanned and matches.
+            let (got, rows) = scan(&Line, &p, &q, c.next_up());
+            assert_eq!(bits(&got), vec![(0, 0, c.to_bits())]);
+            assert_eq!(rows, 1);
+        }
+        // A NaN first cell is not gated: it takes its row, matches nothing,
+        // and the row's bound (a minimum over no number) closes the start.
+        struct Nan;
+        impl CostModel for Nan {
+            fn sub(&self, _: Sym, _: Sym) -> f64 {
+                f64::NAN
+            }
+            fn ins(&self, _: Sym) -> f64 {
+                1.0
+            }
+        }
+        let (got, rows) = dtw_scan_all(&Nan, &[1, 2], &[1], 1.0);
+        assert!(got.is_empty());
+        assert_eq!(rows, 2);
     }
 
     #[test]
