@@ -17,7 +17,7 @@ use crate::batch::{BatchOptions, BatchStats};
 use crate::compact::CompactIndex;
 use crate::deadline::Deadline;
 use crate::index::{InvertedIndex, Posting, PostingSource};
-use crate::json::{JsonValue, Wire};
+use crate::json;
 use crate::query::{Objective, Parallelism, Query, QueryError};
 use crate::results::MatchResult;
 use crate::search::{ExecCtx, SearchEngine};
@@ -320,26 +320,12 @@ impl Response {
     /// Encodes the response for the wire; [`Response::from_json`] inverts
     /// it losslessly (distances bit-for-bit, durations in nanoseconds).
     pub fn to_json(&self) -> String {
-        self.to_wire().to_string()
-    }
-
-    /// The document-model form of [`Response::to_json`] — for embedding a
-    /// response inside a larger envelope (as the serve protocol does)
-    /// without a render-and-reparse round trip.
-    pub fn to_value(&self) -> JsonValue {
-        self.to_wire()
+        json::encode(self)
     }
 
     /// Decodes a wire response.
     pub fn from_json(text: &str) -> Result<Response, QueryError> {
-        let doc = JsonValue::parse(text).map_err(QueryError::Parse)?;
-        Response::from_value(&doc)
-    }
-
-    /// The document-model form of [`Response::from_json`] — for decoding a
-    /// response already sitting inside a parsed envelope.
-    pub fn from_value(doc: &JsonValue) -> Result<Response, QueryError> {
-        Response::from_wire(doc).map_err(QueryError::Parse)
+        json::decode(text).map_err(QueryError::Parse)
     }
 }
 

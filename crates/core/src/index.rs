@@ -6,7 +6,7 @@
 //! and (when timestamps are present) a by-departure ordering that enables
 //! the binary-search refinement for temporal constraints described in §4.3.
 
-use crate::json::{JsonValue, Wire};
+use crate::json::{Reader, Wire};
 use traj::{TrajId, TrajectoryStore};
 use wed::Sym;
 
@@ -16,34 +16,44 @@ pub type Posting = (TrajId, u32);
 
 /// On the wire: `[traj_id, pos]`.
 impl Wire for Posting {
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::Arr(vec![self.0.to_wire(), self.1.to_wire()])
+    fn write_wire(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_wire(out);
+        out.push(',');
+        self.1.write_wire(out);
+        out.push(']');
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
-        match v.as_arr() {
-            Some([id, pos]) => Ok((u32::from_wire(id)?, u32::from_wire(pos)?)),
-            _ => Err("must be a [traj_id, pos] pair".to_string()),
-        }
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.tuple(2, "must be a [traj_id, pos] pair", |r| {
+            Ok((
+                u32::read_wire(r.element(0)?)?,
+                u32::read_wire(r.element(1)?)?,
+            ))
+        })
     }
 }
 
 /// A by-departure entry on the wire: the **flat** `[departure, traj_id, pos]`
 /// triple, not a nested pair.
 impl Wire for (f64, Posting) {
-    fn to_wire(&self) -> JsonValue {
+    fn write_wire(&self, out: &mut String) {
         let (departure, (id, pos)) = self;
-        JsonValue::Arr(vec![departure.to_wire(), id.to_wire(), pos.to_wire()])
+        out.push('[');
+        departure.write_wire(out);
+        out.push(',');
+        id.write_wire(out);
+        out.push(',');
+        pos.write_wire(out);
+        out.push(']');
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
-        match v.as_arr() {
-            Some([departure, id, pos]) => Ok((
-                f64::from_wire(departure)?,
-                (u32::from_wire(id)?, u32::from_wire(pos)?),
-            )),
-            _ => Err("must be a [departure, traj_id, pos] triple".to_string()),
-        }
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.tuple(3, "must be a [departure, traj_id, pos] triple", |r| {
+            let departure = f64::read_wire(r.element(0)?)?;
+            let id = u32::read_wire(r.element(1)?)?;
+            Ok((departure, (id, u32::read_wire(r.element(2)?)?)))
+        })
     }
 }
 

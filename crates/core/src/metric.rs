@@ -24,7 +24,7 @@
 //! reached `τ`), so a start that cannot match costs one `sub` call and
 //! **no row** — `verify_cost` counts rows *evaluated*.
 
-use crate::json::{put, take, JsonValue, Wire};
+use crate::json::{write_str, ObjectWriter, Reader, Slot, Wire};
 use crate::query::QueryError;
 use crate::results::ResultSet;
 use crate::stats::SearchStats;
@@ -87,22 +87,28 @@ impl Metric {
 /// error — never a silent fall-back to WED, which would answer under the
 /// wrong metric.
 impl Wire for Metric {
-    fn to_wire(&self) -> JsonValue {
-        let mut fields = Vec::with_capacity(2);
-        put(&mut fields, "name", &self.name().to_string());
+    fn write_wire(&self, out: &mut String) {
+        let mut o = ObjectWriter::new(out);
+        write_str(o.key("name"), self.name());
         if let Metric::Lcss { eps } = self {
-            put(&mut fields, "eps", eps);
+            o.field("eps", eps);
         }
-        JsonValue::Obj(fields)
+        o.end();
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
-        match take::<String>(v, "name")?.as_str() {
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut name, mut eps) = (Slot::<String>::new(), Slot::<f64>::new());
+        r.object(|r, key| match key {
+            "name" => name.read(r),
+            "eps" => eps.read(r),
+            _ => r.skip_member(key),
+        })?;
+        match name.take("name")?.as_str() {
             "wed" => Ok(Metric::Wed),
             "dtw" => Ok(Metric::Dtw),
             "frechet" => Ok(Metric::Frechet),
             "lcss" => Ok(Metric::Lcss {
-                eps: take(v, "eps")?,
+                eps: eps.take("eps")?,
             }),
             other => Err(format!("unknown metric {other:?}")),
         }
@@ -184,6 +190,7 @@ impl<M: CostModel> Verifier for ScanVerifier<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn names_and_default() {
@@ -198,38 +205,32 @@ mod tests {
     fn wed_is_omitted_on_the_wire() {
         assert!(Metric::Wed.omitted());
         assert_eq!(Metric::absent().unwrap(), Metric::Wed);
-        assert_eq!(
-            take::<Metric>(&JsonValue::parse(r#"{"metric":null}"#).unwrap(), "metric").unwrap(),
-            Metric::Wed
-        );
+        let mut slot = Slot::<Metric>::new();
+        slot.read(&mut Reader::new("null")).unwrap();
+        assert_eq!(slot.take("metric").unwrap(), Metric::Wed);
     }
 
     #[test]
     fn non_wed_metrics_round_trip() {
         for m in [Metric::Dtw, Metric::Frechet, Metric::Lcss { eps: 0.25 }] {
             assert!(!m.omitted(), "non-WED metrics are encoded");
-            let back = Metric::from_wire(&m.to_wire()).unwrap();
+            let back: Metric = json::decode(&json::encode(&m)).unwrap();
             assert_eq!(back, m);
         }
     }
 
     #[test]
     fn unknown_metric_is_a_typed_error() {
-        let doc = JsonValue::parse(r#"{"name":"hausdorff"}"#).unwrap();
-        assert!(matches!(
-            Metric::from_wire(&doc).map_err(QueryError::Parse),
-            Err(QueryError::Parse(_))
-        ));
-        let doc = JsonValue::parse(r#"{"eps":1}"#).unwrap();
-        assert!(matches!(
-            Metric::from_wire(&doc).map_err(QueryError::Parse),
-            Err(QueryError::Parse(_))
-        ));
-        let doc = JsonValue::parse(r#"{"name":"lcss"}"#).unwrap();
-        assert!(matches!(
-            Metric::from_wire(&doc).map_err(QueryError::Parse),
-            Err(QueryError::Parse(_))
-        ));
+        for text in [
+            r#"{"name":"hausdorff"}"#,
+            r#"{"eps":1}"#,
+            r#"{"name":"lcss"}"#,
+        ] {
+            assert!(matches!(
+                json::decode::<Metric>(text).map_err(QueryError::Parse),
+                Err(QueryError::Parse(_))
+            ));
+        }
     }
 
     #[test]

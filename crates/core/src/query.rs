@@ -17,7 +17,7 @@
 //! round-trip losslessly, so the exact same type serves as the request
 //! format for a serving front-end or a remote shard protocol.
 
-use crate::json::{put, take, JsonValue, Wire};
+use crate::json::{self, write_str, ObjectWriter, Reader, Slot, Wire};
 use crate::metric::Metric;
 use crate::search::SearchOptions;
 use crate::temporal::{TemporalConstraint, TemporalPredicate, TimeInterval};
@@ -250,64 +250,73 @@ impl Query {
     }
 
     /// Encodes the query as its wire format. [`Query::from_json`] inverts
-    /// this losslessly: `from_json(to_json()) == self`.
+    /// this losslessly: `from_json(to_json()) == self`. `metric` is omitted
+    /// for WED and `temporal`/`deadline_ms` when unset, so pre-metric,
+    /// untimed query JSON stays byte-identical.
     pub fn to_json(&self) -> String {
-        self.to_value().to_string()
-    }
-
-    /// The document-model form of [`Query::to_json`] — for embedding a
-    /// query inside a larger envelope (as the serve protocol does) without
-    /// a render-and-reparse round trip. `metric` is omitted for WED and
-    /// `temporal`/`deadline_ms` when unset, so pre-metric, untimed query
-    /// JSON stays byte-identical.
-    pub fn to_value(&self) -> JsonValue {
-        let mut fields = Vec::with_capacity(9);
-        put(&mut fields, "pattern", &self.pattern);
-        put(&mut fields, "objective", &self.objective);
-        put(&mut fields, "verify", &self.verify);
-        put(&mut fields, "metric", &self.metric);
-        put(&mut fields, "temporal", &self.temporal);
-        put(&mut fields, "temporal_filter", &self.temporal_filter);
-        put(&mut fields, "temporal_postings", &self.temporal_postings);
-        put(&mut fields, "parallelism", &self.parallelism);
-        put(&mut fields, "deadline_ms", &self.deadline_ms);
-        JsonValue::Obj(fields)
+        json::encode(self)
     }
 
     /// Decodes and **validates** a wire query — the result went through the
     /// same [`QueryBuilder::build`] checks as a locally built one, so a
-    /// deserialized `Query` is as trustworthy as any other.
+    /// deserialized `Query` is as trustworthy as any other. Only `pattern`
+    /// and `objective` are required; every other key decodes to the
+    /// builder's default when absent.
     pub fn from_json(text: &str) -> Result<Query, QueryError> {
-        let doc = JsonValue::parse(text).map_err(QueryError::Parse)?;
-        Query::from_value(&doc)
+        let mut r = Reader::new(text);
+        Query::decode(&mut r)
+            .and_then(|query| r.finish().map(|()| query).map_err(QueryError::Parse))
+            .map_err(|e| json::check(text).err().map_or(e, QueryError::Parse))
     }
 
-    /// The document-model form of [`Query::from_json`], validating the
-    /// same way — for decoding a query already sitting inside a parsed
-    /// envelope. Only `pattern` and `objective` are required; every other
-    /// key decodes to the builder's default when absent.
-    pub fn from_value(doc: &JsonValue) -> Result<Query, QueryError> {
-        let decode = || -> Result<QueryBuilder, String> {
-            Ok(QueryBuilder {
-                pattern: take(doc, "pattern")?,
-                objective: take(doc, "objective")?,
-                verify: take::<Option<_>>(doc, "verify")?.unwrap_or_default(),
-                metric: take(doc, "metric")?,
-                temporal: take(doc, "temporal")?,
-                temporal_filter: take::<Option<_>>(doc, "temporal_filter")?.unwrap_or_default(),
-                temporal_postings: take::<Option<_>>(doc, "temporal_postings")?.unwrap_or_default(),
-                parallelism: take::<Option<_>>(doc, "parallelism")?.unwrap_or_default(),
-                deadline_ms: take(doc, "deadline_ms")?,
+    /// The one query decoder, at the reader's position.
+    fn decode(r: &mut Reader<'_>) -> Result<Query, QueryError> {
+        let start = r.clone();
+        let mut pattern = Slot::new();
+        let mut objective = Slot::new();
+        let mut verify = Slot::<Option<_>>::new();
+        let mut metric = Slot::new();
+        let mut temporal = Slot::new();
+        let mut temporal_filter = Slot::<Option<_>>::new();
+        let mut temporal_postings = Slot::<Option<_>>::new();
+        let mut parallelism = Slot::<Option<_>>::new();
+        let mut deadline_ms = Slot::new();
+        let decoded = r
+            .object(|r, key| match key {
+                "pattern" => pattern.read(r),
+                "objective" => objective.read(r),
+                "verify" => verify.read(r),
+                "metric" => metric.read(r),
+                "temporal" => temporal.read(r),
+                "temporal_filter" => temporal_filter.read(r),
+                "temporal_postings" => temporal_postings.read(r),
+                "parallelism" => parallelism.read(r),
+                "deadline_ms" => deadline_ms.read(r),
+                _ => r.skip_member(key),
             })
-        };
-        match decode() {
+            .and_then(|()| {
+                Ok(QueryBuilder {
+                    pattern: pattern.take("pattern")?,
+                    objective: objective.take("objective")?,
+                    verify: verify.take("verify")?.unwrap_or_default(),
+                    metric: metric.take("metric")?,
+                    temporal: temporal.take("temporal")?,
+                    temporal_filter: temporal_filter.take("temporal_filter")?.unwrap_or_default(),
+                    temporal_postings: temporal_postings
+                        .take("temporal_postings")?
+                        .unwrap_or_default(),
+                    parallelism: parallelism.take("parallelism")?.unwrap_or_default(),
+                    deadline_ms: deadline_ms.take("deadline_ms")?,
+                })
+            });
+        match decoded {
             Ok(builder) => builder.build(),
             // A threshold token that overflows `f64` (`1e999`) is not a
             // syntax error: report it as the invalid threshold it is.
-            Err(msg) => Err(doc
-                .get("objective")
-                .and_then(|objective| objective.get("tau"))
-                .and_then(JsonValue::as_f64)
+            Err(msg) => Err(start
+                .member("objective")
+                .and_then(|objective| Reader::new(objective).member("tau"))
+                .and_then(|tau| tau.parse::<f64>().ok())
                 .filter(|tau| tau.is_infinite())
                 .map_or(QueryError::Parse(msg), QueryError::InvalidTau)),
         }
@@ -315,77 +324,99 @@ impl Query {
 }
 
 impl Wire for Query {
-    fn to_wire(&self) -> JsonValue {
-        self.to_value()
+    fn write_wire(&self, out: &mut String) {
+        let mut o = ObjectWriter::new(out);
+        o.field("pattern", &self.pattern);
+        o.field("objective", &self.objective);
+        o.field("verify", &self.verify);
+        o.field("metric", &self.metric);
+        o.field("temporal", &self.temporal);
+        o.field("temporal_filter", &self.temporal_filter);
+        o.field("temporal_postings", &self.temporal_postings);
+        o.field("parallelism", &self.parallelism);
+        o.field("deadline_ms", &self.deadline_ms);
+        o.end();
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
-        Query::from_value(v).map_err(|e| e.to_string())
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        Query::decode(r).map_err(|e| e.to_string())
     }
 }
+
+/// Decodes a value written as one of `names`; anything else is an error
+/// showing the value, `unknown <what> <value>`.
+fn read_name<T: Copy>(r: &mut Reader<'_>, names: &[(&str, T)], what: &str) -> Result<T, String> {
+    let at = r.clone();
+    let name = r.string()?;
+    match names.iter().find(|(n, _)| Some(*n) == name.as_deref()) {
+        Some(&(_, value)) => Ok(value),
+        None => Err(format!("unknown {what} {}", at.canonical()?)),
+    }
+}
+
+const VERIFY_MODES: [(&str, VerifyMode); 3] = [
+    ("trie", VerifyMode::Trie),
+    ("local", VerifyMode::Local),
+    ("sw", VerifyMode::Sw),
+];
 
 impl Wire for VerifyMode {
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                VerifyMode::Trie => "trie",
-                VerifyMode::Local => "local",
-                VerifyMode::Sw => "sw",
-            }
-            .to_string(),
-        )
+    fn write_wire(&self, out: &mut String) {
+        let name = VERIFY_MODES.iter().find(|(_, mode)| mode == self);
+        write_str(out, name.expect("every mode has a wire name").0);
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
-        match v.as_str() {
-            Some("trie") => Ok(VerifyMode::Trie),
-            Some("local") => Ok(VerifyMode::Local),
-            Some("sw") => Ok(VerifyMode::Sw),
-            _ => Err(format!("unknown verify mode {v}")),
-        }
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        read_name(r, &VERIFY_MODES, "verify mode")
     }
 }
 
+const TEMPORAL_PREDICATES: [(&str, TemporalPredicate); 2] = [
+    ("overlaps", TemporalPredicate::Overlaps),
+    ("within", TemporalPredicate::Within),
+];
+
 impl Wire for TemporalPredicate {
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::Str(
-            match self {
-                TemporalPredicate::Overlaps => "overlaps",
-                TemporalPredicate::Within => "within",
-            }
-            .to_string(),
-        )
+    fn write_wire(&self, out: &mut String) {
+        let name = TEMPORAL_PREDICATES.iter().find(|(_, p)| p == self);
+        write_str(out, name.expect("every predicate has a wire name").0);
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
-        match v.as_str() {
-            Some("overlaps") => Ok(TemporalPredicate::Overlaps),
-            Some("within") => Ok(TemporalPredicate::Within),
-            _ => Err(format!("unknown temporal predicate {v}")),
-        }
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        read_name(r, &TEMPORAL_PREDICATES, "temporal predicate")
     }
 }
 
 /// `{"predicate":…,"start":…,"end":…}` — the interval's bounds sit inline,
 /// and an absent predicate means `overlaps`.
 impl Wire for TemporalConstraint {
-    fn to_wire(&self) -> JsonValue {
-        let mut fields = Vec::with_capacity(3);
-        put(&mut fields, "predicate", &self.predicate);
-        put(&mut fields, "start", &self.interval.start);
-        put(&mut fields, "end", &self.interval.end);
-        JsonValue::Obj(fields)
+    fn write_wire(&self, out: &mut String) {
+        let mut o = ObjectWriter::new(out);
+        o.field("predicate", &self.predicate);
+        o.field("start", &self.interval.start);
+        o.field("end", &self.interval.end);
+        o.end();
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut start, mut end) = (Slot::new(), Slot::new());
+        let mut predicate = Slot::<Option<_>>::new();
+        r.object(|r, key| match key {
+            "predicate" => predicate.read(r),
+            "start" => start.read(r),
+            "end" => end.read(r),
+            _ => r.skip_member(key),
+        })?;
         Ok(TemporalConstraint {
             // Not `TimeInterval::new`, which asserts the ordering: an
             // unordered wire interval is `build()`'s typed error to report.
             interval: TimeInterval {
-                start: take(v, "start")?,
-                end: take(v, "end")?,
+                start: start.take("start")?,
+                end: end.take("end")?,
             },
-            predicate: take::<Option<_>>(v, "predicate")?.unwrap_or(TemporalPredicate::Overlaps),
+            predicate: predicate
+                .take("predicate")?
+                .unwrap_or(TemporalPredicate::Overlaps),
         })
     }
 }

@@ -248,7 +248,7 @@ wire_struct! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajsearch_core::json::{JsonValue, Wire};
+    use trajsearch_core::json::{self, JsonValue};
 
     #[test]
     fn percentiles_over_a_known_series() {
@@ -419,16 +419,16 @@ mod tests {
         m.record_latency(123_456, 98_765);
         m.record_queue_wait(2_222);
         let s = m.snapshot(1, 32, 2);
-        let v = s.to_wire();
-        assert_eq!(MetricsSnapshot::from_wire(&v).unwrap(), s);
+        let text = json::encode(&s);
+        assert_eq!(json::decode::<MetricsSnapshot>(&text).unwrap(), s);
         // A pre-queue-series snapshot (no "queue" key) still decodes.
-        let legacy = match v {
+        let legacy = match JsonValue::parse(&text).unwrap() {
             JsonValue::Obj(fields) => {
                 JsonValue::Obj(fields.into_iter().filter(|(k, _)| k != "queue").collect())
             }
             other => other,
         };
-        let back = MetricsSnapshot::from_wire(&legacy).unwrap();
+        let back: MetricsSnapshot = json::decode(&legacy.to_string()).unwrap();
         assert_eq!(back.queue, LatencySummary::default());
         assert_eq!(back.wall, s.wall);
     }

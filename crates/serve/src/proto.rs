@@ -119,7 +119,7 @@
 use crate::metrics::MetricsSnapshot;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use trajsearch_core::json::{JsonValue, Wire};
+use trajsearch_core::json::{self, write_str, Reader, Wire};
 use trajsearch_core::{wire_enum, wire_struct, Posting, Query, Response};
 use wed::Sym;
 
@@ -150,33 +150,43 @@ pub const SUPPORTED_METRICS: [&str; 4] = ["wed", "dtw", "lcss", "frechet"];
 /// frame far below [`MAX_FRAME_BYTES`] even for huge shards.
 pub const SPAN_PAGE_MAX: usize = 65_536;
 
-/// Checks a decoded frame's `"v"` field against [`PROTO_MAJOR`]. Absent
-/// means major 1 (pre-versioning peers).
-fn check_version(doc: &JsonValue) -> Result<(), ServerError> {
-    match doc.get("v") {
+/// Checks a frame's `"v"` field — its raw value text, if the frame has
+/// one — against [`PROTO_MAJOR`]. Absent means major 1 (pre-versioning
+/// peers).
+fn check_version(v: Option<&str>) -> Result<(), ServerError> {
+    match v.map(str::parse::<u64>) {
         None => Ok(()),
-        Some(v) => match v.as_u64() {
-            Some(m) if m == PROTO_MAJOR as u64 => Ok(()),
-            Some(m) => Err(ServerError::new(
-                ServerErrorKind::UnsupportedVersion,
-                format!("unsupported protocol major {m}; this peer speaks {PROTO_MAJOR}"),
-            )),
-            None => Err(ServerError::new(
-                ServerErrorKind::Malformed,
-                "\"v\" must be an unsigned integer",
-            )),
-        },
+        Some(Ok(m)) if m == PROTO_MAJOR as u64 => Ok(()),
+        Some(Ok(m)) => Err(ServerError::new(
+            ServerErrorKind::UnsupportedVersion,
+            format!("unsupported protocol major {m}; this peer speaks {PROTO_MAJOR}"),
+        )),
+        Some(Err(_)) => Err(ServerError::new(
+            ServerErrorKind::Malformed,
+            "\"v\" must be an unsigned integer",
+        )),
     }
 }
 
-/// Renders a frame: the protocol major, then the shape's own keys (`type`,
-/// `id`, fields in declaration order).
-fn render_frame(shape: JsonValue) -> String {
-    let JsonValue::Obj(mut fields) = shape else {
-        unreachable!("wire_enum! shapes encode as objects");
-    };
-    fields.insert(0, ("v".to_string(), PROTO_MAJOR.to_wire()));
-    JsonValue::Obj(fields).to_string()
+/// Renders a frame: `{"v":<major>,` and then the shape's own keys
+/// (`type`, `id`, fields in declaration order).
+fn render_frame(shape: &impl Wire) -> String {
+    let mut frame = String::with_capacity(256);
+    frame.push_str("{\"v\":");
+    PROTO_MAJOR.write_wire(&mut frame);
+    let body = frame.len();
+    shape.write_wire(&mut frame);
+    // The shape opens its own object; continue the envelope's instead.
+    frame.replace_range(body..body + 1, ",");
+    frame
+}
+
+/// Decodes a frame in one pass, reading the envelope's `"v"` on the way.
+/// `Err` carries the decode error; the version is checked by the caller.
+fn read_frame<T: Wire>(text: &str) -> (Result<T, String>, Option<&str>) {
+    let mut r = Reader::capturing(text, "v");
+    let decoded = T::read_wire(&mut r).and_then(|frame| r.finish().map(|()| frame));
+    (decoded, r.captured())
 }
 
 // ---------------------------------------------------------------------------
@@ -235,12 +245,13 @@ impl ServerErrorKind {
 }
 
 impl Wire for ServerErrorKind {
-    fn to_wire(&self) -> JsonValue {
-        JsonValue::Str(self.as_str().to_string())
+    fn write_wire(&self, out: &mut String) {
+        write_str(out, self.as_str())
     }
 
-    fn from_wire(v: &JsonValue) -> Result<Self, String> {
-        v.as_str()
+    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.string()?
+            .as_deref()
             .and_then(ServerErrorKind::from_str)
             .ok_or_else(|| "must be a known error kind".to_string())
     }
@@ -475,7 +486,7 @@ impl Request {
     }
 
     pub fn to_json(&self) -> String {
-        render_frame(self.to_wire())
+        render_frame(self)
     }
 
     /// Decodes a request frame. The error side carries the frame's `id`
@@ -484,31 +495,39 @@ impl Request {
     /// `unsupported_version`, a query body that fails validation a typed
     /// `invalid_query`, anything else wrong with the envelope `malformed`.
     pub fn from_json(text: &str) -> Result<Request, (Option<u64>, ServerError)> {
+        match read_frame(text) {
+            (Ok(request), v) if check_version(v).is_ok() => Ok(request),
+            (decoded, _) => Err(Request::classify(text, decoded.err().unwrap_or_default())),
+        }
+    }
+
+    /// The error path of [`from_json`](Request::from_json): scans the frame
+    /// again to classify the failure in the order a parse-then-decode
+    /// reader would — syntax, then version, then `id`, then the query body.
+    fn classify(text: &str, msg: String) -> (Option<u64>, ServerError) {
         let malformed =
             |id: Option<u64>, msg: String| (id, ServerError::new(ServerErrorKind::Malformed, msg));
-        let doc = match JsonValue::parse(text) {
-            Ok(doc) => doc,
-            Err(e) => return Err(malformed(None, format!("unparseable frame: {e}"))),
-        };
-        let id = doc.get("id").and_then(|v| v.as_u64());
-        if let Err(error) = check_version(&doc) {
-            return Err((id, error));
+        if let Err(e) = json::check(text) {
+            return malformed(None, format!("unparseable frame: {e}"));
+        }
+        let frame = Reader::new(text);
+        let id = frame.member("id").and_then(|raw| raw.parse::<u64>().ok());
+        if let Err(error) = check_version(frame.member("v")) {
+            return (id, error);
         }
         if id.is_none() {
-            return Err(malformed(None, "request frame needs a u64 \"id\"".into()));
+            return malformed(None, "request frame needs a u64 \"id\"".into());
         }
-        Request::from_wire(&doc).map_err(|msg| {
-            // Decode the query body once more, on this error path only, to
-            // tell the caller's query being wrong from the frame being wrong.
-            let is_query = doc.get("type").and_then(JsonValue::as_str) == Some("query");
-            match doc.get("query").map(Query::from_value) {
-                Some(Err(e)) if is_query => (
-                    id,
-                    ServerError::new(ServerErrorKind::InvalidQuery, e.to_string()),
-                ),
-                _ => malformed(id, msg),
-            }
-        })
+        // Decode the query body once more, on this error path only, to tell
+        // the caller's query being wrong from the frame being wrong.
+        let is_query = frame.tag().as_deref() == Some("query");
+        match frame.member("query").map(Query::from_json) {
+            Some(Err(e)) if is_query => (
+                id,
+                ServerError::new(ServerErrorKind::InvalidQuery, e.to_string()),
+            ),
+            _ => malformed(id, msg),
+        }
     }
 }
 
@@ -572,19 +591,31 @@ impl Reply {
     }
 
     pub fn to_json(&self) -> String {
-        let mut shape = self.to_wire();
-        if let (Reply::Error { id: None, .. }, JsonValue::Obj(fields)) = (self, &mut shape) {
+        let mut frame = render_frame(self);
+        if let Reply::Error { id: None, .. } = self {
             // The one key that renders `null` instead of being omitted: an
             // error addressed to nobody still shows its `id`, after `type`.
-            fields.insert(1, ("id".to_string(), JsonValue::Null));
+            const TAGGED: &str = "\"type\":\"error\"";
+            let at = frame.find(TAGGED).expect("an error frame is tagged") + TAGGED.len();
+            frame.insert_str(at, ",\"id\":null");
         }
-        render_frame(shape)
+        frame
     }
 
     pub fn from_json(text: &str) -> Result<Reply, String> {
-        let doc = JsonValue::parse(text)?;
-        check_version(&doc).map_err(|e| e.to_string())?;
-        let reply = Reply::from_wire(&doc)?;
+        let reply = match read_frame::<Reply>(text) {
+            (Ok(reply), v) => {
+                check_version(v).map_err(|e| e.to_string())?;
+                reply
+            }
+            // Error path: a syntax error, then the version, win over the
+            // decode error, as for a parse-then-decode reader.
+            (Err(msg), _) => {
+                json::check(text)?;
+                check_version(Reader::new(text).member("v")).map_err(|e| e.to_string())?;
+                return Err(msg);
+            }
+        };
         if let Reply::ShardSpans { page, .. } = &reply {
             if page.departures.len() != page.arrivals.len() {
                 return Err("span page arrays must have equal length".into());
@@ -694,13 +725,10 @@ mod tests {
             .build()
             .unwrap();
         // The minor-2 frame shape, built by hand: envelope + query object.
-        let legacy = JsonValue::Obj(vec![
-            ("v".into(), JsonValue::num_u64(PROTO_MAJOR as u64)),
-            ("type".into(), JsonValue::Str("query".into())),
-            ("id".into(), JsonValue::num_u64(42)),
-            ("query".into(), query.to_value()),
-        ])
-        .to_string();
+        let legacy = format!(
+            r#"{{"v":{PROTO_MAJOR},"type":"query","id":42,"query":{}}}"#,
+            query.to_json()
+        );
         let untraced = Request::Query {
             id: 42,
             query: query.clone(),

@@ -38,9 +38,9 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::shard::{answer_shard_rpc, RpcDisposition, ShardSource};
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use trajsearch_core::{Deadline, PostingSource, Query, QueryError, Response, SearchEngine};
 use trajsearch_obs::{LogHistogram, PromText, TraceSink, Tracer};
@@ -211,6 +211,28 @@ struct SlowLog {
     threshold_ns: u64,
     capacity: usize,
     entries: Mutex<VecDeque<TraceEntry>>,
+}
+
+impl SlowLog {
+    /// The log is a log: a thread that died holding it left whole entries
+    /// behind, so captures and reads recover the guard instead of failing.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<TraceEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends a capture, evicting the oldest at capacity.
+    fn push(&self, entry: TraceEntry) {
+        let mut entries = self.lock();
+        if entries.len() == self.capacity {
+            entries.pop_front();
+        }
+        entries.push_back(entry);
+    }
+
+    /// The captures, oldest first.
+    fn snapshot(&self) -> Vec<TraceEntry> {
+        self.lock().iter().cloned().collect()
+    }
 }
 
 /// State shared between acceptor, readers, workers and handles.
@@ -569,10 +591,20 @@ impl<S: ShardSource> Role for ShardRole<'_, S> {
 
 /// Writes one reply frame on a connection's shared writer. A send failure
 /// means the client vanished; the query's work is simply discarded.
+///
+/// A writer poisoned by a thread that died mid-write may have left half a
+/// frame on the stream. The reply is dropped and the socket shut down, so
+/// the client sees EOF — never a desynchronised stream.
 fn send_reply(writer: &Mutex<TcpStream>, reply: &Reply) {
     let json = reply.to_json();
-    let mut w = writer.lock().expect("connection writer poisoned");
-    let _ = write_frame(&mut *w, json).and_then(|()| w.flush());
+    match writer.lock() {
+        Ok(mut w) => {
+            let _ = write_frame(&mut *w, json).and_then(|()| w.flush());
+        }
+        Err(poisoned) => {
+            let _ = poisoned.into_inner().shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// Answers a request with a typed error; `id` is `None` when the offending
@@ -604,11 +636,16 @@ fn connection_loop<R: Role>(stream: TcpStream, shared: &Shared, poll: Duration, 
     // `writer`, which stays alive inside their jobs until drained.
     while !shared.shutdown.load(Ordering::SeqCst) {
         match frames.read_frame() {
-            // Lossy: invalid UTF-8 fails to parse and gets its typed
-            // `malformed` reply like any other junk, on a live connection.
-            Ok(Some(frame)) => {
-                handle_frame(&String::from_utf8_lossy(&frame), shared, &writer, role)
-            }
+            Ok(Some(frame)) => match std::str::from_utf8(&frame) {
+                Ok(text) => handle_frame(text, shared, &writer, role),
+                // Invalid UTF-8 is junk like any other: a typed `malformed`
+                // reply, on a connection that stays open.
+                Err(e) => {
+                    Metrics::bump(&shared.metrics.malformed);
+                    let message = format!("frame is not valid UTF-8: {e}");
+                    reject(&writer, None, ServerErrorKind::Malformed, message);
+                }
+            },
             Ok(None) => return, // client closed
             Err(e) => match e.kind() {
                 // Poll tick: the partial frame stays in `frames`.
@@ -813,11 +850,7 @@ fn maybe_capture_slow(shared: &Shared, trace_id: u64, query_id: u64, wall_ns: u6
         wall_ns,
         spans: wire_spans(&shared.sink.spans_for(trace_id)),
     };
-    let mut entries = slow.entries.lock().expect("slow log poisoned");
-    if entries.len() == slow.capacity {
-        entries.pop_front();
-    }
-    entries.push_back(entry);
+    slow.push(entry);
 }
 
 fn wire_spans(spans: &[trajsearch_obs::SpanRecord]) -> Vec<WireSpan> {
@@ -854,16 +887,10 @@ fn trace_entries_for(shared: &Shared, trace_id: u64) -> Vec<TraceEntry> {
 
 /// Answers `trace` without an id: the slow-query log, oldest first.
 fn slow_log_entries(shared: &Shared) -> Vec<TraceEntry> {
-    match &shared.slow {
-        Some(slow) => slow
-            .entries
-            .lock()
-            .expect("slow log poisoned")
-            .iter()
-            .cloned()
-            .collect(),
-        None => Vec::new(),
-    }
+    shared
+        .slow
+        .as_ref()
+        .map_or_else(Vec::new, SlowLog::snapshot)
 }
 
 /// Renders the Prometheus text exposition: every admission counter, queue
@@ -968,4 +995,67 @@ fn render_metrics_text(shared: &Shared) -> String {
         &shared.phases.verify.snapshot(),
     );
     p.render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// Poisons `lock` with a scoped thread that dies holding it.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|scope| {
+            let died = scope.spawn(|| {
+                let _guard = lock.lock();
+                panic!("dies holding the lock");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_writer_drops_the_reply_and_closes_the_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let writer = Mutex::new(listener.accept().expect("accept").0);
+        let reply = |id| Reply::MetricsText {
+            id,
+            text: "x 1\n".into(),
+        };
+        send_reply(&writer, &reply(1));
+        poison(&writer);
+        send_reply(&writer, &reply(2));
+        // The first reply arrives whole; the second is dropped and the
+        // stream ends instead.
+        let mut received = String::new();
+        client
+            .read_to_string(&mut received)
+            .expect("EOF, not a hang");
+        assert_eq!(received, format!("{}\n", reply(1).to_json()));
+    }
+
+    #[test]
+    fn a_poisoned_slow_log_keeps_capturing_and_answering() {
+        let slow = SlowLog {
+            threshold_ns: 0,
+            capacity: 2,
+            entries: Mutex::new(VecDeque::new()),
+        };
+        let entry = |trace_id| TraceEntry {
+            trace_id,
+            query_id: Some(trace_id),
+            wall_ns: 1,
+            spans: Vec::new(),
+        };
+        slow.push(entry(1));
+        poison(&slow.entries);
+        for t in 2..=3 {
+            slow.push(entry(t));
+        }
+        assert_eq!(slow.snapshot(), [entry(2), entry(3)]);
+    }
 }

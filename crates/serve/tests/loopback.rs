@@ -553,6 +553,15 @@ fn one_frame_limit_at_both_ends() {
             line.contains("\"malformed\"") && line.contains("\"id\":null"),
             "{line}"
         );
+        // So is a frame that would decode but for one bad byte inside a
+        // string its shape never reads: an unknown key's value.
+        raw.write_all(b"{\"v\":1,\"type\":\"stats\",\"id\":1,\"note\":\"\xff\"}\n")
+            .expect("write");
+        let line = read_line();
+        assert!(
+            line.contains("\"malformed\"") && line.contains("\"id\":null"),
+            "{line}"
+        );
 
         // Exactly the limit: the framer passes it on, the parser refuses it.
         let mut frame = vec![b'x'; MAX_FRAME_BYTES];

@@ -790,3 +790,126 @@ proptest! {
         }
     }
 }
+
+/// A seeded xorshift stream, for reproducible permutations.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// Rewrites a golden document the way a sloppier peer might: every
+/// object's keys in a seeded order, an unknown key with a nested value in
+/// each, and a duplicate of one key carrying another value appended (the
+/// first occurrence wins, so the duplicate must change nothing).
+fn scramble(v: &mut JsonValue, rng: &mut Rng) {
+    match v {
+        JsonValue::Arr(items) => items.iter_mut().for_each(|item| scramble(item, rng)),
+        JsonValue::Obj(pairs) => {
+            pairs.iter_mut().for_each(|(_, item)| scramble(item, rng));
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, rng.below(i + 1));
+            }
+            let unknown = JsonValue::parse(r#"{"a":[1,{"b":null,"c":"é"}],"type":"x"}"#);
+            pairs.insert(
+                rng.below(pairs.len() + 1),
+                ("later_minor".into(), unknown.unwrap()),
+            );
+            let (key, _) = pairs[rng.below(pairs.len())].clone();
+            pairs.push((key, JsonValue::Arr(vec![JsonValue::Str("dup".into())])));
+        }
+        _ => {}
+    }
+}
+
+/// Renders `v` with whitespace between tokens.
+fn render_spaced(v: &JsonValue, rng: &mut Rng) -> String {
+    let ws = |rng: &mut Rng| [" ", "", "\n", " \t "][rng.below(4)];
+    let mut out = String::from(ws(rng));
+    match v {
+        JsonValue::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                out.push_str(if i > 0 { "," } else { "" });
+                out.push_str(&render_spaced(item, rng));
+            }
+            out.push_str(ws(rng));
+            out.push(']');
+        }
+        JsonValue::Obj(pairs) => {
+            out.push('{');
+            for (i, (key, item)) in pairs.iter().enumerate() {
+                out.push_str(if i > 0 { "," } else { "" });
+                out.push_str(ws(rng));
+                out.push_str(&JsonValue::Str(key.clone()).to_string());
+                out.push_str(ws(rng));
+                out.push(':');
+                out.push_str(&render_spaced(item, rng));
+            }
+            out.push_str(ws(rng));
+            out.push('}');
+        }
+        leaf => out.push_str(&leaf.to_string()),
+    }
+    out.push_str(ws(rng));
+    out
+}
+
+#[test]
+fn any_key_order_decodes_like_the_canonical_frame() {
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    let mut rewrite = |literal: &str| {
+        let mut doc = JsonValue::parse(literal).unwrap();
+        scramble(&mut doc, &mut rng);
+        render_spaced(&doc, &mut rng)
+    };
+    for _ in 0..8 {
+        for (value, literal) in request_rows() {
+            let text = rewrite(literal);
+            assert_eq!(Request::from_json(&text).unwrap(), value, "{text}");
+        }
+        for (value, literal) in reply_rows() {
+            let text = rewrite(literal);
+            assert_eq!(Reply::from_json(&text).unwrap(), value, "{text}");
+        }
+        for (value, literal) in query_rows() {
+            let text = rewrite(literal);
+            assert_eq!(Query::from_json(&text).unwrap(), value, "{text}");
+        }
+    }
+}
+
+/// Decoding reads a frame once, wherever its `"type"` tag sits: a frame
+/// whose tag comes after a 4 MiB member costs a skim of the object to find
+/// the tag, not a re-scan per key.
+#[test]
+fn decode_is_linear_whatever_the_key_order() {
+    let item = r#"{"k":[1,2.5,"text",null,true]},"#;
+    let bulk = format!("[{}0]", item.repeat((4 << 20) / item.len() + 1));
+    assert!(bulk.len() >= 4 << 20);
+    let query = plain_query().to_json();
+    let first = format!(r#"{{"v":1,"type":"query","id":7,"bulk":{bulk},"query":{query}}}"#);
+    let last = format!(r#"{{"v":1,"id":7,"bulk":{bulk},"query":{query},"type":"query"}}"#);
+    let best_of_three = |frame: &str| {
+        (0..3)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let request = Request::from_json(frame).unwrap();
+                let elapsed = t0.elapsed();
+                assert_eq!(request.id(), 7);
+                elapsed
+            })
+            .min()
+            .unwrap()
+    };
+    let (first, last) = (best_of_three(&first), best_of_three(&last));
+    assert!(
+        last <= first * 8,
+        "type first {first:?}, type last {last:?}"
+    );
+}
