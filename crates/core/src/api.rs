@@ -3,9 +3,9 @@
 //! [`SearchEngine::run_batch`] answers a mixed workload of them.
 //!
 //! Everything the engine can do — threshold and top-k objectives, all
-//! verification strategies and metrics, temporal constraints, sequential /
-//! in-query / whole-batch parallelism, every postings layout — is reached
-//! through these two methods. [`SearchEngine::run_traced`] is `run` with
+//! verification strategies and metrics, temporal constraints, whole-batch
+//! parallelism, every postings layout — is reached through these two
+//! methods. [`SearchEngine::run_traced`] is `run` with
 //! span recording, and [`SearchEngine::execute`] is the form both forward
 //! to: the caller supplies the [`Deadline`] and the [`Tracer`], as a serving
 //! front-end does. Dispatch stays monomorphized over
@@ -18,7 +18,7 @@ use crate::compact::CompactIndex;
 use crate::deadline::Deadline;
 use crate::index::{InvertedIndex, Posting, PostingSource};
 use crate::json;
-use crate::query::{Objective, Parallelism, Query, QueryError};
+use crate::query::{Objective, Query, QueryError};
 use crate::results::MatchResult;
 use crate::search::{ExecCtx, SearchEngine};
 use crate::sharded::ShardedIndex;
@@ -365,7 +365,7 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     }
 
     /// [`run`](SearchEngine::run) with span recording: phase spans (filter,
-    /// lookup, dedup, verification shards, top-k rounds, fallback scans)
+    /// lookup, dedup, verification, top-k rounds, fallback scans)
     /// land in the [`TraceSink`](trajsearch_obs::TraceSink) the `tracer` is
     /// bound to, under a root `"query"` span. A disabled tracer makes this
     /// exactly [`run`](SearchEngine::run).
@@ -410,18 +410,14 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
             ..ctx
         };
         let (q, opts) = (query.pattern(), query.search_options());
-        let threads = match query.parallelism() {
-            Parallelism::Sequential => 1,
-            Parallelism::InQuery(threads) => threads,
-        };
         match query.objective() {
-            Objective::Threshold { tau } => self.execute_threshold(q, tau, &opts, threads, ctx),
+            Objective::Threshold { tau } => self.execute_threshold(q, tau, &opts, ctx),
             Objective::TopK {
                 k,
                 initial_tau,
                 max_tau,
             } => crate::topk::top_k_growth(k, initial_tau, max_tau, ctx, |tau, ctx| {
-                self.execute_threshold(q, tau, &opts, threads, ctx)
+                self.execute_threshold(q, tau, &opts, ctx)
             }),
         }
     }
@@ -434,10 +430,9 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     /// All queries are admission-checked up front: an invalid one fails the
     /// whole batch *before* any work starts, so a partially executed batch
     /// is impossible. Work distribution is dynamic (an atomic cursor);
-    /// every query runs exactly as [`run`](SearchEngine::run) would
-    /// (including its own [`Parallelism`] — note that `InQuery` inside a
-    /// multi-threaded batch oversubscribes the host), so responses are
-    /// byte-identical to calling `run` in a loop, for any thread count.
+    /// every query runs on one worker exactly as
+    /// [`run`](SearchEngine::run) would, so responses are byte-identical to
+    /// calling `run` in a loop, for any thread count.
     ///
     /// A query's [`deadline_ms`](Query::deadline_ms) clock starts when a
     /// worker **dequeues** it (claims it from the cursor), mirroring `run`'s
@@ -557,7 +552,6 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Parallelism;
     use crate::temporal::{TemporalConstraint, TimeInterval};
     use crate::verify::VerifyMode;
     use traj::Trajectory;
@@ -652,10 +646,7 @@ mod tests {
                 .temporal_postings(true)
                 .build()
                 .unwrap(),
-            Query::threshold(vec![9, 8], 1.0)
-                .parallelism(Parallelism::InQuery(2))
-                .build()
-                .unwrap(),
+            Query::threshold(vec![9, 8], 1.0).build().unwrap(),
         ];
         let want: Vec<Response> = queries.iter().map(|q| engine.run(q).unwrap()).collect();
         for threads in [1, 2, 4] {
@@ -683,10 +674,7 @@ mod tests {
         for q in [
             Query::threshold(vec![1, 5, 2], 2.0).build().unwrap(),
             Query::top_k(vec![1, 2], 2, 0.5, 4.0).build().unwrap(),
-            Query::threshold(vec![1, 2], 1.0)
-                .parallelism(Parallelism::InQuery(2))
-                .build()
-                .unwrap(),
+            Query::threshold(vec![1, 2], 1.0).build().unwrap(),
         ] {
             assert_eq!(
                 engine.execute(&q, past, Tracer::disabled()).unwrap_err(),

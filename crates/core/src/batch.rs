@@ -3,26 +3,20 @@
 //! The paper's engine answers one query at a time; a serving deployment
 //! sees a *workload*. [`SearchEngine::run_batch`](crate::SearchEngine::run_batch)
 //! fans whole queries out across `std::thread::scope` workers (no external
-//! thread-pool dependency) claiming from a shared atomic cursor:
-//!
-//! * **Across queries** — each worker claims whole [`Query`](crate::Query)
-//!   values and runs the ordinary pipeline on them. By default a query's
-//!   bidirectional-trie caches stay on the worker that built them (the
-//!   [`Verifier`](crate::verify::Verifier) is thread-local), so cache
-//!   locality is exactly that of sequential execution;
-//!   [`BatchOptions::share_tries`] opts the whole batch into one shared
-//!   [`TrieCache`](crate::verify::TrieCache) so repeated or overlapping
-//!   patterns reuse each other's DP columns. One batch may mix thresholds,
-//!   top-k, temporal and plain queries freely.
-//! * **Within a query** —
-//!   [`Parallelism::InQuery`](crate::Parallelism::InQuery) shards one
-//!   query's candidate trajectories across workers; useful for
-//!   tail-latency on a single heavy query, not for throughput.
+//! thread-pool dependency) claiming from a shared atomic cursor. Each worker
+//! claims whole [`Query`](crate::Query) values and runs the ordinary
+//! pipeline on them, one query on one thread — the engine's only level of
+//! parallelism. By default a query's bidirectional-trie caches stay with the
+//! query that built them (the [`Verifier`](crate::verify::Verifier) is
+//! thread-local), so cache locality is exactly that of sequential
+//! execution; [`BatchOptions::share_tries`] opts the whole batch into one
+//! shared [`TrieCache`](crate::verify::TrieCache) so repeated or overlapping
+//! patterns reuse each other's DP columns. One batch may mix thresholds,
+//! top-k, temporal and plain queries freely.
 //!
 //! Either way the result sets — distances included — are identical to
 //! sequential execution: the only shared mutable state is the opt-in trie
-//! cache, whose columns are bit-identical to privately computed ones, and
-//! the per-triple min-merge is associative.
+//! cache, whose columns are bit-identical to privately computed ones.
 //!
 //! This module holds the workload-level types: [`BatchOptions`] (worker
 //! count, trie sharing) and [`BatchStats`] (wall-clock vs summed-CPU time so

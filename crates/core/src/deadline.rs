@@ -8,9 +8,7 @@
 //! is ever killed):
 //!
 //! * before filtering starts and after candidate lookup,
-//! * between whole-trajectory candidate groups during verification (the
-//!   unit of work distribution, so the check granularity matches the
-//!   scheduling granularity on both the sequential and sharded paths),
+//! * between whole-trajectory candidate groups during verification,
 //! * between trajectories of the exact fallback scan,
 //! * between threshold-growth rounds of a top-k query.
 //!

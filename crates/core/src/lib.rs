@@ -36,8 +36,8 @@
 //! * [`stats`] — the instrumentation behind Tables 4 and 5. Alongside the
 //!   aggregate counters, every execution path is threaded with a
 //!   [`Tracer`]: [`SearchEngine::run_traced`](search::SearchEngine::run_traced)
-//!   records per-phase spans (filter, lookup, dedup, per-shard
-//!   verification, top-k growth rounds, fallback scans) into a
+//!   records per-phase spans (filter, lookup, dedup, verification, top-k
+//!   growth rounds, fallback scans) into a
 //!   [`TraceSink`], at zero cost when untraced.
 //! * [`batch`] — workload-level execution types; one batch may mix
 //!   thresholds, top-k and temporal queries.
@@ -105,7 +105,7 @@ pub use deadline::Deadline;
 pub use filter::FilterPlan;
 pub use index::{InvertedIndex, Posting, PostingSource, SizeBreakdown};
 pub use metric::{Metric, ScanVerifier};
-pub use query::{Objective, Parallelism, Query, QueryBuilder, QueryError};
+pub use query::{Objective, Query, QueryBuilder, QueryError};
 pub use results::{MatchResult, ResultSet};
 pub use search::{exact_fallback_scan, SearchEngine, SearchOptions};
 pub use sharded::{IndexShard, ShardedIndex};

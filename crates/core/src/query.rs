@@ -2,8 +2,8 @@
 //!
 //! Every search path of the engine — threshold and top-k objectives, all
 //! three verification strategies, temporal constraints with the TF
-//! pre-filter and the §4.3 by-departure postings, sequential and in-query
-//! parallel execution — is described by one [`Query`] value, built through
+//! pre-filter and the §4.3 by-departure postings, deadlines — is described
+//! by one [`Query`] value, built through
 //! [`QueryBuilder`] and answered by
 //! [`SearchEngine::run`](crate::SearchEngine::run) /
 //! [`run_batch`](crate::SearchEngine::run_batch). This mirrors the paper's
@@ -42,24 +42,6 @@ crate::wire_enum! {
     }
 }
 
-crate::wire_enum! {
-    /// How one query's work is scheduled.
-    ///
-    /// For throughput over many queries prefer
-    /// [`run_batch`](crate::SearchEngine::run_batch) (whole-query fan-out) over
-    /// `InQuery`, which shards a single query's verification phase and exists
-    /// for tail latency on one heavy query.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub enum Parallelism {
-        /// The paper's single-threaded pipeline.
-        #[default]
-        Sequential as "sequential",
-        /// Verification sharded across this many scoped worker threads
-        /// (`>= 1`; `1` is equivalent to `Sequential`).
-        InQuery as "in_query" (threads: usize),
-    }
-}
-
 /// Why a query was rejected — at [`QueryBuilder::build`] for
 /// shape errors, at [`SearchEngine::run`](crate::SearchEngine::run) for
 /// engine-dependent ones, or at [`Query::from_json`] for wire errors.
@@ -80,15 +62,10 @@ pub enum QueryError {
     /// The engine's index has no by-departure orderings; build it with
     /// temporal postings enabled (this used to be a silent fallback).
     TemporalPostingsUnavailable,
-    /// `Parallelism::InQuery(0)` is meaningless.
-    ZeroThreads,
     /// `deadline_ms` must be at least 1 (a zero budget can never be met).
     InvalidDeadline,
     /// LCSS's ε must be finite and non-negative.
     InvalidEps(f64),
-    /// The target (a remote shard server, typically) does not support the
-    /// query's metric; re-aim at an upgraded server or use WED.
-    UnsupportedMetric(String),
     /// The query's deadline passed before execution finished; the engine
     /// stopped at a cooperative checkpoint (see [`crate::deadline`]) and
     /// returned no partial results.
@@ -126,13 +103,9 @@ impl fmt::Display for QueryError {
                 "temporal postings requested but the index has no by-departure \
                  orderings (enable temporal postings when building the engine)"
             ),
-            QueryError::ZeroThreads => write!(f, "in-query parallelism requires >= 1 thread"),
             QueryError::InvalidDeadline => write!(f, "deadline_ms must be at least 1"),
             QueryError::InvalidEps(eps) => {
                 write!(f, "lcss eps must be finite and non-negative, got {eps}")
-            }
-            QueryError::UnsupportedMetric(name) => {
-                write!(f, "metric {name:?} is not supported by the query target")
             }
             QueryError::DeadlineExceeded => write!(f, "query deadline exceeded"),
             QueryError::Parse(msg) => write!(f, "malformed query/response JSON: {msg}"),
@@ -155,7 +128,6 @@ pub struct Query {
     temporal: Option<TemporalConstraint>,
     temporal_filter: bool,
     temporal_postings: bool,
-    parallelism: Parallelism,
     deadline_ms: Option<u64>,
 }
 
@@ -214,10 +186,6 @@ impl Query {
         self.temporal_postings
     }
 
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// The query's latency budget in milliseconds, if any. The clock starts
     /// when execution begins — at [`run`](crate::SearchEngine::run) entry
     /// in-process, at *admission* in a serving layer (so queue time counts;
@@ -225,17 +193,6 @@ impl Query {
     /// [`QueryError::DeadlineExceeded`], never a late answer.
     pub fn deadline_ms(&self) -> Option<u64> {
         self.deadline_ms
-    }
-
-    /// Returns a copy with a different execution schedule — the one field a
-    /// serving layer may want to override per deployment without rebuilding
-    /// the query. Validity is preserved (`InQuery(0)` is still rejected).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Result<Query, QueryError> {
-        if parallelism == Parallelism::InQuery(0) {
-            return Err(QueryError::ZeroThreads);
-        }
-        self.parallelism = parallelism;
-        Ok(self)
     }
 
     /// The per-query options of the internal pipeline.
@@ -279,7 +236,6 @@ impl Query {
         let mut temporal = Slot::new();
         let mut temporal_filter = Slot::<Option<_>>::new();
         let mut temporal_postings = Slot::<Option<_>>::new();
-        let mut parallelism = Slot::<Option<_>>::new();
         let mut deadline_ms = Slot::new();
         let decoded = r
             .object(|r, key| match key {
@@ -290,7 +246,6 @@ impl Query {
                 "temporal" => temporal.read(r),
                 "temporal_filter" => temporal_filter.read(r),
                 "temporal_postings" => temporal_postings.read(r),
-                "parallelism" => parallelism.read(r),
                 "deadline_ms" => deadline_ms.read(r),
                 _ => r.skip_member(key),
             })
@@ -305,7 +260,6 @@ impl Query {
                     temporal_postings: temporal_postings
                         .take("temporal_postings")?
                         .unwrap_or_default(),
-                    parallelism: parallelism.take("parallelism")?.unwrap_or_default(),
                     deadline_ms: deadline_ms.take("deadline_ms")?,
                 })
             });
@@ -333,7 +287,6 @@ impl Wire for Query {
         o.field("temporal", &self.temporal);
         o.field("temporal_filter", &self.temporal_filter);
         o.field("temporal_postings", &self.temporal_postings);
-        o.field("parallelism", &self.parallelism);
         o.field("deadline_ms", &self.deadline_ms);
         o.end();
     }
@@ -431,7 +384,6 @@ pub struct QueryBuilder {
     temporal: Option<TemporalConstraint>,
     temporal_filter: bool,
     temporal_postings: bool,
-    parallelism: Parallelism,
     deadline_ms: Option<u64>,
 }
 
@@ -445,7 +397,6 @@ impl QueryBuilder {
             temporal: None,
             temporal_filter: false,
             temporal_postings: false,
-            parallelism: Parallelism::default(),
             deadline_ms: None,
         }
     }
@@ -486,12 +437,6 @@ impl QueryBuilder {
     /// silently falling back.
     pub fn temporal_postings(mut self, on: bool) -> Self {
         self.temporal_postings = on;
-        self
-    }
-
-    /// Execution schedule (default sequential).
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -548,9 +493,6 @@ impl QueryBuilder {
         if self.temporal_postings && self.temporal.is_none() {
             return Err(QueryError::TemporalPostingsWithoutConstraint);
         }
-        if self.parallelism == Parallelism::InQuery(0) {
-            return Err(QueryError::ZeroThreads);
-        }
         if self.deadline_ms == Some(0) {
             return Err(QueryError::InvalidDeadline);
         }
@@ -562,7 +504,6 @@ impl QueryBuilder {
             temporal: self.temporal,
             temporal_filter: self.temporal_filter,
             temporal_postings: self.temporal_postings,
-            parallelism: self.parallelism,
             deadline_ms: self.deadline_ms,
         })
     }
@@ -611,17 +552,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             QueryError::TemporalPostingsWithoutConstraint
-        );
-    }
-
-    #[test]
-    fn build_rejects_zero_in_query_threads() {
-        assert_eq!(
-            Query::threshold(vec![1], 1.0)
-                .parallelism(Parallelism::InQuery(0))
-                .build()
-                .unwrap_err(),
-            QueryError::ZeroThreads
         );
     }
 
@@ -705,7 +635,6 @@ mod tests {
             .temporal(TemporalConstraint::within(TimeInterval::new(-1.5, 9e9)))
             .temporal_filter(true)
             .temporal_postings(true)
-            .parallelism(Parallelism::InQuery(4))
             .deadline_ms(2000)
             .build()
             .unwrap();

@@ -78,10 +78,9 @@ impl ResultSet {
             .retain(|&(id, s, t), _| keep(id, s as usize, t as usize));
     }
 
-    /// Min-merges another result set into this one (parallel verification
-    /// shards accumulate into per-thread sets and merge afterwards; the
-    /// per-triple minimum is associative, so sharding cannot change the
-    /// final distances).
+    /// Min-merges another result set into this one; the per-triple minimum
+    /// is associative, so merging partial sets in any order cannot change
+    /// the final distances.
     pub fn merge(&mut self, other: ResultSet) {
         for ((id, s, t), dist) in other.map {
             self.push(id, s as usize, t as usize, dist);

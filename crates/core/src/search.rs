@@ -8,10 +8,10 @@
 //! Construct engines with [`EngineBuilder`](crate::EngineBuilder) and query
 //! them with [`SearchEngine::run`] (one [`Query`](crate::Query)) or
 //! [`SearchEngine::run_batch`] (a workload of them). Every threshold search
-//! — whatever the metric, thread count, deadline or tracing — is one call of
+//! — whatever the metric, deadline or tracing — is one call of
 //! `execute_threshold` in this module: MinCand plan → postings lookup →
-//! dedup → verification, with an exact scan when no sound filter bound
-//! exists; top-k is a loop around it ([`crate::topk`]).
+//! dedup → verification on the calling thread, with an exact scan when no
+//! sound filter bound exists; top-k is a loop around it ([`crate::topk`]).
 //!
 //! The default configuration is the paper's **OSF-BT**: optimized
 //! subsequence filtering (MinCand) + bidirectional-trie verification.
@@ -30,7 +30,7 @@ use crate::results::{MatchResult, ResultSet};
 use crate::stats::SearchStats;
 use crate::temporal::TemporalConstraint;
 use crate::verify::{
-    finish_verification, verify_sharded, Candidate, TrieCache, Verifier, VerifyMode, WedVerifier,
+    finish_verification, verify_all, Candidate, TrieCache, Verifier, VerifyMode, WedVerifier,
 };
 use std::time::{Duration, Instant};
 use traj::TrajectoryStore;
@@ -38,7 +38,7 @@ use trajsearch_obs::Tracer;
 use wed::{sw_scan_all, Sym, WedInstance};
 
 /// Per-query options of the pipeline: everything a
-/// [`Query`](crate::Query) carries besides its objective and schedule.
+/// [`Query`](crate::Query) carries besides its objective and deadline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchOptions {
     pub verify: VerifyMode,
@@ -177,12 +177,9 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     /// growth round.
     ///
     /// Verification — the dominant cost in the paper's Table 4 breakdown —
-    /// is sharded by trajectory across `threads` scoped workers, each with
-    /// its own [`Verifier`]; `threads = 1` is the paper's sequential
-    /// pipeline, and the result set (distances included) is identical for
-    /// any thread count. Trie-mode workers share DP columns through one
-    /// [`TrieCache`]: the batch-level `ctx.cache` when provided, else a
-    /// query-local one when `threads > 1`.
+    /// runs on the calling thread with one [`Verifier`], as in the paper.
+    /// Trie-mode WED verification reads the batch-level `ctx.cache` when
+    /// the batch shares tries, and keeps its tries private otherwise.
     ///
     /// When no sound filter bound exists (`c(Q) < τ`, possible for
     /// continuous cost models with small η; always for LCSS), filtering
@@ -193,7 +190,6 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
         q: &[Sym],
         tau: f64,
         opts: &SearchOptions,
-        threads: usize,
         ctx: ExecCtx<'_>,
     ) -> Result<Response, QueryError> {
         let mut stats = SearchStats::default();
@@ -215,23 +211,14 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
 
         let t2 = Instant::now();
         let model = &self.model;
-        let local;
         let matches = match opts.metric {
             Metric::Wed => {
-                let cache = match (ctx.cache, opts.verify) {
-                    (Some(c), VerifyMode::Trie) => Some(c),
-                    (None, VerifyMode::Trie) if threads > 1 => {
-                        local = TrieCache::new();
-                        Some(&local)
-                    }
-                    _ => None,
-                };
-                let make = || WedVerifier::with_cache(model, q, tau, opts.verify, cache);
-                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
+                let mut verifier = WedVerifier::with_cache(model, q, tau, opts.verify, ctx.cache);
+                self.verify(&candidates, &mut verifier, opts, ctx, &mut stats)
             }
             metric => {
-                let make = || ScanVerifier::new(model, q, tau, metric);
-                self.verify(&candidates, make, opts, threads, ctx, &mut stats)
+                let mut verifier = ScanVerifier::new(model, q, tau, metric);
+                self.verify(&candidates, &mut verifier, opts, ctx, &mut stats)
             }
         }?;
         stats.verify_time = t2.elapsed();
@@ -242,23 +229,21 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
 
     /// Phase 3 for whichever verifier the metric picked; generic, so each
     /// arm of the metric match stays monomorphized.
-    fn verify<V: Verifier, F: Fn() -> V + Sync>(
+    fn verify<V: Verifier>(
         &self,
         candidates: &[Candidate],
-        make_verifier: F,
+        verifier: &mut V,
         opts: &SearchOptions,
-        threads: usize,
         ctx: ExecCtx<'_>,
         stats: &mut SearchStats,
     ) -> Result<Vec<MatchResult>, QueryError> {
-        verify_sharded(
+        verify_all(
             self.store,
             |id| self.index.span(id),
             candidates,
-            make_verifier,
+            verifier,
             opts.temporal.as_ref(),
             opts.temporal_filter,
-            threads,
             ctx,
             stats,
         )
@@ -368,7 +353,6 @@ fn fallback_scan<M: wed::CostModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Parallelism;
     use crate::{EngineBuilder, Query};
     use rnet::{CityParams, NetworkKind};
     use std::sync::Arc;
@@ -597,37 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn in_query_parallelism_matches_sequential() {
-        let store = toy_store();
-        let engine = EngineBuilder::new(&Lev, &store, 10).build();
-        let q: Vec<Sym> = vec![1, 5, 2];
-        for tau in [1.0, 2.0, 3.0] {
-            for mode in [VerifyMode::Trie, VerifyMode::Local, VerifyMode::Sw] {
-                let want = engine
-                    .run(
-                        &Query::threshold(q.clone(), tau)
-                            .verify(mode)
-                            .build()
-                            .unwrap(),
-                    )
-                    .unwrap();
-                for threads in [1, 2, 4] {
-                    let query = Query::threshold(q.clone(), tau)
-                        .verify(mode)
-                        .parallelism(Parallelism::InQuery(threads))
-                        .build()
-                        .unwrap();
-                    let got = engine.run(&query).unwrap();
-                    assert_eq!(
-                        got.matches, want.matches,
-                        "tau={tau} mode={mode:?} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "query must be non-empty")]
     fn empty_query_rejected() {
         // `QueryBuilder::build` already rejects an empty pattern with a
@@ -640,7 +593,7 @@ mod tests {
             tracer: Tracer::disabled(),
             cache: None,
         };
-        let _ = engine.execute_threshold(&[], 1.0, &SearchOptions::default(), 1, ctx);
+        let _ = engine.execute_threshold(&[], 1.0, &SearchOptions::default(), ctx);
     }
 
     #[test]

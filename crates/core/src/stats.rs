@@ -61,8 +61,8 @@ crate::wire_struct! {
         /// never mix incomparable units.
         pub verify_cost: u64 = default,
         /// Shared-trie acquisitions that found a [`TrieCache`] entry an earlier
-        /// worker or query had already created (the cross-shard and batch cache
-        /// levels; stays zero with private tries and for non-WED verifiers).
+        /// query of the batch had already created (the batch cache level;
+        /// stays zero with private tries and for non-WED verifiers).
         ///
         /// [`TrieCache`]: crate::verify::TrieCache
         pub trie_cache_hits: u64 = default,

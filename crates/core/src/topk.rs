@@ -32,7 +32,7 @@ pub struct TopKEntry {
 
 /// The threshold-growth loop behind [`Objective::TopK`](crate::Objective),
 /// around `threshold_search(tau, ctx)` — the engine's one threshold
-/// execution path with the query's pattern, options and thread count bound.
+/// execution path with the query's pattern and options bound.
 /// Returns the ranked best matches (rank order) plus the per-round stats
 /// merged over every growth round, with `results` set to the returned entry
 /// count.

@@ -24,13 +24,14 @@
 //! [`VerifyMode::Sw`] and the baselines run), and the two agree to the bit.
 //! The profile is private to its verifier.
 //!
-//! Above the profile, Trie-mode caching is a three-level hierarchy. The
-//! per-query level (one verifier's own tries) is always on. When in-query
-//! parallelism shards one query's groups across workers, the workers share
-//! one [`TrieCache`] instead of rebuilding identical tries per worker
-//! (cross-shard level). A batch may opt in to
-//! the same cache across its queries (`BatchOptions::share_tries`), so
-//! repeated or overlapping patterns hit warm columns. Sharing never changes
+//! Every Local- and Trie-mode walk is one loop, `walk_trie`, over a
+//! [`DpTrie`]. Above the profile, Trie-mode caching has two levels. The
+//! per-query level (one verifier's own tries) is always on. A batch may opt
+//! in to one [`TrieCache`] across its queries (`BatchOptions::share_tries`),
+//! so repeated or overlapping patterns hit warm columns; a walk over a shared
+//! trie holds its lock from the root to its last step, StepDP included.
+//! Local mode walks the verifier's private trie after clearing it back to
+//! its root, so every step computes its column. Sharing never changes
 //! results: a trie is fully determined by its query suffix `Q^d` and the
 //! cost model, and StepDP is deterministic, so shared columns are
 //! bit-identical to privately computed ones. Non-WED verifiers
@@ -44,8 +45,8 @@
 //! (Lemma 1), with per-triple min-merge restoring exact distances.
 //!
 //! Verification is **metric-pluggable**: the front half (candidate dedup,
-//! per-trajectory grouping, work distribution, deadline checkpoints,
-//! temporal post-check) is shared, while the back half is a [`Verifier`]
+//! per-trajectory grouping, deadline checkpoints, temporal post-check) is
+//! shared, while the back half is a [`Verifier`]
 //! implementation invoked once per trajectory group — [`WedVerifier`] for
 //! the three WED strategies above, or the DTW/LCSS/Fréchet verifiers in
 //! [`crate::metric`].
@@ -61,6 +62,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use traj::{TrajId, TrajectoryStore};
+use trajsearch_obs::Tracer;
 use wed::dp::{SubProfile, Suffix};
 use wed::{sw_scan_all, CostModel, Sym};
 
@@ -150,14 +152,6 @@ impl DpTrie {
         }
     }
 
-    /// The cached DP column of `node`:
-    /// `col[j] = wed(P^d[..k], Q^d[..j])` for the node's depth `k`.
-    /// Threshold-independent, hence reusable across candidates and queries.
-    fn col(&self, node: u32) -> &[f64] {
-        let at = node as usize * self.stride;
-        &self.cols[at..at + self.stride]
-    }
-
     /// Existing child `node --sym-->`, if cached. The linear sibling scan is
     /// optimal at road-network out-degrees (~3).
     fn lookup(&self, node: u32, sym: Sym) -> Option<u32> {
@@ -173,6 +167,11 @@ impl DpTrie {
     }
 
     /// Returns `(child id, freshly created?)` for `node --sym-->`.
+    ///
+    /// A miss writes the column first, into a tail at the new node's own
+    /// index, and links the node after: a panic between the two leaves a
+    /// tail no node points at, which the next miss overwrites — so a shared
+    /// trie whose lock was poisoned mid-walk is still a valid one.
     fn child<M: CostModel + ?Sized>(
         &mut self,
         costs: &mut SubProfile<'_, M>,
@@ -191,36 +190,26 @@ impl DpTrie {
         let (head, fresh) = self.cols.split_at_mut(old_len);
         let at = node as usize * s;
         let min = costs.step(suffix, sym, &head[at..at + s], fresh);
-        let ed = fresh[s - 1];
-        (self.link(node, sym, min, ed), true)
-    }
-
-    /// Adopts an externally computed column — the shared-cache path, where
-    /// StepDP ran outside the trie lock.
-    fn insert_child(&mut self, node: u32, sym: Sym, col: &[f64], min: f64) -> u32 {
-        debug_assert_eq!(col.len(), self.stride);
-        // Column first, at the new node's own index, then the node: a panic
-        // between the two leaves a tail no node points at, which the next
-        // insert overwrites — a poisoned trie is still a valid one.
-        self.cols.truncate(self.nodes.len() * self.stride);
-        self.cols.extend_from_slice(col);
-        self.link(node, sym, min, col[self.stride - 1])
-    }
-
-    /// Appends a node and heads it into `parent`'s child list (order among
-    /// siblings is unobservable — lookup is by symbol).
-    fn link(&mut self, parent: u32, sym: Sym, min: f64, ed: f64) -> u32 {
+        // Head the new node into the parent's child list (order among
+        // siblings is unobservable — lookup is by symbol).
         let id = self.nodes.len() as u32;
-        let head = self.nodes[parent as usize].first_child;
         self.nodes.push(Node {
             min,
-            ed,
+            ed: fresh[s - 1],
             first_child: NIL,
-            next_sibling: head,
+            next_sibling: self.nodes[node as usize].first_child,
             sym,
         });
-        self.nodes[parent as usize].first_child = id;
-        id
+        self.nodes[node as usize].first_child = id;
+        (id, true)
+    }
+
+    /// Drops every column but the root's, so that each step of the next
+    /// walk creates its column — how [`VerifyMode::Local`] walks.
+    fn clear(&mut self) {
+        self.nodes.truncate(1);
+        self.nodes[0].first_child = NIL;
+        self.cols.truncate(self.stride);
     }
 
     /// `(LB^d_k, E^d[k])` of a node: the Eq. (11) bound and the prefix WED.
@@ -243,7 +232,7 @@ impl DpTrie {
 }
 
 // ---------------------------------------------------------------------------
-// Shared trie cache (cross-shard / batch levels)
+// Shared trie cache (batch level)
 // ---------------------------------------------------------------------------
 
 const CACHE_SHARDS: usize = 8;
@@ -252,9 +241,9 @@ const CACHE_SHARDS: usize = 8;
 ///
 /// Both kinds of mutex here guard pure caches of deterministic values — a
 /// shard's suffix → trie map and a [`DpTrie`] — and every update leaves
-/// them valid at every step (a map insert; [`DpTrie::insert_child`]). A
-/// poisoned lock therefore says that some worker died, never that the data
-/// is wrong, and must not turn every later query on the engine into a panic.
+/// them valid at every step (a map insert; [`DpTrie::child`]). A poisoned
+/// lock therefore says that some worker died, never that the data is
+/// wrong, and must not turn every later query on the engine into a panic.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -263,8 +252,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
 
 /// A concurrency-safe cache of [`DpTrie`]s keyed by their query suffix
-/// `Q^d`, shared across in-query verification workers and (opt-in,
-/// [`crate::BatchOptions::share_tries`]) across the queries of one batch.
+/// `Q^d`, shared (opt-in, [`crate::BatchOptions::share_tries`]) across the
+/// queries of one batch.
 ///
 /// Keying by the suffix symbols alone is strictly more sharing than keying
 /// by `(iq, direction)`: a trie's contents are fully determined by `Q^d`
@@ -272,7 +261,7 @@ type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
 /// are fed in, which the trie never sees), so any two pairs with the same
 /// suffix — even a backward and a forward one — reuse one trie. One cache
 /// must therefore only ever be used with one cost model; the engine scopes
-/// caches per query or per batch, which pins the model.
+/// a cache to one batch, which pins the model.
 ///
 /// The locking discipline follows `Memo` in the `wed` crate: the key map is
 /// sharded across `CACHE_SHARDS` (8) mutexes, misses build the root column
@@ -280,6 +269,11 @@ type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
 /// winner's trie — so `trie_cache_misses` counts each distinct suffix
 /// exactly once regardless of interleaving. Lock poisoning is ignored
 /// (`lock` in this module says why that is sound).
+///
+/// A walk holds its trie's lock from the root to its last step, StepDP
+/// included. The only lock it can take meanwhile is the cost model's
+/// `Memo` (through the profile's `sub` calls), and `Memo` never waits on a
+/// trie, so the lock order is acyclic.
 pub struct TrieCache {
     shards: [TrieShard; CACHE_SHARDS],
 }
@@ -329,10 +323,19 @@ impl Default for TrieCache {
 }
 
 /// A verifier's handle on one trie: owned outright, or a lease on a
-/// [`TrieCache`] entry shared with other workers/queries.
+/// [`TrieCache`] entry shared with the batch's other queries.
 enum TrieHandle {
     Private(DpTrie),
     Shared(Arc<Mutex<DpTrie>>),
+}
+
+/// Runs `walk` on the trie behind `handle`: a private trie directly, a
+/// shared one under its lock for the whole walk.
+fn with_trie(handle: &mut TrieHandle, walk: impl FnOnce(&mut DpTrie)) {
+    match handle {
+        TrieHandle::Private(trie) => walk(trie),
+        TrieHandle::Shared(trie) => walk(&mut lock(trie)),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -350,9 +353,8 @@ enum TrieHandle {
 /// `stats.verify_cost` — the metric-neutral unit (columns/rows of `O(|Q|)`
 /// each) that stays comparable when workloads mix metrics.
 ///
-/// A verifier may carry state across groups (the WED tries do); the
-/// parallel path constructs one verifier per worker, so implementations
-/// need not be `Sync`.
+/// A verifier may carry state across groups (the WED tries do); every
+/// query builds its own, so implementations need not be `Sync`.
 pub trait Verifier {
     /// Verifies one trajectory group. `group` is non-empty and all its
     /// candidates share one trajectory id; `path` is that trajectory's
@@ -366,17 +368,6 @@ pub trait Verifier {
     );
 }
 
-/// Buffers a verifier reuses across candidates instead of allocating per
-/// walk.
-#[derive(Default)]
-struct Scratch {
-    /// `E^b` and `E^f` of the candidate at hand (Algorithm 4).
-    ed: [Vec<f64>; 2],
-    /// Ping-pong columns: the Local walk's pair, and the shared walk's
-    /// parent copy and fresh column while StepDP runs outside the trie lock.
-    col: [Vec<f64>; 2],
-}
-
 /// Stateful WED verifier holding the cost profile and the bidirectional
 /// tries of one query — the [`Verifier`] back half for all three
 /// [`VerifyMode`] strategies.
@@ -385,16 +376,18 @@ pub struct WedVerifier<'a, M: CostModel> {
     q: &'a [Sym],
     tau: f64,
     mode: VerifyMode,
-    /// Shared [`TrieCache`] for the cross-shard/batch levels; `None` keeps
-    /// every trie private to this verifier (the classic §5.2 behavior).
+    /// Batch-level [`TrieCache`] for Trie mode; `None` keeps every trie
+    /// private to this verifier (the classic §5.2 behavior).
     cache: Option<&'a TrieCache>,
     /// The level below the tries: every `sub(p, Q[·])` this query has
     /// needed, as rows StepDP reads slices of. Private to this verifier.
     costs: SubProfile<'a, M>,
     /// Trie handles by candidate query position `iq`; `[0]` backward,
-    /// `[1]` forward.
+    /// `[1]` forward. Local mode's are private and cleared before a walk.
     tries: Vec<Option<[TrieHandle; 2]>>,
-    scratch: Scratch,
+    /// `E^b` and `E^f` of the candidate at hand (Algorithm 4), reused
+    /// across candidates.
+    ed: [Vec<f64>; 2],
 }
 
 impl<'a, M: CostModel> WedVerifier<'a, M> {
@@ -404,8 +397,8 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
 
     /// [`WedVerifier::new`] resolving Trie-mode tries through a shared
     /// [`TrieCache`] (hits and misses are accounted per acquisition in
-    /// `stats.trie_cache_hits` / `trie_cache_misses`). Results are
-    /// bit-identical to the private-trie path.
+    /// `stats.trie_cache_hits` / `trie_cache_misses`); the other modes
+    /// ignore it. Results are bit-identical to the private-trie path.
     pub fn with_cache(
         model: &'a M,
         q: &'a [Sym],
@@ -418,10 +411,10 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
             q,
             tau,
             mode,
-            cache,
+            cache: cache.filter(|_| mode == VerifyMode::Trie),
             costs: SubProfile::new(model, q),
             tries: std::iter::repeat_with(|| None).take(q.len()).collect(),
-            scratch: Scratch::default(),
+            ed: Default::default(),
         }
     }
 
@@ -447,35 +440,37 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
 
         let (costs, cache) = (&mut self.costs, self.cache);
         let suffixes = [costs.backward(iq), costs.forward(iq)];
-        let Scratch { ed, col } = &mut self.scratch;
-        let [eb, ef] = ed;
+        let tries = self.tries[iq].get_or_insert_with(|| {
+            suffixes.map(|suffix| match cache {
+                Some(c) => {
+                    let (trie, warm) = c.get_or_create(costs, suffix);
+                    if warm {
+                        stats.trie_cache_hits += 1;
+                    } else {
+                        stats.trie_cache_misses += 1;
+                    }
+                    TrieHandle::Shared(trie)
+                }
+                None => TrieHandle::Private(DpTrie::new(costs, suffix)),
+            })
+        });
+        if self.mode == VerifyMode::Local {
+            for handle in tries.iter_mut() {
+                if let TrieHandle::Private(trie) = handle {
+                    trie.clear();
+                }
+            }
+        }
+        let [tb, tf] = tries;
+        let [eb, ef] = &mut self.ed;
         let back = path[..j].iter().rev().copied();
         let fwd = path[j + 1..].iter().copied();
-        match self.mode {
-            VerifyMode::Trie => {
-                let [tb, tf] = self.tries[iq].get_or_insert_with(|| {
-                    suffixes.map(|suffix| match cache {
-                        Some(c) => {
-                            let (trie, warm) = c.get_or_create(costs, suffix);
-                            if warm {
-                                stats.trie_cache_hits += 1;
-                            } else {
-                                stats.trie_cache_misses += 1;
-                            }
-                            TrieHandle::Shared(trie)
-                        }
-                        None => TrieHandle::Private(DpTrie::new(costs, suffix)),
-                    })
-                });
-                walk_handle(tb, costs, suffixes[0], back, tau_p, col, eb, stats);
-                walk_handle(tf, costs, suffixes[1], fwd, tau_p, col, ef, stats);
-            }
-            VerifyMode::Local => {
-                prefix_weds_local(costs, suffixes[0], back, tau_p, col, eb, stats);
-                prefix_weds_local(costs, suffixes[1], fwd, tau_p, col, ef, stats);
-            }
-            VerifyMode::Sw => unreachable!("SW mode is handled per trajectory"),
-        }
+        with_trie(tb, |t| {
+            walk_trie(t, costs, suffixes[0], back, tau_p, eb, stats)
+        });
+        with_trie(tf, |t| {
+            walk_trie(t, costs, suffixes[1], fwd, tau_p, ef, stats)
+        });
 
         // Enumerate (s, t) pairs through the anchor (Algorithm 4 line 6).
         for (kb, &b) in eb.iter().enumerate() {
@@ -520,28 +515,16 @@ impl<M: CostModel> Verifier for WedVerifier<'_, M> {
     }
 }
 
-/// Dispatches Algorithm 5 to the private or shared walk.
-#[allow(clippy::too_many_arguments)]
-fn walk_handle<M: CostModel + ?Sized>(
-    handle: &mut TrieHandle,
-    costs: &mut SubProfile<'_, M>,
-    suffix: Suffix,
-    syms: impl Iterator<Item = Sym>,
-    tau_p: f64,
-    col: &mut [Vec<f64>; 2],
-    ed: &mut Vec<f64>,
-    stats: &mut SearchStats,
-) {
-    match handle {
-        TrieHandle::Private(trie) => walk_trie(trie, costs, suffix, syms, tau_p, ed, stats),
-        TrieHandle::Shared(trie) => {
-            walk_shared_trie(trie, costs, suffix, syms, tau_p, col, ed, stats)
-        }
-    }
-}
-
 /// Algorithm 5 (AllPrefixWED) against a trie: fills `ed` with
 /// `E^d[k] = wed(P^d[..k], Q^d)` for `k = 0..` until early termination.
+///
+/// The one walk for every trie: a private one, a batch-shared one (its
+/// lock held by the caller for the whole walk, so a column a walk creates
+/// is counted in its `stepdp_calls` and nobody else's), and Local mode's
+/// private one cleared to its root, where every step creates its column.
+/// A shared trie may have been built by another query whose profile
+/// windows the same suffix symbols elsewhere; this walk extends it from its
+/// own rows, which hold the same numbers for the same symbols.
 fn walk_trie<M: CostModel + ?Sized>(
     trie: &mut DpTrie,
     costs: &mut SubProfile<'_, M>,
@@ -573,92 +556,6 @@ fn walk_trie<M: CostModel + ?Sized>(
     }
 }
 
-/// [`walk_trie`] against a [`TrieCache`] entry other workers walk
-/// concurrently. Misses compute their column *outside* the lock (into the
-/// verifier's scratch columns) and re-check on re-lock; a race loser adopts
-/// the winner's bit-identical column and its StepDP is left uncounted, so
-/// `stepdp_calls` equals the number of distinct columns materialized —
-/// deterministic at any thread count (the walks themselves depend only on
-/// column values, never on which worker computed them).
-///
-/// The trie may have been built by another query whose profile windows the
-/// same suffix symbols elsewhere; this walk extends it from its own rows,
-/// which hold the same numbers for the same symbols.
-#[allow(clippy::too_many_arguments)]
-fn walk_shared_trie<M: CostModel + ?Sized>(
-    shared: &Mutex<DpTrie>,
-    costs: &mut SubProfile<'_, M>,
-    suffix: Suffix,
-    syms: impl Iterator<Item = Sym>,
-    tau_p: f64,
-    [parent, fresh]: &mut [Vec<f64>; 2],
-    ed: &mut Vec<f64>,
-    stats: &mut SearchStats,
-) {
-    fresh.clear();
-    fresh.resize(suffix.len() + 1, 0.0);
-    let mut guard = lock(shared);
-    ed.clear();
-    ed.push(guard.bound_and_ed(0).1);
-    let mut node = 0u32;
-    for sym in syms {
-        let child = match guard.lookup(node, sym) {
-            Some(c) => c,
-            None => {
-                parent.clear();
-                parent.extend_from_slice(guard.col(node));
-                drop(guard);
-                let min = costs.step(suffix, sym, parent, fresh);
-                guard = lock(shared);
-                match guard.lookup(node, sym) {
-                    Some(c) => c, // lost the insert race; adopt the winner's
-                    None => {
-                        stats.stepdp_calls += 1;
-                        guard.insert_child(node, sym, fresh, min)
-                    }
-                }
-            }
-        };
-        stats.columns_passed += 1;
-        stats.verify_cost += 1;
-        let (min, e) = guard.bound_and_ed(child);
-        if min >= tau_p {
-            break;
-        }
-        ed.push(e);
-        node = child;
-    }
-}
-
-/// AllPrefixWED without caching (ablation; every column is computed fresh).
-fn prefix_weds_local<M: CostModel + ?Sized>(
-    costs: &mut SubProfile<'_, M>,
-    suffix: Suffix,
-    syms: impl Iterator<Item = Sym>,
-    tau_p: f64,
-    [col, next]: &mut [Vec<f64>; 2],
-    ed: &mut Vec<f64>,
-    stats: &mut SearchStats,
-) {
-    let last = suffix.len();
-    costs.initial_column_into(suffix, col);
-    next.clear();
-    next.resize(last + 1, 0.0);
-    ed.clear();
-    ed.push(col[last]);
-    for sym in syms {
-        let min = costs.step(suffix, sym, col, next);
-        std::mem::swap(col, next);
-        stats.columns_passed += 1;
-        stats.verify_cost += 1;
-        stats.stepdp_calls += 1;
-        if min >= tau_p {
-            break;
-        }
-        ed.push(col[last]);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Top-level verification (Algorithm 3)
 // ---------------------------------------------------------------------------
@@ -668,7 +565,7 @@ fn prefix_weds_local<M: CostModel + ?Sized>(
 /// same `(id, j, iq)` several times; verifying each copy repeats the whole
 /// bidirectional DP (correctness survives only through the ResultSet
 /// min-merge), so only distinct triples proceed. The sort doubles as the
-/// per-trajectory grouping the shard runner relies on.
+/// per-trajectory grouping verification walks.
 fn prepare_candidates(
     index_span: impl Fn(TrajId) -> (f64, f64),
     candidates: &[Candidate],
@@ -690,47 +587,6 @@ fn prepare_candidates(
     filtered.dedup();
     stats.candidates_deduped = filtered.len();
     filtered
-}
-
-/// Contiguous `[start, end)` runs of equal trajectory id in a sorted
-/// candidate slice — the unit of work distribution: a whole trajectory's
-/// anchors stay together so one worker's tries and scans share its locality.
-fn trajectory_groups(sorted: &[Candidate]) -> Vec<(usize, usize)> {
-    let mut groups = Vec::new();
-    let mut start = 0;
-    for i in 1..=sorted.len() {
-        if i == sorted.len() || sorted[i].id != sorted[start].id {
-            groups.push((start, i));
-            start = i;
-        }
-    }
-    groups
-}
-
-/// Verifies a set of whole-trajectory groups with one [`Verifier`] (for WED,
-/// one set of tries) into a private result set — the unit both the
-/// sequential path (all groups, one call) and each parallel worker run.
-///
-/// The deadline is checked **between trajectory groups** — the same
-/// granularity the parallel scheduler distributes work at — so an expired
-/// query stops within one trajectory's worth of DP work
-/// ([`QueryError::DeadlineExceeded`]; `results` may then hold partial
-/// output and must be discarded by the caller).
-fn verify_shard_with<V: Verifier>(
-    store: &TrajectoryStore,
-    sorted: &[Candidate],
-    groups: &[(usize, usize)],
-    verifier: &mut V,
-    deadline: Deadline,
-    results: &mut ResultSet,
-    stats: &mut SearchStats,
-) -> Result<(), QueryError> {
-    for &(start, end) in groups {
-        deadline.check()?;
-        let path = store.get(sorted[start].id).path();
-        verifier.verify_group(path, &sorted[start..end], results, stats);
-    }
-    Ok(())
 }
 
 /// Exact temporal post-check, deterministic ordering, result count — the
@@ -760,12 +616,9 @@ pub(crate) fn finish_verification(
 /// applied afterwards in both cases. Exact duplicate triples are verified
 /// once (`stats.candidates_deduped`).
 ///
-/// This is the engine's verification phase on one thread, without deadline,
-/// tracing or a shared cache, for callers that bring their own candidates
-/// (the filtering baselines, the benchmark's layer ledger). It composes the
-/// same steps as the engine's routine rather than calling it because that
-/// one may spawn workers and so needs `M: Sync`, which this signature does
-/// not ask for.
+/// This is the engine's verification phase without deadline, tracing or a
+/// shared cache, for callers that bring their own candidates (the filtering
+/// baselines, the benchmark's layer ledger).
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidates<M: CostModel>(
     model: &M,
@@ -779,154 +632,54 @@ pub fn verify_candidates<M: CostModel>(
     temporal_filter: bool,
     stats: &mut SearchStats,
 ) -> Vec<MatchResult> {
-    let sorted = prepare_candidates(index_span, candidates, temporal, temporal_filter, stats);
-    let groups = trajectory_groups(&sorted);
-    let mut results = ResultSet::new();
-    verify_shard_with(
+    let ctx = ExecCtx {
+        deadline: Deadline::NONE,
+        tracer: Tracer::disabled(),
+        cache: None,
+    };
+    verify_all(
         store,
-        &sorted,
-        &groups,
+        index_span,
+        candidates,
         &mut WedVerifier::new(model, q, tau, mode),
-        Deadline::NONE,
-        &mut results,
+        temporal,
+        temporal_filter,
+        ctx,
         stats,
     )
-    .expect("verification without a deadline cannot expire");
-    finish_verification(results, store, temporal, stats)
-}
-
-/// Splits the group list into at most `shards` contiguous slices of roughly
-/// equal candidate count (groups are never split: a trajectory's anchors
-/// stay on one worker).
-fn partition_groups(
-    groups: &[(usize, usize)],
-    total: usize,
-    shards: usize,
-) -> Vec<&[(usize, usize)]> {
-    if groups.is_empty() {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, groups.len());
-    let target = total.div_ceil(shards);
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    let mut acc = 0;
-    for (i, &(s, e)) in groups.iter().enumerate() {
-        acc += e - s;
-        // Close the shard once it carries its share; the last shard takes
-        // whatever remains (at most `shards` slices, each non-empty).
-        if acc >= target && out.len() + 1 < shards {
-            out.push(&groups[start..=i]);
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < groups.len() {
-        out.push(&groups[start..]);
-    }
-    out
+    .expect("verification without a deadline cannot expire")
 }
 
 /// The engine's verification phase, for any metric: the shared front half
-/// (TF pre-filter, sort/dedup, per-trajectory grouping), then trajectory
-/// groups sharded across `threads` scoped workers, each running a fresh
-/// verifier from `make_verifier` into a private [`ResultSet`], then the
-/// exact temporal post-check. Shard outputs are min-merged, so the result
-/// set — distances included — is identical for any thread count; one shard
-/// (`threads = 1`, or too few groups to split) runs on the calling thread.
+/// (TF pre-filter, sort/dedup), then `verifier` over each trajectory's
+/// group of candidates in id order, then the exact temporal post-check.
 ///
-/// Every worker checks `ctx.deadline` between its trajectory groups and
-/// bails out early; if any shard expired the whole verification returns
-/// [`QueryError::DeadlineExceeded`] (partial shard outputs are discarded,
-/// never merged into an answer).
-///
-/// WED Trie-mode workers built over one [`TrieCache`] (the cross-shard level
-/// of the hierarchy) compute a DP column two shards both need once instead
-/// of once per worker, so `stepdp_calls` stays the number of distinct
-/// columns rather than multiplying with the thread count. Counter totals
-/// (`sw_columns`, `columns_passed`, `stepdp_calls`, `verify_cost`,
-/// `trie_cache_hits`, `trie_cache_misses`) are summed across shards.
+/// `ctx.deadline` is checked between trajectory groups, so an expired query
+/// stops within one trajectory's worth of DP work and returns
+/// [`QueryError::DeadlineExceeded`], never a partial answer. `ctx.cache` is
+/// not read here: it reaches the verifier through its constructor.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_sharded<V: Verifier, F: Fn() -> V + Sync>(
+pub(crate) fn verify_all<V: Verifier>(
     store: &TrajectoryStore,
     index_span: impl Fn(TrajId) -> (f64, f64),
     candidates: &[Candidate],
-    make_verifier: F,
+    verifier: &mut V,
     temporal: Option<&TemporalConstraint>,
     temporal_filter: bool,
-    threads: usize,
     ctx: ExecCtx<'_>,
     stats: &mut SearchStats,
 ) -> Result<Vec<MatchResult>, QueryError> {
-    let ExecCtx {
-        deadline, tracer, ..
-    } = ctx;
-    let dedup = tracer.span("dedup");
+    let dedup = ctx.tracer.span("dedup");
     let sorted = prepare_candidates(index_span, candidates, temporal, temporal_filter, stats);
-    let groups = trajectory_groups(&sorted);
     dedup.finish();
-    let shards = partition_groups(&groups, sorted.len(), threads);
-
+    let span = ctx.tracer.span_with("verify_shard", 0);
     let mut results = ResultSet::new();
-    if shards.len() <= 1 {
-        // Sequential special case: no threads, no merge.
-        let span = tracer.span_with("verify_shard", 0);
-        let mut verifier = make_verifier();
-        verify_shard_with(
-            store,
-            &sorted,
-            &groups,
-            &mut verifier,
-            deadline,
-            &mut results,
-            stats,
-        )?;
-        span.finish();
-    } else {
-        let outputs = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(worker, shard)| {
-                    let sorted = &sorted;
-                    let make_verifier = &make_verifier;
-                    scope.spawn(move || {
-                        // One span per worker (`detail` = worker index):
-                        // traces expose shard imbalance directly.
-                        let span = tracer.span_with("verify_shard", worker as u64);
-                        let mut verifier = make_verifier();
-                        let mut local_results = ResultSet::new();
-                        let mut local_stats = SearchStats::default();
-                        let status = verify_shard_with(
-                            store,
-                            sorted,
-                            shard,
-                            &mut verifier,
-                            deadline,
-                            &mut local_results,
-                            &mut local_stats,
-                        );
-                        span.finish();
-                        (status, local_results, local_stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("verification worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (status, shard_results, shard_stats) in outputs {
-            status?;
-            results.merge(shard_results);
-            stats.sw_columns += shard_stats.sw_columns;
-            stats.columns_passed += shard_stats.columns_passed;
-            stats.stepdp_calls += shard_stats.stepdp_calls;
-            stats.verify_cost += shard_stats.verify_cost;
-            stats.trie_cache_hits += shard_stats.trie_cache_hits;
-            stats.trie_cache_misses += shard_stats.trie_cache_misses;
-        }
+    for group in sorted.chunk_by(|a, b| a.id == b.id) {
+        ctx.deadline.check()?;
+        let path = store.get(group[0].id).path();
+        verifier.verify_group(path, group, &mut results, stats);
     }
+    span.finish();
     Ok(finish_verification(results, store, temporal, stats))
 }
 
@@ -998,30 +751,28 @@ mod tests {
         )
     }
 
-    /// [`run`] through [`verify_sharded`] with WED verifiers sharing
-    /// `cache` — the engine's call shape.
-    fn run_sharded(
+    /// [`run`] through [`verify_all`] with a WED verifier over `cache` —
+    /// the engine's call shape.
+    fn run_engine(
         store: &TrajectoryStore,
         q: &[Sym],
         tau: f64,
         mode: VerifyMode,
-        threads: usize,
         deadline: Deadline,
         cache: Option<&TrieCache>,
     ) -> (Result<Vec<MatchResult>, QueryError>, SearchStats) {
         let cands = all_candidates(store, q);
         let mut stats = SearchStats::default();
-        let got = verify_sharded(
+        let got = verify_all(
             store,
             |id| store.get(id).span(),
             &cands,
-            || WedVerifier::with_cache(&Lev, q, tau, mode, cache),
+            &mut WedVerifier::with_cache(&Lev, q, tau, mode, cache),
             None,
             false,
-            threads,
             ExecCtx {
                 deadline,
-                tracer: trajsearch_obs::Tracer::disabled(),
+                tracer: Tracer::disabled(),
                 cache,
             },
             &mut stats,
@@ -1206,6 +957,13 @@ mod tests {
         (costs, suffix)
     }
 
+    /// The cached DP column of `node`:
+    /// `col[j] = wed(P^d[..k], Q^d[..j])` for the node's depth `k`.
+    fn col(trie: &DpTrie, node: u32) -> &[f64] {
+        let at = node as usize * trie.stride;
+        &trie.cols[at..at + trie.stride]
+    }
+
     #[test]
     fn node_is_half_a_cache_line() {
         assert_eq!(std::mem::size_of::<Node>(), 32);
@@ -1252,10 +1010,10 @@ mod tests {
             // number, and it must equal a fresh DP.
             let (min, ed) = trie.bound_and_ed(child);
             assert_eq!(ed, wed(&Lev, &syms[..k + 1], &qd));
-            assert_eq!(ed, trie.col(child)[qd.len()]);
+            assert_eq!(ed, col(&trie, child)[qd.len()]);
             assert_eq!(
                 min,
-                trie.col(child)
+                col(&trie, child)
                     .iter()
                     .cloned()
                     .fold(f64::INFINITY, f64::min)
@@ -1279,8 +1037,7 @@ mod tests {
         ]);
         let q: Vec<Sym> = vec![1, 5, 2];
         let run_with = |cache: Option<&TrieCache>| {
-            let (got, stats) =
-                run_sharded(&store, &q, 2.0, VerifyMode::Trie, 1, Deadline::NONE, cache);
+            let (got, stats) = run_engine(&store, &q, 2.0, VerifyMode::Trie, Deadline::NONE, cache);
             (got.unwrap(), stats)
         };
         let (want, private) = run_with(None);
@@ -1311,14 +1068,13 @@ mod tests {
             &[1, 2, 1, 2, 1, 2],
             &[5, 1, 2, 5],
         ]);
-        let run_with = |q: &[Sym], threads: usize, cache: &TrieCache| {
+        let run_with = |q: &[Sym], cache: &TrieCache| {
             let mode = VerifyMode::Trie;
-            let (got, stats) =
-                run_sharded(&store, q, 2.0, mode, threads, Deadline::NONE, Some(cache));
+            let (got, stats) = run_engine(&store, q, 2.0, mode, Deadline::NONE, Some(cache));
             (got.unwrap(), stats)
         };
         let cache = TrieCache::new();
-        let _ = run_with(&[1, 5, 2], 1, &cache);
+        let _ = run_with(&[1, 5, 2], &cache);
 
         // A worker dies holding every lock of the cache: all eight shards
         // and every trie in them.
@@ -1341,72 +1097,13 @@ mod tests {
 
         // The same query again (warm, poisoned tries) and a longer one that
         // shares suffixes with it (poisoned shards take new tries, poisoned
-        // tries take new columns), sequential and sharded.
+        // tries take new columns).
         for q in [&[1, 5, 2][..], &[2, 1, 5, 2][..]] {
-            for threads in [1, 3] {
-                let (want, fresh) = run_with(q, threads, &TrieCache::new());
-                let (got, stats) = run_with(q, threads, &cache);
-                assert_eq!(got, want, "q {q:?} x{threads}");
-                assert_eq!(stats.columns_passed, fresh.columns_passed);
-                assert!(stats.stepdp_calls <= fresh.stepdp_calls);
-            }
-        }
-    }
-
-    #[test]
-    fn par_shared_cache_counters_are_deterministic() {
-        let store = store_of(&[
-            &[0, 1, 2, 3, 4],
-            &[3, 1, 5, 1, 2],
-            &[9, 8, 7],
-            &[1, 2, 1, 2, 1, 2],
-            &[5, 1, 2, 5],
-            &[2, 5, 1, 2, 0, 1],
-        ]);
-        let q: Vec<Sym> = vec![1, 5, 2];
-        let cands = all_candidates(&store, &q);
-        let mut seq_stats = SearchStats::default();
-        let want = verify_candidates(
-            &Lev,
-            &store,
-            |id| store.get(id).span(),
-            &q,
-            2.0,
-            &cands,
-            VerifyMode::Trie,
-            None,
-            false,
-            &mut seq_stats,
-        );
-        for threads in [2, 4] {
-            // One query-local cache across the workers, as the engine
-            // gives Trie mode at `threads > 1`.
-            let run = || {
-                let cache = TrieCache::new();
-                let (got, stats) = run_sharded(
-                    &store,
-                    &q,
-                    2.0,
-                    VerifyMode::Trie,
-                    threads,
-                    Deadline::NONE,
-                    Some(&cache),
-                );
-                (got.unwrap(), stats)
-            };
-            let (got_a, stats_a) = run();
-            let (got_b, stats_b) = run();
-            assert_eq!(got_a, want, "threads {threads}");
-            assert_eq!(got_b, want, "threads {threads}");
-            // Race losers are uncounted, so every counter is reproducible
-            // at a fixed thread count.
-            assert_eq!(stats_a.stepdp_calls, stats_b.stepdp_calls);
-            assert_eq!(stats_a.trie_cache_hits, stats_b.trie_cache_hits);
-            assert_eq!(stats_a.trie_cache_misses, stats_b.trie_cache_misses);
-            // Cross-shard sharing keeps total StepDP work bounded by the
-            // sequential private-trie run instead of multiplying with the
-            // worker count.
-            assert!(stats_a.stepdp_calls <= seq_stats.stepdp_calls);
+            let (want, fresh) = run_with(q, &TrieCache::new());
+            let (got, stats) = run_with(q, &cache);
+            assert_eq!(got, want, "q {q:?}");
+            assert_eq!(stats.columns_passed, fresh.columns_passed);
+            assert!(stats.stepdp_calls <= fresh.stepdp_calls);
         }
     }
 
@@ -1479,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn par_verify_matches_sequential_for_all_thread_counts() {
+    fn engine_routine_matches_verify_candidates_in_every_mode() {
         let store = store_of(&[
             &[0, 1, 2, 3, 4],
             &[3, 1, 5, 1, 2],
@@ -1491,7 +1188,7 @@ mod tests {
         for tau in [1.0, 2.0, 3.0] {
             let cands = all_candidates(&store, &q);
             for mode in [VerifyMode::Sw, VerifyMode::Local, VerifyMode::Trie] {
-                let mut seq_stats = SearchStats::default();
+                let mut want_stats = SearchStats::default();
                 let want = verify_candidates(
                     &Lev,
                     &store,
@@ -1502,27 +1199,22 @@ mod tests {
                     mode,
                     None,
                     false,
-                    &mut seq_stats,
+                    &mut want_stats,
                 );
-                for threads in [1, 2, 3, 8] {
-                    let cache = TrieCache::new();
-                    let (got, stats) = run_sharded(
-                        &store,
-                        &q,
-                        tau,
-                        mode,
-                        threads,
-                        Deadline::NONE,
-                        (threads > 1).then_some(&cache),
-                    );
-                    let got = got.unwrap();
-                    assert_eq!(got, want, "mode {mode:?} tau {tau} threads {threads}");
-                    assert_eq!(stats.candidates_deduped, seq_stats.candidates_deduped);
-                    // SW columns are per distinct trajectory, independent of
-                    // sharding.
-                    if mode == VerifyMode::Sw {
-                        assert_eq!(stats.sw_columns, seq_stats.sw_columns);
+                let cache = TrieCache::new();
+                for cache in [None, Some(&cache)] {
+                    let (got, stats) = run_engine(&store, &q, tau, mode, Deadline::NONE, cache);
+                    let ctx = format!("mode {mode:?} tau {tau} shared {}", cache.is_some());
+                    assert_eq!(got.unwrap(), want, "{ctx}");
+                    assert_eq!(stats.candidates_deduped, want_stats.candidates_deduped);
+                    assert_eq!(stats.sw_columns, want_stats.sw_columns, "{ctx}");
+                    assert_eq!(stats.columns_passed, want_stats.columns_passed, "{ctx}");
+                    // Suffix-keyed sharing can only save StepDP work, and
+                    // only in Trie mode, the one mode that reads a cache.
+                    if cache.is_none() || mode != VerifyMode::Trie {
+                        assert_eq!(stats.stepdp_calls, want_stats.stepdp_calls, "{ctx}");
                     }
+                    assert!(stats.stepdp_calls <= want_stats.stepdp_calls, "{ctx}");
                 }
             }
         }
@@ -1535,32 +1227,16 @@ mod tests {
         let q: Vec<Sym> = vec![1, 5, 2];
         let past = Deadline::at(Instant::now() - Duration::from_millis(1));
         for mode in [VerifyMode::Sw, VerifyMode::Local, VerifyMode::Trie] {
-            for threads in [1, 3] {
-                let (got, _) = run_sharded(&store, &q, 2.0, mode, threads, past, None);
-                assert_eq!(
-                    got.unwrap_err(),
-                    QueryError::DeadlineExceeded,
-                    "mode {mode:?} x{threads}"
-                );
-            }
+            let (got, _) = run_engine(&store, &q, 2.0, mode, past, None);
+            assert_eq!(
+                got.unwrap_err(),
+                QueryError::DeadlineExceeded,
+                "mode {mode:?}"
+            );
         }
         // A generous deadline changes nothing about the results.
         let relaxed = Deadline::within(Duration::from_secs(3600));
-        let (got, _) = run_sharded(&store, &q, 2.0, VerifyMode::Trie, 1, relaxed, None);
+        let (got, _) = run_engine(&store, &q, 2.0, VerifyMode::Trie, relaxed, None);
         assert_eq!(got.unwrap(), run(&store, &q, 2.0, VerifyMode::Trie));
-    }
-
-    #[test]
-    fn partition_groups_is_a_complete_cover() {
-        // Groups of candidate counts 3, 1, 4, 1, 5 (total 14).
-        let groups = vec![(0, 3), (3, 4), (4, 8), (8, 9), (9, 14)];
-        for shards in 1..=7 {
-            let parts = partition_groups(&groups, 14, shards);
-            assert!(parts.len() <= shards.max(1));
-            assert!(parts.iter().all(|p| !p.is_empty()));
-            let flat: Vec<(usize, usize)> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-            assert_eq!(flat, groups, "shards={shards} must cover every group once");
-        }
-        assert!(partition_groups(&[], 0, 4).is_empty());
     }
 }

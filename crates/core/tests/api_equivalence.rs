@@ -1,13 +1,12 @@
 //! Randomized equivalence of every way to reach the engine, plus
 //! wire-format round-trip properties.
 //!
-//! The engine has one execution path; layout, in-query parallelism and
-//! batching only decide where its pieces run. So for every option
-//! combination a query can express — verify modes × temporal constraints
-//! (TF and by-departure postings included) — `SearchEngine::run` on the
-//! single-list layout, sequentially, is the reference, and every other
-//! route (sharded and compact layouts, `InQuery(2)`, `run_batch` on two
-//! threads) returns **byte-identical** results (`assert_eq!` on matches
+//! The engine has one execution path; layout and batching only decide
+//! where its pieces run. So for every option combination a query can
+//! express — verify modes × temporal constraints (TF and by-departure
+//! postings included) — `SearchEngine::run` on the single-list layout is
+//! the reference, and every other route (sharded and compact layouts,
+//! `run_batch` on two threads) returns **byte-identical** results (`assert_eq!` on matches
 //! including `f64` distances, no epsilon) and identical counters. JSON
 //! round-trips (`from_json(to_json(q)) == q`, same for responses) are
 //! property-tested on the same random workloads.
@@ -16,8 +15,8 @@ use proptest::prelude::*;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
 use trajsearch_core::{
-    EngineBuilder, IndexLayout, Parallelism, Query, Response, SearchOptions, TemporalConstraint,
-    TimeInterval, VerifyMode,
+    EngineBuilder, IndexLayout, Query, Response, SearchOptions, TemporalConstraint, TimeInterval,
+    VerifyMode,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -104,8 +103,8 @@ fn assert_same(got: &Response, want: &Response, label: &str) -> Result<(), TestC
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sequential `run` on the single-list layout vs every other layout,
-    /// `InQuery(2)` and `run_batch`, across the whole option grid.
+    /// `run` on the single-list layout vs every other layout and
+    /// `run_batch`, across the whole option grid.
     #[test]
     fn every_route_matches_the_sequential_single_list_run(
         paths in proptest::collection::vec(
@@ -149,25 +148,6 @@ proptest! {
                 for (name, engine) in others {
                     assert_same(&engine.run(query).unwrap(), want, &format!("{name} {label}"))?;
                 }
-
-                // In-query parallelism: the same matches as the sequential
-                // run, and the same counters on every layout. (Its workers
-                // share one suffix-keyed trie cache, so `stepdp_calls` may
-                // undercut the sequential run's private tries; the layouts
-                // must still agree on it.)
-                let par_query = query
-                    .clone()
-                    .with_parallelism(Parallelism::InQuery(2))
-                    .unwrap();
-                let par_want = single.run(&par_query).unwrap();
-                prop_assert_eq!(&par_want.matches, &want.matches, "par {}", label);
-                for (name, engine) in others {
-                    assert_same(
-                        &engine.run(&par_query).unwrap(),
-                        &par_want,
-                        &format!("par {name} {label}"),
-                    )?;
-                }
             }
 
             // Whole-batch path, on every layout.
@@ -181,9 +161,8 @@ proptest! {
         }
     }
 
-    /// Top-k: the sequential single-list ranking vs every layout and
-    /// `InQuery(2)`, including k larger than the match count and tight
-    /// max_tau.
+    /// Top-k: the single-list ranking vs every layout, including k larger
+    /// than the match count and tight max_tau.
     #[test]
     fn top_k_ranking_is_the_same_on_every_route(
         paths in proptest::collection::vec(
@@ -206,20 +185,16 @@ proptest! {
             .ranked();
         for layout in [IndexLayout::Single, IndexLayout::Sharded(2), IndexLayout::Compact] {
             let engine = EngineBuilder::new(Lev, &store, ALPHABET).layout(layout).build();
-            for parallelism in [Parallelism::Sequential, Parallelism::InQuery(2)] {
-                let routed = query.clone().with_parallelism(parallelism).unwrap();
-                let got = engine.run(&routed).unwrap().ranked();
-                prop_assert_eq!(
-                    &got,
-                    &want,
-                    "top-k diverged (layout={:?}, {:?}, k={}, tau0={}, max={})",
-                    layout,
-                    parallelism,
-                    k,
-                    initial_tau,
-                    max_tau
-                );
-            }
+            let got = engine.run(&query).unwrap().ranked();
+            prop_assert_eq!(
+                &got,
+                &want,
+                "top-k diverged (layout={:?}, k={}, tau0={}, max={})",
+                layout,
+                k,
+                initial_tau,
+                max_tau
+            );
         }
     }
 
@@ -238,7 +213,6 @@ proptest! {
         predicate_i in 0usize..2,
         temporal_i in 0usize..3,
         tf in 0u32..2,
-        par_i in 0usize..3,
         win_start in -5.0f64..60.0,
         win_len in 0.0f64..40.0,
     ) {
@@ -251,12 +225,7 @@ proptest! {
         // temporal_i: 0 = none, 1 = constraint only, 2 = constraint + postings
         let mut builder = Query::threshold(pattern.clone(), tau)
             .verify([VerifyMode::Trie, VerifyMode::Local, VerifyMode::Sw][verify_i])
-            .temporal_filter(tf == 1 && temporal_i > 0)
-            .parallelism([
-                Parallelism::Sequential,
-                Parallelism::InQuery(2),
-                Parallelism::InQuery(7),
-            ][par_i]);
+            .temporal_filter(tf == 1 && temporal_i > 0);
         if temporal_i > 0 {
             builder = builder.temporal(constraint).temporal_postings(temporal_i == 2);
         }

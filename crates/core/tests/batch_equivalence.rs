@@ -1,12 +1,13 @@
-//! Randomized equivalence: batched/parallel execution must be byte-identical
-//! to the sequential engine.
+//! Randomized equivalence: batched execution must be byte-identical to the
+//! sequential engine.
 //!
-//! `run_batch` runs each query on one worker and `Parallelism::InQuery`
-//! shards one query's verification across workers; in both cases workers
-//! never share mutable state and the per-triple min-merge is associative,
-//! so the outcomes — match triples *and* `f64` distances — must equal the
-//! sequential `run` exactly (`assert_eq!`, no epsilon) across verify modes,
-//! temporal constraints, thread counts, and the fallback path.
+//! `run_batch` runs each query on one worker. Workers share no mutable
+//! state but the opt-in batch trie cache (`share_tries`), the engine's one
+//! concurrent verification path, whose walks hold a trie's lock while they
+//! extend it. So the outcomes — match triples *and* `f64` distances — must
+//! equal the sequential `run` exactly (`assert_eq!`, no epsilon) across
+//! verify modes, temporal constraints, thread counts, trie sharing and the
+//! fallback path.
 
 use proptest::prelude::*;
 use rnet::{CityParams, NetworkKind, RoadNetwork};
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
 use trajsearch_core::{
-    EngineBuilder, Parallelism, Query, SearchOptions, TemporalConstraint, TimeInterval, VerifyMode,
+    EngineBuilder, Query, SearchOptions, TemporalConstraint, TimeInterval, VerifyMode,
 };
 use wed::models::{Edr, Erp, Lev};
 use wed::{Sym, WedInstance};
@@ -37,8 +38,8 @@ fn timed_store(paths: Vec<Vec<Sym>>) -> TrajectoryStore {
         .collect()
 }
 
-/// Asserts batch (at several worker counts) and in-query parallel
-/// verification both reproduce the sequential outcome exactly.
+/// The workload as queries with `opts`; see `check_equivalence` for what
+/// they must reproduce.
 fn queries_for(workload: &[(Vec<Sym>, f64)], opts: SearchOptions) -> Vec<Query> {
     workload
         .iter()
@@ -107,21 +108,6 @@ fn check_equivalence<M: WedInstance + Sync>(
             prop_assert_eq!(g.stats.fallback, w.stats.fallback);
             prop_assert_eq!(g.stats.candidates, w.stats.candidates);
             prop_assert_eq!(g.stats.results, w.stats.results);
-        }
-
-        for (i, query) in queries.iter().enumerate() {
-            let par = Query::from_json(&query.to_json())
-                .expect("wire round-trip")
-                .with_parallelism(Parallelism::InQuery(threads))
-                .expect("threads >= 1");
-            let g = engine.run(&par).expect("parallel run");
-            prop_assert_eq!(
-                &g.matches,
-                &want[i].matches,
-                "in-query parallel query {} at {} threads",
-                i,
-                threads
-            );
         }
     }
     Ok(())
@@ -244,8 +230,7 @@ fn shared_cache_overlapping_batch_is_byte_identical() {
 
 /// Every WED verification path reads its substitution costs from the
 /// verifier's own cost profile: private tries and the Local walk from one
-/// profile, in-query shards each from their own over one `TrieCache`, and a
-/// sharing batch extends a trie another query built — through a profile of a
+/// profile, and a sharing batch extends a trie another query built — through a profile of a
 /// different length that windows the same suffix at a different offset. On
 /// `counter_golden`'s store, under ERP (real-valued costs), all of them must
 /// return the same matches with the same distance **bits**.
@@ -264,17 +249,11 @@ fn every_wed_path_returns_the_same_distance_bits_on_the_golden_store() {
     // tail of it (same forward suffixes), each at two thresholds.
     let path = store.get(7).path();
     let patterns = [&path[2..10], &path[2..7], &path[5..10], &path[4..12]];
-    let build = |mode: VerifyMode, par: Parallelism| -> Vec<Query> {
+    let build = |mode: VerifyMode| -> Vec<Query> {
         patterns
             .iter()
             .flat_map(|p| [250.0, 400.0].map(|tau| (p.to_vec(), tau)))
-            .map(|(p, tau)| {
-                Query::threshold(p, tau)
-                    .verify(mode)
-                    .parallelism(par)
-                    .build()
-                    .unwrap()
-            })
+            .map(|(p, tau)| Query::threshold(p, tau).verify(mode).build().unwrap())
             .collect()
     };
     let bits = |matches: &[trajsearch_core::MatchResult]| -> Vec<(u32, usize, usize, u64)> {
@@ -284,25 +263,19 @@ fn every_wed_path_returns_the_same_distance_bits_on_the_golden_store() {
             .collect()
     };
 
-    let private = build(VerifyMode::Trie, Parallelism::Sequential);
+    let private = build(VerifyMode::Trie);
     let want: Vec<_> = private
         .iter()
         .map(|q| bits(&engine.run(q).unwrap().matches))
         .collect();
     assert!(want.iter().any(|m| m.len() > 1), "the fixture must match");
 
-    let local = build(VerifyMode::Local, Parallelism::Sequential);
-    let sharded = build(VerifyMode::Trie, Parallelism::InQuery(3));
+    let local = build(VerifyMode::Local);
     for (i, want) in want.iter().enumerate() {
         assert_eq!(
             &bits(&engine.run(&local[i]).unwrap().matches),
             want,
             "Local, query {i}"
-        );
-        assert_eq!(
-            &bits(&engine.run(&sharded[i]).unwrap().matches),
-            want,
-            "InQuery(3), query {i}"
         );
     }
     for threads in [1, 2] {

@@ -1,11 +1,11 @@
 //! Absolute counter pins for the execution core.
 //!
 //! Every other suite in this crate is a *relative* equivalence (layout A ==
-//! layout B, parallel == sequential). This one pins literal values: one
+//! layout B, batch == sequential). This one pins literal values: one
 //! fixed seeded store, a handful of queries covering every execution path
 //! (the three WED verification strategies, DTW, Fréchet, LCSS, both
-//! fallback scans, TF + by-departure temporal candidates, top-k growth) at
-//! `Sequential` and `InQuery(3)`, and for each the deterministic
+//! fallback scans, TF + by-departure temporal candidates, top-k growth),
+//! and for each the deterministic
 //! [`SearchStats`] counters plus an FNV-1a digest of the matches (ids,
 //! spans, `f64::to_bits` of the distances). A refactor of the execution
 //! core that moves any of them — a double-counted column, a lost dedup, a
@@ -28,8 +28,8 @@ use std::sync::Arc;
 use traj::generator::TripConfig;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::{
-    AnyIndex, BatchOptions, EngineBuilder, Metric, Parallelism, Query, QueryBuilder, Response,
-    SearchEngine, TemporalConstraint, TimeInterval, TraceSink, VerifyMode,
+    AnyIndex, BatchOptions, EngineBuilder, Metric, Query, QueryBuilder, Response, SearchEngine,
+    TemporalConstraint, TimeInterval, TraceSink, VerifyMode,
 };
 use wed::models::{Edr, Erp};
 use wed::{Sym, WedInstance};
@@ -178,22 +178,17 @@ fn measure() -> Vec<(String, Row)> {
 
     let sink = TraceSink::new(1 << 12);
     let mut out = Vec::new();
-    for (label, par) in [
-        ("seq", Parallelism::Sequential),
-        ("par3", Parallelism::InQuery(3)),
-    ] {
-        for (name, b) in &edr_cases {
-            let query = b.clone().parallelism(par).build().unwrap();
-            let name = format!("{name}/{label}");
-            let row = traced_row(&edr_engine, &query, &sink, &name);
-            out.push((name, row));
-        }
-        for (name, b) in &erp_cases {
-            let query = b.clone().parallelism(par).build().unwrap();
-            let name = format!("{name}/{label}");
-            let row = traced_row(&erp_engine, &query, &sink, &name);
-            out.push((name, row));
-        }
+    for (name, b) in edr_cases {
+        let query = b.build().unwrap();
+        let name = format!("{name}/seq");
+        let row = traced_row(&edr_engine, &query, &sink, &name);
+        out.push((name, row));
+    }
+    for (name, b) in erp_cases {
+        let query = b.build().unwrap();
+        let name = format!("{name}/seq");
+        let row = traced_row(&erp_engine, &query, &sink, &name);
+        out.push((name, row));
     }
     out
 }
@@ -257,19 +252,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("top_k/seq", [1124, 1124, 1124, 8, 24385, 7238, 2878, 7238, 5, 0, 0x0f4da223c29c651e]),
     ("erp_trie/seq", [99, 99, 99, 3, 2096, 415, 114, 415, 2, 0, 0x534387723afcf81f]),
     ("erp_fallback/seq", [1664, 1664, 1664, 0, 1664, 0, 0, 1664, 8721, 1, 0xfc8f51f17143b30a]),
-    ("wed_trie/par3", [431, 431, 431, 3, 9275, 2970, 1156, 2970, 41, 0, 0x31f25821c10ced53]),
-    ("wed_local/par3", [431, 431, 431, 3, 9275, 2970, 2970, 2970, 41, 0, 0x31f25821c10ced53]),
-    ("wed_sw/par3", [431, 431, 431, 3, 1441, 0, 0, 1441, 41, 0, 0x31f25821c10ced53]),
-    ("dtw/par3", [431, 431, 431, 3, 0, 0, 0, 5397, 198, 0, 0x11bcb86199d13075]),
-    ("frechet/par3", [129, 129, 129, 1, 0, 0, 0, 545, 36, 0, 0xb80d432bc79e412c]),
-    ("lcss/par3", [1664, 1664, 1664, 0, 0, 0, 0, 19244, 856, 1, 0xbd099b9c71068b67]),
-    ("wed_fallback/par3", [1664, 1664, 1664, 0, 1664, 0, 0, 1664, 5589, 1, 0x71d9410280802c39]),
-    ("dtw_fallback/par3", [1664, 1664, 1664, 0, 0, 0, 0, 14620, 5906, 1, 0xeb25ef0789ceb9c8]),
-    ("temporal_tf/par3", [431, 271, 271, 3, 5748, 1895, 925, 1895, 34, 0, 0xb93219d5239811b1]),
-    ("temporal_postings/par3", [271, 271, 271, 3, 5748, 1895, 925, 1895, 34, 0, 0xb93219d5239811b1]),
-    ("top_k/par3", [1124, 1124, 1124, 8, 24385, 7238, 2860, 7238, 5, 0, 0x0f4da223c29c651e]),
-    ("erp_trie/par3", [99, 99, 99, 3, 2096, 415, 114, 415, 2, 0, 0x534387723afcf81f]),
-    ("erp_fallback/par3", [1664, 1664, 1664, 0, 1664, 0, 0, 1664, 8721, 1, 0xfc8f51f17143b30a]),
 ];
 
 #[test]

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use traj::{TrajId, Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
 use trajsearch_core::{
-    AnyIndex, CompactIndex, EngineBuilder, InvertedIndex, Parallelism, Posting, PostingSource,
-    Query, SearchEngine, SearchOptions, ShardedIndex, TemporalConstraint, TimeInterval, VerifyMode,
+    AnyIndex, CompactIndex, EngineBuilder, InvertedIndex, Posting, PostingSource, Query,
+    SearchEngine, SearchOptions, ShardedIndex, TemporalConstraint, TimeInterval, VerifyMode,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -97,9 +97,9 @@ fn check_index_surface(
 }
 
 /// Engine-surface equivalence: byte-identical outcomes for one option set,
-/// through the sequential, batch and in-query-parallel paths (the latter
-/// two are generic over the source as well, so a regression that makes
-/// them sensitive to shard-major candidate order must fail here).
+/// through the sequential and batch paths (the latter is generic over the
+/// source as well, so a regression that makes it sensitive to shard-major
+/// candidate order must fail here).
 fn unified_queries(
     workload: &[(Vec<Sym>, f64)],
     opts: SearchOptions,
@@ -149,23 +149,6 @@ fn check_outcomes<I: PostingSource + Sync>(
         prop_assert_eq!(got.stats.candidates_deduped, want.stats.candidates_deduped);
         prop_assert_eq!(got.stats.tsubseq_len, want.stats.tsubseq_len);
         prop_assert_eq!(got.stats.results, want.stats.results);
-
-        let par = engine
-            .run(
-                &query
-                    .clone()
-                    .with_parallelism(Parallelism::InQuery(2))
-                    .expect("threads >= 1"),
-            )
-            .expect("parallel run");
-        prop_assert_eq!(
-            &par.matches,
-            &want.matches,
-            "in-query parallel run diverged ({}, q={:?}, tau={})",
-            label,
-            q,
-            tau
-        );
     }
     let batch = engine
         .run_batch(&queries, BatchOptions::with_threads(2))

@@ -22,9 +22,7 @@ use std::sync::Arc;
 use traj::generator::TripConfig;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
-use trajsearch_core::{
-    EngineBuilder, IndexLayout, MatchResult, Metric, Parallelism, Query, VerifyMode,
-};
+use trajsearch_core::{EngineBuilder, IndexLayout, MatchResult, Metric, Query, VerifyMode};
 use wed::models::{Erp, Lev};
 use wed::{CostModel, Sym, WedInstance};
 
@@ -50,8 +48,7 @@ fn oracle<M: CostModel>(
 }
 
 /// Engine == `want` (the oracle's answer) for one metric across
-/// Single/Sharded/Compact layouts and Sequential/InQuery schedules,
-/// distances compared bit-for-bit, plus the attribution contract of the
+/// Single/Sharded/Compact layouts, distances compared bit-for-bit, plus the attribution contract of the
 /// non-WED back half. Returns whether the plan was infeasible (every run
 /// then took the fallback scan).
 fn engines_match_oracle<M: WedInstance + Sync>(
@@ -73,35 +70,31 @@ fn engines_match_oracle<M: WedInstance + Sync>(
         let engine = EngineBuilder::new(model, store, alphabet)
             .layout(layout)
             .build();
-        for parallelism in [Parallelism::Sequential, Parallelism::InQuery(2)] {
-            let query = Query::threshold(pattern.to_vec(), tau)
-                .metric(metric)
-                .parallelism(parallelism)
-                .build()
-                .unwrap();
-            let got = engine.run(&query).expect("metric run");
-            prop_assert_eq!(
-                got.matches.as_slice(),
-                want,
-                "metric={:?} layout={:?} par={:?} tau={:?}",
-                metric,
-                layout,
-                parallelism,
-                tau
-            );
-            prop_assert_eq!(bits(&got.matches), bits(want));
-            // Attribution: non-WED verification never touches the
-            // WED-specific counters…
-            prop_assert_eq!(got.stats.sw_columns, 0);
-            prop_assert_eq!(got.stats.columns_passed, 0);
-            prop_assert_eq!(got.stats.stepdp_calls, 0);
-            // …and any scan work shows up in `verify_cost`.
-            if !want.is_empty() {
-                prop_assert!(got.stats.verify_cost > 0);
-            }
-            prop_assert_eq!(got.stats.results, want.len());
-            fallback |= got.stats.fallback;
+        let query = Query::threshold(pattern.to_vec(), tau)
+            .metric(metric)
+            .build()
+            .unwrap();
+        let got = engine.run(&query).expect("metric run");
+        prop_assert_eq!(
+            got.matches.as_slice(),
+            want,
+            "metric={:?} layout={:?} tau={:?}",
+            metric,
+            layout,
+            tau
+        );
+        prop_assert_eq!(bits(&got.matches), bits(want));
+        // Attribution: non-WED verification never touches the
+        // WED-specific counters…
+        prop_assert_eq!(got.stats.sw_columns, 0);
+        prop_assert_eq!(got.stats.columns_passed, 0);
+        prop_assert_eq!(got.stats.stepdp_calls, 0);
+        // …and any scan work shows up in `verify_cost`.
+        if !want.is_empty() {
+            prop_assert!(got.stats.verify_cost > 0);
         }
+        prop_assert_eq!(got.stats.results, want.len());
+        fallback |= got.stats.fallback;
     }
     Ok(fallback)
 }

@@ -1,6 +1,8 @@
 //! The coordinator role: the full search engine (store, model, MinCand
 //! plan, verification) running locally, with *only the postings* fetched
-//! from remote shard servers through [`RemoteShards`].
+//! from remote shard servers through [`RemoteShards`]. Shards never see a
+//! query's metric, so a coordinator answers every metric whatever its shard
+//! servers advertise at `hello`.
 //!
 //! A [`Coordinator`] implements
 //! [`QueryHandler`], so
@@ -15,8 +17,7 @@ use crate::remote::{DistribError, RemoteShards, ShardEndpoint};
 use std::sync::Arc;
 use traj::TrajectoryStore;
 use trajsearch_core::{
-    Deadline, EngineBuilder, PostingSource, Query, QueryError, RemoteSpec, SearchEngine, TraceSink,
-    Tracer,
+    Deadline, EngineBuilder, PostingSource, Query, RemoteSpec, SearchEngine, TraceSink, Tracer,
 };
 use trajsearch_serve::{Handled, QueryHandler};
 use wed::{Sym, WedInstance};
@@ -91,14 +92,6 @@ impl<M: WedInstance + Sync> QueryHandler for Coordinator<'_, M> {
 
     fn handle_traced(&self, query: &Query, deadline: Deadline, tracer: Tracer<'_>) -> Handled {
         let remote = self.engine.index();
-        // Capability gate first: a cluster fronting a pre-metrics shard
-        // server negotiated WED-only at connect, and a metric the pool
-        // cannot honor is a typed rejection — not a mid-query protocol
-        // failure.
-        let metric = query.metric().name();
-        if !remote.supports_metric(metric) {
-            return Handled::Rejected(QueryError::UnsupportedMetric(metric.to_string()));
-        }
         let mark = remote.degraded_mark();
         // Park the trace id where the fan-outs this query triggers can see
         // it: each stamps the id onto its shard RPC frames (so shard

@@ -27,6 +27,12 @@
 //!   ([`DegradedInfo`]) instead of passing
 //!   off a partial answer as complete.
 //!
+//! No lock here turns a panicked thread into a panic for every later query.
+//! The three caches and the degraded log hold whole answers and whole
+//! events only, so a poisoned one is recovered and used as it is. A shard
+//! connection poisoned mid-RPC may hold half a frame, so it is marked dead
+//! and the shard degrades, as after a transport failure.
+//!
 //! Fan-outs are pipelined: requests are written to every live shard before
 //! any reply is read, so a k-shard fetch costs one round trip, not k. Data
 //! RPCs echo each shard's build **epoch** (learned from `shard_info` at
@@ -39,7 +45,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::ToSocketAddrs;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use traj::TrajId;
 use trajsearch_core::{Posting, PostingSource, TraceSink};
@@ -144,9 +150,9 @@ impl fmt::Display for DistribError {
 impl std::error::Error for DistribError {}
 
 /// One pooled shard connection. The [`Client`] is behind a mutex because
-/// the engine may call the posting source from several threads (batch
-/// workers, in-query parallelism); `dead` latches after a transport
-/// failure so later fetches degrade immediately instead of re-timing-out.
+/// the engine may call the posting source from several threads (batch and
+/// server workers); `dead` latches after a transport failure or a poisoned
+/// lock so later fetches degrade immediately instead of re-timing-out.
 struct ShardConn {
     endpoint: String,
     info: ShardInfo,
@@ -180,10 +186,6 @@ pub struct RemoteShards {
     total_postings: usize,
     size_bytes: usize,
     has_temporal: bool,
-    /// Metric names every shard server advertised at `hello` — the
-    /// intersection across the pool, with a pre-metrics server (empty
-    /// advertised list) counting as WED-only.
-    metrics: Vec<String>,
     /// Global-id span table, prefetched at connect (`span` is on the
     /// temporal-filter hot path and must be infallible).
     spans: Vec<(f64, f64)>,
@@ -234,7 +236,6 @@ impl RemoteShards {
         let n = endpoints.len();
         let mut by_id: Vec<Option<ShardConn>> = Vec::new();
         by_id.resize_with(n, || None);
-        let mut cluster_metrics: Option<Vec<String>> = None;
         for ep in endpoints {
             let fail = |source: ClientError| DistribError::Connect {
                 endpoint: ep.addr.clone(),
@@ -246,23 +247,9 @@ impl RemoteShards {
                 .map_err(|e| fail(e.into()))?;
             // hello: a major-version mismatch surfaces here as a typed
             // `unsupported_version` server error, before any data moves.
-            // The reply also carries the server's metric capability list
-            // (empty = pre-metrics build = WED only); the cluster supports
-            // the intersection, so one old shard server downgrades the
-            // whole pool to WED instead of failing mid-query.
-            let caps = client.hello_caps().map_err(fail)?;
-            let advertised: Vec<String> = if caps.metrics.is_empty() {
-                vec!["wed".to_string()]
-            } else {
-                caps.metrics
-            };
-            cluster_metrics = Some(match cluster_metrics {
-                None => advertised,
-                Some(prev) => prev
-                    .into_iter()
-                    .filter(|m| advertised.contains(m))
-                    .collect(),
-            });
+            // The server's metric list does not matter: shards serve
+            // postings, and the coordinator verifies every metric itself.
+            client.hello().map_err(fail)?;
             let info = client.shard_info().map_err(fail)?;
             if info.num_shards as usize != n {
                 return Err(DistribError::Topology(format!(
@@ -330,7 +317,6 @@ impl RemoteShards {
             total_postings: conns.iter().map(|c| c.info.total_postings as usize).sum(),
             size_bytes: conns.iter().map(|c| c.info.size_bytes as usize).sum(),
             has_temporal: conns.iter().all(|c| c.info.has_temporal_postings),
-            metrics: cluster_metrics.expect("at least one endpoint was negotiated"),
             spans: vec![(0.0, 0.0); num_trajectories],
             conns,
             freq_cache: Mutex::new(HashMap::new()),
@@ -349,15 +335,17 @@ impl RemoteShards {
     fn prefetch_spans(&mut self) -> Result<(), DistribError> {
         let n = self.conns.len();
         for k in 0..n {
-            let conn = &self.conns[k];
+            let conn = &mut self.conns[k];
+            // Nothing else holds the pool yet, so no lock can be poisoned.
+            let client = &mut conn
+                .client
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .client;
             let local = conn.info.local_trajectories;
             let mut start = 0u64;
             while start < local {
-                let page = conn
-                    .client
-                    .lock()
-                    .expect("shard client mutex poisoned")
-                    .client
+                let page = client
                     .shard_spans(
                         conn.info.epoch,
                         Some(self.rpc_deadline_ms),
@@ -406,26 +394,10 @@ impl RemoteShards {
         })
     }
 
-    /// Whether **every** shard server in the pool advertised support for
-    /// the named metric at `hello`. A pre-metrics server (no capability
-    /// list on its hello reply) counts as WED-only, so a cluster fronting
-    /// one old shard answers `false` for everything but `"wed"` — the
-    /// coordinator turns that into a typed rejection before any shard RPC
-    /// moves.
-    pub fn supports_metric(&self, name: &str) -> bool {
-        self.metrics.iter().any(|m| m == name)
-    }
-
-    /// The negotiated metric capability list: the intersection of what
-    /// every shard server advertised.
-    pub fn supported_metrics(&self) -> &[String] {
-        &self.metrics
-    }
-
     /// The generation mark for [`degraded_since`](RemoteShards::degraded_since):
     /// take it before running a query.
     pub fn degraded_mark(&self) -> u64 {
-        self.log.lock().expect("degraded log poisoned").events.len() as u64
+        recover(&self.log).events.len() as u64
     }
 
     /// Folds every shard failure recorded after `mark` into one
@@ -434,7 +406,7 @@ impl RemoteShards {
     /// query's failures — degradation is over-reported under concurrency,
     /// never under-reported.
     pub fn degraded_since(&self, mark: u64) -> Option<DegradedInfo> {
-        let log = self.log.lock().expect("degraded log poisoned");
+        let log = recover(&self.log);
         let events = log.events.get(mark as usize..).unwrap_or(&[]);
         if events.is_empty() {
             return None;
@@ -459,11 +431,7 @@ impl RemoteShards {
     }
 
     fn record_degraded(&self, shard: u32, what: impl Into<String>) {
-        self.log
-            .lock()
-            .expect("degraded log poisoned")
-            .events
-            .push((shard, what.into()));
+        recover(&self.log).events.push((shard, what.into()));
     }
 
     /// Pipelined fan-out of one data RPC to every live shard: all requests
@@ -483,7 +451,13 @@ impl RemoteShards {
         };
         let mut guards: Vec<Option<(MutexGuard<'_, ConnState>, u64, Instant)>> = Vec::new();
         for (k, conn) in self.conns.iter().enumerate() {
-            let mut state = conn.client.lock().expect("shard client mutex poisoned");
+            let mut state = conn.client.lock().unwrap_or_else(|poisoned| {
+                // A thread died mid-RPC: the connection may hold half a
+                // frame, so it is as good as a failed one.
+                let mut state = poisoned.into_inner();
+                state.dead = true;
+                state
+            });
             if state.dead {
                 self.record_degraded(k as u32, "connection previously failed");
                 guards.push(None);
@@ -561,7 +535,7 @@ impl RemoteShards {
     /// trip per pattern symbol.
     pub fn prime_freqs(&self, syms: &[Sym]) {
         let missing: Vec<Sym> = {
-            let cache = self.freq_cache.lock().expect("freq cache poisoned");
+            let cache = recover(&self.freq_cache);
             let mut missing: Vec<Sym> = syms
                 .iter()
                 .copied()
@@ -600,7 +574,7 @@ impl RemoteShards {
             }
         }
         if complete {
-            let mut cache = self.freq_cache.lock().expect("freq cache poisoned");
+            let mut cache = recover(&self.freq_cache);
             cache.extend(syms.iter().copied().zip(sums.iter().copied()));
         }
         sums
@@ -609,12 +583,7 @@ impl RemoteShards {
     /// Fetches one symbol's postings from every shard, concatenated
     /// shard-major; cached only when every shard answered.
     fn fetch_postings(&self, q: Sym) -> Vec<Posting> {
-        if let Some(hit) = self
-            .postings_cache
-            .lock()
-            .expect("postings cache poisoned")
-            .get(&q)
-        {
+        if let Some(hit) = recover(&self.postings_cache).get(&q) {
             return hit.clone();
         }
         let deadline = self.rpc_deadline_ms;
@@ -636,13 +605,17 @@ impl RemoteShards {
             }
         }
         if complete {
-            self.postings_cache
-                .lock()
-                .expect("postings cache poisoned")
-                .insert(q, out.clone());
+            recover(&self.postings_cache).insert(q, out.clone());
         }
         out
     }
+}
+
+/// Locks a cache or the degraded log whether or not a thread panicked
+/// holding it: each update is one whole insert or push, so the data behind
+/// a poisoned lock is still complete.
+fn recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Resolve-and-dial with a timeout; `ToSocketAddrs` may yield several
@@ -667,7 +640,7 @@ impl PostingSource for RemoteShards {
     }
 
     fn freq(&self, q: Sym) -> u32 {
-        if let Some(&hit) = self.freq_cache.lock().expect("freq cache poisoned").get(&q) {
+        if let Some(&hit) = recover(&self.freq_cache).get(&q) {
             return hit;
         }
         // When a shard did not answer (already logged) the sum is partial
@@ -693,12 +666,7 @@ impl PostingSource for RemoteShards {
             "temporal postings not enabled on the remote shards"
         );
         let key = (q, t_max.to_bits());
-        if let Some(hit) = self
-            .departing_cache
-            .lock()
-            .expect("departing cache poisoned")
-            .get(&key)
-        {
+        if let Some(hit) = recover(&self.departing_cache).get(&key) {
             return hit.clone().into_iter();
         }
         let deadline = self.rpc_deadline_ms;
@@ -719,10 +687,7 @@ impl PostingSource for RemoteShards {
             }
         }
         if complete {
-            self.departing_cache
-                .lock()
-                .expect("departing cache poisoned")
-                .insert(key, out.clone());
+            recover(&self.departing_cache).insert(key, out.clone());
         }
         out.into_iter()
     }
@@ -751,6 +716,97 @@ impl PostingSource for RemoteShards {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata;
+    use traj::TrajectoryStore;
+    use trajsearch_core::IndexShard;
+    use trajsearch_serve::{IndexShardSource, Server, ServerConfig, ServerHandle};
+
+    const ALPHABET: usize = 16;
+
+    /// Shuts the server down when dropped, so a failing assertion unwinds
+    /// into the scope's join instead of hanging it.
+    struct ShutdownOnDrop(ServerHandle);
+
+    impl Drop for ShutdownOnDrop {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
+    /// Runs `body` against one loopback shard server holding all of
+    /// `store`, by-departure postings included.
+    fn with_one_shard(store: &TrajectoryStore, body: impl FnOnce(&[ShardEndpoint])) {
+        let mut shard = IndexShard::build(store, ALPHABET, 0, 1);
+        shard.enable_temporal_postings();
+        let source = IndexShardSource::new(&shard, 1);
+        let server = Server::bind(ServerConfig::default()).expect("bind shard server");
+        let handle = server.handle();
+        let endpoints = [ShardEndpoint::new(handle.local_addr().to_string())];
+        std::thread::scope(|scope| {
+            let guard = ShutdownOnDrop(handle);
+            let serving = scope.spawn(|| server.serve_shard(&source));
+            body(&endpoints);
+            drop(guard);
+            serving.join().expect("serve thread").expect("serve ok");
+        });
+    }
+
+    /// Lets a thread die holding `m`, which leaves it poisoned.
+    fn poison<T: Send>(m: &Mutex<T>) {
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = m.lock();
+                    // Unwinds like a panic, without the hook's stderr noise.
+                    std::panic::resume_unwind(Box::new("died holding the lock"));
+                })
+                .join()
+        });
+        assert!(died.is_err() && m.is_poisoned());
+    }
+
+    #[test]
+    fn a_thread_dying_with_a_lock_held_never_panics_a_later_fetch() {
+        let store = testdata::store(30, 10, 3, ALPHABET);
+        with_one_shard(&store, |endpoints| {
+            let clean = RemoteShards::connect(endpoints).expect("connect");
+            let remote = RemoteShards::connect(endpoints).expect("connect");
+            let fetch = |r: &RemoteShards, q: Sym| {
+                let departing: Vec<_> = r.postings_departing_by(q, 150.0).collect();
+                (r.freq(q), r.postings(q).collect::<Vec<_>>(), departing)
+            };
+            // Warm half the symbols, then let a thread die in each cache and
+            // in the degraded log.
+            for q in 0..4 {
+                fetch(&remote, q);
+            }
+            poison(&remote.freq_cache);
+            poison(&remote.postings_cache);
+            poison(&remote.departing_cache);
+            poison(&remote.log);
+            // Cached and fresh symbols alike get the right value, and nothing
+            // degrades: those locks guard whole answers and whole events.
+            for q in 0..8 {
+                assert_eq!(fetch(&remote, q), fetch(&clean, q), "symbol {q}");
+            }
+            assert_eq!(remote.degraded_total(), 0);
+            assert!(remote.degraded_since(0).is_none());
+
+            // A connection poisoned mid-RPC may hold half a frame: the shard
+            // is dead from then on, and each later fetch is a degraded
+            // partial that records exactly one event.
+            poison(&remote.conns[0].client);
+            for q in 8..10 {
+                assert!(clean.freq(q) > 0, "symbol {q} occurs in the store");
+                let before = remote.degraded_total();
+                assert_eq!(remote.freq(q), 0);
+                assert_eq!(remote.degraded_total(), before + 1);
+                assert_eq!(remote.postings(q).count(), 0);
+                assert_eq!(remote.degraded_total(), before + 2);
+            }
+            assert_eq!(clean.degraded_total(), 0);
+        });
+    }
 
     #[test]
     fn endpoint_conversions() {

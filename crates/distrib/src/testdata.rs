@@ -6,7 +6,7 @@
 //! the binaries free of the dev-only `rand` shim.
 
 use traj::{Trajectory, TrajectoryStore};
-use trajsearch_core::{Parallelism, Query, TemporalConstraint, TimeInterval, VerifyMode};
+use trajsearch_core::{Metric, Query, TemporalConstraint, TimeInterval, VerifyMode};
 use wed::Sym;
 
 /// splitmix64 step: the state update is an LCG, the output is bit-mixed.
@@ -55,8 +55,9 @@ fn pattern_from(store: &TrajectoryStore, state: &mut u64, len: usize, alphabet: 
 
 /// A mixed workload covering every distributed code path: plain and
 /// Smith–Waterman thresholds, top-k, temporal filtering, by-departure
-/// temporal postings (the `shard_departing_by` RPC), in-query parallelism,
-/// and the exact fallback scan (an infeasible threshold — postings cannot
+/// temporal postings (the `shard_departing_by` RPC), a DTW query (which the
+/// coordinator verifies itself, like every metric), and the exact fallback
+/// scan (an infeasible threshold — postings cannot
 /// prune, the engine scans the store it holds locally).
 pub fn workload(store: &TrajectoryStore, n: usize, seed: u64, alphabet: usize) -> Vec<Query> {
     let mut state = seed ^ 0xA0761D6478BD642F;
@@ -83,7 +84,7 @@ pub fn workload(store: &TrajectoryStore, n: usize, seed: u64, alphabet: usize) -
                     .build()
                     .unwrap(),
                 5 => Query::threshold(q, tau)
-                    .parallelism(Parallelism::InQuery(2))
+                    .metric(Metric::Dtw)
                     .build()
                     .unwrap(),
                 _ => {

@@ -3,7 +3,7 @@
 //!
 //! * **Placement equivalence** — the same mixed workload (threshold in
 //!   every verify mode, top-k, temporal filter, temporal postings,
-//!   in-query parallel, fallback scan) answered through [`RemoteShards`]
+//!   DTW, fallback scan) answered through [`RemoteShards`]
 //!   over a 3-process cluster is byte-identical (matches and every
 //!   deterministic stats counter) to in-process `Single` and `Sharded(3)`
 //!   — and independent of the order the endpoints are listed in.

@@ -1,27 +1,23 @@
 //! Remote-loopback leg of the metric equivalence matrix (the in-process
 //! Single/Sharded legs live in `crates/core/tests/metric_equivalence.rs`,
-//! which cannot open sockets) plus the capability negotiation a cluster
-//! performs at `hello`:
+//! which cannot open sockets):
 //!
 //! * **Equivalence** — DTW / LCSS(ε) / Fréchet / WED queries answered
 //!   through [`RemoteShards`] over real loopback shard servers are
 //!   byte-identical (matches and deterministic stats, `verify_cost`
 //!   included) to the in-process `Single` layout.
-//! * **Negotiation** — every shard server advertising the full metric
-//!   list yields a pool that supports them all; one *legacy* server
-//!   (`advertise_metrics: false`, the pre-minor-2 hello shape) downgrades
-//!   the intersection to WED-only, and the coordinator then rejects a
-//!   non-WED query with the typed [`QueryError::UnsupportedMetric`] —
-//!   never a protocol failure.
+//! * **Legacy shards** — shards serve postings only and the coordinator
+//!   verifies every metric itself, so a cluster with one server that
+//!   advertises no metric list at `hello` (`advertise_metrics: false`, the
+//!   pre-minor-2 shape) still answers every metric through
+//!   [`Coordinator`], byte-identically to `Single`.
 
 use std::thread;
 use traj::TrajectoryStore;
-use trajsearch_core::{
-    Deadline, EngineBuilder, IndexShard, Metric, Parallelism, Query, QueryError,
-};
+use trajsearch_core::{Deadline, EngineBuilder, IndexShard, Metric, Query, Response};
 use trajsearch_distrib::{testdata, Coordinator, RemoteShards, ShardEndpoint};
 use trajsearch_serve::{
-    Handled, IndexShardSource, QueryHandler, Server, ServerConfig, ServerHandle, SUPPORTED_METRICS,
+    Handled, IndexShardSource, QueryHandler, Server, ServerConfig, ServerHandle,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -98,12 +94,6 @@ fn metric_queries_over_remote_shards_match_in_process() {
     let store = testdata::store(40, 12, 11, ALPHABET);
     with_shard_servers(&store, &[true, true], |endpoints| {
         let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
-        for metric in SUPPORTED_METRICS {
-            assert!(
-                remote.supports_metric(metric),
-                "full-capability cluster advertises {metric}"
-            );
-        }
         let remote_engine = EngineBuilder::new(Lev, &store, ALPHABET).build_with(remote);
         let single = EngineBuilder::new(Lev, &store, ALPHABET).build();
 
@@ -114,30 +104,27 @@ fn metric_queries_over_remote_shards_match_in_process() {
             Metric::Lcss { eps: 0.0 },
             Metric::Frechet,
         ] {
-            for parallelism in [Parallelism::Sequential, Parallelism::InQuery(2)] {
-                let query = Query::threshold(pattern.clone(), 2.0)
-                    .metric(metric)
-                    .parallelism(parallelism)
-                    .build()
-                    .unwrap();
-                let want = single.run(&query).expect("single run");
-                assert!(
-                    !want.matches.is_empty(),
-                    "embedded pattern must match under {metric:?}"
-                );
-                let got = remote_engine.run(&query).expect("remote run");
-                let ctx = format!("metric={metric:?} par={parallelism:?}");
-                assert_eq!(got.matches, want.matches, "{ctx}: matches diverged");
-                let (g, w) = (&got.stats, &want.stats);
-                assert_eq!(g.candidates, w.candidates, "{ctx}: candidates");
-                assert_eq!(
-                    g.candidates_deduped, w.candidates_deduped,
-                    "{ctx}: candidates_deduped"
-                );
-                assert_eq!(g.fallback, w.fallback, "{ctx}: fallback");
-                assert_eq!(g.verify_cost, w.verify_cost, "{ctx}: verify_cost");
-                assert_eq!(g.results, w.results, "{ctx}: results");
-            }
+            let query = Query::threshold(pattern.clone(), 2.0)
+                .metric(metric)
+                .build()
+                .unwrap();
+            let want = single.run(&query).expect("single run");
+            assert!(
+                !want.matches.is_empty(),
+                "embedded pattern must match under {metric:?}"
+            );
+            let got = remote_engine.run(&query).expect("remote run");
+            let ctx = format!("metric={metric:?}");
+            assert_eq!(got.matches, want.matches, "{ctx}: matches diverged");
+            let (g, w) = (&got.stats, &want.stats);
+            assert_eq!(g.candidates, w.candidates, "{ctx}: candidates");
+            assert_eq!(
+                g.candidates_deduped, w.candidates_deduped,
+                "{ctx}: candidates_deduped"
+            );
+            assert_eq!(g.fallback, w.fallback, "{ctx}: fallback");
+            assert_eq!(g.verify_cost, w.verify_cost, "{ctx}: verify_cost");
+            assert_eq!(g.results, w.results, "{ctx}: results");
         }
         assert_eq!(
             remote_engine.index().degraded_total(),
@@ -148,33 +135,41 @@ fn metric_queries_over_remote_shards_match_in_process() {
 }
 
 #[test]
-fn coordinator_fronting_a_legacy_shard_rejects_non_wed_typed() {
+fn coordinator_fronting_a_legacy_shard_answers_every_metric() {
     let store = testdata::store(24, 10, 5, ALPHABET);
     with_shard_servers(&store, &[true, false], |endpoints| {
         let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
-        // One pre-metrics server downgrades the whole pool's intersection.
-        assert_eq!(remote.supported_metrics(), ["wed".to_string()]);
-        assert!(remote.supports_metric("wed"));
-        assert!(!remote.supports_metric("dtw"));
-
         let coordinator =
             Coordinator::new(EngineBuilder::new(Lev, &store, ALPHABET).build_with(remote));
+        let single = EngineBuilder::new(Lev, &store, ALPHABET).build();
         let pattern = embedded_pattern(&store);
 
-        let dtw = Query::threshold(pattern.clone(), 2.0)
-            .metric(Metric::Dtw)
-            .build()
-            .unwrap();
-        match coordinator.handle(&dtw, Deadline::NONE) {
-            Handled::Rejected(QueryError::UnsupportedMetric(name)) => assert_eq!(name, "dtw"),
-            other => panic!("expected a typed unsupported-metric rejection, got {other:?}"),
+        // Shards serve postings only, so a shard that advertises no metric
+        // list (the pre-minor-2 hello) limits nothing: the coordinator
+        // verifies every metric itself.
+        for metric in [
+            Metric::Dtw,
+            Metric::Lcss { eps: 0.0 },
+            Metric::Frechet,
+            Metric::Wed,
+        ] {
+            let query = Query::threshold(pattern.clone(), 2.0)
+                .metric(metric)
+                .build()
+                .unwrap();
+            let want = single.run(&query).expect("single run");
+            assert!(!want.matches.is_empty(), "{metric:?} must match");
+            let got = match coordinator.handle(&query, Deadline::NONE) {
+                Handled::Response(response) => response,
+                other => panic!("{metric:?}: expected a clean answer, got {other:?}"),
+            };
+            assert_eq!(got.matches, want.matches, "{metric:?}: matches diverged");
+            let bits =
+                |r: &Response| -> Vec<u64> { r.matches.iter().map(|m| m.dist.to_bits()).collect() };
+            assert_eq!(bits(&got), bits(&want), "{metric:?}: distance bits");
+            assert_eq!(got.stats.verify_cost, want.stats.verify_cost, "{metric:?}");
+            assert_eq!(got.stats.fallback, want.stats.fallback, "{metric:?}");
         }
-
-        // WED still flows: the gate narrows capability, not service.
-        let wed = Query::threshold(pattern, 2.0).build().unwrap();
-        match coordinator.handle(&wed, Deadline::NONE) {
-            Handled::Response(response) => assert!(!response.matches.is_empty()),
-            other => panic!("expected a clean WED answer, got {other:?}"),
-        }
+        assert_eq!(coordinator.remote().degraded_total(), 0);
     });
 }

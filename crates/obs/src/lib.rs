@@ -70,8 +70,8 @@ pub struct SpanRecord {
     pub parent_id: u64,
     /// Phase name from the span taxonomy (`"query"`, `"filter"`, …).
     pub name: &'static str,
-    /// Phase-specific payload: shard id for `shard_rpc`/`verify_shard`,
-    /// round index for `topk_round`, 0 where meaningless.
+    /// Phase-specific payload: shard id for `shard_rpc`, round index for
+    /// `topk_round`, 0 where meaningless.
     pub detail: u64,
     /// Start, nanoseconds since the sink epoch.
     pub start_ns: u64,

@@ -6,7 +6,7 @@
 //! plus a real file write → open leg) must not change a single byte of any
 //! response — matches including `f64` distances, plus the deterministic
 //! stats counters — across all verify modes × temporal options ×
-//! sequential / in-query-parallel / batch execution. A second property
+//! sequential / batch execution. A second property
 //! pins the canonical-bytes guarantee: every layout of the same logical
 //! index serializes to the identical file.
 
@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
 use trajsearch_core::{
-    AnyIndex, EngineBuilder, InvertedIndex, Parallelism, PostingSource, Query, SearchEngine,
-    SearchOptions, ShardedIndex, TemporalConstraint, TimeInterval, VerifyMode,
+    AnyIndex, EngineBuilder, InvertedIndex, PostingSource, Query, SearchEngine, SearchOptions,
+    ShardedIndex, TemporalConstraint, TimeInterval, VerifyMode,
 };
 use trajsearch_persist::Snapshot;
 use wed::models::Lev;
@@ -85,23 +85,6 @@ fn check_outcomes<I: PostingSource + Sync>(
         prop_assert_eq!(got.stats.candidates_deduped, want.stats.candidates_deduped);
         prop_assert_eq!(got.stats.tsubseq_len, want.stats.tsubseq_len);
         prop_assert_eq!(got.stats.results, want.stats.results);
-
-        let par = engine
-            .run(
-                &query
-                    .clone()
-                    .with_parallelism(Parallelism::InQuery(2))
-                    .expect("threads >= 1"),
-            )
-            .expect("parallel run");
-        prop_assert_eq!(
-            &par.matches,
-            &want.matches,
-            "in-query parallel run diverged ({}, q={:?}, tau={})",
-            label,
-            q,
-            tau
-        );
     }
     let batch = engine
         .run_batch(&queries, BatchOptions::with_threads(2))

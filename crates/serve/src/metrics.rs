@@ -10,7 +10,8 @@
 //! time (dequeue → reply written) and **CPU** time (the engine's summed
 //! phase time from
 //! [`SearchStats::total_time`](trajsearch_core::SearchStats)), whose gap
-//! against wall measures in-query parallelism and scheduling overhead.
+//! against wall measures scheduling overhead and what the engine's phase
+//! timers do not cover (reply encoding, socket writes).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};

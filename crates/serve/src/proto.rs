@@ -142,8 +142,9 @@ pub const PROTO_MINOR: u32 = 3;
 
 /// Distance metrics this build can verify, in the wire names of
 /// `trajsearch_core::Metric`. Advertised on the hello reply (minor ≥ 2) so
-/// a coordinator can reject a non-WED query aimed at an old shard server
-/// with a typed error instead of a protocol failure.
+/// a client of a query server can tell whether a non-WED query will be
+/// answered. A coordinator ignores it: its shard servers serve postings
+/// only, and it verifies every metric itself.
 pub const SUPPORTED_METRICS: [&str; 4] = ["wed", "dtw", "lcss", "frechet"];
 
 /// Hard cap on spans returned per `shard_spans` page, keeping every reply

@@ -18,8 +18,8 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::{
-    BatchOptions, EngineBuilder, IndexLayout, Metric, Parallelism, Query, Response,
-    TemporalConstraint, TimeInterval, VerifyMode,
+    BatchOptions, EngineBuilder, IndexLayout, Metric, Query, Response, TemporalConstraint,
+    TimeInterval, VerifyMode,
 };
 use trajsearch_serve::{Client, ClientError, Server, ServerConfig, ServerErrorKind, ServerHandle};
 use wed::models::Lev;
@@ -68,7 +68,7 @@ fn pattern_from(store: &TrajectoryStore, rng: &mut ChaCha8Rng, len: usize) -> Ve
 }
 
 /// A mixed workload: thresholds (all verify modes), top-k, temporal and
-/// in-query-parallel queries.
+/// deadline-carrying queries.
 fn mixed_workload(store: &TrajectoryStore, n: usize, seed: u64) -> Vec<Query> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n)
@@ -89,7 +89,7 @@ fn mixed_workload(store: &TrajectoryStore, n: usize, seed: u64) -> Vec<Query> {
                     .build()
                     .unwrap(),
                 _ => Query::threshold(q, tau)
-                    .parallelism(Parallelism::InQuery(2))
+                    .deadline_ms(3_600_000)
                     .build()
                     .unwrap(),
             }

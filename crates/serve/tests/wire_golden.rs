@@ -20,8 +20,7 @@ use proptest::prelude::*;
 use std::time::Duration;
 use trajsearch_core::json::JsonValue;
 use trajsearch_core::{
-    MatchResult, Metric, Parallelism, Query, Response, SearchStats, TemporalConstraint,
-    TimeInterval, VerifyMode,
+    MatchResult, Metric, Query, Response, SearchStats, TemporalConstraint, TimeInterval, VerifyMode,
 };
 use trajsearch_serve::{
     DegradedInfo, LatencySummary, MetricsSnapshot, Reply, Request, ServerError, ServerErrorKind,
@@ -135,7 +134,7 @@ fn request_rows() -> Vec<(Request, &'static str)> {
                 query: plain_query(),
                 trace_id: None,
             },
-            r#"{"v":1,"type":"query","id":7,"query":{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}}"#,
+            r#"{"v":1,"type":"query","id":7,"query":{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false}}"#,
         ),
         (
             Request::Query {
@@ -143,7 +142,7 @@ fn request_rows() -> Vec<(Request, &'static str)> {
                 query: deadline_query,
                 trace_id: Some(77),
             },
-            r#"{"v":1,"type":"query","id":42,"query":{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"},"deadline_ms":250},"trace_id":77}"#,
+            r#"{"v":1,"type":"query","id":42,"query":{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false,"deadline_ms":250},"trace_id":77}"#,
         ),
         (Request::Stats { id: 8 }, r#"{"v":1,"type":"stats","id":8}"#),
         (
@@ -438,7 +437,6 @@ fn query_rows() -> Vec<(Query, &'static str)> {
             .temporal(TemporalConstraint::within(TimeInterval::new(-1.5, 9e9)))
             .temporal_filter(true)
             .temporal_postings(true)
-            .parallelism(Parallelism::InQuery(4))
             .deadline_ms(2000)
             .build()
             .unwrap()
@@ -448,15 +446,15 @@ fn query_rows() -> Vec<(Query, &'static str)> {
     vec![
         (
             threshold().build().unwrap(),
-            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false}"#,
         ),
         (
             everything(threshold().metric(Metric::Dtw)),
-            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"local","metric":{"name":"dtw"},"temporal":{"predicate":"within","start":-1.5,"end":9000000000},"temporal_filter":true,"temporal_postings":true,"parallelism":{"type":"in_query","threads":4},"deadline_ms":2000}"#,
+            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"local","metric":{"name":"dtw"},"temporal":{"predicate":"within","start":-1.5,"end":9000000000},"temporal_filter":true,"temporal_postings":true,"deadline_ms":2000}"#,
         ),
         (
             threshold().metric(Metric::Dtw).build().unwrap(),
-            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","metric":{"name":"dtw"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","metric":{"name":"dtw"},"temporal_filter":false,"temporal_postings":false}"#,
         ),
         (
             threshold()
@@ -464,23 +462,23 @@ fn query_rows() -> Vec<(Query, &'static str)> {
                 .verify(VerifyMode::Sw)
                 .build()
                 .unwrap(),
-            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"sw","metric":{"name":"lcss","eps":0.25},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"sw","metric":{"name":"lcss","eps":0.25},"temporal_filter":false,"temporal_postings":false}"#,
         ),
         (
             threshold().metric(Metric::Frechet).build().unwrap(),
-            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","metric":{"name":"frechet"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","metric":{"name":"frechet"},"temporal_filter":false,"temporal_postings":false}"#,
         ),
         (
             top_k().build().unwrap(),
-            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","temporal_filter":false,"temporal_postings":false}"#,
         ),
         (
             everything(top_k()),
-            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"local","temporal":{"predicate":"within","start":-1.5,"end":9000000000},"temporal_filter":true,"temporal_postings":true,"parallelism":{"type":"in_query","threads":4},"deadline_ms":2000}"#,
+            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"local","temporal":{"predicate":"within","start":-1.5,"end":9000000000},"temporal_filter":true,"temporal_postings":true,"deadline_ms":2000}"#,
         ),
         (
             top_k().metric(Metric::Dtw).build().unwrap(),
-            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"dtw"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"dtw"},"temporal_filter":false,"temporal_postings":false}"#,
         ),
         (
             top_k()
@@ -488,13 +486,39 @@ fn query_rows() -> Vec<(Query, &'static str)> {
                 .temporal(TemporalConstraint::overlaps(TimeInterval::new(0.0, 15.0)))
                 .build()
                 .unwrap(),
-            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"lcss","eps":0},"temporal":{"predicate":"overlaps","start":0,"end":15},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"lcss","eps":0},"temporal":{"predicate":"overlaps","start":0,"end":15},"temporal_filter":false,"temporal_postings":false}"#,
         ),
         (
             top_k().metric(Metric::Frechet).build().unwrap(),
-            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"frechet"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+            r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"frechet"},"temporal_filter":false,"temporal_postings":false}"#,
         ),
     ]
+}
+
+/// [`query_rows`]' bodies as protocol minors 1–3 rendered them, row for
+/// row: each carried a `parallelism` member (an in-query thread count, or
+/// `sequential`) that this build no longer has.
+const PARALLELISM_BODIES: [&str; 10] = [
+    r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+    r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"local","metric":{"name":"dtw"},"temporal":{"predicate":"within","start":-1.5,"end":9000000000},"temporal_filter":true,"temporal_postings":true,"parallelism":{"type":"in_query","threads":4},"deadline_ms":2000}"#,
+    r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","metric":{"name":"dtw"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+    r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"sw","metric":{"name":"lcss","eps":0.25},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+    r#"{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","metric":{"name":"frechet"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+    r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+    r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"local","temporal":{"predicate":"within","start":-1.5,"end":9000000000},"temporal_filter":true,"temporal_postings":true,"parallelism":{"type":"in_query","threads":4},"deadline_ms":2000}"#,
+    r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"dtw"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+    r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"lcss","eps":0},"temporal":{"predicate":"overlaps","start":0,"end":15},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+    r#"{"pattern":[3,1,4,1,5],"objective":{"type":"top_k","k":7,"initial_tau":0.1,"max_tau":0.3333333333333333},"verify":"trie","metric":{"name":"frechet"},"temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}"#,
+];
+
+/// `body` with its `parallelism` member's value replaced by `schedule`.
+fn with_schedule(body: &str, schedule: &str) -> String {
+    let at = body
+        .find(r#""parallelism":"#)
+        .expect("a parallelism member")
+        + 14;
+    let end = at + body[at..].find('}').expect("an object value") + 1;
+    format!("{}{schedule}{}", &body[..at], &body[end..])
 }
 
 #[test]
@@ -552,6 +576,26 @@ fn legacy_frames_keep_decoding() {
                 trace_id: None,
             },
         ),
+        // The query frames minors 1–3 rendered, `parallelism` included.
+        (
+            r#"{"v":1,"type":"query","id":7,"query":{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"}}}"#,
+            Request::Query {
+                id: 7,
+                query: Query::threshold(vec![1, 2, 3], 1.5).build().unwrap(),
+                trace_id: None,
+            },
+        ),
+        (
+            r#"{"v":1,"type":"query","id":42,"query":{"pattern":[1,2,3],"objective":{"type":"threshold","tau":1.5},"verify":"trie","temporal_filter":false,"temporal_postings":false,"parallelism":{"type":"sequential"},"deadline_ms":250},"trace_id":77}"#,
+            Request::Query {
+                id: 42,
+                query: Query::threshold(vec![1, 2, 3], 1.5)
+                    .deadline_ms(250)
+                    .build()
+                    .unwrap(),
+                trace_id: Some(77),
+            },
+        ),
         // `trace_id: null` on a shard RPC means untraced.
         (
             r#"{"v":1,"type":"shard_freqs","id":3,"epoch":7,"trace_id":null,"syms":[4]}"#,
@@ -566,6 +610,27 @@ fn legacy_frames_keep_decoding() {
     ];
     for (literal, value) in requests {
         assert_eq!(Request::from_json(literal).unwrap(), value, "{literal}");
+    }
+
+    // Every schedule older peers could send, the zero thread count older
+    // builds rejected included, is skipped as an unknown key: the body and
+    // a traced `query` frame around it decode to the key-less query.
+    for ((query, _), old) in query_rows().into_iter().zip(PARALLELISM_BODIES) {
+        for schedule in [
+            r#"{"type":"sequential"}"#,
+            r#"{"type":"in_query","threads":4}"#,
+            r#"{"type":"in_query","threads":0}"#,
+        ] {
+            let body = with_schedule(old, schedule);
+            assert_eq!(Query::from_json(&body).unwrap(), query, "{body}");
+            let frame = format!(r#"{{"v":1,"type":"query","id":9,"query":{body},"trace_id":5}}"#);
+            let want = Request::Query {
+                id: 9,
+                query: query.clone(),
+                trace_id: Some(5),
+            };
+            assert_eq!(Request::from_json(&frame).unwrap(), want, "{frame}");
+        }
     }
 
     let legacy_stats = MetricsSnapshot {

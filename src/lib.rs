@@ -49,8 +49,8 @@ pub mod prelude {
     pub use traj::{Trajectory, TrajectoryStore, TripConfig};
     pub use trajsearch_core::{
         AnyIndex, BatchOptions, BatchResponse, CompactIndex, Deadline, EngineBuilder, IndexLayout,
-        IndexShard, InvertedIndex, Metric, Objective, Parallelism, PostingSource, Query,
-        QueryBuilder, QueryError, RemoteSpec, Response, ScanVerifier, SearchEngine, ShardedIndex,
+        IndexShard, InvertedIndex, Metric, Objective, PostingSource, Query, QueryBuilder,
+        QueryError, RemoteSpec, Response, ScanVerifier, SearchEngine, ShardedIndex,
         TemporalConstraint, TimeInterval, Verifier, VerifyMode, WedVerifier,
     };
     pub use trajsearch_distrib::{Coordinator, RemoteShards, ShardEndpoint};

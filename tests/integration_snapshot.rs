@@ -55,7 +55,7 @@ fn reopened_snapshot_serves_a_mixed_workload_identically() {
         t.subpath(0, t.len().min(8) - 1).to_vec()
     };
     let window = TimeInterval::new(store.get(3).departure(), store.get(40).arrival());
-    let mut queries: Vec<Query> = vec![
+    let queries: Vec<Query> = vec![
         Query::threshold(probe.clone(), 2.0).build().unwrap(),
         Query::threshold(probe.clone(), 3.0)
             .verify(VerifyMode::Sw)
@@ -68,17 +68,11 @@ fn reopened_snapshot_serves_a_mixed_workload_identically() {
             .build()
             .unwrap(),
         Query::top_k(probe.clone(), 5, 1.0, 8.0).build().unwrap(),
-        Query::threshold(probe.clone(), 3.0)
+        Query::threshold(probe, 3.0)
             .metric(Metric::Dtw)
             .build()
             .unwrap(),
     ];
-    queries.push(
-        Query::threshold(probe, 2.0)
-            .parallelism(Parallelism::InQuery(2))
-            .build()
-            .unwrap(),
-    );
 
     for (i, query) in queries.iter().enumerate() {
         let want = warm.run(query).expect("warm run");
