@@ -14,15 +14,27 @@
 //!   (§5.2): DP columns are cached per `(iq, direction)` in a trie keyed by
 //!   the data symbols, exploiting the small out-degree of road networks.
 //!
-//! Every Local- and Trie-mode walk extends DP columns with the row kernel
-//! [`wed::dp::step_dp_rows`] over the verifier's **cost profile**
-//! ([`wed::dp::SubProfile`]): per data symbol met, the row `sub(p, Q[·])`
-//! computed once and kept forward and reversed, so the forward suffix
-//! `Q[iq+1..]` and the backward suffix `rev(Q[..iq])` of any anchor are
-//! contiguous slices of it. No walk calls `CostModel::sub`; the
+//! Every Local- and Trie-mode walk extends DP columns from the verifier's
+//! **cost profile** ([`wed::dp::SubProfile`]): per data symbol met, the row
+//! `sub(p, Q[·])` computed once and kept forward and reversed, so the
+//! forward suffix `Q[iq+1..]` and the backward suffix `rev(Q[..iq])` of any
+//! anchor are contiguous windows of it. No walk calls `CostModel::sub`; the
 //! model-calling kernel stays in [`wed::dp`] as the reference (what `wed()`,
-//! [`VerifyMode::Sw`] and the baselines run), and the two agree to the bit.
-//! The profile is private to its verifier.
+//! [`VerifyMode::Sw`] and the baselines run). The profile is private to its
+//! verifier.
+//!
+//! A trie's column slab comes in one of two kinds, fixed when the trie is
+//! made from what the profile holds:
+//!
+//! * **`f64` columns**, `|Q^d| + 1` costs each, extended by the row kernel
+//!   [`wed::dp::step_dp_rows`] — any cost model (ERP, NetERP, SURS);
+//! * **bit columns** for a unit-cost model ([`wed::CostModel::unit_costs`]:
+//!   Levenshtein, EDR, NetEDR), the depth plus two bit vectors of vertical
+//!   steps, 64 cells to a word, extended by [`wed::dp::step_dp_bits`].
+//!
+//! Both kernels agree with the reference to the bit, so a node's bound and
+//! prefix WED — and with them every walk, counter and distance — do not
+//! depend on the kind.
 //!
 //! Every Local- and Trie-mode walk is one loop, `walk_trie`, over a
 //! [`DpTrie`]. Above the profile, Trie-mode caching has two levels. The
@@ -63,7 +75,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use traj::{TrajId, TrajectoryStore};
 use trajsearch_obs::Tracer;
-use wed::dp::{SubProfile, Suffix};
+use wed::dp::{initial_bit_column_into, SubProfile, Suffix};
 use wed::{sw_scan_all, CostModel, Sym};
 
 /// A filtering candidate `(id, j, iq)` (§3.1): `P^(id)[j] ∈ B(Q[iq])`.
@@ -96,7 +108,7 @@ const NIL: u32 = u32::MAX;
 /// Arena node: 32 bytes, two to a cache line, no owned storage. A walk that
 /// finds its column cached needs the links, the bound and the column's last
 /// entry, so all three sit here; the full DP column lives in the trie's
-/// contiguous `cols` slab at the node's index and is read only to extend it.
+/// contiguous slab at the node's index and is read only to extend it.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     /// Column minimum — the Eq. (11) lower bound `LB^d_k`.
@@ -111,17 +123,31 @@ struct Node {
     sym: Sym,
 }
 
+/// A trie's DP columns back to back, `stride` elements each, in the
+/// encoding its [`SubProfile`] extends: chosen once, when the trie is made.
+#[derive(Debug)]
+enum Slab {
+    /// `|Q^d| + 1` costs per column, extended by [`SubProfile::step`]: any
+    /// cost model.
+    Costs(Vec<f64>),
+    /// [`wed::dp::bit_column_len`] words per column, extended by
+    /// [`SubProfile::step_bits`]: unit-cost models.
+    Bits(Vec<u64>),
+}
+
 /// A DP-column cache for one query suffix `Q^d` (§5.2) — one per
 /// `(iq, direction)` pair in private mode, one per *distinct* suffix when
 /// shared through a [`TrieCache`]. The paper builds `2·|Q'|` of these per
 /// query.
 ///
 /// Layout is a flat arena: one contiguous node table plus one contiguous
-/// `f64` slab holding every DP column back to back (node `k`'s column is
-/// `cols[k·stride .. (k+1)·stride]` with `stride = |Q^d| + 1`). Children
-/// form intrusive sibling lists inside the node table, so a trie makes two
-/// allocations' worth of growth instead of two per node, and a walk touches
-/// memory sequentially within each column.
+/// slab holding every DP column back to back (node `k`'s column is
+/// `cols[k·stride .. (k+1)·stride]`). Children form intrusive sibling lists
+/// inside the node table, so a trie makes two allocations' worth of growth
+/// instead of two per node, and a walk touches memory sequentially within
+/// each column. The slab holds `f64` columns, or, for a unit-cost model,
+/// bit columns of 64 cells to a word; either way a node's `min` and `ed`
+/// are the same numbers.
 ///
 /// The trie holds numbers only. Which suffix it is for, and what extending
 /// a column by a data symbol costs, is the [`SubProfile`]'s knowledge; the
@@ -131,19 +157,31 @@ struct Node {
 pub struct DpTrie {
     stride: usize,
     nodes: Vec<Node>,
-    cols: Vec<f64>,
+    cols: Slab,
 }
 
 impl DpTrie {
     /// Creates the trie with a root column for the empty data prefix.
     pub fn new<M: CostModel + ?Sized>(costs: &SubProfile<'_, M>, suffix: Suffix) -> Self {
-        let mut cols = Vec::new();
-        let min = costs.initial_column_into(suffix, &mut cols);
+        let ((min, ed), cols) = if costs.unit_costs() {
+            let mut cols = Vec::new();
+            (
+                initial_bit_column_into(suffix.len(), &mut cols),
+                Slab::Bits(cols),
+            )
+        } else {
+            let mut cols = Vec::new();
+            let min = costs.initial_column_into(suffix, &mut cols);
+            ((min, cols[suffix.len()]), Slab::Costs(cols))
+        };
         DpTrie {
-            stride: cols.len(),
+            stride: match &cols {
+                Slab::Costs(c) => c.len(),
+                Slab::Bits(c) => c.len(),
+            },
             nodes: vec![Node {
                 min,
-                ed: cols[suffix.len()],
+                ed,
                 first_child: NIL,
                 next_sibling: NIL,
                 sym: 0,
@@ -182,26 +220,27 @@ impl DpTrie {
         if let Some(c) = self.lookup(node, sym) {
             return (c, false);
         }
-        let s = self.stride;
-        let old_len = self.nodes.len() * s;
-        self.cols.resize(old_len + s, 0.0);
-        // The parent's column sits strictly below the freshly reserved tail,
-        // so a split borrow lets StepDP read it while writing in place.
-        let (head, fresh) = self.cols.split_at_mut(old_len);
-        let at = node as usize * s;
-        let min = costs.step(suffix, sym, &head[at..at + s], fresh);
+        let (s, id) = (self.stride, self.nodes.len());
+        let parent = node as usize * s;
+        let (min, ed) = match &mut self.cols {
+            Slab::Costs(cols) => extend(cols, s, id, parent, |a, out| {
+                (costs.step(suffix, sym, a, out), out[s - 1])
+            }),
+            Slab::Bits(cols) => extend(cols, s, id, parent, |a, out| {
+                costs.step_bits(suffix, sym, a, out)
+            }),
+        };
         // Head the new node into the parent's child list (order among
         // siblings is unobservable — lookup is by symbol).
-        let id = self.nodes.len() as u32;
         self.nodes.push(Node {
             min,
-            ed: fresh[s - 1],
+            ed,
             first_child: NIL,
             next_sibling: self.nodes[node as usize].first_child,
             sym,
         });
-        self.nodes[node as usize].first_child = id;
-        (id, true)
+        self.nodes[node as usize].first_child = id as u32;
+        (id as u32, true)
     }
 
     /// Drops every column but the root's, so that each step of the next
@@ -209,7 +248,10 @@ impl DpTrie {
     fn clear(&mut self) {
         self.nodes.truncate(1);
         self.nodes[0].first_child = NIL;
-        self.cols.truncate(self.stride);
+        match &mut self.cols {
+            Slab::Costs(cols) => cols.truncate(self.stride),
+            Slab::Bits(cols) => cols.truncate(self.stride),
+        }
     }
 
     /// `(LB^d_k, E^d[k])` of a node: the Eq. (11) bound and the prefix WED.
@@ -229,6 +271,24 @@ impl DpTrie {
     pub fn is_empty(&self) -> bool {
         self.nodes.len() == 1
     }
+}
+
+/// Writes column `id` of a slab of `stride`-element columns: `step` reads
+/// the parent column starting at `parent` and fills the new one, returning
+/// its minimum and last entry.
+fn extend<T: Copy + Default>(
+    cols: &mut Vec<T>,
+    stride: usize,
+    id: usize,
+    parent: usize,
+    step: impl FnOnce(&[T], &mut [T]) -> (f64, f64),
+) -> (f64, f64) {
+    let at = id * stride;
+    cols.resize(at + stride, T::default());
+    // The parent's column sits strictly below the freshly reserved tail,
+    // so a split borrow lets StepDP read it while writing in place.
+    let (head, fresh) = cols.split_at_mut(at);
+    step(&head[parent..parent + stride], fresh)
 }
 
 // ---------------------------------------------------------------------------
@@ -473,8 +533,12 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
         });
 
         // Enumerate (s, t) pairs through the anchor (Algorithm 4 line 6).
+        // A backward prefix whose best pair, with the least `E^f`, already
+        // reaches τ has no pair at all: f64 addition is monotone, so every
+        // `sub0 + b + f` is at least `sub0 + b + f_min`.
+        let f_min = ef.iter().copied().fold(f64::INFINITY, f64::min);
         for (kb, &b) in eb.iter().enumerate() {
-            if sub0 + b >= self.tau {
+            if sub0 + b + f_min >= self.tau {
                 continue;
             }
             for (kf, &f) in ef.iter().enumerate() {
@@ -949,19 +1013,23 @@ mod tests {
     }
 
     /// A profile of `[9] ++ qd` and its forward window at 0, which is `qd`.
-    fn profile_of(qd: &[Sym]) -> (SubProfile<'static, Lev>, Suffix) {
+    fn profile_of<'m, M: CostModel>(m: &'m M, qd: &[Sym]) -> (SubProfile<'m, M>, Suffix) {
         let q: Vec<Sym> = std::iter::once(9).chain(qd.iter().copied()).collect();
-        let costs = SubProfile::new(&Lev, &q);
+        let costs = SubProfile::new(m, &q);
         let suffix = costs.forward(0);
         assert_eq!(costs.symbols(suffix), qd);
         (costs, suffix)
     }
 
-    /// The cached DP column of `node`:
-    /// `col[j] = wed(P^d[..k], Q^d[..j])` for the node's depth `k`.
-    fn col(trie: &DpTrie, node: u32) -> &[f64] {
+    /// The cached DP column of `node` over a suffix of `n` symbols, decoded
+    /// from either slab: `col[j] = wed(P^d[..k], Q^d[..j])` for the node's
+    /// depth `k`.
+    fn col(trie: &DpTrie, node: u32, n: usize) -> Vec<f64> {
         let at = node as usize * trie.stride;
-        &trie.cols[at..at + trie.stride]
+        match &trie.cols {
+            Slab::Costs(cols) => cols[at..at + trie.stride].to_vec(),
+            Slab::Bits(cols) => wed::dp::bit_column_entries(n, &cols[at..at + trie.stride]),
+        }
     }
 
     #[test]
@@ -971,7 +1039,7 @@ mod tests {
 
     #[test]
     fn trie_len_grows_only_on_miss() {
-        let (mut costs, suffix) = profile_of(&[1, 2]);
+        let (mut costs, suffix) = profile_of(&Lev, &[1, 2]);
         let mut trie = DpTrie::new(&costs, suffix);
         assert_eq!(trie.len(), 1);
         let (a, created_a) = trie.child(&mut costs, suffix, 0, 5);
@@ -987,7 +1055,7 @@ mod tests {
     fn trie_is_empty_iff_root_only() {
         // Regression: `is_empty` used to return `false` unconditionally,
         // contradicting the root-only state that `len() == 1` reports.
-        let (mut costs, suffix) = profile_of(&[1, 2]);
+        let (mut costs, suffix) = profile_of(&Lev, &[1, 2]);
         let mut trie = DpTrie::new(&costs, suffix);
         assert!(trie.is_empty(), "a fresh trie caches no data columns");
         assert_eq!(trie.len(), 1);
@@ -996,35 +1064,64 @@ mod tests {
         assert_eq!(trie.len(), 2);
     }
 
-    #[test]
-    fn arena_trie_columns_match_direct_dp() {
-        let qd = vec![1u32, 2, 3];
-        let (mut costs, suffix) = profile_of(&qd);
+    /// A non-unit cost model: symbol-dependent substitution, insertion and
+    /// deletion costs.
+    struct Weighted;
+    impl CostModel for Weighted {
+        fn sub(&self, a: Sym, b: Sym) -> f64 {
+            if a == b {
+                0.0
+            } else {
+                0.25 * (a + b) as f64
+            }
+        }
+        fn ins(&self, a: Sym) -> f64 {
+            1.0 + 0.5 * a as f64
+        }
+    }
+
+    /// Walks one branch and a sibling off the root, checking every entry of
+    /// every fresh column, its node's bound and its node's `ed` against a
+    /// fresh DP.
+    fn check_arena_columns<M: CostModel>(m: &M, qd: &[Sym], bits: bool) {
+        let (mut costs, suffix) = profile_of(m, qd);
         let mut trie = DpTrie::new(&costs, suffix);
-        let syms = [4u32, 2, 3, 1, 2];
+        assert_eq!(matches!(trie.cols, Slab::Bits(_)), bits);
+        let syms = [4u32, 2, 3, 1, 2, 7, 3, 3];
         let mut node = 0u32;
-        for (k, &s) in syms.iter().enumerate() {
-            let (child, created) = trie.child(&mut costs, suffix, node, s);
+        let check = |trie: &DpTrie, node: u32, p: &[Sym]| {
+            let want: Vec<f64> = (0..=qd.len()).map(|j| wed(m, p, &qd[..j])).collect();
+            assert_eq!(col(trie, node, qd.len()), want, "P^d = {p:?}");
+            let (min, ed) = trie.bound_and_ed(node);
+            assert_eq!(ed, want[qd.len()]);
+            assert_eq!(min, want.iter().cloned().fold(f64::INFINITY, f64::min));
+        };
+        check(&trie, 0, &[]);
+        for k in 0..syms.len() {
+            let (child, created) = trie.child(&mut costs, suffix, node, syms[k]);
             assert!(created);
-            // The node's `ed` and the slab column's last entry are one
-            // number, and it must equal a fresh DP.
-            let (min, ed) = trie.bound_and_ed(child);
-            assert_eq!(ed, wed(&Lev, &syms[..k + 1], &qd));
-            assert_eq!(ed, col(&trie, child)[qd.len()]);
-            assert_eq!(
-                min,
-                col(&trie, child)
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min)
-            );
+            check(&trie, child, &syms[..k + 1]);
             node = child;
         }
         // A branch off the root shares nothing but the root column.
         let (b, created) = trie.child(&mut costs, suffix, 0, 9);
         assert!(created);
-        assert_eq!(trie.bound_and_ed(b).1, wed(&Lev, &[9], &qd));
+        check(&trie, b, &[9]);
         assert_eq!(trie.len(), syms.len() + 2);
+    }
+
+    #[test]
+    fn arena_trie_columns_match_direct_dp() {
+        // Unit costs: a bit slab, over one word and over two.
+        check_arena_columns(&Lev, &[1, 2, 3], true);
+        let long: Vec<Sym> = (0..70).map(|j| [1, 2, 3, 4, 7][j % 5]).collect();
+        check_arena_columns(&Lev, &long, true);
+    }
+
+    #[test]
+    fn arena_trie_columns_match_direct_dp_on_costs() {
+        check_arena_columns(&Weighted, &[1, 2, 3], false);
+        check_arena_columns(&Weighted, &[5, 2, 9, 9, 4], false);
     }
 
     #[test]

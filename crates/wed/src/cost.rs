@@ -38,6 +38,16 @@ pub trait CostModel {
     fn total_ins(&self, s: &[Sym]) -> f64 {
         s.iter().map(|&q| self.ins(q)).sum()
     }
+
+    /// True when the model promises **unit costs**: `sub(a, b) ∈ {0, 1}` and
+    /// `ins(a) = del(a) = 1` for every `a, b`. A DP column of such a model
+    /// is a Levenshtein column, so trie verification may store and extend
+    /// it 64 cells to a machine word ([`crate::dp::step_dp_bits`]) with the
+    /// same numbers as the `f64` kernels. A model that says so must keep the
+    /// promise; [`check_axioms_on_sample`] checks it.
+    fn unit_costs(&self) -> bool {
+        false
+    }
 }
 
 /// A WED instance that supports subsequence filtering: it can enumerate the
@@ -74,6 +84,9 @@ impl<M: CostModel + ?Sized> CostModel for &M {
     fn total_ins(&self, s: &[Sym]) -> f64 {
         (**self).total_ins(s)
     }
+    fn unit_costs(&self) -> bool {
+        (**self).unit_costs()
+    }
 }
 
 impl<M: WedInstance + ?Sized> WedInstance for &M {
@@ -88,10 +101,18 @@ impl<M: WedInstance + ?Sized> WedInstance for &M {
     }
 }
 
-/// Verifies the Proposition 1 assumptions on a sample of symbols; used by
-/// unit and property tests of every model.
+/// Verifies the Proposition 1 assumptions on a sample of symbols, and the
+/// unit-cost promise of a model that makes it ([`CostModel::unit_costs`]);
+/// used by unit and property tests of every model.
 pub fn check_axioms_on_sample<M: CostModel>(m: &M, sample: &[Sym]) {
+    let unit = m.unit_costs();
     for &a in sample {
+        if unit {
+            assert!(
+                m.ins(a) == 1.0 && m.del(a) == 1.0,
+                "unit costs: ins({a}) and del({a}) must be 1"
+            );
+        }
         assert!(m.sub(a, a).abs() < 1e-12, "sub({a},{a}) must be 0");
         assert!(m.ins(a) >= 0.0, "ins({a}) must be non-negative");
         assert!(
@@ -101,6 +122,10 @@ pub fn check_axioms_on_sample<M: CostModel>(m: &M, sample: &[Sym]) {
         for &b in sample {
             let (ab, ba) = (m.sub(a, b), m.sub(b, a));
             assert!(ab >= 0.0, "sub({a},{b}) must be non-negative");
+            assert!(
+                !unit || ab == 0.0 || ab == 1.0,
+                "unit costs: sub({a},{b}) = {ab} must be 0 or 1"
+            );
             assert!(
                 (ab - ba).abs() < 1e-9,
                 "sub must be symmetric: {ab} vs {ba}"
@@ -125,6 +150,9 @@ mod tests {
         }
         fn ins(&self, _a: Sym) -> f64 {
             1.0
+        }
+        fn unit_costs(&self) -> bool {
+            true
         }
     }
 
@@ -159,5 +187,43 @@ mod tests {
             }
         }
         check_axioms_on_sample(&Bad, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unit costs: ins")]
+    fn axiom_checker_rejects_a_false_unit_claim_on_ins() {
+        /// Unit `sub`, but an insertion that costs two.
+        struct DoubleIns;
+        impl CostModel for DoubleIns {
+            fn sub(&self, a: Sym, b: Sym) -> f64 {
+                Unit.sub(a, b)
+            }
+            fn ins(&self, _a: Sym) -> f64 {
+                2.0
+            }
+            fn unit_costs(&self) -> bool {
+                true
+            }
+        }
+        check_axioms_on_sample(&DoubleIns, &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unit costs: sub")]
+    fn axiom_checker_rejects_a_false_unit_claim_on_sub() {
+        /// Unit `ins`, but a substitution that costs half.
+        struct HalfSub;
+        impl CostModel for HalfSub {
+            fn sub(&self, a: Sym, b: Sym) -> f64 {
+                Unit.sub(a, b) / 2.0
+            }
+            fn ins(&self, _a: Sym) -> f64 {
+                1.0
+            }
+            fn unit_costs(&self) -> bool {
+                true
+            }
+        }
+        check_axioms_on_sample(&HalfSub, &[0, 1]);
     }
 }

@@ -3,20 +3,30 @@
 //! `wed(P, Q)` fills the classic (m+1)×(n+1) table column by column; the
 //! column primitive [`step_dp`] is Algorithm 6 of the paper.
 //!
-//! There are two kernels for that column, with one operation order and
-//! therefore one result down to the last bit:
+//! There are three kernels for that column, and one answer:
 //!
 //! * [`step_dp_into`] is the **reference**: it asks the cost model for
 //!   `sub(p, q_j)` and `ins(q_j)` cell by cell. [`wed`], [`wed_within`],
 //!   Smith–Waterman, the baselines and the benchmark's kernel probe run it.
-//! * [`step_dp_rows`] is what the **engine** runs: the same sweep over cost
-//!   rows that are already numbers. Trie verification extends hundreds of
-//!   columns per query over suffixes of one `Q`, so a [`SubProfile`] asks
-//!   the model once per `(data symbol, query position)` and every column
-//!   after that reads a contiguous slice.
+//! * [`step_dp_rows`] is what the **engine** runs for any cost model: the
+//!   same sweep over cost rows that are already numbers. Trie verification
+//!   extends hundreds of columns per query over suffixes of one `Q`, so a
+//!   [`SubProfile`] asks the model once per `(data symbol, query position)`
+//!   and every column after that reads a contiguous slice.
+//! * [`step_dp_bits`] is what the engine runs for a **unit-cost** model
+//!   ([`CostModel::unit_costs`]: Levenshtein, EDR, NetEDR). Their columns
+//!   are Levenshtein columns — neighbouring entries differ by −1, 0 or +1 —
+//!   so a column is its depth `D[0]` plus two bit vectors of those vertical
+//!   steps, 64 cells to a machine word, and one word of the profile's row
+//!   says which cells match. This is Myers' bit-vector algorithm (J. ACM
+//!   1999) in Hyyrö's form for global edit distance (2003).
 //!
-//! `tests/properties.rs` holds the two equal by `f64::to_bits` for every
-//! cost model, so the engine and the reference cannot drift apart.
+//! All three produce the same column, minimum and last entry down to the
+//! last bit: a unit-cost column holds small integers, which `f64` holds
+//! exactly. `tests/properties.rs` holds the row and bit kernels equal to the
+//! reference by `f64::to_bits` (a bit column rebuilt entry by entry with
+//! [`bit_column_entries`]), so the engine and the reference cannot drift
+//! apart.
 
 use crate::cost::{CostModel, Sym};
 use crate::hash::BuildMix;
@@ -54,6 +64,18 @@ fn prefix_sums_into(ins: impl ExactSizeIterator<Item = f64>, out: &mut Vec<f64>)
     min
 }
 
+/// The smaller of two costs as one compare-select. Costs are never NaN and
+/// never −0.0, so this is `f64::min` bit for bit, without the NaN handling
+/// that lengthens the DP's loop-carried chain.
+#[inline(always)]
+fn min2(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
 /// Algorithm 6 (StepDP): extends column `a` (for data prefix `P[..k]`) by
 /// one data symbol `p`, producing the column for `P[..k+1]`.
 ///
@@ -70,10 +92,9 @@ pub fn step_dp<M: CostModel + ?Sized>(m: &M, q: &[Sym], p: Sym, a: &[f64]) -> Ve
 ///
 /// `del(p)` is hoisted out of the loop, the `left` dependency is carried in
 /// a register instead of re-read from `out`, and the three-way min plus the
-/// running column minimum compile to branchless `minsd` chains. The
-/// returned minimum is the Eq. (11) lower bound on every extension of the
-/// current data prefix, fused into the sweep so callers do not re-scan the
-/// column.
+/// running column minimum are compare-selects. The returned minimum is the
+/// Eq. (11) lower bound on every extension of the current data prefix,
+/// fused into the sweep so callers do not re-scan the column.
 pub fn step_dp_into<M: CostModel + ?Sized>(
     m: &M,
     q: &[Sym],
@@ -90,16 +111,17 @@ pub fn step_dp_into<M: CostModel + ?Sized>(
     for (j, &qj) in q.iter().enumerate() {
         let diag = a[j] + m.sub(p, qj);
         let up = a[j + 1] + del_p;
-        let v = diag.min(up).min(left + m.ins(qj));
+        let v = min2(min2(diag, up), left + m.ins(qj));
         out[j + 1] = v;
         left = v;
-        min = min.min(v);
+        min = min2(min, v);
     }
     min
 }
 
 /// [`step_dp_into`] over cost rows instead of a cost model — the engine's
-/// kernel: `sub[j] = sub(p, q_j)`, `ins[j] = ins(q_j)`, `del_p = del(p)`.
+/// kernel for any cost model: `sub[j] = sub(p, q_j)`, `ins[j] = ins(q_j)`,
+/// `del_p = del(p)`.
 ///
 /// Operation for operation the same sweep, so column and minimum are
 /// bit-identical to the reference whenever the rows hold what the model
@@ -115,12 +137,145 @@ pub fn step_dp_rows(sub: &[f64], ins: &[f64], del_p: f64, a: &[f64], out: &mut [
     for j in 0..n {
         let diag = a[j] + sub[j];
         let up = a[j + 1] + del_p;
-        let v = diag.min(up).min(left + ins[j]);
+        let v = min2(min2(diag, up), left + ins[j]);
         out[j + 1] = v;
         left = v;
-        min = min.min(v);
+        min = min2(min, v);
     }
     min
+}
+
+// ---------------------------------------------------------------------------
+// Bit-parallel columns for unit-cost models
+// ---------------------------------------------------------------------------
+
+/// The low `k` bits of a word (all of them from `k = 64` on).
+fn low_bits(k: usize) -> u64 {
+    if k >= 64 {
+        u64::MAX
+    } else {
+        (1 << k) - 1
+    }
+}
+
+/// Words in a **bit column** over a suffix of `n` query symbols.
+///
+/// A bit column is the DP column of a unit-cost model (see the module
+/// docs): word 0 holds the depth `D[0] = k`, the number of data symbols
+/// stepped in; then come `⌈n/64⌉` words of `VP` and as many of `VN`. Bit
+/// `j` of `VP` (of `VN`) is set when `D[j+1] − D[j]` is `+1` (is `−1`); bits
+/// from `n` up are zero.
+pub fn bit_column_len(n: usize) -> usize {
+    1 + 2 * n.div_ceil(64)
+}
+
+/// The bit column for the empty data prefix over `n` query symbols into
+/// `out` (cleared first) — `D[j] = j`, what [`initial_column_into`] builds
+/// under unit costs — returning its minimum and last entry, `(0, n)`.
+pub fn initial_bit_column_into(n: usize, out: &mut Vec<u64>) -> (f64, f64) {
+    let w = n.div_ceil(64);
+    out.clear();
+    out.push(0);
+    out.extend((0..w).map(|i| low_bits(n - 64 * i)));
+    out.resize(bit_column_len(n), 0);
+    (0.0, n as f64)
+}
+
+/// StepDP for unit costs on [bit columns](bit_column_len): extends column
+/// `a` over `n` query symbols by one data symbol into `out`, returning the
+/// new column's minimum and last entry — what [`step_dp_into`] returns as
+/// its minimum and leaves in its last cell, bit for bit.
+///
+/// Bit `j` of `eq` is set iff `sub(p, q_j) = 0`; bits from `n` up may hold
+/// anything, since no bit of a word reaches a lower one. Each word takes
+/// the horizontal step `D'[j] − D[j]` at the row above its first from the
+/// word before it (`+1` into the first word: `D[0]` grows by one) and hands
+/// on the step at its own last row.
+pub fn step_dp_bits(eq: &[u64], n: usize, a: &[u64], out: &mut [u64]) -> (f64, f64) {
+    let w = n.div_ceil(64);
+    assert!(eq.len() == w && a.len() == bit_column_len(n) && out.len() == a.len());
+    let depth = a[0] + 1;
+    out[0] = depth;
+    let (a_vp, a_vn) = a[1..].split_at(w);
+    let (o_vp, o_vn) = out[1..].split_at_mut(w);
+    // The horizontal step into the word, as two bits: `+1` (hp) or `−1`
+    // (hn).
+    let (mut hp, mut hn) = (1u64, 0u64);
+    for i in 0..w {
+        let (vp, vn) = (a_vp[i], a_vn[i]);
+        let xv = eq[i] | vn;
+        // A `−1` coming in from above acts as a match in the word's top row.
+        let e = eq[i] | hn;
+        let xh = ((e & vp).wrapping_add(vp) ^ vp) | e;
+        let ph = vn | !(xh | vp);
+        let mh = vp & xh;
+        let (ph_out, mh_out) = (ph >> 63, mh >> 63);
+        let ph = ph << 1 | hp;
+        let mh = mh << 1 | hn;
+        o_vp[i] = mh | !(xv | ph);
+        o_vn[i] = ph & xv;
+        (hp, hn) = (ph_out, mh_out);
+    }
+    if w > 0 {
+        let top = low_bits(n - 64 * (w - 1));
+        o_vp[w - 1] &= top;
+        o_vn[w - 1] &= top;
+    }
+    bit_column_min_and_last(n, depth, o_vp, o_vn)
+}
+
+/// Per nibble of vertical steps, indexed by `vp | vn << 4`: the nibble's
+/// total step and the least of its four prefix sums and zero.
+const NIBBLE: [(i8, i8); 256] = {
+    let mut t = [(0i8, 0i8); 256];
+    let mut i = 0;
+    while i < 256 {
+        let (mut sum, mut min, mut b) = (0i8, 0i8, 0);
+        while b < 4 {
+            sum += ((i >> b) & 1) as i8 - ((i >> (b + 4)) & 1) as i8;
+            if sum < min {
+                min = sum;
+            }
+            b += 1;
+        }
+        t[i] = (sum, min);
+        i += 1;
+    }
+    t
+};
+
+/// The least entry and the last entry of the column `depth`, `vp`, `vn`
+/// over `n` query symbols: one pass over the column's nibbles, as many as
+/// it has cells, so the loop's trip count is fixed by `n`.
+fn bit_column_min_and_last(n: usize, depth: u64, vp: &[u64], vn: &[u64]) -> (f64, f64) {
+    let mut d = depth as i64;
+    let mut min = d;
+    for (i, (&p, &m)) in vp.iter().zip(vn).enumerate() {
+        let (mut p, mut m) = (p, m);
+        for _ in 0..(n - 64 * i).min(64).div_ceil(4) {
+            let (sum, low) = NIBBLE[(p & 15 | (m & 15) << 4) as usize];
+            min = min.min(d + low as i64);
+            d += sum as i64;
+            (p, m) = (p >> 4, m >> 4);
+        }
+    }
+    (min as f64, d as f64)
+}
+
+/// The entries `D[0..=n]` of a [bit column](bit_column_len) over `n` query
+/// symbols, as the `f64` kernels hold them.
+pub fn bit_column_entries(n: usize, col: &[u64]) -> Vec<f64> {
+    let w = n.div_ceil(64);
+    assert_eq!(col.len(), bit_column_len(n));
+    let (vp, vn) = col[1..].split_at(w);
+    let mut d = col[0] as i64;
+    let mut out = vec![d as f64];
+    for j in 0..n {
+        let bit = |v: &[u64]| (v[j / 64] >> (j % 64) & 1) as i64;
+        d += bit(vp) - bit(vn);
+        out.push(d as f64);
+    }
+    out
 }
 
 /// A query suffix `Q^d` as a window into a [`SubProfile`]'s rows.
@@ -148,10 +303,13 @@ impl Suffix {
 /// Bidirectional verification (§5) runs StepDP over `2·|Q'|` different
 /// suffixes of the same `Q` — `Q[iq+1..]` forward of an anchor at `iq`,
 /// `rev(Q[..iq])` backward of it. Each row is stored **forward and
-/// reversed**, so either kind of suffix is one contiguous slice of it
-/// ([`SubProfile::forward`], [`SubProfile::backward`]) and
-/// [`SubProfile::step`] hands [`step_dp_rows`] plain slices. The two
+/// reversed**, so either kind of suffix is one contiguous window of it
+/// ([`SubProfile::forward`], [`SubProfile::backward`]). The two
 /// `ins(Q[·])` rows and the symbols themselves are laid out the same way.
+///
+/// A row is `f64` costs for [`step_dp_rows`] ([`SubProfile::step`]), or,
+/// for a unit-cost model, one bit per symbol for [`step_dp_bits`]
+/// ([`SubProfile::step_bits`]); [`SubProfile::unit_costs`] says which.
 ///
 /// A profile borrows its cost model and is never shared across models: the
 /// rows *are* that model's answers.
@@ -163,26 +321,55 @@ pub struct SubProfile<'a, M: CostModel + ?Sized> {
     ins: Vec<f64>,
     /// Data symbol → its row number.
     index: HashMap<Sym, u32, BuildMix>,
-    /// Rows back to back, `2n + 1` wide: `del(p)`, then `sub(p, ·)` over
-    /// `syms`.
-    rows: Vec<f64>,
+    /// Rows back to back.
+    rows: Rows,
+}
+
+/// A [`SubProfile`]'s rows in one of two encodings, fixed by the model.
+enum Rows {
+    /// `2n + 1` wide: `del(p)`, then `sub(p, ·)` over `syms`.
+    Costs(Vec<f64>),
+    /// `⌈2n/64⌉ + 1` words wide: bit `t` set iff `sub(p, syms[t]) = 0`, then
+    /// a zero word, so any window's words can be read off two neighbours.
+    /// `eq` holds the window [`step_dp_bits`] is handed, and `sub` the
+    /// costs a bit row stands for when [`SubProfile::step`] is asked.
+    Matches {
+        words: Vec<u64>,
+        eq: Vec<u64>,
+        sub: Vec<f64>,
+    },
 }
 
 impl<'a, M: CostModel + ?Sized> SubProfile<'a, M> {
     pub fn new(model: &'a M, q: &[Sym]) -> Self {
         let syms: Vec<Sym> = q.iter().chain(q.iter().rev()).copied().collect();
         let ins = syms.iter().map(|&s| model.ins(s)).collect();
+        let rows = if model.unit_costs() {
+            Rows::Matches {
+                words: Vec::new(),
+                eq: Vec::new(),
+                sub: Vec::new(),
+            }
+        } else {
+            Rows::Costs(Vec::new())
+        };
         SubProfile {
             model,
             syms,
             ins,
             index: HashMap::default(),
-            rows: Vec::new(),
+            rows,
         }
     }
 
     fn n(&self) -> usize {
         self.syms.len() / 2
+    }
+
+    /// True when the model has unit costs, so columns over this profile may
+    /// be [bit columns](bit_column_len) extended by [`SubProfile::step_bits`].
+    pub fn unit_costs(&self) -> bool {
+        matches!(self.rows, Rows::Matches { .. })
     }
 
     /// The window of `Q[iq+1..]`, the suffix a forward trie at `iq` covers.
@@ -219,29 +406,86 @@ impl<'a, M: CostModel + ?Sized> SubProfile<'a, M> {
     pub fn step(&mut self, s: Suffix, p: Sym, a: &[f64], out: &mut [f64]) -> f64 {
         let at = self.row(p);
         let window = s.off..s.off + s.len;
-        step_dp_rows(
-            &self.rows[at + 1..][window.clone()],
-            &self.ins[window],
-            self.rows[at],
-            a,
-            out,
-        )
+        match &mut self.rows {
+            Rows::Costs(rows) => step_dp_rows(
+                &rows[at + 1..][window.clone()],
+                &self.ins[window],
+                rows[at],
+                a,
+                out,
+            ),
+            // Unit costs: a match costs 0, anything else 1, `del(p)` is 1.
+            Rows::Matches { words, sub, .. } => {
+                sub.clear();
+                sub.extend(window.clone().map(|t| {
+                    if words[at + t / 64] >> (t % 64) & 1 == 1 {
+                        0.0
+                    } else {
+                        1.0
+                    }
+                }));
+                step_dp_rows(sub, &self.ins[window], 1.0, a, out)
+            }
+        }
     }
 
-    /// Start of `p`'s row in `rows`, building the row on first touch.
+    /// StepDP for data symbol `p` over the suffix on [bit
+    /// columns](bit_column_len), returning the new column's minimum and last
+    /// entry: what [`SubProfile::step`] returns and leaves in its last cell,
+    /// bit for bit. Panics unless the profile has [unit
+    /// costs](SubProfile::unit_costs).
+    pub fn step_bits(&mut self, s: Suffix, p: Sym, a: &[u64], out: &mut [u64]) -> (f64, f64) {
+        let at = self.row(p);
+        let Rows::Matches { words, eq, .. } = &mut self.rows else {
+            panic!("bit columns need a unit-cost model");
+        };
+        let (base, shift) = (at + s.off / 64, s.off % 64);
+        eq.clear();
+        eq.extend((0..s.len.div_ceil(64)).map(|i| {
+            let low = words[base + i] >> shift;
+            if shift == 0 {
+                low
+            } else {
+                low | words[base + i + 1] << (64 - shift)
+            }
+        }));
+        step_dp_bits(eq, s.len, a, out)
+    }
+
+    /// Start of `p`'s row in the rows, building the row on first touch.
     fn row(&mut self, p: Sym) -> usize {
         let n = self.n();
-        let stride = 2 * n + 1;
+        let stride = match self.rows {
+            Rows::Costs(_) => 2 * n + 1,
+            Rows::Matches { .. } => (2 * n).div_ceil(64) + 1,
+        };
+        let model = self.model;
+        let syms = &self.syms[..n];
         match self.index.entry(p) {
             Entry::Occupied(e) => *e.get() as usize * stride,
             Entry::Vacant(v) => {
-                let at = self.rows.len();
-                self.rows.push(self.model.del(p));
-                let model = self.model;
-                self.rows
-                    .extend(self.syms[..n].iter().map(|&qj| model.sub(p, qj)));
-                self.rows.extend_from_within(at + 1..at + 1 + n);
-                self.rows[at + 1 + n..].reverse();
+                let at = match &mut self.rows {
+                    Rows::Costs(rows) => {
+                        let at = rows.len();
+                        rows.push(model.del(p));
+                        rows.extend(syms.iter().map(|&qj| model.sub(p, qj)));
+                        rows.extend_from_within(at + 1..at + 1 + n);
+                        rows[at + 1 + n..].reverse();
+                        at
+                    }
+                    Rows::Matches { words, .. } => {
+                        let at = words.len();
+                        words.resize(at + stride, 0);
+                        for (t, &qj) in syms.iter().enumerate() {
+                            if model.sub(p, qj) == 0.0 {
+                                for bit in [t, 2 * n - 1 - t] {
+                                    words[at + bit / 64] |= 1 << (bit % 64);
+                                }
+                            }
+                        }
+                        at
+                    }
+                };
                 v.insert((at / stride) as u32);
                 at
             }

@@ -12,9 +12,10 @@
 //!   and lower costs `c(q)` (Eq. 7) to the filtering layer.
 //! * [`models`] — the six concrete instances used in the paper's evaluation.
 //! * [`dp`] — the quadratic DP for `wed(P, Q)` and the column-at-a-time
-//!   StepDP primitive (Algorithm 6) in its two forms: the model-calling
-//!   reference and the row-reading kernel trie verification runs over a
-//!   per-query [`dp::SubProfile`].
+//!   StepDP primitive (Algorithm 6) in its three forms: the model-calling
+//!   reference, and the two kernels trie verification runs over a per-query
+//!   [`dp::SubProfile`] — row-reading for any model, bit-parallel for
+//!   unit-cost ones.
 //! * [`sw`] — the Smith–Waterman adaptation for subtrajectory matching
 //!   (Algorithm 7) and a threshold-scan variant that returns *all* matching
 //!   substrings.

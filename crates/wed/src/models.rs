@@ -40,6 +40,9 @@ impl CostModel for Lev {
     fn ins(&self, _a: Sym) -> f64 {
         1.0
     }
+    fn unit_costs(&self) -> bool {
+        true
+    }
 }
 
 impl WedInstance for Lev {
@@ -89,6 +92,9 @@ impl CostModel for Edr {
     fn ins(&self, _a: Sym) -> f64 {
         1.0
     }
+    fn unit_costs(&self) -> bool {
+        true
+    }
 }
 
 impl WedInstance for Edr {
@@ -97,8 +103,16 @@ impl WedInstance for Edr {
     }
     /// η = 0 for unit-cost models (§6.1): `B(q)` is the set of vertices with
     /// zero substitution cost, i.e. the ε-ball.
+    ///
+    /// The tree compares squared distances and `sub` compares distances; at
+    /// a distance of exactly ε the two can round apart. So the tree is asked
+    /// for a slightly wider ball and `sub`'s own test decides, which keeps
+    /// `B(q)` the zero-cost set that `c(q) = 1` assumes.
     fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        self.tree.range(self.net.coord(q), self.eps)
+        let c = self.net.coord(q);
+        let mut ball = self.tree.range(c, self.eps * (1.0 + 1e-9));
+        ball.retain(|&b| self.net.coord(b).dist(&c) <= self.eps);
+        ball
     }
     fn lower_cost(&self, _q: Sym) -> f64 {
         1.0
@@ -203,6 +217,9 @@ impl CostModel for NetEdr {
     }
     fn ins(&self, _a: Sym) -> f64 {
         1.0
+    }
+    fn unit_costs(&self) -> bool {
+        true
     }
 }
 
@@ -402,6 +419,9 @@ impl<M: CostModel> CostModel for Memo<M> {
     fn ins(&self, a: Sym) -> f64 {
         self.inner.ins(a)
     }
+    fn unit_costs(&self) -> bool {
+        self.inner.unit_costs()
+    }
 }
 
 impl<M: WedInstance> WedInstance for Memo<M> {
@@ -441,6 +461,66 @@ mod tests {
             &sample,
         );
         check_axioms_on_sample(&Surs::new(net.clone()), &sample);
+        check_axioms_on_sample(&Memo::new(NetEdr::new(net, hubs, 130.0)), &sample);
+    }
+
+    /// What an engine generic over `M` sees of a model it holds as `M`.
+    fn claims_unit_costs<M: CostModel>(m: M) -> bool {
+        m.unit_costs()
+    }
+
+    #[test]
+    fn unit_cost_claims_reach_the_engine() {
+        // The engine holds `&M` (or a `&dyn WedInstance`), and serves the
+        // network models memoised: the claim must survive each wrapper.
+        let (net, hubs) = setup();
+        let edr = Edr::new(net.clone(), 130.0);
+        assert!(claims_unit_costs(Lev));
+        assert!(claims_unit_costs(&edr));
+        let dynamic: &dyn WedInstance = &edr;
+        assert!(claims_unit_costs(dynamic));
+        let memo = Memo::new(NetEdr::new(net.clone(), hubs.clone(), 130.0));
+        assert!(claims_unit_costs(&memo));
+        assert!(claims_unit_costs(memo));
+
+        let continuous: Vec<Box<dyn WedInstance>> = vec![
+            Box::new(Erp::new(net.clone(), 10.0)),
+            Box::new(NetErp::new(net.clone(), hubs.clone(), 2000.0, 130.0)),
+            Box::new(Memo::new(NetErp::new(net.clone(), hubs, 2000.0, 130.0))),
+            Box::new(Surs::new(net)),
+        ];
+        for m in &continuous {
+            assert!(!claims_unit_costs(&**m), "{} has no unit costs", m.name());
+        }
+    }
+
+    /// For the unit-cost models filtering and verification read one
+    /// relation two ways: the filter takes `B(q)` from a range query, the
+    /// bit-parallel verifier takes `sub(q, b) == 0` from the cost model. The
+    /// two must be the same set for every `q`, or a filtered candidate's
+    /// anchor and its DP disagree.
+    #[test]
+    fn unit_neighbourhoods_are_exactly_the_zero_cost_symbols() {
+        let net = Arc::new(CityParams::small(NetworkKind::City).generate());
+        let hubs = Arc::new(HubLabels::build(&net));
+        let mut lengths: Vec<f64> = (0..net.num_edges() as u32)
+            .map(|e| net.edge(e).length)
+            .collect();
+        lengths.sort_by(f64::total_cmp);
+        let (quartile, median) = (lengths[lengths.len() / 4], lengths[lengths.len() / 2]);
+        let n = net.num_vertices() as u32;
+        let check = |m: &dyn WedInstance, eps: f64| {
+            for q in 0..n {
+                let mut got = m.neighbors(q);
+                got.sort_unstable();
+                let want: Vec<Sym> = (0..n).filter(|&b| m.sub(q, b) == 0.0).collect();
+                assert_eq!(got, want, "{}: B({q}) at ε = {eps}", m.name());
+            }
+        };
+        for eps in [quartile, median, 100.0, 150.0] {
+            check(&Edr::new(net.clone(), eps), eps);
+            check(&NetEdr::new(net.clone(), hubs.clone(), eps), eps);
+        }
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Property-based tests of the WED layer: Proposition 1 axioms for every
-//! instance, DP identities, Smith–Waterman consistency, and the Appendix F
-//! SURS/LORS relation, all over network-backed cost models.
+//! Property-based tests of the WED layer: the engine's two StepDP kernels
+//! against the reference, Proposition 1 axioms for every instance, DP
+//! identities, Smith–Waterman consistency, and the Appendix F SURS/LORS
+//! relation, all over network-backed cost models.
 
 use proptest::prelude::*;
 use rnet::{CityParams, HubLabels, NetworkKind, RoadNetwork};
 use std::sync::Arc;
-use wed::dp::{initial_column_into, step_dp_into, SubProfile};
+use wed::dp::{
+    bit_column_entries, bit_column_len, initial_bit_column_into, initial_column_into, step_dp_into,
+    SubProfile,
+};
 use wed::models::{Edr, Erp, Lev, Memo, NetEdr, NetErp, Surs};
 use wed::nonwed::lors;
 use wed::{sw_best, sw_scan_all, wed, wed_within, CostModel, Sym, WedInstance};
@@ -46,9 +50,20 @@ fn cost_models() -> Vec<(&'static str, Box<dyn CostModel>)> {
     ]
 }
 
+/// The unit-cost models the engine runs on bit columns.
+fn unit_models() -> Vec<(&'static str, Box<dyn CostModel>)> {
+    cost_models()
+        .into_iter()
+        .filter(|(name, _)| ["Lev", "EDR", "Memo<NetEDR>"].contains(name))
+        .collect()
+}
+
 fn bits(col: &[f64]) -> Vec<u64> {
     col.iter().map(|v| v.to_bits()).collect()
 }
+
+/// Suffix lengths around the word boundaries of a bit column.
+const BIT_LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -86,6 +101,52 @@ proptest! {
                     let got_min = costs.step(suffix, p, a, &mut got);
                     prop_assert_eq!(bits(&got), bits(&want), "{} p={}", name, p);
                     prop_assert_eq!(got_min.to_bits(), want_min.to_bits(), "{} p={}", name, p);
+                }
+            }
+        }
+    }
+
+    /// The unit-cost kernel against the reference: for every suffix length
+    /// in [`BIT_LENGTHS`], forward and backward, a walk from the root deeper
+    /// than the suffix is long steps `step_bits` and `step_dp_into` side by
+    /// side. Every entry of each bit column, rebuilt from its depth, `VP`
+    /// and `VN`, its minimum and its last entry equal the reference by
+    /// `to_bits`.
+    #[test]
+    fn step_dp_bits_is_bit_identical_to_step_dp_into(
+        pool in proptest::collection::vec(0u32..16, 132),
+        extra in 0usize..3,
+        walk in proptest::collection::vec(0u32..16, 140),
+        deeper in 1usize..8,
+    ) {
+        for (name, m) in unit_models() {
+            for len in BIT_LENGTHS {
+                let q = &pool[..len + 1 + extra];
+                let mut costs = SubProfile::new(&*m, q);
+                prop_assert!(costs.unit_costs(), "{}", name);
+                let n = q.len();
+                for suffix in [costs.forward(n - 1 - len), costs.backward(len)] {
+                    let qd = costs.symbols(suffix).to_vec();
+                    prop_assert_eq!(qd.len(), len);
+                    let (mut want, mut want_next) = (Vec::new(), vec![0.0; len + 1]);
+                    let want_min = initial_column_into(&*m, &qd, &mut want);
+                    let mut got = Vec::new();
+                    let (got_min, got_ed) = initial_bit_column_into(len, &mut got);
+                    prop_assert_eq!(bits(&bit_column_entries(len, &got)), bits(&want));
+                    prop_assert_eq!(got_min.to_bits(), want_min.to_bits());
+                    prop_assert_eq!(got_ed.to_bits(), want[len].to_bits());
+
+                    let mut got_next = vec![0; bit_column_len(len)];
+                    for (k, &p) in walk[..len + deeper].iter().enumerate() {
+                        let want_min = step_dp_into(&*m, &qd, p, &want, &mut want_next);
+                        let (got_min, got_ed) = costs.step_bits(suffix, p, &got, &mut got_next);
+                        std::mem::swap(&mut want, &mut want_next);
+                        std::mem::swap(&mut got, &mut got_next);
+                        let ctx = format!("{name} |Q^d|={len} depth {}", k + 1);
+                        prop_assert_eq!(bits(&bit_column_entries(len, &got)), bits(&want), "{}", ctx);
+                        prop_assert_eq!(got_min.to_bits(), want_min.to_bits(), "{}", ctx);
+                        prop_assert_eq!(got_ed.to_bits(), want[len].to_bits(), "{}", ctx);
+                    }
                 }
             }
         }
