@@ -10,7 +10,8 @@
 //! is what the `pub(crate)`s are for).
 //!
 //! Defaults are laptop-scale; `--scale 1.0` roughly doubles the default
-//! workload, `--scale 0.05` matches the criterion benches.
+//! workload, `--scale 0.05` is a quick run of any experiment (CI runs
+//! `table5 --scale 0.05`, whose ablation covers all three verify modes).
 
 use trajsearch_bench::data::{FuncKind, Scale};
 use trajsearch_bench::exp::*;
@@ -37,7 +38,11 @@ pub(crate) const EXPERIMENTS: &[Experiment] = &[
     ("fig9", "vs DITA / ERP-index, varying tau-ratio", fig9),
     ("fig10", "vs DITA / ERP-index, varying #trajectories", fig10),
     ("table4", "OSF-BT running-time breakdown", table4),
-    ("table5", "verification pruning rates (UPR/CMR/TUR)", table5),
+    (
+        "table5",
+        "verification pruning (UPR/CMR/TUR), SW/Local/Trie",
+        table5,
+    ),
     ("table6", "index construction time / size", table6),
     ("fig11", "candidate counts", fig11),
     ("fig12", "temporal filtering", fig12),
@@ -207,6 +212,7 @@ fn table4(args: &Args) {
 
 fn table5(args: &Args) {
     verification::print(&verification::run(args.scale));
+    verification::print_ablation(&verification::run_ablation(args.scale));
 }
 
 fn table6(args: &Args) {

@@ -272,56 +272,6 @@ impl Dataset {
         out
     }
 
-    /// Samples queries and perturbs them with the error sources motivating
-    /// similarity search (§1): spatial noise (a vertex replaced by a nearby
-    /// one), dropped samples, and duplicated samples. The result is usually
-    /// *not* a path — exactly the kind of query exact path search cannot
-    /// serve but WED search can.
-    pub fn sample_noisy_queries(
-        &self,
-        len: usize,
-        count: usize,
-        noise_rate: f64,
-        salt: u64,
-    ) -> Vec<Vec<Sym>> {
-        assert!((0.0..=1.0).contains(&noise_rate));
-        let clean = self.sample_queries(FuncKind::Lev, len, count, salt);
-        let tree = rnet::KdTree::build(self.net.coords());
-        let mut rng = ChaCha8Rng::seed_from_u64(salt ^ 0xDEADBEEF);
-        clean
-            .into_iter()
-            .map(|q| {
-                let mut out = Vec::with_capacity(q.len());
-                for &v in &q {
-                    if rng.gen::<f64>() < noise_rate {
-                        match rng.gen_range(0..3u8) {
-                            // Spatial substitution: a vertex within ~150 m.
-                            0 => {
-                                let nearby = tree.range(self.net.coord(v), 150.0);
-                                if nearby.is_empty() {
-                                    out.push(v);
-                                } else {
-                                    out.push(nearby[rng.gen_range(0..nearby.len())]);
-                                }
-                            }
-                            1 => {} // dropped sample
-                            _ => {
-                                out.push(v);
-                                out.push(v); // duplicated sample
-                            }
-                        }
-                    } else {
-                        out.push(v);
-                    }
-                }
-                if out.is_empty() {
-                    out.push(q[0]);
-                }
-                out
-            })
-            .collect()
-    }
-
     /// τ from a τ-ratio as in §6.1: `τ = τ_ratio · Σ_{q∈Q} c(q)`.
     pub fn tau_for(&self, model: &dyn WedInstance, q: &[Sym], tau_ratio: f64) -> f64 {
         let total: f64 = q.iter().map(|&s| model.lower_cost(s)).sum();
@@ -394,36 +344,6 @@ mod tests {
         assert!((40.0..400.0).contains(&mel), "median edge length {mel}");
         let nn = d.median_nn_distance();
         assert!((40.0..400.0).contains(&nn), "median nn distance {nn}");
-    }
-
-    #[test]
-    fn noisy_queries_recoverable_by_similarity_search() {
-        use trajsearch_core::{EngineBuilder, Query};
-        let d = Dataset::test_tiny();
-        let model = d.model(FuncKind::Edr);
-        let engine = EngineBuilder::new(&*model, &d.store, d.net.num_vertices()).build();
-        let noisy = d.sample_noisy_queries(10, 10, 0.2, 3);
-        let mut found = 0;
-        for q in &noisy {
-            // Budget: 40% of the query may differ.
-            let tau = (0.4 * q.len() as f64).max(1.0);
-            let query = Query::threshold(q.clone(), tau).build().unwrap();
-            if !engine.run(&query).unwrap().matches.is_empty() {
-                found += 1;
-            }
-        }
-        assert!(
-            found >= 7,
-            "similarity search recovered only {found}/10 noisy queries"
-        );
-    }
-
-    #[test]
-    fn noisy_queries_respect_rate_zero() {
-        let d = Dataset::test_tiny();
-        let clean = d.sample_queries(FuncKind::Lev, 8, 4, 9);
-        let zero = d.sample_noisy_queries(8, 4, 0.0, 9);
-        assert_eq!(clean, zero, "rate 0 must be the identity");
     }
 
     #[test]

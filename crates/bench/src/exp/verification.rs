@@ -1,8 +1,13 @@
-//! Table 5: verification pruning rates (UPR / CMR / TUR) of OSF-BT.
+//! Table 5: verification pruning rates (UPR / CMR / TUR) of OSF-BT, and
+//! the §5 ablation behind Tables 4–5: the same workload verified by SW (no
+//! locality), Local (bidirectional + early termination, no cache) and Trie
+//! (the paper's BT).
 
 use crate::data::{Dataset, FuncKind, Scale};
 use crate::methods::{MethodKind, MethodSet};
-use crate::table::{fmt_pct, print_table};
+use crate::table::{fmt_ms, fmt_pct, print_table};
+use trajsearch_core::{EngineBuilder, Query, SearchStats, VerifyMode};
+use wed::{Sym, WedInstance};
 
 #[derive(Debug, Clone)]
 pub struct VerifRow {
@@ -10,6 +15,17 @@ pub struct VerifRow {
     pub upr: f64,
     pub cmr: f64,
     pub tur: f64,
+}
+
+/// 15 EDR queries of `qlen` symbols at τ-ratio `ratio`.
+fn workload(d: &Dataset, model: &dyn WedInstance, qlen: usize, ratio: f64) -> Vec<(Vec<Sym>, f64)> {
+    d.sample_queries(FuncKind::Edr, qlen, 15, 120)
+        .into_iter()
+        .map(|q| {
+            let tau = d.tau_for(model, &q, ratio);
+            (q, tau)
+        })
+        .collect()
 }
 
 pub fn run(scale: Scale) -> Vec<VerifRow> {
@@ -21,14 +37,7 @@ pub fn run(scale: Scale) -> Vec<VerifRow> {
     let mut rows = Vec::new();
     let mut measure = |setting: String, store: &traj::TrajectoryStore, qlen: usize, ratio: f64| {
         let set = MethodSet::new(&*model, store, alphabet);
-        let wl: Vec<(Vec<wed::Sym>, f64)> = d
-            .sample_queries(func, qlen, 15, 120)
-            .into_iter()
-            .map(|q| {
-                let tau = d.tau_for(&*model, &q, ratio);
-                (q, tau)
-            })
-            .collect();
+        let wl = workload(&d, &*model, qlen, ratio);
         let (_, stats) = set.run_workload(MethodKind::OsfBt, &wl);
         rows.push(VerifRow {
             setting,
@@ -69,6 +78,75 @@ pub fn print(rows: &[VerifRow]) {
     );
 }
 
+/// One verification mode over the ablation workload.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    pub mode: &'static str,
+    /// Verification time per query (`SearchStats::verify_time`), ms.
+    pub verify_ms: f64,
+    /// DP columns computed fresh; SW computes none through a trie.
+    pub stepdp_calls: u64,
+    /// DP columns an exact Smith–Waterman scan computes (SW: its own work).
+    pub sw_columns: u64,
+}
+
+/// The verification ablation on Table 5's default setting (r=0.1, |Q|=60,
+/// 100% data): one engine, one workload, one row per verification mode.
+/// The Trie row is OSF-BT itself, so its `stepdp_calls / sw_columns` is
+/// the default row's TUR.
+pub fn run_ablation(scale: Scale) -> Vec<AblationRow> {
+    let d = Dataset::load("beijing", scale);
+    let model = d.model(FuncKind::Edr);
+    let (store, alphabet) = d.store_for(FuncKind::Edr);
+    let engine = EngineBuilder::new(&*model, store, alphabet).build();
+    let wl = workload(&d, &*model, 60, 0.1);
+    [
+        ("SW", VerifyMode::Sw),
+        ("Local", VerifyMode::Local),
+        ("Trie", VerifyMode::Trie),
+    ]
+    .into_iter()
+    .map(|(mode_name, mode)| {
+        let mut stats = SearchStats::default();
+        for (q, tau) in &wl {
+            let query = Query::threshold(q.clone(), *tau)
+                .verify(mode)
+                .build()
+                .expect("workload queries are valid");
+            stats.merge(&engine.run(&query).expect("run").stats);
+        }
+        AblationRow {
+            mode: mode_name,
+            verify_ms: stats.verify_time.as_secs_f64() * 1e3 / wl.len() as f64,
+            stepdp_calls: stats.stepdp_calls,
+            sw_columns: stats.sw_columns,
+        }
+    })
+    .collect()
+}
+
+pub fn print_ablation(rows: &[AblationRow]) {
+    println!("\nVerification ablation (Beijing / EDR, r=0.1, |Q|=60): SW vs Local vs Trie");
+    println!("  SW scans each candidate trajectory (sw_columns is its work, no trie columns);");
+    println!(
+        "  Local and Trie compute stepdp_calls trie columns, Trie sharing them across candidates"
+    );
+    print_table(
+        &["Mode", "verify ms/query", "stepdp_calls", "sw_columns"],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.mode.to_string(),
+                    fmt_ms(r.verify_ms),
+                    r.stepdp_calls.to_string(),
+                    r.sw_columns.to_string(),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +172,34 @@ mod tests {
         assert!(
             get("r=0.3").upr >= get("default").upr,
             "UPR should grow with tau-ratio"
+        );
+    }
+
+    #[test]
+    fn trie_computes_no_more_columns_than_local() {
+        let rows = run_ablation(Scale(0.02));
+        let names: Vec<_> = rows.iter().map(|r| r.mode).collect();
+        assert_eq!(names, ["SW", "Local", "Trie"]);
+        let (local, trie) = (&rows[1], &rows[2]);
+        assert!(
+            trie.stepdp_calls > 0,
+            "no verification work in the workload"
+        );
+        assert!(
+            trie.stepdp_calls <= local.stepdp_calls,
+            "Trie {} > Local {} fresh DP columns",
+            trie.stepdp_calls,
+            local.stepdp_calls
+        );
+        // Both verify the same candidates, so they price the same SW scan.
+        assert_eq!(trie.sw_columns, local.sw_columns);
+        // The Trie row is Table 5's default OSF-BT row.
+        let default = &run(Scale(0.02))[0];
+        let tur = trie.stepdp_calls as f64 / trie.sw_columns as f64;
+        assert!(
+            (tur - default.tur).abs() < 1e-12,
+            "{tur} vs {}",
+            default.tur
         );
     }
 }

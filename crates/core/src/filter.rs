@@ -44,42 +44,12 @@ impl FilterPlan {
         q: &[Sym],
         tau: f64,
     ) -> Self {
-        assert!(tau > 0.0, "threshold must be positive");
-        assert!(!q.is_empty(), "query must be non-empty");
-        let mut memo: HashMap<Sym, (Vec<Sym>, f64, f64)> = HashMap::new();
-        let mut items = Vec::with_capacity(q.len());
-        for (pos, &sym) in q.iter().enumerate() {
-            let (_, c, n) = memo.entry(sym).or_insert_with(|| {
-                let nb = model.neighbors(sym);
-                debug_assert!(nb.contains(&sym), "B(q) must contain q");
-                let n: f64 = nb.iter().map(|&b| index.freq(b) as f64).sum();
-                let c = model.lower_cost(sym);
-                (nb, c, n)
-            });
-            items.push(Item { pos, c: *c, n: *n });
-        }
-        match min_cand(&items, tau) {
-            Selection::Chosen(sel) => {
-                let mut chosen = Vec::with_capacity(sel.len());
-                let mut c_total = 0.0;
-                for i in sel {
-                    let pos = items[i].pos;
-                    let sym = q[pos];
-                    c_total += items[i].c;
-                    chosen.push((pos, sym, memo[&sym].0.clone()));
-                }
-                FilterPlan {
-                    chosen,
-                    c_total,
-                    feasible: true,
-                }
-            }
-            Selection::Infeasible => FilterPlan {
-                chosen: Vec::new(),
-                c_total: 0.0,
-                feasible: false,
-            },
-        }
+        let (items, memo) = price(model, index, q, tau);
+        let sel = match min_cand(&items, tau) {
+            Selection::Chosen(sel) => Some(sel),
+            Selection::Infeasible => None,
+        };
+        FilterPlan::choose(q, &items, &memo, sel)
     }
 
     /// Single-element plan for **bottleneck** metrics (discrete Fréchet).
@@ -99,33 +69,38 @@ impl FilterPlan {
         q: &[Sym],
         tau: f64,
     ) -> Self {
-        assert!(tau > 0.0, "threshold must be positive");
-        assert!(!q.is_empty(), "query must be non-empty");
-        let mut memo: HashMap<Sym, (Vec<Sym>, f64, f64)> = HashMap::new();
-        let mut best: Option<(f64, usize, Sym)> = None;
-        for (pos, &sym) in q.iter().enumerate() {
-            let (_, c, n) = memo.entry(sym).or_insert_with(|| {
-                let nb = model.neighbors(sym);
-                debug_assert!(nb.contains(&sym), "B(q) must contain q");
-                let n: f64 = nb.iter().map(|&b| index.freq(b) as f64).sum();
-                let c = model.lower_cost(sym);
-                (nb, c, n)
-            });
-            if *c >= tau && best.is_none_or(|(bn, _, _)| *n < bn) {
-                best = Some((*n, pos, sym));
+        let (items, memo) = price(model, index, q, tau);
+        let mut best: Option<usize> = None;
+        for (i, item) in items.iter().enumerate() {
+            if item.c >= tau && best.is_none_or(|b| item.n < items[b].n) {
+                best = Some(i);
             }
         }
-        match best {
-            Some((_, pos, sym)) => FilterPlan {
-                chosen: vec![(pos, sym, memo[&sym].0.clone())],
-                c_total: memo[&sym].1,
-                feasible: true,
-            },
-            None => FilterPlan {
+        FilterPlan::choose(q, &items, &memo, best.map(|i| vec![i]))
+    }
+
+    /// The plan choosing `items[i]` for each `i` of `sel`, in that order;
+    /// `None` is the infeasible plan.
+    fn choose(q: &[Sym], items: &[Item], memo: &Memo, sel: Option<Vec<usize>>) -> Self {
+        let Some(sel) = sel else {
+            return FilterPlan {
                 chosen: Vec::new(),
                 c_total: 0.0,
                 feasible: false,
-            },
+            };
+        };
+        let mut chosen = Vec::with_capacity(sel.len());
+        let mut c_total = 0.0;
+        for i in sel {
+            let pos = items[i].pos;
+            let sym = q[pos];
+            c_total += items[i].c;
+            chosen.push((pos, sym, memo[&sym].0.clone()));
+        }
+        FilterPlan {
+            chosen,
+            c_total,
+            feasible: true,
         }
     }
 
@@ -198,6 +173,34 @@ impl FilterPlan {
             .map(|(_, _, nbrs)| nbrs.iter().map(|&b| index.freq(b) as usize).sum::<usize>())
             .sum()
     }
+}
+
+/// `(B(q), c(q), N_q)` per distinct query symbol.
+type Memo = HashMap<Sym, (Vec<Sym>, f64, f64)>;
+
+/// Prices every query position for selection: materializes `B(q)` and
+/// `c(q)` once per distinct symbol, with `N_q = Σ_{b∈B(q)} n(b)`.
+fn price<M: WedInstance, I: PostingSource>(
+    model: &M,
+    index: &I,
+    q: &[Sym],
+    tau: f64,
+) -> (Vec<Item>, Memo) {
+    assert!(tau > 0.0, "threshold must be positive");
+    assert!(!q.is_empty(), "query must be non-empty");
+    let mut memo = Memo::new();
+    let mut items = Vec::with_capacity(q.len());
+    for (pos, &sym) in q.iter().enumerate() {
+        let (_, c, n) = memo.entry(sym).or_insert_with(|| {
+            let nb = model.neighbors(sym);
+            debug_assert!(nb.contains(&sym), "B(q) must contain q");
+            let n: f64 = nb.iter().map(|&b| index.freq(b) as f64).sum();
+            let c = model.lower_cost(sym);
+            (nb, c, n)
+        });
+        items.push(Item { pos, c: *c, n: *n });
+    }
+    (items, memo)
 }
 
 #[cfg(test)]

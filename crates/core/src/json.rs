@@ -887,13 +887,6 @@ impl JsonValue {
         }
     }
 
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),
@@ -1337,14 +1330,14 @@ mod tests {
     #[test]
     fn duplicate_keys_keep_first_wins_semantics() {
         let v = JsonValue::parse(r#"{"a":1,"a":2,"b":3}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_usize(), Some(1));
-        assert_eq!(v.get("b").unwrap().as_usize(), Some(3));
+        assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
+        assert_eq!(v.get("b").unwrap().as_u64(), Some(3));
     }
 
     #[test]
     fn get_and_accessors() {
         let v = JsonValue::parse(r#"{"k":3,"s":"x","b":false,"a":[1]}"#).unwrap();
-        assert_eq!(v.get("k").unwrap().as_usize(), Some(3));
+        assert_eq!(v.get("k").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("b").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 1);

@@ -480,7 +480,7 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
 
     /// Algorithm 4 (VerifyCandidate): verify one candidate, pushing all
     /// `(id, s, t)` triples through the anchor into `results`.
-    pub fn verify_candidate(
+    fn verify_candidate(
         &mut self,
         path: &[Sym],
         cand: Candidate,

@@ -106,6 +106,34 @@ proptest! {
         check_engine(&erp, &store, n.num_vertices(), &q, tau)?;
     }
 
+    /// ERP at the threshold boundary: τ is the realised `wed` of a stored
+    /// substring against `q`, then the next float up. Matches are strict
+    /// (`wed < τ`): the substring is out at τ and in at `τ.next_up()`, and
+    /// every mode must agree with the oracle on both sides.
+    #[test]
+    fn engine_is_exact_for_erp_at_a_realised_tau(
+        paths in proptest::collection::vec(proptest::collection::vec(0u32..64, 1..8), 1..5),
+        q in proptest::collection::vec(0u32..64, 1..4),
+        pick in (0usize..64, 0usize..64, 0usize..64),
+    ) {
+        let n = net();
+        let erp = Erp::new(n.clone(), 150.0);
+        let store: TrajectoryStore = paths.into_iter().map(Trajectory::untimed).collect();
+        let id = (pick.0 % store.len()) as u32;
+        let p = store.get(id).path();
+        let (a, b) = (pick.1 % p.len(), pick.2 % p.len());
+        let (s, e) = (a.min(b), a.max(b));
+        let tau = wed(&erp, &p[s..=e], &q);
+        prop_assume!(tau > 0.0);
+        for (tau, inside) in [(tau, false), (tau.next_up(), true)] {
+            check_engine(&erp, &store, n.num_vertices(), &q, tau)?;
+            let found = brute(&erp, &store, &q, tau)
+                .iter()
+                .any(|m| (m.0, m.1, m.2) == (id, s, e));
+            prop_assert_eq!(found, inside, "tau {}", tau);
+        }
+    }
+
     /// The reported distance of every match is the true WED (Lemma 1
     /// min-merge exactness), under EDR.
     #[test]

@@ -35,4 +35,4 @@ pub mod remote;
 pub mod testdata;
 
 pub use coordinator::Coordinator;
-pub use remote::{DistribError, RemoteOptions, RemoteShards, ShardEndpoint, TraceScope};
+pub use remote::{DistribError, RemoteShards, ShardEndpoint, TraceScope};

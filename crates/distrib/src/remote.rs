@@ -36,7 +36,7 @@
 //! Fan-outs are pipelined: requests are written to every live shard before
 //! any reply is read, so a k-shard fetch costs one round trip, not k. Data
 //! RPCs echo each shard's build **epoch** (learned from `shard_info` at
-//! connect) and carry the configured RPC deadline, so a restarted shard or
+//! connect) and carry a fixed RPC deadline, so a restarted shard or
 //! an overloaded one degrades loudly instead of answering from the wrong
 //! index build or stalling the coordinator.
 
@@ -102,26 +102,14 @@ impl<T: Into<String>> From<T> for ShardEndpoint {
     }
 }
 
-/// Connection-time tuning for [`RemoteShards::connect_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteOptions {
-    /// Dial timeout per endpoint (a dead endpoint fails the connect fast
-    /// instead of hanging the whole cluster bring-up).
-    pub dial_timeout: Duration,
-    /// Per-RPC budget: sent as `deadline_ms` on every data RPC *and*
-    /// installed as the socket read timeout, so a stalled shard degrades
-    /// within this bound instead of blocking a query forever.
-    pub rpc_deadline: Duration,
-}
+/// Dial timeout per endpoint: a dead endpoint fails the connect fast
+/// instead of hanging the whole cluster bring-up.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl Default for RemoteOptions {
-    fn default() -> RemoteOptions {
-        RemoteOptions {
-            dial_timeout: Duration::from_secs(2),
-            rpc_deadline: Duration::from_secs(10),
-        }
-    }
-}
+/// Per-RPC budget in ms: sent as `deadline_ms` on every data RPC *and*
+/// installed as the socket read timeout, so a stalled shard degrades within
+/// this bound instead of blocking a query forever.
+const RPC_DEADLINE_MS: u64 = 10_000;
 
 /// Why a [`RemoteShards::connect`] failed.
 #[derive(Debug)]
@@ -180,7 +168,6 @@ type DepartingEntries = Vec<(f64, Posting)>;
 pub struct RemoteShards {
     /// Ordered by shard id (position == `shard_id`).
     conns: Vec<ShardConn>,
-    rpc_deadline_ms: u64,
     alphabet_size: usize,
     num_trajectories: usize,
     total_postings: usize,
@@ -215,21 +202,12 @@ impl fmt::Debug for RemoteShards {
 }
 
 impl RemoteShards {
-    /// Connects to one shard server per endpoint with default
-    /// [`RemoteOptions`]; see [`connect_with`](RemoteShards::connect_with).
-    pub fn connect(endpoints: &[ShardEndpoint]) -> Result<RemoteShards, DistribError> {
-        RemoteShards::connect_with(endpoints, RemoteOptions::default())
-    }
-
     /// Dials every endpoint, negotiates the protocol version (`hello`),
     /// learns each shard's identity and epoch (`shard_info`), checks the
     /// endpoints form exactly one shard 0..n cluster over one store, and
     /// prefetches the span table. Endpoint order is irrelevant — shards
     /// are arranged by their self-reported id.
-    pub fn connect_with(
-        endpoints: &[ShardEndpoint],
-        options: RemoteOptions,
-    ) -> Result<RemoteShards, DistribError> {
+    pub fn connect(endpoints: &[ShardEndpoint]) -> Result<RemoteShards, DistribError> {
         if endpoints.is_empty() {
             return Err(DistribError::Topology("no shard endpoints given".into()));
         }
@@ -241,9 +219,9 @@ impl RemoteShards {
                 endpoint: ep.addr.clone(),
                 source,
             };
-            let mut client = dial(&ep.addr, options.dial_timeout).map_err(|e| fail(e.into()))?;
+            let mut client = dial(&ep.addr).map_err(|e| fail(e.into()))?;
             client
-                .set_read_timeout(Some(options.rpc_deadline))
+                .set_read_timeout(Some(Duration::from_millis(RPC_DEADLINE_MS)))
                 .map_err(|e| fail(e.into()))?;
             // hello: a major-version mismatch surfaces here as a typed
             // `unsupported_version` server error, before any data moves.
@@ -311,7 +289,6 @@ impl RemoteShards {
         }
 
         let mut remote = RemoteShards {
-            rpc_deadline_ms: options.rpc_deadline.as_millis().max(1) as u64,
             alphabet_size: first.alphabet_size as usize,
             num_trajectories,
             total_postings: conns.iter().map(|c| c.info.total_postings as usize).sum(),
@@ -346,12 +323,7 @@ impl RemoteShards {
             let mut start = 0u64;
             while start < local {
                 let page = client
-                    .shard_spans(
-                        conn.info.epoch,
-                        Some(self.rpc_deadline_ms),
-                        start,
-                        local - start,
-                    )
+                    .shard_spans(conn.info.epoch, Some(RPC_DEADLINE_MS), start, local - start)
                     .map_err(|source| DistribError::Connect {
                         endpoint: conn.endpoint.clone(),
                         source,
@@ -553,11 +525,10 @@ impl RemoteShards {
     /// One `shard_freqs` fan-out for `syms`: the sums over the shards that
     /// answered, parallel to `syms`; cached only when every shard answered.
     fn fetch_freqs(&self, syms: &[Sym]) -> Vec<u32> {
-        let deadline = self.rpc_deadline_ms;
         let replies = self.fanout(|id, info| Request::ShardFreqs {
             id,
             epoch: info.epoch,
-            deadline_ms: Some(deadline),
+            deadline_ms: Some(RPC_DEADLINE_MS),
             trace_id: None,
             syms: syms.to_vec(),
         });
@@ -586,11 +557,10 @@ impl RemoteShards {
         if let Some(hit) = recover(&self.postings_cache).get(&q) {
             return hit.clone();
         }
-        let deadline = self.rpc_deadline_ms;
         let replies = self.fanout(|id, info| Request::ShardPostings {
             id,
             epoch: info.epoch,
-            deadline_ms: Some(deadline),
+            deadline_ms: Some(RPC_DEADLINE_MS),
             trace_id: None,
             syms: vec![q],
         });
@@ -618,12 +588,12 @@ fn recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Resolve-and-dial with a timeout; `ToSocketAddrs` may yield several
-/// candidates, any one suffices.
-fn dial(addr: &str, timeout: Duration) -> io::Result<Client> {
+/// Resolve-and-dial within [`DIAL_TIMEOUT`]; `ToSocketAddrs` may yield
+/// several candidates, any one suffices.
+fn dial(addr: &str) -> io::Result<Client> {
     let mut last = io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing");
     for candidate in addr.to_socket_addrs()? {
-        match Client::connect_timeout(&candidate, timeout) {
+        match Client::connect_timeout(&candidate, DIAL_TIMEOUT) {
             Ok(client) => return Ok(client),
             Err(e) => last = e,
         }
@@ -669,11 +639,10 @@ impl PostingSource for RemoteShards {
         if let Some(hit) = recover(&self.departing_cache).get(&key) {
             return hit.clone().into_iter();
         }
-        let deadline = self.rpc_deadline_ms;
         let replies = self.fanout(|id, info| Request::ShardDepartingBy {
             id,
             epoch: info.epoch,
-            deadline_ms: Some(deadline),
+            deadline_ms: Some(RPC_DEADLINE_MS),
             trace_id: None,
             sym: q,
             t_max,
@@ -830,14 +799,8 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         }; // listener dropped — the port is free again
-        let err = RemoteShards::connect_with(
-            &[ShardEndpoint::new(dead.to_string())],
-            RemoteOptions {
-                dial_timeout: Duration::from_millis(500),
-                ..RemoteOptions::default()
-            },
-        )
-        .expect_err("nothing listens there");
+        let err = RemoteShards::connect(&[ShardEndpoint::new(dead.to_string())])
+            .expect_err("nothing listens there");
         match err {
             DistribError::Connect { endpoint, .. } => {
                 assert_eq!(endpoint, dead.to_string())

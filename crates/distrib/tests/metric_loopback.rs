@@ -6,11 +6,10 @@
 //!   through [`RemoteShards`] over real loopback shard servers are
 //!   byte-identical (matches and deterministic stats, `verify_cost`
 //!   included) to the in-process `Single` layout.
-//! * **Legacy shards** — shards serve postings only and the coordinator
-//!   verifies every metric itself, so a cluster with one server that
-//!   advertises no metric list at `hello` (`advertise_metrics: false`, the
-//!   pre-minor-2 shape) still answers every metric through
-//!   [`Coordinator`], byte-identically to `Single`.
+//! * **Coordinator** — shards serve postings only and the coordinator
+//!   verifies every metric itself, so [`Coordinator`] answers every metric
+//!   byte-identically to `Single`, whatever metric list a shard advertises
+//!   at `hello` (nothing reads it).
 
 use std::thread;
 use traj::TrajectoryStore;
@@ -37,15 +36,8 @@ impl Drop for ShutdownOnDrop {
     }
 }
 
-/// Runs `body` against in-process shard servers on loopback sockets, one
-/// per entry of `advertise` (which also sets each server's
-/// `advertise_metrics` flag — `false` simulates a pre-metrics build).
-fn with_shard_servers(
-    store: &TrajectoryStore,
-    advertise: &[bool],
-    body: impl FnOnce(Vec<ShardEndpoint>),
-) {
-    let n = advertise.len();
+/// Runs `body` against `n` in-process shard servers on loopback sockets.
+fn with_shard_servers(store: &TrajectoryStore, n: usize, body: impl FnOnce(Vec<ShardEndpoint>)) {
     let shards: Vec<IndexShard> = (0..n)
         .map(|k| IndexShard::build(store, ALPHABET, k, n))
         .collect();
@@ -53,15 +45,8 @@ fn with_shard_servers(
         .iter()
         .map(|shard| IndexShardSource::new(shard, EPOCH))
         .collect();
-    let servers: Vec<Server> = advertise
-        .iter()
-        .map(|&advertise_metrics| {
-            Server::bind(ServerConfig {
-                advertise_metrics,
-                ..ServerConfig::default()
-            })
-            .expect("bind shard server")
-        })
+    let servers: Vec<Server> = (0..n)
+        .map(|_| Server::bind(ServerConfig::default()).expect("bind shard server"))
         .collect();
     let endpoints: Vec<ShardEndpoint> = servers
         .iter()
@@ -92,7 +77,7 @@ fn embedded_pattern(store: &TrajectoryStore) -> Vec<Sym> {
 #[test]
 fn metric_queries_over_remote_shards_match_in_process() {
     let store = testdata::store(40, 12, 11, ALPHABET);
-    with_shard_servers(&store, &[true, true], |endpoints| {
+    with_shard_servers(&store, 2, |endpoints| {
         let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
         let remote_engine = EngineBuilder::new(Lev, &store, ALPHABET).build_with(remote);
         let single = EngineBuilder::new(Lev, &store, ALPHABET).build();
@@ -135,18 +120,17 @@ fn metric_queries_over_remote_shards_match_in_process() {
 }
 
 #[test]
-fn coordinator_fronting_a_legacy_shard_answers_every_metric() {
+fn coordinator_answers_every_metric() {
     let store = testdata::store(24, 10, 5, ALPHABET);
-    with_shard_servers(&store, &[true, false], |endpoints| {
+    with_shard_servers(&store, 2, |endpoints| {
         let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
         let coordinator =
             Coordinator::new(EngineBuilder::new(Lev, &store, ALPHABET).build_with(remote));
         let single = EngineBuilder::new(Lev, &store, ALPHABET).build();
         let pattern = embedded_pattern(&store);
 
-        // Shards serve postings only, so a shard that advertises no metric
-        // list (the pre-minor-2 hello) limits nothing: the coordinator
-        // verifies every metric itself.
+        // Shards serve postings only: the coordinator verifies every metric
+        // itself.
         for metric in [
             Metric::Dtw,
             Metric::Lcss { eps: 0.0 },

@@ -34,7 +34,7 @@ impl LogHistogram {
 
     /// Bucket index of `v`: its bit length, clamped to the last bucket.
     #[inline]
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
     }
 

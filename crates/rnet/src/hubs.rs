@@ -112,16 +112,8 @@ impl HubLabels {
         best
     }
 
-    /// Average number of label entries per vertex (index-size diagnostic).
-    pub fn avg_label_size(&self) -> f64 {
-        if self.labels.is_empty() {
-            return 0.0;
-        }
-        self.labels.iter().map(Vec::len).sum::<usize>() as f64 / self.labels.len() as f64
-    }
-
     /// Total number of label entries.
-    pub fn total_entries(&self) -> usize {
+    fn total_entries(&self) -> usize {
         self.labels.iter().map(Vec::len).sum()
     }
 
@@ -187,11 +179,8 @@ mod tests {
     fn label_sizes_are_reported() {
         let g = CityParams::tiny(NetworkKind::Grid).seed(11).generate();
         let hl = HubLabels::build(&g);
-        assert!(hl.avg_label_size() >= 1.0);
-        assert!(hl.size_bytes() > 0);
-        assert_eq!(
-            hl.total_entries(),
-            (hl.avg_label_size() * g.num_vertices() as f64).round() as usize
-        );
+        // Every vertex is its own hub at least.
+        assert!(hl.total_entries() >= g.num_vertices());
+        assert!(hl.size_bytes() >= hl.total_entries() * std::mem::size_of::<(u32, f64)>());
     }
 }

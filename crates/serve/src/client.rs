@@ -1,5 +1,5 @@
 //! Synchronous client for the serve protocol, with pipelined batch
-//! submission, typed per-query outcomes and an opt-in retry policy.
+//! submission and typed per-query outcomes.
 //!
 //! [`Client::query`] is one request / one reply. [`Client::query_batch`]
 //! pipelines a whole workload, keeping a bounded window of requests in
@@ -8,22 +8,13 @@
 //! submission order. One TCP connection carries the whole conversation; a
 //! transport failure is a [`ClientError`], while each query's server-side
 //! fate is a typed [`QueryOutcome`] *value* so a batch can mix answers,
-//! degraded answers and rejections.
-//!
-//! # Retry policy
-//!
-//! A [`RetryPolicy`] re-submits **only `overloaded` rejections** — the one
-//! typed kind that guarantees the server never admitted the query, so a
-//! retry can never double-apply work (and results stay exactly-once even
-//! for hypothetical non-idempotent handlers). `deadline_exceeded` is never
-//! retried: the caller's budget is spent, and the reply proves the server
-//! already aged the query out. Everything else (`invalid_query`,
-//! `shutting_down`, …) is deterministic and equally unretryable.
+//! degraded answers and rejections. The client never re-submits a query:
+//! an `overloaded` rejection is the caller's to retry.
 
 use crate::metrics::MetricsSnapshot;
 use crate::proto::{
-    write_frame, DegradedInfo, FrameReader, Reply, Request, ServerError, ServerErrorKind,
-    ShardInfo, SpanPage, TraceEntry, PROTO_MAJOR, PROTO_MINOR,
+    write_frame, DegradedInfo, FrameReader, Reply, Request, ServerError, ShardInfo, SpanPage,
+    TraceEntry, PROTO_MAJOR, PROTO_MINOR,
 };
 use std::fmt;
 use std::io::{self, BufWriter, Write};
@@ -108,78 +99,6 @@ impl QueryOutcome {
             _ => None,
         }
     }
-
-    /// Strict view: only a complete answer is `Ok`.
-    pub fn into_result(self) -> Result<Response, ClientError> {
-        match self {
-            QueryOutcome::Answered(r) => Ok(r),
-            QueryOutcome::Degraded { degraded, .. } => Err(ClientError::Degraded(degraded)),
-            QueryOutcome::Rejected(e) => Err(ClientError::Server(e)),
-        }
-    }
-}
-
-/// When and how often to re-submit rejected queries; see the
-/// [module docs](self) for why only `overloaded` qualifies.
-///
-/// ```
-/// use trajsearch_serve::RetryPolicy;
-/// use std::time::Duration;
-/// let policy = RetryPolicy::new()
-///     .max_attempts(3)
-///     .backoff(Duration::from_millis(5));
-/// assert_eq!(policy.attempts(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    max_attempts: u32,
-    backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// No retries — every rejection surfaces immediately.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Starts from the no-retry default; chain
-    /// [`max_attempts`](RetryPolicy::max_attempts) /
-    /// [`backoff`](RetryPolicy::backoff).
-    pub fn new() -> RetryPolicy {
-        RetryPolicy::default()
-    }
-
-    /// Total attempts per query including the first; clamped to at least 1.
-    pub fn max_attempts(mut self, n: u32) -> RetryPolicy {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Fixed sleep before each retry round (the server signals overload
-    /// when its queue is full — hammering it back instantly defeats the
-    /// backpressure).
-    pub fn backoff(mut self, d: Duration) -> RetryPolicy {
-        self.backoff = d;
-        self
-    }
-
-    pub fn attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    pub fn backoff_duration(&self) -> Duration {
-        self.backoff
-    }
-
-    /// The retry predicate: `overloaded` only.
-    pub fn retries(&self, error: &ServerError) -> bool {
-        self.max_attempts > 1 && error.kind == ServerErrorKind::Overloaded
-    }
 }
 
 /// Maximum requests in flight per connection during
@@ -194,37 +113,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     reader: FrameReader<TcpStream>,
     next_id: u64,
-    retry: RetryPolicy,
-}
-
-/// The server's negotiated capabilities, as reported by
-/// [`Client::hello_caps`]: protocol version plus the advertised metric
-/// list.
-///
-/// An **empty** `metrics` list means the peer predates protocol minor 2
-/// (it never sent the field) — such servers verify WED only, which is what
-/// [`supports`](HelloCaps::supports) encodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HelloCaps {
-    /// Server protocol major version.
-    pub major: u32,
-    /// Server protocol minor version.
-    pub minor: u32,
-    /// Metric names the server can verify (`"wed"`, `"dtw"`, …). Empty
-    /// for pre-minor-2 servers.
-    pub metrics: Vec<String>,
-}
-
-impl HelloCaps {
-    /// Whether the server can verify queries under the named metric. A
-    /// legacy server (empty list) supports exactly `"wed"`.
-    pub fn supports(&self, name: &str) -> bool {
-        if self.metrics.is_empty() {
-            name == "wed"
-        } else {
-            self.metrics.iter().any(|m| m == name)
-        }
-    }
 }
 
 impl Client {
@@ -247,15 +135,7 @@ impl Client {
             writer: BufWriter::new(stream),
             reader,
             next_id: 1,
-            retry: RetryPolicy::default(),
         })
-    }
-
-    /// Sets the retry policy for [`query`](Client::query) /
-    /// [`query_batch`](Client::query_batch) (builder style).
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Client {
-        self.retry = policy;
-        self
     }
 
     /// Bounds every reply wait; `None` restores blocking reads. With a
@@ -300,8 +180,8 @@ impl Client {
     }
 
     /// The one single-reply path: sends `make(id)` under a fresh id and
-    /// returns the reply to it. Strict, like [`QueryOutcome::into_result`]:
-    /// a typed error frame is [`ClientError::Server`] and a degraded reply
+    /// returns the reply to it. Strict: a typed error frame is
+    /// [`ClientError::Server`] and a degraded reply
     /// [`ClientError::Degraded`], whatever the request; a reply under
     /// another id is a protocol error, as is (at the caller, through
     /// [`unexpected`]) one of another shape.
@@ -319,28 +199,11 @@ impl Client {
 
     /// Version negotiation: announces [`PROTO_MAJOR`]/[`PROTO_MINOR`],
     /// returns the server's `(major, minor)`. A major mismatch comes back
-    /// as [`ClientError::Server`] with kind `unsupported_version`. See
-    /// [`hello_caps`](Client::hello_caps) for the capability list.
+    /// as [`ClientError::Server`] with kind `unsupported_version`.
     pub fn hello(&mut self) -> Result<(u32, u32), ClientError> {
-        let caps = self.hello_caps()?;
-        Ok((caps.major, caps.minor))
-    }
-
-    /// [`hello`](Client::hello) with the full negotiated capabilities,
-    /// including the server's advertised metric list.
-    pub fn hello_caps(&mut self) -> Result<HelloCaps, ClientError> {
         let (major, minor) = (PROTO_MAJOR, PROTO_MINOR);
         match self.call(|id| Request::Hello { id, major, minor })? {
-            Reply::Hello {
-                major,
-                minor,
-                metrics,
-                ..
-            } => Ok(HelloCaps {
-                major,
-                minor,
-                metrics,
-            }),
+            Reply::Hello { major, minor, .. } => Ok((major, minor)),
             other => Err(unexpected(other)),
         }
     }
@@ -381,50 +244,19 @@ impl Client {
     /// or typed rejection is an `Err` here — use
     /// [`query_batch`](Client::query_batch) to observe outcomes as values.
     pub fn query(&mut self, query: &Query) -> Result<Response, ClientError> {
-        let mut outcomes = self.query_batch(std::slice::from_ref(query))?;
-        outcomes
-            .pop()
-            .expect("one outcome per submitted query")
-            .into_result()
+        self.query_with(query, None)
     }
 
-    /// Pipelines the whole workload on this connection, then applies the
-    /// retry policy to `overloaded` rejections (only — see the
-    /// [module docs](self)). Outcomes come back in submission order;
-    /// per-query outcomes are independent — one query's rejection does not
-    /// fail its neighbors.
+    /// Pipelines the whole workload on this connection: request frames are
+    /// written ahead of the replies being read — but never more than
+    /// `PIPELINE_WINDOW` (64) ahead, so the client is always draining
+    /// replies whenever the window is full. (Writing an unbounded batch
+    /// before reading anything can deadlock once both sockets' kernel
+    /// buffers fill: the server blocks writing replies nobody reads, the
+    /// client blocks writing requests nobody accepts.) Replies are
+    /// collected by id and returned in submission order; per-query outcomes
+    /// are independent — one query's rejection does not fail its neighbors.
     pub fn query_batch(&mut self, queries: &[Query]) -> Result<Vec<QueryOutcome>, ClientError> {
-        let mut outcomes = self.query_batch_once(queries)?;
-        let policy = self.retry;
-        for _round in 1..policy.attempts() {
-            let pending: Vec<usize> = outcomes
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| matches!(o, QueryOutcome::Rejected(e) if policy.retries(e)))
-                .map(|(i, _)| i)
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            std::thread::sleep(policy.backoff_duration());
-            let retry_queries: Vec<Query> = pending.iter().map(|&i| queries[i].clone()).collect();
-            let retried = self.query_batch_once(&retry_queries)?;
-            for (slot, outcome) in pending.into_iter().zip(retried) {
-                outcomes[slot] = outcome;
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// One pipelined pass: request frames are written ahead of the replies
-    /// being read — but never more than `PIPELINE_WINDOW` (64) ahead, so
-    /// the client is always draining replies whenever the window is full.
-    /// (Writing an unbounded batch before reading anything can deadlock
-    /// once both sockets' kernel buffers fill: the server blocks writing
-    /// replies nobody reads, the client blocks writing requests nobody
-    /// accepts.) Replies are collected by id and returned in submission
-    /// order.
-    fn query_batch_once(&mut self, queries: &[Query]) -> Result<Vec<QueryOutcome>, ClientError> {
         let ids: Vec<u64> = queries.iter().map(|_| self.allocate_id()).collect();
 
         let mut slots: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
@@ -502,10 +334,20 @@ impl Client {
     /// timeline. Requires a minor ≥ 3 server (older ones reject the frame
     /// as malformed).
     pub fn query_traced(&mut self, query: &Query, trace_id: u64) -> Result<Response, ClientError> {
+        self.query_with(query, Some(trace_id))
+    }
+
+    /// [`query`](Client::query) and [`query_traced`](Client::query_traced):
+    /// one query frame through [`call`](Client::call).
+    fn query_with(
+        &mut self,
+        query: &Query,
+        trace_id: Option<u64>,
+    ) -> Result<Response, ClientError> {
         let request = |id| Request::Query {
             id,
             query: query.clone(),
-            trace_id: Some(trace_id),
+            trace_id,
         };
         match self.call(request)? {
             Reply::Response { response, .. } => Ok(response),
@@ -537,35 +379,4 @@ impl Client {
 /// A well-formed reply that is not an answer to the request it follows.
 fn unexpected(reply: Reply) -> ClientError {
     ClientError::Protocol(format!("unexpected reply {reply:?}"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retry_policy_is_overloaded_only() {
-        let policy = RetryPolicy::new().max_attempts(3);
-        assert!(policy.retries(&ServerError::new(ServerErrorKind::Overloaded, "")));
-        for kind in [
-            ServerErrorKind::DeadlineExceeded,
-            ServerErrorKind::ShuttingDown,
-            ServerErrorKind::InvalidQuery,
-            ServerErrorKind::Malformed,
-            ServerErrorKind::UnsupportedVersion,
-            ServerErrorKind::EpochMismatch,
-        ] {
-            assert!(
-                !policy.retries(&ServerError::new(kind, "")),
-                "{kind:?} must not be retried"
-            );
-        }
-        // The no-retry default refuses even overloaded.
-        assert!(!RetryPolicy::default().retries(&ServerError::new(ServerErrorKind::Overloaded, "")));
-    }
-
-    #[test]
-    fn retry_policy_clamps_attempts() {
-        assert_eq!(RetryPolicy::new().max_attempts(0).attempts(), 1);
-    }
 }

@@ -51,8 +51,7 @@
 //! Frames are versioned (`"v"`, [`proto::PROTO_MAJOR`]) with a `hello`
 //! negotiation and a typed `unsupported_version` rejection; see the
 //! [`proto`] module docs for the compatibility rule. Clients get typed
-//! per-query [`QueryOutcome`]s and an opt-in, overloaded-only
-//! [`RetryPolicy`] ([`client`]).
+//! per-query [`QueryOutcome`]s ([`client`]).
 //!
 //! ## Example
 //!
@@ -90,7 +89,7 @@ pub mod queue;
 pub mod server;
 pub mod shard;
 
-pub use client::{Client, ClientError, HelloCaps, QueryOutcome, RetryPolicy};
+pub use client::{Client, ClientError, QueryOutcome};
 pub use metrics::{LatencySummary, Metrics, MetricsSnapshot};
 pub use proto::{
     DegradedInfo, Reply, Request, ServerError, ServerErrorKind, ShardInfo, SpanPage, TraceEntry,

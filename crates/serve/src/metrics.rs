@@ -128,7 +128,7 @@ impl Metrics {
 
     /// Metrics whose latency rings retain the most recent `cap` samples
     /// each (clamped to at least 1); [`Metrics::new`] uses [`SAMPLE_CAP`].
-    pub fn with_sample_cap(cap: usize) -> Metrics {
+    fn with_sample_cap(cap: usize) -> Metrics {
         Metrics {
             admitted: AtomicU64::new(0),
             rejected_overload: AtomicU64::new(0),

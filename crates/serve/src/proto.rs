@@ -558,9 +558,8 @@ wire_enum! {
             major: u32,
             minor: u32,
             /// Metric capability list ([`SUPPORTED_METRICS`] on a current
-            /// server). Empty means the peer predates minor 2 (or chose not to
-            /// advertise): assume WED only. Omitted when empty, keeping the
-            /// minor-1 frame unchanged.
+            /// server). Empty means the peer predates minor 2: assume WED
+            /// only. Omitted when empty, keeping the minor-1 frame unchanged.
             metrics: Vec<String> = sparse,
         },
         ShardInfo as "shard_info" { id: u64, info: ShardInfo },

@@ -118,10 +118,6 @@ pub struct ServerConfig {
     /// Workers do not poll: they block on the queue and its close wakes
     /// them.
     pub poll_interval: Duration,
-    /// Advertise [`SUPPORTED_METRICS`](crate::proto::SUPPORTED_METRICS) on
-    /// the hello reply (default). `false` sends the pre-minor-2 hello
-    /// (no `metrics` key) — kept for tests simulating an old server.
-    pub advertise_metrics: bool,
     /// Queries whose wall time reaches this threshold are captured — spans
     /// and all — in the slow-query log readable via the `trace` wire
     /// request. `None` (default) disables the log; with it armed, every
@@ -148,7 +144,6 @@ impl Default for ServerConfig {
             workers: 0,
             queue_capacity: 1024,
             poll_interval: Duration::from_millis(20),
-            advertise_metrics: true,
             slow_query_threshold: None,
             slow_log_capacity: 32,
             sink: None,
@@ -241,7 +236,6 @@ struct Shared {
     queue: BoundedQueue<Job>,
     metrics: Metrics,
     workers: usize,
-    advertise_metrics: bool,
     sink: Arc<TraceSink>,
     phases: PhaseHistograms,
     slow: Option<SlowLog>,
@@ -325,7 +319,6 @@ impl Server {
                 queue: BoundedQueue::new(config.queue_capacity),
                 metrics: Metrics::new(),
                 workers,
-                advertise_metrics: config.advertise_metrics,
                 sink,
                 phases: PhaseHistograms::new(),
                 slow,
@@ -703,14 +696,10 @@ fn handle_frame<R: Role>(text: &str, shared: &Shared, writer: &Arc<Mutex<TcpStre
         }
         Request::Hello { id, major, .. } => {
             if major == PROTO_MAJOR {
-                let metrics = if shared.advertise_metrics {
-                    crate::proto::SUPPORTED_METRICS
-                        .iter()
-                        .map(|m| m.to_string())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let metrics = crate::proto::SUPPORTED_METRICS
+                    .iter()
+                    .map(|m| m.to_string())
+                    .collect();
                 send_reply(
                     writer,
                     &Reply::Hello {

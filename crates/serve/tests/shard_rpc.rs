@@ -10,10 +10,10 @@
 //!   byte-identically to the local `IndexShard`, and every guard (epoch,
 //!   deadline, wrong role) is a typed error that leaves the connection
 //!   usable.
-//! * **Retry** — the client retry policy resubmits `overloaded`
-//!   rejections only: never `deadline_exceeded`, never a success (a
-//!   counting handler proves queries are applied exactly once), and an
-//!   admission rejection proves the server did no work to re-apply.
+//! * **Exactly once** — the client never resubmits: a counting handler
+//!   proves a pipelined batch applies each query once, an `overloaded`
+//!   admission rejection applies none, and a `deadline_exceeded` query is
+//!   admitted once.
 //! * **Degraded** — a handler answering `Handled::Degraded` surfaces as a
 //!   typed [`QueryOutcome::Degraded`] carrying the exact `DegradedInfo`,
 //!   counts in the server's `degraded` metric, and fails the strict
@@ -23,15 +23,14 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::{
     Deadline, EngineBuilder, IndexShard, Query, TemporalConstraint, TimeInterval, VerifyMode,
 };
 use trajsearch_serve::{
     Client, ClientError, DegradedInfo, Handled, IndexShardSource, QueryHandler, QueryOutcome,
-    Reply, Request, RetryPolicy, Server, ServerConfig, ServerError, ServerErrorKind, ServerHandle,
-    ShardInfo, ShardSource, SpanPage, PROTO_MAJOR, PROTO_MINOR, SUPPORTED_METRICS,
+    Reply, Request, Server, ServerConfig, ServerErrorKind, ServerHandle, ShardInfo, ShardSource,
+    SpanPage, PROTO_MAJOR, PROTO_MINOR, SUPPORTED_METRICS,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -475,47 +474,43 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
 }
 
 /// The capability half of the handshake (protocol minor 2): a server
-/// advertises its metric list on the hello reply; one configured not to
-/// (simulating a pre-metrics build, which never sent the field) yields
-/// empty caps that [`HelloCaps::supports`] reads as WED-only.
+/// advertises its metric list on the hello reply. The decode of a
+/// pre-minor-2 hello (no list) is pinned by `wire_golden`'s minor-1 row.
 #[test]
 fn hello_advertises_metric_capabilities() {
     let store = small_store(8, 6);
     let shard = IndexShard::build(&store, ALPHABET, 0, 1);
     let source = IndexShardSource::new(&shard, 1);
 
-    for advertise in [true, false] {
-        let server = Server::bind(ServerConfig {
-            advertise_metrics: advertise,
-            ..ServerConfig::default()
-        })
-        .expect("bind shard server");
-        let handle = server.handle();
-        std::thread::scope(|scope| {
-            let guard = ShutdownOnDrop(handle.clone());
-            let serving = scope.spawn(|| server.serve_shard(&source));
-            let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let server = Server::bind(ServerConfig::default()).expect("bind shard server");
+    let handle = server.handle();
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(handle.clone());
+        let serving = scope.spawn(|| server.serve_shard(&source));
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-            let caps = client.hello_caps().expect("hello");
-            assert_eq!((caps.major, caps.minor), (PROTO_MAJOR, PROTO_MINOR));
-            if advertise {
-                assert_eq!(caps.metrics, SUPPORTED_METRICS.map(String::from));
-                for metric in SUPPORTED_METRICS {
-                    assert!(caps.supports(metric), "advertised {metric}");
-                }
-            } else {
-                assert!(caps.metrics.is_empty(), "legacy hello has no list");
-                assert!(caps.supports("wed"), "legacy servers still do WED");
-                assert!(!caps.supports("dtw"), "…and nothing else");
+        let hello = |id| Request::Hello {
+            id,
+            major: PROTO_MAJOR,
+            minor: PROTO_MINOR,
+        };
+        match rpc(&mut client, hello) {
+            Reply::Hello {
+                major,
+                minor,
+                metrics,
+                ..
+            } => {
+                assert_eq!((major, minor), (PROTO_MAJOR, PROTO_MINOR));
+                assert_eq!(metrics, SUPPORTED_METRICS.map(String::from));
             }
-            // The tuple-only negotiation entry is caps with the list
-            // dropped — old call sites keep working against both shapes.
-            assert_eq!(client.hello().expect("hello"), (PROTO_MAJOR, PROTO_MINOR));
+            other => panic!("expected a hello reply, got {other:?}"),
+        }
+        assert_eq!(client.hello().expect("hello"), (PROTO_MAJOR, PROTO_MINOR));
 
-            drop(guard);
-            serving.join().expect("serve thread").expect("serve ok");
-        });
-    }
+        drop(guard);
+        serving.join().expect("serve thread").expect("serve ok");
+    });
 }
 
 #[test]
@@ -556,7 +551,7 @@ fn query_servers_refuse_shard_rpcs_with_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------------
-// Retry policy: what is resubmitted, and what never is
+// Exactly once: the client never resubmits
 // ---------------------------------------------------------------------------
 
 /// Counts handler invocations — the "applied exactly once" probe.
@@ -582,35 +577,12 @@ impl<H: QueryHandler> QueryHandler for Counting<'_, H> {
 }
 
 #[test]
-fn retry_predicate_admits_overload_only() {
-    let policy = RetryPolicy::new().max_attempts(3);
-    assert!(policy.retries(&ServerError::new(ServerErrorKind::Overloaded, "")));
-    for kind in [
-        ServerErrorKind::DeadlineExceeded,
-        ServerErrorKind::ShuttingDown,
-        ServerErrorKind::InvalidQuery,
-        ServerErrorKind::Malformed,
-        ServerErrorKind::UnsupportedVersion,
-        ServerErrorKind::EpochMismatch,
-    ] {
-        assert!(
-            !policy.retries(&ServerError::new(kind, "")),
-            "{kind:?} must never be retried"
-        );
-    }
-    // The builder clamps to at least one attempt, and a single-attempt
-    // policy retries nothing at all.
-    assert_eq!(RetryPolicy::new().max_attempts(0).attempts(), 1);
-    assert!(!RetryPolicy::new().retries(&ServerError::new(ServerErrorKind::Overloaded, "")));
-}
-
-#[test]
-fn overload_is_retried_to_the_attempt_cap_without_applying_work() {
+fn overload_is_rejected_without_applying_work() {
     let store = small_store(24, 12);
     let engine = EngineBuilder::new(Lev, &store, ALPHABET).build();
     let counting = Counting::new(&engine);
-    // Capacity 0: every attempt meets a full queue — retries are visible
-    // as admission rejections, and the handler can never run.
+    // Capacity 0: every query meets a full queue, and the handler can never
+    // run.
     let server = Server::bind(ServerConfig {
         workers: 1,
         queue_capacity: 0,
@@ -621,22 +593,16 @@ fn overload_is_retried_to_the_attempt_cap_without_applying_work() {
     std::thread::scope(|scope| {
         let guard = ShutdownOnDrop(handle.clone());
         let serving = scope.spawn(|| server.serve(&counting));
-        let mut client = Client::connect(handle.local_addr())
-            .expect("connect")
-            .with_retry_policy(
-                RetryPolicy::new()
-                    .max_attempts(3)
-                    .backoff(Duration::from_millis(1)),
-            );
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
 
         let q = Query::threshold(vec![1, 2], 1.0).build().unwrap();
         let outcome = client.query_batch(&[q]).expect("transport ok").remove(0);
         assert!(
             matches!(outcome.rejection(), Some(e) if e.kind == ServerErrorKind::Overloaded),
-            "exhausted retries surface the final typed overload: {outcome:?}"
+            "a full queue is a typed overload: {outcome:?}"
         );
         let stats = client.stats().expect("stats");
-        assert_eq!(stats.rejected_overload, 3, "initial attempt + 2 retries");
+        assert_eq!(stats.rejected_overload, 1, "one attempt, not resubmitted");
         assert_eq!(stats.admitted, 0);
         assert_eq!(counting.calls.load(Ordering::Relaxed), 0, "no work applied");
 
@@ -646,7 +612,7 @@ fn overload_is_retried_to_the_attempt_cap_without_applying_work() {
 }
 
 #[test]
-fn successful_queries_are_applied_exactly_once_under_a_retry_policy() {
+fn successful_queries_are_applied_exactly_once() {
     let store = small_store(24, 12);
     let engine = EngineBuilder::new(Lev, &store, ALPHABET).build();
     let counting = Counting::new(&engine);
@@ -659,12 +625,10 @@ fn successful_queries_are_applied_exactly_once_under_a_retry_policy() {
     std::thread::scope(|scope| {
         let guard = ShutdownOnDrop(handle.clone());
         let serving = scope.spawn(|| server.serve(&counting));
-        let mut client = Client::connect(handle.local_addr())
-            .expect("connect")
-            .with_retry_policy(RetryPolicy::new().max_attempts(5));
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
 
         // A non-idempotent-looking mix (different patterns, thresholds,
-        // top-k): an aggressive retry policy must not re-apply any of it.
+        // top-k): the pipelined batch must not re-apply any of it.
         let workload: Vec<Query> = (0..9)
             .map(|i| {
                 let q = vec![(i % ALPHABET) as u32, ((i + 1) % ALPHABET) as u32];
@@ -706,13 +670,7 @@ fn deadline_exceeded_is_never_retried() {
     std::thread::scope(|scope| {
         let guard = ShutdownOnDrop(handle.clone());
         let serving = scope.spawn(|| server.serve(&counting));
-        let mut client = Client::connect(handle.local_addr())
-            .expect("connect")
-            .with_retry_policy(
-                RetryPolicy::new()
-                    .max_attempts(4)
-                    .backoff(Duration::from_millis(1)),
-            );
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
 
         let outcome = client
             .query_batch(&[slow_query(Some(1))])
@@ -723,7 +681,7 @@ fn deadline_exceeded_is_never_retried() {
             "got {outcome:?}"
         );
         let stats = client.stats().expect("stats");
-        assert_eq!(stats.timed_out, 1, "one attempt, not four");
+        assert_eq!(stats.timed_out, 1, "one attempt");
         assert_eq!(stats.admitted, 1, "the timeout was not resubmitted");
 
         drop(guard);
@@ -772,11 +730,7 @@ fn degraded_answers_surface_typed_with_the_partial_response() {
     std::thread::scope(|scope| {
         let guard = ShutdownOnDrop(handle.clone());
         let serving = scope.spawn(|| server.serve(&handler));
-        let mut client = Client::connect(handle.local_addr())
-            .expect("connect")
-            // Degraded is an answer, not a rejection: the retry policy must
-            // not resubmit it (asserted via `admitted` below).
-            .with_retry_policy(RetryPolicy::new().max_attempts(3));
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
 
         let q = Query::threshold(vec![1, 2], 1.0).build().unwrap();
         let in_process = engine.handle(&q, Deadline::NONE);

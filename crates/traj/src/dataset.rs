@@ -2,8 +2,9 @@
 //!
 //! The store is append-only, mirroring the paper's index maintenance model
 //! ("we can update the index by appending a new record", §4.1). It also
-//! exposes the symbol-frequency table `n(q)` consumed by the MinCand
-//! optimizer and the per-dataset statistics of Table 2.
+//! computes the per-dataset statistics of Table 2. The symbol frequencies
+//! `n(q)` that MinCand prices a query with come from the index
+//! (`PostingSource::freq` in `trajsearch-core`), not from the store.
 
 use crate::model::{TrajId, Trajectory};
 
@@ -65,20 +66,6 @@ impl TrajectoryStore {
         }
     }
 
-    /// Symbol frequencies `n(q)` over the whole dataset, counting every
-    /// occurrence (a symbol visited twice in one trajectory counts twice —
-    /// see the remark under Definition 5: candidates carry positions, so
-    /// multiplicity matters).
-    pub fn symbol_frequencies(&self, alphabet_size: usize) -> Vec<u32> {
-        let mut n = vec![0u32; alphabet_size];
-        for t in &self.trajs {
-            for &q in t.path() {
-                n[q as usize] += 1;
-            }
-        }
-        n
-    }
-
     /// Statistics in the shape of Table 2.
     pub fn stats(&self) -> DatasetStats {
         let total: usize = self.trajs.iter().map(|t| t.len()).sum();
@@ -125,13 +112,6 @@ mod tests {
         assert_eq!(s.get(1).path(), &[2, 1]);
         assert_eq!(s.iter().count(), 3);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn frequencies_count_multiplicity() {
-        let s = store();
-        let n = s.symbol_frequencies(3);
-        assert_eq!(n, vec![1, 6, 2]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! `d` is Euclidean distance, `spd` the undirected shortest-path distance
 //! (per §2.2.3 the network is symmetrized to keep WED symmetric), `g` the ERP
-//! reference point (barycenter by default), and `w` the road length.
+//! reference point (the barycenter of the network), and `w` the road length.
 
 use crate::cost::{CostModel, Sym, WedInstance};
 use crate::hash::{mix64, BuildMix};
@@ -137,12 +137,8 @@ impl Erp {
     /// recommends a small positive value (e.g. 1e-4 × the median
     /// nearest-neighbor distance).
     pub fn new(net: Arc<RoadNetwork>, eta: f64) -> Self {
-        let g = barycenter(net.coords());
-        Self::with_reference(net, eta, g)
-    }
-
-    pub fn with_reference(net: Arc<RoadNetwork>, eta: f64, g: Point) -> Self {
         assert!(eta >= 0.0);
+        let g = barycenter(net.coords());
         let tree = KdTree::build(net.coords());
         Erp { net, tree, g, eta }
     }

@@ -1,9 +1,9 @@
 //! Vendored stand-in for the subset of the [`rand`](https://crates.io/crates/rand)
 //! 0.8 API this workspace uses.
 //!
-//! The build environment has no access to a crates.io registry, so the four
-//! external dependencies (`rand`, `rand_chacha`, `proptest`, `criterion`) are
-//! vendored as minimal shims under `shims/`. This crate provides:
+//! The build environment has no access to a crates.io registry, so the three
+//! external dependencies (`rand`, `rand_chacha`, `proptest`) are vendored as
+//! minimal shims under `shims/`. This crate provides:
 //!
 //! * [`RngCore`] — the raw generator interface (`next_u32`/`next_u64`/
 //!   `fill_bytes`).

@@ -56,8 +56,8 @@ pub mod prelude {
     pub use trajsearch_distrib::{Coordinator, RemoteShards, ShardEndpoint};
     pub use trajsearch_persist::{Snapshot, SnapshotError, SnapshotErrorKind, SnapshotInfo};
     pub use trajsearch_serve::{
-        Client, ClientError, DegradedInfo, MetricsSnapshot, QueryOutcome, RetryPolicy, Server,
-        ServerConfig, ServerError, ServerErrorKind, ServerHandle,
+        Client, ClientError, DegradedInfo, MetricsSnapshot, QueryOutcome, Server, ServerConfig,
+        ServerError, ServerErrorKind, ServerHandle,
     };
     pub use wed::models::{Edr, Erp, Lev, Memo, NetEdr, NetErp, Surs};
     pub use wed::{CostModel, Sym, WedInstance};
