@@ -23,7 +23,7 @@ use wed::{wed, Sym};
 
 /// Functions compared in Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstFunc {
+enum EstFunc {
     Wed(FuncKind),
     Dtw,
     Lcss,
@@ -32,7 +32,7 @@ pub enum EstFunc {
 }
 
 impl EstFunc {
-    pub const ALL: [EstFunc; 10] = [
+    const ALL: [EstFunc; 10] = [
         EstFunc::Wed(FuncKind::Lev),
         EstFunc::Wed(FuncKind::Edr),
         EstFunc::Wed(FuncKind::Erp),

@@ -192,10 +192,9 @@ fn price<M: WedInstance, I: PostingSource>(
     let mut items = Vec::with_capacity(q.len());
     for (pos, &sym) in q.iter().enumerate() {
         let (_, c, n) = memo.entry(sym).or_insert_with(|| {
-            let nb = model.neighbors(sym);
+            let (nb, c) = model.neighborhood(sym);
             debug_assert!(nb.contains(&sym), "B(q) must contain q");
             let n: f64 = nb.iter().map(|&b| index.freq(b) as f64).sum();
-            let c = model.lower_cost(sym);
             (nb, c, n)
         });
         items.push(Item { pos, c: *c, n: *n });
@@ -261,15 +260,15 @@ mod tests {
         assert!(plan.candidates(&idx).is_empty());
     }
 
-    /// A unit-cost model whose neighborhood enumeration repeats symbols —
-    /// the shape produced by overlapping `B(q)` sets — so that
-    /// `FilterPlan::candidates` emits exact duplicate triples.
+    /// A unit-cost model whose ball repeats a symbol — the shape produced
+    /// by overlapping `B(q)` sets — so that `FilterPlan::candidates` emits
+    /// exact duplicate triples. Symbol 2 substitutes for free.
     #[derive(Clone, Copy)]
     struct OverlappingNbr;
 
     impl wed::CostModel for OverlappingNbr {
         fn sub(&self, a: Sym, b: Sym) -> f64 {
-            if a == b {
+            if a == b || a == 2 || b == 2 {
                 0.0
             } else {
                 1.0
@@ -284,13 +283,13 @@ mod tests {
         fn name(&self) -> &'static str {
             "OverlappingNbr"
         }
-        fn neighbors(&self, q: Sym) -> Vec<Sym> {
-            // q's neighborhood overlaps itself: symbol 2 is enumerated from
-            // two sources, so its postings are read twice.
-            vec![q, 2, 2]
-        }
-        fn lower_cost(&self, _q: Sym) -> f64 {
-            1.0
+        fn ball(&self, q: Sym) -> wed::Ball {
+            // Symbol 2 is enumerated from two sources, so its postings are
+            // read twice.
+            wed::Ball {
+                syms: vec![q, 2, 2],
+                beyond: 1.0,
+            }
         }
     }
 

@@ -851,20 +851,6 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Wraps a float using Rust's shortest round-trip `Display` formatting.
-    /// The value must be finite — JSON has no NaN/∞ tokens.
-    pub fn num_f64(x: f64) -> JsonValue {
-        let mut raw = String::new();
-        write_f64(&mut raw, x);
-        JsonValue::Num(raw)
-    }
-
-    pub fn num_u64(x: u64) -> JsonValue {
-        let mut raw = String::new();
-        write_u64(&mut raw, x);
-        JsonValue::Num(raw)
-    }
-
     /// First value under `key` if this is an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -1257,12 +1243,12 @@ mod tests {
     #[test]
     fn numbers_are_lossless() {
         for x in [0.1, 1.0 / 3.0, f64::MAX, f64::MIN_POSITIVE, -0.0, 1e-300] {
-            let rendered = JsonValue::num_f64(x).to_string();
+            let rendered = JsonValue::Num(x.to_string()).to_string();
             let back = JsonValue::parse(&rendered).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} mangled via {rendered}");
         }
         let big = u64::MAX;
-        let rendered = JsonValue::num_u64(big).to_string();
+        let rendered = JsonValue::Num(big.to_string()).to_string();
         assert_eq!(JsonValue::parse(&rendered).unwrap().as_u64(), Some(big));
     }
 

@@ -77,15 +77,6 @@ impl ResultSet {
         self.map
             .retain(|&(id, s, t), _| keep(id, s as usize, t as usize));
     }
-
-    /// Min-merges another result set into this one; the per-triple minimum
-    /// is associative, so merging partial sets in any order cannot change
-    /// the final distances.
-    pub fn merge(&mut self, other: ResultSet) {
-        for ((id, s, t), dist) in other.map {
-            self.push(id, s as usize, t as usize, dist);
-        }
-    }
 }
 
 /// Sorts a plain result vector into the canonical order (test helper shared
@@ -127,20 +118,6 @@ mod tests {
         let v = r.into_sorted_vec();
         let keys: Vec<_> = v.iter().map(|m| (m.id, m.start, m.end)).collect();
         assert_eq!(keys, vec![(1, 0, 9), (1, 3, 4), (2, 0, 1)]);
-    }
-
-    #[test]
-    fn merge_is_a_min_merge() {
-        let mut a = ResultSet::new();
-        a.push(1, 0, 1, 2.0);
-        a.push(1, 2, 3, 0.5);
-        let mut b = ResultSet::new();
-        b.push(1, 0, 1, 1.0);
-        b.push(2, 0, 0, 4.0);
-        a.merge(b);
-        let v = a.into_sorted_vec();
-        let got: Vec<_> = v.iter().map(|m| (m.id, m.start, m.end, m.dist)).collect();
-        assert_eq!(got, vec![(1, 0, 1, 1.0), (1, 2, 3, 0.5), (2, 0, 0, 4.0)]);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! depend on the kind.
 //!
 //! Every Local- and Trie-mode walk is one loop, `walk_trie`, over a
-//! [`DpTrie`]. Above the profile, Trie-mode caching has two levels. The
+//! `DpTrie`. Above the profile, Trie-mode caching has two levels. The
 //! per-query level (one verifier's own tries) is always on. A batch may opt
 //! in to one [`TrieCache`] across its queries (`BatchOptions::share_tries`),
 //! so repeated or overlapping patterns hit warm columns; a walk over a shared
@@ -151,10 +151,10 @@ enum Slab {
 ///
 /// The trie holds numbers only. Which suffix it is for, and what extending
 /// a column by a data symbol costs, is the [`SubProfile`]'s knowledge; the
-/// caller passes the same [`Suffix`] window to [`DpTrie::new`] and to every
+/// caller passes the same [`Suffix`] window to `DpTrie::new` and to every
 /// extension.
 #[derive(Debug)]
-pub struct DpTrie {
+struct DpTrie {
     stride: usize,
     nodes: Vec<Node>,
     cols: Slab,
@@ -260,15 +260,17 @@ impl DpTrie {
         (n.min, n.ed)
     }
 
-    /// Number of materialized nodes (diagnostics/tests).
-    pub fn len(&self) -> usize {
+    /// Number of materialized nodes.
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// True when nothing beyond the always-present root column is cached
     /// (root-only semantics: a fresh trie holds no data-symbol columns, so
     /// `is_empty() == (len() == 1)`).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.nodes.len() == 1
     }
 }
@@ -300,8 +302,8 @@ const CACHE_SHARDS: usize = 8;
 /// Locks a cache mutex whether or not a thread panicked while holding it.
 ///
 /// Both kinds of mutex here guard pure caches of deterministic values — a
-/// shard's suffix → trie map and a [`DpTrie`] — and every update leaves
-/// them valid at every step (a map insert; [`DpTrie::child`]). A poisoned
+/// shard's suffix → trie map and a `DpTrie` — and every update leaves
+/// them valid at every step (a map insert; `DpTrie::child`). A poisoned
 /// lock therefore says that some worker died, never that the data is
 /// wrong, and must not turn every later query on the engine into a panic.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -311,7 +313,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One lock-sharded slice of the cache: suffix symbols → shared trie.
 type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
 
-/// A concurrency-safe cache of [`DpTrie`]s keyed by their query suffix
+/// A concurrency-safe cache of `DpTrie`s keyed by their query suffix
 /// `Q^d`, shared (opt-in, [`crate::BatchOptions::share_tries`]) across the
 /// queries of one batch.
 ///

@@ -84,14 +84,6 @@ impl QueryOutcome {
         }
     }
 
-    pub fn is_answered(&self) -> bool {
-        matches!(self, QueryOutcome::Answered(_))
-    }
-
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, QueryOutcome::Degraded { .. })
-    }
-
     /// The typed rejection, if this outcome is one.
     pub fn rejection(&self) -> Option<&ServerError> {
         match self {

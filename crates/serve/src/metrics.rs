@@ -3,7 +3,7 @@
 //! and over the wire via the `stats` request.
 //!
 //! Counters are lock-free atomics bumped on the hot path. Latencies go into
-//! a fixed-size ring of the most recent [`SAMPLE_CAP`] queries (bounded
+//! a fixed-size ring of the most recent `SAMPLE_CAP` (4096) queries (bounded
 //! memory under unbounded traffic, recency-weighted percentiles — the
 //! usual dashboard trade-off). Three series are kept per query: **queue**
 //! time (admission → dequeue, what backpressure costs the client), **wall**
@@ -18,7 +18,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use trajsearch_core::wire_struct;
 
 /// Ring capacity of each latency series on a server.
-pub const SAMPLE_CAP: usize = 4096;
+const SAMPLE_CAP: usize = 4096;
 
 /// Fixed-size ring of the most recent samples.
 struct Ring {
@@ -127,7 +127,7 @@ impl Metrics {
     }
 
     /// Metrics whose latency rings retain the most recent `cap` samples
-    /// each (clamped to at least 1); [`Metrics::new`] uses [`SAMPLE_CAP`].
+    /// each (clamped to at least 1); [`Metrics::new`] uses `SAMPLE_CAP` (4096).
     fn with_sample_cap(cap: usize) -> Metrics {
         Metrics {
             admitted: AtomicU64::new(0),

@@ -21,7 +21,9 @@ use trajsearch_core::{
     BatchOptions, EngineBuilder, IndexLayout, Metric, Query, Response, TemporalConstraint,
     TimeInterval, VerifyMode,
 };
-use trajsearch_serve::{Client, ClientError, Server, ServerConfig, ServerErrorKind, ServerHandle};
+use trajsearch_serve::{
+    Client, ClientError, QueryOutcome, Server, ServerConfig, ServerErrorKind, ServerHandle,
+};
 use wed::models::Lev;
 use wed::Sym;
 
@@ -324,12 +326,12 @@ fn expired_deadline_returns_typed_timeout_not_a_slow_answer() {
         let outcomes = client
             .query_batch(&[fast.clone(), slow_query(Some(1)), fast])
             .expect("transport ok");
-        assert!(outcomes[0].is_answered());
+        assert!(matches!(outcomes[0], QueryOutcome::Answered(_)));
         assert!(matches!(
             outcomes[1].rejection(),
             Some(e) if e.kind == ServerErrorKind::DeadlineExceeded
         ));
-        assert!(outcomes[2].is_answered());
+        assert!(matches!(outcomes[2], QueryOutcome::Answered(_)));
 
         let stats = client.stats().expect("stats");
         assert!(stats.timed_out >= 2, "got {}", stats.timed_out);

@@ -10,10 +10,8 @@
 //!
 //! The triangle inequality is *not* required — the algorithms never use it.
 //!
-//! [`WedInstance`] extends the cost model with what subsequence filtering
-//! needs: the substitution neighborhood `B(q)` (Definition 4) and the lower
-//! cost `c(q) = min_{q' ∈ Σ⁺ \ B(q)} sub(q, q')` (Eq. 7, where deletion is
-//! `sub(q, ε)`).
+//! [`WedInstance`] adds what subsequence filtering needs, checked by
+//! [`check_filter_contract`].
 
 /// A symbol of the trajectory alphabet: a vertex id or an edge id.
 pub type Sym = u32;
@@ -50,22 +48,64 @@ pub trait CostModel {
     }
 }
 
-/// A WED instance that supports subsequence filtering: it can enumerate the
-/// substitution neighborhood of a symbol and lower-bound the cost of editing
-/// the symbol away.
+/// What a model's geometry knows around `q` ([`WedInstance::ball`]): a
+/// superset `syms` of `B(q)` and a lower bound `beyond` on `sub(q, b)` for
+/// every `b ∉ syms` (∞ when there is none).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ball {
+    pub syms: Vec<Sym>,
+    pub beyond: f64,
+}
+
+/// A WED instance that supports subsequence filtering (Theorem 1) through
+/// the substitution neighbourhood `B(q) = {b ∈ Σ | sub(q, b) ≤ η}`
+/// (Definition 4; η is fixed per instance, Appendix D) and the lower cost
+/// `c(q) = min_{q' ∈ Σ⁺ \ B(q)} sub(q, q')` (Eq. 7; `q' = ε` is deletion).
+///
+/// A model supplies only its geometry's [`Ball`]; both definitions are
+/// applied to the model's own `sub` and `del`, so filtering cannot disagree
+/// with verification. A kd-tree compares squared distances and a Dijkstra
+/// adds edge lengths, while `sub` takes a root or adds two hub-label halves:
+/// one distance summed two ways, ≤ 1e-15 relative apart. So a ball searches
+/// a relative slack wider than its radius and shrinks a searched `beyond` by
+/// as much. Too large a ball costs time only; too small a one costs answers.
 pub trait WedInstance: CostModel {
     /// Human-readable name (used by the experiment harness).
     fn name(&self) -> &'static str;
 
-    /// The substitution neighborhood `B(q) = {b ∈ Σ | sub(q, b) ≤ η}`
-    /// (Definition 4). Always contains `q` itself. The neighborhood
-    /// threshold η is fixed per instance at construction (Appendix D
-    /// discusses the choice).
-    fn neighbors(&self, q: Sym) -> Vec<Sym>;
+    /// The neighbourhood threshold η of Definition 4.
+    fn eta(&self) -> f64 {
+        0.0
+    }
 
-    /// The filtering lower cost `c(q) = min_{q' ∈ Σ⁺ \ B(q)} sub(q, q')`
-    /// (Eq. 7); the minimum includes deletion (`q' = ε`).
-    fn lower_cost(&self, q: Sym) -> f64;
+    fn ball(&self, q: Sym) -> Ball;
+
+    /// `(B(q), c(q))` from one [`ball`](WedInstance::ball): the members with
+    /// `sub(q, b) ≤ η`, and the minimum of `del(q)`, `beyond` and the `sub`
+    /// of the members left out.
+    fn neighborhood(&self, q: Sym) -> (Vec<Sym>, f64) {
+        let Ball { mut syms, beyond } = self.ball(q);
+        let eta = self.eta();
+        let mut c = self.del(q).min(beyond);
+        syms.retain(|&b| {
+            let s = self.sub(q, b);
+            if s > eta {
+                c = c.min(s);
+            }
+            s <= eta
+        });
+        (syms, c)
+    }
+
+    /// `B(q)` (Definition 4).
+    fn neighbors(&self, q: Sym) -> Vec<Sym> {
+        self.neighborhood(q).0
+    }
+
+    /// `c(q)` (Eq. 7).
+    fn lower_cost(&self, q: Sym) -> f64 {
+        self.neighborhood(q).1
+    }
 }
 
 // Delegating impls so trait objects (`&dyn WedInstance`) can drive the
@@ -93,11 +133,11 @@ impl<M: WedInstance + ?Sized> WedInstance for &M {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        (**self).neighbors(q)
+    fn eta(&self) -> f64 {
+        (**self).eta()
     }
-    fn lower_cost(&self, q: Sym) -> f64 {
-        (**self).lower_cost(q)
+    fn ball(&self, q: Sym) -> Ball {
+        (**self).ball(q)
     }
 }
 
@@ -130,6 +170,30 @@ pub fn check_axioms_on_sample<M: CostModel>(m: &M, sample: &[Sym]) {
                 (ab - ba).abs() < 1e-9,
                 "sub must be symmetric: {ab} vs {ba}"
             );
+        }
+    }
+}
+
+/// Verifies, exactly, the filtering contract Theorem 1 rests on for every
+/// `q` and `b` of a sample: `q ∈ B(q)`, `c(q) ≤ del(q)`,
+/// `b ∈ B(q) ⇔ sub(q, b) ≤ η`, `c(q) ≤ sub(q, b)` for `b ∉ B(q)`, and
+/// `beyond ≤ sub(q, b)` for `b` outside the ball.
+pub fn check_filter_contract(m: &dyn WedInstance, sample: &[Sym]) {
+    let (name, eta) = (m.name(), m.eta());
+    for &q in sample {
+        let (Ball { mut syms, beyond }, (mut nb, c)) = (m.ball(q), m.neighborhood(q));
+        syms.sort_unstable();
+        nb.sort_unstable();
+        assert!(
+            nb.binary_search(&q).is_ok() && c <= m.del(q),
+            "{name}: q = {q}, c(q) = {c}"
+        );
+        for &b in sample {
+            let (s, inside) = (m.sub(q, b), nb.binary_search(&b).is_ok());
+            let ok = inside == (s <= eta)
+                && (inside || c <= s)
+                && (syms.binary_search(&b).is_ok() || beyond <= s);
+            assert!(ok, "{name}: q = {q}, b = {b}, sub = {s}, η = {eta}, b ∈ B(q): {inside}, c(q) = {c}, beyond = {beyond}");
         }
     }
 }

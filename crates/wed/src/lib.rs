@@ -33,7 +33,7 @@ pub mod models;
 pub mod nonwed;
 pub mod sw;
 
-pub use cost::{CostModel, Sym, WedInstance};
+pub use cost::{Ball, CostModel, Sym, WedInstance};
 pub use dp::{initial_column, step_dp, wed, wed_within};
 pub use metric::{
     dtw_dist, dtw_scan_all, frechet_dist, frechet_scan_all, lcss_dist, lcss_scan_all,

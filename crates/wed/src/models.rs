@@ -1,25 +1,40 @@
 //! The six WED instances evaluated in the paper (§2.2.2–§2.2.3).
 //!
-//! | Instance | alphabet | `sub(a,b)` | `ins(a)` | `B(q)` (η) | `c(q)` |
-//! |----------|----------|------------|----------|------------|--------|
-//! | [`Lev`]    | V or E | 0 / 1        | 1          | `{q}` (η=0)            | 1 |
-//! | [`Edr`]    | V      | 0 if `d≤ε` else 1 | 1    | Euclid ball ε (η=0)    | 1 |
-//! | [`Erp`]    | V      | `d(a,b)`     | `d(a,g)`   | Euclid ball η          | min(nearest beyond η, `d(q,g)`) |
-//! | [`NetEdr`] | V      | 0 if `spd≤ε` else 1 | 1  | network ball ε (η=0)   | 1 |
-//! | [`NetErp`] | V      | `spd(a,b)`   | `G_del`    | network ball η         | min(nearest beyond η, `G_del`) |
-//! | [`Surs`]   | E      | `w(a)+w(b)` (0 if a=b) | `w(a)` | `{q}` (η=0)  | `w(q)` |
+//! | Instance | alphabet | `sub(a,b)` | `ins(a)` | η | `ball(q)` | `beyond` |
+//! |----------|----------|------------|----------|---|-----------|----------|
+//! | [`Lev`]    | V or E | 0 / 1               | 1      | 0 | `{q}`                | 1 |
+//! | [`Edr`]    | V      | 0 if `d≤ε` else 1   | 1      | 0 | kd-tree ball ε       | 1 |
+//! | [`Erp`]    | V      | `d(a,b)`            | `d(a,g)` | η | kd-tree ball η     | nearest `d` outside it |
+//! | [`NetEdr`] | V      | 0 if `spd≤ε` else 1 | 1      | 0 | Dijkstra ball ε      | 1 |
+//! | [`NetErp`] | V      | `spd(a,b)`          | `G_del` | η | Dijkstra ball η     | first Dijkstra distance beyond it |
+//! | [`Surs`]   | E      | `w(a)+w(b)` (0 if a=b) | `w(a)` | 0 | `{q}`           | `w(q)` |
 //!
 //! `d` is Euclidean distance, `spd` the undirected shortest-path distance
 //! (per §2.2.3 the network is symmetrized to keep WED symmetric), `g` the ERP
 //! reference point (the barycenter of the network), and `w` the road length.
 
-use crate::cost::{CostModel, Sym, WedInstance};
+use crate::cost::{Ball, CostModel, Sym, WedInstance};
 use crate::hash::{mix64, BuildMix};
 use rnet::dijkstra::{bounded, Mode};
 use rnet::geo::barycenter;
 use rnet::{HubLabels, KdTree, Point, RoadNetwork};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Relative slack of every searched radius (see [`WedInstance`] for why).
+const SLACK: f64 = 1e-9;
+
+/// The vertices a bounded Dijkstra finds within `radius` of `q`, widened by
+/// [`SLACK`], and the first distance beyond, shrunk by as much.
+fn network_ball(net: &RoadNetwork, q: Sym, radius: f64) -> Ball {
+    let found = bounded(net, q, radius * (1.0 + SLACK), Mode::UndirectedLength);
+    Ball {
+        syms: found.within.into_iter().map(|(v, _)| v).collect(),
+        beyond: found
+            .next_beyond
+            .map_or(f64::INFINITY, |d| d * (1.0 - SLACK)),
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Levenshtein
@@ -49,11 +64,11 @@ impl WedInstance for Lev {
     fn name(&self) -> &'static str {
         "Lev"
     }
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        vec![q]
-    }
-    fn lower_cost(&self, _q: Sym) -> f64 {
-        1.0
+    fn ball(&self, q: Sym) -> Ball {
+        Ball {
+            syms: vec![q],
+            beyond: 1.0,
+        }
     }
 }
 
@@ -74,10 +89,6 @@ impl Edr {
         assert!(eps >= 0.0);
         let tree = KdTree::build(net.coords());
         Edr { net, tree, eps }
-    }
-
-    pub fn eps(&self) -> f64 {
-        self.eps
     }
 }
 
@@ -101,21 +112,11 @@ impl WedInstance for Edr {
     fn name(&self) -> &'static str {
         "EDR"
     }
-    /// η = 0 for unit-cost models (§6.1): `B(q)` is the set of vertices with
-    /// zero substitution cost, i.e. the ε-ball.
-    ///
-    /// The tree compares squared distances and `sub` compares distances; at
-    /// a distance of exactly ε the two can round apart. So the tree is asked
-    /// for a slightly wider ball and `sub`'s own test decides, which keeps
-    /// `B(q)` the zero-cost set that `c(q) = 1` assumes.
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        let c = self.net.coord(q);
-        let mut ball = self.tree.range(c, self.eps * (1.0 + 1e-9));
-        ball.retain(|&b| self.net.coord(b).dist(&c) <= self.eps);
-        ball
-    }
-    fn lower_cost(&self, _q: Sym) -> f64 {
-        1.0
+    fn ball(&self, q: Sym) -> Ball {
+        Ball {
+            syms: self.tree.range(self.net.coord(q), self.eps * (1.0 + SLACK)),
+            beyond: 1.0,
+        }
     }
 }
 
@@ -147,10 +148,6 @@ impl Erp {
         self.g
     }
 
-    pub fn eta(&self) -> f64 {
-        self.eta
-    }
-
     /// Coordinate of a symbol (used by the ERP-index baseline, which indexes
     /// reference-centered coordinate sums).
     pub fn coord(&self, q: Sym) -> Point {
@@ -171,16 +168,17 @@ impl WedInstance for Erp {
     fn name(&self) -> &'static str {
         "ERP"
     }
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        self.tree.range(self.net.coord(q), self.eta)
+    fn eta(&self) -> f64 {
+        self.eta
     }
-    /// `c(q) = min(sub to nearest vertex beyond η, del(q))` — Eq. (7) with
-    /// the deletion option `sub(q, ε) = d(q, g)` included.
-    fn lower_cost(&self, q: Sym) -> f64 {
-        let del = self.ins(q);
-        match self.tree.nearest_outside(self.net.coord(q), self.eta) {
-            Some((_, d)) => del.min(d),
-            None => del,
+    fn ball(&self, q: Sym) -> Ball {
+        let (c, r) = (self.net.coord(q), self.eta * (1.0 + SLACK));
+        Ball {
+            syms: self.tree.range(c, r),
+            beyond: self
+                .tree
+                .nearest_outside(c, r)
+                .map_or(f64::INFINITY, |(_, d)| d),
         }
     }
 }
@@ -223,15 +221,11 @@ impl WedInstance for NetEdr {
     fn name(&self) -> &'static str {
         "NetEDR"
     }
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        bounded(&self.net, q, self.eps, Mode::UndirectedLength)
-            .within
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect()
-    }
-    fn lower_cost(&self, _q: Sym) -> f64 {
-        1.0
+    fn ball(&self, q: Sym) -> Ball {
+        Ball {
+            beyond: 1.0,
+            ..network_ball(&self.net, q, self.eps)
+        }
     }
 }
 
@@ -273,18 +267,11 @@ impl WedInstance for NetErp {
     fn name(&self) -> &'static str {
         "NetERP"
     }
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        bounded(&self.net, q, self.eta, Mode::UndirectedLength)
-            .within
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect()
+    fn eta(&self) -> f64 {
+        self.eta
     }
-    fn lower_cost(&self, q: Sym) -> f64 {
-        match bounded(&self.net, q, self.eta, Mode::UndirectedLength).next_beyond {
-            Some(d) => self.g_del.min(d),
-            None => self.g_del,
-        }
+    fn ball(&self, q: Sym) -> Ball {
+        network_ball(&self.net, q, self.eta)
     }
 }
 
@@ -333,13 +320,13 @@ impl WedInstance for Surs {
         "SURS"
     }
     /// η = 0 (Appendix D: a positive η would pull in spatially distant short
-    /// edges, against SURS semantics).
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        vec![q]
-    }
-    /// Positive edge weights make deletion the cheapest way out: `c(q)=w(q)`.
-    fn lower_cost(&self, q: Sym) -> f64 {
-        self.w(q)
+    /// edges, against SURS semantics). Positive edge weights make every
+    /// other symbol cost at least `w(q)`.
+    fn ball(&self, q: Sym) -> Ball {
+        Ball {
+            syms: vec![q],
+            beyond: self.w(q),
+        }
     }
 }
 
@@ -388,10 +375,6 @@ impl<M> Memo<M> {
         }
     }
 
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-
     /// The shard of a packed key, locked. Bits 40.. of the mix pick it: the
     /// map indexes by the low bits and tags slots by the top seven, and a
     /// shard's keys should differ in both.
@@ -424,18 +407,18 @@ impl<M: WedInstance> WedInstance for Memo<M> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
-    fn neighbors(&self, q: Sym) -> Vec<Sym> {
-        self.inner.neighbors(q)
+    fn eta(&self) -> f64 {
+        self.inner.eta()
     }
-    fn lower_cost(&self, q: Sym) -> f64 {
-        self.inner.lower_cost(q)
+    fn ball(&self, q: Sym) -> Ball {
+        self.inner.ball(q)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::check_axioms_on_sample;
+    use crate::cost::{check_axioms_on_sample, check_filter_contract};
     use rnet::{CityParams, NetworkKind};
 
     fn setup() -> (Arc<RoadNetwork>, Arc<HubLabels>) {
@@ -490,104 +473,110 @@ mod tests {
         }
     }
 
-    /// For the unit-cost models filtering and verification read one
-    /// relation two ways: the filter takes `B(q)` from a range query, the
-    /// bit-parallel verifier takes `sub(q, b) == 0` from the cost model. The
-    /// two must be the same set for every `q`, or a filtered candidate's
-    /// anchor and its DP disagree.
-    #[test]
-    fn unit_neighbourhoods_are_exactly_the_zero_cost_symbols() {
+    /// The small City, and `(q, v)` pairs whose network distance is a
+    /// multi-edge sum on which a bounded Dijkstra and the hub labels round
+    /// apart.
+    fn small_city() -> (Arc<RoadNetwork>, Arc<HubLabels>, [(Sym, Sym); 3]) {
         let net = Arc::new(CityParams::small(NetworkKind::City).generate());
         let hubs = Arc::new(HubLabels::build(&net));
+        (net, hubs, [(7, 95), (14, 45), (14, 102)])
+    }
+
+    /// `r` and its two neighbouring floats.
+    fn around(r: f64) -> [f64; 3] {
+        [r.next_down(), r, r.next_up()]
+    }
+
+    /// For the unit-cost models filtering and verification read one
+    /// relation two ways: the filter takes `B(q)` from a ball, the
+    /// bit-parallel verifier takes `sub(q, b) == 0` from the cost model. The
+    /// two must be the same set for every `q`, at every radius, realised
+    /// distances included, or a filtered candidate's anchor and its DP
+    /// disagree.
+    #[test]
+    fn unit_neighbourhoods_are_exactly_the_zero_cost_symbols() {
+        let (net, hubs, pairs) = small_city();
+        let all: Vec<Sym> = (0..net.num_vertices() as u32).collect();
+        check_filter_contract(&Lev, &all);
         let mut lengths: Vec<f64> = (0..net.num_edges() as u32)
             .map(|e| net.edge(e).length)
             .collect();
         lengths.sort_by(f64::total_cmp);
-        let (quartile, median) = (lengths[lengths.len() / 4], lengths[lengths.len() / 2]);
-        let n = net.num_vertices() as u32;
-        let check = |m: &dyn WedInstance, eps: f64| {
-            for q in 0..n {
-                let mut got = m.neighbors(q);
-                got.sort_unstable();
-                let want: Vec<Sym> = (0..n).filter(|&b| m.sub(q, b) == 0.0).collect();
-                assert_eq!(got, want, "{}: B({q}) at ε = {eps}", m.name());
-            }
-        };
-        for eps in [quartile, median, 100.0, 150.0] {
-            check(&Edr::new(net.clone(), eps), eps);
-            check(&NetEdr::new(net.clone(), hubs.clone(), eps), eps);
+        let median = lengths[lengths.len() / 2];
+        let euclid = Erp::new(net.clone(), 0.0);
+        let realised = pairs.iter().flat_map(|&(q, v)| around(euclid.sub(q, v)));
+        for r in realised.chain([lengths[lengths.len() / 4], median, 100.0, 150.0]) {
+            check_filter_contract(&Edr::new(net.clone(), r), &all);
         }
+        // One hub query costs about a microsecond here and each network
+        // radius is a million of them, so NetEDR gets the realised radii and
+        // the median edge length only.
+        let spd = |(q, v)| hubs.query(q, v);
+        for r in pairs.map(spd).into_iter().chain([median]) {
+            check_filter_contract(&NetEdr::new(net.clone(), hubs.clone(), r), &all);
+        }
+        let memo = Memo::new(NetEdr::new(net.clone(), hubs.clone(), spd(pairs[0])));
+        check_filter_contract(&memo, &all);
     }
 
+    /// The continuous models at realised distances: `B(q)` holds exactly the
+    /// symbols within η and nothing outside costs less than `c(q)`.
+    #[test]
+    fn neighborhood_members_have_sub_at_most_eta() {
+        let (net, hubs, pairs) = small_city();
+        let all: Vec<Sym> = (0..net.num_vertices() as u32).collect();
+        let euclid = Erp::new(net.clone(), 0.0);
+        for r in pairs.iter().flat_map(|&(q, v)| around(euclid.sub(q, v))) {
+            check_filter_contract(&Erp::new(net.clone(), r), &all);
+        }
+        let r = hubs.query(pairs[0].0, pairs[0].1);
+        for r in around(r) {
+            check_filter_contract(&NetErp::new(net.clone(), hubs.clone(), 2000.0, r), &all);
+        }
+        let memo = Memo::new(NetErp::new(net.clone(), hubs.clone(), 2000.0, r));
+        check_filter_contract(&memo, &all);
+        let edges: Vec<Sym> = (0..net.num_edges() as u32).collect();
+        check_filter_contract(&Surs::new(net), &edges);
+    }
+
+    /// Every model at the radii the other tests of this crate use.
     #[test]
     fn neighborhoods_contain_self() {
         let (net, hubs) = setup();
+        let all: Vec<Sym> = (0..net.num_vertices() as u32).collect();
         let models: Vec<Box<dyn WedInstance>> = vec![
             Box::new(Lev),
             Box::new(Edr::new(net.clone(), 130.0)),
             Box::new(Erp::new(net.clone(), 10.0)),
-            Box::new(NetEdr::new(net.clone(), hubs.clone(), 130.0)),
-            Box::new(NetErp::new(net.clone(), hubs.clone(), 2000.0, 130.0)),
-        ];
-        for m in &models {
-            for q in [0u32, 5, 17] {
-                assert!(
-                    m.neighbors(q).contains(&q),
-                    "{} B(q) must contain q",
-                    m.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn neighborhood_members_have_sub_at_most_eta() {
-        let (net, hubs) = setup();
-        // EDR: η = 0, so every member must have sub = 0.
-        let edr = Edr::new(net.clone(), 130.0);
-        for b in edr.neighbors(9) {
-            assert_eq!(edr.sub(9, b), 0.0);
-        }
-        // ERP: η = 150, members have sub ≤ 150.
-        let erp = Erp::new(net.clone(), 150.0);
-        for b in erp.neighbors(9) {
-            assert!(erp.sub(9, b) <= 150.0);
-        }
-        // NetERP: η = 130 in network meters.
-        let nerp = NetErp::new(net.clone(), hubs.clone(), 2000.0, 130.0);
-        for b in nerp.neighbors(9) {
-            assert!(nerp.sub(9, b) <= 130.0);
-        }
-    }
-
-    #[test]
-    fn lower_cost_is_sound() {
-        // For every model and sample q: no symbol outside B(q) (sampled) may
-        // have sub(q, ·) below c(q), and deletion cannot be cheaper either.
-        let (net, hubs) = setup();
-        let models: Vec<Box<dyn WedInstance>> = vec![
-            Box::new(Lev),
-            Box::new(Edr::new(net.clone(), 130.0)),
             Box::new(Erp::new(net.clone(), 150.0)),
             Box::new(NetEdr::new(net.clone(), hubs.clone(), 130.0)),
             Box::new(NetErp::new(net.clone(), hubs.clone(), 2000.0, 130.0)),
+            Box::new(Memo::new(NetErp::new(net.clone(), hubs, 2000.0, 130.0))),
+            Box::new(Surs::new(net)),
         ];
         for m in &models {
-            for q in [0u32, 7, 23] {
-                let c = m.lower_cost(q);
-                let b: std::collections::HashSet<Sym> = m.neighbors(q).into_iter().collect();
-                assert!(m.del(q) + 1e-12 >= c, "{}: del({q}) < c(q)", m.name());
-                for cand in 0..net.num_vertices() as u32 {
-                    if !b.contains(&cand) {
-                        assert!(
-                            m.sub(q, cand) + 1e-9 >= c,
-                            "{}: sub({q},{cand})={} < c(q)={c}",
-                            m.name(),
-                            m.sub(q, cand)
-                        );
-                    }
-                }
-            }
+            check_filter_contract(&**m, &all);
+        }
+    }
+
+    /// `c(q)` is capped by deletion: a NetERP radius past the whole network
+    /// leaves nothing beyond the ball, and an η = 0 ERP prices `c(q)` at the
+    /// nearest other vertex or the reference point, whichever is nearer.
+    #[test]
+    fn lower_cost_is_sound() {
+        let (net, hubs) = setup();
+        let all: Vec<Sym> = (0..net.num_vertices() as u32).collect();
+        let everything = NetErp::new(net.clone(), hubs, 50.0, 1e6);
+        check_filter_contract(&everything, &all);
+        assert_eq!(everything.neighborhood(3), (everything.ball(3).syms, 50.0));
+        let erp = Erp::new(net.clone(), 0.0);
+        check_filter_contract(&erp, &all);
+        for q in all {
+            let nearest = (0..net.num_vertices() as u32)
+                .filter(|&b| b != q)
+                .map(|b| erp.sub(q, b))
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(erp.lower_cost(q), nearest.min(erp.del(q)));
         }
     }
 

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use rnet::{CityParams, HubLabels, NetworkKind, RoadNetwork};
 use std::sync::Arc;
+use wed::cost::check_filter_contract;
 use wed::dp::{
     bit_column_entries, bit_column_len, initial_bit_column_into, initial_column_into, step_dp_into,
     SubProfile,
@@ -168,21 +169,11 @@ proptest! {
         }
     }
 
-    /// Theorem 1 ingredient: c(q) never exceeds the cost of editing q into
-    /// any symbol outside B(q) (sampled) nor the deletion cost.
+    /// Theorem 1 ingredient: the filtering contract on random pairs.
     #[test]
     fn lower_cost_is_a_lower_bound(q in 0u32..64, probe in 0u32..64) {
         for m in boxed_models() {
-            let c = m.lower_cost(q);
-            prop_assert!(m.del(q) + 1e-9 >= c, "{}: del < c(q)", m.name());
-            if !m.neighbors(q).contains(&probe) {
-                prop_assert!(
-                    m.sub(q, probe) + 1e-9 >= c,
-                    "{}: sub({q},{probe}) = {} < c = {c}",
-                    m.name(),
-                    m.sub(q, probe)
-                );
-            }
+            check_filter_contract(&*m, &[q, probe]);
         }
     }
 

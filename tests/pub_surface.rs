@@ -1,14 +1,17 @@
-//! The public surface matches its users: every `pub fn` under
-//! `crates/*/src` is named by some other `.rs` file of the repository —
-//! another module, a test, an example or the benchmark. A `pub fn` that only
-//! its own file names is either dead or private in all but spelling; delete
-//! it or narrow it to `pub(crate)`/private.
+//! The public surface matches its users: every `pub` function, struct,
+//! enum, trait, type alias and constant under `crates/*/src` is named by some
+//! other `.rs` file of the repository — another module, a test, an example or
+//! the benchmark. A `pub` item that only its own file names is either dead or
+//! private in all but spelling; delete it or narrow it to `pub(crate)`/private.
 //!
 //! The scan is textual (std only): a declaration is a line whose code starts
-//! with `pub fn` (after optional `const`/`unsafe`/`async`), and a use is the
+//! with `pub fn` (after optional `const`/`unsafe`/`async`), `pub struct`,
+//! `pub enum`, `pub trait`, `pub type` or `pub const`, and a use is the
 //! same identifier, on word boundaries, anywhere in another file under
 //! `crates/`, `src/`, `tests/`, `examples/` or `benchmark/` (`target/`
-//! directories skipped).
+//! directories skipped). A type named in a `pub fn` signature or a `pub`
+//! field of its own file counts as used: callers reach it through that item
+//! without naming it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -55,23 +58,58 @@ fn identifiers(text: &str) -> BTreeSet<&str> {
     out
 }
 
-/// The names of the `pub fn`s declared in `text`.
-fn pub_fns(text: &str) -> Vec<&str> {
+/// The names `text` declares `pub` with one of the item keywords `kinds`
+/// (`fn` also after `const`/`unsafe`/`async`).
+fn pub_items<'t>(text: &'t str, kinds: &[&str]) -> Vec<&'t str> {
     text.lines()
         .filter_map(|line| {
             let mut rest = line.trim_start().strip_prefix("pub ")?;
             for qualifier in ["const ", "unsafe ", "async "] {
-                rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+                if let Some(r) = rest
+                    .strip_prefix(qualifier)
+                    .filter(|r| r.starts_with("fn "))
+                {
+                    rest = r;
+                }
             }
-            let rest = rest.strip_prefix("fn ")?;
+            let rest = kinds
+                .iter()
+                .find_map(|k| rest.strip_prefix(k)?.strip_prefix(' '))?;
             let end = rest.bytes().position(|b| !is_ident_byte(b))?;
             Some(&rest[..end])
         })
         .collect()
 }
 
-#[test]
-fn every_pub_fn_is_named_outside_its_own_file() {
+/// Identifiers in `text`'s `pub fn` parameter lists and return types and in
+/// its `pub` field types: a type named there is reachable through that item,
+/// which the scan itself checks.
+fn exposed(text: &str) -> BTreeSet<&str> {
+    let mut out = BTreeSet::new();
+    let mut in_signature = false;
+    for line in text.lines() {
+        let code = line.trim_start();
+        let tail = if !pub_items(code, &["fn"]).is_empty() {
+            in_signature = true;
+            code.split_once('(').map_or("", |(_, rest)| rest)
+        } else if in_signature {
+            code
+        } else {
+            match code.strip_prefix("pub ").and_then(|r| r.split_once(':')) {
+                Some((field, ty)) if field.bytes().all(is_ident_byte) => ty,
+                _ => "",
+            }
+        };
+        out.extend(identifiers(tail.split('{').next().unwrap_or(tail)));
+        in_signature &= !(code.contains('{') || code.ends_with(';'));
+    }
+    out
+}
+
+/// Fails, listing them, on every name of `kinds` declared `pub` under
+/// `crates/*/src` that no other searched file names; at least `min` must be
+/// declared, so a broken scan cannot pass.
+fn check_named_elsewhere(kinds: &[&str], min: usize) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for dir in SEARCHED {
@@ -102,11 +140,13 @@ fn every_pub_fn_is_named_outside_its_own_file() {
         if !in_crate_src {
             continue;
         }
-        for name in pub_fns(text) {
+        let exposed = exposed(text);
+        for name in pub_items(text, kinds) {
             declared += 1;
-            let used = idents
-                .iter()
-                .any(|(other, names)| *other != path.as_path() && names.contains(name));
+            let used = exposed.contains(name)
+                || idents
+                    .iter()
+                    .any(|(other, names)| *other != path.as_path() && names.contains(name));
             if !used {
                 unused.push(format!(
                     "{} ({})",
@@ -116,11 +156,21 @@ fn every_pub_fn_is_named_outside_its_own_file() {
             }
         }
     }
-    assert!(declared > 100, "scan found only {declared} pub fns");
+    assert!(declared > min, "scan found only {declared} pub {kinds:?}");
     assert!(
         unused.is_empty(),
-        "{} pub fn(s) named only in their own file — delete them or make them private:\n  {}",
+        "{} pub {kinds:?} named only in their own file — delete them or make them private:\n  {}",
         unused.len(),
         unused.join("\n  ")
     );
+}
+
+#[test]
+fn every_pub_fn_is_named_outside_its_own_file() {
+    check_named_elsewhere(&["fn"], 100);
+}
+
+#[test]
+fn every_pub_type_and_const_is_named_outside_its_own_file() {
+    check_named_elsewhere(&["struct", "enum", "trait", "type", "const"], 50);
 }
