@@ -42,15 +42,17 @@ impl<'a, M: WedInstance> Dison<'a, M> {
         &self.index
     }
 
-    /// The candidate-generating prefix: positions `0..i` where `i` is
-    /// minimal with `Σ c(q) ≥ τ`; `None` if even the whole query is too
+    /// The candidate-generating prefix: `B(q)` of positions `0..i` where `i`
+    /// is minimal with `Σ c(q) ≥ τ`; `None` if even the whole query is too
     /// cheap (filtering infeasible).
-    fn prefix(&self, q: &[Sym], tau: f64) -> Option<usize> {
-        let mut acc = 0.0;
-        for (i, &sym) in q.iter().enumerate() {
-            acc += self.model.lower_cost(sym);
+    fn prefix(&self, q: &[Sym], tau: f64) -> Option<Vec<Vec<Sym>>> {
+        let (mut acc, mut hoods) = (0.0, Vec::new());
+        for &sym in q {
+            let (nb, c) = self.model.neighborhood(sym);
+            hoods.push(nb);
+            acc += c;
             if acc >= tau {
-                return Some(i + 1);
+                return Some(hoods);
             }
         }
         None
@@ -60,10 +62,10 @@ impl<'a, M: WedInstance> Dison<'a, M> {
         assert!(tau > 0.0 && !q.is_empty());
         let mut stats = SearchStats::default();
         let t0 = Instant::now();
-        let prefix_len = self.prefix(q, tau);
+        let prefix = self.prefix(q, tau);
         stats.mincand_time = t0.elapsed();
 
-        let Some(prefix_len) = prefix_len else {
+        let Some(prefix) = prefix else {
             // Same exactness fallback (and stats contract) as the engine.
             let matches = trajsearch_core::exact_fallback_scan(
                 &self.model,
@@ -76,12 +78,12 @@ impl<'a, M: WedInstance> Dison<'a, M> {
             );
             return (matches, stats);
         };
-        stats.tsubseq_len = prefix_len;
+        stats.tsubseq_len = prefix.len();
 
         let t1 = Instant::now();
         let mut candidates = Vec::new();
-        for (pos, &sym) in q.iter().enumerate().take(prefix_len) {
-            for b in self.model.neighbors(sym) {
+        for (pos, nb) in prefix.iter().enumerate() {
+            for &b in nb {
                 for &(id, j) in self.index.postings(b) {
                     candidates.push(Candidate {
                         id,
@@ -155,8 +157,8 @@ mod tests {
         let store = random_store(&mut rng, 5);
         let dison = Dison::new(&Lev, &store, 8, VerifyMode::Trie);
         // Lev: c(q) = 1 per symbol, so prefix length = ceil(tau).
-        assert_eq!(dison.prefix(&[1, 2, 3, 4], 2.0), Some(2));
-        assert_eq!(dison.prefix(&[1, 2, 3, 4], 0.5), Some(1));
+        assert_eq!(dison.prefix(&[1, 2, 3, 4], 2.0).map(|p| p.len()), Some(2));
+        assert_eq!(dison.prefix(&[1, 2, 3, 4], 0.5).map(|p| p.len()), Some(1));
         assert_eq!(dison.prefix(&[1, 2], 3.0), None);
     }
 

@@ -47,7 +47,8 @@ impl<'a, M: WedInstance> Torch<'a, M> {
 
         // Soundness gate: Q as a whole must still be a τ-subsequence.
         let t0 = Instant::now();
-        let c_total: f64 = q.iter().map(|&s| self.model.lower_cost(s)).sum();
+        let hoods: Vec<(Vec<Sym>, f64)> = q.iter().map(|&s| self.model.neighborhood(s)).collect();
+        let c_total: f64 = hoods.iter().map(|(_, c)| c).sum();
         stats.mincand_time = t0.elapsed();
         if c_total < tau {
             // Same exactness fallback (and stats contract) as the engine.
@@ -66,8 +67,8 @@ impl<'a, M: WedInstance> Torch<'a, M> {
 
         let t1 = Instant::now();
         let mut candidates = Vec::new();
-        for (pos, &sym) in q.iter().enumerate() {
-            for b in self.model.neighbors(sym) {
+        for (pos, (nb, _)) in hoods.iter().enumerate() {
+            for &b in nb {
                 for &(id, j) in self.index.postings(b) {
                     candidates.push(Candidate {
                         id,

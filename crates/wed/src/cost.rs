@@ -58,17 +58,14 @@ pub struct Ball {
 }
 
 /// A WED instance that supports subsequence filtering (Theorem 1) through
-/// the substitution neighbourhood `B(q) = {b ∈ Σ | sub(q, b) ≤ η}`
-/// (Definition 4; η is fixed per instance, Appendix D) and the lower cost
-/// `c(q) = min_{q' ∈ Σ⁺ \ B(q)} sub(q, q')` (Eq. 7; `q' = ε` is deletion).
+/// `B(q) = {b ∈ Σ | sub(q, b) ≤ η}` (Definition 4, η fixed per instance) and
+/// `c(q) = min_{q' ∈ Σ⁺ \ B(q)} sub(q, q')` (Eq. 7, `q' = ε` is deletion).
 ///
-/// A model supplies only its geometry's [`Ball`]; both definitions are
-/// applied to the model's own `sub` and `del`, so filtering cannot disagree
-/// with verification. A kd-tree compares squared distances and a Dijkstra
-/// adds edge lengths, while `sub` takes a root or adds two hub-label halves:
-/// one distance summed two ways, ≤ 1e-15 relative apart. So a ball searches
-/// a relative slack wider than its radius and shrinks a searched `beyond` by
-/// as much. Too large a ball costs time only; too small a one costs answers.
+/// A model supplies only its [`Ball`]; both definitions are applied to its
+/// own `sub` and `del`, so filtering cannot disagree with verification. A
+/// ball is searched a relative slack wider than η (and a searched `beyond`
+/// shrunk by as much): a kd-tree or Dijkstra sums a distance another way
+/// than `sub` does, ≤ 1e-15 relative apart. Too wide costs time only.
 pub trait WedInstance: CostModel {
     /// Human-readable name (used by the experiment harness).
     fn name(&self) -> &'static str;
@@ -78,11 +75,12 @@ pub trait WedInstance: CostModel {
         0.0
     }
 
+    /// A superset of `B(q)` and a lower bound on `sub` outside it.
     fn ball(&self, q: Sym) -> Ball;
 
     /// `(B(q), c(q))` from one [`ball`](WedInstance::ball): the members with
-    /// `sub(q, b) ≤ η`, and the minimum of `del(q)`, `beyond` and the `sub`
-    /// of the members left out.
+    /// `sub(q, b) ≤ η`, and the least of `del(q)`, `beyond` and the `sub` of
+    /// the members left out.
     fn neighborhood(&self, q: Sym) -> (Vec<Sym>, f64) {
         let Ball { mut syms, beyond } = self.ball(q);
         let eta = self.eta();
@@ -97,12 +95,12 @@ pub trait WedInstance: CostModel {
         (syms, c)
     }
 
-    /// `B(q)` (Definition 4).
+    /// `B(q)` alone; callers that also need `c(q)` call `neighborhood`.
     fn neighbors(&self, q: Sym) -> Vec<Sym> {
         self.neighborhood(q).0
     }
 
-    /// `c(q)` (Eq. 7).
+    /// `c(q)` alone.
     fn lower_cost(&self, q: Sym) -> f64 {
         self.neighborhood(q).1
     }
@@ -181,19 +179,17 @@ pub fn check_axioms_on_sample<M: CostModel>(m: &M, sample: &[Sym]) {
 pub fn check_filter_contract(m: &dyn WedInstance, sample: &[Sym]) {
     let (name, eta) = (m.name(), m.eta());
     for &q in sample {
-        let (Ball { mut syms, beyond }, (mut nb, c)) = (m.ball(q), m.neighborhood(q));
-        syms.sort_unstable();
+        let (mut ball, (mut nb, c)) = (m.ball(q), m.neighborhood(q));
+        ball.syms.sort_unstable();
         nb.sort_unstable();
-        assert!(
-            nb.binary_search(&q).is_ok() && c <= m.del(q),
-            "{name}: q = {q}, c(q) = {c}"
-        );
+        let has = |set: &[Sym], b| set.binary_search(&b).is_ok();
+        assert!(has(&nb, q) && c <= m.del(q), "{name}: q = {q}, c(q) = {c}");
         for &b in sample {
-            let (s, inside) = (m.sub(q, b), nb.binary_search(&b).is_ok());
+            let (s, inside) = (m.sub(q, b), has(&nb, b));
             let ok = inside == (s <= eta)
                 && (inside || c <= s)
-                && (syms.binary_search(&b).is_ok() || beyond <= s);
-            assert!(ok, "{name}: q = {q}, b = {b}, sub = {s}, η = {eta}, b ∈ B(q): {inside}, c(q) = {c}, beyond = {beyond}");
+                && (has(&ball.syms, b) || ball.beyond <= s);
+            assert!(ok, "{name}: q = {q}, b = {b}, sub = {s}, η = {eta}, b ∈ B(q): {inside}, c(q) = {c}, beyond = {}", ball.beyond);
         }
     }
 }

@@ -28,12 +28,11 @@ const SLACK: f64 = 1e-9;
 /// [`SLACK`], and the first distance beyond, shrunk by as much.
 fn network_ball(net: &RoadNetwork, q: Sym, radius: f64) -> Ball {
     let found = bounded(net, q, radius * (1.0 + SLACK), Mode::UndirectedLength);
-    Ball {
-        syms: found.within.into_iter().map(|(v, _)| v).collect(),
-        beyond: found
-            .next_beyond
-            .map_or(f64::INFINITY, |d| d * (1.0 - SLACK)),
-    }
+    let beyond = found
+        .next_beyond
+        .map_or(f64::INFINITY, |d| d * (1.0 - SLACK));
+    let syms = found.within.into_iter().map(|(v, _)| v).collect();
+    Ball { syms, beyond }
 }
 
 // ---------------------------------------------------------------------------
@@ -113,10 +112,8 @@ impl WedInstance for Edr {
         "EDR"
     }
     fn ball(&self, q: Sym) -> Ball {
-        Ball {
-            syms: self.tree.range(self.net.coord(q), self.eps * (1.0 + SLACK)),
-            beyond: 1.0,
-        }
+        let syms = self.tree.range(self.net.coord(q), self.eps * (1.0 + SLACK));
+        Ball { syms, beyond: 1.0 }
     }
 }
 
@@ -173,12 +170,13 @@ impl WedInstance for Erp {
     }
     fn ball(&self, q: Sym) -> Ball {
         let (c, r) = (self.net.coord(q), self.eta * (1.0 + SLACK));
+        let beyond = self
+            .tree
+            .nearest_outside(c, r)
+            .map_or(f64::INFINITY, |(_, d)| d);
         Ball {
             syms: self.tree.range(c, r),
-            beyond: self
-                .tree
-                .nearest_outside(c, r)
-                .map_or(f64::INFINITY, |(_, d)| d),
+            beyond,
         }
     }
 }
@@ -222,10 +220,8 @@ impl WedInstance for NetEdr {
         "NetEDR"
     }
     fn ball(&self, q: Sym) -> Ball {
-        Ball {
-            beyond: 1.0,
-            ..network_ball(&self.net, q, self.eps)
-        }
+        let syms = network_ball(&self.net, q, self.eps).syms;
+        Ball { syms, beyond: 1.0 }
     }
 }
 
@@ -320,8 +316,7 @@ impl WedInstance for Surs {
         "SURS"
     }
     /// η = 0 (Appendix D: a positive η would pull in spatially distant short
-    /// edges, against SURS semantics). Positive edge weights make every
-    /// other symbol cost at least `w(q)`.
+    /// edges, against SURS semantics).
     fn ball(&self, q: Sym) -> Ball {
         Ball {
             syms: vec![q],
@@ -335,28 +330,20 @@ impl WedInstance for Surs {
 // ---------------------------------------------------------------------------
 
 /// Shard count of the [`Memo`] cache; a power of two so the shard pick is a
-/// mask. 16 keeps contention negligible at batch-worker thread counts while
-/// the per-shard maps stay cache-friendly.
+/// mask, and enough that batch workers rarely contend.
 const MEMO_SHARDS: usize = 16;
 
 /// Memoizes substitution costs of an inner model. NetEDR/NetERP evaluate
-/// `spd(a, b)` for every cost-profile row of every query; symbols repeat
-/// heavily across queries, so a memo pays off.
+/// `spd(a, b)` for every cost-profile row of every query, and symbols repeat
+/// heavily across queries.
 ///
-/// The cache is a **sharded-lock map** (16 mutex-guarded shards), so
-/// `Memo<M>` is `Sync` whenever `M` is and batch workers share one memoized
-/// model: parallel [`run_batch`](../trajsearch_core) runs get cross-query
-/// memoization instead of the unmemoized fallback the old `RefCell` cache
-/// forced. Misses compute `inner.sub` *outside* any lock (hub-label queries
-/// are the expensive part), so two threads may race to fill the same key —
-/// both write the same deterministic value, and results are unaffected.
-///
-/// The symmetric pair is packed into one `u64` and mixed once
-/// (`hash::mix64`); that one hash picks the shard and, through a
-/// pass-through hasher, the slot in the shard's map. A shard holds finished
-/// values only and a map insert leaves it valid at every step, so a lock
-/// poisoned by a panicking worker is recovered rather than propagated: the
-/// memo must not turn one dead thread into a panic in every later query.
+/// The cache is 16 mutex-guarded shards, so `Memo<M>` is `Sync` whenever `M`
+/// is and batch workers share one memo. A miss computes `inner.sub` outside
+/// any lock, so two threads may race to fill a key with the same value. The
+/// symmetric pair is packed into one `u64` and mixed once (`hash::mix64`);
+/// that hash picks the shard and, through a pass-through hasher, the slot. A
+/// shard holds finished values only, so a lock poisoned by a panicking
+/// worker is recovered rather than turned into a panic in every later query.
 pub struct Memo<M> {
     inner: M,
     shards: Vec<MemoShard>,

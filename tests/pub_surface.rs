@@ -9,9 +9,9 @@
 //! `pub enum`, `pub trait`, `pub type` or `pub const`, and a use is the
 //! same identifier, on word boundaries, anywhere in another file under
 //! `crates/`, `src/`, `tests/`, `examples/` or `benchmark/` (`target/`
-//! directories skipped). A type named in a `pub fn` signature or a `pub`
-//! field of its own file counts as used: callers reach it through that item
-//! without naming it.
+//! directories skipped). A type or const named in a `pub fn` signature or a
+//! `pub` field of its own file also counts as used: callers reach it through
+//! that item without naming it. A `pub fn` gets no such pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -63,18 +63,16 @@ fn identifiers(text: &str) -> BTreeSet<&str> {
 fn pub_items<'t>(text: &'t str, kinds: &[&str]) -> Vec<&'t str> {
     text.lines()
         .filter_map(|line| {
-            let mut rest = line.trim_start().strip_prefix("pub ")?;
-            for qualifier in ["const ", "unsafe ", "async "] {
-                if let Some(r) = rest
-                    .strip_prefix(qualifier)
-                    .filter(|r| r.starts_with("fn "))
-                {
-                    rest = r;
+            let item = line.trim_start().strip_prefix("pub ")?;
+            let rest = kinds.iter().find_map(|&k| {
+                let mut rest = item;
+                if k == "fn" {
+                    for qualifier in ["const ", "unsafe ", "async "] {
+                        rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+                    }
                 }
-            }
-            let rest = kinds
-                .iter()
-                .find_map(|k| rest.strip_prefix(k)?.strip_prefix(' '))?;
+                rest.strip_prefix(k)?.strip_prefix(' ')
+            })?;
             let end = rest.bytes().position(|b| !is_ident_byte(b))?;
             Some(&rest[..end])
         })
@@ -140,7 +138,12 @@ fn check_named_elsewhere(kinds: &[&str], min: usize) {
         if !in_crate_src {
             continue;
         }
-        let exposed = exposed(text);
+        // Only a type or const is reached through an item that names it.
+        let exposed = if kinds == ["fn"] {
+            BTreeSet::new()
+        } else {
+            exposed(text)
+        };
         for name in pub_items(text, kinds) {
             declared += 1;
             let used = exposed.contains(name)
