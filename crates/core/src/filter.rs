@@ -27,6 +27,10 @@ pub struct FilterPlan {
     /// continuous cost models with tiny η) and the caller must fall back to
     /// an exact scan to stay correct.
     pub feasible: bool,
+    /// `(B(q), c(q), N_q)` of every distinct query symbol, chosen or not:
+    /// verification builds its unit-cost profile rows from these
+    /// ([`FilterPlan::neighbors`]) instead of searching each ball again.
+    priced: Memo,
 }
 
 impl FilterPlan {
@@ -49,7 +53,7 @@ impl FilterPlan {
             Selection::Chosen(sel) => Some(sel),
             Selection::Infeasible => None,
         };
-        FilterPlan::choose(q, &items, &memo, sel)
+        FilterPlan::choose(q, &items, memo, sel)
     }
 
     /// Single-element plan for **bottleneck** metrics (discrete Fréchet).
@@ -76,17 +80,18 @@ impl FilterPlan {
                 best = Some(i);
             }
         }
-        FilterPlan::choose(q, &items, &memo, best.map(|i| vec![i]))
+        FilterPlan::choose(q, &items, memo, best.map(|i| vec![i]))
     }
 
     /// The plan choosing `items[i]` for each `i` of `sel`, in that order;
     /// `None` is the infeasible plan.
-    fn choose(q: &[Sym], items: &[Item], memo: &Memo, sel: Option<Vec<usize>>) -> Self {
+    fn choose(q: &[Sym], items: &[Item], memo: Memo, sel: Option<Vec<usize>>) -> Self {
         let Some(sel) = sel else {
             return FilterPlan {
                 chosen: Vec::new(),
                 c_total: 0.0,
                 feasible: false,
+                priced: memo,
             };
         };
         let mut chosen = Vec::with_capacity(sel.len());
@@ -101,7 +106,13 @@ impl FilterPlan {
             chosen,
             c_total,
             feasible: true,
+            priced: memo,
         }
+    }
+
+    /// `B(s)` of a symbol `s` of the planned query.
+    pub(crate) fn neighbors(&self, s: Sym) -> &[Sym] {
+        &self.priced[&s].0
     }
 
     /// Algorithm 2 lines 3–6: candidates from the postings lists of every

@@ -8,7 +8,9 @@
 //! the exact WED. [`ResultSet`] performs that min-merge.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use traj::TrajId;
+use wed::hash::MixHasher;
 
 crate::wire_struct! {
     /// One similarity-search result: `wed(P^(id)[s..=t], Q) = dist < τ`
@@ -24,9 +26,23 @@ crate::wire_struct! {
 
 /// Deduplicating accumulator for `(id, s, t)` triples keeping the minimum
 /// observed distance.
+///
+/// Verification pushes a trajectory's triples together, many times over
+/// (each `(s, t)` once per candidate anchor through it), so the set keeps
+/// one **open** map for the trajectory being pushed, keyed by the packed
+/// word `s << 32 | t` under `wed`'s multiplicative hasher. When the pushed
+/// id changes, the open map drains, sorted by `(s, t)`, onto the closed
+/// list. Pushes in any id order stay correct: [`ResultSet::into_sorted_vec`]
+/// sorts the closed list once and min-merges equal triples, and the minimum
+/// does not depend on the order it was taken in.
 #[derive(Debug, Default)]
 pub struct ResultSet {
-    map: HashMap<(TrajId, u32, u32), f64>,
+    /// Triples of trajectories no longer open, one sorted run per visit.
+    closed: Vec<MatchResult>,
+    /// The trajectory whose triples `open` holds.
+    id: TrajId,
+    /// `s << 32 | t` → least distance so far, for trajectory `id`.
+    open: HashMap<u64, f64, BuildHasherDefault<MixHasher>>,
 }
 
 impl ResultSet {
@@ -36,8 +52,12 @@ impl ResultSet {
 
     /// Records a (possibly duplicate) match with an upper-bound distance.
     pub fn push(&mut self, id: TrajId, start: usize, end: usize, dist: f64) {
-        let key = (id, start as u32, end as u32);
-        self.map
+        if id != self.id {
+            self.close();
+            self.id = id;
+        }
+        let key = (start as u64) << 32 | end as u64;
+        self.open
             .entry(key)
             .and_modify(|d| {
                 if dist < *d {
@@ -47,35 +67,50 @@ impl ResultSet {
             .or_insert(dist);
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// Drains the open map, sorted by `(s, t)`, onto the closed list.
+    fn close(&mut self) {
+        let at = self.closed.len();
+        let id = self.id;
+        self.closed
+            .extend(self.open.drain().map(|(key, dist)| MatchResult {
+                id,
+                start: (key >> 32) as usize,
+                end: key as u32 as usize,
+                dist,
+            }));
+        self.closed[at..].sort_unstable_by_key(|m| (m.start, m.end));
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// Closes the open map, sorts by `(id, s, t)` and min-merges equal
+    /// triples (a trajectory pushed in two visits has two runs).
+    fn settle(&mut self) {
+        self.close();
+        // Stable and run-adaptive: the common case, runs already in id
+        // order, is one linear pass.
+        self.closed.sort_by_key(|a| (a.id, a.start, a.end));
+        self.closed.dedup_by(|next, kept| {
+            let same = (next.id, next.start, next.end) == (kept.id, kept.start, kept.end);
+            if same && next.dist < kept.dist {
+                kept.dist = next.dist;
+            }
+            same
+        });
     }
 
     /// Drains into a deterministic ordering (by id, start, end).
-    pub fn into_sorted_vec(self) -> Vec<MatchResult> {
-        let mut v: Vec<MatchResult> = self
-            .map
-            .into_iter()
-            .map(|((id, s, t), dist)| MatchResult {
-                id,
-                start: s as usize,
-                end: t as usize,
-                dist,
-            })
-            .collect();
-        v.sort_by_key(|a| (a.id, a.start, a.end));
-        v
+    pub fn into_sorted_vec(mut self) -> Vec<MatchResult> {
+        self.settle();
+        // The answer outlives the query (callers keep it, servers queue
+        // it), so it must not carry the closed list's doubling slack.
+        self.closed.shrink_to_fit();
+        self.closed
     }
 
     /// Filters in place by a predicate on the triple (used by temporal
     /// post-filtering).
     pub fn retain(&mut self, mut keep: impl FnMut(TrajId, usize, usize) -> bool) {
-        self.map
-            .retain(|&(id, s, t), _| keep(id, s as usize, t as usize));
+        self.settle();
+        self.closed.retain(|m| keep(m.id, m.start, m.end));
     }
 }
 
@@ -106,7 +141,7 @@ mod tests {
         r.push(1, 2, 5, 1.0);
         r.push(1, 2, 6, 1.0);
         r.push(2, 2, 5, 1.0);
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.into_sorted_vec().len(), 3);
     }
 
     #[test]
@@ -129,5 +164,69 @@ mod tests {
         let v = r.into_sorted_vec();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].id, 2);
+    }
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// `(id, s, t, dist)` pushes from drawn small integers, so ids, pairs
+    /// and distances repeat; `wide` spreads positions over the whole `u32`
+    /// range the packed key holds.
+    fn pushes(raw: &[(u32, u32, u32, u32)], wide: bool) -> Vec<(TrajId, usize, usize, f64)> {
+        let scale = if wide { 1 << 30 } else { 1 };
+        raw.iter()
+            .map(|&(id, s, t, d)| {
+                (
+                    id,
+                    (s * scale) as usize,
+                    (t * scale) as usize,
+                    0.25 * d as f64,
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Against a `BTreeMap` min-merge: the same triples, in `(id, s, t)`
+        /// order, each at its least pushed distance, whether a trajectory's
+        /// pushes come together or interleaved with others, and after a
+        /// `retain`.
+        #[test]
+        fn result_set_is_a_min_merge(
+            raw in proptest::collection::vec((0u32..4, 0u32..4, 0u32..4, 0u32..8), 0..64),
+            contiguous in 0u32..2,
+            wide in 0u32..2,
+            cut in 0usize..3,
+        ) {
+            let mut pushes = pushes(&raw, wide == 1);
+            if contiguous == 1 {
+                pushes.sort_by_key(|p| p.0);
+            }
+            let mut want = BTreeMap::new();
+            for &(id, s, t, d) in &pushes {
+                let e = want.entry((id, s, t)).or_insert(d);
+                if d < *e {
+                    *e = d;
+                }
+            }
+            let keep = |id: TrajId, s: usize, t: usize| !(id as usize + s + t + cut).is_multiple_of(3);
+            for filtered in [false, true] {
+                let mut r = ResultSet::new();
+                for &(id, s, t, d) in &pushes {
+                    r.push(id, s, t, d);
+                }
+                if filtered {
+                    r.retain(keep);
+                }
+                let want: Vec<MatchResult> = want
+                    .iter()
+                    .filter(|(&(id, s, t), _)| !filtered || keep(id, s, t))
+                    .map(|(&(id, start, end), &dist)| MatchResult { id, start, end, dist })
+                    .collect();
+                prop_assert_eq!(r.into_sorted_vec(), want, "retain: {}", filtered);
+            }
+        }
     }
 }

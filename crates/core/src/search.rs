@@ -126,7 +126,8 @@ impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
     /// Phases 1–2: the candidate plan, then candidate lookup
     /// (binary-searched when the §4.3 temporal postings are requested).
     /// `None` means no sound filter bound exists and the caller must fall
-    /// back to an exact scan.
+    /// back to an exact scan. The plan comes back beside the candidates:
+    /// WED verification reads the neighbourhoods it priced.
     ///
     /// The plan is the strongest bound that is *sound* for the metric (see
     /// [`crate::metric`]): the full MinCand τ-subsequence for WED and DTW,
@@ -140,7 +141,7 @@ impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
         opts: &SearchOptions,
         stats: &mut SearchStats,
         tracer: Tracer<'_>,
-    ) -> Option<Vec<Candidate>> {
+    ) -> Option<(FilterPlan, Vec<Candidate>)> {
         assert!(tau > 0.0, "threshold must be positive");
         assert!(!q.is_empty(), "query must be non-empty");
 
@@ -167,7 +168,7 @@ impl<'a, M: WedInstance, I: PostingSource> SearchEngine<'a, M, I> {
         };
         stats.lookup_time = t1.elapsed();
         tracer.record_interval("lookup", candidates.len() as u64, t1, Instant::now());
-        Some(candidates)
+        Some((plan, candidates))
     }
 }
 
@@ -193,7 +194,8 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
         ctx: ExecCtx<'_>,
     ) -> Result<Response, QueryError> {
         let mut stats = SearchStats::default();
-        let Some(candidates) = self.filter_and_lookup(q, tau, opts, &mut stats, ctx.tracer) else {
+        let Some((plan, candidates)) = self.filter_and_lookup(q, tau, opts, &mut stats, ctx.tracer)
+        else {
             let span = ctx.tracer.span("fallback_scan");
             let matches = fallback_scan(
                 &self.model,
@@ -213,7 +215,8 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
         let model = &self.model;
         let matches = match opts.metric {
             Metric::Wed => {
-                let mut verifier = WedVerifier::with_cache(model, q, tau, opts.verify, ctx.cache);
+                let mut verifier =
+                    WedVerifier::for_plan(&plan, model, q, tau, opts.verify, ctx.cache);
                 self.verify(&candidates, &mut verifier, opts, ctx, &mut stats)
             }
             metric => {

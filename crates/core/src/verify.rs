@@ -15,13 +15,23 @@
 //!   the data symbols, exploiting the small out-degree of road networks.
 //!
 //! Every Local- and Trie-mode walk extends DP columns from the verifier's
-//! **cost profile** ([`wed::dp::SubProfile`]): per data symbol met, the row
-//! `sub(p, Q[·])` computed once and kept forward and reversed, so the
-//! forward suffix `Q[iq+1..]` and the backward suffix `rev(Q[..iq])` of any
-//! anchor are contiguous windows of it. No walk calls `CostModel::sub`; the
-//! model-calling kernel stays in [`wed::dp`] as the reference (what `wed()`,
-//! [`VerifyMode::Sw`] and the baselines run). The profile is private to its
-//! verifier.
+//! **cost profile** ([`wed::dp::SubProfile`]): per data symbol, the row
+//! `sub(p, Q[·])` kept forward and reversed, so the forward suffix
+//! `Q[iq+1..]` and the backward suffix `rev(Q[..iq])` of any anchor are
+//! contiguous windows of it. The anchor cost `sub(P[j], Q[iq])` is read off
+//! the same row. No walk calls `CostModel::sub`; the model-calling kernel
+//! stays in [`wed::dp`] as the reference (what `wed()`, [`VerifyMode::Sw`]
+//! and the baselines run). The profile is private to its verifier.
+//!
+//! Where a row comes from depends on the model:
+//!
+//! * a **unit-cost** model (η = 0) has `sub(p, q) = 0` exactly when
+//!   `p ∈ B(q)`, so its rows are built before the first walk from the
+//!   neighbourhoods the filter plan already found
+//!   ([`WedVerifier::new`], without a plan, searches them once itself);
+//!   verification then makes no cost-model call at all;
+//! * any other model is asked once per `(data symbol, query position)`, on
+//!   the symbol's first touch.
 //!
 //! A trie's column slab comes in one of two kinds, fixed when the trie is
 //! made from what the profile holds:
@@ -64,6 +74,7 @@
 //! [`crate::metric`].
 
 use crate::deadline::Deadline;
+use crate::filter::FilterPlan;
 use crate::query::QueryError;
 use crate::results::{MatchResult, ResultSet};
 use crate::search::ExecCtx;
@@ -76,7 +87,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use traj::{TrajId, TrajectoryStore};
 use trajsearch_obs::Tracer;
 use wed::dp::{initial_bit_column_into, SubProfile, Suffix};
-use wed::{sw_scan_all, CostModel, Sym};
+use wed::{sw_scan_all, CostModel, Sym, WedInstance};
 
 /// A filtering candidate `(id, j, iq)` (§3.1): `P^(id)[j] ∈ B(Q[iq])`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,8 +201,12 @@ impl DpTrie {
         }
     }
 
-    /// Existing child `node --sym-->`, if cached. The linear sibling scan is
-    /// optimal at road-network out-degrees (~3).
+    /// Existing child `node --sym-->`, if cached, by a linear sibling scan.
+    /// On the `inproc_wed` benchmark (seed 42) a lookup below the root visits
+    /// 1.26 nodes on average and one at the root 3.6, since a root collects
+    /// every first symbol of its `(iq, direction)`. A `sym → child` hash
+    /// table at the root was tried and not kept: walk time outside StepDP
+    /// did not fall, because one lookup in ten is at the root.
     fn lookup(&self, node: u32, sym: Sym) -> Option<u32> {
         let mut c = self.nodes[node as usize].first_child;
         while c != NIL {
@@ -333,9 +348,11 @@ type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
 /// (`lock` in this module says why that is sound).
 ///
 /// A walk holds its trie's lock from the root to its last step, StepDP
-/// included. The only lock it can take meanwhile is the cost model's
-/// `Memo` (through the profile's `sub` calls), and `Memo` never waits on a
-/// trie, so the lock order is acyclic.
+/// included. Under a unit-cost model it takes no other lock: its profile
+/// rows were built before the walk, from `B(q)`. Under any other model the
+/// only lock it can take meanwhile is the cost model's `Memo` (through the
+/// profile's `sub` calls on a row's first touch), and `Memo` never waits on
+/// a trie, so the lock order is acyclic.
 pub struct TrieCache {
     shards: [TrieShard; CACHE_SHARDS],
 }
@@ -441,8 +458,8 @@ pub struct WedVerifier<'a, M: CostModel> {
     /// Batch-level [`TrieCache`] for Trie mode; `None` keeps every trie
     /// private to this verifier (the classic §5.2 behavior).
     cache: Option<&'a TrieCache>,
-    /// The level below the tries: every `sub(p, Q[·])` this query has
-    /// needed, as rows StepDP reads slices of. Private to this verifier.
+    /// The level below the tries: the rows `sub(p, Q[·])` StepDP reads
+    /// slices of. Private to this verifier.
     costs: SubProfile<'a, M>,
     /// Trie handles by candidate query position `iq`; `[0]` backward,
     /// `[1]` forward. Local mode's are private and cleared before a walk.
@@ -452,16 +469,35 @@ pub struct WedVerifier<'a, M: CostModel> {
     ed: [Vec<f64>; 2],
 }
 
-impl<'a, M: CostModel> WedVerifier<'a, M> {
+impl<'a, M: WedInstance> WedVerifier<'a, M> {
+    /// A verifier with private tries for a caller that holds no filter
+    /// plan: a unit-cost profile searches `B(q)` of each query symbol here.
     pub fn new(model: &'a M, q: &'a [Sym], tau: f64, mode: VerifyMode) -> Self {
-        Self::with_cache(model, q, tau, mode, None)
+        Self::with_profile(SubProfile::new(model, q), model, q, tau, mode, None)
     }
 
-    /// [`WedVerifier::new`] resolving Trie-mode tries through a shared
-    /// [`TrieCache`] (hits and misses are accounted per acquisition in
-    /// `stats.trie_cache_hits` / `trie_cache_misses`); the other modes
-    /// ignore it. Results are bit-identical to the private-trie path.
-    pub fn with_cache(
+    /// The engine's verifier: a unit-cost profile takes `B(q)` from the
+    /// plan that found the candidates, and Trie-mode tries resolve through
+    /// the shared [`TrieCache`] when there is one (hits and misses are
+    /// accounted per acquisition in `stats.trie_cache_hits` /
+    /// `trie_cache_misses`; the other modes ignore it). Results are
+    /// bit-identical to [`WedVerifier::new`]'s.
+    pub(crate) fn for_plan(
+        plan: &FilterPlan,
+        model: &'a M,
+        q: &'a [Sym],
+        tau: f64,
+        mode: VerifyMode,
+        cache: Option<&'a TrieCache>,
+    ) -> Self {
+        let costs = SubProfile::with_neighbors(model, q, |s| plan.neighbors(s));
+        Self::with_profile(costs, model, q, tau, mode, cache)
+    }
+}
+
+impl<'a, M: CostModel> WedVerifier<'a, M> {
+    fn with_profile(
+        costs: SubProfile<'a, M>,
         model: &'a M,
         q: &'a [Sym],
         tau: f64,
@@ -474,7 +510,7 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
             tau,
             mode,
             cache: cache.filter(|_| mode == VerifyMode::Trie),
-            costs: SubProfile::new(model, q),
+            costs,
             tries: std::iter::repeat_with(|| None).take(q.len()).collect(),
             ed: Default::default(),
         }
@@ -494,7 +530,7 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
         debug_assert!(j < path.len() && iq < self.q.len());
         stats.sw_columns += path.len() as u64;
 
-        let sub0 = self.model.sub(path[j], self.q[iq]);
+        let sub0 = self.costs.sub(path[j], iq);
         if sub0 >= self.tau {
             return; // anchor substitution alone exceeds the budget
         }
@@ -686,7 +722,7 @@ pub(crate) fn finish_verification(
 /// shared cache, for callers that bring their own candidates (the filtering
 /// baselines, the benchmark's layer ledger).
 #[allow(clippy::too_many_arguments)]
-pub fn verify_candidates<M: CostModel>(
+pub fn verify_candidates<M: WedInstance>(
     model: &M,
     store: &TrajectoryStore,
     index_span: impl Fn(TrajId) -> (f64, f64),
@@ -833,7 +869,7 @@ mod tests {
             store,
             |id| store.get(id).span(),
             &cands,
-            &mut WedVerifier::with_cache(&Lev, q, tau, mode, cache),
+            &mut WedVerifier::with_profile(SubProfile::new(&Lev, q), &Lev, q, tau, mode, cache),
             None,
             false,
             ExecCtx {
@@ -1015,7 +1051,7 @@ mod tests {
     }
 
     /// A profile of `[9] ++ qd` and its forward window at 0, which is `qd`.
-    fn profile_of<'m, M: CostModel>(m: &'m M, qd: &[Sym]) -> (SubProfile<'m, M>, Suffix) {
+    fn profile_of<'m, M: WedInstance>(m: &'m M, qd: &[Sym]) -> (SubProfile<'m, M>, Suffix) {
         let q: Vec<Sym> = std::iter::once(9).chain(qd.iter().copied()).collect();
         let costs = SubProfile::new(m, &q);
         let suffix = costs.forward(0);
@@ -1081,11 +1117,22 @@ mod tests {
             1.0 + 0.5 * a as f64
         }
     }
+    impl WedInstance for Weighted {
+        fn name(&self) -> &'static str {
+            "Weighted"
+        }
+        fn ball(&self, q: Sym) -> wed::Ball {
+            wed::Ball {
+                syms: vec![q],
+                beyond: 0.0,
+            }
+        }
+    }
 
     /// Walks one branch and a sibling off the root, checking every entry of
     /// every fresh column, its node's bound and its node's `ed` against a
     /// fresh DP.
-    fn check_arena_columns<M: CostModel>(m: &M, qd: &[Sym], bits: bool) {
+    fn check_arena_columns<M: WedInstance>(m: &M, qd: &[Sym], bits: bool) {
         let (mut costs, suffix) = profile_of(m, qd);
         let mut trie = DpTrie::new(&costs, suffix);
         assert_eq!(matches!(trie.cols, Slab::Bits(_)), bits);

@@ -3,7 +3,9 @@
 //! when `spd(q, v)` equals ε exactly: the ball comes from a bounded Dijkstra
 //! and `sub` from hub labels, two sums of the same edge lengths that may
 //! round apart. One stored symbol, one query symbol, τ = 1: the engine must
-//! answer what brute force answers.
+//! answer what brute force answers. Then store `[[q, v]]` and query
+//! `[q, q]`: the one match, `[q, v]` at distance 0, is a verified row that
+//! exists only if verification's profile also holds `v ∈ B(q)`.
 
 use baselines::naive_search;
 use rnet::{CityParams, HubLabels, NetworkKind};
@@ -27,12 +29,17 @@ fn netedr_at_a_realised_radius_matches_naive_search() {
     ] {
         let m = NetEdr::new(net.clone(), hubs.clone(), eps);
         assert_eq!(m.sub(q, v), 0.0, "spd({q}, {v}) ≤ {eps}");
-        let store: TrajectoryStore = [Trajectory::untimed(vec![v])].into_iter().collect();
-        let want = naive_search(&m, &store, &[q], 1.0);
-        let engine = EngineBuilder::new(&m, &store, alphabet).build();
-        let query = Query::threshold([q], 1.0).build().expect("valid query");
-        let mut got = engine.run(&query).expect("run").matches;
-        sort_results(&mut got);
-        assert_eq!(got, want, "store [[{v}]], query [{q}], ε = {eps}");
+        for (path, pattern) in [(vec![v], vec![q]), (vec![q, v], vec![q, q])] {
+            let store: TrajectoryStore = [Trajectory::untimed(path.clone())].into_iter().collect();
+            let want = naive_search(&m, &store, &pattern, 1.0);
+            assert!(!want.is_empty());
+            let engine = EngineBuilder::new(&m, &store, alphabet).build();
+            let query = Query::threshold(pattern.clone(), 1.0)
+                .build()
+                .expect("valid query");
+            let mut got = engine.run(&query).expect("run").matches;
+            sort_results(&mut got);
+            assert_eq!(got, want, "store [{path:?}], query {pattern:?}, ε = {eps}");
+        }
     }
 }

@@ -2,16 +2,29 @@
 //! all verification modes agree with a brute-force oracle on random
 //! workloads, for unit-cost and continuous-cost instances alike.
 
+use baselines::naive_search;
 use proptest::prelude::*;
-use rnet::{CityParams, NetworkKind, RoadNetwork};
-use std::sync::Arc;
+use rnet::{CityParams, HubLabels, NetworkKind, RoadNetwork};
+use std::sync::{Arc, OnceLock};
+use traj::generator::TripConfig;
 use traj::{Trajectory, TrajectoryStore};
+use trajsearch_core::results::sort_results;
 use trajsearch_core::{EngineBuilder, Query, VerifyMode};
-use wed::models::{Edr, Erp, Lev};
+use wed::models::{Edr, Erp, Lev, Memo, NetEdr};
 use wed::{wed, Sym};
 
 fn net() -> Arc<RoadNetwork> {
     Arc::new(CityParams::tiny(NetworkKind::Grid).generate())
+}
+
+/// The small City and its hub labels, built once for the whole suite.
+fn small_city() -> &'static (Arc<RoadNetwork>, Arc<HubLabels>) {
+    static CITY: OnceLock<(Arc<RoadNetwork>, Arc<HubLabels>)> = OnceLock::new();
+    CITY.get_or_init(|| {
+        let net = Arc::new(CityParams::small(NetworkKind::City).generate());
+        let hubs = Arc::new(HubLabels::build(&net));
+        (net, hubs)
+    })
 }
 
 fn brute<M: wed::CostModel>(
@@ -131,6 +144,48 @@ proptest! {
                 .iter()
                 .any(|m| (m.0, m.1, m.2) == (id, s, e));
             prop_assert_eq!(found, inside, "tau {}", tau);
+        }
+    }
+
+    /// Memoised NetEDR on the small City, the unit-cost model whose
+    /// `B(q)` (bounded Dijkstra) and `sub` (hub labels) sum distances two
+    /// ways: every mode must answer what `naive_search` answers, with ε
+    /// drawn from a range, as a realised `spd` between a query symbol and a
+    /// stored one, and as the float just below it. This gates the unit
+    /// profile rows the verifier builds from `B(q)`.
+    #[test]
+    fn engine_is_exact_for_net_edr(
+        seed in 0u64..1_000_000,
+        cut in (0usize..64, 0usize..64, 1usize..5),
+        swap in (0usize..64, 0usize..64),
+        eps in (0u32..3, 0.0f64..600.0, 0usize..64, 0usize..64),
+        tau_i in 1u32..4,
+    ) {
+        let (net, hubs) = small_city();
+        let store = TripConfig::default().count(5).lengths(4, 12).seed(seed).generate(net);
+        let path = store.get((cut.0 % store.len()) as u32).path();
+        let at = cut.1 % path.len();
+        let mut q = path[at..(at + cut.2).min(path.len())].to_vec();
+        // One symbol from elsewhere, so a match needs a neighbour or an edit.
+        let other = store.get((swap.0 % store.len()) as u32).path();
+        let i = swap.1 % q.len();
+        q[i] = other[swap.1 % other.len()];
+        let (kind, range, a, b) = eps;
+        let realised = hubs.query(q[a % q.len()], other[b % other.len()]);
+        let eps = match kind {
+            0 => range,
+            1 => realised,
+            _ => realised.next_down().max(0.0),
+        };
+        let m = Memo::new(NetEdr::new(net.clone(), hubs.clone(), eps));
+        let tau = tau_i as f64;
+        let want = naive_search(&m, &store, &q, tau);
+        let engine = EngineBuilder::new(&m, &store, net.num_vertices()).build();
+        for mode in [VerifyMode::Trie, VerifyMode::Local, VerifyMode::Sw] {
+            let query = Query::threshold(q.clone(), tau).verify(mode).build().expect("valid");
+            let mut got = engine.run(&query).expect("run").matches;
+            sort_results(&mut got);
+            prop_assert_eq!(&got, &want, "mode {:?}, q {:?}, ε = {}, τ = {}", mode, &q, eps, tau);
         }
     }
 

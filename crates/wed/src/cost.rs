@@ -175,9 +175,16 @@ pub fn check_axioms_on_sample<M: CostModel>(m: &M, sample: &[Sym]) {
 /// Verifies, exactly, the filtering contract Theorem 1 rests on for every
 /// `q` and `b` of a sample: `q ∈ B(q)`, `c(q) ≤ del(q)`,
 /// `b ∈ B(q) ⇔ sub(q, b) ≤ η`, `c(q) ≤ sub(q, b)` for `b ∉ B(q)`, and
-/// `beyond ≤ sub(q, b)` for `b` outside the ball.
+/// `beyond ≤ sub(q, b)` for `b` outside the ball. A unit-cost model must
+/// have η = 0: then `B(q)` is exactly the set of zero-cost substitutes,
+/// which is what [`SubProfile`](crate::dp::SubProfile) builds its match
+/// rows from.
 pub fn check_filter_contract(m: &dyn WedInstance, sample: &[Sym]) {
     let (name, eta) = (m.name(), m.eta());
+    assert!(
+        !m.unit_costs() || eta == 0.0,
+        "{name}: a unit-cost model needs η = 0, not {eta}"
+    );
     for &q in sample {
         let (mut ball, (mut nb, c)) = (m.ball(q), m.neighborhood(q));
         ball.syms.sort_unstable();
@@ -285,5 +292,38 @@ mod tests {
             }
         }
         check_axioms_on_sample(&HalfSub, &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs η = 0")]
+    fn filter_contract_rejects_a_unit_model_with_positive_eta() {
+        /// Unit costs, but a neighbourhood that would admit `sub = 1`.
+        struct WideUnit;
+        impl CostModel for WideUnit {
+            fn sub(&self, a: Sym, b: Sym) -> f64 {
+                Unit.sub(a, b)
+            }
+            fn ins(&self, _a: Sym) -> f64 {
+                1.0
+            }
+            fn unit_costs(&self) -> bool {
+                true
+            }
+        }
+        impl WedInstance for WideUnit {
+            fn name(&self) -> &'static str {
+                "WideUnit"
+            }
+            fn eta(&self) -> f64 {
+                1.0
+            }
+            fn ball(&self, q: Sym) -> Ball {
+                Ball {
+                    syms: vec![q],
+                    beyond: 1.0,
+                }
+            }
+        }
+        check_filter_contract(&WideUnit, &[0, 1]);
     }
 }

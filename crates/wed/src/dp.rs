@@ -19,7 +19,9 @@
 //!   so a column is its depth `D[0]` plus two bit vectors of those vertical
 //!   steps, 64 cells to a machine word, and one word of the profile's row
 //!   says which cells match. This is Myers' bit-vector algorithm (J. ACM
-//!   1999) in Hyyrö's form for global edit distance (2003).
+//!   1999) in Hyyrö's form for global edit distance (2003). The profile
+//!   builds those rows from the query's neighbourhoods `B(Q[j])`, without
+//!   asking the model.
 //!
 //! All three produce the same column, minimum and last entry down to the
 //! last bit: a unit-cost column holds small integers, which `f64` holds
@@ -28,7 +30,7 @@
 //! [`bit_column_entries`]), so the engine and the reference cannot drift
 //! apart.
 
-use crate::cost::{CostModel, Sym};
+use crate::cost::{CostModel, Sym, WedInstance};
 use crate::hash::BuildMix;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -296,9 +298,8 @@ impl Suffix {
     }
 }
 
-/// The substitution-cost profile of one query: for every data symbol `p` it
-/// has been asked about, the row `sub(p, Q[0]), …, sub(p, Q[n-1])`, computed
-/// once on first touch.
+/// The substitution-cost profile of one query: for every data symbol `p`,
+/// the row `sub(p, Q[0]), …, sub(p, Q[n-1])`.
 ///
 /// Bidirectional verification (§5) runs StepDP over `2·|Q'|` different
 /// suffixes of the same `Q` — `Q[iq+1..]` forward of an anchor at `iq`,
@@ -307,19 +308,29 @@ impl Suffix {
 /// ([`SubProfile::forward`], [`SubProfile::backward`]). The two
 /// `ins(Q[·])` rows and the symbols themselves are laid out the same way.
 ///
-/// A row is `f64` costs for [`step_dp_rows`] ([`SubProfile::step`]), or,
-/// for a unit-cost model, one bit per symbol for [`step_dp_bits`]
-/// ([`SubProfile::step_bits`]); [`SubProfile::unit_costs`] says which.
+/// A row comes in one of two encodings, fixed by the model:
 ///
-/// A profile borrows its cost model and is never shared across models: the
-/// rows *are* that model's answers.
+/// * `f64` costs for [`step_dp_rows`] ([`SubProfile::step`]), asked of the
+///   model once per `(p, Q[j])` on `p`'s first touch;
+/// * for a unit-cost model, one bit per symbol for [`step_dp_bits`]
+///   ([`SubProfile::step_bits`]), built before any walk from the
+///   neighbourhoods `B(Q[j])` without asking the model at all. With η = 0
+///   (which [`check_filter_contract`](crate::cost::check_filter_contract)
+///   holds every unit model to), `B(q)` is exactly the set of `p` with
+///   `sub(q, p) = 0`, which by symmetry is `sub(p, q) = 0`; so bit `t` of
+///   `p`'s row is `p ∈ B(Q[t])`, and a symbol in no neighbourhood reads one
+///   shared all-zero row.
+///
+/// [`SubProfile::unit_costs`] says which. A profile borrows its cost model
+/// and is never shared across models: the rows *are* that model's answers.
 pub struct SubProfile<'a, M: CostModel + ?Sized> {
     model: &'a M,
     /// `Q` then `rev(Q)`: every suffix is a slice of this.
     syms: Vec<Sym>,
     /// `ins` of each of `syms`.
     ins: Vec<f64>,
-    /// Data symbol → its row number.
+    /// Data symbol → its row number. Unit rows number from 1: row 0 is the
+    /// all-zero row of every symbol the map does not hold.
     index: HashMap<Sym, u32, BuildMix>,
     /// Rows back to back.
     rows: Rows,
@@ -340,13 +351,46 @@ enum Rows {
     },
 }
 
-impl<'a, M: CostModel + ?Sized> SubProfile<'a, M> {
+impl<'a, M: WedInstance + ?Sized> SubProfile<'a, M> {
+    /// The profile of `q`, searching `B(s)` of each distinct symbol `s` of
+    /// `q` itself when the model has unit costs — for callers that hold no
+    /// filter plan.
     pub fn new(model: &'a M, q: &[Sym]) -> Self {
+        let mut nbrs: HashMap<Sym, Vec<Sym>, BuildMix> = HashMap::default();
+        if model.unit_costs() {
+            for &s in q {
+                nbrs.entry(s).or_insert_with(|| model.neighbors(s));
+            }
+        }
+        Self::with_neighbors(model, q, |s| &nbrs[&s])
+    }
+
+    /// The profile of `q` given `nbrs(s) = B(s)` for every symbol `s` of
+    /// `q`, as a filter plan has already found them; read only when the
+    /// model has unit costs.
+    pub fn with_neighbors<'b>(model: &'a M, q: &[Sym], nbrs: impl Fn(Sym) -> &'b [Sym]) -> Self {
         let syms: Vec<Sym> = q.iter().chain(q.iter().rev()).copied().collect();
         let ins = syms.iter().map(|&s| model.ins(s)).collect();
+        let mut index = HashMap::default();
         let rows = if model.unit_costs() {
+            debug_assert_eq!(model.eta(), 0.0, "a unit-cost model has η = 0");
+            let n = q.len();
+            let stride = match_stride(n);
+            let mut words = vec![0; stride];
+            for (t, &qt) in q.iter().enumerate() {
+                for &p in nbrs(qt) {
+                    let row = *index.entry(p).or_insert_with(|| {
+                        words.resize(words.len() + stride, 0);
+                        (words.len() / stride - 1) as u32
+                    });
+                    let at = row as usize * stride;
+                    for bit in [t, 2 * n - 1 - t] {
+                        words[at + bit / 64] |= 1 << (bit % 64);
+                    }
+                }
+            }
             Rows::Matches {
-                words: Vec::new(),
+                words,
                 eq: Vec::new(),
                 sub: Vec::new(),
             }
@@ -357,11 +401,19 @@ impl<'a, M: CostModel + ?Sized> SubProfile<'a, M> {
             model,
             syms,
             ins,
-            index: HashMap::default(),
+            index,
             rows,
         }
     }
+}
 
+/// Words per match row over `n` query symbols: `Q` and `rev(Q)`, then the
+/// pad word.
+fn match_stride(n: usize) -> usize {
+    (2 * n).div_ceil(64) + 1
+}
+
+impl<M: CostModel + ?Sized> SubProfile<'_, M> {
     fn n(&self) -> usize {
         self.syms.len() / 2
     }
@@ -394,6 +446,27 @@ impl<'a, M: CostModel + ?Sized> SubProfile<'a, M> {
     /// The suffix's symbols.
     pub fn symbols(&self, s: Suffix) -> &[Sym] {
         &self.syms[s.off..s.off + s.len]
+    }
+
+    /// `sub(p, Q[iq])`: read off `p`'s row when the profile has one, asked
+    /// of the model otherwise. A unit-cost profile always has one, so it
+    /// never asks.
+    pub fn sub(&self, p: Sym, iq: usize) -> f64 {
+        let n = self.n();
+        assert!(iq < n);
+        let row = self.index.get(&p).map(|&r| r as usize);
+        match (&self.rows, row) {
+            (Rows::Costs(rows), Some(r)) => rows[r * (2 * n + 1) + 1 + iq],
+            (Rows::Costs(_), None) => self.model.sub(p, self.syms[iq]),
+            (Rows::Matches { words, .. }, r) => {
+                let at = r.unwrap_or(0) * match_stride(n);
+                if words[at + iq / 64] >> (iq % 64) & 1 == 1 {
+                    0.0
+                } else {
+                    1.0
+                }
+            }
+        }
     }
 
     /// [`initial_column_into`] for the suffix, from the `ins` row.
@@ -452,43 +525,29 @@ impl<'a, M: CostModel + ?Sized> SubProfile<'a, M> {
         step_dp_bits(eq, s.len, a, out)
     }
 
-    /// Start of `p`'s row in the rows, building the row on first touch.
+    /// Start of `p`'s row in the rows: a unit row is looked up (the zero
+    /// row if `p` is in no neighbourhood), a cost row built on first touch.
     fn row(&mut self, p: Sym) -> usize {
         let n = self.n();
-        let stride = match self.rows {
-            Rows::Costs(_) => 2 * n + 1,
-            Rows::Matches { .. } => (2 * n).div_ceil(64) + 1,
-        };
         let model = self.model;
         let syms = &self.syms[..n];
-        match self.index.entry(p) {
-            Entry::Occupied(e) => *e.get() as usize * stride,
-            Entry::Vacant(v) => {
-                let at = match &mut self.rows {
-                    Rows::Costs(rows) => {
-                        let at = rows.len();
-                        rows.push(model.del(p));
-                        rows.extend(syms.iter().map(|&qj| model.sub(p, qj)));
-                        rows.extend_from_within(at + 1..at + 1 + n);
-                        rows[at + 1 + n..].reverse();
-                        at
-                    }
-                    Rows::Matches { words, .. } => {
-                        let at = words.len();
-                        words.resize(at + stride, 0);
-                        for (t, &qj) in syms.iter().enumerate() {
-                            if model.sub(p, qj) == 0.0 {
-                                for bit in [t, 2 * n - 1 - t] {
-                                    words[at + bit / 64] |= 1 << (bit % 64);
-                                }
-                            }
-                        }
-                        at
-                    }
-                };
-                v.insert((at / stride) as u32);
-                at
-            }
+        match &mut self.rows {
+            Rows::Matches { .. } => self
+                .index
+                .get(&p)
+                .map_or(0, |&r| r as usize * match_stride(n)),
+            Rows::Costs(rows) => match self.index.entry(p) {
+                Entry::Occupied(e) => *e.get() as usize * (2 * n + 1),
+                Entry::Vacant(v) => {
+                    let at = rows.len();
+                    rows.push(model.del(p));
+                    rows.extend(syms.iter().map(|&qj| model.sub(p, qj)));
+                    rows.extend_from_within(at + 1..at + 1 + n);
+                    rows[at + 1 + n..].reverse();
+                    v.insert((at / (2 * n + 1)) as u32);
+                    at
+                }
+            },
         }
     }
 }

@@ -1,13 +1,14 @@
-//! One multiplicative hash for the crate's symbol-keyed caches.
+//! One multiplicative hash for symbol-keyed maps probed from hot loops.
 //!
 //! [`Memo`](crate::models::Memo) and
 //! [`SubProfile`](crate::dp::SubProfile) key their maps by one or two
-//! symbols and probe them from DP loops, where std's SipHash costs more than
-//! the lookup it guards. Symbols are small integers; a Fibonacci multiply
-//! spreads them over the word and a fold brings the well-mixed high half
-//! down to the low bits the table indexes by. Unlike SipHash this is not
-//! keyed: a caller who picks symbols to collide degrades these caches to a
-//! list walk, never to a wrong answer.
+//! symbols and probe them from DP loops, and the engine's result set keys
+//! one trajectory's `(start, end)` pairs by one packed word; at those rates
+//! std's SipHash costs more than the lookup it guards. The keys are small
+//! integers; a Fibonacci multiply spreads them over the word and a fold
+//! brings the well-mixed high half down to the low bits the table indexes
+//! by. Unlike SipHash this is not keyed: a caller who picks keys to collide
+//! degrades these maps to a list walk, never to a wrong answer.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -17,9 +18,9 @@ pub(crate) fn mix64(k: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Pass-through [`Hasher`] over [`mix64`] for `u32`/`u64` keys.
+/// Pass-through [`Hasher`] over the Fibonacci mix for `u32`/`u64` keys.
 #[derive(Default)]
-pub(crate) struct MixHasher(u64);
+pub struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn finish(&self) -> u64 {

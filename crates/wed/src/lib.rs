@@ -24,10 +24,12 @@
 //! * [`metric`] — engine-facing DTW/LCSS/discrete-Fréchet over symbols, with
 //!   the cost model's `sub` as ground distance, plus their `*_scan_all`
 //!   verification primitives.
+//! * [`hash`] — the multiplicative hasher of the symbol-keyed maps probed
+//!   from hot loops, here and in the engine's result set.
 
 pub mod cost;
 pub mod dp;
-mod hash;
+pub mod hash;
 pub mod metric;
 pub mod models;
 pub mod nonwed;

@@ -333,9 +333,12 @@ impl WedInstance for Surs {
 /// mask, and enough that batch workers rarely contend.
 const MEMO_SHARDS: usize = 16;
 
-/// Memoizes substitution costs of an inner model. NetEDR/NetERP evaluate
+/// Memoizes substitution costs of an inner model. NetERP evaluates
 /// `spd(a, b)` for every cost-profile row of every query, and symbols repeat
-/// heavily across queries.
+/// heavily across queries. A unit-cost model such as NetEDR builds its
+/// profile rows from `B(q)` and asks `sub` only while pricing a ball (and
+/// in Smith–Waterman or fallback scans), so its memo holds those pairs
+/// alone.
 ///
 /// The cache is 16 mutex-guarded shards, so `Memo<M>` is `Sync` whenever `M`
 /// is and batch workers share one memo. A miss computes `inner.sub` outside

@@ -13,7 +13,7 @@ use wed::dp::{
 };
 use wed::models::{Edr, Erp, Lev, Memo, NetEdr, NetErp, Surs};
 use wed::nonwed::lors;
-use wed::{sw_best, sw_scan_all, wed, wed_within, CostModel, Sym, WedInstance};
+use wed::{sw_best, sw_scan_all, wed, wed_within, Sym, WedInstance};
 
 fn net() -> Arc<RoadNetwork> {
     Arc::new(CityParams::tiny(NetworkKind::Grid).generate())
@@ -33,7 +33,7 @@ fn boxed_models() -> Vec<Box<dyn WedInstance>> {
 
 /// Every cost model the engine is run with, the edge-alphabet SURS and a
 /// memoised network model included (symbols below 32 are valid in all).
-fn cost_models() -> Vec<(&'static str, Box<dyn CostModel>)> {
+fn cost_models() -> Vec<(&'static str, Box<dyn WedInstance>)> {
     let n = net();
     let hubs = Arc::new(HubLabels::build(&n));
     let net_edr = || NetEdr::new(n.clone(), hubs.clone(), 130.0);
@@ -52,7 +52,7 @@ fn cost_models() -> Vec<(&'static str, Box<dyn CostModel>)> {
 }
 
 /// The unit-cost models the engine runs on bit columns.
-fn unit_models() -> Vec<(&'static str, Box<dyn CostModel>)> {
+fn unit_models() -> Vec<(&'static str, Box<dyn WedInstance>)> {
     cost_models()
         .into_iter()
         .filter(|(name, _)| ["Lev", "EDR", "Memo<NetEDR>"].contains(name))
@@ -102,6 +102,32 @@ proptest! {
                     let got_min = costs.step(suffix, p, a, &mut got);
                     prop_assert_eq!(bits(&got), bits(&want), "{} p={}", name, p);
                     prop_assert_eq!(got_min.to_bits(), want_min.to_bits(), "{} p={}", name, p);
+                }
+            }
+        }
+    }
+
+    /// The profile's `sub(p, iq)` is the model's `sub(p, Q[iq])` by
+    /// `to_bits` for every symbol of the sample alphabet: a unit-cost row
+    /// built from the neighbourhoods `B(Q[·])` (the shared zero row for a
+    /// symbol in none), a cost row before and after its first touch.
+    #[test]
+    fn profile_sub_is_the_models_sub(
+        q in proptest::collection::vec(0u32..32, 1..12),
+    ) {
+        for (name, m) in cost_models() {
+            let mut costs = SubProfile::new(&*m, &q);
+            let suffix = costs.forward(0);
+            let mut out = vec![0.0; suffix.len() + 1];
+            for p in 0..32 {
+                for touched in [false, true] {
+                    if touched && !costs.unit_costs() {
+                        costs.step(suffix, p, &vec![0.0; suffix.len() + 1], &mut out);
+                    }
+                    for (iq, &qj) in q.iter().enumerate() {
+                        let (got, want) = (costs.sub(p, iq), m.sub(p, qj));
+                        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} p={} iq={}", name, p, iq);
+                    }
                 }
             }
         }
