@@ -25,7 +25,9 @@
 //!   `trajsearch-persist` snapshot format writes to disk and reopens
 //!   without a rebuild, again with identical search results.
 //! * [`verify`] — **local verification** growing bidirectionally from
-//!   candidate anchors with the Eq. (11) early-termination bound, and
+//!   candidate anchors with the Eq. (11) early-termination bound, both
+//!   directions of an anchor stopping on one budget (the second walk gets
+//!   τ minus the first side's best), and
 //!   **bidirectional tries** caching DP columns across candidates (§5).
 //!   Verification is metric-pluggable through the [`Verifier`] trait.
 //! * [`metric`] — optional non-WED distances (DTW, LCSS(ε), discrete

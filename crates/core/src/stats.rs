@@ -46,8 +46,11 @@ crate::wire_struct! {
         /// accumulate `|P|` per verified (deduped) candidate, the work a
         /// per-candidate scan would have done in their place.
         pub sw_columns: u64,
-        /// DP columns actually visited before early termination (Eq. 11) —
-        /// UPR numerator / CMR denominator.
+        /// DP columns actually visited before early termination — UPR
+        /// numerator / CMR denominator. An anchor's two walks stop on one
+        /// budget: the first at `sub0 + LB_k >= τ` (Eq. 11 with the anchor
+        /// cost), the second at that plus the first side's least prefix WED,
+        /// and not at all when the first side leaves no pair.
         pub columns_passed: u64,
         /// Columns computed fresh (trie cache misses; Algorithm 5 line 6) —
         /// the CMR numerator.

@@ -66,6 +66,27 @@
 //! `τ' = τ − sub(P[j], Q[iq])` recovers exactly the Definition 3 result set
 //! (Lemma 1), with per-triple min-merge restoring exact distances.
 //!
+//! **One budget for both walks.** A pair through the anchor needs the sum
+//! `(sub0 + b) + f < τ` — the pair test, in that operand order — so the two
+//! walks of an anchor share τ rather than each stopping at τ' on its own:
+//!
+//! 1. the side with the longer query suffix walks first (ties go forward)
+//!    and stops at the first column `k` with `sub0 + LB_k >= τ`;
+//! 2. if `sub0 + min E^first >= τ`, the anchor is barren: no second walk,
+//!    no pair loop;
+//! 3. otherwise the other side stops at the first column with
+//!    `(sub0 + LB_k) + f_min >= τ` (backward second) or
+//!    `(sub0 + b_min) + LB_k >= τ` (forward second).
+//!
+//! This is exact. `LB` never falls along a walk and bounds every later `E`
+//! (Eq. 11), and f64 addition is monotone in each operand, so every pair a
+//! stop test drops has `(sub0 + b) + f >= τ` in the pair test's own
+//! arithmetic; writing the tests as `LB >= τ − sub0` instead is not, as
+//! `τ − sub0` can round down onto `LB` while `sub0 + LB < τ`. Walking the
+//! longer query suffix first spends the budget soonest: on the benchmark's
+//! `inproc_wed` nine in ten anchors push no pair, and most of them are
+//! rejected after that one walk.
+//!
 //! Verification is **metric-pluggable**: the front half (candidate dedup,
 //! per-trajectory grouping, deadline checkpoints, temporal post-check) is
 //! shared, while the back half is a [`Verifier`]
@@ -410,7 +431,7 @@ enum TrieHandle {
 
 /// Runs `walk` on the trie behind `handle`: a private trie directly, a
 /// shared one under its lock for the whole walk.
-fn with_trie(handle: &mut TrieHandle, walk: impl FnOnce(&mut DpTrie)) {
+fn with_trie<R>(handle: &mut TrieHandle, walk: impl FnOnce(&mut DpTrie) -> R) -> R {
     match handle {
         TrieHandle::Private(trie) => walk(trie),
         TrieHandle::Shared(trie) => walk(&mut lock(trie)),
@@ -530,11 +551,10 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
         debug_assert!(j < path.len() && iq < self.q.len());
         stats.sw_columns += path.len() as u64;
 
-        let sub0 = self.costs.sub(path[j], iq);
-        if sub0 >= self.tau {
+        let (sub0, tau) = (self.costs.sub(path[j], iq), self.tau);
+        if sub0 >= tau {
             return; // anchor substitution alone exceeds the budget
         }
-        let tau_p = self.tau - sub0;
 
         let (costs, cache) = (&mut self.costs, self.cache);
         let suffixes = [costs.backward(iq), costs.forward(iq)];
@@ -563,25 +583,46 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
         let [eb, ef] = &mut self.ed;
         let back = path[..j].iter().rev().copied();
         let fwd = path[j + 1..].iter().copied();
-        with_trie(tb, |t| {
-            walk_trie(t, costs, suffixes[0], back, tau_p, eb, stats)
-        });
-        with_trie(tf, |t| {
-            walk_trie(t, costs, suffixes[1], fwd, tau_p, ef, stats)
-        });
+        // One budget for both walks (module docs): the longer query suffix
+        // first, ties forward; every stop test is the pair test
+        // `(sub0 + b) + f >= τ` at its least possible operands.
+        let first = |lb| sub0 + lb >= tau;
+        let f_min = if suffixes[1].len() >= suffixes[0].len() {
+            let f_min = with_trie(tf, |t| {
+                walk_trie(t, costs, suffixes[1], fwd, first, ef, stats)
+            });
+            if sub0 + f_min >= tau {
+                return; // a barren anchor: no backward walk, no pair
+            }
+            with_trie(tb, |t| {
+                let stop = |lb| sub0 + lb + f_min >= tau;
+                walk_trie(t, costs, suffixes[0], back, stop, eb, stats)
+            });
+            f_min
+        } else {
+            let b_min = with_trie(tb, |t| {
+                walk_trie(t, costs, suffixes[0], back, first, eb, stats)
+            });
+            if sub0 + b_min >= tau {
+                return; // a barren anchor: no forward walk, no pair
+            }
+            with_trie(tf, |t| {
+                let stop = |lb| sub0 + b_min + lb >= tau;
+                walk_trie(t, costs, suffixes[1], fwd, stop, ef, stats)
+            })
+        };
 
         // Enumerate (s, t) pairs through the anchor (Algorithm 4 line 6).
         // A backward prefix whose best pair, with the least `E^f`, already
         // reaches τ has no pair at all: f64 addition is monotone, so every
         // `sub0 + b + f` is at least `sub0 + b + f_min`.
-        let f_min = ef.iter().copied().fold(f64::INFINITY, f64::min);
         for (kb, &b) in eb.iter().enumerate() {
-            if sub0 + b + f_min >= self.tau {
+            if sub0 + b + f_min >= tau {
                 continue;
             }
             for (kf, &f) in ef.iter().enumerate() {
                 let d = sub0 + b + f;
-                if d < self.tau {
+                if d < tau {
                     results.push(cand.id, j - kb, j + kf, d);
                 }
             }
@@ -618,7 +659,17 @@ impl<M: CostModel> Verifier for WedVerifier<'_, M> {
 }
 
 /// Algorithm 5 (AllPrefixWED) against a trie: fills `ed` with
-/// `E^d[k] = wed(P^d[..k], Q^d)` for `k = 0..` until early termination.
+/// `E^d[k] = wed(P^d[..k], Q^d)` for `k = 0..` until the walk's budget
+/// runs out, and returns the least `E^d[k]` it pushed.
+///
+/// `reaches(LB^d_k)` is the anchor's one budget (module docs): true when
+/// no pair `(sub0 + b) + f` whose side here costs at least `LB^d_k` stays
+/// below τ. For the side walked first (the longer query suffix, ties
+/// forward) that is `sub0 + LB >= τ`; for the other side the first side's
+/// returned minimum joins the sum. The bound never falls along a walk and
+/// no later `E^d` is below it (Eq. 11), and f64 addition is monotone, so
+/// the walk stops at the first column where `reaches` holds, without
+/// pushing that column's `E^d[k]`, and loses no pair.
 ///
 /// The one walk for every trie: a private one, a batch-shared one (its
 /// lock held by the caller for the whole walk, so a column a walk creates
@@ -632,12 +683,13 @@ fn walk_trie<M: CostModel + ?Sized>(
     costs: &mut SubProfile<'_, M>,
     suffix: Suffix,
     syms: impl Iterator<Item = Sym>,
-    tau_p: f64,
+    reaches: impl Fn(f64) -> bool,
     ed: &mut Vec<f64>,
     stats: &mut SearchStats,
-) {
+) -> f64 {
     ed.clear();
-    ed.push(trie.bound_and_ed(0).1);
+    let mut best = trie.bound_and_ed(0).1;
+    ed.push(best);
     let mut node = 0u32;
     for sym in syms {
         let (child, created) = trie.child(costs, suffix, node, sym);
@@ -646,16 +698,15 @@ fn walk_trie<M: CostModel + ?Sized>(
         if created {
             stats.stepdp_calls += 1;
         }
-        // Eq. (11): if every alignment of this prefix already costs ≥ τ',
-        // extensions cannot recover — stop. The column value for this k is
-        // ≥ min ≥ τ' and thus cannot contribute to a pair either.
         let (min, e) = trie.bound_and_ed(child);
-        if min >= tau_p {
+        if reaches(min) {
             break;
         }
         ed.push(e);
+        best = best.min(e);
         node = child;
     }
+    best
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,6 +1055,233 @@ mod tests {
         );
         assert!(got.is_empty());
         assert_eq!(stats.columns_passed, 0);
+    }
+
+    /// The one candidate `(0, j, iq)` under `m` over `store` in `mode`:
+    /// its matches as `(s, t, dist)` and the run's stats.
+    fn run_one<M: WedInstance>(
+        m: &M,
+        store: &TrajectoryStore,
+        q: &[Sym],
+        tau: f64,
+        (j, iq): (u32, u32),
+        mode: VerifyMode,
+    ) -> (Vec<(usize, usize, f64)>, SearchStats) {
+        let mut stats = SearchStats::default();
+        let got = verify_candidates(
+            m,
+            store,
+            |id| store.get(id).span(),
+            q,
+            tau,
+            &[Candidate { id: 0, j, iq }],
+            mode,
+            None,
+            false,
+            &mut stats,
+        );
+        let got = got.iter().map(|r| (r.start, r.end, r.dist)).collect();
+        (got, stats)
+    }
+
+    /// What the anchor `(j, iq)` of `p` must report (Eq. 10, Lemma 1):
+    /// every `(s, t)` through it whose split `(sub0 + b) + f` is below τ,
+    /// with `b` the backward prefix WED over the reversed sides and `f` the
+    /// forward one — the verifier's own operands and operand order.
+    fn anchor_oracle<M: CostModel>(
+        m: &M,
+        p: &[Sym],
+        q: &[Sym],
+        tau: f64,
+        (j, iq): (usize, usize),
+    ) -> Vec<(usize, usize, f64)> {
+        let rev = |s: &[Sym]| s.iter().rev().copied().collect::<Vec<_>>();
+        let sub0 = m.sub(p[j], q[iq]);
+        let mut out = Vec::new();
+        for s in 0..=j {
+            let b = wed(m, &rev(&p[s..j]), &rev(&q[..iq]));
+            for t in j..p.len() {
+                let d = sub0 + b + wed(m, &p[j + 1..=t], &q[iq + 1..]);
+                if d < tau {
+                    out.push((s, t, d));
+                }
+            }
+        }
+        out
+    }
+
+    /// A cost model whose only cheap substitutions are the two of the
+    /// rounding repro below.
+    struct Ulp;
+    impl CostModel for Ulp {
+        fn sub(&self, a: Sym, b: Sym) -> f64 {
+            match (a, b) {
+                (2, 0) => 0.5775538189462472,
+                (3, 1) => 0.17020453436509603,
+                _ => 10.0,
+            }
+        }
+        fn ins(&self, _: Sym) -> f64 {
+            10.0
+        }
+    }
+    impl WedInstance for Ulp {
+        fn name(&self) -> &'static str {
+            "Ulp"
+        }
+        fn ball(&self, q: Sym) -> wed::Ball {
+            wed::Ball {
+                syms: vec![q],
+                beyond: 0.0,
+            }
+        }
+    }
+
+    #[test]
+    fn budget_stops_in_the_pair_tests_arithmetic() {
+        // Regression: a walk stopped on `LB >= τ − sub0`. Here `τ − sub0`
+        // rounds to exactly the backward column's bound `LB = sub(2, 0)`,
+        // yet `sub0 + LB` is below τ: the walk stopped one column before
+        // the only match through the anchor.
+        let store = store_of(&[&[2, 3]]);
+        let (q, tau) = ([0, 1], 0.7477583533113433);
+        let want = wed(&Ulp, &[2, 3], &q);
+        assert!(want < tau, "{want} < {tau}");
+        assert_eq!(tau - Ulp.sub(3, 1), Ulp.sub(2, 0));
+        assert_eq!(
+            anchor_oracle(&Ulp, &[2, 3], &q, tau, (1, 1)),
+            [(0, 1, want)]
+        );
+        for mode in [VerifyMode::Local, VerifyMode::Trie] {
+            let (got, _) = run_one(&Ulp, &store, &q, tau, (1, 1), mode);
+            assert_eq!(got, [(0, 1, want)], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn barren_anchor_costs_one_walk() {
+        // The forward suffix [2, 3] is the longer one and walks first; its
+        // least E^f is 2 ≥ τ, so the backward side, four columns of data,
+        // walks none.
+        let store = store_of(&[&[7, 7, 7, 7, 1, 7, 7]]);
+        for mode in [VerifyMode::Local, VerifyMode::Trie] {
+            let (got, stats) = run_one(&Lev, &store, &[1, 2, 3], 1.5, (4, 0), mode);
+            assert!(got.is_empty());
+            assert_eq!(
+                (stats.columns_passed, stats.stepdp_calls),
+                (2, 2),
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn second_walk_stops_at_what_the_first_left() {
+        // A mismatched anchor (sub0 = 1) at τ = 2.5. The forward walk, first
+        // on the tie, takes two columns and leaves f_min = 1; the backward
+        // one stops at its first column, where (1 + 1) + 1 ≥ τ.
+        let store = store_of(&[&[7, 7, 7, 5, 7, 7, 7]]);
+        for mode in [VerifyMode::Local, VerifyMode::Trie] {
+            let (got, stats) = run_one(&Lev, &store, &[1, 2, 3], 2.5, (3, 1), mode);
+            assert!(got.is_empty());
+            assert_eq!(stats.columns_passed, 3, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn every_anchor_reports_exactly_its_pairs() {
+        // The last path and query: at anchor (1, 1) the forward side walks
+        // first and its E^f = [4, 3, 2, 1, 0, 1] ends above its minimum;
+        // only the minimum lets the backward walk reach P[0], which the
+        // pair (0, 5) at distance 1 < τ = 2 needs.
+        let paths: [&[Sym]; 5] = [
+            &[0, 1, 2, 3, 4],
+            &[3, 1, 5, 1, 2, 2, 1],
+            &[1, 2, 1, 2, 1, 2],
+            &[5, 1, 2, 5, 9, 1],
+            &[9, 0, 2, 3, 4, 5, 7, 7],
+        ];
+        let queries: [&[Sym]; 5] = [
+            &[1],
+            &[1, 2],
+            &[2, 1, 5, 2],
+            &[1, 5, 2, 1, 9],
+            &[1, 0, 2, 3, 4, 5],
+        ];
+        fn check<M: WedInstance>(m: &M, paths: &[&[Sym]], queries: &[&[Sym]], scale: f64) {
+            for &p in paths {
+                let store = store_of(&[p]);
+                for &q in queries {
+                    for tau in [0.5, 1.0, 1.5, 2.0, 3.0, 4.5].map(|t| scale * t) {
+                        for (j, iq) in (0..p.len()).flat_map(|j| (0..q.len()).map(move |i| (j, i)))
+                        {
+                            let want = anchor_oracle(m, p, q, tau, (j, iq));
+                            let at = (j as u32, iq as u32);
+                            for mode in [VerifyMode::Local, VerifyMode::Trie] {
+                                let (got, _) = run_one(m, &store, q, tau, at, mode);
+                                assert_eq!(
+                                    got, want,
+                                    "{mode:?} p {p:?} q {q:?} tau {tau} at {at:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        check(&Lev, &paths, &queries, 1.0);
+        check(&Weighted, &paths, &queries, 2.0);
+    }
+
+    #[test]
+    fn pair_at_exactly_the_budget_is_out() {
+        // b_min = f_min = 1 and sub0 = 0: at τ = 2 the best pair through the
+        // anchor costs exactly τ and is excluded; at τ = 3 every substring
+        // through it is in.
+        let store = store_of(&[&[9, 2, 9]]);
+        let q: Vec<Sym> = vec![1, 2, 3];
+        for (tau, hits) in [(2.0, 0), (3.0, 4)] {
+            let want = brute(&store, &q, tau);
+            assert_eq!(want.len(), hits, "tau {tau}");
+            for mode in [VerifyMode::Sw, VerifyMode::Local, VerifyMode::Trie] {
+                let got: Vec<_> = run(&store, &q, tau, mode)
+                    .iter()
+                    .map(|m| (m.id, m.start, m.end, m.dist))
+                    .collect();
+                assert_eq!(got, want, "mode {mode:?} tau {tau}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_symbol_queries_and_end_anchors_match_brute_force() {
+        // |Q| = 1 leaves both query suffixes empty (the tie); anchors at
+        // iq = 0 or iq = |Q| − 1 of a longer Q leave one of them empty.
+        // τ ≤ |Q|: a substring with no exact symbol of Q costs at least |Q|
+        // and has no anchor.
+        let store = store_of(&[
+            &[1, 2, 3, 1],
+            &[3, 3, 1, 2, 2, 3],
+            &[2, 1, 3],
+            &[1],
+            &[3, 2, 1, 3, 2, 1, 2],
+        ]);
+        let cache = TrieCache::new();
+        for q in [&[1][..], &[3], &[1, 2], &[3, 1, 2], &[2, 3, 3, 1]] {
+            for tau in [0.5, 1.0, 1.5, 2.0, 3.0].map(|t: f64| t.min(q.len() as f64)) {
+                let want = brute(&store, q, tau);
+                for mode in [VerifyMode::Sw, VerifyMode::Local, VerifyMode::Trie] {
+                    let got: Vec<_> = run(&store, q, tau, mode)
+                        .iter()
+                        .map(|m| (m.id, m.start, m.end, m.dist))
+                        .collect();
+                    assert_eq!(got, want, "mode {mode:?} q {q:?} tau {tau}");
+                    let (shared, _) =
+                        run_engine(&store, q, tau, mode, Deadline::NONE, Some(&cache));
+                    assert_eq!(shared.unwrap(), run(&store, q, tau, mode));
+                }
+            }
+        }
     }
 
     #[test]

@@ -147,6 +147,37 @@ proptest! {
         }
     }
 
+    /// The verification budget at its edges: the two walks of an anchor
+    /// share one τ, the longer query suffix walking first and the other
+    /// stopping at τ minus its best. Lev over three symbols with |Q| up to
+    /// 10 makes many anchors per query and many exact ties `b + f = τ'`;
+    /// ERP puts τ on the realised `wed` of a prefix or a suffix of a stored
+    /// path (anchors near both ends) and on the float above it.
+    #[test]
+    fn engine_is_exact_when_the_budget_binds(
+        lev_paths in proptest::collection::vec(proptest::collection::vec(0u32..3, 1..14), 1..6),
+        lev_q in proptest::collection::vec(0u32..3, 1..11),
+        lev_tau in 1u32..6,
+        erp_paths in proptest::collection::vec(proptest::collection::vec(0u32..64, 1..8), 1..5),
+        erp_q in proptest::collection::vec(0u32..64, 1..5),
+        pick in (0usize..64, 0usize..64, 0u8..2),
+    ) {
+        let store: TrajectoryStore = lev_paths.into_iter().map(Trajectory::untimed).collect();
+        check_engine(Lev, &store, 3, &lev_q, lev_tau as f64)?;
+
+        let n = net();
+        let erp = Erp::new(n.clone(), 150.0);
+        let store: TrajectoryStore = erp_paths.into_iter().map(Trajectory::untimed).collect();
+        let p = store.get((pick.0 % store.len()) as u32).path();
+        let cut = pick.1 % p.len();
+        let span = if pick.2 == 0 { &p[..=cut] } else { &p[cut..] };
+        let tau = wed(&erp, span, &erp_q);
+        prop_assume!(tau > 0.0);
+        for tau in [tau, tau.next_up()] {
+            check_engine(&erp, &store, n.num_vertices(), &erp_q, tau)?;
+        }
+    }
+
     /// Memoised NetEDR on the small City, the unit-cost model whose
     /// `B(q)` (bounded Dijkstra) and `sub` (hub labels) sum distances two
     /// ways: every mode must answer what `naive_search` answers, with ε
