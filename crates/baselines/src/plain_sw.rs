@@ -24,6 +24,7 @@ pub fn plain_sw_search<M: CostModel>(
     let mut out = Vec::new();
     for (id, t) in store.iter() {
         stats.sw_columns += t.len() as u64;
+        stats.verify_cost += t.len() as u64;
         for m in sw_scan_all(model, t.path(), q, tau) {
             out.push(MatchResult {
                 id,
@@ -69,6 +70,9 @@ mod tests {
                 assert!((g.dist - w.dist).abs() < 1e-9);
             }
             assert_eq!(stats.results, got.len());
+            let columns: usize = store.iter().map(|(_, t)| t.len()).sum();
+            assert_eq!(stats.sw_columns, columns as u64);
+            assert_eq!(stats.verify_cost, stats.sw_columns);
         }
     }
 }

@@ -133,6 +133,7 @@ impl<'a, M: WedInstance> QGramIndex<'a, M> {
         for id in candidate_ids {
             let t = self.store.get(id);
             stats.sw_columns += t.len() as u64;
+            stats.verify_cost += t.len() as u64;
             for m in sw_scan_all(&self.model, t.path(), query, tau) {
                 out.push(MatchResult {
                     id,
@@ -206,6 +207,9 @@ mod tests {
         let idx = QGramIndex::new(&Lev, &store, 3);
         let (got, stats) = idx.search(&[1, 2, 3, 4], 1.0);
         assert!(stats.candidates < store.len());
+        // One SW scan of the surviving trajectory, charged as both units.
+        assert_eq!(stats.sw_columns, 5);
+        assert_eq!(stats.verify_cost, stats.sw_columns);
         assert!(got.iter().all(|m| m.id == 0));
         assert!(!got.is_empty());
     }

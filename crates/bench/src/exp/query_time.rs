@@ -39,6 +39,10 @@ fn workload(
 }
 
 /// Figure 6: vary τ-ratio.
+///
+/// Every method is exact, so each one's merged `results` must equal
+/// Plain-SW's in every (dataset, function, τ-ratio) cell; a cell without a
+/// Plain-SW row runs Plain-SW for the reference. Panics on a mismatch.
 pub fn run_fig6(
     datasets: &[&str],
     funcs: &[FuncKind],
@@ -57,6 +61,7 @@ pub fn run_fig6(
             let set = MethodSet::new(&*model, store, alphabet);
             for &ratio in tau_ratios {
                 let wl = workload(&d, &*model, func, qlen, nqueries, ratio, 60);
+                let cell = rows.len();
                 for &m in methods {
                     let (ms, stats) = set.run_workload(m, &wl);
                     rows.push(TimeRow {
@@ -67,6 +72,18 @@ pub fn run_fig6(
                         ms_per_query: ms,
                         stats,
                     });
+                }
+                let plain_sw = MethodKind::PlainSw.name();
+                let want = match rows[cell..].iter().find(|r| r.method == plain_sw) {
+                    Some(r) => r.stats.results,
+                    None => set.run_workload(MethodKind::PlainSw, &wl).1.results,
+                };
+                for r in &rows[cell..] {
+                    assert_eq!(
+                        r.stats.results, want,
+                        "{} on {} / {} at tau-ratio {ratio}: results differ from {plain_sw}",
+                        r.method, d.name, r.func
+                    );
                 }
             }
         }

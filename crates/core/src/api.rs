@@ -397,7 +397,7 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     }
 
     /// [`execute`](SearchEngine::execute) with the whole [`ExecCtx`] — the
-    /// batch workers pass their shared [`TrieCache`]
+    /// batch workers pass their shared trie cache
     /// ([`BatchOptions::share_tries`]) through it. A threshold objective is
     /// one call of the execution core; top-k is the growth loop around the
     /// same call.

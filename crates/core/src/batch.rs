@@ -7,11 +7,10 @@
 //! claims whole [`Query`](crate::Query) values and runs the ordinary
 //! pipeline on them, one query on one thread — the engine's only level of
 //! parallelism. By default a query's bidirectional-trie caches stay with the
-//! query that built them (the [`Verifier`](crate::verify::Verifier) is
-//! thread-local), so cache locality is exactly that of sequential
-//! execution; [`BatchOptions::share_tries`] opts the whole batch into one
-//! shared [`TrieCache`](crate::verify::TrieCache) so repeated or overlapping
-//! patterns reuse each other's DP columns. One batch may mix thresholds,
+//! query that built them (its verifier is thread-local), so cache locality
+//! is exactly that of sequential execution; [`BatchOptions::share_tries`]
+//! opts the whole batch into one shared trie cache so repeated or
+//! overlapping patterns reuse each other's DP columns. One batch may mix thresholds,
 //! top-k, temporal and plain queries freely.
 //!
 //! Either way the result sets — distances included — are identical to
@@ -37,10 +36,9 @@ use std::time::Duration;
 pub struct BatchOptions {
     /// Worker count; `0` means [`std::thread::available_parallelism`].
     pub threads: usize,
-    /// Share one [`TrieCache`](crate::verify::TrieCache) across every WED
-    /// Trie-mode query of the batch, so repeated or overlapping patterns
-    /// reuse warm DP columns (`stats.trie_cache_hits`). Results are
-    /// bit-identical either way.
+    /// Share one trie cache across every WED Trie-mode query of the batch,
+    /// so repeated or overlapping patterns reuse warm DP columns
+    /// (`stats.trie_cache_hits`). Results are bit-identical either way.
     ///
     /// Off by default: with sharing on, a query's `stepdp_calls` /
     /// `trie_cache_*` counters (and hence its CMR) depend on which queries

@@ -29,7 +29,9 @@
 //!   directions of an anchor stopping on one budget (the second walk gets
 //!   τ minus the first side's best), and
 //!   **bidirectional tries** caching DP columns across candidates (§5).
-//!   Verification is metric-pluggable through the [`Verifier`] trait.
+//!   Verification is metric-pluggable: WED's Local and Trie modes walk
+//!   tries, while its SW mode, every other metric and the exact fallback
+//!   run one whole-trajectory scan.
 //! * [`metric`] — optional non-WED distances (DTW, LCSS(ε), discrete
 //!   Fréchet) selected per query via [`Metric`], verified against the
 //!   `baselines` crate and reusing the filter front half where its bound
@@ -106,7 +108,7 @@ pub use compact::CompactIndex;
 pub use deadline::Deadline;
 pub use filter::FilterPlan;
 pub use index::{InvertedIndex, Posting, PostingSource, SizeBreakdown};
-pub use metric::{Metric, ScanVerifier};
+pub use metric::Metric;
 pub use query::{Objective, Query, QueryBuilder, QueryError};
 pub use results::{MatchResult, ResultSet};
 pub use search::{exact_fallback_scan, SearchEngine, SearchOptions};
@@ -114,7 +116,7 @@ pub use sharded::{IndexShard, ShardedIndex};
 pub use stats::SearchStats;
 pub use temporal::{TemporalConstraint, TemporalPredicate, TimeInterval};
 pub use topk::{per_trajectory_best, TopKEntry};
-pub use verify::{Candidate, TrieCache, Verifier, VerifyMode, WedVerifier};
+pub use verify::{Candidate, VerifyMode};
 
 // Observability primitives, re-exported so downstream crates (serve,
 // distrib) name one tracing vocabulary without a direct obs dependency.

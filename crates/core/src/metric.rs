@@ -1,4 +1,4 @@
-//! Distance-metric selection and the non-WED verifier back half.
+//! Distance-metric selection and the whole-trajectory scan verifier.
 //!
 //! The engine defaults to the paper's weighted edit distance, but a
 //! [`Query`](crate::Query) may select DTW, LCSS(ε) or discrete Fréchet
@@ -14,22 +14,32 @@
 //! | Fréchet | single symbol with `c(q) ≥ τ` ([`FilterPlan::build_single`](crate::filter::FilterPlan::build_single)) | the bottleneck does not add, but one sufficiently expensive symbol prunes alone |
 //! | LCSS(ε) | none — exact fallback scan         | the ε-match predicate is unrelated to the lower costs `c(q)`, so no neighborhood bound applies |
 //!
-//! [`ScanVerifier`] scores **whole candidate trajectories** (one scan per
-//! distinct id, like the WED SW strategy) and charges its DP rows to the
-//! metric-neutral `SearchStats::verify_cost`, leaving the WED-specific
-//! counters at zero. Under DTW and Fréchet a scan is not a row per
-//! position: the kernel opens a start `s` only when its first cell
-//! `sub(P[s], Q[0])` is below `τ` (every later cell of that start is at
-//! least that one, §5.1's rule of never extending a DP whose lower bound
-//! reached `τ`), so a start that cannot match costs one `sub` call and
-//! **no row** — `verify_cost` counts rows *evaluated*.
+//! The scan verifier here is the engine's one **whole-trajectory scan**: one
+//! exact scan per distinct candidate trajectory, for every metric. It
+//! verifies every non-WED query, a WED query in
+//! [`VerifyMode::Sw`](crate::VerifyMode::Sw) (the `OSF-SW` baseline), and
+//! every trajectory of the exact fallback scan. WED's Local and Trie modes
+//! are the one other verifier, the bidirectional tries of
+//! [`crate::verify`].
+//!
+//! A WED scan is Smith–Waterman ([`wed::sw_scan_all`]) and charges a column
+//! per trajectory position to `sw_columns` and to the metric-neutral
+//! `SearchStats::verify_cost`. The other metrics charge their DP rows to
+//! `verify_cost` alone, leaving the WED-specific counters at zero. Under
+//! DTW and Fréchet a scan is not a row per position: the kernel opens a
+//! start `s` only when its first cell `sub(P[s], Q[0])` is below `τ` (every
+//! later cell of that start is at least that one, §5.1's rule of never
+//! extending a DP whose lower bound reached `τ`), so a start that cannot
+//! match costs one `sub` call and **no row** — `verify_cost` counts rows
+//! *evaluated*.
 
 use crate::json::{write_str, ObjectWriter, Reader, Slot, Wire};
 use crate::query::QueryError;
 use crate::results::ResultSet;
 use crate::stats::SearchStats;
 use crate::verify::{Candidate, Verifier};
-use wed::{CostModel, SubMatch, Sym};
+use traj::TrajId;
+use wed::{CostModel, Sym};
 
 /// Which distance the query's threshold `τ` ranges over. `Wed` is the
 /// default and the only metric older peers understand; see the module docs
@@ -123,34 +133,21 @@ impl Wire for Metric {
     }
 }
 
-/// One scan of a whole data sequence under a non-WED metric: all matching
-/// substrings plus the DP rows evaluated (none for a DTW/Fréchet start the
-/// kernel's first-cell gate skips). Shared by [`ScanVerifier`] and the
-/// metric fallback scan.
-pub(crate) fn metric_scan_all<M: CostModel>(
-    model: &M,
-    metric: Metric,
-    path: &[Sym],
-    q: &[Sym],
-    tau: f64,
-) -> (Vec<SubMatch>, u64) {
-    match metric {
-        Metric::Wed => unreachable!("WED verification goes through WedVerifier"),
-        Metric::Dtw => wed::metric::dtw_scan_all(model, path, q, tau),
-        Metric::Lcss { eps } => wed::metric::lcss_scan_all(model, path, q, tau, eps),
-        Metric::Frechet => wed::metric::frechet_scan_all(model, path, q, tau),
-    }
-}
-
-/// The back half of every non-WED metric: one exact scan
-/// ([`wed::metric::dtw_scan_all`], [`lcss_scan_all`](wed::metric::lcss_scan_all)
-/// or [`frechet_scan_all`](wed::metric::frechet_scan_all)) per candidate
-/// trajectory, charging the rows that scan evaluated to `verify_cost`. In
-/// the current pipeline LCSS always takes the fallback scan (no sound
-/// filter bound exists), but the verifier serves it too, for custom
-/// candidate sets. [`Metric::Wed`] is not a scan metric — verifying under
-/// it panics; use [`WedVerifier`](crate::verify::WedVerifier).
-pub struct ScanVerifier<'a, M: CostModel> {
+/// The engine's one whole-trajectory scan: every substring of a trajectory
+/// within `τ` of the query under the query's metric, by
+/// [`wed::sw_scan_all`] for WED (the SW verify mode and the exact fallback)
+/// and by [`dtw_scan_all`](wed::metric::dtw_scan_all),
+/// [`lcss_scan_all`](wed::metric::lcss_scan_all) or
+/// [`frechet_scan_all`](wed::metric::frechet_scan_all) for the others.
+///
+/// A WED scan charges `sw_columns` and `verify_cost` one column per
+/// position of the trajectory; the other metrics charge the rows their scan
+/// evaluated to `verify_cost` alone. As a verifier it scans each distinct
+/// candidate trajectory once, whatever the number of anchors its group
+/// carries. In the current pipeline LCSS always takes the fallback scan (no
+/// sound filter bound exists), but the verifier serves it too, for custom
+/// candidate sets.
+pub(crate) struct ScanVerifier<'a, M: CostModel> {
     model: &'a M,
     q: &'a [Sym],
     tau: f64,
@@ -158,12 +155,36 @@ pub struct ScanVerifier<'a, M: CostModel> {
 }
 
 impl<'a, M: CostModel> ScanVerifier<'a, M> {
-    pub fn new(model: &'a M, q: &'a [Sym], tau: f64, metric: Metric) -> Self {
+    pub(crate) fn new(model: &'a M, q: &'a [Sym], tau: f64, metric: Metric) -> Self {
         ScanVerifier {
             model,
             q,
             tau,
             metric,
+        }
+    }
+
+    /// Scans trajectory `id`, whose symbols are `path`, into `results`.
+    pub(crate) fn scan(
+        &self,
+        id: TrajId,
+        path: &[Sym],
+        results: &mut ResultSet,
+        stats: &mut SearchStats,
+    ) {
+        let (model, q, tau) = (self.model, self.q, self.tau);
+        let (matches, rows) = match self.metric {
+            Metric::Wed => {
+                stats.sw_columns += path.len() as u64;
+                (wed::sw_scan_all(model, path, q, tau), path.len() as u64)
+            }
+            Metric::Dtw => wed::metric::dtw_scan_all(model, path, q, tau),
+            Metric::Lcss { eps } => wed::metric::lcss_scan_all(model, path, q, tau, eps),
+            Metric::Frechet => wed::metric::frechet_scan_all(model, path, q, tau),
+        };
+        stats.verify_cost += rows;
+        for m in matches {
+            results.push(id, m.start, m.end, m.dist);
         }
     }
 }
@@ -176,14 +197,7 @@ impl<M: CostModel> Verifier for ScanVerifier<'_, M> {
         results: &mut ResultSet,
         stats: &mut SearchStats,
     ) {
-        // One exact scan per distinct candidate trajectory, whatever the
-        // number of anchors the group carries.
-        let id = group[0].id;
-        let (matches, rows) = metric_scan_all(self.model, self.metric, path, self.q, self.tau);
-        stats.verify_cost += rows;
-        for m in matches {
-            results.push(id, m.start, m.end, m.dist);
-        }
+        self.scan(group[0].id, path, results, stats);
     }
 }
 
@@ -231,6 +245,59 @@ mod tests {
                 Err(QueryError::Parse(_))
             ));
         }
+    }
+
+    #[test]
+    fn wed_scan_is_sw_once_per_trajectory() {
+        use crate::deadline::Deadline;
+        use crate::search::ExecCtx;
+        use crate::verify::verify_all;
+        use traj::{Trajectory, TrajectoryStore};
+        use trajsearch_obs::Tracer;
+        use wed::models::Lev;
+
+        let store: TrajectoryStore = [&[0, 1, 2, 3, 4][..], &[3, 1, 5, 1, 2], &[9, 8, 7]]
+            .iter()
+            .map(|p| Trajectory::untimed(p.to_vec()))
+            .collect();
+        let (q, tau) = ([1, 5, 2], 2.5);
+        // Two anchors in every trajectory: each is still scanned once.
+        let cands: Vec<Candidate> = store
+            .iter()
+            .flat_map(|(id, _)| [0, 1].map(|j| Candidate { id, j, iq: 0 }))
+            .collect();
+        let ctx = ExecCtx {
+            deadline: Deadline::NONE,
+            tracer: Tracer::disabled(),
+            cache: None,
+        };
+        let mut stats = SearchStats::default();
+        let got = verify_all(
+            &store,
+            |id| store.get(id).span(),
+            &cands,
+            &mut ScanVerifier::new(&Lev, &q, tau, Metric::Wed),
+            None,
+            false,
+            ctx,
+            &mut stats,
+        )
+        .unwrap();
+        let got: Vec<_> = got
+            .iter()
+            .map(|m| (m.id, m.start, m.end, m.dist.to_bits()))
+            .collect();
+        let mut want = Vec::new();
+        for (id, t) in store.iter() {
+            for m in wed::sw_scan_all(&Lev, t.path(), &q, tau) {
+                want.push((id, m.start, m.end, m.dist.to_bits()));
+            }
+        }
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
+        let columns: u64 = store.iter().map(|(_, t)| t.len() as u64).sum();
+        assert_eq!((stats.sw_columns, stats.verify_cost), (columns, columns));
+        assert_eq!(stats.columns_passed + stats.stepdp_calls, 0);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! dedup → verification on the calling thread, with an exact scan when no
 //! sound filter bound exists; top-k is a loop around it ([`crate::topk`]).
 //!
+//! Verification has two back halves and no third: the bidirectional tries
+//! of [`crate::verify`] (WED in Local or Trie mode), and the
+//! whole-trajectory scan of [`crate::metric`], which verifies WED in SW
+//! mode and every other metric and also scans each trajectory of the exact
+//! fallback.
+//!
 //! The default configuration is the paper's **OSF-BT**: optimized
 //! subsequence filtering (MinCand) + bidirectional-trie verification.
 //! [`SearchOptions`] (everything a [`Query`](crate::Query) says besides its
@@ -24,7 +30,7 @@ use crate::api::Response;
 use crate::deadline::Deadline;
 use crate::filter::FilterPlan;
 use crate::index::{InvertedIndex, PostingSource};
-use crate::metric::{metric_scan_all, Metric, ScanVerifier};
+use crate::metric::{Metric, ScanVerifier};
 use crate::query::QueryError;
 use crate::results::{MatchResult, ResultSet};
 use crate::stats::SearchStats;
@@ -35,7 +41,7 @@ use crate::verify::{
 use std::time::{Duration, Instant};
 use traj::TrajectoryStore;
 use trajsearch_obs::Tracer;
-use wed::{sw_scan_all, Sym, WedInstance};
+use wed::{Sym, WedInstance};
 
 /// Per-query options of the pipeline: everything a
 /// [`Query`](crate::Query) carries besides its objective and deadline.
@@ -178,7 +184,9 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     /// growth round.
     ///
     /// Verification — the dominant cost in the paper's Table 4 breakdown —
-    /// runs on the calling thread with one [`Verifier`], as in the paper.
+    /// runs on the calling thread with one verifier, as in the paper: the
+    /// trie verifier for WED in Local or Trie mode, the whole-trajectory
+    /// scan verifier for WED in SW mode and for every other metric.
     /// Trie-mode WED verification reads the batch-level `ctx.cache` when
     /// the batch shares tries, and keeps its tries private otherwise.
     ///
@@ -213,13 +221,13 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
 
         let t2 = Instant::now();
         let model = &self.model;
-        let matches = match opts.metric {
-            Metric::Wed => {
-                let mut verifier =
-                    WedVerifier::for_plan(&plan, model, q, tau, opts.verify, ctx.cache);
+        let matches = match (opts.metric, opts.verify) {
+            (Metric::Wed, mode @ (VerifyMode::Local | VerifyMode::Trie)) => {
+                let local = mode == VerifyMode::Local;
+                let mut verifier = WedVerifier::for_plan(&plan, model, q, tau, local, ctx.cache);
                 self.verify(&candidates, &mut verifier, opts, ctx, &mut stats)
             }
-            metric => {
+            (metric, _) => {
                 let mut verifier = ScanVerifier::new(model, q, tau, metric);
                 self.verify(&candidates, &mut verifier, opts, ctx, &mut stats)
             }
@@ -230,8 +238,8 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
         Ok(Response { matches, stats })
     }
 
-    /// Phase 3 for whichever verifier the metric picked; generic, so each
-    /// arm of the metric match stays monomorphized.
+    /// Phase 3 for whichever verifier the query picked; generic, so each
+    /// arm of the match stays monomorphized.
     fn verify<V: Verifier>(
         &self,
         candidates: &[Candidate],
@@ -284,7 +292,9 @@ pub fn exact_fallback_scan<M: wed::CostModel>(
 /// The exact scan behind [`exact_fallback_scan`], for any metric and with a
 /// cooperative [`Deadline`] checked between scanned trajectories — the
 /// fallback path's equivalent of the between-group checkpoints in
-/// verification. Under a non-WED metric the scan work lands in the
+/// verification. Each selected trajectory goes through the scan verifier
+/// ([`crate::metric`]) that SW-mode and non-WED verification run, so its
+/// work is counted as theirs is: under a non-WED metric it lands in the
 /// metric-neutral `verify_cost` only (the WED-specific `sw_columns` stays
 /// zero).
 ///
@@ -331,22 +341,11 @@ fn fallback_scan<M: wed::CostModel>(
     stats.lookup_time = t1.elapsed();
 
     let t2 = Instant::now();
+    let verifier = ScanVerifier::new(model, q, tau, opts.metric);
     let mut rs = ResultSet::new();
     for id in scan {
         deadline.check()?;
-        let traj = store.get(id);
-        let found = if opts.metric.is_wed() {
-            stats.sw_columns += traj.len() as u64;
-            stats.verify_cost += traj.len() as u64;
-            sw_scan_all(model, traj.path(), q, tau)
-        } else {
-            let (found, rows) = metric_scan_all(model, opts.metric, traj.path(), q, tau);
-            stats.verify_cost += rows;
-            found
-        };
-        for m in found {
-            rs.push(id, m.start, m.end, m.dist);
-        }
+        verifier.scan(id, store.get(id).path(), &mut rs, stats);
     }
     let matches = finish_verification(rs, store, opts.temporal.as_ref(), stats);
     stats.verify_time = t2.elapsed();

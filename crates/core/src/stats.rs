@@ -63,17 +63,14 @@ crate::wire_struct! {
         /// `columns_passed`, `stepdp_calls`) at zero, so merged workload stats
         /// never mix incomparable units.
         pub verify_cost: u64 = default,
-        /// Shared-trie acquisitions that found a [`TrieCache`] entry an earlier
-        /// query of the batch had already created (the batch cache level;
-        /// stays zero with private tries and for non-WED verifiers).
-        ///
-        /// [`TrieCache`]: crate::verify::TrieCache
+        /// Shared-trie acquisitions that found a batch trie cache entry an
+        /// earlier query of the batch had already created (the batch cache
+        /// level, [`BatchOptions::share_tries`](crate::BatchOptions::share_tries);
+        /// stays zero with private tries and for the scan verifier).
         pub trie_cache_hits: u64 = default,
-        /// Shared-trie acquisitions that created the [`TrieCache`] entry —
+        /// Shared-trie acquisitions that created the batch trie cache entry —
         /// exactly one per distinct query suffix regardless of thread
         /// interleaving (insert-race losers count as hits).
-        ///
-        /// [`TrieCache`]: crate::verify::TrieCache
         pub trie_cache_misses: u64 = default,
         /// Number of result triples `(id, s, t)`.
         pub results: usize,

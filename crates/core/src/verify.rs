@@ -6,7 +6,10 @@
 //! `wed(P[s..=t], Q) < τ`. Three strategies are provided:
 //!
 //! * [`VerifyMode::Sw`] — Smith–Waterman over each candidate *trajectory*
-//!   (the `*-SW` baselines): exact, no locality, no sharing.
+//!   (the `*-SW` baselines): exact, no locality, no sharing. This is the
+//!   whole-trajectory scan verifier of [`crate::metric`], the same scan that
+//!   verifies every non-WED metric and runs the exact fallback; this module
+//!   only picks it ([`verify_candidates`]).
 //! * [`VerifyMode::Local`] — bidirectional local verification (§5.1): two
 //!   DPs growing outward from `j`, early-terminated by the Eq. (11) lower
 //!   bound; no cross-candidate sharing (ablation point).
@@ -14,9 +17,9 @@
 //!   (§5.2): DP columns are cached per `(iq, direction)` in a trie keyed by
 //!   the data symbols, exploiting the small out-degree of road networks.
 //!
-//! Every Local- and Trie-mode walk extends DP columns from the verifier's
-//! **cost profile** ([`wed::dp::SubProfile`]): per data symbol, the row
-//! `sub(p, Q[·])` kept forward and reversed, so the forward suffix
+//! The WED verifier here runs the last two. Every walk extends DP columns
+//! from its **cost profile** ([`wed::dp::SubProfile`]): per data symbol, the
+//! row `sub(p, Q[·])` kept forward and reversed, so the forward suffix
 //! `Q[iq+1..]` and the backward suffix `rev(Q[..iq])` of any anchor are
 //! contiguous windows of it. The anchor cost `sub(P[j], Q[iq])` is read off
 //! the same row. No walk calls `CostModel::sub`; the model-calling kernel
@@ -27,8 +30,9 @@
 //!
 //! * a **unit-cost** model (η = 0) has `sub(p, q) = 0` exactly when
 //!   `p ∈ B(q)`, so its rows are built before the first walk from the
-//!   neighbourhoods the filter plan already found
-//!   ([`WedVerifier::new`], without a plan, searches them once itself);
+//!   neighbourhoods the filter plan already found (a verifier built without
+//!   a plan, as [`verify_candidates`] builds one, searches them once
+//!   itself);
 //!   verification then makes no cost-model call at all;
 //! * any other model is asked once per `(data symbol, query position)`, on
 //!   the symbol's first touch.
@@ -49,15 +53,16 @@
 //! Every Local- and Trie-mode walk is one loop, `walk_trie`, over a
 //! `DpTrie`. Above the profile, Trie-mode caching has two levels. The
 //! per-query level (one verifier's own tries) is always on. A batch may opt
-//! in to one [`TrieCache`] across its queries (`BatchOptions::share_tries`),
+//! in to one shared trie cache across its queries
+//! ([`BatchOptions::share_tries`](crate::BatchOptions::share_tries)),
 //! so repeated or overlapping patterns hit warm columns; a walk over a shared
 //! trie holds its lock from the root to its last step, StepDP included.
 //! Local mode walks the verifier's private trie after clearing it back to
 //! its root, so every step computes its column. Sharing never changes
 //! results: a trie is fully determined by its query suffix `Q^d` and the
 //! cost model, and StepDP is deterministic, so shared columns are
-//! bit-identical to privately computed ones. Non-WED verifiers
-//! ([`crate::metric`]) never consult the cache.
+//! bit-identical to privately computed ones. The scan verifier
+//! ([`crate::metric`]) never consults the cache.
 //!
 //! The split at the anchor follows Eq. (10):
 //! `wed(P[s..=t], Q) = wed(P[s..j-1], Q[..iq]) + sub(P[j], Q[iq]) +
@@ -89,13 +94,15 @@
 //!
 //! Verification is **metric-pluggable**: the front half (candidate dedup,
 //! per-trajectory grouping, deadline checkpoints, temporal post-check) is
-//! shared, while the back half is a [`Verifier`]
-//! implementation invoked once per trajectory group — [`WedVerifier`] for
-//! the three WED strategies above, or the DTW/LCSS/Fréchet verifiers in
-//! [`crate::metric`].
+//! shared, while the back half is a verifier invoked once per trajectory
+//! group — the trie verifier here for WED's Local and Trie modes, or the
+//! scan verifier of [`crate::metric`] for WED's SW mode and every other
+//! metric. [`verify_candidates`] and the engine's threshold search are the
+//! two places that pick one.
 
 use crate::deadline::Deadline;
 use crate::filter::FilterPlan;
+use crate::metric::{Metric, ScanVerifier};
 use crate::query::QueryError;
 use crate::results::{MatchResult, ResultSet};
 use crate::search::ExecCtx;
@@ -108,7 +115,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use traj::{TrajId, TrajectoryStore};
 use trajsearch_obs::Tracer;
 use wed::dp::{initial_bit_column_into, SubProfile, Suffix};
-use wed::{sw_scan_all, CostModel, Sym, WedInstance};
+use wed::{CostModel, Sym, WedInstance};
 
 /// A filtering candidate `(id, j, iq)` (§3.1): `P^(id)[j] ∈ B(Q[iq])`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -374,12 +381,12 @@ type TrieShard = Mutex<HashMap<Box<[Sym]>, Arc<Mutex<DpTrie>>>>;
 /// only lock it can take meanwhile is the cost model's `Memo` (through the
 /// profile's `sub` calls on a row's first touch), and `Memo` never waits on
 /// a trie, so the lock order is acyclic.
-pub struct TrieCache {
+pub(crate) struct TrieCache {
     shards: [TrieShard; CACHE_SHARDS],
 }
 
 impl TrieCache {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TrieCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         }
@@ -416,12 +423,6 @@ impl TrieCache {
     }
 }
 
-impl Default for TrieCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A verifier's handle on one trie: owned outright, or a lease on a
 /// [`TrieCache`] entry shared with the batch's other queries.
 enum TrieHandle {
@@ -455,7 +456,7 @@ fn with_trie<R>(handle: &mut TrieHandle, walk: impl FnOnce(&mut DpTrie) -> R) ->
 ///
 /// A verifier may carry state across groups (the WED tries do); every
 /// query builds its own, so implementations need not be `Sync`.
-pub trait Verifier {
+pub(crate) trait Verifier {
     /// Verifies one trajectory group. `group` is non-empty and all its
     /// candidates share one trajectory id; `path` is that trajectory's
     /// symbol sequence.
@@ -469,13 +470,14 @@ pub trait Verifier {
 }
 
 /// Stateful WED verifier holding the cost profile and the bidirectional
-/// tries of one query — the [`Verifier`] back half for all three
-/// [`VerifyMode`] strategies.
-pub struct WedVerifier<'a, M: CostModel> {
-    model: &'a M,
-    q: &'a [Sym],
+/// tries of one query — the [`Verifier`] back half of [`VerifyMode::Local`]
+/// and [`VerifyMode::Trie`].
+pub(crate) struct WedVerifier<'a, M: CostModel> {
     tau: f64,
-    mode: VerifyMode,
+    /// Local mode (§5.1, the ablation point): the tries are private and
+    /// cleared back to their root before every anchor, so no column is
+    /// reused.
+    local: bool,
     /// Batch-level [`TrieCache`] for Trie mode; `None` keeps every trie
     /// private to this verifier (the classic §5.2 behavior).
     cache: Option<&'a TrieCache>,
@@ -483,7 +485,7 @@ pub struct WedVerifier<'a, M: CostModel> {
     /// slices of. Private to this verifier.
     costs: SubProfile<'a, M>,
     /// Trie handles by candidate query position `iq`; `[0]` backward,
-    /// `[1]` forward. Local mode's are private and cleared before a walk.
+    /// `[1]` forward.
     tries: Vec<Option<[TrieHandle; 2]>>,
     /// `E^b` and `E^f` of the candidate at hand (Algorithm 4), reused
     /// across candidates.
@@ -493,44 +495,42 @@ pub struct WedVerifier<'a, M: CostModel> {
 impl<'a, M: WedInstance> WedVerifier<'a, M> {
     /// A verifier with private tries for a caller that holds no filter
     /// plan: a unit-cost profile searches `B(q)` of each query symbol here.
-    pub fn new(model: &'a M, q: &'a [Sym], tau: f64, mode: VerifyMode) -> Self {
-        Self::with_profile(SubProfile::new(model, q), model, q, tau, mode, None)
+    pub(crate) fn new(model: &'a M, q: &[Sym], tau: f64, local: bool) -> Self {
+        Self::with_profile(SubProfile::new(model, q), q, tau, local, None)
     }
 
     /// The engine's verifier: a unit-cost profile takes `B(q)` from the
     /// plan that found the candidates, and Trie-mode tries resolve through
     /// the shared [`TrieCache`] when there is one (hits and misses are
     /// accounted per acquisition in `stats.trie_cache_hits` /
-    /// `trie_cache_misses`; the other modes ignore it). Results are
+    /// `trie_cache_misses`; Local mode ignores it). Results are
     /// bit-identical to [`WedVerifier::new`]'s.
     pub(crate) fn for_plan(
         plan: &FilterPlan,
         model: &'a M,
-        q: &'a [Sym],
+        q: &[Sym],
         tau: f64,
-        mode: VerifyMode,
+        local: bool,
         cache: Option<&'a TrieCache>,
     ) -> Self {
         let costs = SubProfile::with_neighbors(model, q, |s| plan.neighbors(s));
-        Self::with_profile(costs, model, q, tau, mode, cache)
+        Self::with_profile(costs, q, tau, local, cache)
     }
 }
 
 impl<'a, M: CostModel> WedVerifier<'a, M> {
+    /// The verifier over `costs`, the profile of `q`.
     fn with_profile(
         costs: SubProfile<'a, M>,
-        model: &'a M,
-        q: &'a [Sym],
+        q: &[Sym],
         tau: f64,
-        mode: VerifyMode,
+        local: bool,
         cache: Option<&'a TrieCache>,
     ) -> Self {
         WedVerifier {
-            model,
-            q,
             tau,
-            mode,
-            cache: cache.filter(|_| mode == VerifyMode::Trie),
+            local,
+            cache: cache.filter(|_| !local),
             costs,
             tries: std::iter::repeat_with(|| None).take(q.len()).collect(),
             ed: Default::default(),
@@ -548,7 +548,7 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
     ) {
         let j = cand.j as usize;
         let iq = cand.iq as usize;
-        debug_assert!(j < path.len() && iq < self.q.len());
+        debug_assert!(j < path.len() && iq < self.tries.len());
         stats.sw_columns += path.len() as u64;
 
         let (sub0, tau) = (self.costs.sub(path[j], iq), self.tau);
@@ -572,7 +572,7 @@ impl<'a, M: CostModel> WedVerifier<'a, M> {
                 None => TrieHandle::Private(DpTrie::new(costs, suffix)),
             })
         });
-        if self.mode == VerifyMode::Local {
+        if self.local {
             for handle in tries.iter_mut() {
                 if let TrieHandle::Private(trie) = handle {
                     trie.clear();
@@ -638,22 +638,8 @@ impl<M: CostModel> Verifier for WedVerifier<'_, M> {
         results: &mut ResultSet,
         stats: &mut SearchStats,
     ) {
-        match self.mode {
-            VerifyMode::Sw => {
-                // One exact scan per distinct candidate trajectory; the UPR
-                // denominator counts each scanned trajectory once.
-                let id = group[0].id;
-                stats.sw_columns += path.len() as u64;
-                stats.verify_cost += path.len() as u64;
-                for m in sw_scan_all(self.model, path, self.q, self.tau) {
-                    results.push(id, m.start, m.end, m.dist);
-                }
-            }
-            VerifyMode::Local | VerifyMode::Trie => {
-                for cand in group {
-                    self.verify_candidate(path, *cand, results, stats);
-                }
-            }
+        for cand in group {
+            self.verify_candidate(path, *cand, results, stats);
         }
     }
 }
@@ -771,7 +757,9 @@ pub(crate) fn finish_verification(
 ///
 /// This is the engine's verification phase without deadline, tracing or a
 /// shared cache, for callers that bring their own candidates (the filtering
-/// baselines, the benchmark's layer ledger).
+/// baselines, the benchmark's layer ledger). `mode` picks the verifier as
+/// the engine does: [`VerifyMode::Sw`] scans each candidate trajectory
+/// whole, the other two walk bidirectional tries.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_candidates<M: WedInstance>(
     model: &M,
@@ -790,11 +778,22 @@ pub fn verify_candidates<M: WedInstance>(
         tracer: Tracer::disabled(),
         cache: None,
     };
+    let (mut scan, mut walk);
+    let verifier: &mut dyn Verifier = match mode {
+        VerifyMode::Sw => {
+            scan = ScanVerifier::new(model, q, tau, Metric::Wed);
+            &mut scan
+        }
+        VerifyMode::Local | VerifyMode::Trie => {
+            walk = WedVerifier::new(model, q, tau, mode == VerifyMode::Local);
+            &mut walk
+        }
+    };
     verify_all(
         store,
         index_span,
         candidates,
-        &mut WedVerifier::new(model, q, tau, mode),
+        verifier,
         temporal,
         temporal_filter,
         ctx,
@@ -812,7 +811,7 @@ pub fn verify_candidates<M: WedInstance>(
 /// [`QueryError::DeadlineExceeded`], never a partial answer. `ctx.cache` is
 /// not read here: it reaches the verifier through its constructor.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_all<V: Verifier>(
+pub(crate) fn verify_all<V: Verifier + ?Sized>(
     store: &TrajectoryStore,
     index_span: impl Fn(TrajId) -> (f64, f64),
     candidates: &[Candidate],
@@ -904,7 +903,8 @@ mod tests {
         )
     }
 
-    /// [`run`] through [`verify_all`] with a WED verifier over `cache` —
+    /// [`run`] through [`verify_all`] with the verifier the engine picks for
+    /// `mode` — the scan verifier for SW, tries over `cache` otherwise — and
     /// the engine's call shape.
     fn run_engine(
         store: &TrajectoryStore,
@@ -916,11 +916,20 @@ mod tests {
     ) -> (Result<Vec<MatchResult>, QueryError>, SearchStats) {
         let cands = all_candidates(store, q);
         let mut stats = SearchStats::default();
+        let (mut scan, mut walk);
+        let verifier: &mut dyn Verifier = if mode == VerifyMode::Sw {
+            scan = ScanVerifier::new(&Lev, q, tau, Metric::Wed);
+            &mut scan
+        } else {
+            let local = mode == VerifyMode::Local;
+            walk = WedVerifier::with_profile(SubProfile::new(&Lev, q), q, tau, local, cache);
+            &mut walk
+        };
         let got = verify_all(
             store,
             |id| store.get(id).span(),
             &cands,
-            &mut WedVerifier::with_profile(SubProfile::new(&Lev, q), &Lev, q, tau, mode, cache),
+            verifier,
             None,
             false,
             ExecCtx {

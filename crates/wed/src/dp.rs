@@ -1,18 +1,19 @@
 //! Dynamic programming for weighted edit distance (§2.2.1).
 //!
 //! `wed(P, Q)` fills the classic (m+1)×(n+1) table column by column; the
-//! column primitive [`step_dp`] is Algorithm 6 of the paper.
+//! column primitive [`step_dp_into`] is Algorithm 6 of the paper.
 //!
 //! There are three kernels for that column, and one answer:
 //!
 //! * [`step_dp_into`] is the **reference**: it asks the cost model for
 //!   `sub(p, q_j)` and `ins(q_j)` cell by cell. [`wed`], [`wed_within`],
-//!   Smith–Waterman, the baselines and the benchmark's kernel probe run it.
-//! * [`step_dp_rows`] is what the **engine** runs for any cost model: the
-//!   same sweep over cost rows that are already numbers. Trie verification
-//!   extends hundreds of columns per query over suffixes of one `Q`, so a
-//!   [`SubProfile`] asks the model once per `(data symbol, query position)`
-//!   and every column after that reads a contiguous slice.
+//!   the Smith–Waterman scan ([`crate::metric::sw_scan_all`]) and the
+//!   benchmark's kernel probe run it.
+//! * [`step_dp_rows`] is what the **engine** runs for a cost model without
+//!   unit costs: the same sweep over cost rows that are already numbers.
+//!   Trie verification extends hundreds of columns per query over suffixes
+//!   of one `Q`, so a [`SubProfile`] asks the model once per `(data symbol,
+//!   query position)` and every column after that reads a contiguous slice.
 //! * [`step_dp_bits`] is what the engine runs for a **unit-cost** model
 //!   ([`CostModel::unit_costs`]: Levenshtein, EDR, NetEDR). Their columns
 //!   are Levenshtein columns — neighbouring entries differ by −1, 0 or +1 —
@@ -79,18 +80,11 @@ fn min2(a: f64, b: f64) -> f64 {
 }
 
 /// Algorithm 6 (StepDP): extends column `a` (for data prefix `P[..k]`) by
-/// one data symbol `p`, producing the column for `P[..k+1]`.
+/// one data symbol `p` into `out`, the column for `P[..k+1]`, and returns
+/// its minimum — the reference kernel (see the module docs).
 ///
-/// `a[j] = wed(P[..k], Q[..j])`; the output `b` satisfies
-/// `b[j] = wed(P[..k+1], Q[..j])`.
-pub fn step_dp<M: CostModel + ?Sized>(m: &M, q: &[Sym], p: Sym, a: &[f64]) -> Vec<f64> {
-    let mut b = vec![0.0; a.len()];
-    step_dp_into(m, q, p, a, &mut b);
-    b
-}
-
-/// [`step_dp`] into a caller-owned slice, returning the column minimum —
-/// the reference kernel (see the module docs).
+/// `a[j] = wed(P[..k], Q[..j])`; the output satisfies
+/// `out[j] = wed(P[..k+1], Q[..j])`.
 ///
 /// `del(p)` is hoisted out of the loop, the `left` dependency is carried in
 /// a register instead of re-read from `out`, and the three-way min plus the
@@ -311,7 +305,8 @@ impl Suffix {
 /// A row comes in one of two encodings, fixed by the model:
 ///
 /// * `f64` costs for [`step_dp_rows`] ([`SubProfile::step`]), asked of the
-///   model once per `(p, Q[j])` on `p`'s first touch;
+///   model once per `(p, Q[j])` on `p`'s first touch, for a model without
+///   unit costs;
 /// * for a unit-cost model, one bit per symbol for [`step_dp_bits`]
 ///   ([`SubProfile::step_bits`]), built before any walk from the
 ///   neighbourhoods `B(Q[j])` without asking the model at all. With η = 0
@@ -342,13 +337,8 @@ enum Rows {
     Costs(Vec<f64>),
     /// `⌈2n/64⌉ + 1` words wide: bit `t` set iff `sub(p, syms[t]) = 0`, then
     /// a zero word, so any window's words can be read off two neighbours.
-    /// `eq` holds the window [`step_dp_bits`] is handed, and `sub` the
-    /// costs a bit row stands for when [`SubProfile::step`] is asked.
-    Matches {
-        words: Vec<u64>,
-        eq: Vec<u64>,
-        sub: Vec<f64>,
-    },
+    /// `eq` holds the window [`step_dp_bits`] is handed.
+    Matches { words: Vec<u64>, eq: Vec<u64> },
 }
 
 impl<'a, M: WedInstance + ?Sized> SubProfile<'a, M> {
@@ -392,7 +382,6 @@ impl<'a, M: WedInstance + ?Sized> SubProfile<'a, M> {
             Rows::Matches {
                 words,
                 eq: Vec::new(),
-                sub: Vec::new(),
             }
         } else {
             Rows::Costs(Vec::new())
@@ -476,36 +465,27 @@ impl<M: CostModel + ?Sized> SubProfile<'_, M> {
 
     /// StepDP for data symbol `p` over the suffix: what
     /// `step_dp_into(model, symbols(s), p, a, out)` computes, bit for bit.
+    /// Panics if the profile has [unit costs](SubProfile::unit_costs): its
+    /// columns are bit columns, extended by [`SubProfile::step_bits`].
     pub fn step(&mut self, s: Suffix, p: Sym, a: &[f64], out: &mut [f64]) -> f64 {
         let at = self.row(p);
+        let Rows::Costs(rows) = &self.rows else {
+            panic!("a unit-cost profile steps bit columns");
+        };
         let window = s.off..s.off + s.len;
-        match &mut self.rows {
-            Rows::Costs(rows) => step_dp_rows(
-                &rows[at + 1..][window.clone()],
-                &self.ins[window],
-                rows[at],
-                a,
-                out,
-            ),
-            // Unit costs: a match costs 0, anything else 1, `del(p)` is 1.
-            Rows::Matches { words, sub, .. } => {
-                sub.clear();
-                sub.extend(window.clone().map(|t| {
-                    if words[at + t / 64] >> (t % 64) & 1 == 1 {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                }));
-                step_dp_rows(sub, &self.ins[window], 1.0, a, out)
-            }
-        }
+        step_dp_rows(
+            &rows[at + 1..][window.clone()],
+            &self.ins[window],
+            rows[at],
+            a,
+            out,
+        )
     }
 
     /// StepDP for data symbol `p` over the suffix on [bit
     /// columns](bit_column_len), returning the new column's minimum and last
-    /// entry: what [`SubProfile::step`] returns and leaves in its last cell,
-    /// bit for bit. Panics unless the profile has [unit
+    /// entry: what `step_dp_into(model, symbols(s), p, …)` returns and leaves
+    /// in its last cell, bit for bit. Panics unless the profile has [unit
     /// costs](SubProfile::unit_costs).
     pub fn step_bits(&mut self, s: Suffix, p: Sym, a: &[u64], out: &mut [u64]) -> (f64, f64) {
         let at = self.row(p);
@@ -637,8 +617,10 @@ mod tests {
         let q = [1, 2, 3];
         let p = [4, 2, 3, 1];
         let mut col = initial_column(&Lev, &q);
+        let mut next = col.clone();
         for (k, &sym) in p.iter().enumerate() {
-            col = step_dp(&Lev, &q, sym, &col);
+            step_dp_into(&Lev, &q, sym, &col, &mut next);
+            std::mem::swap(&mut col, &mut next);
             // col[j] must equal wed(P[..k+1], Q[..j]).
             for j in 0..=q.len() {
                 assert_eq!(col[j], wed(&Lev, &p[..k + 1], &q[..j]), "k={k} j={j}");
@@ -690,7 +672,6 @@ mod tests {
             let p: Sym = rng.gen_range(0..6);
             let mut next = vec![0.0; col.len()];
             let min = step_dp_into(&Lev, &q, p, &col, &mut next);
-            assert_eq!(next, step_dp(&Lev, &q, p, &col));
             assert_eq!(min, next.iter().cloned().fold(f64::INFINITY, f64::min));
         }
     }

@@ -13,17 +13,16 @@
 //! * [`models`] — the six concrete instances used in the paper's evaluation.
 //! * [`dp`] — the quadratic DP for `wed(P, Q)` and the column-at-a-time
 //!   StepDP primitive (Algorithm 6) in its three forms: the model-calling
-//!   reference, and the two kernels trie verification runs over a per-query
-//!   [`dp::SubProfile`] — row-reading for any model, bit-parallel for
-//!   unit-cost ones.
-//! * [`sw`] — the Smith–Waterman adaptation for subtrajectory matching
-//!   (Algorithm 7) and a threshold-scan variant that returns *all* matching
-//!   substrings.
+//!   reference [`dp::step_dp_into`], and the two kernels trie verification
+//!   runs over a per-query [`dp::SubProfile`] — row-reading for any model,
+//!   bit-parallel for unit-cost ones.
 //! * [`nonwed`] — DTW, LCSS, LORS and LCRS, the non-WED comparators of the
 //!   effectiveness experiments (§6.2).
-//! * [`metric`] — engine-facing DTW/LCSS/discrete-Fréchet over symbols, with
-//!   the cost model's `sub` as ground distance, plus their `*_scan_all`
-//!   verification primitives.
+//! * [`metric`] — the whole-sequence scans: the Smith–Waterman threshold
+//!   scan [`sw_scan_all`] that returns *every* substring of `P` within `τ`
+//!   of `Q`, and engine-facing DTW/LCSS/discrete-Fréchet over symbols, with
+//!   the cost model's `sub` as ground distance, beside their `*_scan_all`
+//!   counterparts.
 //! * [`hash`] — the multiplicative hasher of the symbol-keyed maps probed
 //!   from hot loops, here and in the engine's result set.
 
@@ -33,12 +32,11 @@ pub mod hash;
 pub mod metric;
 pub mod models;
 pub mod nonwed;
-pub mod sw;
 
 pub use cost::{Ball, CostModel, Sym, WedInstance};
-pub use dp::{initial_column, step_dp, wed, wed_within};
+pub use dp::{initial_column, wed, wed_within};
 pub use metric::{
-    dtw_dist, dtw_scan_all, frechet_dist, frechet_scan_all, lcss_dist, lcss_scan_all,
+    dtw_dist, dtw_scan_all, frechet_dist, frechet_scan_all, lcss_dist, lcss_scan_all, sw_scan_all,
+    SubMatch,
 };
 pub use models::{Edr, Erp, Lev, NetEdr, NetErp, Surs};
-pub use sw::{sw_best, sw_scan_all, SubMatch};

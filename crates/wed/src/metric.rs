@@ -1,10 +1,18 @@
-//! Non-edit subtrajectory metrics grounded in a [`CostModel`].
+//! Whole-sequence scans: every substring of a data sequence within a
+//! threshold, under WED and under the non-edit metrics.
 //!
-//! The comparators in [`crate::nonwed`] operate on raw point sequences; this
-//! module provides the engine-facing variants that reuse a cost model's
-//! substitution cost `sub(a, b)` as the ground distance between symbols, so
-//! every network-aware model (NetEDR's road distance, SURS's segment
-//! lengths, …) transfers to DTW, LCSS and discrete Fréchet unchanged:
+//! [`sw_scan_all`] is the Smith–Waterman adaptation of §3 and Appendix A
+//! under the result-set semantics of Definition 3: a per-start WED DP that
+//! reports every substring below `tau`. It is the verification-grade
+//! primitive of the Plain-SW and `*-SW` baselines, of the engine's SW
+//! verify mode and of its exact fallback scan.
+//!
+//! The comparators in [`crate::nonwed`] operate on raw point sequences; the
+//! rest of this module provides the engine-facing variants that reuse a cost
+//! model's substitution cost `sub(a, b)` as the ground distance between
+//! symbols, so every network-aware model (NetEDR's road distance, SURS's
+//! segment lengths, …) transfers to DTW, LCSS and discrete Fréchet
+//! unchanged:
 //!
 //! * **DTW** — the minimum, over monotone couplings of `P` and `Q` matching
 //!   both endpoints, of the *sum* of coupled `sub` costs (no gaps).
@@ -14,7 +22,7 @@
 //!   *maximum* coupled `sub` cost (the bottleneck variant of DTW).
 //!
 //! Each metric ships a whole-sequence distance and a `*_scan_all`
-//! verification primitive mirroring [`crate::sw::sw_scan_all`]: a per-start
+//! verification primitive mirroring [`sw_scan_all`]: a per-start
 //! DP over the data sequence that reports every substring within a strict
 //! threshold, plus the number of DP rows it evaluated (each `O(|Q|)`) — the
 //! metric-neutral `verify_cost` unit. DTW and Fréchet rows are monotone
@@ -29,7 +37,49 @@
 //! sequence.
 
 use crate::cost::{CostModel, Sym};
-use crate::sw::SubMatch;
+use crate::dp::{initial_column, step_dp_into};
+
+/// A matching substring `P[start..=end]` (0-based, inclusive) with its
+/// distance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SubMatch {
+    pub start: usize,
+    pub end: usize,
+    pub dist: f64,
+}
+
+/// All non-empty substrings `P[s..=t]` with `wed(P[s..=t], Q) < tau`
+/// (Definition 3 result-set semantics), found by a per-start DP with
+/// early termination once the Eq. (11) lower bound reaches `tau`.
+///
+/// Each start extends two reused columns with [`step_dp_into`], whose
+/// returned column minimum is that bound; a column is the one `wed` builds
+/// for the same prefix, so every distance is `wed`'s to the bit.
+pub fn sw_scan_all<M: CostModel + ?Sized>(m: &M, p: &[Sym], q: &[Sym], tau: f64) -> Vec<SubMatch> {
+    let mut out = Vec::new();
+    let init = initial_column(m, q);
+    let (mut col, mut next) = (init.clone(), init.clone());
+    for s in 0..p.len() {
+        col.copy_from_slice(&init);
+        for (t, &sym) in p.iter().enumerate().skip(s) {
+            let lb = step_dp_into(m, q, sym, &col, &mut next);
+            std::mem::swap(&mut col, &mut next);
+            let d = col[q.len()];
+            if d < tau {
+                out.push(SubMatch {
+                    start: s,
+                    end: t,
+                    dist: d,
+                });
+            }
+            // Eq. (11): the column minimum lower-bounds every extension.
+            if lb >= tau {
+                break;
+            }
+        }
+    }
+    out
+}
 
 /// DTW between whole sequences under `m.sub` ground costs. Empty inputs are
 /// at distance `0` from each other and `+∞` from anything non-empty (no
@@ -237,6 +287,7 @@ pub fn lcss_scan_all<M: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::wed;
     use crate::models::Lev;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -297,6 +348,42 @@ mod tests {
         got.iter()
             .map(|m| (m.start, m.end, m.dist.to_bits()))
             .collect()
+    }
+
+    #[test]
+    fn sw_scan_all_is_strict_at_tau() {
+        // P = ABCDE, Q = BFD (Example 2): BCD is at distance 1, which is
+        // not a match at tau = 1.
+        let p = [0, 1, 2, 3, 4];
+        let q = [1, 5, 3];
+        let got = sw_scan_all(&Lev, &p, &q, 1.0);
+        assert!(got.is_empty(), "wed=1 must not match tau=1: {got:?}");
+        let got = sw_scan_all(&Lev, &p, &q, 1.5);
+        assert!(got.iter().any(|m| (m.start, m.end) == (1, 3)));
+        for m in &got {
+            assert!(m.dist < 1.5);
+        }
+    }
+
+    #[test]
+    fn sw_scan_all_equals_brute_force() {
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        for _ in 0..30 {
+            let p = random_seq(&mut rng, 18, 6);
+            let q = random_seq(&mut rng, 8, 6);
+            let tau = rng.gen_range(0.5..4.0);
+            let mut want = Vec::new();
+            for s in 0..p.len() {
+                for t in s..p.len() {
+                    let d = wed(&Lev, &p[s..=t], &q);
+                    if d < tau {
+                        want.push((s, t, d.to_bits()));
+                    }
+                }
+            }
+            let got = sw_scan_all(&Lev, &p, &q, tau);
+            assert_eq!(bits(&got), want, "p={p:?} q={q:?} tau={tau}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use wed::dp::{
 };
 use wed::models::{Edr, Erp, Lev, Memo, NetEdr, NetErp, Surs};
 use wed::nonwed::lors;
-use wed::{sw_best, sw_scan_all, wed, wed_within, Sym, WedInstance};
+use wed::{sw_scan_all, wed, wed_within, Sym, WedInstance};
 
 fn net() -> Arc<RoadNetwork> {
     Arc::new(CityParams::tiny(NetworkKind::Grid).generate())
@@ -51,6 +51,15 @@ fn cost_models() -> Vec<(&'static str, Box<dyn WedInstance>)> {
     ]
 }
 
+/// The models the engine runs on `f64` columns: every one without unit
+/// costs.
+fn cost_row_models() -> Vec<(&'static str, Box<dyn WedInstance>)> {
+    cost_models()
+        .into_iter()
+        .filter(|(_, m)| !m.unit_costs())
+        .collect()
+}
+
 /// The unit-cost models the engine runs on bit columns.
 fn unit_models() -> Vec<(&'static str, Box<dyn WedInstance>)> {
     cost_models()
@@ -69,12 +78,14 @@ const BIT_LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The engine's kernel against the reference: for either suffix of `Q`
-    /// around an anchor `iq` — `Q[iq+1..]` and `rev(Q[..iq])` — the profile's
-    /// window holds the suffix's symbols, its root column is
-    /// `initial_column_into`'s, and `step_dp_rows` over its row slices
-    /// returns `step_dp_into`'s column and minimum, all by `to_bits`, from
-    /// any parent column, on a row's first touch and on its reuse.
+    /// The engine's row kernel against the reference, for every model
+    /// without unit costs (the unit ones step bit columns, pinned below):
+    /// for either suffix of `Q` around an anchor `iq` — `Q[iq+1..]` and
+    /// `rev(Q[..iq])` — the profile's window holds the suffix's symbols, its
+    /// root column is `initial_column_into`'s, and `step_dp_rows` over its
+    /// row slices returns `step_dp_into`'s column and minimum, all by
+    /// `to_bits`, from any parent column, on a row's first touch and on its
+    /// reuse.
     #[test]
     fn step_dp_rows_is_bit_identical_to_step_dp_into(
         q in proptest::collection::vec(0u32..32, 1..12),
@@ -85,8 +96,9 @@ proptest! {
         let iq = iq % q.len();
         let fwd: Vec<Sym> = q[iq + 1..].to_vec();
         let back: Vec<Sym> = q[..iq].iter().rev().copied().collect();
-        for (name, m) in cost_models() {
+        for (name, m) in cost_row_models() {
             let mut costs = SubProfile::new(&*m, &q);
+            prop_assert!(!costs.unit_costs(), "{}", name);
             let windows = [(costs.forward(iq), &fwd), (costs.backward(iq), &back)];
             for (suffix, qd) in windows {
                 prop_assert_eq!(costs.symbols(suffix), &qd[..], "{}", name);
@@ -203,47 +215,41 @@ proptest! {
         }
     }
 
-    /// sw_scan_all equals brute force for a continuous-cost model (ERP).
+    /// sw_scan_all equals brute force for a continuous-cost model (ERP),
+    /// distances by `to_bits`. One draw in three puts τ on a realised
+    /// substring distance and one on the float above it: the boundary where
+    /// a column's minimum decides early termination.
     #[test]
     fn sw_scan_matches_brute_force_under_erp(
         p in proptest::collection::vec(0u32..64, 1..10),
         q in proptest::collection::vec(0u32..64, 1..5),
         tau in 50.0f64..2000.0,
+        at in 0usize..64,
+        boundary in 0u8..3,
     ) {
         let erp = Erp::new(net(), 10.0);
-        let mut got = sw_scan_all(&erp, &p, &q, tau);
-        got.sort_by_key(|m| (m.start, m.end));
-        let mut want = Vec::new();
+        let mut all = Vec::new();
         for s in 0..p.len() {
             for t in s..p.len() {
-                let d = wed(&erp, &p[s..=t], &q);
-                if d < tau {
-                    want.push((s, t, d));
-                }
+                all.push((s, t, wed(&erp, &p[s..=t], &q)));
             }
         }
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!((g.start, g.end), (w.0, w.1));
-            prop_assert!((g.dist - w.2).abs() < 1e-6);
-        }
-    }
-
-    /// sw_best returns the global substring minimum under EDR.
-    #[test]
-    fn sw_best_is_global_minimum_under_edr(
-        p in proptest::collection::vec(0u32..64, 1..10),
-        q in proptest::collection::vec(0u32..64, 1..5),
-    ) {
-        let edr = Edr::new(net(), 130.0);
-        let best = sw_best(&edr, &p, &q).unwrap();
-        let mut min = f64::INFINITY;
-        for s in 0..p.len() {
-            for t in s..p.len() {
-                min = min.min(wed(&edr, &p[s..=t], &q));
-            }
-        }
-        prop_assert!((best.dist - min).abs() < 1e-9);
+        let realised = all[at % all.len()].2;
+        let tau = match boundary {
+            0 => tau,
+            1 => realised,
+            _ => realised.next_up(),
+        };
+        let want: Vec<_> = all
+            .iter()
+            .filter(|m| m.2 < tau)
+            .map(|&(s, t, d)| (s, t, d.to_bits()))
+            .collect();
+        let got: Vec<_> = sw_scan_all(&erp, &p, &q, tau)
+            .iter()
+            .map(|m| (m.start, m.end, m.dist.to_bits()))
+            .collect();
+        prop_assert_eq!(got, want, "tau {}", tau);
     }
 
     /// wed_within agrees with the full DP under SURS (edge alphabet,

@@ -50,8 +50,8 @@ pub mod prelude {
     pub use trajsearch_core::{
         AnyIndex, BatchOptions, BatchResponse, CompactIndex, Deadline, EngineBuilder, IndexLayout,
         IndexShard, InvertedIndex, Metric, Objective, PostingSource, Query, QueryBuilder,
-        QueryError, RemoteSpec, Response, ScanVerifier, SearchEngine, ShardedIndex,
-        TemporalConstraint, TimeInterval, Verifier, VerifyMode, WedVerifier,
+        QueryError, RemoteSpec, Response, SearchEngine, ShardedIndex, TemporalConstraint,
+        TimeInterval, VerifyMode,
     };
     pub use trajsearch_distrib::{Coordinator, RemoteShards, ShardEndpoint};
     pub use trajsearch_persist::{Snapshot, SnapshotError, SnapshotErrorKind, SnapshotInfo};
