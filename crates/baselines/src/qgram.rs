@@ -11,7 +11,9 @@
 //! SW threshold scan.
 //!
 //! Only meaningful for models whose edit operations all cost 1 (EDR, Lev,
-//! NetEDR); the constructor enforces this on a sample.
+//! NetEDR): under continuous costs the count bound prunes nothing, so the
+//! constructor refuses a model that does not promise unit costs
+//! ([`wed::CostModel::unit_costs`]).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -32,8 +34,16 @@ pub struct QGramIndex<'a, M: WedInstance> {
 
 impl<'a, M: WedInstance> QGramIndex<'a, M> {
     /// Builds the gram index; `gram_len` is the paper's q (they use 3).
+    ///
+    /// # Panics
+    /// Panics if `model` does not have unit costs.
     pub fn new(model: M, store: &'a TrajectoryStore, gram_len: usize) -> Self {
         assert!(gram_len >= 1);
+        assert!(
+            model.unit_costs(),
+            "q-gram filtering needs unit costs; {} does not have them",
+            model.name()
+        );
         let t0 = Instant::now();
         let mut grams: HashMap<Vec<Sym>, Vec<TrajId>> = HashMap::new();
         for (id, t) in store.iter() {
@@ -212,6 +222,18 @@ mod tests {
         assert_eq!(stats.verify_cost, stats.sw_columns);
         assert!(got.iter().all(|m| m.id == 0));
         assert!(!got.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "q-gram filtering needs unit costs")]
+    fn refuses_continuous_costs() {
+        let net = std::sync::Arc::new(
+            rnet::CityParams::tiny(rnet::NetworkKind::Grid)
+                .seed(13)
+                .generate(),
+        );
+        let erp = wed::models::Erp::new(net, 1.0);
+        QGramIndex::new(&erp, &TrajectoryStore::new(), 3);
     }
 
     #[test]

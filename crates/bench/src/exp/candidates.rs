@@ -56,7 +56,7 @@ pub fn run(
                     (q, tau)
                 })
                 .collect();
-            for m in FILTER_METHODS {
+            for m in FILTER_METHODS.into_iter().filter(|&m| set.runs(m)) {
                 let (_, stats) = set.run_workload(m, &wl);
                 rows.push(CandRow {
                     func: func.name(),

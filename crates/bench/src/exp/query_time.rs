@@ -43,6 +43,7 @@ fn workload(
 /// Every method is exact, so each one's merged `results` must equal
 /// Plain-SW's in every (dataset, function, τ-ratio) cell; a cell without a
 /// Plain-SW row runs Plain-SW for the reference. Panics on a mismatch.
+/// q-gram has no row in a cell whose function lacks unit costs.
 pub fn run_fig6(
     datasets: &[&str],
     funcs: &[FuncKind],
@@ -62,7 +63,7 @@ pub fn run_fig6(
             for &ratio in tau_ratios {
                 let wl = workload(&d, &*model, func, qlen, nqueries, ratio, 60);
                 let cell = rows.len();
-                for &m in methods {
+                for &m in methods.iter().filter(|&&m| set.runs(m)) {
                     let (ms, stats) = set.run_workload(m, &wl);
                     rows.push(TimeRow {
                         dataset: d.name.to_string(),
@@ -109,7 +110,7 @@ pub fn run_fig7(
             let set = MethodSet::new(&*model, store, alphabet);
             for &qlen in qlens {
                 let wl = workload(&d, &*model, func, qlen, nqueries, 0.1, 70);
-                for &m in methods {
+                for &m in methods.iter().filter(|&&m| set.runs(m)) {
                     let (ms, stats) = set.run_workload(m, &wl);
                     rows.push(TimeRow {
                         dataset: d.name.to_string(),
@@ -152,7 +153,7 @@ pub fn run_fig8(
                     .iter()
                     .map(|q| (q.clone(), d.tau_for(&*model, q, 0.1)))
                     .collect();
-                for &m in methods {
+                for &m in methods.iter().filter(|&&m| set.runs(m)) {
                     let (ms, stats) = set.run_workload(m, &wl);
                     rows.push(TimeRow {
                         dataset: d.name.to_string(),

@@ -52,6 +52,8 @@ impl MethodKind {
 
 /// Pre-built indexes for one `(model, store)` pair; query methods reuse them
 /// (index construction is excluded from query-time measurements, §6.3).
+/// q-gram filtering needs unit costs (Appendix C), so under any other model
+/// the set has no q-gram index and does not [`run`](MethodSet::runs) it.
 pub struct MethodSet<'a, M: WedInstance + Copy + Sync> {
     model: M,
     store: &'a TrajectoryStore,
@@ -60,7 +62,7 @@ pub struct MethodSet<'a, M: WedInstance + Copy + Sync> {
     dison_sw: Dison<'a, M>,
     torch_bt: Torch<'a, M>,
     torch_sw: Torch<'a, M>,
-    qgram: QGramIndex<'a, M>,
+    qgram: Option<QGramIndex<'a, M>>,
 }
 
 /// Outcome of running one method on one query.
@@ -81,8 +83,14 @@ impl<'a, M: WedInstance + Copy + Sync> MethodSet<'a, M> {
             dison_sw: Dison::new(model, store, alphabet_size, VerifyMode::Sw),
             torch_bt: Torch::new(model, store, alphabet_size, VerifyMode::Trie),
             torch_sw: Torch::new(model, store, alphabet_size, VerifyMode::Sw),
-            qgram: QGramIndex::new(model, store, 3),
+            qgram: model.unit_costs().then(|| QGramIndex::new(model, store, 3)),
         }
+    }
+
+    /// Whether this set can run `kind`: every method but q-gram, which
+    /// only under unit costs.
+    pub fn runs(&self, kind: MethodKind) -> bool {
+        kind != MethodKind::QGram || self.qgram.is_some()
     }
 
     pub fn engine(&self) -> &SearchEngine<'a, M, AnyIndex> {
@@ -90,6 +98,9 @@ impl<'a, M: WedInstance + Copy + Sync> MethodSet<'a, M> {
     }
 
     /// Runs one method on one query, measuring wall-clock time.
+    ///
+    /// # Panics
+    /// Panics if the set does not [`run`](MethodSet::runs) `kind`.
     pub fn run(&self, kind: MethodKind, q: &[Sym], tau: f64) -> RunResult {
         let t0 = Instant::now();
         let osf = |mode: VerifyMode| {
@@ -107,7 +118,11 @@ impl<'a, M: WedInstance + Copy + Sync> MethodSet<'a, M> {
             MethodKind::DisonSw => self.dison_sw.search(q, tau),
             MethodKind::TorchBt => self.torch_bt.search(q, tau),
             MethodKind::TorchSw => self.torch_sw.search(q, tau),
-            MethodKind::QGram => self.qgram.search(q, tau),
+            MethodKind::QGram => self
+                .qgram
+                .as_ref()
+                .expect("q-gram runs only under unit costs")
+                .search(q, tau),
             MethodKind::PlainSw => plain_sw_search(&self.model, self.store, q, tau),
         };
         RunResult {
@@ -147,10 +162,11 @@ mod tests {
             let model = d.model(kind);
             let (store, alphabet) = d.store_for(kind);
             let set = MethodSet::new(&*model, store, alphabet);
+            assert_eq!(set.runs(MethodKind::QGram), kind != FuncKind::Surs);
             for q in d.sample_queries(kind, 6, 3, 5) {
                 let tau = d.tau_for(&*model, &q, 0.2);
                 let reference = set.run(MethodKind::PlainSw, &q, tau);
-                for m in MethodKind::ALL {
+                for m in MethodKind::ALL.into_iter().filter(|&m| set.runs(m)) {
                     let r = set.run(m, &q, tau);
                     let got: Vec<_> = r.matches.iter().map(|x| (x.id, x.start, x.end)).collect();
                     let want: Vec<_> = reference

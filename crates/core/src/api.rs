@@ -14,7 +14,6 @@
 //! type over a socket.
 
 use crate::batch::{BatchOptions, BatchStats};
-use crate::compact::CompactIndex;
 use crate::deadline::Deadline;
 use crate::index::{InvertedIndex, Posting, PostingSource};
 use crate::json;
@@ -43,13 +42,6 @@ pub enum IndexLayout {
     /// Postings partitioned by `traj_id % n`, built in parallel
     /// ([`ShardedIndex`]); results are identical at any shard count.
     Sharded(usize),
-    /// Delta+varint postings in one contiguous arena ([`CompactIndex`]):
-    /// builds a single-list index, compacts it, and drops the mutable form
-    /// — smallest footprint, no appends. This is also the layout
-    /// `Snapshot::open` in `trajsearch-persist` yields, so an engine built
-    /// this way is byte-identical to one reopened from a snapshot of the
-    /// same store.
-    Compact,
 }
 
 /// Endpoint list of a remote placement: one `host:port` per shard server,
@@ -71,34 +63,29 @@ impl RemoteSpec {
     }
 }
 
-/// Either postings layout behind one engine type, so the layout is a
-/// runtime choice ([`EngineBuilder::layout`]) while every search path stays
+/// Either built layout behind one engine type, so the layout is a runtime
+/// choice ([`EngineBuilder::layout`]) while every search path stays
 /// monomorphized (a two-arm match, no `dyn`, in each [`PostingSource`]
 /// call).
 #[derive(Debug, Clone)]
 pub enum AnyIndex {
     Single(InvertedIndex),
     Sharded(ShardedIndex),
-    Compact(CompactIndex),
 }
 
-/// `impl Iterator` returned from a three-arm match.
-enum EitherIter<A, B, C> {
+/// `impl Iterator` returned from a two-arm match.
+enum EitherIter<A, B> {
     A(A),
     B(B),
-    C(C),
 }
 
-impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>, C: Iterator<Item = T>> Iterator
-    for EitherIter<A, B, C>
-{
+impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for EitherIter<A, B> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
         match self {
             EitherIter::A(it) => it.next(),
             EitherIter::B(it) => it.next(),
-            EitherIter::C(it) => it.next(),
         }
     }
 }
@@ -108,7 +95,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => EitherIter::A(i.postings(q).iter().copied()),
             AnyIndex::Sharded(i) => EitherIter::B(i.postings(q)),
-            AnyIndex::Compact(i) => EitherIter::C(i.postings(q)),
         }
     }
 
@@ -116,7 +102,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => i.freq(q),
             AnyIndex::Sharded(i) => PostingSource::freq(i, q),
-            AnyIndex::Compact(i) => PostingSource::freq(i, q),
         }
     }
 
@@ -124,7 +109,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => i.span(id),
             AnyIndex::Sharded(i) => PostingSource::span(i, id),
-            AnyIndex::Compact(i) => PostingSource::span(i, id),
         }
     }
 
@@ -136,7 +120,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => EitherIter::A(i.postings_departing_by(q, t_max).iter().copied()),
             AnyIndex::Sharded(i) => EitherIter::B(i.postings_departing_by(q, t_max)),
-            AnyIndex::Compact(i) => EitherIter::C(i.postings_departing_by(q, t_max)),
         }
     }
 
@@ -144,7 +127,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => i.has_temporal_postings(),
             AnyIndex::Sharded(i) => PostingSource::has_temporal_postings(i),
-            AnyIndex::Compact(i) => PostingSource::has_temporal_postings(i),
         }
     }
 
@@ -152,7 +134,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => i.alphabet_size(),
             AnyIndex::Sharded(i) => PostingSource::alphabet_size(i),
-            AnyIndex::Compact(i) => PostingSource::alphabet_size(i),
         }
     }
 
@@ -160,7 +141,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => i.num_trajectories(),
             AnyIndex::Sharded(i) => PostingSource::num_trajectories(i),
-            AnyIndex::Compact(i) => PostingSource::num_trajectories(i),
         }
     }
 
@@ -168,7 +148,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => i.total_postings(),
             AnyIndex::Sharded(i) => PostingSource::total_postings(i),
-            AnyIndex::Compact(i) => PostingSource::total_postings(i),
         }
     }
 
@@ -176,7 +155,6 @@ impl PostingSource for AnyIndex {
         match self {
             AnyIndex::Single(i) => i.size_bytes(),
             AnyIndex::Sharded(i) => PostingSource::size_bytes(i),
-            AnyIndex::Compact(i) => PostingSource::size_bytes(i),
         }
     }
 }
@@ -255,20 +233,13 @@ impl<'a, M: WedInstance> EngineBuilder<'a, M> {
                 }
                 AnyIndex::Sharded(index)
             }
-            IndexLayout::Compact => {
-                let mut index = InvertedIndex::build(self.store, self.alphabet_size);
-                if self.temporal_postings {
-                    index.enable_temporal_postings();
-                }
-                AnyIndex::Compact(index.to_compact())
-            }
         };
         SearchEngine::from_parts(self.model, self.store, index, t0.elapsed())
     }
 
-    /// Wraps a pre-built posting source instead (built, appended to, or
-    /// temporal-enabled by the caller) — the expert escape hatch. The
-    /// index must cover exactly the
+    /// Wraps a pre-built posting source instead (built, compacted, reopened
+    /// from a snapshot or temporal-enabled by the caller) — the expert
+    /// escape hatch. The index must cover exactly the
     /// trajectories of the store; `layout`/`temporal_postings` settings are
     /// ignored, and [`build_time`](SearchEngine::build_time) reports zero
     /// since construction happened outside.
@@ -345,6 +316,17 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     /// Engine-dependent admission checks; shape checks already ran in
     /// [`QueryBuilder::build`](crate::QueryBuilder::build).
     fn admit(&self, query: &Query) -> Result<(), QueryError> {
+        let alphabet_size = self.index().alphabet_size();
+        if let Some(&symbol) = query
+            .pattern()
+            .iter()
+            .find(|&&q| q as usize >= alphabet_size)
+        {
+            return Err(QueryError::SymbolOutsideAlphabet {
+                symbol,
+                alphabet_size,
+            });
+        }
         if query.temporal_postings() && !self.index().has_temporal_postings() {
             return Err(QueryError::TemporalPostingsUnavailable);
         }
@@ -352,6 +334,8 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
     }
 
     /// Answers one [`Query`]. Returns
+    /// [`QueryError::SymbolOutsideAlphabet`] when the pattern names a
+    /// symbol the index has no list for, and
     /// [`QueryError::TemporalPostingsUnavailable`] when the query asks for
     /// by-departure candidate generation on an index built without it;
     /// every other invalid shape was already rejected by
@@ -612,6 +596,30 @@ mod tests {
             .temporal_postings(true)
             .build();
         assert!(engine.run(&q).is_ok());
+    }
+
+    #[test]
+    fn run_rejects_symbols_outside_the_index_alphabet() {
+        let store = store();
+        let engine = EngineBuilder::new(Lev, &store, 10).build();
+        let hostile =
+            Query::from_json(r#"{"pattern":[50,1],"objective":{"type":"threshold","tau":1.0}}"#)
+                .unwrap();
+        let want = QueryError::SymbolOutsideAlphabet {
+            symbol: 50,
+            alphabet_size: 10,
+        };
+        assert_eq!(engine.run(&hostile).unwrap_err(), want);
+        assert!(want.to_string().contains("symbol 50"), "{want}");
+        assert_eq!(
+            engine
+                .run_batch(&[hostile], BatchOptions::with_threads(2))
+                .unwrap_err(),
+            want
+        );
+        // The last symbol of the alphabet is admitted.
+        let edge = Query::threshold(vec![9, 1], 1.0).build().unwrap();
+        assert!(engine.run(&edge).is_ok());
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! again — they are looked up in the span table while decoding, and the
 //! iterator early-stops at the first record departing after `t_max`.
 //!
-//! The arena is immutable: there is no `append`. Compact an updatable
-//! index with [`CompactIndex::from_source`] (or the
-//! [`InvertedIndex::to_compact`](crate::index::InvertedIndex::to_compact) /
-//! [`ShardedIndex::to_compact`](crate::sharded::ShardedIndex::to_compact)
-//! hooks) after ingestion settles, or rebuild from a fresh snapshot.
+//! The arena is immutable, like every layout here. An engine serves it
+//! through [`EngineBuilder::build_with`](crate::EngineBuilder::build_with),
+//! given either a built index compacted by [`CompactIndex::from_source`]
+//! (or [`InvertedIndex::to_compact`](crate::index::InvertedIndex::to_compact))
+//! or a reopened snapshot.
 
-use crate::index::{Posting, PostingSource, SizeBreakdown};
+use crate::index::{Posting, PostingSource};
 use traj::{TrajId, TrajectoryStore};
 use wed::Sym;
 
@@ -263,23 +263,6 @@ impl CompactIndex {
             .as_ref()
             .map(|t| (t.offsets.as_slice(), t.arena.as_slice()))
     }
-
-    /// Footprint attribution, same component split as the other layouts:
-    /// `postings` is the arena, `list_headers` the offset+frequency tables,
-    /// `by_departure` the temporal arena plus its offsets.
-    pub fn size_breakdown(&self) -> SizeBreakdown {
-        SizeBreakdown {
-            postings: self.arena.len(),
-            list_headers: self.offsets.len() * std::mem::size_of::<u64>()
-                + self.freqs.len() * std::mem::size_of::<u32>(),
-            spans: (self.departures.len() + self.arrivals.len()) * std::mem::size_of::<f64>(),
-            by_departure: self
-                .temporal
-                .as_ref()
-                .map(|t| t.arena.len() + t.offsets.len() * std::mem::size_of::<u64>())
-                .unwrap_or(0),
-        }
-    }
 }
 
 /// Which arena a [`PartsError`] is about.
@@ -510,8 +493,19 @@ impl PostingSource for CompactIndex {
         self.total_postings
     }
 
+    /// The arena, the offset and frequency tables, the span tables and,
+    /// when built, the temporal arena with its offsets.
     fn size_bytes(&self) -> usize {
-        self.size_breakdown().total()
+        use std::mem::size_of;
+        let temporal = self
+            .temporal
+            .as_ref()
+            .map_or(0, |t| t.arena.len() + t.offsets.len() * size_of::<u64>());
+        self.arena.len()
+            + self.offsets.len() * size_of::<u64>()
+            + self.freqs.len() * size_of::<u32>()
+            + (self.departures.len() + self.arrivals.len()) * size_of::<f64>()
+            + temporal
     }
 }
 
@@ -619,9 +613,10 @@ mod tests {
             PostingSource::size_bytes(&compact),
             reference.size_bytes()
         );
-        let b = compact.size_breakdown();
-        assert_eq!(b.total(), PostingSource::size_bytes(&compact));
-        assert_eq!(b.by_departure, 0);
+        assert_eq!(
+            PostingSource::size_bytes(&compact),
+            compact.arena().len() + 6 * 8 + 5 * 4 + 2 * s.len() * 8
+        );
     }
 
     #[test]

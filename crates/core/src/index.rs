@@ -5,6 +5,10 @@
 //! the global frequency table `n(q)` that the MinCand optimizer consumes,
 //! and (when timestamps are present) a by-departure ordering that enables
 //! the binary-search refinement for temporal constraints described in §4.3.
+//!
+//! The index is built once over a whole store. §4.1 notes that a list could
+//! take appended records; none of the paper's experiments appends, so no
+//! layout here does.
 
 use crate::json::{Reader, Wire};
 use traj::{TrajId, TrajectoryStore};
@@ -115,54 +119,8 @@ pub trait PostingSource {
     fn total_postings(&self) -> usize;
 
     /// Approximate index memory footprint in bytes (Table 6), **including**
-    /// the optional by-departure orderings when they are built. The local
-    /// layouts expose the component attribution behind this number through
-    /// their inherent `size_breakdown()` methods ([`SizeBreakdown`]).
+    /// the optional by-departure orderings when they are built.
     fn size_bytes(&self) -> usize;
-}
-
-/// Component attribution of an index's memory footprint — which bytes pay
-/// for raw postings records, which for per-symbol bookkeeping (list
-/// headers / offset tables), which for the span tables, and which for the
-/// optional §4.3 by-departure orderings. Summing the fields reproduces the
-/// layout's [`PostingSource::size_bytes`], so a sharded layout's overhead
-/// (list headers replicated per shard) is attributable instead of a single
-/// opaque number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SizeBreakdown {
-    /// Raw postings records (`(id, j)` pairs, or their encoded bytes in a
-    /// compact layout).
-    pub postings: usize,
-    /// Per-symbol bookkeeping: `Vec` headers on the list layouts, offset +
-    /// frequency tables on the compact layout. This is the component that
-    /// scales with `alphabet_size × num_shards`.
-    pub list_headers: usize,
-    /// Per-trajectory departure/arrival tables.
-    pub spans: usize,
-    /// The optional by-departure orderings (entries plus their per-symbol
-    /// headers); zero until temporal postings are enabled.
-    pub by_departure: usize,
-}
-
-impl SizeBreakdown {
-    /// Sum of all components — equals the layout's
-    /// [`PostingSource::size_bytes`].
-    pub fn total(&self) -> usize {
-        self.postings + self.list_headers + self.spans + self.by_departure
-    }
-}
-
-impl std::ops::Add for SizeBreakdown {
-    type Output = SizeBreakdown;
-
-    fn add(self, rhs: SizeBreakdown) -> SizeBreakdown {
-        SizeBreakdown {
-            postings: self.postings + rhs.postings,
-            list_headers: self.list_headers + rhs.list_headers,
-            spans: self.spans + rhs.spans,
-            by_departure: self.by_departure + rhs.by_departure,
-        }
-    }
 }
 
 /// The one list layout under [`InvertedIndex`],
@@ -182,15 +140,13 @@ pub(crate) struct Shard {
     /// §4.3 extension: per-symbol postings sorted by trajectory departure
     /// time, so temporal candidate generation can binary-search instead of
     /// scanning. Built on demand by
-    /// [`enable_temporal_postings`](Shard::enable_temporal_postings);
-    /// dropped by every [`push`](Shard::push).
+    /// [`enable_temporal_postings`](Shard::enable_temporal_postings).
     pub(crate) dep_postings: Option<Vec<Vec<(f64, Posting)>>>,
     pub(crate) num_shards: usize,
 }
 
 impl Shard {
-    /// Single pass, append-only — matching the paper's observation that the
-    /// index is updatable by appending records (§4.1).
+    /// Single pass over the trajectories this shard owns.
     pub(crate) fn build(
         store: &TrajectoryStore,
         alphabet_size: usize,
@@ -209,24 +165,15 @@ impl Shard {
             num_shards,
         };
         for id in owned {
-            shard.push(id as TrajId, store.get(id as TrajId));
+            let t = store.get(id as TrajId);
+            for (j, &q) in t.path().iter().enumerate() {
+                shard.postings[q as usize].push((id as TrajId, j as u32));
+            }
+            shard.total_postings += t.len();
+            shard.departures.push(t.departure());
+            shard.arrivals.push(t.arrival());
         }
         shard
-    }
-
-    /// Records one trajectory. Callers guarantee `id` belongs to this shard
-    /// and arrives in ascending order, so local slots stay dense. Drops the
-    /// by-departure ordering: keeping it would let
-    /// [`departing_by`](Shard::departing_by) serve answers that silently
-    /// omit the new trajectory.
-    pub(crate) fn push(&mut self, id: TrajId, t: &traj::Trajectory) {
-        for (j, &q) in t.path().iter().enumerate() {
-            self.postings[q as usize].push((id, j as u32));
-            self.total_postings += 1;
-        }
-        self.departures.push(t.departure());
-        self.arrivals.push(t.arrival());
-        self.dep_postings = None;
     }
 
     /// Local slot of an owned trajectory's span.
@@ -266,20 +213,18 @@ impl Shard {
         Some(&list[..cut])
     }
 
-    pub(crate) fn size_breakdown(&self) -> SizeBreakdown {
-        SizeBreakdown {
-            postings: self.total_postings * std::mem::size_of::<Posting>(),
-            list_headers: self.postings.len() * std::mem::size_of::<Vec<Posting>>(),
-            spans: self.departures.len() * 2 * std::mem::size_of::<f64>(),
-            by_departure: self
-                .dep_postings
-                .as_ref()
-                .map(|dp| {
-                    self.total_postings * std::mem::size_of::<(f64, Posting)>()
-                        + dp.len() * std::mem::size_of::<Vec<(f64, Posting)>>()
-                })
-                .unwrap_or(0),
-        }
+    /// Postings records, per-symbol list headers, the span tables and, when
+    /// built, the by-departure ordering with its list headers.
+    pub(crate) fn size_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let by_departure = self.dep_postings.as_ref().map_or(0, |dp| {
+            self.total_postings * size_of::<(f64, Posting)>()
+                + dp.len() * size_of::<Vec<(f64, Posting)>>()
+        });
+        self.total_postings * size_of::<Posting>()
+            + self.postings.len() * size_of::<Vec<Posting>>()
+            + self.departures.len() * 2 * size_of::<f64>()
+            + by_departure
     }
 }
 
@@ -294,32 +239,6 @@ impl InvertedIndex {
     /// representation) or `|E|` (edge representation).
     pub fn build(store: &TrajectoryStore, alphabet_size: usize) -> Self {
         InvertedIndex(Shard::build(store, alphabet_size, 0, 1))
-    }
-
-    /// Appends one trajectory's postings (§4.1: "we can update the index by
-    /// appending a new record to the corresponding postings list"). The id
-    /// must be the next dense id (i.e. the store's `push` return value).
-    ///
-    /// **Drops the optional by-departure ordering**: keeping it across an
-    /// append would let `postings_departing_by` serve answers that
-    /// silently omit the appended trajectory, so the ordering is invalidated
-    /// instead — [`has_temporal_postings`] reports `false` (searches with
-    /// `use_temporal_postings` fall back to full-list candidate generation)
-    /// and [`postings_departing_by`] panics until the next
-    /// [`enable_temporal_postings`] call rebuilds the ordering with the new
-    /// records included.
-    ///
-    /// [`has_temporal_postings`]: InvertedIndex::has_temporal_postings
-    /// [`postings_departing_by`]: InvertedIndex::postings_departing_by
-    /// [`enable_temporal_postings`]: InvertedIndex::enable_temporal_postings
-    pub fn append(&mut self, id: TrajId, t: &traj::Trajectory) {
-        assert_eq!(
-            id as usize,
-            self.num_trajectories(),
-            "ids must stay dense: expected {}, got {id}",
-            self.num_trajectories()
-        );
-        self.0.push(id, t);
     }
 
     /// Builds the by-departure ordering of every postings list (§4.3:
@@ -382,15 +301,9 @@ impl InvertedIndex {
 
     /// Approximate index memory footprint in bytes (postings + spans +
     /// per-symbol list headers + the by-departure ordering when built),
-    /// reported in Table 6. See [`size_breakdown`](InvertedIndex::size_breakdown)
-    /// for the attribution.
+    /// reported in Table 6.
     pub fn size_bytes(&self) -> usize {
-        self.size_breakdown().total()
-    }
-
-    /// Component attribution of [`size_bytes`](InvertedIndex::size_bytes).
-    pub fn size_breakdown(&self) -> SizeBreakdown {
-        self.0.size_breakdown()
+        self.0.size_bytes()
     }
 
     /// Snapshot hook: compacts this index into the immutable delta+varint
@@ -490,36 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn append_equals_rebuild() {
-        let mut s = store();
-        let extra = Trajectory::new(vec![3, 0, 3], vec![20.0, 21.0, 22.0]);
-        let mut idx = InvertedIndex::build(&s, 4);
-        let id = s.push(extra.clone());
-        idx.append(id, &extra);
-        let rebuilt = InvertedIndex::build(&s, 4);
-        for q in 0..4u32 {
-            assert_eq!(
-                idx.postings(q),
-                rebuilt.postings(q),
-                "postings of {q} diverged"
-            );
-        }
-        assert_eq!(idx.total_postings(), rebuilt.total_postings());
-        assert_eq!(idx.span(id), (20.0, 22.0));
-        // Temporal ordering can be re-enabled after an append.
-        idx.enable_temporal_postings();
-        assert!(idx.has_temporal_postings());
-    }
-
-    #[test]
-    #[should_panic(expected = "ids must stay dense: expected 2, got 7")]
-    fn append_rejects_gaps() {
-        let s = store();
-        let mut idx = InvertedIndex::build(&s, 4);
-        idx.append(7, &Trajectory::untimed(vec![1]));
-    }
-
-    #[test]
     fn empty_store_builds_an_empty_index() {
         let s = TrajectoryStore::new();
         let mut idx = InvertedIndex::build(&s, 5);
@@ -554,64 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn append_drops_temporal_postings_and_rebuild_sees_new_records() {
-        // Regression: serving by-departure answers across an append would
-        // silently omit the appended trajectory, so `append` must drop the
-        // ordering and the next enable must rebuild it with the new records.
-        let mut s = store();
-        let mut idx = InvertedIndex::build(&s, 4);
-        idx.enable_temporal_postings();
-        assert_eq!(idx.postings_departing_by(1, 100.0).len(), 2);
-
-        let extra = Trajectory::new(vec![1, 3], vec![1.0, 2.0]);
-        let id = s.push(extra.clone());
-        idx.append(id, &extra);
-        assert!(
-            !idx.has_temporal_postings(),
-            "append must invalidate the by-departure ordering"
-        );
-
-        idx.enable_temporal_postings();
-        let all = idx.postings_departing_by(1, 100.0);
-        assert_eq!(all.len(), 3, "rebuild must include the appended record");
-        // The appended trajectory departs earliest, so it sorts first and
-        // is the only one departing by t=4.
-        assert_eq!(all[0].1, (id, 0));
-        let early = idx.postings_departing_by(1, 4.0);
-        assert_eq!(early, &[(1.0, (id, 0))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "temporal postings not enabled")]
-    fn departing_by_after_append_panics_until_reenabled() {
-        let mut s = store();
-        let mut idx = InvertedIndex::build(&s, 4);
-        idx.enable_temporal_postings();
-        let extra = Trajectory::untimed(vec![1]);
-        let id = s.push(extra.clone());
-        idx.append(id, &extra);
-        idx.postings_departing_by(1, 100.0);
-    }
-
-    #[test]
-    fn size_bytes_monotone_under_appends() {
-        let mut s = store();
-        let mut idx = InvertedIndex::build(&s, 4);
-        let mut last = idx.size_bytes();
-        for path in [vec![0], vec![1, 2, 3], vec![2, 2, 2, 2]] {
-            let t = Trajectory::untimed(path);
-            let id = s.push(t.clone());
-            idx.append(id, &t);
-            let now = idx.size_bytes();
-            assert!(
-                now > last,
-                "size_bytes must grow strictly with every append ({now} <= {last})"
-            );
-            last = now;
-        }
-    }
-
-    #[test]
     fn temporal_postings_binary_search_prefix() {
         let mut idx = InvertedIndex::build(&store(), 4);
         assert!(!idx.has_temporal_postings());
@@ -639,26 +464,19 @@ mod tests {
     }
 
     #[test]
-    fn size_breakdown_sums_to_size_bytes_and_attributes_temporal() {
+    fn size_bytes_counts_the_temporal_ordering() {
+        use std::mem::size_of;
         let mut idx = InvertedIndex::build(&store(), 4);
-        let before = idx.size_breakdown();
-        assert_eq!(before.total(), idx.size_bytes());
-        assert_eq!(before.by_departure, 0);
+        let before = idx.size_bytes();
         assert_eq!(
-            before.postings,
-            idx.total_postings() * std::mem::size_of::<Posting>()
+            before,
+            6 * size_of::<Posting>() + 4 * size_of::<Vec<Posting>>() + 2 * 2 * size_of::<f64>()
         );
         idx.enable_temporal_postings();
-        let after = idx.size_breakdown();
-        assert_eq!(after.total(), idx.size_bytes());
-        assert!(
-            after.by_departure > 0,
-            "the by-departure ordering must be attributed"
+        assert_eq!(
+            idx.size_bytes() - before,
+            6 * size_of::<(f64, Posting)>() + 4 * size_of::<Vec<(f64, Posting)>>()
         );
-        // Only the by_departure component moved.
-        assert_eq!(after.postings, before.postings);
-        assert_eq!(after.list_headers, before.list_headers);
-        assert_eq!(after.spans, before.spans);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   behind the [`PostingSource`] abstraction so the storage layout is
 //!   swappable without touching query semantics.
 //! * [`sharded`] — postings partitioned by `traj_id % num_shards`: parallel
-//!   construction on scoped threads, appends touching one shard, identical
-//!   search results at any shard count.
+//!   construction on scoped threads, identical search results at any shard
+//!   count.
 //! * [`compact`] — delta+varint postings in one contiguous arena
 //!   ([`CompactIndex`]): the immutable, memory-compact layout the
 //!   `trajsearch-persist` snapshot format writes to disk and reopens
@@ -107,7 +107,7 @@ pub use batch::{BatchOptions, BatchStats};
 pub use compact::CompactIndex;
 pub use deadline::Deadline;
 pub use filter::FilterPlan;
-pub use index::{InvertedIndex, Posting, PostingSource, SizeBreakdown};
+pub use index::{InvertedIndex, Posting, PostingSource};
 pub use metric::Metric;
 pub use query::{Objective, Query, QueryBuilder, QueryError};
 pub use results::{MatchResult, ResultSet};

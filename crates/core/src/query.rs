@@ -62,6 +62,9 @@ pub enum QueryError {
     /// The engine's index has no by-departure orderings; build it with
     /// temporal postings enabled (this used to be a silent fallback).
     TemporalPostingsUnavailable,
+    /// The pattern names a symbol at or past the index's `alphabet_size`,
+    /// which no trajectory of the store can contain.
+    SymbolOutsideAlphabet { symbol: Sym, alphabet_size: usize },
     /// `deadline_ms` must be at least 1 (a zero budget can never be met).
     InvalidDeadline,
     /// LCSS's ε must be finite and non-negative.
@@ -102,6 +105,13 @@ impl fmt::Display for QueryError {
                 f,
                 "temporal postings requested but the index has no by-departure \
                  orderings (enable temporal postings when building the engine)"
+            ),
+            QueryError::SymbolOutsideAlphabet {
+                symbol,
+                alphabet_size,
+            } => write!(
+                f,
+                "query symbol {symbol} is outside the index alphabet of {alphabet_size} symbols"
             ),
             QueryError::InvalidDeadline => write!(f, "deadline_ms must be at least 1"),
             QueryError::InvalidEps(eps) => {

@@ -13,11 +13,8 @@
 //! * **Parallel build** — each shard indexes a disjoint subset of
 //!   trajectories, so [`ShardedIndex::build_parallel`] constructs all shards
 //!   concurrently on `std::thread::scope` workers with no synchronization
-//!   (workers share only the read-only store).
-//! * **Single-shard appends** — a new trajectory's id determines its shard,
-//!   so [`ShardedIndex::append`] touches exactly one shard; the other
-//!   shards' lists (and their by-departure orderings) are untouched, which
-//!   also makes the temporal-ordering rebuild after appends incremental.
+//!   (workers share only the read-only store). Like the single list, the
+//!   partition is built once; it takes no appends.
 //! * **Lock-free reads** — queries iterate shards through the
 //!   [`PostingSource`] trait with plain shared references; there is no
 //!   interior mutability anywhere.
@@ -30,14 +27,14 @@
 //! sorts/dedups candidates, so `SearchEngine` results are byte-identical at
 //! any shard count (enforced by `tests/index_equivalence.rs`).
 
-use crate::index::{Posting, PostingSource, Shard, SizeBreakdown};
+use crate::index::{Posting, PostingSource, Shard};
 use traj::{TrajId, TrajectoryStore};
 use wed::Sym;
 
 /// Inverted index partitioned by `traj_id % num_shards` — same query
 /// semantics as [`InvertedIndex`](crate::index::InvertedIndex) (which is the
-/// 1-shard special case), parallel construction and per-shard growth. See
-/// the [module docs](self) for the layout.
+/// 1-shard special case) and parallel construction. See the [module
+/// docs](self) for the layout.
 #[derive(Debug, Clone)]
 pub struct ShardedIndex {
     shards: Vec<Shard>,
@@ -46,19 +43,9 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Builds the index serially (one shard at a time). Prefer
-    /// [`build_parallel`](ShardedIndex::build_parallel); this exists as the
-    /// reference implementation and for single-threaded contexts.
-    ///
-    /// # Panics
-    /// Panics if `num_shards == 0`.
-    pub fn build(store: &TrajectoryStore, alphabet_size: usize, num_shards: usize) -> Self {
-        Self::assemble(store, alphabet_size, num_shards, false)
-    }
-
     /// Builds all shards concurrently, one `std::thread::scope` worker per
     /// shard. Workers share only the read-only store, so no locks are
-    /// needed; the result is identical to [`build`](ShardedIndex::build).
+    /// needed.
     ///
     /// # Panics
     /// Panics if `num_shards == 0`.
@@ -67,18 +54,9 @@ impl ShardedIndex {
         alphabet_size: usize,
         num_shards: usize,
     ) -> Self {
-        Self::assemble(store, alphabet_size, num_shards, true)
-    }
-
-    fn assemble(
-        store: &TrajectoryStore,
-        alphabet_size: usize,
-        num_shards: usize,
-        parallel: bool,
-    ) -> Self {
         assert!(num_shards >= 1, "need at least one shard");
         let build = |s| Shard::build(store, alphabet_size, s, num_shards);
-        let shards = if parallel && num_shards > 1 {
+        let shards = if num_shards > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..num_shards)
                     .map(|s| scope.spawn(move || build(s)))
@@ -89,7 +67,7 @@ impl ShardedIndex {
                     .collect()
             })
         } else {
-            (0..num_shards).map(build).collect()
+            vec![build(0)]
         };
         ShardedIndex {
             shards,
@@ -98,36 +76,11 @@ impl ShardedIndex {
         }
     }
 
-    /// Appends one trajectory, touching exactly the shard that owns its id
-    /// (`id % num_shards`). The id must be the next dense global id (the
-    /// store's `push` return value).
-    ///
-    /// Only the touched shard's by-departure ordering is dropped — the
-    /// source-wide [`has_temporal_postings`] reports `false` until the next
-    /// [`enable_temporal_postings`] call, which rebuilds *only* the stale
-    /// shard (append-then-re-enable costs one shard's sort, not the whole
-    /// index's).
-    ///
-    /// [`has_temporal_postings`]: PostingSource::has_temporal_postings
-    /// [`enable_temporal_postings`]: ShardedIndex::enable_temporal_postings
-    pub fn append(&mut self, id: TrajId, t: &traj::Trajectory) {
-        assert_eq!(
-            id as usize, self.num_trajectories,
-            "ids must stay dense: expected {}, got {id}",
-            self.num_trajectories
-        );
-        let n = self.shards.len();
-        self.shards[id as usize % n].push(id, t);
-        self.num_trajectories += 1;
-    }
-
     /// Builds the by-departure ordering of every shard's postings lists
-    /// (§4.3), in parallel (one scoped worker per shard that needs it).
-    /// Shards whose ordering is already current are skipped, so re-enabling
-    /// after [`append`](ShardedIndex::append) is incremental.
+    /// (§4.3), in parallel (one scoped worker per shard); idempotent.
     pub fn enable_temporal_postings(&mut self) {
         std::thread::scope(|scope| {
-            for shard in self.shards.iter_mut().filter(|s| s.dep_postings.is_none()) {
+            for shard in &mut self.shards {
                 scope.spawn(move || shard.enable_temporal_postings());
             }
         });
@@ -137,27 +90,6 @@ impl ShardedIndex {
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
-
-    /// Component attribution of [`size_bytes`](PostingSource::size_bytes),
-    /// summed over all shards. The `list_headers` component is what grows
-    /// with the shard count (every shard keeps a full per-symbol list
-    /// table): the sharded layout's overhead over the single-list one.
-    pub fn size_breakdown(&self) -> SizeBreakdown {
-        self.shards
-            .iter()
-            .map(Shard::size_breakdown)
-            .fold(SizeBreakdown::default(), |a, b| a + b)
-    }
-
-    /// Snapshot hook: compacts the partitioned postings into the immutable
-    /// delta+varint arena layout
-    /// ([`CompactIndex`](crate::compact::CompactIndex)). Canonicalization
-    /// makes the result identical to compacting the equivalent
-    /// [`InvertedIndex`](crate::index::InvertedIndex) — the shard count
-    /// leaves no trace in a snapshot.
-    pub fn to_compact(&self) -> crate::compact::CompactIndex {
-        crate::compact::CompactIndex::from_source(self)
-    }
 }
 
 /// One shard of the partitioned index as a **standalone, servable** unit —
@@ -166,8 +98,8 @@ impl ShardedIndex {
 ///
 /// `IndexShard::build(store, a, k, n)` constructs byte-for-byte the same
 /// postings, orderings and spans as shard `k` inside
-/// `ShardedIndex::build(store, a, n)` — both are the same list layout from
-/// the same builder. That identity is what makes remote placement provably
+/// `ShardedIndex::build_parallel(store, a, n)` — both are the same list
+/// layout from the same builder. That identity is what makes remote placement provably
 /// equivalent to in-process sharding: a coordinator concatenating remote
 /// shards in shard-id order reproduces [`ShardedIndex`]'s iteration order
 /// exactly.
@@ -271,17 +203,12 @@ impl IndexShard {
     }
 
     pub fn size_bytes(&self) -> usize {
-        self.shard.size_breakdown().total()
-    }
-
-    /// Component attribution of [`size_bytes`](IndexShard::size_bytes).
-    pub fn size_breakdown(&self) -> SizeBreakdown {
-        self.shard.size_breakdown()
+        self.shard.size_bytes()
     }
 }
 
 impl PostingSource for ShardedIndex {
-    /// Shard-major order: shard 0's records (in build/append order), then
+    /// Shard-major order: shard 0's records (in build order), then
     /// shard 1's, … Consumers must treat `L_q` as a multiset.
     fn postings(&self, q: Sym) -> impl Iterator<Item = Posting> + '_ {
         self.shards
@@ -332,8 +259,10 @@ impl PostingSource for ShardedIndex {
         self.shards.iter().map(|s| s.total_postings).sum()
     }
 
+    /// Every shard keeps a full per-symbol list table, so the list headers
+    /// are the one component that grows with the shard count.
     fn size_bytes(&self) -> usize {
-        self.size_breakdown().total()
+        self.shards.iter().map(Shard::size_bytes).sum()
     }
 }
 
@@ -360,18 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_equals_serial_build_equals_inverted() {
+    fn parallel_build_equals_inverted() {
         let s = store();
         let reference = InvertedIndex::build(&s, 6);
         for shards in [1, 2, 3, 5, 8] {
-            let serial = ShardedIndex::build(&s, 6, shards);
             let parallel = ShardedIndex::build_parallel(&s, 6, shards);
             assert_eq!(parallel.num_shards(), shards);
             assert_eq!(parallel.num_trajectories(), reference.num_trajectories());
             assert_eq!(parallel.total_postings(), reference.total_postings());
             for q in 0..6u32 {
                 let want: Vec<Posting> = reference.postings(q).to_vec();
-                assert_eq!(sorted_postings(&serial, q), want, "serial, q={q}");
                 assert_eq!(sorted_postings(&parallel, q), want, "parallel, q={q}");
                 assert_eq!(PostingSource::freq(&parallel, q), reference.freq(q));
             }
@@ -391,39 +318,6 @@ mod tests {
             let got: Vec<Posting> = PostingSource::postings(&sharded, q).collect();
             assert_eq!(got, reference.postings(q));
         }
-    }
-
-    #[test]
-    fn append_touches_one_shard_and_matches_rebuild() {
-        let mut s = store();
-        let mut idx = ShardedIndex::build_parallel(&s, 6, 3);
-        idx.enable_temporal_postings();
-        let extra = Trajectory::new(vec![4, 1], vec![50.0, 51.0]);
-        let id = s.push(extra.clone());
-        idx.append(id, &extra);
-        assert!(
-            !idx.has_temporal_postings(),
-            "the owning shard's ordering must be dropped"
-        );
-        // Untouched shards keep their ordering: exactly one shard is stale.
-        let stale = idx
-            .shards
-            .iter()
-            .filter(|sh| sh.dep_postings.is_none())
-            .count();
-        assert_eq!(stale, 1);
-
-        idx.enable_temporal_postings();
-        assert!(idx.has_temporal_postings());
-        let rebuilt = ShardedIndex::build(&s, 6, 3);
-        assert_eq!(idx.total_postings(), rebuilt.total_postings());
-        for q in 0..6u32 {
-            assert_eq!(sorted_postings(&idx, q), sorted_postings(&rebuilt, q));
-        }
-        assert_eq!(idx.span(id), (50.0, 51.0));
-        let mut deps: Vec<(f64, Posting)> = idx.postings_departing_by(4, 1e9).collect();
-        deps.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        assert_eq!(deps, vec![(50.0, (id, 0))]);
     }
 
     #[test]
@@ -448,7 +342,7 @@ mod tests {
     fn index_shard_is_byte_identical_to_the_sharded_index_shard() {
         let s = store();
         for num_shards in [1, 2, 3, 5] {
-            let mut whole = ShardedIndex::build(&s, 6, num_shards);
+            let mut whole = ShardedIndex::build_parallel(&s, 6, num_shards);
             whole.enable_temporal_postings();
             for k in 0..num_shards {
                 let mut solo = IndexShard::build(&s, 6, k, num_shards);
@@ -492,48 +386,26 @@ mod tests {
     }
 
     #[test]
-    fn size_bytes_monotone_under_appends() {
-        let mut s = store();
-        let mut idx = ShardedIndex::build_parallel(&s, 6, 4);
-        let mut last = idx.size_bytes();
-        for path in [vec![0u32], vec![1, 2], vec![3, 3, 3]] {
-            let t = Trajectory::untimed(path);
-            let id = s.push(t.clone());
-            idx.append(id, &t);
-            assert!(idx.size_bytes() > last);
-            last = idx.size_bytes();
-        }
-    }
-
-    #[test]
-    fn size_breakdown_attributes_the_shard_overhead() {
+    fn size_bytes_replicates_only_the_list_headers() {
+        use std::mem::size_of;
         let s = store();
-        let single = ShardedIndex::build(&s, 6, 1).size_breakdown();
-        let wide = ShardedIndex::build(&s, 6, 4).size_breakdown();
-        assert_eq!(single.total(), ShardedIndex::build(&s, 6, 1).size_bytes());
-        // Postings records and spans are partition-invariant; only the
-        // per-shard list headers replicate.
-        assert_eq!(wide.postings, single.postings);
-        assert_eq!(wide.spans, single.spans);
-        assert_eq!(wide.list_headers, 4 * single.list_headers);
-        assert_eq!(wide.by_departure, 0);
-
-        let mut temporal = ShardedIndex::build(&s, 6, 4);
-        temporal.enable_temporal_postings();
-        let tb = temporal.size_breakdown();
-        assert!(tb.by_departure > 0);
-        assert_eq!(tb.total(), temporal.size_bytes());
-        // The standalone shard agrees with its in-index twin.
-        let solo = IndexShard::build(&s, 6, 0, 4);
-        assert_eq!(solo.size_breakdown().total(), solo.size_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "ids must stay dense: expected 5, got 9")]
-    fn append_rejects_gaps() {
-        let s = store();
-        let mut idx = ShardedIndex::build_parallel(&s, 6, 2);
-        idx.append(9, &Trajectory::untimed(vec![1]));
+        let single = ShardedIndex::build_parallel(&s, 6, 1);
+        let wide = ShardedIndex::build_parallel(&s, 6, 4);
+        // Postings records and spans are partition-invariant; every shard
+        // keeps its own per-symbol list table.
+        assert_eq!(
+            single.size_bytes(),
+            InvertedIndex::build(&s, 6).size_bytes()
+        );
+        assert_eq!(
+            wide.size_bytes() - single.size_bytes(),
+            3 * 6 * size_of::<Vec<Posting>>()
+        );
+        // The whole is the sum of its standalone shards.
+        let solo_sum: usize = (0..4)
+            .map(|k| IndexShard::build(&s, 6, k, 4).size_bytes())
+            .sum();
+        assert_eq!(wide.size_bytes(), solo_sum);
     }
 
     #[test]

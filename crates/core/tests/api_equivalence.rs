@@ -5,9 +5,10 @@
 //! where its pieces run. So for every option combination a query can
 //! express — verify modes × temporal constraints (TF and by-departure
 //! postings included) — `SearchEngine::run` on the single-list layout is
-//! the reference, and every other route (sharded and compact layouts,
-//! `run_batch` on two threads) returns **byte-identical** results (`assert_eq!` on matches
-//! including `f64` distances, no epsilon) and identical counters. JSON
+//! the reference, and every other route (the sharded layout, a compacted
+//! index, `run_batch` on two threads) returns **byte-identical** results
+//! (`assert_eq!` on matches including `f64` distances, no epsilon) and
+//! identical counters. JSON
 //! round-trips (`from_json(to_json(q)) == q`, same for responses) are
 //! property-tested on the same random workloads.
 
@@ -15,8 +16,8 @@ use proptest::prelude::*;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
 use trajsearch_core::{
-    EngineBuilder, IndexLayout, Query, Response, SearchOptions, TemporalConstraint, TimeInterval,
-    VerifyMode,
+    CompactIndex, EngineBuilder, IndexLayout, InvertedIndex, Query, Response, SearchOptions,
+    TemporalConstraint, TimeInterval, VerifyMode,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -35,6 +36,15 @@ fn timed_store(paths: Vec<Vec<Sym>>) -> TrajectoryStore {
             Trajectory::new(p, times)
         })
         .collect()
+}
+
+/// The compact layout an engine serves: a built index, compacted.
+fn compact_index(store: &TrajectoryStore, temporal_postings: bool) -> CompactIndex {
+    let mut index = InvertedIndex::build(store, ALPHABET);
+    if temporal_postings {
+        index.enable_temporal_postings();
+    }
+    index.to_compact()
 }
 
 /// The full option grid: every verify mode × no-temporal / temporal
@@ -127,14 +137,13 @@ proptest! {
         let constraint =
             TemporalConstraint::overlaps(TimeInterval::new(win_start, win_start + win_len));
 
-        let [single, sharded, compact] =
-            [IndexLayout::Single, IndexLayout::Sharded(3), IndexLayout::Compact].map(|layout| {
-                EngineBuilder::new(Lev, &store, ALPHABET)
-                    .layout(layout)
-                    .temporal_postings(true)
-                    .build()
-            });
-        let others = [("sharded", &sharded), ("compact", &compact)];
+        let [single, sharded] = [IndexLayout::Single, IndexLayout::Sharded(3)].map(|layout| {
+            EngineBuilder::new(Lev, &store, ALPHABET)
+                .layout(layout)
+                .temporal_postings(true)
+                .build()
+        });
+        let compact = EngineBuilder::new(Lev, &store, ALPHABET).build_with(compact_index(&store, true));
 
         for opts in option_grid(constraint) {
             let batch: Vec<Query> = workload
@@ -145,14 +154,21 @@ proptest! {
 
             for (query, want) in batch.iter().zip(&want) {
                 let label = format!("opts={opts:?}, query={}", query.to_json());
-                for (name, engine) in others {
-                    assert_same(&engine.run(query).unwrap(), want, &format!("{name} {label}"))?;
+                let others = [("sharded", sharded.run(query)), ("compact", compact.run(query))];
+                for (name, got) in others {
+                    assert_same(&got.unwrap(), want, &format!("{name} {label}"))?;
                 }
             }
 
             // Whole-batch path, on every layout.
-            for (name, engine) in [("single", &single), ("sharded", &sharded), ("compact", &compact)] {
-                let got = engine.run_batch(&batch, BatchOptions::with_threads(2)).unwrap();
+            let two_threads = BatchOptions::with_threads(2);
+            let batches = [
+                ("single", single.run_batch(&batch, two_threads)),
+                ("sharded", sharded.run_batch(&batch, two_threads)),
+                ("compact", compact.run_batch(&batch, two_threads)),
+            ];
+            for (name, got) in batches {
+                let got = got.unwrap();
                 prop_assert_eq!(got.responses.len(), want.len());
                 for (i, (got, want)) in got.responses.iter().zip(&want).enumerate() {
                     assert_same(got, want, &format!("batch {name} query {i}, opts={opts:?}"))?;
@@ -183,13 +199,18 @@ proptest! {
             .run(&query)
             .unwrap()
             .ranked();
-        for layout in [IndexLayout::Single, IndexLayout::Sharded(2), IndexLayout::Compact] {
-            let engine = EngineBuilder::new(Lev, &store, ALPHABET).layout(layout).build();
-            let got = engine.run(&query).unwrap().ranked();
+        let [single, sharded] = [IndexLayout::Single, IndexLayout::Sharded(2)].map(|layout| {
+            EngineBuilder::new(Lev, &store, ALPHABET).layout(layout).build().run(&query)
+        });
+        let compact = EngineBuilder::new(Lev, &store, ALPHABET)
+            .build_with(compact_index(&store, false))
+            .run(&query);
+        for (layout, got) in [("Single", single), ("Sharded(2)", sharded), ("Compact", compact)] {
+            let got = got.unwrap().ranked();
             prop_assert_eq!(
                 &got,
                 &want,
-                "top-k diverged (layout={:?}, k={}, tau0={}, max={})",
+                "top-k diverged (layout={}, k={}, tau0={}, max={})",
                 layout,
                 k,
                 initial_tau,

@@ -12,7 +12,7 @@
 //! * the *engine* surface — full `SearchEngine` results — is byte-identical
 //!   (`assert_eq!` on matches including `f64` distances, no epsilon) across
 //!   shard counts, for all verify modes × temporal on/off (TF and
-//!   by-departure postings included) × append-after-build.
+//!   by-departure postings included).
 
 use proptest::prelude::*;
 use traj::{TrajId, Trajectory, TrajectoryStore};
@@ -191,22 +191,18 @@ fn option_grid(constraint: TemporalConstraint) -> Vec<SearchOptions> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Index surface: build — and append-after-build — agree with the
-    /// single-list reference at every shard count.
+    /// Index surface: every build agrees with the single-list reference at
+    /// every shard count.
     #[test]
     fn sharded_index_surface_matches_inverted(
         paths in proptest::collection::vec(
             proptest::collection::vec(0u32..(ALPHABET as u32), 1..10),
             0..10,
         ),
-        split in 0usize..10,
         shard_i in 0usize..SHARD_COUNTS.len(),
     ) {
         let shards = SHARD_COUNTS[shard_i];
         let full = timed_store(paths);
-        let split = split.min(full.len());
-
-        // Straight build over the whole store.
         let mut reference = InvertedIndex::build(&full, ALPHABET);
         let mut sharded = ShardedIndex::build_parallel(&full, ALPHABET, shards);
         check_index_surface(&sharded, &reference)?;
@@ -217,27 +213,6 @@ proptest! {
         // Compacting either layout yields the same surface again.
         check_index_surface(&reference.to_compact(), &reference)?;
         check_index_surface(&CompactIndex::from_source(&sharded), &reference)?;
-
-        // Build on a prefix, then append the rest to both sides: appends
-        // must land exactly where a fresh build would have put them, and
-        // must drop both sides' temporal orderings symmetrically.
-        let base = full.prefix(split);
-        let mut ref_app = InvertedIndex::build(&base, ALPHABET);
-        let mut sh_app = ShardedIndex::build_parallel(&base, ALPHABET, shards);
-        ref_app.enable_temporal_postings();
-        sh_app.enable_temporal_postings();
-        for id in split..full.len() {
-            let t = full.get(id as TrajId);
-            ref_app.append(id as TrajId, t);
-            sh_app.append(id as TrajId, t);
-        }
-        check_index_surface(&sh_app, &ref_app)?;
-        ref_app.enable_temporal_postings();
-        sh_app.enable_temporal_postings();
-        check_index_surface(&sh_app, &ref_app)?;
-        // And the appended result equals the straight build, compacted too.
-        check_index_surface(&sh_app, &reference)?;
-        check_index_surface(&CompactIndex::from_source(&sh_app), &reference)?;
     }
 
     /// Engine surface: full search results are byte-identical across shard
@@ -289,61 +264,6 @@ proptest! {
                     &format!("compact of {shards} shards, opts={opts:?}"),
                 )?;
             }
-        }
-    }
-
-    /// Engine surface after appends: an index grown by `append` serves the
-    /// same results as one built from scratch, at every shard count.
-    #[test]
-    fn search_results_identical_after_appends(
-        paths in proptest::collection::vec(
-            proptest::collection::vec(0u32..(ALPHABET as u32), 1..10),
-            2..8,
-        ),
-        queries in proptest::collection::vec(
-            (proptest::collection::vec(0u32..(ALPHABET as u32), 1..5), 1u32..3),
-            1..4,
-        ),
-        split_i in 0usize..8,
-        mode_i in 0usize..3,
-    ) {
-        let store = timed_store(paths);
-        // Keep at least one trajectory in the base so the build is not
-        // degenerate, and append at least zero (split may equal len).
-        let split = 1 + split_i % store.len();
-        let workload: Vec<(Vec<Sym>, f64)> = queries
-            .into_iter()
-            .map(|(q, tau_i)| (q, tau_i as f64))
-            .collect();
-        let opts = SearchOptions {
-            verify: [VerifyMode::Trie, VerifyMode::Local, VerifyMode::Sw][mode_i],
-            ..Default::default()
-        };
-        let reference = EngineBuilder::new(Lev, &store, ALPHABET).build();
-
-        let base = store.prefix(split);
-        for &shards in &SHARD_COUNTS {
-            let mut idx = ShardedIndex::build_parallel(&base, ALPHABET, shards);
-            for id in split..store.len() {
-                idx.append(id as TrajId, store.get(id as TrajId));
-            }
-            let compact = CompactIndex::from_source(&idx);
-            let engine = EngineBuilder::new(Lev, &store, ALPHABET).build_with(idx);
-            check_outcomes(
-                &reference,
-                &engine,
-                &workload,
-                opts,
-                &format!("{shards} shards after {} appends", store.len() - split),
-            )?;
-            let compact_engine = EngineBuilder::new(Lev, &store, ALPHABET).build_with(compact);
-            check_outcomes(
-                &reference,
-                &compact_engine,
-                &workload,
-                opts,
-                &format!("compact after {} appends", store.len() - split),
-            )?;
         }
     }
 }

@@ -22,7 +22,9 @@ use std::sync::Arc;
 use traj::generator::TripConfig;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::batch::BatchOptions;
-use trajsearch_core::{EngineBuilder, IndexLayout, MatchResult, Metric, Query, VerifyMode};
+use trajsearch_core::{
+    EngineBuilder, IndexLayout, InvertedIndex, MatchResult, Metric, Query, VerifyMode,
+};
 use wed::models::{Erp, Lev};
 use wed::{CostModel, Sym, WedInstance};
 
@@ -62,23 +64,29 @@ fn engines_match_oracle<M: WedInstance + Sync>(
 ) -> Result<bool, TestCaseError> {
     let bits = |ms: &[MatchResult]| -> Vec<u64> { ms.iter().map(|m| m.dist.to_bits()).collect() };
     let mut fallback = false;
-    for layout in [
-        IndexLayout::Single,
-        IndexLayout::Sharded(3),
-        IndexLayout::Compact,
-    ] {
-        let engine = EngineBuilder::new(model, store, alphabet)
+    let query = Query::threshold(pattern.to_vec(), tau)
+        .metric(metric)
+        .build()
+        .unwrap();
+    let [single, sharded] = [IndexLayout::Single, IndexLayout::Sharded(3)].map(|layout| {
+        EngineBuilder::new(model, store, alphabet)
             .layout(layout)
-            .build();
-        let query = Query::threshold(pattern.to_vec(), tau)
-            .metric(metric)
             .build()
-            .unwrap();
-        let got = engine.run(&query).expect("metric run");
+            .run(&query)
+    });
+    let compact = EngineBuilder::new(model, store, alphabet)
+        .build_with(InvertedIndex::build(store, alphabet).to_compact())
+        .run(&query);
+    for (layout, got) in [
+        ("Single", single),
+        ("Sharded(3)", sharded),
+        ("Compact", compact),
+    ] {
+        let got = got.expect("metric run");
         prop_assert_eq!(
             got.matches.as_slice(),
             want,
-            "metric={:?} layout={:?} tau={:?}",
+            "metric={:?} layout={} tau={:?}",
             metric,
             layout,
             tau

@@ -3,8 +3,8 @@
 //!
 //! * **Equivalence** — every `Response` received over the socket is
 //!   byte-identical (matches and stats counters) to in-process
-//!   `SearchEngine::run_batch` on the same workload, across both index
-//!   layouts.
+//!   `SearchEngine::run_batch` on the same workload, across the built
+//!   index layouts and a compacted index.
 //! * **Backpressure** — a full admission queue answers a typed
 //!   `overloaded` error; nothing buffers without bound.
 //! * **Deadlines** — an expired `deadline_ms` answers a typed
@@ -18,8 +18,8 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::{
-    BatchOptions, EngineBuilder, IndexLayout, Metric, Query, Response, TemporalConstraint,
-    TimeInterval, VerifyMode,
+    BatchOptions, EngineBuilder, IndexLayout, InvertedIndex, Metric, PostingSource, Query,
+    Response, SearchEngine, TemporalConstraint, TimeInterval, VerifyMode,
 };
 use trajsearch_serve::{
     Client, ClientError, QueryOutcome, Server, ServerConfig, ServerErrorKind, ServerHandle,
@@ -138,6 +138,52 @@ fn slow_query(deadline_ms: Option<u64>) -> Query {
     }
 }
 
+/// Serves `workload` from `engine` and checks every reply against
+/// in-process `run_batch`, pipelined and single-query.
+fn served_equals_run_batch<I: PostingSource + Sync>(
+    engine: &SearchEngine<'_, Lev, I>,
+    workload: &[Query],
+    layout_name: &str,
+) {
+    let want = engine
+        .run_batch(workload, BatchOptions::with_threads(2))
+        .expect("workload admissible");
+
+    let server = Server::bind(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let handle = server.handle();
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(handle.clone());
+        let serving = scope.spawn(|| server.serve(engine));
+
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        // Pipelined batch: replies may arrive out of order, the client
+        // restores submission order.
+        let outcomes = client.query_batch(workload).expect("transport ok");
+        assert_eq!(outcomes.len(), workload.len());
+        for (i, (got, want)) in outcomes.iter().zip(&want.responses).enumerate() {
+            let got = got.response().expect("no rejections in this workload");
+            assert_equivalent(got, want, &format!("{layout_name} query {i}"));
+        }
+        // Single-query path agrees too.
+        let got = client.query(&workload[0]).expect("single query");
+        assert_equivalent(&got, &want.responses[0], &format!("{layout_name} single"));
+
+        let stats = client.stats().expect("stats over the wire");
+        assert_eq!(stats.completed, workload.len() as u64 + 1);
+        assert_eq!(stats.rejected_overload, 0);
+        assert!(stats.wall.count >= stats.completed);
+
+        drop(guard); // orderly shutdown
+        let final_metrics = serving.join().expect("serve thread").expect("serve ok");
+        assert_eq!(final_metrics.completed, workload.len() as u64 + 1);
+        assert_eq!(final_metrics.queue_depth, 0, "drained");
+    });
+}
+
 #[test]
 fn loopback_responses_match_in_process_run_batch_across_layouts() {
     let store = store(120, 24, 0xA11CE);
@@ -145,49 +191,15 @@ fn loopback_responses_match_in_process_run_batch_across_layouts() {
     for (layout, layout_name) in [
         (IndexLayout::Single, "single"),
         (IndexLayout::Sharded(3), "sharded(3)"),
-        (IndexLayout::Compact, "compact"),
     ] {
         let engine = EngineBuilder::new(Lev, &store, ALPHABET)
             .layout(layout)
             .build();
-        let want = engine
-            .run_batch(&workload, BatchOptions::with_threads(2))
-            .expect("workload admissible");
-
-        let server = Server::bind(ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback");
-        let handle = server.handle();
-        std::thread::scope(|scope| {
-            let guard = ShutdownOnDrop(handle.clone());
-            let serving = scope.spawn(|| server.serve(&engine));
-
-            let mut client = Client::connect(handle.local_addr()).expect("connect");
-            // Pipelined batch: replies may arrive out of order, the client
-            // restores submission order.
-            let outcomes = client.query_batch(&workload).expect("transport ok");
-            assert_eq!(outcomes.len(), workload.len());
-            for (i, (got, want)) in outcomes.iter().zip(&want.responses).enumerate() {
-                let got = got.response().expect("no rejections in this workload");
-                assert_equivalent(got, want, &format!("{layout_name} query {i}"));
-            }
-            // Single-query path agrees too.
-            let got = client.query(&workload[0]).expect("single query");
-            assert_equivalent(&got, &want.responses[0], &format!("{layout_name} single"));
-
-            let stats = client.stats().expect("stats over the wire");
-            assert_eq!(stats.completed, workload.len() as u64 + 1);
-            assert_eq!(stats.rejected_overload, 0);
-            assert!(stats.wall.count >= stats.completed);
-
-            drop(guard); // orderly shutdown
-            let final_metrics = serving.join().expect("serve thread").expect("serve ok");
-            assert_eq!(final_metrics.completed, workload.len() as u64 + 1);
-            assert_eq!(final_metrics.queue_depth, 0, "drained");
-        });
+        served_equals_run_batch(&engine, &workload, layout_name);
     }
+    let compact = InvertedIndex::build(&store, ALPHABET).to_compact();
+    let engine = EngineBuilder::new(Lev, &store, ALPHABET).build_with(compact);
+    served_equals_run_batch(&engine, &workload, "compact");
 }
 
 /// Mixed-metric batches over the serve wire: the metric rides each query's
@@ -497,6 +509,53 @@ fn malformed_and_invalid_frames_get_typed_errors() {
         let stats = client.stats().expect("stats");
         assert!(stats.malformed >= 1);
         assert!(stats.invalid >= 2);
+
+        drop(guard);
+        serving.join().expect("serve thread").expect("serve ok");
+    });
+}
+
+/// A pattern symbol past the index alphabet is refused at admission with a
+/// typed `invalid_query`; it must not reach the postings lookup, and the
+/// server keeps answering afterwards.
+#[test]
+fn symbol_outside_the_alphabet_is_invalid_and_the_server_lives_on() {
+    let store = store(30, 16, 11);
+    let engine = EngineBuilder::new(Lev, &store, ALPHABET).build();
+    let hostile =
+        Query::from_json(r#"{"pattern":[500,1],"objective":{"type":"threshold","tau":1.0}}"#)
+            .unwrap();
+    let valid = Query::threshold(store.get(0).path()[..3].to_vec(), 1.0)
+        .build()
+        .unwrap();
+    let want = engine.run(&valid).expect("valid query");
+    let server = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let handle = server.handle();
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(handle.clone());
+        let serving = scope.spawn(|| server.serve(&engine));
+
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        // A worker that dies on the frame never replies; fail, don't hang.
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        match client
+            .query(&hostile)
+            .expect_err("symbol 500 is not indexed")
+        {
+            ClientError::Server(e) => {
+                assert_eq!(e.kind, ServerErrorKind::InvalidQuery);
+                assert!(e.message.contains("symbol 500"), "{e}");
+            }
+            other => panic!("expected invalid_query, got {other}"),
+        }
+        let got = client.query(&valid).expect("the same server still answers");
+        assert_equivalent(&got, &want, "after the hostile frame");
 
         drop(guard);
         serving.join().expect("serve thread").expect("serve ok");

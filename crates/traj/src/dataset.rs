@@ -1,8 +1,7 @@
 //! In-memory trajectory dataset (the `T` of Definition 3).
 //!
-//! The store is append-only, mirroring the paper's index maintenance model
-//! ("we can update the index by appending a new record", §4.1). It also
-//! computes the per-dataset statistics of Table 2. The symbol frequencies
+//! The store is append-only: a trajectory's id is its insertion index. It
+//! also computes the per-dataset statistics of Table 2. The symbol frequencies
 //! `n(q)` that MinCand prices a query with come from the index
 //! (`PostingSource::freq` in `trajsearch-core`), not from the store.
 
@@ -59,7 +58,7 @@ impl TrajectoryStore {
     }
 
     /// A store containing only the first `n` trajectories (used by the
-    /// dataset-size sweeps of Figures 8 and 10).
+    /// dataset-size sweep of Figure 8 and Table 5's 25 % / 50 % rows).
     pub fn prefix(&self, n: usize) -> TrajectoryStore {
         TrajectoryStore {
             trajs: self.trajs[..n.min(self.trajs.len())].to_vec(),

@@ -3,10 +3,9 @@
 //! the build-time curve.
 //!
 //! `ShardedIndex` partitions postings by `traj_id % num_shards`, so each
-//! shard is built by its own scoped worker and appends touch exactly one
-//! shard. The layout is invisible to search — this example asserts that by
-//! comparing every result against the default single-list engine, including
-//! after appending fresh trajectories to a live sharded index.
+//! shard is built by its own scoped worker. The layout is invisible to
+//! search — this example asserts that by comparing every result against the
+//! default single-list engine.
 //!
 //! ```sh
 //! cargo run --release --example sharded_build
@@ -16,7 +15,7 @@ use rnet::{CityParams, NetworkKind};
 use std::sync::Arc;
 use std::time::Instant;
 use traj::TripConfig;
-use trajsearch_core::{EngineBuilder, IndexLayout, PostingSource, Query, ShardedIndex};
+use trajsearch_core::{EngineBuilder, IndexLayout, PostingSource, Query};
 use wed::models::Edr;
 use wed::Sym;
 
@@ -65,29 +64,4 @@ fn main() {
             engine.index().total_postings(),
         );
     }
-
-    // Appends touch exactly one shard; the grown index still matches a
-    // fresh build over the grown store.
-    let mut grown = store.clone();
-    let mut idx = ShardedIndex::build_parallel(&store, alphabet, 4);
-    for t in TripConfig::default()
-        .count(50)
-        .lengths(30, 80)
-        .seed(99)
-        .generate(&net)
-        .iter()
-        .map(|(_, t)| t.clone())
-    {
-        let id = grown.push(t.clone());
-        idx.append(id, &t);
-    }
-    let appended = EngineBuilder::new(&edr, &grown, alphabet).build_with(idx);
-    let rebuilt = EngineBuilder::new(&edr, &grown, alphabet).build();
-    let a = appended.run(&query).expect("run");
-    let b = rebuilt.run(&query).expect("run");
-    assert_eq!(a.matches, b.matches, "append must equal rebuild");
-    println!(
-        "appended 50 trajectories shard-locally: {} matches, identical to a fresh build",
-        a.matches.len()
-    );
 }
