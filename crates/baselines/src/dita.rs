@@ -29,7 +29,6 @@ pub struct DitaIndex<'a, M: CostModel> {
     store: &'a TrajectoryStore,
     /// sorted pivot multiset -> subtrajectories carrying it.
     groups: HashMap<Vec<Sym>, Vec<(TrajId, u32, u32)>>,
-    num_subtrajectories: usize,
     build_time: Duration,
 }
 
@@ -60,17 +59,12 @@ impl<'a, M: CostModel> DitaIndex<'a, M> {
             model,
             store,
             groups,
-            num_subtrajectories: total,
             build_time: t0.elapsed(),
         }
     }
 
     pub fn build_time(&self) -> Duration {
         self.build_time
-    }
-
-    pub fn num_subtrajectories(&self) -> usize {
-        self.num_subtrajectories
     }
 
     /// Approximate index size in bytes.
@@ -231,7 +225,7 @@ mod tests {
         store.push(Trajectory::untimed(vec![1, 2, 3])); // 6 subtrajectories
         store.push(Trajectory::untimed(vec![4, 5])); // 3
         let dita = DitaIndex::new(&Lev, &store, 3);
-        assert_eq!(dita.num_subtrajectories(), 9);
+        assert_eq!(dita.groups.values().map(Vec::len).sum::<usize>(), 9);
         assert!(dita.size_bytes() > 0);
     }
 }

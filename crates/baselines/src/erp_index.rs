@@ -72,10 +72,6 @@ impl<'a> ErpIndex<'a> {
         self.build_time
     }
 
-    pub fn num_subtrajectories(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Approximate index size in bytes (points + entry triples).
     pub fn size_bytes(&self) -> usize {
         self.entries.len()
@@ -196,7 +192,7 @@ mod tests {
         let erp = Erp::new(net.clone(), 10.0);
         let idx = ErpIndex::new(&erp, &store);
         let expected: usize = store.iter().map(|(_, t)| t.len() * (t.len() + 1) / 2).sum();
-        assert_eq!(idx.num_subtrajectories(), expected);
+        assert_eq!(idx.entries.len(), expected);
         assert!(idx.size_bytes() > 0);
         let (_, stats) = idx.search(&[0, 1], 200.0);
         assert!(stats.candidates <= expected);

@@ -67,7 +67,7 @@ impl FuncKind {
     }
 
     /// True for edge-representation functions (SURS).
-    pub fn uses_edges(&self) -> bool {
+    pub(crate) fn uses_edges(&self) -> bool {
         matches!(self, FuncKind::Surs)
     }
 }
@@ -223,7 +223,11 @@ impl Dataset {
     }
 
     /// Same, with an explicit η override (Figure 13 sweeps).
-    pub fn model_with_eta(&self, kind: FuncKind, eta: Option<f64>) -> Box<dyn WedInstance + Sync> {
+    pub(crate) fn model_with_eta(
+        &self,
+        kind: FuncKind,
+        eta: Option<f64>,
+    ) -> Box<dyn WedInstance + Sync> {
         match kind {
             FuncKind::Lev => Box::new(Lev),
             FuncKind::Edr => Box::new(self.make_edr()),

@@ -54,7 +54,7 @@ impl MethodKind {
 /// (index construction is excluded from query-time measurements, §6.3).
 /// q-gram filtering needs unit costs (Appendix C), so under any other model
 /// the set has no q-gram index and does not [`run`](MethodSet::runs) it.
-pub struct MethodSet<'a, M: WedInstance + Copy + Sync> {
+pub(crate) struct MethodSet<'a, M: WedInstance + Copy + Sync> {
     model: M,
     store: &'a TrajectoryStore,
     engine: SearchEngine<'a, M, AnyIndex>,

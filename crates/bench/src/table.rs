@@ -2,7 +2,7 @@
 
 /// Prints a header row followed by data rows, each column padded to its
 /// widest cell.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(header: &[&str], rows: &[Vec<String>]) {
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -27,7 +27,7 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Formats milliseconds with adaptive precision.
-pub fn fmt_ms(ms: f64) -> String {
+pub(crate) fn fmt_ms(ms: f64) -> String {
     if ms >= 100.0 {
         format!("{ms:.0}")
     } else if ms >= 1.0 {
@@ -38,12 +38,12 @@ pub fn fmt_ms(ms: f64) -> String {
 }
 
 /// Formats a ratio as a percentage.
-pub fn fmt_pct(x: f64) -> String {
+pub(crate) fn fmt_pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
 /// Formats byte counts human-readably.
-pub fn fmt_bytes(b: usize) -> String {
+pub(crate) fn fmt_bytes(b: usize) -> String {
     const KB: f64 = 1024.0;
     let b = b as f64;
     if b >= KB * KB * KB {

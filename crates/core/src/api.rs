@@ -444,8 +444,7 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
         // query of the batch (opt-in, see `BatchOptions::share_tries`).
         let trie_cache = opts.share_tries.then(TrieCache::new);
 
-        // Deadline epoch = dequeue time, for the sequential and the
-        // fanned-out path alike.
+        // Deadline epoch = dequeue time: when a worker claims the query.
         // Batch workers run untraced: `BatchOptions` is a plain `Copy` bag
         // and cannot carry a sink reference; workloads that need spans run
         // their queries through `run_traced` individually.
@@ -460,53 +459,47 @@ impl<'a, M: WedInstance + Sync, I: PostingSource + Sync> SearchEngine<'a, M, I> 
             )
         };
 
-        if threads <= 1 {
-            for (slot, query) in slots.iter_mut().zip(queries) {
-                *slot = Some(run_claimed(query)?);
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            // First failure (a deadline expiry) flips the flag so the other
-            // workers stop claiming: the batch's result is already decided,
-            // running out the remaining queries would be pure waste.
-            let abort = std::sync::atomic::AtomicBool::new(false);
-            let collected = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let abort = &abort;
-                        let run_claimed = &run_claimed;
-                        scope.spawn(move || {
-                            let mut local: Vec<(usize, Response)> = Vec::new();
-                            loop {
-                                if abort.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(query) = queries.get(i) else {
-                                    break;
-                                };
-                                match run_claimed(query) {
-                                    Ok(response) => local.push((i, response)),
-                                    Err(e) => {
-                                        abort.store(true, Ordering::Relaxed);
-                                        return Err(e);
-                                    }
+        let cursor = AtomicUsize::new(0);
+        // First failure (a deadline expiry) flips the flag so the other
+        // workers stop claiming: the batch's result is already decided,
+        // running out the remaining queries would be pure waste.
+        let abort = std::sync::atomic::AtomicBool::new(false);
+        let collected = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let cursor = &cursor;
+                    let abort = &abort;
+                    let run_claimed = &run_claimed;
+                    scope.spawn(move || {
+                        let mut local: Vec<(usize, Response)> = Vec::new();
+                        loop {
+                            if abort.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(query) = queries.get(i) else {
+                                break;
+                            };
+                            match run_claimed(query) {
+                                Ok(response) => local.push((i, response)),
+                                Err(e) => {
+                                    abort.store(true, Ordering::Relaxed);
+                                    return Err(e);
                                 }
                             }
-                            Ok::<_, QueryError>(local)
-                        })
+                        }
+                        Ok::<_, QueryError>(local)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for worker in collected {
-                for (i, response) in worker? {
-                    slots[i] = Some(response);
-                }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("batch worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        for worker in collected {
+            for (i, response) in worker? {
+                slots[i] = Some(response);
             }
         }
         let wall_time = t0.elapsed();

@@ -67,7 +67,7 @@ impl FilterPlan {
     /// positions the one with the fewest predicted candidates is chosen;
     /// the plan is infeasible when no position has `c(q) ≥ τ` and the
     /// caller must fall back to an exact scan.
-    pub fn build_single<M: WedInstance, I: PostingSource>(
+    pub(crate) fn build_single<M: WedInstance, I: PostingSource>(
         model: &M,
         index: &I,
         q: &[Sym],
@@ -147,7 +147,7 @@ impl FilterPlan {
     /// prefix, per shard for a sharded source) and arrival ≥ `I.start`
     /// (checked per record). Sound for both `Overlaps` and `Within`
     /// predicates.
-    pub fn candidates_temporal<I: PostingSource>(
+    pub(crate) fn candidates_temporal<I: PostingSource>(
         &self,
         index: &I,
         constraint: &crate::temporal::TemporalConstraint,

@@ -110,7 +110,7 @@ pub use filter::FilterPlan;
 pub use index::{InvertedIndex, Posting, PostingSource};
 pub use metric::Metric;
 pub use query::{Objective, Query, QueryBuilder, QueryError};
-pub use results::{MatchResult, ResultSet};
+pub use results::MatchResult;
 pub use search::{exact_fallback_scan, SearchEngine, SearchOptions};
 pub use sharded::{IndexShard, ShardedIndex};
 pub use stats::SearchStats;

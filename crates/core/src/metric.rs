@@ -11,7 +11,7 @@
 //! |---------|------------------------------------|-----|
 //! | WED     | MinCand τ-subsequence (Theorem 1)  | costs add over edits |
 //! | DTW     | MinCand τ-subsequence              | costs add over couplings; every chosen `q` couples with ≥ 1 subtrajectory symbol, so a subtrajectory disjoint from `B(Q')` costs `≥ Σ c(q) ≥ τ` |
-//! | Fréchet | single symbol with `c(q) ≥ τ` ([`FilterPlan::build_single`](crate::filter::FilterPlan::build_single)) | the bottleneck does not add, but one sufficiently expensive symbol prunes alone |
+//! | Fréchet | single symbol with `c(q) ≥ τ` | the bottleneck does not add, but one sufficiently expensive symbol prunes alone |
 //! | LCSS(ε) | none — exact fallback scan         | the ε-match predicate is unrelated to the lower costs `c(q)`, so no neighborhood bound applies |
 //!
 //! The scan verifier here is the engine's one **whole-trajectory scan**: one

@@ -5,7 +5,7 @@
 //! alignment *through* its anchor (Eq. 10), which upper-bounds the true WED.
 //! By Lemma 1 the optimal alignment of every true match passes through at
 //! least one candidate anchor, so the per-triple minimum over candidates is
-//! the exact WED. [`ResultSet`] performs that min-merge.
+//! the exact WED. `ResultSet` performs that min-merge.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -36,7 +36,7 @@ crate::wire_struct! {
 /// sorts the closed list once and min-merges equal triples, and the minimum
 /// does not depend on the order it was taken in.
 #[derive(Debug, Default)]
-pub struct ResultSet {
+pub(crate) struct ResultSet {
     /// Triples of trajectories no longer open, one sorted run per visit.
     closed: Vec<MatchResult>,
     /// The trajectory whose triples `open` holds.
@@ -98,7 +98,7 @@ impl ResultSet {
     }
 
     /// Drains into a deterministic ordering (by id, start, end).
-    pub fn into_sorted_vec(mut self) -> Vec<MatchResult> {
+    pub(crate) fn into_sorted_vec(mut self) -> Vec<MatchResult> {
         self.settle();
         // The answer outlives the query (callers keep it, servers queue
         // it), so it must not carry the closed list's doubling slack.

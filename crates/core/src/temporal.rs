@@ -82,7 +82,7 @@ impl TemporalConstraint {
     /// Candidate-level pruning test on the whole-trajectory span (§4.3):
     /// if the trajectory span is disjoint from `I`, no subspan can overlap
     /// `I`, let alone be contained in it — safe for both predicates.
-    pub fn may_contain_match(&self, traj_span: (f64, f64)) -> bool {
+    pub(crate) fn may_contain_match(&self, traj_span: (f64, f64)) -> bool {
         self.interval.overlaps(traj_span.0, traj_span.1)
     }
 }

@@ -450,7 +450,7 @@ fn with_trie<R>(handle: &mut TrieHandle, walk: impl FnOnce(&mut DpTrie) -> R) ->
 /// group** at a time (all of a trajectory's anchors, sorted by
 /// `(j, iq)`), together with the trajectory's path. Implementations push
 /// every matching `(id, s, t, dist)` into `results` (duplicates are
-/// min-merged by the [`ResultSet`]) and account their DP work in
+/// min-merged by the result set) and account their DP work in
 /// `stats.verify_cost` — the metric-neutral unit (columns/rows of `O(|Q|)`
 /// each) that stays comparable when workloads mix metrics.
 ///

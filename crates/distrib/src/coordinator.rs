@@ -41,12 +41,13 @@ impl<'a, M: WedInstance + Sync> Coordinator<'a, M> {
         spec: &RemoteSpec,
     ) -> Result<Coordinator<'a, M>, DistribError> {
         let endpoints: Vec<ShardEndpoint> = spec.endpoints.iter().map(ShardEndpoint::new).collect();
-        let remote = RemoteShards::connect(&endpoints)?;
-        if remote.num_trajectories() != store.len() {
+        let remote = RemoteShards::connect(&endpoints, store)?;
+        // Admission trusts the index's alphabet; the model may not cover a
+        // larger one.
+        if remote.alphabet_size() != alphabet_size {
             return Err(DistribError::Topology(format!(
-                "shards index {} trajectories, the coordinator's store holds {}",
-                remote.num_trajectories(),
-                store.len()
+                "shards index an alphabet of {}, the coordinator's is {alphabet_size}",
+                remote.alphabet_size()
             )));
         }
         Ok(Coordinator::new(

@@ -14,7 +14,7 @@
 //!   that fans postings fetches out over pooled connections to those
 //!   servers — pipelined (one round trip per fetch, not one per shard),
 //!   epoch-checked, deadline-bounded, with a degraded log for shards that
-//!   stop answering.
+//!   stop answering or send postings that are not theirs.
 //! * A [`Coordinator`] runs the full engine (store, model, MinCand,
 //!   verification) locally over `RemoteShards` and serves the ordinary
 //!   query protocol, answering with typed *degraded* replies whenever a
@@ -35,4 +35,4 @@ pub mod remote;
 pub mod testdata;
 
 pub use coordinator::Coordinator;
-pub use remote::{DistribError, RemoteShards, ShardEndpoint, TraceScope};
+pub use remote::{DistribError, RemoteShards, ShardEndpoint};

@@ -16,16 +16,16 @@
 //!   the network.
 //! * **Caching** — postings, frequencies and departing-by prefixes are
 //!   cached after the first fetch. Only *complete* results (every shard
-//!   answered) enter the cache, so a degraded fetch is retried on the next
-//!   query rather than frozen in.
+//!   answered, every posting checked) enter the cache, so a degraded fetch
+//!   is retried on the next query rather than frozen in.
 //! * **Degradation** — a shard that fails to answer (transport error,
-//!   epoch mismatch, expired RPC deadline) contributes nothing to that
-//!   fetch and the failure is recorded in a degraded log. A coordinator
-//!   brackets each query with [`degraded_mark`](RemoteShards::degraded_mark)
-//!   / [`degraded_since`](RemoteShards::degraded_since) and turns a
-//!   non-empty window into a typed degraded reply
-//!   ([`DegradedInfo`]) instead of passing
-//!   off a partial answer as complete.
+//!   epoch mismatch, expired RPC deadline), or that lies (a posting of a
+//!   trajectory it does not hold, or at a position past that trajectory's
+//!   end), contributes nothing to that fetch and the failure is recorded
+//!   in a degraded log. A [`Coordinator`](crate::Coordinator) brackets each
+//!   query with a mark of that log and turns a non-empty window into a
+//!   typed degraded reply ([`DegradedInfo`]) instead of passing off a
+//!   partial answer as complete.
 //!
 //! No lock here turns a panicked thread into a panic for every later query.
 //! The three caches and the degraded log hold whole answers and whole
@@ -47,7 +47,7 @@ use std::io;
 use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use traj::TrajId;
+use traj::{TrajId, TrajectoryStore};
 use trajsearch_core::{Posting, PostingSource, TraceSink};
 use trajsearch_serve::{Client, ClientError, DegradedInfo, Reply, Request, ShardInfo};
 use wed::Sym;
@@ -68,7 +68,7 @@ thread_local! {
 /// Clears (restores) the thread's trace context on drop, so a panicking or
 /// early-returning query cannot leak its id into the next query on the
 /// worker.
-pub struct TraceScope {
+pub(crate) struct TraceScope {
     prev: u64,
 }
 
@@ -110,6 +110,9 @@ const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 /// installed as the socket read timeout, so a stalled shard degrades within
 /// this bound instead of blocking a query forever.
 const RPC_DEADLINE_MS: u64 = 10_000;
+
+/// The degraded-log entry for a data reply of the wrong kind or shape.
+const WRONG_REPLY: &str = "protocol error: reply of the wrong kind or shape";
 
 /// Why a [`RemoteShards::connect`] failed.
 #[derive(Debug)]
@@ -176,6 +179,9 @@ pub struct RemoteShards {
     /// Global-id span table, prefetched at connect (`span` is on the
     /// temporal-filter hot path and must be infallible).
     spans: Vec<(f64, f64)>,
+    /// Trajectory lengths by global id, from the store the shards indexed:
+    /// a posting's position must fall inside its trajectory.
+    lens: Vec<u32>,
     freq_cache: Mutex<HashMap<Sym, u32>>,
     postings_cache: Mutex<HashMap<Sym, Vec<Posting>>>,
     /// Keyed by `(symbol, t_max bits)` — the engine re-asks the same
@@ -204,10 +210,13 @@ impl fmt::Debug for RemoteShards {
 impl RemoteShards {
     /// Dials every endpoint, negotiates the protocol version (`hello`),
     /// learns each shard's identity and epoch (`shard_info`), checks the
-    /// endpoints form exactly one shard 0..n cluster over one store, and
-    /// prefetches the span table. Endpoint order is irrelevant — shards
-    /// are arranged by their self-reported id.
-    pub fn connect(endpoints: &[ShardEndpoint]) -> Result<RemoteShards, DistribError> {
+    /// endpoints form exactly one shard 0..n cluster over `store` (the
+    /// store the shards indexed), and prefetches the span table. Endpoint
+    /// order is irrelevant — shards are arranged by their self-reported id.
+    pub fn connect(
+        endpoints: &[ShardEndpoint],
+        store: &TrajectoryStore,
+    ) -> Result<RemoteShards, DistribError> {
         if endpoints.is_empty() {
             return Err(DistribError::Topology("no shard endpoints given".into()));
         }
@@ -279,13 +288,22 @@ impl RemoteShards {
                 )));
             }
         }
-        let num_trajectories = first.num_trajectories as usize;
-        let local_sum: u64 = conns.iter().map(|c| c.info.local_trajectories).sum();
-        if local_sum != first.num_trajectories {
+        let num_trajectories = store.len();
+        if first.num_trajectories != num_trajectories as u64 {
             return Err(DistribError::Topology(format!(
-                "shards hold {local_sum} trajectories between them, store has {}",
+                "shards index {} trajectories, the store holds {num_trajectories}",
                 first.num_trajectories
             )));
+        }
+        for (k, c) in conns.iter().enumerate() {
+            // The `id % n` placement gives shard k the ids k, k + n, ….
+            let placed = num_trajectories.saturating_sub(k).div_ceil(n);
+            if c.info.local_trajectories != placed as u64 {
+                return Err(DistribError::Topology(format!(
+                    "shard {k} holds {} trajectories, its share of the store is {placed}",
+                    c.info.local_trajectories
+                )));
+            }
         }
 
         let mut remote = RemoteShards {
@@ -295,6 +313,7 @@ impl RemoteShards {
             size_bytes: conns.iter().map(|c| c.info.size_bytes as usize).sum(),
             has_temporal: conns.iter().all(|c| c.info.has_temporal_postings),
             spans: vec![(0.0, 0.0); num_trajectories],
+            lens: store.iter().map(|(_, t)| t.len() as u32).collect(),
             conns,
             freq_cache: Mutex::new(HashMap::new()),
             postings_cache: Mutex::new(HashMap::new()),
@@ -328,16 +347,18 @@ impl RemoteShards {
                         endpoint: conn.endpoint.clone(),
                         source,
                     })?;
-                if page.departures.is_empty() {
+                let len = page.departures.len() as u64;
+                if len == 0 || page.start != start || len > local - start {
                     return Err(DistribError::Topology(format!(
-                        "shard {k} returned an empty span page at {start}/{local}"
+                        "shard {k} returned a span page of {len} at {}, asked at {start}/{local}",
+                        page.start
                     )));
                 }
                 for (i, (&dep, &arr)) in page.departures.iter().zip(&page.arrivals).enumerate() {
-                    let slot = page.start as usize + i;
+                    let slot = start as usize + i;
                     self.spans[slot * n + k] = (dep, arr);
                 }
-                start = page.start + page.departures.len() as u64;
+                start += len;
             }
         }
         Ok(())
@@ -351,7 +372,7 @@ impl RemoteShards {
     /// Installs the sink `shard_rpc` spans are recorded into. Fan-outs
     /// record only while a [`trace_scope`](RemoteShards::trace_scope) is
     /// active on the calling thread.
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
+    pub(crate) fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
         self.sink = Some(sink);
     }
 
@@ -360,7 +381,7 @@ impl RemoteShards {
     /// the id onto its shard RPC frames (cross-process stitching) and
     /// records a per-shard `shard_rpc` span. A zero id (untraced) is a
     /// no-op scope.
-    pub fn trace_scope(&self, trace_id: u64) -> TraceScope {
+    pub(crate) fn trace_scope(&self, trace_id: u64) -> TraceScope {
         TRACE_CTX.with(|c| TraceScope {
             prev: c.replace(trace_id),
         })
@@ -368,7 +389,7 @@ impl RemoteShards {
 
     /// The generation mark for [`degraded_since`](RemoteShards::degraded_since):
     /// take it before running a query.
-    pub fn degraded_mark(&self) -> u64 {
+    pub(crate) fn degraded_mark(&self) -> u64 {
         recover(&self.log).events.len() as u64
     }
 
@@ -377,7 +398,7 @@ impl RemoteShards {
     /// queries the log is shared, so a window may include a *neighbor*
     /// query's failures — degradation is over-reported under concurrency,
     /// never under-reported.
-    pub fn degraded_since(&self, mark: u64) -> Option<DegradedInfo> {
+    pub(crate) fn degraded_since(&self, mark: u64) -> Option<DegradedInfo> {
         let log = recover(&self.log);
         let events = log.events.get(mark as usize..).unwrap_or(&[]);
         if events.is_empty() {
@@ -501,11 +522,55 @@ impl RemoteShards {
             .collect()
     }
 
+    /// Each answering shard's reply through `take`, in shard order, and
+    /// whether every shard answered with a reply `take` accepts. A reply it
+    /// refuses comes from a lying shard, which degrades like a silent one.
+    fn accept<T>(
+        &self,
+        replies: Vec<Option<Reply>>,
+        take: impl Fn(usize, Reply) -> Result<T, String>,
+    ) -> (Vec<T>, bool) {
+        let mut out = Vec::with_capacity(replies.len());
+        let mut complete = true;
+        for (k, reply) in replies.into_iter().enumerate() {
+            match reply.map(|r| take(k, r)) {
+                Some(Ok(value)) => out.push(value),
+                Some(Err(why)) => {
+                    self.record_degraded(k as u32, why);
+                    complete = false;
+                }
+                None => complete = false,
+            }
+        }
+        (out, complete)
+    }
+
+    /// Checks, once per fetched list, that shard `k` sent only postings of
+    /// its own trajectories (`id % n == k`) at positions inside them: the
+    /// verifier indexes the store with both.
+    fn check_postings<'p>(
+        &self,
+        k: usize,
+        postings: impl IntoIterator<Item = &'p Posting>,
+    ) -> Result<(), String> {
+        let n = self.conns.len();
+        let lying = postings.into_iter().find(|&&(id, j)| {
+            let id = id as usize;
+            id % n != k || self.lens.get(id).is_none_or(|&len| j >= len)
+        });
+        match lying {
+            None => Ok(()),
+            Some((id, j)) => Err(format!(
+                "sent posting ({id}, {j}), not a position of one of its trajectories"
+            )),
+        }
+    }
+
     /// Batch-fetches and caches the frequencies of `syms` in **one** RPC
     /// per shard — the request-coalescing entry a coordinator calls before
     /// running a query, so the MinCand plan does not pay one cluster round
     /// trip per pattern symbol.
-    pub fn prime_freqs(&self, syms: &[Sym]) {
+    pub(crate) fn prime_freqs(&self, syms: &[Sym]) {
         let missing: Vec<Sym> = {
             let cache = recover(&self.freq_cache);
             let mut missing: Vec<Sym> = syms
@@ -532,16 +597,14 @@ impl RemoteShards {
             trace_id: None,
             syms: syms.to_vec(),
         });
+        let (answers, complete) = self.accept(replies, |_, reply| match reply {
+            Reply::ShardFreqs { freqs, .. } if freqs.len() == syms.len() => Ok(freqs),
+            _ => Err(WRONG_REPLY.into()),
+        });
         let mut sums = vec![0u32; syms.len()];
-        let mut complete = true;
-        for reply in replies {
-            match reply {
-                Some(Reply::ShardFreqs { freqs, .. }) if freqs.len() == syms.len() => {
-                    for (sum, f) in sums.iter_mut().zip(freqs) {
-                        *sum += f;
-                    }
-                }
-                _ => complete = false,
+        for freqs in answers {
+            for (sum, f) in sums.iter_mut().zip(freqs) {
+                *sum = sum.saturating_add(f);
             }
         }
         if complete {
@@ -564,16 +627,15 @@ impl RemoteShards {
             trace_id: None,
             syms: vec![q],
         });
-        let mut out: Vec<Posting> = Vec::new();
-        let mut complete = true;
-        for reply in replies {
-            match reply {
-                Some(Reply::ShardPostings { mut lists, .. }) if lists.len() == 1 => {
-                    out.append(&mut lists[0]);
-                }
-                _ => complete = false,
+        let (lists, complete) = self.accept(replies, |k, reply| match reply {
+            Reply::ShardPostings { mut lists, .. } if lists.len() == 1 => {
+                let list = lists.pop().expect("one list");
+                self.check_postings(k, &list)?;
+                Ok(list)
             }
-        }
+            _ => Err(WRONG_REPLY.into()),
+        });
+        let out = lists.concat();
         if complete {
             recover(&self.postings_cache).insert(q, out.clone());
         }
@@ -647,14 +709,14 @@ impl PostingSource for RemoteShards {
             sym: q,
             t_max,
         });
-        let mut out: Vec<(f64, Posting)> = Vec::new();
-        let mut complete = true;
-        for reply in replies {
-            match reply {
-                Some(Reply::ShardDepartingBy { mut entries, .. }) => out.append(&mut entries),
-                _ => complete = false,
+        let (lists, complete) = self.accept(replies, |k, reply| match reply {
+            Reply::ShardDepartingBy { entries, .. } => {
+                self.check_postings(k, entries.iter().map(|(_, p)| p))?;
+                Ok(entries)
             }
-        }
+            _ => Err(WRONG_REPLY.into()),
+        });
+        let out = lists.concat();
         if complete {
             recover(&self.departing_cache).insert(key, out.clone());
         }
@@ -738,8 +800,8 @@ mod tests {
     fn a_thread_dying_with_a_lock_held_never_panics_a_later_fetch() {
         let store = testdata::store(30, 10, 3, ALPHABET);
         with_one_shard(&store, |endpoints| {
-            let clean = RemoteShards::connect(endpoints).expect("connect");
-            let remote = RemoteShards::connect(endpoints).expect("connect");
+            let clean = RemoteShards::connect(endpoints, &store).expect("connect");
+            let remote = RemoteShards::connect(endpoints, &store).expect("connect");
             let fetch = |r: &RemoteShards, q: Sym| {
                 let departing: Vec<_> = r.postings_departing_by(q, 150.0).collect();
                 (r.freq(q), r.postings(q).collect::<Vec<_>>(), departing)
@@ -786,7 +848,7 @@ mod tests {
 
     #[test]
     fn connect_rejects_an_empty_cluster() {
-        match RemoteShards::connect(&[]) {
+        match RemoteShards::connect(&[], &TrajectoryStore::new()) {
             Err(DistribError::Topology(msg)) => assert!(msg.contains("no shard endpoints")),
             other => panic!("expected a topology error, got {other:?}"),
         }
@@ -799,8 +861,11 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         }; // listener dropped — the port is free again
-        let err = RemoteShards::connect(&[ShardEndpoint::new(dead.to_string())])
-            .expect_err("nothing listens there");
+        let err = RemoteShards::connect(
+            &[ShardEndpoint::new(dead.to_string())],
+            &TrajectoryStore::new(),
+        )
+        .expect_err("nothing listens there");
         match err {
             DistribError::Connect { endpoint, .. } => {
                 assert_eq!(endpoint, dead.to_string())

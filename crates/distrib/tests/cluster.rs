@@ -188,7 +188,7 @@ fn remote_shards_match_single_and_sharded_at_any_placement() {
             .iter()
             .map(|&i| ShardEndpoint::new(addrs[i].to_string()))
             .collect();
-        let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
+        let remote = RemoteShards::connect(&endpoints, &store).expect("connect cluster");
         assert_eq!(remote.num_shards(), NUM_SHARDS);
         let engine = EngineBuilder::new(Lev, &store, ALPHABET).build_with(remote);
         let got = engine

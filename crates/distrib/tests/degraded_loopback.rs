@@ -1,10 +1,19 @@
-//! What a degraded cluster costs its survivors, over in-process loopback
-//! shard servers (so the test can stop one and read the other's counters).
+//! What a degraded cluster costs its survivors, and what a lying shard
+//! gets, over in-process loopback shard servers (so the test can stop one,
+//! read the other's counters, or serve a doctored shard).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
-use trajsearch_core::{IndexShard, PostingSource};
-use trajsearch_distrib::{testdata, RemoteShards, ShardEndpoint};
-use trajsearch_serve::{IndexShardSource, Server, ServerConfig, ServerHandle};
+use trajsearch_core::{
+    Deadline, EngineBuilder, IndexShard, Posting, PostingSource, Query, RemoteSpec,
+};
+use trajsearch_distrib::{testdata, Coordinator, DistribError, RemoteShards, ShardEndpoint};
+use trajsearch_serve::{
+    Handled, IndexShardSource, QueryHandler, Server, ServerConfig, ServerHandle, ShardInfo,
+    ShardSource, SpanPage,
+};
+use wed::models::Lev;
+use wed::Sym;
 
 const ALPHABET: usize = 16;
 const EPOCH: u64 = 5;
@@ -50,7 +59,7 @@ fn freq_with_a_dead_shard_costs_the_survivor_one_round_trip() {
             .zip(&sources)
             .map(|(server, source)| scope.spawn(move || server.serve_shard(source)))
             .collect();
-        let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
+        let remote = RemoteShards::connect(&endpoints, &store).expect("connect cluster");
         let (q, uncached) = (3, 4);
         let whole = remote.freq(q);
         assert_eq!(
@@ -81,4 +90,124 @@ fn freq_with_a_dead_shard_costs_the_survivor_one_round_trip() {
         assert_eq!(remote.freq(q), whole);
         assert_eq!(handles[0].metrics().completed, completed + 1);
     });
+}
+
+/// How the lying shard of [`a_lying_shard_degrades_the_query_it_lied_to`]
+/// lies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Lie {
+    /// The first postings it sends name trajectory 1 000 000.
+    Id,
+    /// The first postings it sends hold a position past their trajectory.
+    Position,
+    /// Its span pages start past its local trajectory count.
+    SpanStart,
+    /// It claims a larger alphabet than the coordinator's.
+    Alphabet,
+}
+
+/// An honest shard source that lies once, in the way `lie` says.
+struct Liar<'a> {
+    honest: IndexShardSource<'a>,
+    lie: Lie,
+    told: AtomicBool,
+}
+
+impl ShardSource for Liar<'_> {
+    fn info(&self) -> ShardInfo {
+        let mut info = self.honest.info();
+        if self.lie == Lie::Alphabet {
+            info.alphabet_size += 1;
+        }
+        info
+    }
+
+    fn freqs(&self, syms: &[Sym]) -> Vec<u32> {
+        self.honest.freqs(syms)
+    }
+
+    fn postings(&self, syms: &[Sym]) -> Vec<Vec<Posting>> {
+        let mut lists = self.honest.postings(syms);
+        if let Some(posting) = lists.iter_mut().flatten().next() {
+            match self.lie {
+                Lie::Id if !self.told.swap(true, Ordering::SeqCst) => posting.0 = 1_000_000,
+                Lie::Position if !self.told.swap(true, Ordering::SeqCst) => posting.1 = 1_000,
+                _ => {}
+            }
+        }
+        lists
+    }
+
+    fn departing_by(&self, sym: Sym, t_max: f64) -> Option<Vec<(f64, Posting)>> {
+        self.honest.departing_by(sym, t_max)
+    }
+
+    fn spans(&self, start: u64, count: u64) -> SpanPage {
+        let mut page = self.honest.spans(start, count);
+        if self.lie == Lie::SpanStart {
+            page.start += 1_000_000;
+        }
+        page
+    }
+}
+
+/// A shard that sends a posting outside its own trajectories degrades the
+/// query it lied to instead of panicking the coordinator, and nothing it
+/// sent is cached: the next query gets the honest list and a complete
+/// answer. A lying span page or alphabet fails the connect.
+#[test]
+fn a_lying_shard_degrades_the_query_it_lied_to() {
+    let store = testdata::store(40, 12, 11, ALPHABET);
+    let shards: Vec<IndexShard> = (0..2)
+        .map(|k| IndexShard::build(&store, ALPHABET, k, 2))
+        .collect();
+    // One symbol of trajectory 1, which shard 1 holds: the plan fetches
+    // that symbol's list from both shards.
+    let query = Query::threshold(vec![store.get(1).path()[3]], 1.0)
+        .build()
+        .unwrap();
+    let want = EngineBuilder::new(Lev, &store, ALPHABET)
+        .build()
+        .run(&query)
+        .expect("in-process run");
+    assert!(want.matches.iter().any(|m| m.id % 2 == 1));
+
+    for lie in [Lie::Id, Lie::Position, Lie::SpanStart, Lie::Alphabet] {
+        let honest = IndexShardSource::new(&shards[0], EPOCH);
+        let liar = Liar {
+            honest: IndexShardSource::new(&shards[1], EPOCH),
+            lie,
+            told: AtomicBool::new(false),
+        };
+        let servers: Vec<Server> = (0..2)
+            .map(|_| Server::bind(ServerConfig::default()).expect("bind shard server"))
+            .collect();
+        let handles: Vec<_> = servers.iter().map(Server::handle).collect();
+        let spec = RemoteSpec::new(handles.iter().map(|h| h.local_addr().to_string()));
+        thread::scope(|scope| {
+            let _guard = ShutdownOnDrop(handles.clone());
+            let mut servers = servers.into_iter();
+            let (first, second) = (servers.next().unwrap(), servers.next().unwrap());
+            scope.spawn(|| first.serve_shard(&honest).expect("serve ok"));
+            scope.spawn(|| second.serve_shard(&liar).expect("serve ok"));
+
+            let refused = matches!(lie, Lie::SpanStart | Lie::Alphabet);
+            let coordinator = match Coordinator::connect(Lev, &store, ALPHABET, &spec) {
+                Err(DistribError::Topology(_)) if refused => return,
+                Err(e) => panic!("{lie:?}: connect failed: {e}"),
+                Ok(_) if refused => panic!("{lie:?}: the lie was accepted"),
+                Ok(coordinator) => coordinator,
+            };
+            match coordinator.handle(&query, Deadline::NONE) {
+                Handled::Degraded { degraded, .. } => {
+                    assert_eq!(degraded.missing_shards, vec![1], "{lie:?}")
+                }
+                other => panic!("{lie:?}: the lie went unnoticed: {other:?}"),
+            }
+            match coordinator.handle(&query, Deadline::NONE) {
+                Handled::Response(got) => assert_eq!(got.matches, want.matches, "{lie:?}"),
+                other => panic!("{lie:?}: the next query was not answered: {other:?}"),
+            }
+        });
+    }
 }

@@ -78,7 +78,7 @@ fn embedded_pattern(store: &TrajectoryStore) -> Vec<Sym> {
 fn metric_queries_over_remote_shards_match_in_process() {
     let store = testdata::store(40, 12, 11, ALPHABET);
     with_shard_servers(&store, 2, |endpoints| {
-        let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
+        let remote = RemoteShards::connect(&endpoints, &store).expect("connect cluster");
         let remote_engine = EngineBuilder::new(Lev, &store, ALPHABET).build_with(remote);
         let single = EngineBuilder::new(Lev, &store, ALPHABET).build();
 
@@ -123,7 +123,7 @@ fn metric_queries_over_remote_shards_match_in_process() {
 fn coordinator_answers_every_metric() {
     let store = testdata::store(24, 10, 5, ALPHABET);
     with_shard_servers(&store, 2, |endpoints| {
-        let remote = RemoteShards::connect(&endpoints).expect("connect cluster");
+        let remote = RemoteShards::connect(&endpoints, &store).expect("connect cluster");
         let coordinator =
             Coordinator::new(EngineBuilder::new(Lev, &store, ALPHABET).build_with(remote));
         let single = EngineBuilder::new(Lev, &store, ALPHABET).build();

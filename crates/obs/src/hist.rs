@@ -40,7 +40,7 @@ impl LogHistogram {
 
     /// Inclusive upper bound of bucket `i` (`u64::MAX` for the last —
     /// rendered as `+Inf` by the Prometheus exposition).
-    pub fn bucket_le(i: usize) -> u64 {
+    pub(crate) fn bucket_le(i: usize) -> u64 {
         if i >= BUCKETS - 1 {
             u64::MAX
         } else {

@@ -48,7 +48,7 @@ impl GraphBuilder {
     /// # Panics
     /// Panics if an endpoint is out of range or the weight is not positive
     /// and finite (the filtering principle of §3.1 relies on positive costs).
-    pub fn add_edge(
+    pub(crate) fn add_edge(
         &mut self,
         from: VertexId,
         to: VertexId,
@@ -187,7 +187,7 @@ impl RoadNetwork {
     }
 
     /// In-neighbors of `v` as `(source, edge id)` pairs.
-    pub fn in_neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
+    pub(crate) fn in_neighbors(&self, v: VertexId) -> &[(VertexId, EdgeId)] {
         let (s, e) = (
             self.in_off[v as usize] as usize,
             self.in_off[v as usize + 1] as usize,
@@ -195,7 +195,7 @@ impl RoadNetwork {
         &self.in_list[s..e]
     }
 
-    pub fn out_degree(&self, v: VertexId) -> usize {
+    pub(crate) fn out_degree(&self, v: VertexId) -> usize {
         self.out_neighbors(v).len()
     }
 
@@ -248,7 +248,7 @@ impl RoadNetwork {
     /// Undirected neighbor view used when symmetrizing shortest-path distance
     /// for NetEDR/NetERP (§2.2.3: "make the road network undirected"). When
     /// both directions exist with different weights the minimum is used.
-    pub fn undirected_neighbors(&self, v: VertexId, mut f: impl FnMut(VertexId, f64)) {
+    pub(crate) fn undirected_neighbors(&self, v: VertexId, mut f: impl FnMut(VertexId, f64)) {
         for &(to, eid) in self.out_neighbors(v) {
             let w = self.edge(eid).length;
             let w = match self.find_edge(to, v) {
@@ -268,7 +268,7 @@ impl RoadNetwork {
     /// Restricts the network to the vertex set `keep` (given as a boolean
     /// mask), remapping ids densely. Returns the subnetwork and the mapping
     /// `old id -> new id`.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> (RoadNetwork, Vec<Option<VertexId>>) {
+    pub(crate) fn induced_subgraph(&self, keep: &[bool]) -> (RoadNetwork, Vec<Option<VertexId>>) {
         assert_eq!(keep.len(), self.num_vertices());
         let mut remap: Vec<Option<VertexId>> = vec![None; keep.len()];
         let mut coords = Vec::new();

@@ -1,9 +1,9 @@
 //! A static 2-d tree over vertex coordinates.
 //!
 //! Used for the spatial queries of §4.2: range queries materialize the
-//! substitution neighborhoods `B(q)` of EDR/ERP, nearest-neighbor queries
-//! support map matching, and `nearest_outside` computes the Eq. (7) lower
-//! cost `c(q)` for ERP (the cheapest substitution *not* in `B(q)`).
+//! substitution neighborhoods `B(q)` of EDR/ERP, and `nearest_outside`
+//! computes the Eq. (7) lower cost `c(q)` for ERP (the cheapest
+//! substitution *not* in `B(q)`).
 
 use crate::geo::Point;
 use crate::graph::VertexId;
@@ -77,11 +77,6 @@ impl KdTree {
         if delta * delta <= r2 {
             self.range_rec(far.0, far.1, next, c, r2, out);
         }
-    }
-
-    /// Nearest point to `center`, or `None` on an empty tree.
-    pub fn nearest(&self, center: Point) -> Option<(VertexId, f64)> {
-        self.nearest_filtered(center, |_| true)
     }
 
     /// Nearest point strictly farther than `r` from `center`.
@@ -225,7 +220,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         for _ in 0..50 {
             let c = Point::new(rng.gen_range(-110.0..110.0), rng.gen_range(-110.0..110.0));
-            let (got, gd) = t.nearest(c).unwrap();
+            let (got, gd) = t.nearest_filtered(c, |_| true).unwrap();
             let bd = pts.iter().map(|p| p.dist(&c)).fold(f64::INFINITY, f64::min);
             assert!(
                 (gd - bd).abs() < 1e-9,
@@ -260,12 +255,15 @@ mod tests {
     fn empty_and_singleton() {
         let t = KdTree::build(&[]);
         assert!(t.is_empty());
-        assert_eq!(t.nearest(Point::new(0.0, 0.0)), None);
+        assert_eq!(t.nearest_filtered(Point::new(0.0, 0.0), |_| true), None);
         assert!(t.range(Point::new(0.0, 0.0), 10.0).is_empty());
 
         let t1 = KdTree::build(&[Point::new(1.0, 1.0)]);
         assert_eq!(t1.len(), 1);
-        assert_eq!(t1.nearest(Point::new(0.0, 1.0)), Some((0, 1.0)));
+        assert_eq!(
+            t1.nearest_filtered(Point::new(0.0, 1.0), |_| true),
+            Some((0, 1.0))
+        );
         assert_eq!(t1.range(Point::new(0.0, 1.0), 0.5), Vec::<VertexId>::new());
         assert_eq!(t1.range(Point::new(0.0, 1.0), 1.0), vec![0]);
     }

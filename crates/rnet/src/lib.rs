@@ -38,7 +38,7 @@ pub use kdtree::KdTree;
 /// wrapper uses `f64::total_cmp` so it is safe even if NaN sneaks in (NaN
 /// sorts last).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TotalF64(pub f64);
+pub(crate) struct TotalF64(pub f64);
 
 impl Eq for TotalF64 {}
 

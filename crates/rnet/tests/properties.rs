@@ -34,7 +34,7 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// kd-tree nearest equals a linear scan.
+    /// kd-tree nearest (no id excluded) equals a linear scan.
     #[test]
     fn kdtree_nearest_equals_scan(
         pts in arb_points(120),
@@ -43,7 +43,7 @@ proptest! {
     ) {
         let tree = KdTree::build(&pts);
         let c = Point::new(cx, cy);
-        let (_, got) = tree.nearest(c).unwrap();
+        let (_, got) = tree.nearest_filtered(c, |_| true).unwrap();
         let want = pts.iter().map(|p| p.dist(&c)).fold(f64::INFINITY, f64::min);
         prop_assert!((got - want).abs() < 1e-9);
     }

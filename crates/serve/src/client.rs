@@ -209,8 +209,7 @@ impl Client {
     }
 
     /// Fetches one page of a shard server's span table, from local slot
-    /// `start`; the server clamps `count` to
-    /// [`SPAN_PAGE_MAX`](crate::proto::SPAN_PAGE_MAX).
+    /// `start`; the server clamps `count` to 65 536.
     pub fn shard_spans(
         &mut self,
         epoch: u64,

@@ -13,7 +13,7 @@
 //!
 //! * **Typed backpressure** — a bounded admission queue; when it is full,
 //!   the reply is an `overloaded` [`ServerError`], never unbounded
-//!   buffering ([`queue`]).
+//!   buffering.
 //! * **Per-query deadlines** — [`Query::deadline_ms`](trajsearch_core::Query::deadline_ms)
 //!   starts counting at admission; expiry while queued or at a cooperative
 //!   engine checkpoint returns a `deadline_exceeded` error, not a late
@@ -85,7 +85,7 @@
 pub mod client;
 pub mod metrics;
 pub mod proto;
-pub mod queue;
+mod queue;
 pub mod server;
 pub mod shard;
 
@@ -93,8 +93,7 @@ pub use client::{Client, ClientError, QueryOutcome};
 pub use metrics::{LatencySummary, Metrics, MetricsSnapshot};
 pub use proto::{
     DegradedInfo, Reply, Request, ServerError, ServerErrorKind, ShardInfo, SpanPage, TraceEntry,
-    WireSpan, MAX_FRAME_BYTES, PROTO_MAJOR, PROTO_MINOR, SPAN_PAGE_MAX, SUPPORTED_METRICS,
+    WireSpan, MAX_FRAME_BYTES, PROTO_MAJOR, PROTO_MINOR, SUPPORTED_METRICS,
 };
-pub use queue::{BoundedQueue, PushError};
 pub use server::{Handled, QueryHandler, Server, ServerConfig, ServerHandle, DEFAULT_SINK_SPANS};
 pub use shard::{IndexShardSource, ShardSource};

@@ -64,7 +64,7 @@ fn lock(series: &Mutex<Option<Ring>>) -> MutexGuard<'_, Option<Ring>> {
 
 /// Percentile math over an owned sample copy — runs **outside** any ring
 /// lock, so a dashboard's `O(n log n)` sort never stalls the hot path's
-/// [`Metrics::record_latency`]. Quantiles are nearest-rank: the
+/// latency recording. Quantiles are nearest-rank: the
 /// `ceil(q·n)`-th smallest sample, so p99 over 100 samples is the 99th —
 /// not the rounded interpolation that collapsed p99 into p100 on small
 /// windows.
@@ -157,7 +157,7 @@ impl Metrics {
     }
 
     /// Records one completed query's wall and engine-CPU time.
-    pub fn record_latency(&self, wall_ns: u64, cpu_ns: u64) {
+    pub(crate) fn record_latency(&self, wall_ns: u64, cpu_ns: u64) {
         self.push_sample(&self.wall_ns, wall_ns);
         self.push_sample(&self.cpu_ns, cpu_ns);
     }
@@ -165,7 +165,7 @@ impl Metrics {
     /// Records one dequeued query's time spent waiting in the admission
     /// queue (admission → dequeue) — recorded for every dequeued query,
     /// including ones that then age out at the dequeue deadline check.
-    pub fn record_queue_wait(&self, queue_ns: u64) {
+    pub(crate) fn record_queue_wait(&self, queue_ns: u64) {
         self.push_sample(&self.queue_ns, queue_ns);
     }
 

@@ -4,7 +4,7 @@
 //! ([`trajsearch_core::json`]) never emits a raw newline (control
 //! characters are `\u`-escaped inside strings), so the framing is
 //! unambiguous and a newline scan recovers frame boundaries. Both ends read
-//! through the one [`FrameReader`]; a frame whose content exceeds
+//! through one frame reader; a frame whose content exceeds
 //! [`MAX_FRAME_BYTES`] is rejected before parsing — the peer controls the
 //! bytes, the reader bounds the memory.
 //!
@@ -80,7 +80,7 @@
 //!
 //! Postings are `[traj_id, pos]` pairs (global ids), departing entries
 //! `[departure, traj_id, pos]` triples, spans two parallel arrays pages at
-//! a time (`count` is clamped to [`SPAN_PAGE_MAX`]; the client continues
+//! a time (`count` is clamped to 65 536; the client continues
 //! from `start + departures.len()` until `total` is covered). Floats use
 //! Rust's shortest round-trip rendering, so values survive the wire
 //! bit-for-bit.
@@ -124,7 +124,7 @@ use trajsearch_core::{wire_enum, wire_struct, Posting, Query, Response};
 use wed::Sym;
 
 /// Hard bound on a single frame's content (the newline not counted), both
-/// directions and both ends ([`FrameReader`]). Large enough for
+/// directions and both ends (one frame reader serves both). Large enough for
 /// any realistic query batch element; small enough that a hostile peer
 /// cannot balloon server memory through one connection.
 pub const MAX_FRAME_BYTES: usize = 8 << 20;
@@ -149,7 +149,7 @@ pub const SUPPORTED_METRICS: [&str; 4] = ["wed", "dtw", "lcss", "frechet"];
 
 /// Hard cap on spans returned per `shard_spans` page, keeping every reply
 /// frame far below [`MAX_FRAME_BYTES`] even for huge shards.
-pub const SPAN_PAGE_MAX: usize = 65_536;
+pub(crate) const SPAN_PAGE_MAX: usize = 65_536;
 
 /// Checks a frame's `"v"` field — its raw value text, if the frame has
 /// one — against [`PROTO_MAJOR`]. Absent means major 1 (pre-versioning
@@ -445,8 +445,7 @@ wire_enum! {
             sym: Sym,
             t_max: f64,
         },
-        /// One page of the shard's span table, `count` clamped to
-        /// [`SPAN_PAGE_MAX`].
+        /// One page of the shard's span table, `count` clamped to 65 536.
         ShardSpans as "shard_spans" {
             id: u64,
             epoch: u64,
@@ -633,7 +632,7 @@ impl Reply {
 /// `write_all`, so an unbuffered `TCP_NODELAY` socket carries a reply in one
 /// `write(2)`. The caller flushes — batch writers amortize one flush over
 /// many frames.
-pub fn write_frame(w: &mut impl Write, mut json: String) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, mut json: String) -> io::Result<()> {
     debug_assert!(!json.contains('\n'), "frames are single-line by contract");
     json.push('\n');
     w.write_all(json.as_bytes())
@@ -643,7 +642,7 @@ pub fn write_frame(w: &mut impl Write, mut json: String) -> io::Result<()> {
 /// the bytes of the frame in progress, so a read that times out mid-frame
 /// loses nothing and the next [`read_frame`](FrameReader::read_frame)
 /// carries on where it stopped.
-pub struct FrameReader<R: Read> {
+pub(crate) struct FrameReader<R: Read> {
     inner: BufReader<R>,
     partial: Vec<u8>,
 }
@@ -657,7 +656,7 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// The underlying stream (to set socket options on it).
-    pub fn get_ref(&self) -> &R {
+    pub(crate) fn get_ref(&self) -> &R {
         self.inner.get_ref()
     }
 
@@ -668,7 +667,7 @@ impl<R: Read> FrameReader<R> {
     /// a peer that never sends a newline cannot grow the buffer beyond it.
     /// Any other error — a socket read timeout (`WouldBlock`/`TimedOut`)
     /// above all — leaves the partial frame in place for the next call.
-    pub fn read_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+    pub(crate) fn read_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
         let room = (MAX_FRAME_BYTES + 1 - self.partial.len()) as u64;
         // On error `read_until` keeps what it read in the buffer (std's
         // documented contract), which is what makes this resumable.

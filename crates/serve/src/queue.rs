@@ -17,7 +17,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Why a push was refused; the item comes back to the caller either way.
 #[derive(Debug)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// At capacity — the backpressure signal.
     Full(T),
     /// Closed for shutdown — no new work is admitted.
@@ -31,7 +31,7 @@ struct Inner<T> {
 
 /// A mutex+condvar MPMC queue with a hard capacity; see the module docs for
 /// the backpressure and drain contracts.
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     capacity: usize,
@@ -50,7 +50,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Admits `item` unless the queue is full or closed — never blocks.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut inner = self.inner.lock().expect("queue mutex poisoned");
         if inner.closed {
             return Err(PushError::Closed(item));
@@ -91,10 +91,6 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().expect("queue mutex poisoned").items.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -121,7 +117,7 @@ mod tests {
     fn zero_capacity_rejects_everything() {
         let q = BoundedQueue::new(0);
         assert!(matches!(q.try_push(1), Err(PushError::Full(1))));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!
 //! Design points, mirroring the batch engine's scheduling:
 //!
-//! * **Backpressure, never unbounded memory** — admission is
-//!   [`BoundedQueue::try_push`]; a full queue is a typed `overloaded`
-//!   reply, and per-frame size is capped by
-//!   [`crate::proto::MAX_FRAME_BYTES`] inside the one
-//!   [`FrameReader`] both ends of a connection read through.
+//! * **Backpressure, never unbounded memory** — admission is a
+//!   non-blocking push onto a bounded queue; a full queue is a typed
+//!   `overloaded` reply, and per-frame size is capped by
+//!   [`crate::proto::MAX_FRAME_BYTES`] inside the one frame reader both
+//!   ends of a connection read through.
 //! * **Deadlines start at admission** — the reader stamps arrival; workers
 //!   re-check at dequeue (a query that aged out while queued is answered
 //!   `deadline_exceeded` without touching the engine) and the engine checks

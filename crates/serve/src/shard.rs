@@ -45,7 +45,7 @@ pub trait ShardSource: Sync {
     /// temporal orderings are not built.
     fn departing_by(&self, sym: Sym, t_max: f64) -> Option<Vec<(f64, Posting)>>;
     /// One page of the span table starting at local slot `start`; at most
-    /// `count` (already clamped to [`SPAN_PAGE_MAX`]) entries.
+    /// `count` (already clamped to 65 536) entries.
     fn spans(&self, start: u64, count: u64) -> SpanPage;
 }
 

@@ -8,17 +8,15 @@
 //! * [`edges`] — vertex ⇄ edge representation conversion (§2.1 supports both).
 //! * [`generator`] — synthetic trip generation (waypoint-routed paths with
 //!   detours and congestion-noised timestamps) and random walks, substituting
-//!   for the taxi GPS corpora of the paper.
-//! * [`mapmatch`] — HMM map matching (Newson–Krumm style), the preprocessing
-//!   step the paper applies to raw GPS traces.
+//!   for the taxi GPS corpora of the paper. Every trajectory is a network
+//!   path already, the input Definition 1 assumes, so no map matching is
+//!   needed.
 
 pub mod dataset;
 pub mod edges;
 pub mod generator;
-pub mod mapmatch;
 pub mod model;
 
 pub use dataset::{DatasetStats, TrajectoryStore};
 pub use generator::{RandomWalkConfig, TripConfig};
-pub use mapmatch::MapMatcher;
 pub use model::{TrajId, Trajectory};

@@ -81,11 +81,6 @@ impl Trajectory {
         assert!(i <= j && j < self.len());
         self.times[j] - self.times[i]
     }
-
-    /// The substring `P[i..=j]` (0-based inclusive), as a slice.
-    pub fn subpath(&self, i: usize, j: usize) -> &[u32] {
-        &self.path[i..=j]
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!(t.span(), (0.0, 9.0));
         assert_eq!(t.travel_time(0, 2), 9.0);
         assert_eq!(t.travel_time(1, 2), 4.0);
-        assert_eq!(t.subpath(1, 2), &[2, 3]);
         assert!(!t.is_empty());
     }
 

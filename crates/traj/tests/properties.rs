@@ -1,5 +1,5 @@
 //! Property-based tests of the trajectory substrate: generator invariants,
-//! representation round-trips, and map-matching well-formedness.
+//! and representation round-trips.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -7,7 +7,6 @@ use rand_chacha::ChaCha8Rng;
 use rnet::{CityParams, NetworkKind};
 use traj::edges::{store_to_edges, to_edge_trajectory, to_vertex_trajectory};
 use traj::generator::{random_walk, RandomWalkConfig, TripConfig};
-use traj::mapmatch::{noisy_trace, MapMatcher};
 use traj::Trajectory;
 
 proptest! {
@@ -63,24 +62,6 @@ proptest! {
         prop_assert_eq!(edges.len(), store.len());
         for ((_, v), (_, e)) in store.iter().zip(edges.iter()) {
             prop_assert_eq!(e.len(), v.len() - 1);
-        }
-    }
-
-    /// Map matching of noiseless dense traces is the identity, and of noisy
-    /// traces always yields a connected path.
-    #[test]
-    fn map_matching_yields_paths(seed in 0u64..24) {
-        let net = CityParams::tiny(NetworkKind::Grid).generate();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let truth = random_walk(&net, &mut rng, (seed % 60) as u32, 12);
-        let clean: Vec<rnet::Point> = truth.iter().map(|&v| net.coord(v)).collect();
-        let matcher = MapMatcher::new(&net, 10.0, 40.0);
-        let exact = matcher.match_trace(&clean).unwrap();
-        prop_assert_eq!(exact, truth.clone());
-
-        let noisy = noisy_trace(&net, &truth, 15.0, 2, &mut rng);
-        if let Some(matched) = matcher.match_trace(&noisy) {
-            prop_assert!(net.is_path(&matched));
         }
     }
 }

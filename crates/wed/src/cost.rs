@@ -1,8 +1,8 @@
 //! Cost-model traits.
 //!
 //! [`CostModel`] captures the edit-operation costs of §2.2.1; every instance
-//! must satisfy the paper's assumptions (checked by
-//! [`check_axioms_on_sample`] and by property tests):
+//! must satisfy the paper's assumptions (checked by the unit tests'
+//! `check_axioms_on_sample` and by property tests):
 //!
 //! * `sub(a, b) ≥ 0` for all `a, b` (non-negativity),
 //! * `sub(a, b) = sub(b, a)` and hence `ins(a) = del(a)` (symmetry),
@@ -42,7 +42,7 @@ pub trait CostModel {
     /// is a Levenshtein column, so trie verification may store and extend
     /// it 64 cells to a machine word ([`crate::dp::step_dp_bits`]) with the
     /// same numbers as the `f64` kernels. A model that says so must keep the
-    /// promise; [`check_axioms_on_sample`] checks it.
+    /// promise; the unit tests' `check_axioms_on_sample` checks it.
     fn unit_costs(&self) -> bool {
         false
     }
@@ -139,39 +139,6 @@ impl<M: WedInstance + ?Sized> WedInstance for &M {
     }
 }
 
-/// Verifies the Proposition 1 assumptions on a sample of symbols, and the
-/// unit-cost promise of a model that makes it ([`CostModel::unit_costs`]);
-/// used by unit and property tests of every model.
-pub fn check_axioms_on_sample<M: CostModel>(m: &M, sample: &[Sym]) {
-    let unit = m.unit_costs();
-    for &a in sample {
-        if unit {
-            assert!(
-                m.ins(a) == 1.0 && m.del(a) == 1.0,
-                "unit costs: ins({a}) and del({a}) must be 1"
-            );
-        }
-        assert!(m.sub(a, a).abs() < 1e-12, "sub({a},{a}) must be 0");
-        assert!(m.ins(a) >= 0.0, "ins({a}) must be non-negative");
-        assert!(
-            (m.ins(a) - m.del(a)).abs() < 1e-12,
-            "ins({a}) must equal del({a})"
-        );
-        for &b in sample {
-            let (ab, ba) = (m.sub(a, b), m.sub(b, a));
-            assert!(ab >= 0.0, "sub({a},{b}) must be non-negative");
-            assert!(
-                !unit || ab == 0.0 || ab == 1.0,
-                "unit costs: sub({a},{b}) = {ab} must be 0 or 1"
-            );
-            assert!(
-                (ab - ba).abs() < 1e-9,
-                "sub must be symmetric: {ab} vs {ba}"
-            );
-        }
-    }
-}
-
 /// Verifies, exactly, the filtering contract Theorem 1 rests on for every
 /// `q` and `b` of a sample: `q ∈ B(q)`, `c(q) ≤ del(q)`,
 /// `b ∈ B(q) ⇔ sub(q, b) ≤ η`, `c(q) ≤ sub(q, b)` for `b ∉ B(q)`, and
@@ -197,6 +164,40 @@ pub fn check_filter_contract(m: &dyn WedInstance, sample: &[Sym]) {
                 && (inside || c <= s)
                 && (has(&ball.syms, b) || ball.beyond <= s);
             assert!(ok, "{name}: q = {q}, b = {b}, sub = {s}, η = {eta}, b ∈ B(q): {inside}, c(q) = {c}, beyond = {}", ball.beyond);
+        }
+    }
+}
+
+/// Verifies the Proposition 1 assumptions on a sample of symbols, and the
+/// unit-cost promise of a model that makes it ([`CostModel::unit_costs`]);
+/// used by the unit tests of every model.
+#[cfg(test)]
+pub(crate) fn check_axioms_on_sample<M: CostModel>(m: &M, sample: &[Sym]) {
+    let unit = m.unit_costs();
+    for &a in sample {
+        if unit {
+            assert!(
+                m.ins(a) == 1.0 && m.del(a) == 1.0,
+                "unit costs: ins({a}) and del({a}) must be 1"
+            );
+        }
+        assert!(m.sub(a, a).abs() < 1e-12, "sub({a},{a}) must be 0");
+        assert!(m.ins(a) >= 0.0, "ins({a}) must be non-negative");
+        assert!(
+            (m.ins(a) - m.del(a)).abs() < 1e-12,
+            "ins({a}) must equal del({a})"
+        );
+        for &b in sample {
+            let (ab, ba) = (m.sub(a, b), m.sub(b, a));
+            assert!(ab >= 0.0, "sub({a},{b}) must be non-negative");
+            assert!(
+                !unit || ab == 0.0 || ab == 1.0,
+                "unit costs: sub({a},{b}) = {ab} must be 0 or 1"
+            );
+            assert!(
+                (ab - ba).abs() < 1e-9,
+                "sub must be symmetric: {ab} vs {ba}"
+            );
         }
     }
 }

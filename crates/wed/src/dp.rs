@@ -38,13 +38,13 @@ use std::collections::HashMap;
 
 /// The DP column for the empty data prefix: entry `j` is
 /// `wed(ε, Q[..j]) = Σ_{j' ≤ j} ins(Q_{j'})`.
-pub fn initial_column<M: CostModel + ?Sized>(m: &M, q: &[Sym]) -> Vec<f64> {
+pub(crate) fn initial_column<M: CostModel + ?Sized>(m: &M, q: &[Sym]) -> Vec<f64> {
     let mut col = Vec::new();
     initial_column_into(m, q, &mut col);
     col
 }
 
-/// [`initial_column`] into a caller-owned buffer (cleared first), returning
+/// The DP column before any trajectory symbol, into a caller-owned buffer (cleared first), returning
 /// the column minimum. With non-negative insertion costs the minimum is the
 /// first entry (0.0), but the fold stays exact for any cost model.
 pub fn initial_column_into<M: CostModel + ?Sized>(m: &M, q: &[Sym], out: &mut Vec<f64>) -> f64 {

@@ -34,7 +34,7 @@ pub mod models;
 pub mod nonwed;
 
 pub use cost::{Ball, CostModel, Sym, WedInstance};
-pub use dp::{initial_column, wed, wed_within};
+pub use dp::{wed, wed_within};
 pub use metric::{
     dtw_dist, dtw_scan_all, frechet_dist, frechet_scan_all, lcss_dist, lcss_scan_all, sw_scan_all,
     SubMatch,

@@ -27,7 +27,7 @@ fn main() {
     // traveled, then re-plan it as a shortest path between its endpoints —
     // the database is likely to contain variations of popular stretches.
     let probe = store.get(7);
-    let stretch = probe.subpath(2, 2 + 25.min(probe.len() - 3));
+    let stretch = &probe.path()[2..=2 + 25.min(probe.len() - 3)];
     let (u, v) = (stretch[0], *stretch.last().unwrap());
     let (q, cost) = shortest_path(&net, u, v, Mode::DirectedLength).expect("connected network");
     println!(
@@ -63,7 +63,7 @@ fn main() {
 
     let mut suggestions: Vec<(f64, f64, Vec<u32>)> = Vec::new();
     for m in &out.matches {
-        let route = store.get(m.id).subpath(m.start, m.end);
+        let route = &store.get(m.id).path()[m.start..=m.end];
         if route.first() == Some(&u) && route.last() == Some(&v) {
             suggestions.push((naturalness(route), m.dist, route.to_vec()));
         }

@@ -43,7 +43,7 @@ fn main() {
         .map(|i| {
             let t = store.get((i * 13) % store.len() as u32);
             let len = t.len().min(40);
-            let q = t.subpath(0, len - 1).to_vec();
+            let q = t.path()[0..=len - 1].to_vec();
             let tau = (0.1 * len as f64).max(1.0);
             if i % 3 == 2 {
                 Query::top_k(q, 5, tau, 4.0 * tau).build().expect("valid")

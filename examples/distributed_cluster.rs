@@ -64,7 +64,7 @@ fn main() {
         .map(|i| {
             let t = store.get((i * 13) % store.len() as u32);
             let len = t.len().min(40);
-            let q = t.subpath(0, len - 1).to_vec();
+            let q = t.path()[0..=len - 1].to_vec();
             let tau = (0.1 * len as f64).max(1.0);
             Query::threshold(q, tau).build().expect("valid")
         })
@@ -114,7 +114,7 @@ fn main() {
         // naming the missing shard (carrying the partial answer), never a
         // silently wrong result.
         shard_handles[1].shutdown();
-        let fresh = store.get(101).subpath(0, 9).to_vec();
+        let fresh = store.get(101).path()[0..=9].to_vec();
         let probe = Query::threshold(fresh, 2.0).build().expect("valid");
         match client
             .query_batch(&[probe])

@@ -28,7 +28,7 @@ fn main() {
     let engine = EngineBuilder::new(&Lev, &store, net.num_vertices()).build();
 
     // A pattern copied from a stored trip, so matches exist everywhere.
-    let q = store.get(3).subpath(5, 20).to_vec();
+    let q = store.get(3).path()[5..=20].to_vec();
     println!("pattern: {} vertices from trajectory 3\n", q.len());
 
     // A threshold request under each metric. τ means something different

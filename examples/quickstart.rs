@@ -36,7 +36,7 @@ fn main() {
 
     // 3. A query: a subtrajectory of one of the stored trips.
     let source = store.get(3);
-    let q = source.subpath(5, 24).to_vec();
+    let q = source.path()[5..=24].to_vec();
     println!("query: {} vertices from trajectory 3", q.len());
 
     // 4. Search under Levenshtein distance: allow < 3 edits.

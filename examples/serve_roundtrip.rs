@@ -35,7 +35,7 @@ fn main() {
         .map(|i| {
             let t = store.get((i * 13) % store.len() as u32);
             let len = t.len().min(40);
-            let q = t.subpath(0, len - 1).to_vec();
+            let q = t.path()[0..=len - 1].to_vec();
             let tau = (0.1 * len as f64).max(1.0);
             if i % 3 == 2 {
                 Query::top_k(q, 5, tau, 4.0 * tau).build().expect("valid")
@@ -81,7 +81,7 @@ fn main() {
         // A deadline the engine cannot meet: an infeasible-threshold query
         // forces a store-wide exact scan, and the 1 ms budget expires at a
         // cooperative checkpoint — the reply is a *typed* timeout.
-        let q = store.get(0).subpath(0, 7).to_vec();
+        let q = store.get(0).path()[0..=7].to_vec();
         let hopeless = Query::threshold(q, 1e7)
             .verify(VerifyMode::Sw)
             .temporal(TemporalConstraint::within(TimeInterval::new(0.0, 1.0)))

@@ -21,7 +21,7 @@ fn main() {
         .generate(&net);
     let engine = EngineBuilder::new(&Lev, &store, net.num_vertices()).build();
 
-    let q = store.get(42).subpath(3, 14).to_vec();
+    let q = store.get(42).path()[3..=14].to_vec();
     let tau = 3.0;
 
     // A two-hour window around the probe trip's departure (timestamps are

@@ -80,7 +80,7 @@ fn main() {
 
         // A real query cut from a stored trip, run untraced then traced.
         let t = store.get(17);
-        let q = t.subpath(0, t.len().min(40) - 1).to_vec();
+        let q = t.path()[0..=t.len().min(40) - 1].to_vec();
         let tau = (0.15 * q.len() as f64).max(1.0);
         let query = Query::threshold(q, tau)
             .verify(VerifyMode::Trie)

@@ -33,7 +33,7 @@ fn main() {
 
     // Query: a 15-edge stretch of a stored trip.
     let probe = edge_store.get(17);
-    let q = probe.subpath(2, 16).to_vec();
+    let q = probe.path()[2..=16].to_vec();
     let total_cost: f64 = q.iter().map(|&s| surs.lower_cost(s)).sum();
 
     // Exact matches (tau -> 0+): usually sparse.

@@ -8,7 +8,7 @@
 //!
 //! * [`rnet`] — road networks: CSR graphs, generators, Dijkstra, hub
 //!   labels, kd-trees.
-//! * [`traj`] — trajectories: model, store, synthetic trips, map matching.
+//! * [`traj`] — trajectories: model, store, synthetic trips.
 //! * [`wed`] — weighted edit distance: cost models, DP, Smith–Waterman.
 //! * [`core`] (`trajsearch_core`) — the OSF filter-and-verify engine.
 //! * [`serve`] (`trajsearch_serve`) — the concurrent TCP front-end over

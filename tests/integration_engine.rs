@@ -94,7 +94,7 @@ fn temporal_strategies_agree_and_prune() {
         .seed(21)
         .generate(&net);
     let engine = EngineBuilder::new(&Lev, &store, net.num_vertices()).build();
-    let q = store.get(5).subpath(2, 9).to_vec();
+    let q = store.get(5).path()[2..=9].to_vec();
 
     let (mut tmin, mut tmax) = (f64::INFINITY, f64::NEG_INFINITY);
     for (_, t) in store.iter() {
@@ -145,7 +145,7 @@ fn within_predicate_is_stricter_than_overlap() {
         .seed(22)
         .generate(&net);
     let engine = EngineBuilder::new(&Lev, &store, net.num_vertices()).build();
-    let q = store.get(3).subpath(1, 8).to_vec();
+    let q = store.get(3).path()[1..=8].to_vec();
     let interval = TimeInterval::new(0.0, 43_200.0); // first half day
     let overlap = engine
         .run(
@@ -196,7 +196,7 @@ fn temporal_postings_extension_is_equivalent() {
         tmax = tmax.max(t.arrival());
     }
     for (qi, frac) in [(2u32, 0.02), (9, 0.1), (23, 0.5)] {
-        let q = store.get(qi).subpath(1, 9).to_vec();
+        let q = store.get(qi).path()[1..=9].to_vec();
         let c = TemporalConstraint::overlaps(TimeInterval::new(tmin, tmin + frac * (tmax - tmin)));
         let base = plain
             .run(

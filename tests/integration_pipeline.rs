@@ -1,72 +1,16 @@
-//! Whole-pipeline tests: raw GPS → map matching → store → index → search,
-//! representation consistency, and substrate cross-checks on city networks.
+//! Whole-pipeline tests on city networks: vertex/edge representation
+//! consistency, hub labels against Dijkstra, self-retrieval of stored
+//! stretches, and every `repro` experiment at tiny scale.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rnet::dijkstra::{sssp, Mode};
 use rnet::{CityParams, HubLabels, NetworkKind};
 use std::sync::Arc;
-use traj::mapmatch::{noisy_trace, MapMatcher};
-use traj::{Trajectory, TrajectoryStore, TripConfig};
+use traj::TripConfig;
 use trajsearch_bench::data::{Dataset, FuncKind};
 use trajsearch_core::{EngineBuilder, Query};
 use wed::models::Lev;
-
-/// GPS traces with noise are map-matched into a database; searching for a
-/// clean stretch of the original route must find the matched trajectory.
-#[test]
-fn gps_to_search_pipeline() {
-    let net = Arc::new(CityParams::small(NetworkKind::Grid).seed(2).generate());
-    let mut rng = ChaCha8Rng::seed_from_u64(99);
-    let matcher = MapMatcher::new(&net, 15.0, 60.0);
-
-    // Ground-truth routes and their noisy observations.
-    let truths: Vec<Vec<u32>> = (0..10)
-        .map(|i| {
-            let start = (i * 37) % net.num_vertices() as u32;
-            traj::generator::random_walk(&net, &mut ChaCha8Rng::seed_from_u64(i as u64), start, 20)
-        })
-        .collect();
-    let mut store = TrajectoryStore::new();
-    let mut matched_of: Vec<Option<u32>> = Vec::new();
-    for truth in &truths {
-        let trace = noisy_trace(&net, truth, 10.0, 2, &mut rng);
-        match matcher.match_trace(&trace) {
-            Some(path) if path.len() >= 5 => {
-                matched_of.push(Some(store.push(Trajectory::untimed(path))));
-            }
-            _ => matched_of.push(None),
-        }
-    }
-    assert!(
-        store.len() >= 7,
-        "map matching failed too often: {}",
-        store.len()
-    );
-
-    let engine = EngineBuilder::new(&Lev, &store, net.num_vertices()).build();
-    let mut found = 0;
-    for (truth, matched) in truths.iter().zip(&matched_of) {
-        let Some(id) = matched else { continue };
-        // Query: the middle stretch of the ground truth.
-        let q = &truth[5..15.min(truth.len())];
-        let out = engine
-            .run(
-                &Query::threshold(q.to_vec(), (q.len() as f64 * 0.5).max(1.0))
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        if out.matches.iter().any(|m| m.id == *id) {
-            found += 1;
-        }
-    }
-    assert!(
-        found >= store.len() * 6 / 10,
-        "only {found}/{} matched trajectories rediscovered",
-        store.len()
-    );
-}
 
 /// Vertex- and edge-representation searches must agree: a vertex-space match
 /// corresponds to an edge-space match of the same span (for exact matching
@@ -147,7 +91,7 @@ fn self_retrieval_of_every_sampled_query() {
         let id = rng.gen_range(0..store.len() as u32);
         let t = store.get(id);
         let s = rng.gen_range(0..t.len() - 8);
-        let q = t.subpath(s, s + 7).to_vec();
+        let q = t.path()[s..=s + 7].to_vec();
         let out = engine
             .run(&Query::threshold(q.clone(), 1.0).build().unwrap())
             .unwrap();

@@ -34,7 +34,7 @@ fn engine_matches_naive_oracle_on_tiny_city() {
         .map(|i| {
             let t = store.get(i * 7);
             let len = t.len().min(6);
-            t.subpath(0, len - 1).to_vec()
+            t.path()[0..=len - 1].to_vec()
         })
         .collect();
     queries.push(vec![0, 2, 4, 6, 8]);

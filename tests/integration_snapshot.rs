@@ -52,7 +52,7 @@ fn reopened_snapshot_serves_a_mixed_workload_identically() {
     // the by-departure postings path, top-k, and a DTW metric query.
     let probe: Vec<Sym> = {
         let t = store.get(9);
-        t.subpath(0, t.len().min(8) - 1).to_vec()
+        t.path()[0..=t.len().min(8) - 1].to_vec()
     };
     let window = TimeInterval::new(store.get(3).departure(), store.get(40).arrival());
     let queries: Vec<Query> = vec![

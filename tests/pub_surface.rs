@@ -1,23 +1,34 @@
 //! The public surface matches its users: every `pub` function, struct,
-//! enum, trait, type alias and constant under `crates/*/src` is named by some
-//! other `.rs` file of the repository — another module, a test, an example or
-//! the benchmark. A `pub` item that only its own file names is either dead or
-//! private in all but spelling; delete it or narrow it to `pub(crate)`/private.
+//! enum, trait, type alias and constant of a crate's library
+//! (`crates/<c>/src/`, `src/bin/` excluded) is named outside that library —
+//! by another crate, the crate's own `tests/` or `src/bin/` (separate crates
+//! that hold reference checks), a root test, an example or the benchmark. An
+//! item that only its own crate names is private in all but spelling:
+//! delete it or narrow it to `pub(crate)`/private. A `pub use` inside the
+//! library is not a user.
 //!
 //! The scan is textual (std only): a declaration is a line whose code starts
 //! with `pub fn` (after optional `const`/`unsafe`/`async`), `pub struct`,
 //! `pub enum`, `pub trait`, `pub type` or `pub const`, and a use is the
-//! same identifier, on word boundaries, anywhere in another file under
-//! `crates/`, `src/`, `tests/`, `examples/` or `benchmark/` (`target/`
-//! directories skipped). A type or const named in a `pub fn` signature or a
-//! `pub` field of its own file also counts as used: callers reach it through
-//! that item without naming it. A `pub fn` gets no such pass.
+//! same identifier, on word boundaries, anywhere in a file under `crates/`,
+//! `src/`, `tests/`, `examples/` or `benchmark/` outside the library
+//! (`target/` directories skipped). An invocation of a `#[macro_export]`
+//! macro outside the library names every identifier of the macro's body,
+//! since its expansion does. A type or const also passes when a
+//! passing item of its library reaches it: named in a `pub fn`'s signature,
+//! a struct's `pub` field, an enum variant's field or a type alias's
+//! right-hand side. A method does not reach the type of its own `impl`
+//! block (a caller names that type to call `Type::new`), and a `pub fn`
+//! gets no such pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 const SEARCHED: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark"];
+
+/// Item keywords, `fn` first so `pub const fn` is a function.
+const KINDS: [&str; 6] = ["fn", "struct", "enum", "trait", "type", "const"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -58,56 +69,176 @@ fn identifiers(text: &str) -> BTreeSet<&str> {
     out
 }
 
-/// The names `text` declares `pub` with one of the item keywords `kinds`
-/// (`fn` also after `const`/`unsafe`/`async`).
-fn pub_items<'t>(text: &'t str, kinds: &[&str]) -> Vec<&'t str> {
-    text.lines()
-        .filter_map(|line| {
-            let item = line.trim_start().strip_prefix("pub ")?;
-            let rest = kinds.iter().find_map(|&k| {
-                let mut rest = item;
-                if k == "fn" {
-                    for qualifier in ["const ", "unsafe ", "async "] {
-                        rest = rest.strip_prefix(qualifier).unwrap_or(rest);
-                    }
-                }
-                rest.strip_prefix(k)?.strip_prefix(' ')
-            })?;
-            let end = rest.bytes().position(|b| !is_ident_byte(b))?;
-            Some(&rest[..end])
-        })
-        .collect()
+/// The keyword, name and remaining text of the `pub` item `code` declares.
+fn pub_item(code: &str) -> Option<(&'static str, &str, &str)> {
+    let item = code.strip_prefix("pub ")?;
+    KINDS.iter().find_map(|&kind| {
+        let mut rest = item;
+        if kind == "fn" {
+            for qualifier in ["const ", "unsafe ", "async "] {
+                rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+            }
+        }
+        let rest = rest.strip_prefix(kind)?.strip_prefix(' ')?;
+        let end = rest.bytes().position(|b| !is_ident_byte(b))?;
+        Some((kind, &rest[..end], &rest[end..]))
+    })
 }
 
-/// Identifiers in `text`'s `pub fn` parameter lists and return types and in
-/// its `pub` field types: a type named there is reachable through that item,
-/// which the scan itself checks.
-fn exposed(text: &str) -> BTreeSet<&str> {
-    let mut out = BTreeSet::new();
-    let mut in_signature = false;
+/// A `pub` item: its keyword, its name, the identifiers a caller reaches
+/// through it and, for a method, the type of its `impl` block.
+struct Item<'t> {
+    kind: &'static str,
+    name: &'t str,
+    reaches: BTreeSet<&'t str>,
+    of: Option<&'t str>,
+}
+
+/// The type an `impl` line implements for: `X` in `impl<T> X<T> {` and in
+/// `impl<T> Trait for X<T> {`.
+fn impl_self(code: &str) -> Option<&str> {
+    let mut rest = code.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let end = rest.bytes().position(|b| {
+            depth += i32::from(b == b'<') - i32::from(b == b'>');
+            depth == 0
+        })?;
+        rest = &rest[end + 1..];
+    }
+    let rest = rest.strip_prefix(' ')?;
+    let rest = rest.rsplit_once(" for ").map_or(rest, |(_, ty)| ty);
+    let end = rest.bytes().position(|b| !is_ident_byte(b))?;
+    Some(&rest[..end])
+}
+
+/// What the lines after an item's declaration line still belong to.
+#[derive(Clone, Copy, PartialEq)]
+enum Body {
+    /// A `pub fn` signature that has not reached its `{` or `;`.
+    Signature,
+    /// A struct's fields, up to the `}` at this indent.
+    Fields(usize),
+    /// An enum's variants, up to the `}` at this indent.
+    Variants(usize),
+}
+
+/// The `pub` items `text` declares.
+fn items(text: &str) -> Vec<Item<'_>> {
+    let mut out: Vec<Item> = Vec::new();
+    let mut open = None;
+    // The type of the `impl` block the line is in, and that block's indent.
+    let mut of: Option<(&str, usize)> = None;
     for line in text.lines() {
         let code = line.trim_start();
-        let tail = if !pub_items(code, &["fn"]).is_empty() {
-            in_signature = true;
-            code.split_once('(').map_or("", |(_, rest)| rest)
-        } else if in_signature {
-            code
-        } else {
-            match code.strip_prefix("pub ").and_then(|r| r.split_once(':')) {
-                Some((field, ty)) if field.bytes().all(is_ident_byte) => ty,
-                _ => "",
+        let indent = line.len() - code.len();
+        if of.is_some_and(|(_, at)| at == indent && code.starts_with('}')) {
+            of = None;
+        } else if let Some(ty) = impl_self(code).filter(|_| code.ends_with('{')) {
+            of = Some((ty, indent));
+        }
+        let signature_ends = code.contains('{') || code.ends_with(';');
+        if let Some(body) = open {
+            let reaches = &mut out.last_mut().expect("an open item").reaches;
+            match body {
+                Body::Signature => {
+                    reaches.extend(identifiers(code.split('{').next().unwrap_or(code)));
+                    if signature_ends {
+                        open = None;
+                    }
+                }
+                Body::Fields(close) | Body::Variants(close)
+                    if indent == close && code.starts_with('}') =>
+                {
+                    open = None
+                }
+                Body::Fields(_) => {
+                    if let Some((field, ty)) =
+                        code.strip_prefix("pub ").and_then(|r| r.split_once(':'))
+                    {
+                        if field.bytes().all(is_ident_byte) {
+                            reaches.extend(identifiers(ty));
+                        }
+                    }
+                }
+                Body::Variants(_) => {
+                    if !code.starts_with("//") && !code.starts_with('#') {
+                        reaches.extend(identifiers(code));
+                    }
+                }
             }
+            continue;
+        }
+        let Some((kind, name, rest)) = pub_item(code) else {
+            continue;
         };
-        out.extend(identifiers(tail.split('{').next().unwrap_or(tail)));
-        in_signature &= !(code.contains('{') || code.ends_with(';'));
+        let mut reaches = BTreeSet::new();
+        match kind {
+            "fn" => {
+                let params = rest.split_once('(').map_or("", |(_, p)| p);
+                reaches.extend(identifiers(params.split('{').next().unwrap_or(params)));
+                open = (!signature_ends).then_some(Body::Signature);
+            }
+            "struct" if rest.starts_with('(') => reaches.extend(identifiers(rest)),
+            "struct" if code.ends_with('{') => open = Some(Body::Fields(indent)),
+            "enum" if code.ends_with('{') => open = Some(Body::Variants(indent)),
+            "type" => reaches.extend(identifiers(rest.split_once('=').map_or("", |(_, t)| t))),
+            _ => {}
+        }
+        out.push(Item {
+            kind,
+            name,
+            reaches,
+            of: of.filter(|_| kind == "fn").map(|(ty, _)| ty),
+        });
     }
     out
 }
 
-/// Fails, listing them, on every name of `kinds` declared `pub` under
-/// `crates/*/src` that no other searched file names; at least `min` must be
-/// declared, so a broken scan cannot pass.
-fn check_named_elsewhere(kinds: &[&str], min: usize) {
+/// Each `#[macro_export]` macro of `text`, with the identifiers of its body
+/// (up to the `}` that closes it at column 0).
+fn exported_macros(text: &str) -> Vec<(&str, BTreeSet<&str>)> {
+    let mut out = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if line.trim() != "#[macro_export]" {
+            continue;
+        }
+        let Some(rest) = lines.next().and_then(|l| l.strip_prefix("macro_rules! ")) else {
+            continue;
+        };
+        let end = rest
+            .bytes()
+            .position(|b| !is_ident_byte(b))
+            .unwrap_or(rest.len());
+        let body = lines
+            .by_ref()
+            .take_while(|l| *l != "}")
+            .flat_map(identifiers)
+            .collect();
+        out.push((&rest[..end], body));
+    }
+    out
+}
+
+/// The crate whose library `path` belongs to: `crates/<c>/src/`, but not
+/// `src/bin/`.
+fn library<'p>(crates: &Path, path: &'p Path) -> Option<&'p str> {
+    let parts: Vec<_> = path.strip_prefix(crates).ok()?.components().collect();
+    match parts.as_slice() {
+        [Component::Normal(krate), Component::Normal(src), rest @ ..]
+            if *src == "src" && rest.first().is_some_and(|c| c.as_os_str() != "bin") =>
+        {
+            krate.to_str()
+        }
+        _ => None,
+    }
+}
+
+/// Fails, listing them, on every `pub` item of `kinds` in a crate's library
+/// that nothing outside the library names or reaches; at least `min` must
+/// be declared, so a broken scan cannot pass.
+fn check_named_outside_the_crate(kinds: &[&str], min: usize) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for dir in SEARCHED {
@@ -120,40 +251,67 @@ fn check_named_elsewhere(kinds: &[&str], min: usize) {
             (p, text)
         })
         .collect();
-    let idents: BTreeMap<&Path, BTreeSet<&str>> = texts
-        .iter()
-        .map(|(p, t)| (p.as_path(), identifiers(t)))
-        .collect();
-
     let crates = root.join("crates");
+
+    let mut libraries: BTreeMap<&str, Vec<(&Path, Item)>> = BTreeMap::new();
+    let mut macros: BTreeMap<&str, Vec<(&str, BTreeSet<&str>)>> = BTreeMap::new();
+    for (path, text) in &texts {
+        if let Some(krate) = library(&crates, path) {
+            let declared = libraries.entry(krate).or_default();
+            declared.extend(items(text).into_iter().map(|item| (path.as_path(), item)));
+            macros
+                .entry(krate)
+                .or_default()
+                .extend(exported_macros(text));
+        }
+    }
+
     let mut declared = 0;
     let mut unused = Vec::new();
-    for (path, text) in &texts {
-        let rel = path.strip_prefix(&crates).ok();
-        let in_crate_src = rel.is_some_and(|r| {
-            r.components()
-                .nth(1)
-                .is_some_and(|c| c.as_os_str() == "src")
-        });
-        if !in_crate_src {
-            continue;
-        }
+    for (krate, items) in &libraries {
+        let mut outside: BTreeSet<&str> = texts
+            .iter()
+            .filter(|(path, _)| library(&crates, path) != Some(krate))
+            .flat_map(|(_, text)| identifiers(text))
+            .collect();
+        let expanded: Vec<&str> = macros
+            .get(krate)
+            .into_iter()
+            .flatten()
+            .filter(|(name, _)| outside.contains(name))
+            .flat_map(|(_, body)| body.iter().copied())
+            .collect();
+        outside.extend(expanded);
+        let mut passing: BTreeSet<&str> = items
+            .iter()
+            .map(|(_, item)| item.name)
+            .filter(|name| outside.contains(name))
+            .collect();
         // Only a type or const is reached through an item that names it.
-        let exposed = if kinds == ["fn"] {
-            BTreeSet::new()
-        } else {
-            exposed(text)
-        };
-        for name in pub_items(text, kinds) {
+        let reachable: BTreeSet<&str> = items
+            .iter()
+            .filter(|(_, item)| item.kind != "fn")
+            .map(|(_, item)| item.name)
+            .collect();
+        loop {
+            let reached: Vec<&str> = items
+                .iter()
+                .filter(|(_, item)| passing.contains(item.name))
+                .flat_map(|(_, item)| item.reaches.iter().filter(|&&r| Some(r) != item.of))
+                .copied()
+                .filter(|name| reachable.contains(name) && !passing.contains(name))
+                .collect();
+            if reached.is_empty() {
+                break;
+            }
+            passing.extend(reached);
+        }
+        for (path, item) in items.iter().filter(|(_, i)| kinds.contains(&i.kind)) {
             declared += 1;
-            let used = exposed.contains(name)
-                || idents
-                    .iter()
-                    .any(|(other, names)| *other != path.as_path() && names.contains(name));
-            if !used {
+            if !passing.contains(item.name) {
                 unused.push(format!(
                     "{} ({})",
-                    name,
+                    item.name,
                     path.strip_prefix(root).unwrap().display()
                 ));
             }
@@ -162,7 +320,7 @@ fn check_named_elsewhere(kinds: &[&str], min: usize) {
     assert!(declared > min, "scan found only {declared} pub {kinds:?}");
     assert!(
         unused.is_empty(),
-        "{} pub {kinds:?} named only in their own file — delete them or make them private:\n  {}",
+        "{} pub {kinds:?} named only inside their own crate — delete them or make them private:\n  {}",
         unused.len(),
         unused.join("\n  ")
     );
@@ -170,10 +328,10 @@ fn check_named_elsewhere(kinds: &[&str], min: usize) {
 
 #[test]
 fn every_pub_fn_is_named_outside_its_own_file() {
-    check_named_elsewhere(&["fn"], 100);
+    check_named_outside_the_crate(&["fn"], 100);
 }
 
 #[test]
 fn every_pub_type_and_const_is_named_outside_its_own_file() {
-    check_named_elsewhere(&["struct", "enum", "trait", "type", "const"], 50);
+    check_named_outside_the_crate(&["struct", "enum", "trait", "type", "const"], 50);
 }
