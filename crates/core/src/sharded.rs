@@ -104,9 +104,8 @@ impl ShardedIndex {
 /// shards in shard-id order reproduces [`ShardedIndex`]'s iteration order
 /// exactly.
 ///
-/// Postings carry **global** trajectory ids; spans are stored densely at
-/// local slot `id / num_shards`. Accessors return borrowed slices so a
-/// serving layer can encode them without copies.
+/// Postings carry **global** trajectory ids. Accessors return borrowed
+/// slices so a serving layer can encode them without copies.
 #[derive(Debug, Clone)]
 pub struct IndexShard {
     shard: Shard,
@@ -176,26 +175,11 @@ impl IndexShard {
         &self.shard.postings[q as usize]
     }
 
-    pub fn freq(&self, q: Sym) -> u32 {
-        self.shard.postings[q as usize].len() as u32
-    }
-
     /// Departure-sorted prefix of this shard's list for `q` with departure
     /// `<= t_max`; `None` until
     /// [`enable_temporal_postings`](IndexShard::enable_temporal_postings).
     pub fn postings_departing_by(&self, q: Sym, t_max: f64) -> Option<&[(f64, Posting)]> {
         self.shard.departing_by(q, t_max)
-    }
-
-    /// Departures of the owned trajectories, dense by local slot
-    /// (`global_id / num_shards`).
-    pub fn departures(&self) -> &[f64] {
-        &self.shard.departures
-    }
-
-    /// Arrivals, same layout as [`departures`](IndexShard::departures).
-    pub fn arrivals(&self) -> &[f64] {
-        &self.shard.arrivals
     }
 
     pub fn total_postings(&self) -> usize {
@@ -353,11 +337,10 @@ mod tests {
                 assert_eq!(solo.num_trajectories(), s.len());
                 assert_eq!(solo.num_local_trajectories(), inner.departures.len());
                 assert_eq!(solo.total_postings(), inner.total_postings);
-                assert_eq!(solo.departures(), &inner.departures[..]);
-                assert_eq!(solo.arrivals(), &inner.arrivals[..]);
+                assert_eq!(solo.shard.departures, inner.departures);
+                assert_eq!(solo.shard.arrivals, inner.arrivals);
                 for q in 0..6u32 {
                     assert_eq!(solo.postings(q), &inner.postings[q as usize][..]);
-                    assert_eq!(solo.freq(q), inner.postings[q as usize].len() as u32);
                     for t_max in [0.0, 6.0, 25.0, 1e9] {
                         let want = &inner.dep_postings.as_ref().unwrap()[q as usize];
                         let cut = want.partition_point(|&(dep, _)| dep <= t_max);

@@ -20,7 +20,7 @@ use trajsearch_core::{
     Deadline, EngineBuilder, PostingSource, Query, RemoteSpec, SearchEngine, TraceSink, Tracer,
 };
 use trajsearch_serve::{Handled, QueryHandler};
-use wed::{Sym, WedInstance};
+use wed::WedInstance;
 
 /// A [`SearchEngine`] over [`RemoteShards`] plus the degraded-reply
 /// bookkeeping; build one with [`Coordinator::connect`] (or wrap an
@@ -100,10 +100,6 @@ impl<M: WedInstance + Sync> QueryHandler for Coordinator<'_, M> {
         // records a coordinator-side `shard_rpc` span. The guard restores
         // the previous context even on panic.
         let _scope = remote.trace_scope(tracer.trace_id().unwrap_or(0));
-        // Coalesce the pattern's frequency fetches into one RPC per shard
-        // before the MinCand plan asks for them one by one.
-        let syms: Vec<Sym> = query.pattern().to_vec();
-        remote.prime_freqs(&syms);
         match self.engine.execute(query, deadline, tracer) {
             Ok(response) => match remote.degraded_since(mark) {
                 Some(degraded) => Handled::Degraded {

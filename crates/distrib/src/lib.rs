@@ -14,7 +14,9 @@
 //!   that fans postings fetches out over pooled connections to those
 //!   servers — pipelined (one round trip per fetch, not one per shard),
 //!   epoch-checked, deadline-bounded, with a degraded log for shards that
-//!   stop answering or send postings that are not theirs.
+//!   stop answering or send postings that are not theirs. Frequencies and
+//!   spans it derives from the store the shards indexed, which the
+//!   coordinator holds, so the MinCand plan costs no round trip.
 //! * A [`Coordinator`] runs the full engine (store, model, MinCand,
 //!   verification) locally over `RemoteShards` and serves the ordinary
 //!   query protocol, answering with typed *degraded* replies whenever a

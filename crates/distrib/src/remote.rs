@@ -11,13 +11,15 @@
 //! The `PostingSource` trait is sync and infallible; the network is
 //! neither. The gap is bridged three ways:
 //!
-//! * **Prefetch** — the per-trajectory span table is paged down once at
-//!   connect time ([`RemoteShards::connect`]), so `span(id)` never touches
-//!   the network.
-//! * **Caching** — postings, frequencies and departing-by prefixes are
-//!   cached after the first fetch. Only *complete* results (every shard
-//!   answered, every posting checked) enter the cache, so a degraded fetch
-//!   is retried on the next query rather than frozen in.
+//! * **From the store** — the coordinator holds the store the shards
+//!   indexed, so [`RemoteShards::connect`] derives each symbol's frequency
+//!   and each trajectory's span from it in one pass: `freq` and `span`
+//!   never touch the network. The same pass checks the shards' self
+//!   descriptions against the store.
+//! * **Caching** — postings and departing-by prefixes are cached after the
+//!   first fetch. Only *complete* results (every shard answered, every
+//!   posting checked) enter the cache, so a degraded fetch is retried on
+//!   the next query rather than frozen in.
 //! * **Degradation** — a shard that fails to answer (transport error,
 //!   epoch mismatch, expired RPC deadline), or that lies (a posting of a
 //!   trajectory it does not hold, or at a position past that trajectory's
@@ -28,7 +30,7 @@
 //!   partial answer as complete.
 //!
 //! No lock here turns a panicked thread into a panic for every later query.
-//! The three caches and the degraded log hold whole answers and whole
+//! The two caches and the degraded log hold whole answers and whole
 //! events only, so a poisoned one is recovered and used as it is. A shard
 //! connection poisoned mid-RPC may hold half a frame, so it is marked dead
 //! and the shard degrades, as after a transport failure.
@@ -123,7 +125,8 @@ pub enum DistribError {
         source: ClientError,
     },
     /// The endpoints do not form one coherent cluster (wrong shard count,
-    /// duplicate or missing shard ids, inconsistent store shapes).
+    /// duplicate or missing shard ids), or describe a store other than the
+    /// coordinator's (trajectory or posting counts, alphabet).
     Topology(String),
 }
 
@@ -176,13 +179,14 @@ pub struct RemoteShards {
     total_postings: usize,
     size_bytes: usize,
     has_temporal: bool,
-    /// Global-id span table, prefetched at connect (`span` is on the
-    /// temporal-filter hot path and must be infallible).
+    /// Postings-list lengths by symbol, counted from the store the shards
+    /// indexed; shorter than the alphabet when its top symbols never occur.
+    freqs: Vec<u32>,
+    /// `(departure, arrival)` by global id, from the store.
     spans: Vec<(f64, f64)>,
-    /// Trajectory lengths by global id, from the store the shards indexed:
-    /// a posting's position must fall inside its trajectory.
+    /// Trajectory lengths by global id, from the store: a posting's
+    /// position must fall inside its trajectory.
     lens: Vec<u32>,
-    freq_cache: Mutex<HashMap<Sym, u32>>,
     postings_cache: Mutex<HashMap<Sym, Vec<Posting>>>,
     /// Keyed by `(symbol, t_max bits)` — the engine re-asks the same
     /// constraint boundary within one query.
@@ -211,8 +215,9 @@ impl RemoteShards {
     /// Dials every endpoint, negotiates the protocol version (`hello`),
     /// learns each shard's identity and epoch (`shard_info`), checks the
     /// endpoints form exactly one shard 0..n cluster over `store` (the
-    /// store the shards indexed), and prefetches the span table. Endpoint
-    /// order is irrelevant — shards are arranged by their self-reported id.
+    /// store the shards indexed), and derives frequencies and spans from
+    /// `store`. Endpoint order is irrelevant — shards are arranged by their
+    /// self-reported id.
     pub fn connect(
         endpoints: &[ShardEndpoint],
         store: &TrajectoryStore,
@@ -295,6 +300,30 @@ impl RemoteShards {
                 first.num_trajectories
             )));
         }
+
+        // One pass over the store: what `freq`, `span` and the posting
+        // checks read, and each shard's share of the positions.
+        let alphabet = first.alphabet_size;
+        let mut freqs: Vec<u32> = Vec::new();
+        let mut spans = Vec::with_capacity(num_trajectories);
+        let mut lens = Vec::with_capacity(num_trajectories);
+        let mut positions = vec![0u64; n];
+        for (id, t) in store.iter() {
+            for &q in t.path() {
+                if u64::from(q) >= alphabet {
+                    return Err(DistribError::Topology(format!(
+                        "trajectory {id} holds symbol {q}, past the shards' alphabet of {alphabet}"
+                    )));
+                }
+                if q as usize >= freqs.len() {
+                    freqs.resize(q as usize + 1, 0);
+                }
+                freqs[q as usize] += 1;
+            }
+            spans.push(t.span());
+            lens.push(t.len() as u32);
+            positions[id as usize % n] += t.len() as u64;
+        }
         for (k, c) in conns.iter().enumerate() {
             // The `id % n` placement gives shard k the ids k, k + n, ….
             let placed = num_trajectories.saturating_sub(k).div_ceil(n);
@@ -304,64 +333,29 @@ impl RemoteShards {
                     c.info.local_trajectories
                 )));
             }
+            if c.info.total_postings != positions[k] {
+                return Err(DistribError::Topology(format!(
+                    "shard {k} holds {} postings, its share of the store has {} positions",
+                    c.info.total_postings, positions[k]
+                )));
+            }
         }
 
-        let mut remote = RemoteShards {
-            alphabet_size: first.alphabet_size as usize,
+        Ok(RemoteShards {
+            alphabet_size: alphabet as usize,
             num_trajectories,
-            total_postings: conns.iter().map(|c| c.info.total_postings as usize).sum(),
+            total_postings: positions.iter().sum::<u64>() as usize,
             size_bytes: conns.iter().map(|c| c.info.size_bytes as usize).sum(),
             has_temporal: conns.iter().all(|c| c.info.has_temporal_postings),
-            spans: vec![(0.0, 0.0); num_trajectories],
-            lens: store.iter().map(|(_, t)| t.len() as u32).collect(),
+            freqs,
+            spans,
+            lens,
             conns,
-            freq_cache: Mutex::new(HashMap::new()),
             postings_cache: Mutex::new(HashMap::new()),
             departing_cache: Mutex::new(HashMap::new()),
             log: Mutex::new(DegradedLog::default()),
             sink: None,
-        };
-        remote.prefetch_spans()?;
-        Ok(remote)
-    }
-
-    /// Pages the whole span table down from every shard. Shard `k`'s local
-    /// slot `j` is global trajectory `j * n + k` — the `id % n` placement
-    /// of [`ShardedIndex`](trajsearch_core::ShardedIndex).
-    fn prefetch_spans(&mut self) -> Result<(), DistribError> {
-        let n = self.conns.len();
-        for k in 0..n {
-            let conn = &mut self.conns[k];
-            // Nothing else holds the pool yet, so no lock can be poisoned.
-            let client = &mut conn
-                .client
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .client;
-            let local = conn.info.local_trajectories;
-            let mut start = 0u64;
-            while start < local {
-                let page = client
-                    .shard_spans(conn.info.epoch, Some(RPC_DEADLINE_MS), start, local - start)
-                    .map_err(|source| DistribError::Connect {
-                        endpoint: conn.endpoint.clone(),
-                        source,
-                    })?;
-                let len = page.departures.len() as u64;
-                if len == 0 || page.start != start || len > local - start {
-                    return Err(DistribError::Topology(format!(
-                        "shard {k} returned a span page of {len} at {}, asked at {start}/{local}",
-                        page.start
-                    )));
-                }
-                for (i, (&dep, &arr)) in page.departures.iter().zip(&page.arrivals).enumerate() {
-                    let slot = start as usize + i;
-                    self.spans[slot * n + k] = (dep, arr);
-                }
-                start += len;
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Number of shard servers in the pool.
@@ -566,54 +560,6 @@ impl RemoteShards {
         }
     }
 
-    /// Batch-fetches and caches the frequencies of `syms` in **one** RPC
-    /// per shard — the request-coalescing entry a coordinator calls before
-    /// running a query, so the MinCand plan does not pay one cluster round
-    /// trip per pattern symbol.
-    pub(crate) fn prime_freqs(&self, syms: &[Sym]) {
-        let missing: Vec<Sym> = {
-            let cache = recover(&self.freq_cache);
-            let mut missing: Vec<Sym> = syms
-                .iter()
-                .copied()
-                .filter(|q| !cache.contains_key(q))
-                .collect();
-            missing.sort_unstable();
-            missing.dedup();
-            missing
-        };
-        if !missing.is_empty() {
-            self.fetch_freqs(&missing);
-        }
-    }
-
-    /// One `shard_freqs` fan-out for `syms`: the sums over the shards that
-    /// answered, parallel to `syms`; cached only when every shard answered.
-    fn fetch_freqs(&self, syms: &[Sym]) -> Vec<u32> {
-        let replies = self.fanout(|id, info| Request::ShardFreqs {
-            id,
-            epoch: info.epoch,
-            deadline_ms: Some(RPC_DEADLINE_MS),
-            trace_id: None,
-            syms: syms.to_vec(),
-        });
-        let (answers, complete) = self.accept(replies, |_, reply| match reply {
-            Reply::ShardFreqs { freqs, .. } if freqs.len() == syms.len() => Ok(freqs),
-            _ => Err(WRONG_REPLY.into()),
-        });
-        let mut sums = vec![0u32; syms.len()];
-        for freqs in answers {
-            for (sum, f) in sums.iter_mut().zip(freqs) {
-                *sum = sum.saturating_add(f);
-            }
-        }
-        if complete {
-            let mut cache = recover(&self.freq_cache);
-            cache.extend(syms.iter().copied().zip(sums.iter().copied()));
-        }
-        sums
-    }
-
     /// Fetches one symbol's postings from every shard, concatenated
     /// shard-major; cached only when every shard answered.
     fn fetch_postings(&self, q: Sym) -> Vec<Posting> {
@@ -671,14 +617,9 @@ impl PostingSource for RemoteShards {
         self.fetch_postings(q).into_iter()
     }
 
+    /// From the store, so equal to the sum of the shards' list lengths.
     fn freq(&self, q: Sym) -> u32 {
-        if let Some(&hit) = recover(&self.freq_cache).get(&q) {
-            return hit;
-        }
-        // When a shard did not answer (already logged) the sum is partial
-        // and uncached: it keeps the plan total, the coordinator flags the
-        // query.
-        self.fetch_freqs(&[q])[0]
+        self.freqs.get(q as usize).copied().unwrap_or(0)
     }
 
     fn span(&self, id: TrajId) -> (f64, f64) {
@@ -748,7 +689,7 @@ impl PostingSource for RemoteShards {
 mod tests {
     use super::*;
     use crate::testdata;
-    use traj::TrajectoryStore;
+    use traj::{Trajectory, TrajectoryStore};
     use trajsearch_core::IndexShard;
     use trajsearch_serve::{IndexShardSource, Server, ServerConfig, ServerHandle};
 
@@ -811,7 +752,6 @@ mod tests {
             for q in 0..4 {
                 fetch(&remote, q);
             }
-            poison(&remote.freq_cache);
             poison(&remote.postings_cache);
             poison(&remote.departing_cache);
             poison(&remote.log);
@@ -830,12 +770,31 @@ mod tests {
             for q in 8..10 {
                 assert!(clean.freq(q) > 0, "symbol {q} occurs in the store");
                 let before = remote.degraded_total();
-                assert_eq!(remote.freq(q), 0);
-                assert_eq!(remote.degraded_total(), before + 1);
                 assert_eq!(remote.postings(q).count(), 0);
-                assert_eq!(remote.degraded_total(), before + 2);
+                assert_eq!(remote.degraded_total(), before + 1);
             }
             assert_eq!(clean.degraded_total(), 0);
+        });
+    }
+
+    #[test]
+    fn connect_refuses_a_store_symbol_past_the_shards_alphabet() {
+        let store = testdata::store(30, 10, 3, ALPHABET);
+        // The same store with one position of trajectory 7 out of range.
+        let mut other = TrajectoryStore::new();
+        for (id, t) in store.iter() {
+            let mut path = t.path().to_vec();
+            if id == 7 {
+                path[2] = ALPHABET as Sym;
+            }
+            other.push(Trajectory::new(path, t.times().to_vec()));
+        }
+        with_one_shard(&store, |endpoints| {
+            match RemoteShards::connect(endpoints, &other) {
+                Err(DistribError::Topology(msg)) => assert!(msg.contains("alphabet"), "{msg}"),
+                got => panic!("expected a topology error, got {got:?}"),
+            }
+            RemoteShards::connect(endpoints, &store).expect("the store the shard indexed");
         });
     }
 

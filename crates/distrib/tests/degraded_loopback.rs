@@ -10,7 +10,7 @@ use trajsearch_core::{
 use trajsearch_distrib::{testdata, Coordinator, DistribError, RemoteShards, ShardEndpoint};
 use trajsearch_serve::{
     Handled, IndexShardSource, QueryHandler, Server, ServerConfig, ServerHandle, ShardInfo,
-    ShardSource, SpanPage,
+    ShardSource,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -29,11 +29,11 @@ impl Drop for ShutdownOnDrop {
     }
 }
 
-/// With one of two shards down, a frequency lookup is **one** round trip
-/// to the survivor and one degraded-log entry — not a fan-out to learn the
-/// answer is incomplete and a second identical one to sum it.
+/// Frequencies come from the coordinator's store, not from the shards:
+/// with one of two shards down, `freq` still answers the whole cluster's
+/// count, sends nothing to the survivor and degrades nothing.
 #[test]
-fn freq_with_a_dead_shard_costs_the_survivor_one_round_trip() {
+fn freq_never_touches_the_network() {
     let store = testdata::store(40, 12, 11, ALPHABET);
     let shards: Vec<IndexShard> = (0..2)
         .map(|k| IndexShard::build(&store, ALPHABET, k, 2))
@@ -60,13 +60,7 @@ fn freq_with_a_dead_shard_costs_the_survivor_one_round_trip() {
             .map(|(server, source)| scope.spawn(move || server.serve_shard(source)))
             .collect();
         let remote = RemoteShards::connect(&endpoints, &store).expect("connect cluster");
-        let (q, uncached) = (3, 4);
-        let whole = remote.freq(q);
-        assert_eq!(
-            whole,
-            shards[0].freq(q) + shards[1].freq(q),
-            "healthy: the sum over both shards"
-        );
+        let whole = |q: Sym| (shards[0].postings(q).len() + shards[1].postings(q).len()) as u32;
 
         // Stop shard 1 and wait until its connections are closed.
         handles[1].shutdown();
@@ -78,17 +72,13 @@ fn freq_with_a_dead_shard_costs_the_survivor_one_round_trip() {
             .expect("serve ok");
 
         let completed = handles[0].metrics().completed;
-        let degraded = remote.degraded_total();
-        assert_eq!(
-            remote.freq(uncached),
-            shards[0].freq(uncached),
-            "degraded: the survivor's share"
-        );
-        assert_eq!(handles[0].metrics().completed, completed + 1);
-        assert_eq!(remote.degraded_total(), degraded + 1);
-        // A complete answer cached earlier still needs no round trip.
-        assert_eq!(remote.freq(q), whole);
-        assert_eq!(handles[0].metrics().completed, completed + 1);
+        for q in 0..ALPHABET as Sym {
+            assert_eq!(remote.freq(q), whole(q), "symbol {q}");
+        }
+        assert!((0..ALPHABET as Sym).any(|q| !shards[1].postings(q).is_empty()));
+        assert_eq!(remote.freq(ALPHABET as Sym), 0, "past the alphabet");
+        assert_eq!(handles[0].metrics().completed, completed);
+        assert_eq!(remote.degraded_total(), 0);
     });
 }
 
@@ -100,8 +90,8 @@ enum Lie {
     Id,
     /// The first postings it sends hold a position past their trajectory.
     Position,
-    /// Its span pages start past its local trajectory count.
-    SpanStart,
+    /// It claims one posting more than its share of the store holds.
+    TotalPostings,
     /// It claims a larger alphabet than the coordinator's.
     Alphabet,
 }
@@ -116,14 +106,12 @@ struct Liar<'a> {
 impl ShardSource for Liar<'_> {
     fn info(&self) -> ShardInfo {
         let mut info = self.honest.info();
-        if self.lie == Lie::Alphabet {
-            info.alphabet_size += 1;
+        match self.lie {
+            Lie::Alphabet => info.alphabet_size += 1,
+            Lie::TotalPostings => info.total_postings += 1,
+            _ => {}
         }
         info
-    }
-
-    fn freqs(&self, syms: &[Sym]) -> Vec<u32> {
-        self.honest.freqs(syms)
     }
 
     fn postings(&self, syms: &[Sym]) -> Vec<Vec<Posting>> {
@@ -141,20 +129,12 @@ impl ShardSource for Liar<'_> {
     fn departing_by(&self, sym: Sym, t_max: f64) -> Option<Vec<(f64, Posting)>> {
         self.honest.departing_by(sym, t_max)
     }
-
-    fn spans(&self, start: u64, count: u64) -> SpanPage {
-        let mut page = self.honest.spans(start, count);
-        if self.lie == Lie::SpanStart {
-            page.start += 1_000_000;
-        }
-        page
-    }
 }
 
 /// A shard that sends a posting outside its own trajectories degrades the
 /// query it lied to instead of panicking the coordinator, and nothing it
 /// sent is cached: the next query gets the honest list and a complete
-/// answer. A lying span page or alphabet fails the connect.
+/// answer. A lying posting count or alphabet fails the connect.
 #[test]
 fn a_lying_shard_degrades_the_query_it_lied_to() {
     let store = testdata::store(40, 12, 11, ALPHABET);
@@ -172,7 +152,7 @@ fn a_lying_shard_degrades_the_query_it_lied_to() {
         .expect("in-process run");
     assert!(want.matches.iter().any(|m| m.id % 2 == 1));
 
-    for lie in [Lie::Id, Lie::Position, Lie::SpanStart, Lie::Alphabet] {
+    for lie in [Lie::Id, Lie::Position, Lie::TotalPostings, Lie::Alphabet] {
         let honest = IndexShardSource::new(&shards[0], EPOCH);
         let liar = Liar {
             honest: IndexShardSource::new(&shards[1], EPOCH),
@@ -191,7 +171,7 @@ fn a_lying_shard_degrades_the_query_it_lied_to() {
             scope.spawn(|| first.serve_shard(&honest).expect("serve ok"));
             scope.spawn(|| second.serve_shard(&liar).expect("serve ok"));
 
-            let refused = matches!(lie, Lie::SpanStart | Lie::Alphabet);
+            let refused = matches!(lie, Lie::TotalPostings | Lie::Alphabet);
             let coordinator = match Coordinator::connect(Lev, &store, ALPHABET, &spec) {
                 Err(DistribError::Topology(_)) if refused => return,
                 Err(e) => panic!("{lie:?}: connect failed: {e}"),

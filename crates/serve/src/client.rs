@@ -13,8 +13,8 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::proto::{
-    write_frame, DegradedInfo, FrameReader, Reply, Request, ServerError, ShardInfo, SpanPage,
-    TraceEntry, PROTO_MAJOR, PROTO_MINOR,
+    write_frame, DegradedInfo, FrameReader, Reply, Request, ServerError, ShardInfo, TraceEntry,
+    PROTO_MAJOR, PROTO_MINOR,
 };
 use std::fmt;
 use std::io::{self, BufWriter, Write};
@@ -204,29 +204,6 @@ impl Client {
     pub fn shard_info(&mut self) -> Result<ShardInfo, ClientError> {
         match self.call(|id| Request::ShardInfo { id })? {
             Reply::ShardInfo { info, .. } => Ok(info),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Fetches one page of a shard server's span table, from local slot
-    /// `start`; the server clamps `count` to 65 536.
-    pub fn shard_spans(
-        &mut self,
-        epoch: u64,
-        deadline_ms: Option<u64>,
-        start: u64,
-        count: u64,
-    ) -> Result<SpanPage, ClientError> {
-        let request = |id| Request::ShardSpans {
-            id,
-            epoch,
-            deadline_ms,
-            trace_id: None,
-            start,
-            count,
-        };
-        match self.call(request)? {
-            Reply::ShardSpans { page, .. } => Ok(page),
             other => Err(unexpected(other)),
         }
     }

@@ -92,8 +92,8 @@ pub mod shard;
 pub use client::{Client, ClientError, QueryOutcome};
 pub use metrics::{LatencySummary, Metrics, MetricsSnapshot};
 pub use proto::{
-    DegradedInfo, Reply, Request, ServerError, ServerErrorKind, ShardInfo, SpanPage, TraceEntry,
-    WireSpan, MAX_FRAME_BYTES, PROTO_MAJOR, PROTO_MINOR, SUPPORTED_METRICS,
+    DegradedInfo, Reply, Request, ServerError, ServerErrorKind, ShardInfo, TraceEntry, WireSpan,
+    MAX_FRAME_BYTES, PROTO_MAJOR, PROTO_MINOR, SUPPORTED_METRICS,
 };
 pub use server::{Handled, QueryHandler, Server, ServerConfig, ServerHandle, DEFAULT_SINK_SPANS};
 pub use shard::{IndexShardSource, ShardSource};

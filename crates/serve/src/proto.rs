@@ -52,6 +52,14 @@
 //!   `malformed`, so clients can tell "speak an older protocol" apart from
 //!   "you sent garbage".
 //!
+//! Minor 4 is the one minor that removed frames: it retired the shard RPCs
+//! `shard_freqs` and `shard_spans`, whose answers a coordinator now derives
+//! from the store it holds. Only this workspace's coordinator ever sent
+//! them. A shard server answers either frame `malformed`, with its `id`
+//! echoed, and keeps serving the connection, so an older coordinator fails
+//! `connect` (where it pages the span table) with a typed error, never with
+//! a wrong answer.
+//!
 //! Peers that care negotiate up front with `hello` (and get the server's
 //! `major`/`minor` back); peers that don't just send frames and rely on the
 //! typed rejection:
@@ -72,18 +80,13 @@
 //!
 //! ```json
 //! {"v":1,"type":"shard_info","id":2}
-//! {"v":1,"type":"shard_freqs","id":3,"epoch":7,"deadline_ms":250,"syms":[4,9]}
 //! {"v":1,"type":"shard_postings","id":4,"epoch":7,"syms":[4]}
 //! {"v":1,"type":"shard_departing_by","id":5,"epoch":7,"sym":4,"t_max":180.5}
-//! {"v":1,"type":"shard_spans","id":6,"epoch":7,"start":0,"count":65536}
 //! ```
 //!
 //! Postings are `[traj_id, pos]` pairs (global ids), departing entries
-//! `[departure, traj_id, pos]` triples, spans two parallel arrays pages at
-//! a time (`count` is clamped to 65 536; the client continues
-//! from `start + departures.len()` until `total` is covered). Floats use
-//! Rust's shortest round-trip rendering, so values survive the wire
-//! bit-for-bit.
+//! `[departure, traj_id, pos]` triples. Floats use Rust's shortest
+//! round-trip rendering, so values survive the wire bit-for-bit.
 //!
 //! # Tracing (minor 3)
 //!
@@ -133,12 +136,13 @@ pub const MAX_FRAME_BYTES: usize = 8 << 20;
 /// frame as `"v"`; see the [module docs](self) for the compatibility rule.
 pub const PROTO_MAJOR: u32 = 1;
 
-/// Wire-protocol minor version — additive changes (minor 1 added `hello`,
-/// the shard RPCs and `degraded`; minor 2 added the `metrics` capability
-/// list on the hello reply; minor 3 added the optional `trace_id` field on
-/// `query` and shard data RPCs plus the `trace` and `metrics_text`
-/// requests). Exchanged via `hello`, not per frame.
-pub const PROTO_MINOR: u32 = 3;
+/// Wire-protocol minor version (minor 1 added `hello`, the shard RPCs and
+/// `degraded`; minor 2 added the `metrics` capability list on the hello
+/// reply; minor 3 added the optional `trace_id` field on `query` and shard
+/// data RPCs plus the `trace` and `metrics_text` requests; minor 4 retired
+/// the shard RPCs `shard_freqs` and `shard_spans`, see the [module
+/// docs](self)). Exchanged via `hello`, not per frame.
+pub const PROTO_MINOR: u32 = 4;
 
 /// Distance metrics this build can verify, in the wire names of
 /// `trajsearch_core::Metric`. Advertised on the hello reply (minor ≥ 2) so
@@ -146,10 +150,6 @@ pub const PROTO_MINOR: u32 = 3;
 /// answered. A coordinator ignores it: its shard servers serve postings
 /// only, and it verifies every metric itself.
 pub const SUPPORTED_METRICS: [&str; 4] = ["wed", "dtw", "lcss", "frechet"];
-
-/// Hard cap on spans returned per `shard_spans` page, keeping every reply
-/// frame far below [`MAX_FRAME_BYTES`] even for huge shards.
-pub(crate) const SPAN_PAGE_MAX: usize = 65_536;
 
 /// Checks a frame's `"v"` field — its raw value text, if the frame has
 /// one — against [`PROTO_MAJOR`]. Absent means major 1 (pre-versioning
@@ -339,20 +339,6 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// One page of a shard's span table (parallel departure/arrival arrays,
-    /// dense by local slot). `total` is the shard's local trajectory count;
-    /// the caller pages until `start + departures.len() == total`.
-    /// [`Reply::from_json`] rejects a page whose arrays differ in length.
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct SpanPage {
-        pub start: u64,
-        pub total: u64,
-        pub departures: Vec<f64>,
-        pub arrivals: Vec<f64>,
-    }
-}
-
-wire_struct! {
     /// One span on the wire — a [`trajsearch_obs::SpanRecord`] with the name
     /// owned (the in-process record borrows a `&'static str`, which cannot be
     /// decoded) and without the trace id (the enclosing [`TraceEntry`] carries
@@ -417,15 +403,6 @@ wire_enum! {
         /// Describe the served shard ([`ShardInfo`]), including the `epoch`
         /// every data RPC must echo.
         ShardInfo as "shard_info" { id: u64 },
-        /// Postings-list lengths for a batch of symbols (one round trip primes
-        /// a whole pattern's frequencies).
-        ShardFreqs as "shard_freqs" {
-            id: u64,
-            epoch: u64,
-            deadline_ms: Option<u64>,
-            trace_id: Option<u64>,
-            syms: Vec<Sym>,
-        },
         /// Full postings lists for a batch of symbols, in this shard's build
         /// order.
         ShardPostings as "shard_postings" {
@@ -445,15 +422,6 @@ wire_enum! {
             sym: Sym,
             t_max: f64,
         },
-        /// One page of the shard's span table, `count` clamped to 65 536.
-        ShardSpans as "shard_spans" {
-            id: u64,
-            epoch: u64,
-            deadline_ms: Option<u64>,
-            trace_id: Option<u64>,
-            start: u64,
-            count: u64,
-        },
     }
     pub fn id(&self) -> u64;
 }
@@ -463,10 +431,8 @@ impl Request {
     pub fn trace_id(&self) -> Option<u64> {
         match self {
             Request::Query { trace_id, .. }
-            | Request::ShardFreqs { trace_id, .. }
             | Request::ShardPostings { trace_id, .. }
-            | Request::ShardDepartingBy { trace_id, .. }
-            | Request::ShardSpans { trace_id, .. } => *trace_id,
+            | Request::ShardDepartingBy { trace_id, .. } => *trace_id,
             _ => None,
         }
     }
@@ -477,10 +443,8 @@ impl Request {
     pub fn set_trace_id(&mut self, trace: u64) {
         match self {
             Request::Query { trace_id, .. }
-            | Request::ShardFreqs { trace_id, .. }
             | Request::ShardPostings { trace_id, .. }
-            | Request::ShardDepartingBy { trace_id, .. }
-            | Request::ShardSpans { trace_id, .. } => *trace_id = Some(trace),
+            | Request::ShardDepartingBy { trace_id, .. } => *trace_id = Some(trace),
             _ => {}
         }
     }
@@ -562,12 +526,9 @@ wire_enum! {
             metrics: Vec<String> = sparse,
         },
         ShardInfo as "shard_info" { id: u64, info: ShardInfo },
-        /// Lengths, parallel to the request's `syms`.
-        ShardFreqs as "shard_freqs" { id: u64, freqs: Vec<u32> },
         /// Lists, parallel to the request's `syms`.
         ShardPostings as "shard_postings" { id: u64, lists: Vec<Vec<Posting>> },
         ShardDepartingBy as "shard_departing_by" { id: u64, entries: Vec<(f64, Posting)> },
-        ShardSpans as "shard_spans" { id: u64, page: SpanPage },
     }
 }
 
@@ -582,10 +543,8 @@ impl Reply {
             | Reply::MetricsText { id, .. }
             | Reply::Hello { id, .. }
             | Reply::ShardInfo { id, .. }
-            | Reply::ShardFreqs { id, .. }
             | Reply::ShardPostings { id, .. }
-            | Reply::ShardDepartingBy { id, .. }
-            | Reply::ShardSpans { id, .. } => Some(*id),
+            | Reply::ShardDepartingBy { id, .. } => Some(*id),
         }
     }
 
@@ -602,25 +561,19 @@ impl Reply {
     }
 
     pub fn from_json(text: &str) -> Result<Reply, String> {
-        let reply = match read_frame::<Reply>(text) {
+        match read_frame::<Reply>(text) {
             (Ok(reply), v) => {
                 check_version(v).map_err(|e| e.to_string())?;
-                reply
+                Ok(reply)
             }
             // Error path: a syntax error, then the version, win over the
             // decode error, as for a parse-then-decode reader.
             (Err(msg), _) => {
                 json::check(text)?;
                 check_version(Reader::new(text).member("v")).map_err(|e| e.to_string())?;
-                return Err(msg);
-            }
-        };
-        if let Reply::ShardSpans { page, .. } = &reply {
-            if page.departures.len() != page.arrivals.len() {
-                return Err("span page arrays must have equal length".into());
+                Err(msg)
             }
         }
-        Ok(reply)
     }
 }
 
@@ -761,7 +714,7 @@ mod tests {
         assert_eq!(back, req);
         assert_eq!(back.trace_id(), Some(77));
         // set_trace_id stamps every data RPC and ignores the rest.
-        let mut rpc = Request::ShardFreqs {
+        let mut rpc = Request::ShardPostings {
             id: 2,
             epoch: 7,
             deadline_ms: None,
@@ -986,7 +939,7 @@ mod tests {
     fn shard_rpc_argument_validation_is_malformed_not_a_panic() {
         // Missing epoch.
         let (id, err) =
-            Request::from_json(r#"{"v":1,"type":"shard_freqs","id":1,"syms":[1]}"#).unwrap_err();
+            Request::from_json(r#"{"v":1,"type":"shard_postings","id":1,"syms":[1]}"#).unwrap_err();
         assert_eq!(id, Some(1));
         assert_eq!(err.kind, ServerErrorKind::Malformed);
         // Non-finite t_max (JSON can't write NaN; overflowing exponent
@@ -1001,12 +954,6 @@ mod tests {
             Request::from_json(r#"{"v":1,"type":"shard_postings","id":3,"epoch":0,"syms":[-1]}"#)
                 .unwrap_err();
         assert_eq!(err.kind, ServerErrorKind::Malformed);
-        // Mismatched span arrays on the reply side.
-        let e = Reply::from_json(
-            r#"{"v":1,"type":"shard_spans","id":4,"page":{"start":0,"total":1,"departures":[1.0],"arrivals":[]}}"#,
-        )
-        .unwrap_err();
-        assert!(e.contains("equal length"), "got: {e}");
     }
 
     #[test]

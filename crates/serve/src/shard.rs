@@ -19,17 +19,16 @@
 //!   backlog ages the later frames) is answered `deadline_exceeded`
 //!   without touching the index.
 
-use crate::proto::{
-    Reply, Request, ServerError, ServerErrorKind, ShardInfo, SpanPage, SPAN_PAGE_MAX,
-};
+use crate::proto::{Reply, Request, ServerError, ServerErrorKind, ShardInfo};
 use std::time::{Duration, Instant};
 use trajsearch_core::{IndexShard, Posting};
 use wed::Sym;
 
-/// What a shard server serves: the read-only, slice-returning half of the
-/// `PostingSource` contract plus self-description. Implementations must be
-/// total over hostile inputs — out-of-alphabet symbols have no postings
-/// (empty results), never a panic.
+/// What a shard server serves: the postings half of the `PostingSource`
+/// contract plus self-description (a coordinator derives frequencies and
+/// spans from the store it holds). Implementations must be total over
+/// hostile inputs — out-of-alphabet symbols have no postings (empty
+/// results), never a panic.
 pub trait ShardSource: Sync {
     fn info(&self) -> ShardInfo;
     /// The shard's build epoch; data RPCs echoing a different value are
@@ -37,16 +36,11 @@ pub trait ShardSource: Sync {
     fn epoch(&self) -> u64 {
         self.info().epoch
     }
-    /// Postings-list lengths, parallel to `syms`.
-    fn freqs(&self, syms: &[Sym]) -> Vec<u32>;
     /// Postings lists in build order, parallel to `syms`.
     fn postings(&self, syms: &[Sym]) -> Vec<Vec<Posting>>;
     /// Departure-sorted prefix with departure `<= t_max`; `None` when the
     /// temporal orderings are not built.
     fn departing_by(&self, sym: Sym, t_max: f64) -> Option<Vec<(f64, Posting)>>;
-    /// One page of the span table starting at local slot `start`; at most
-    /// `count` (already clamped to 65 536) entries.
-    fn spans(&self, start: u64, count: u64) -> SpanPage;
 }
 
 /// [`ShardSource`] over an in-memory [`IndexShard`]. The `epoch` is
@@ -86,18 +80,6 @@ impl ShardSource for IndexShardSource<'_> {
         self.epoch
     }
 
-    fn freqs(&self, syms: &[Sym]) -> Vec<u32> {
-        syms.iter()
-            .map(|&q| {
-                if self.in_alphabet(q) {
-                    self.shard.freq(q)
-                } else {
-                    0
-                }
-            })
-            .collect()
-    }
-
     fn postings(&self, syms: &[Sym]) -> Vec<Vec<Posting>> {
         syms.iter()
             .map(|&q| {
@@ -119,18 +101,6 @@ impl ShardSource for IndexShardSource<'_> {
         self.shard
             .postings_departing_by(sym, t_max)
             .map(|s| s.to_vec())
-    }
-
-    fn spans(&self, start: u64, count: u64) -> SpanPage {
-        let total = self.shard.num_local_trajectories();
-        let lo = (start as usize).min(total);
-        let hi = lo + (count as usize).min(SPAN_PAGE_MAX).min(total - lo);
-        SpanPage {
-            start: lo as u64,
-            total: total as u64,
-            departures: self.shard.departures()[lo..hi].to_vec(),
-            arrivals: self.shard.arrivals()[lo..hi].to_vec(),
-        }
     }
 }
 
@@ -158,25 +128,13 @@ pub(crate) fn answer_shard_rpc<S: ShardSource>(
                 RpcDisposition::Ok,
             )
         }
-        Request::ShardFreqs {
-            id,
-            epoch,
-            deadline_ms,
-            ..
-        }
-        | Request::ShardPostings {
+        Request::ShardPostings {
             id,
             epoch,
             deadline_ms,
             ..
         }
         | Request::ShardDepartingBy {
-            id,
-            epoch,
-            deadline_ms,
-            ..
-        }
-        | Request::ShardSpans {
             id,
             epoch,
             deadline_ms,
@@ -225,10 +183,6 @@ pub(crate) fn answer_shard_rpc<S: ShardSource>(
         }
     }
     let reply = match request {
-        Request::ShardFreqs { id, syms, .. } => Reply::ShardFreqs {
-            id,
-            freqs: source.freqs(&syms),
-        },
         Request::ShardPostings { id, syms, .. } => Reply::ShardPostings {
             id,
             lists: source.postings(&syms),
@@ -247,12 +201,6 @@ pub(crate) fn answer_shard_rpc<S: ShardSource>(
                     RpcDisposition::Invalid,
                 )
             }
-        },
-        Request::ShardSpans {
-            id, start, count, ..
-        } => Reply::ShardSpans {
-            id,
-            page: source.spans(start, count),
         },
         _ => unreachable!("non-data RPCs returned above"),
     };
@@ -286,10 +234,6 @@ mod tests {
         assert_eq!(info.num_trajectories, 4);
         assert_eq!(info.local_trajectories, 2);
         assert!(info.has_temporal_postings);
-        assert_eq!(src.freqs(&[0, 1, 2, 3]), {
-            let want: Vec<u32> = (0..4).map(|q| shard.freq(q)).collect();
-            want
-        });
         assert_eq!(src.postings(&[1]), vec![shard.postings(1).to_vec()]);
     }
 
@@ -297,25 +241,8 @@ mod tests {
     fn out_of_alphabet_symbols_are_empty_not_a_panic() {
         let shard = shard();
         let src = IndexShardSource::new(&shard, 7);
-        assert_eq!(src.freqs(&[99]), vec![0]);
         assert_eq!(src.postings(&[99]), vec![Vec::new()]);
         assert_eq!(src.departing_by(99, 1e9), Some(Vec::new()));
-    }
-
-    #[test]
-    fn spans_pages_clamp_to_bounds() {
-        let shard = shard();
-        let src = IndexShardSource::new(&shard, 7);
-        let all = src.spans(0, u64::MAX);
-        assert_eq!(all.total, 2);
-        assert_eq!(all.departures.len(), 2);
-        assert_eq!(all.departures, shard.departures());
-        let tail = src.spans(1, 10);
-        assert_eq!(tail.start, 1);
-        assert_eq!(tail.departures, &shard.departures()[1..]);
-        let past = src.spans(10, 10);
-        assert_eq!(past.departures.len(), 0);
-        assert_eq!(past.start, 2);
     }
 
     #[test]
@@ -324,7 +251,7 @@ mod tests {
         let src = IndexShardSource::new(&shard, 7);
         let (reply, _) = answer_shard_rpc(
             &src,
-            Request::ShardFreqs {
+            Request::ShardPostings {
                 id: 1,
                 epoch: 8,
                 deadline_ms: None,
@@ -344,7 +271,7 @@ mod tests {
         // deadline hook.
         let (reply, _) = answer_shard_rpc(
             &src,
-            Request::ShardFreqs {
+            Request::ShardPostings {
                 id: 2,
                 epoch: 7,
                 deadline_ms: Some(0),

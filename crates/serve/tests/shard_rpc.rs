@@ -6,10 +6,10 @@
 //!   typed `malformed` (never a panic); an unknown protocol major is a
 //!   typed `unsupported_version` — the bytes were fine, the dialect was
 //!   not — while an absent `v` stays major-1 back-compatible.
-//! * **Shard role** — `serve_shard` answers the `PostingSource` contract
-//!   byte-identically to the local `IndexShard`, and every guard (epoch,
-//!   deadline, wrong role) is a typed error that leaves the connection
-//!   usable.
+//! * **Shard role** — `serve_shard` answers its half of the
+//!   `PostingSource` contract byte-identically to the local `IndexShard`,
+//!   and every guard (epoch, deadline, wrong role, a frame retired in
+//!   minor 4) is a typed error that leaves the connection usable.
 //! * **Exactly once** — the client never resubmits: a counting handler
 //!   proves a pipelined batch applies each query once, an `overloaded`
 //!   admission rejection applies none, and a `deadline_exceeded` query is
@@ -30,7 +30,7 @@ use trajsearch_core::{
 use trajsearch_serve::{
     Client, ClientError, DegradedInfo, Handled, IndexShardSource, QueryHandler, QueryOutcome,
     Reply, Request, Server, ServerConfig, ServerErrorKind, ServerHandle, ShardInfo, ShardSource,
-    SpanPage, PROTO_MAJOR, PROTO_MINOR, SUPPORTED_METRICS,
+    PROTO_MAJOR, PROTO_MINOR, SUPPORTED_METRICS,
 };
 use wed::models::Lev;
 use wed::Sym;
@@ -93,36 +93,21 @@ fn slow_query(deadline_ms: Option<u64>) -> Query {
 
 /// One of each data RPC, for mutation-style properties.
 fn sample_request(which: usize) -> Request {
-    match which % 4 {
-        0 => Request::ShardFreqs {
-            id: 7,
-            epoch: 3,
-            deadline_ms: Some(250),
-            trace_id: None,
-            syms: vec![0, 5, 11],
-        },
-        1 => Request::ShardPostings {
+    match which % 2 {
+        0 => Request::ShardPostings {
             id: 8,
             epoch: 3,
             deadline_ms: None,
             trace_id: Some(9),
             syms: vec![2, 2, 9],
         },
-        2 => Request::ShardDepartingBy {
+        _ => Request::ShardDepartingBy {
             id: 9,
             epoch: 3,
             deadline_ms: Some(1000),
             trace_id: None,
             sym: 4,
             t_max: 123.5,
-        },
-        _ => Request::ShardSpans {
-            id: 10,
-            epoch: 3,
-            deadline_ms: None,
-            trace_id: None,
-            start: 64,
-            count: 32,
         },
     }
 }
@@ -143,8 +128,6 @@ proptest! {
         syms in proptest::collection::vec(0u32..4096, 0..12),
         sym in 0u32..4096,
         t_raw in 0i64..8_000_000,
-        start in 0u64..1_000_000,
-        count in 0u64..1_000_000,
         major in 0u32..9,
         minor in 0u32..9,
         has_trace in 0usize..2,
@@ -156,10 +139,8 @@ proptest! {
         // rendering is shortest-round-trip, so equality is exact.
         let t_max = t_raw as f64 * 0.25 - 1000.0;
         let frames = vec![
-            Request::ShardFreqs { id, epoch, deadline_ms, trace_id, syms: syms.clone() },
             Request::ShardPostings { id, epoch, deadline_ms, trace_id, syms: syms.clone() },
             Request::ShardDepartingBy { id, epoch, deadline_ms, trace_id, sym, t_max },
-            Request::ShardSpans { id, epoch, deadline_ms, trace_id, start, count },
             Request::ShardInfo { id },
             Request::Hello { id, major, minor },
         ];
@@ -174,7 +155,6 @@ proptest! {
     #[test]
     fn shard_reply_frames_round_trip(
         id in 0u64..1_000_000_000,
-        freqs in proptest::collection::vec(0u32..1_000_000, 0..12),
         pairs in proptest::collection::vec((0u32..100_000, 0u32..256), 0..12),
         deps in proptest::collection::vec(0i64..4_000_000, 0..12),
         start in 0u64..10_000,
@@ -187,8 +167,6 @@ proptest! {
             .zip(pairs.iter().cycle())
             .map(|(&d, &p)| (d as f64 * 0.5, p))
             .collect();
-        let departures: Vec<f64> = deps.iter().map(|&d| d as f64 * 0.25).collect();
-        let arrivals: Vec<f64> = departures.iter().map(|d| d + 3.5).collect();
         let mut missing = shards.clone();
         missing.sort_unstable();
         missing.dedup();
@@ -214,18 +192,8 @@ proptest! {
                     has_temporal_postings: minor % 2 == 0,
                 },
             },
-            Reply::ShardFreqs { id, freqs: freqs.clone() },
             Reply::ShardPostings { id, lists: vec![pairs.clone(), Vec::new()] },
             Reply::ShardDepartingBy { id, entries },
-            Reply::ShardSpans {
-                id,
-                page: SpanPage {
-                    start,
-                    total: start + departures.len() as u64,
-                    departures,
-                    arrivals,
-                },
-            },
             Reply::Degraded {
                 id,
                 degraded: DegradedInfo {
@@ -244,7 +212,7 @@ proptest! {
 
     #[test]
     fn truncated_shard_frames_classify_as_malformed(
-        which in 0usize..4,
+        which in 0usize..2,
         cut in 0usize..4096,
     ) {
         let full = sample_request(which).to_json();
@@ -258,7 +226,7 @@ proptest! {
 
     #[test]
     fn byte_flipped_shard_frames_never_panic(
-        which in 0usize..4,
+        which in 0usize..2,
         at in 0usize..4096,
         flip in 0usize..1024,
     ) {
@@ -276,7 +244,7 @@ proptest! {
 #[test]
 fn unknown_major_is_unsupported_version_not_malformed() {
     for text in [
-        r#"{"v":2,"type":"shard_freqs","id":9,"epoch":1,"syms":[1]}"#,
+        r#"{"v":2,"type":"shard_postings","id":9,"epoch":1,"syms":[1]}"#,
         r#"{"v":99,"type":"hello","id":9,"major":99,"minor":0}"#,
         r#"{"v":2,"type":"no_such_rpc","id":9}"#,
     ] {
@@ -337,16 +305,6 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
         // Every data RPC answers byte-identically to the local shard,
         // including an out-of-alphabet symbol (empty, not an error).
         let syms: Vec<Sym> = (0..ALPHABET as u32).chain([999]).collect();
-        match rpc(&mut client, |id| Request::ShardFreqs {
-            id,
-            epoch: EPOCH,
-            deadline_ms: Some(30_000),
-            trace_id: None,
-            syms: syms.clone(),
-        }) {
-            Reply::ShardFreqs { freqs, .. } => assert_eq!(freqs, source.freqs(&syms)),
-            other => panic!("expected freqs, got {other:?}"),
-        }
         match rpc(&mut client, |id| Request::ShardPostings {
             id,
             epoch: EPOCH,
@@ -374,37 +332,9 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
                 other => panic!("expected departing prefix, got {other:?}"),
             }
         }
-        // Spans, paged with a deliberately tiny page size: reassembling the
-        // pages yields the full local table.
-        let all = source.spans(0, u64::MAX);
-        let mut departures = Vec::new();
-        let mut arrivals = Vec::new();
-        while (departures.len() as u64) < all.total {
-            let at = departures.len() as u64;
-            match rpc(&mut client, |id| Request::ShardSpans {
-                id,
-                epoch: EPOCH,
-                deadline_ms: Some(30_000),
-                trace_id: None,
-                start: at,
-                count: 3,
-            }) {
-                Reply::ShardSpans { page, .. } => {
-                    assert_eq!(page.start, at);
-                    assert_eq!(page.total, all.total);
-                    assert!(!page.departures.is_empty(), "pages must make progress");
-                    departures.extend(page.departures);
-                    arrivals.extend(page.arrivals);
-                }
-                other => panic!("expected a span page, got {other:?}"),
-            }
-        }
-        assert_eq!(departures, all.departures);
-        assert_eq!(arrivals, all.arrivals);
-
         // Guards, in order: stale epoch, expired deadline, wrong role.
         // Each is a typed error — and the connection survives all three.
-        match rpc(&mut client, |id| Request::ShardFreqs {
+        match rpc(&mut client, |id| Request::ShardPostings {
             id,
             epoch: EPOCH + 1,
             deadline_ms: None,
@@ -416,7 +346,7 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
         }
         // A zero budget has always already expired — the deterministic
         // deadline hook.
-        match rpc(&mut client, |id| Request::ShardFreqs {
+        match rpc(&mut client, |id| Request::ShardPostings {
             id,
             epoch: EPOCH,
             deadline_ms: Some(0),
@@ -440,21 +370,21 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
             }
             other => panic!("expected a wrong-role error, got {other:?}"),
         }
-        match rpc(&mut client, |id| Request::ShardFreqs {
+        match rpc(&mut client, |id| Request::ShardPostings {
             id,
             epoch: EPOCH,
             deadline_ms: None,
             trace_id: None,
             syms: vec![1],
         }) {
-            Reply::ShardFreqs { freqs, .. } => {
+            Reply::ShardPostings { lists, .. } => {
                 assert_eq!(
-                    freqs,
-                    source.freqs(&[1]),
+                    lists,
+                    source.postings(&[1]),
                     "connection survives typed errors"
                 )
             }
-            other => panic!("expected freqs after errors, got {other:?}"),
+            other => panic!("expected postings after errors, got {other:?}"),
         }
 
         // The role-independent surface works on shard servers too, and the
@@ -467,6 +397,70 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
             "epoch + wrong-role, got {}",
             stats.invalid
         );
+
+        drop(guard);
+        serving.join().expect("serve thread").expect("serve ok");
+    });
+}
+
+/// Minor 4 retired `shard_freqs` and `shard_spans`. A coordinator from
+/// before it still sends them: each gets a typed `malformed` reply that
+/// echoes its id, and the connection keeps serving the RPCs that remain.
+#[test]
+fn retired_shard_rpcs_are_malformed_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    const EPOCH: u64 = 3;
+    let store = small_store(12, 6);
+    let shard = IndexShard::build(&store, ALPHABET, 0, 1);
+    let source = IndexShardSource::new(&shard, EPOCH);
+
+    let server = Server::bind(ServerConfig::default()).expect("bind shard server");
+    let handle = server.handle();
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(handle.clone());
+        let serving = scope.spawn(|| server.serve_shard(&source));
+        let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+        let mut replies = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut roundtrip = |frame: &str| {
+            stream
+                .write_all(format!("{frame}\n").as_bytes())
+                .expect("send");
+            let mut line = String::new();
+            replies.read_line(&mut line).expect("recv");
+            Reply::from_json(line.trim_end()).expect("a reply frame")
+        };
+        for (id, frame) in [
+            (
+                21,
+                r#"{"v":1,"type":"shard_freqs","id":21,"epoch":3,"deadline_ms":250,"syms":[4,9]}"#,
+            ),
+            (
+                22,
+                r#"{"v":1,"type":"shard_spans","id":22,"epoch":3,"start":0,"count":65536}"#,
+            ),
+        ] {
+            match roundtrip(frame) {
+                Reply::Error { id: got, error } => {
+                    assert_eq!(got, Some(id), "{frame}");
+                    assert_eq!(error.kind, ServerErrorKind::Malformed, "{frame}");
+                }
+                other => panic!("{frame}: expected malformed, got {other:?}"),
+            }
+        }
+        let postings = Request::ShardPostings {
+            id: 23,
+            epoch: EPOCH,
+            deadline_ms: None,
+            trace_id: None,
+            syms: vec![1],
+        };
+        match roundtrip(&postings.to_json()) {
+            Reply::ShardPostings { id, lists } => {
+                assert_eq!(id, 23);
+                assert_eq!(lists, source.postings(&[1]));
+            }
+            other => panic!("expected postings, got {other:?}"),
+        }
 
         drop(guard);
         serving.join().expect("serve thread").expect("serve ok");
@@ -528,7 +522,7 @@ fn query_servers_refuse_shard_rpcs_with_a_typed_error() {
         let serving = scope.spawn(|| server.serve(&engine));
         let mut client = Client::connect(handle.local_addr()).expect("connect");
 
-        match rpc(&mut client, |id| Request::ShardFreqs {
+        match rpc(&mut client, |id| Request::ShardPostings {
             id,
             epoch: 0,
             deadline_ms: None,

@@ -1,4 +1,4 @@
-//! Byte-identity gate for the wire protocol (minors 1–3).
+//! Byte-identity gate for the wire protocol (minors 1–4).
 //!
 //! Every `Request` and `Reply` variant — each optional field both present
 //! and absent — and one `Query` body per objective × option set is pinned
@@ -24,7 +24,7 @@ use trajsearch_core::{
 };
 use trajsearch_serve::{
     DegradedInfo, LatencySummary, MetricsSnapshot, Reply, Request, ServerError, ServerErrorKind,
-    ShardInfo, SpanPage, TraceEntry, WireSpan,
+    ShardInfo, TraceEntry, WireSpan,
 };
 
 fn plain_query() -> Query {
@@ -175,28 +175,8 @@ fn request_rows() -> Vec<(Request, &'static str)> {
             Request::ShardInfo { id: 2 },
             r#"{"v":1,"type":"shard_info","id":2}"#,
         ),
-        // The four module-doc shard RPC frames, then each with the optional
+        // The two module-doc shard data RPC frames, then each with the optional
         // fields flipped.
-        (
-            Request::ShardFreqs {
-                id: 3,
-                epoch: 7,
-                deadline_ms: Some(250),
-                trace_id: None,
-                syms: vec![4, 9],
-            },
-            r#"{"v":1,"type":"shard_freqs","id":3,"epoch":7,"deadline_ms":250,"syms":[4,9]}"#,
-        ),
-        (
-            Request::ShardFreqs {
-                id: 11,
-                epoch: 7,
-                deadline_ms: None,
-                trace_id: Some(31),
-                syms: Vec::new(),
-            },
-            r#"{"v":1,"type":"shard_freqs","id":11,"epoch":7,"trace_id":31,"syms":[]}"#,
-        ),
         (
             Request::ShardPostings {
                 id: 4,
@@ -238,28 +218,6 @@ fn request_rows() -> Vec<(Request, &'static str)> {
                 t_max: -0.125,
             },
             r#"{"v":1,"type":"shard_departing_by","id":13,"epoch":7,"deadline_ms":1,"trace_id":31,"sym":4,"t_max":-0.125}"#,
-        ),
-        (
-            Request::ShardSpans {
-                id: 6,
-                epoch: 7,
-                deadline_ms: None,
-                trace_id: None,
-                start: 0,
-                count: 65536,
-            },
-            r#"{"v":1,"type":"shard_spans","id":6,"epoch":7,"start":0,"count":65536}"#,
-        ),
-        (
-            Request::ShardSpans {
-                id: 14,
-                epoch: 7,
-                deadline_ms: Some(40),
-                trace_id: Some(31),
-                start: 65536,
-                count: 10,
-            },
-            r#"{"v":1,"type":"shard_spans","id":14,"epoch":7,"deadline_ms":40,"trace_id":31,"start":65536,"count":10}"#,
         ),
     ]
 }
@@ -394,13 +352,6 @@ fn reply_rows() -> Vec<(Reply, &'static str)> {
             r#"{"v":1,"type":"shard_info","id":20,"info":{"shard_id":1,"num_shards":3,"epoch":7,"alphabet_size":64,"local_trajectories":40,"num_trajectories":120,"total_postings":960,"size_bytes":7680,"has_temporal_postings":true}}"#,
         ),
         (
-            Reply::ShardFreqs {
-                id: 21,
-                freqs: vec![0, 3, 17],
-            },
-            r#"{"v":1,"type":"shard_freqs","id":21,"freqs":[0,3,17]}"#,
-        ),
-        (
             Reply::ShardPostings {
                 id: 22,
                 lists: vec![vec![(1, 0), (4, 2)], vec![]],
@@ -413,18 +364,6 @@ fn reply_rows() -> Vec<(Reply, &'static str)> {
                 entries: vec![(0.25, (1, 0)), (180.5, (4, 2))],
             },
             r#"{"v":1,"type":"shard_departing_by","id":23,"entries":[[0.25,1,0],[180.5,4,2]]}"#,
-        ),
-        (
-            Reply::ShardSpans {
-                id: 24,
-                page: SpanPage {
-                    start: 0,
-                    total: 40,
-                    departures: vec![0.25, 1.5],
-                    arrivals: vec![2.75, 9.0],
-                },
-            },
-            r#"{"v":1,"type":"shard_spans","id":24,"page":{"start":0,"total":40,"departures":[0.25,1.5],"arrivals":[2.75,9]}}"#,
         ),
     ]
 }
@@ -598,8 +537,8 @@ fn legacy_frames_keep_decoding() {
         ),
         // `trace_id: null` on a shard RPC means untraced.
         (
-            r#"{"v":1,"type":"shard_freqs","id":3,"epoch":7,"trace_id":null,"syms":[4]}"#,
-            Request::ShardFreqs {
+            r#"{"v":1,"type":"shard_postings","id":3,"epoch":7,"trace_id":null,"syms":[4]}"#,
+            Request::ShardPostings {
                 id: 3,
                 epoch: 7,
                 deadline_ms: None,
@@ -733,10 +672,10 @@ fn legacy_frames_keep_decoding() {
 fn null_is_absent_and_floats_are_finite_on_every_key() {
     assert_eq!(
         Request::from_json(
-            r#"{"v":1,"type":"shard_freqs","id":3,"epoch":7,"deadline_ms":null,"syms":[4]}"#
+            r#"{"v":1,"type":"shard_postings","id":3,"epoch":7,"deadline_ms":null,"syms":[4]}"#
         )
         .unwrap(),
-        Request::ShardFreqs {
+        Request::ShardPostings {
             id: 3,
             epoch: 7,
             deadline_ms: None,
