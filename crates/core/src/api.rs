@@ -240,17 +240,25 @@ impl<'a, M: WedInstance> EngineBuilder<'a, M> {
     /// Wraps a pre-built posting source instead (built, compacted, reopened
     /// from a snapshot or temporal-enabled by the caller) — the expert
     /// escape hatch. The index must cover exactly the
-    /// trajectories of the store; `layout`/`temporal_postings` settings are
-    /// ignored, and [`build_time`](SearchEngine::build_time) reports zero
-    /// since construction happened outside.
+    /// trajectories of the store, over the builder's alphabet (admission
+    /// trusts the index's alphabet, and the model prices only its own);
+    /// `layout`/`temporal_postings` settings are ignored, and
+    /// [`build_time`](SearchEngine::build_time) reports zero since
+    /// construction happened outside.
     ///
     /// # Panics
-    /// Panics if `index.num_trajectories() != store.len()`.
+    /// Panics if `index.num_trajectories() != store.len()` or
+    /// `index.alphabet_size() != alphabet_size`.
     pub fn build_with<I: PostingSource>(self, index: I) -> SearchEngine<'a, M, I> {
         assert_eq!(
             index.num_trajectories(),
             self.store.len(),
             "index and store must cover the same trajectories"
+        );
+        assert_eq!(
+            index.alphabet_size(),
+            self.alphabet_size,
+            "index and builder must share the alphabet"
         );
         SearchEngine::from_parts(self.model, self.store, index, Duration::ZERO)
     }
@@ -779,6 +787,13 @@ mod tests {
     #[should_panic(expected = "same trajectories")]
     fn prebuilt_index_must_cover_store() {
         let store = store();
+        // A larger alphabet alone is refused too, with its own message.
+        let wide = std::panic::catch_unwind(|| {
+            EngineBuilder::new(Lev, &store, 10).build_with(InvertedIndex::build(&store, 11));
+        });
+        let msg = wide.expect_err("a wider alphabet than the builder's");
+        let msg = msg.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("share the alphabet"), "{msg}");
         let partial = store.prefix(2);
         let index = InvertedIndex::build(&partial, 10);
         EngineBuilder::new(Lev, &store, 10).build_with(index);

@@ -38,29 +38,6 @@ impl Wire for Posting {
     }
 }
 
-/// A by-departure entry on the wire: the **flat** `[departure, traj_id, pos]`
-/// triple, not a nested pair.
-impl Wire for (f64, Posting) {
-    fn write_wire(&self, out: &mut String) {
-        let (departure, (id, pos)) = self;
-        out.push('[');
-        departure.write_wire(out);
-        out.push(',');
-        id.write_wire(out);
-        out.push(',');
-        pos.write_wire(out);
-        out.push(']');
-    }
-
-    fn read_wire(r: &mut Reader<'_>) -> Result<Self, String> {
-        r.tuple(3, "must be a [departure, traj_id, pos] triple", |r| {
-            let departure = f64::read_wire(r.element(0)?)?;
-            let id = u32::read_wire(r.element(1)?)?;
-            Ok((departure, (id, u32::read_wire(r.element(2)?)?)))
-        })
-    }
-}
-
 /// Everything the filtering and search layers consume from a postings
 /// index, abstracted so the storage layout is swappable: contiguous
 /// per-symbol lists ([`InvertedIndex`]), postings partitioned by trajectory
@@ -127,22 +104,17 @@ pub trait PostingSource {
 /// [`ShardedIndex`](crate::sharded::ShardedIndex) and
 /// [`IndexShard`](crate::sharded::IndexShard): per-symbol postings lists over
 /// the trajectories with `id % num_shards == shard_id`. Postings carry
-/// *global* ids; the per-trajectory spans are stored densely at local slot
-/// `id / num_shards`.
+/// *global* ids. The spans live beside the lists, in one table by global id
+/// ([`span_table`]); a standalone `IndexShard` serves postings only.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     pub(crate) postings: Vec<Vec<Posting>>,
-    /// Per-trajectory departure times, for temporal pre-filtering.
-    pub(crate) departures: Vec<f64>,
-    /// Per-trajectory arrival times.
-    pub(crate) arrivals: Vec<f64>,
     pub(crate) total_postings: usize,
     /// §4.3 extension: per-symbol postings sorted by trajectory departure
     /// time, so temporal candidate generation can binary-search instead of
     /// scanning. Built on demand by
     /// [`enable_temporal_postings`](Shard::enable_temporal_postings).
     pub(crate) dep_postings: Option<Vec<Vec<(f64, Posting)>>>,
-    pub(crate) num_shards: usize,
 }
 
 impl Shard {
@@ -153,42 +125,26 @@ impl Shard {
         shard_id: usize,
         num_shards: usize,
     ) -> Self {
-        // Visit only owned ids (ascending, so local slots stay dense):
-        // per-shard cost is O(total/num_shards), not a full store scan.
-        let owned = (shard_id..store.len()).step_by(num_shards);
+        // Visit only owned ids: per-shard cost is O(total/num_shards), not a
+        // full store scan.
         let mut shard = Shard {
             postings: vec![Vec::new(); alphabet_size],
-            departures: Vec::with_capacity(owned.len()),
-            arrivals: Vec::with_capacity(owned.len()),
             total_postings: 0,
             dep_postings: None,
-            num_shards,
         };
-        for id in owned {
+        for id in (shard_id..store.len()).step_by(num_shards) {
             let t = store.get(id as TrajId);
             for (j, &q) in t.path().iter().enumerate() {
                 shard.postings[q as usize].push((id as TrajId, j as u32));
             }
             shard.total_postings += t.len();
-            shard.departures.push(t.departure());
-            shard.arrivals.push(t.arrival());
         }
         shard
     }
 
-    /// Local slot of an owned trajectory's span.
-    fn slot(&self, id: TrajId) -> usize {
-        id as usize / self.num_shards
-    }
-
-    /// Time span of an owned trajectory, by its global id.
-    pub(crate) fn span(&self, id: TrajId) -> (f64, f64) {
-        let slot = self.slot(id);
-        (self.departures[slot], self.arrivals[slot])
-    }
-
-    /// Builds the by-departure ordering of every list; idempotent.
-    pub(crate) fn enable_temporal_postings(&mut self) {
+    /// Builds the by-departure ordering of every list, sorting by the
+    /// departures of `spans` (the [`span_table`] of the store); idempotent.
+    pub(crate) fn enable_temporal_postings(&mut self, spans: &[(f64, f64)]) {
         if self.dep_postings.is_some() {
             return;
         }
@@ -196,7 +152,7 @@ impl Shard {
         for list in &self.postings {
             let mut v: Vec<(f64, Posting)> = list
                 .iter()
-                .map(|&(id, j)| (self.departures[self.slot(id)], (id, j)))
+                .map(|&(id, j)| (spans[id as usize].0, (id, j)))
                 .collect();
             v.sort_by(|a, b| a.0.total_cmp(&b.0));
             dp.push(v);
@@ -213,8 +169,8 @@ impl Shard {
         Some(&list[..cut])
     }
 
-    /// Postings records, per-symbol list headers, the span tables and, when
-    /// built, the by-departure ordering with its list headers.
+    /// Postings records, per-symbol list headers and, when built, the
+    /// by-departure ordering with its list headers.
     pub(crate) fn size_bytes(&self) -> usize {
         use std::mem::size_of;
         let by_departure = self.dep_postings.as_ref().map_or(0, |dp| {
@@ -223,22 +179,37 @@ impl Shard {
         });
         self.total_postings * size_of::<Posting>()
             + self.postings.len() * size_of::<Vec<Posting>>()
-            + self.departures.len() * 2 * size_of::<f64>()
             + by_departure
     }
 }
 
+/// `(departure, arrival)` of every trajectory of `store`, by global id.
+pub(crate) fn span_table(store: &TrajectoryStore) -> Vec<(f64, f64)> {
+    store.iter().map(|(_, t)| t.span()).collect()
+}
+
+/// Bytes of a [`span_table`] over `n` trajectories.
+pub(crate) fn span_table_bytes(n: usize) -> usize {
+    n * std::mem::size_of::<(f64, f64)>()
+}
+
 /// Inverted index with per-symbol postings and frequencies: shard 0 of 1
-/// of the list layout, so global ids are local slots and every accessor
-/// indexes the dense arrays directly.
+/// of the list layout, so global ids index the lists and the span table
+/// directly.
 #[derive(Debug, Clone)]
-pub struct InvertedIndex(Shard);
+pub struct InvertedIndex {
+    lists: Shard,
+    spans: Vec<(f64, f64)>,
+}
 
 impl InvertedIndex {
     /// Builds the index over `store`; `alphabet_size` is `|V|` (vertex
     /// representation) or `|E|` (edge representation).
     pub fn build(store: &TrajectoryStore, alphabet_size: usize) -> Self {
-        InvertedIndex(Shard::build(store, alphabet_size, 0, 1))
+        InvertedIndex {
+            lists: Shard::build(store, alphabet_size, 0, 1),
+            spans: span_table(store),
+        }
     }
 
     /// Builds the by-departure ordering of every postings list (§4.3:
@@ -248,14 +219,14 @@ impl InvertedIndex {
     ///
     /// [`postings_departing_by`]: InvertedIndex::postings_departing_by
     pub fn enable_temporal_postings(&mut self) {
-        self.0.enable_temporal_postings();
+        self.lists.enable_temporal_postings(&self.spans);
     }
 
     /// Whether [`enable_temporal_postings`] has been called.
     ///
     /// [`enable_temporal_postings`]: InvertedIndex::enable_temporal_postings
     pub fn has_temporal_postings(&self) -> bool {
-        self.0.dep_postings.is_some()
+        self.lists.dep_postings.is_some()
     }
 
     /// The prefix of `L_q` whose trajectories depart no later than `t_max`,
@@ -266,44 +237,44 @@ impl InvertedIndex {
     /// # Panics
     /// Panics if temporal postings were not enabled.
     pub fn postings_departing_by(&self, q: Sym, t_max: f64) -> &[(f64, Posting)] {
-        self.0
+        self.lists
             .departing_by(q, t_max)
             .expect("temporal postings not enabled")
     }
 
     /// The postings list `L_q`.
     pub fn postings(&self, q: Sym) -> &[Posting] {
-        &self.0.postings[q as usize]
+        &self.lists.postings[q as usize]
     }
 
     /// Symbol frequency `n(q)` (with multiplicity, per the Definition 5
     /// remark).
     pub fn freq(&self, q: Sym) -> u32 {
-        self.0.postings[q as usize].len() as u32
+        self.lists.postings[q as usize].len() as u32
     }
 
     pub fn alphabet_size(&self) -> usize {
-        self.0.postings.len()
+        self.lists.postings.len()
     }
 
     pub fn num_trajectories(&self) -> usize {
-        self.0.departures.len()
+        self.spans.len()
     }
 
     pub fn total_postings(&self) -> usize {
-        self.0.total_postings
+        self.lists.total_postings
     }
 
     /// Trajectory time span `[T_1, T_n]` (the `I^(id)` of §4.3).
     pub fn span(&self, id: TrajId) -> (f64, f64) {
-        (self.0.departures[id as usize], self.0.arrivals[id as usize])
+        self.spans[id as usize]
     }
 
     /// Approximate index memory footprint in bytes (postings + spans +
     /// per-symbol list headers + the by-departure ordering when built),
     /// reported in Table 6.
     pub fn size_bytes(&self) -> usize {
-        self.0.size_bytes()
+        self.lists.size_bytes() + span_table_bytes(self.spans.len())
     }
 
     /// Snapshot hook: compacts this index into the immutable delta+varint

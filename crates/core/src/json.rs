@@ -1458,10 +1458,6 @@ mod tests {
             decode::<Shape>(r#"{"type":"circle","radius":1e999}"#).unwrap_err(),
             "\"radius\": must be a finite number"
         );
-        let entry: (f64, Posting) = (180.5, (4, 2));
-        assert_eq!(encode(&entry), "[180.5,4,2]");
-        assert_eq!(decode::<(f64, Posting)>("[180.5,4,2]").unwrap(), entry);
-        assert!(decode::<(f64, Posting)>("[180.5,[4,2]]").is_err());
         assert_eq!(
             decode::<Vec<Posting>>("[[1,0],[4,2]]").unwrap(),
             [(1, 0), (4, 2)]

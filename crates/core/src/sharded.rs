@@ -3,12 +3,13 @@
 //! The paper's index (§4.1) is one set of per-symbol postings lists. This
 //! crate keeps **one list layout** for it — the crate-private `Shard` of
 //! [`crate::index`]: the lists of the trajectories with
-//! `id % num_shards == shard_id`, global ids in the postings, spans dense by
-//! local slot `id / num_shards` — and three views over it:
-//! [`InvertedIndex`](crate::index::InvertedIndex) is shard 0 of 1,
-//! [`ShardedIndex`] is all `n` shards of one partition in one process, and
-//! [`IndexShard`] is one of them standing alone, ready to be served. What
-//! the partition buys:
+//! `id % num_shards == shard_id`, global ids in the postings — and three
+//! views over it: [`InvertedIndex`](crate::index::InvertedIndex) is shard 0
+//! of 1, [`ShardedIndex`] is all `n` shards of one partition in one
+//! process, and [`IndexShard`] is one of them standing alone, ready to be
+//! served. The first two keep one span table by global id beside their
+//! lists; an `IndexShard` holds postings only, because a coordinator takes
+//! spans from the store it holds. What the partition buys:
 //!
 //! * **Parallel build** — each shard indexes a disjoint subset of
 //!   trajectories, so [`ShardedIndex::build_parallel`] constructs all shards
@@ -27,7 +28,7 @@
 //! sorts/dedups candidates, so `SearchEngine` results are byte-identical at
 //! any shard count (enforced by `tests/index_equivalence.rs`).
 
-use crate::index::{Posting, PostingSource, Shard};
+use crate::index::{span_table, span_table_bytes, Posting, PostingSource, Shard};
 use traj::{TrajId, TrajectoryStore};
 use wed::Sym;
 
@@ -39,7 +40,8 @@ use wed::Sym;
 pub struct ShardedIndex {
     shards: Vec<Shard>,
     alphabet_size: usize,
-    num_trajectories: usize,
+    /// `(departure, arrival)` by global id.
+    spans: Vec<(f64, f64)>,
 }
 
 impl ShardedIndex {
@@ -72,16 +74,17 @@ impl ShardedIndex {
         ShardedIndex {
             shards,
             alphabet_size,
-            num_trajectories: store.len(),
+            spans: span_table(store),
         }
     }
 
     /// Builds the by-departure ordering of every shard's postings lists
     /// (§4.3), in parallel (one scoped worker per shard); idempotent.
     pub fn enable_temporal_postings(&mut self) {
+        let spans = &self.spans;
         std::thread::scope(|scope| {
             for shard in &mut self.shards {
-                scope.spawn(move || shard.enable_temporal_postings());
+                scope.spawn(move || shard.enable_temporal_postings(spans));
             }
         });
     }
@@ -97,12 +100,15 @@ impl ShardedIndex {
 /// `trajsearch-serve` shard-server role and `trajsearch-distrib`).
 ///
 /// `IndexShard::build(store, a, k, n)` constructs byte-for-byte the same
-/// postings, orderings and spans as shard `k` inside
-/// `ShardedIndex::build_parallel(store, a, n)` — both are the same list
-/// layout from the same builder. That identity is what makes remote placement provably
-/// equivalent to in-process sharding: a coordinator concatenating remote
-/// shards in shard-id order reproduces [`ShardedIndex`]'s iteration order
-/// exactly.
+/// postings as shard `k` inside `ShardedIndex::build_parallel(store, a, n)` —
+/// both are the same list layout from the same builder. That identity is
+/// what makes remote placement provably equivalent to in-process sharding:
+/// a coordinator concatenating remote shards in shard-id order reproduces
+/// [`ShardedIndex`]'s iteration order exactly.
+///
+/// An `IndexShard` holds postings only: no span table and no by-departure
+/// ordering. A coordinator takes spans from the store it holds and derives
+/// by-departure candidates from the postings it fetched.
 ///
 /// Postings carry **global** trajectory ids. Accessors return borrowed
 /// slices so a serving layer can encode them without copies.
@@ -110,6 +116,7 @@ impl ShardedIndex {
 pub struct IndexShard {
     shard: Shard,
     shard_id: usize,
+    num_shards: usize,
     num_trajectories: usize,
 }
 
@@ -133,17 +140,9 @@ impl IndexShard {
         IndexShard {
             shard: Shard::build(store, alphabet_size, shard_id, num_shards),
             shard_id,
+            num_shards,
             num_trajectories: store.len(),
         }
-    }
-
-    /// Builds this shard's by-departure orderings (§4.3); idempotent.
-    pub fn enable_temporal_postings(&mut self) {
-        self.shard.enable_temporal_postings();
-    }
-
-    pub fn has_temporal_postings(&self) -> bool {
-        self.shard.dep_postings.is_some()
     }
 
     pub fn shard_id(&self) -> usize {
@@ -151,16 +150,19 @@ impl IndexShard {
     }
 
     pub fn num_shards(&self) -> usize {
-        self.shard.num_shards
+        self.num_shards
     }
 
     pub fn alphabet_size(&self) -> usize {
         self.shard.postings.len()
     }
 
-    /// Trajectories owned by this shard.
+    /// Trajectories owned by this shard: under the `id % n` placement,
+    /// shard `k` holds the ids `k, k + n, …` of the store.
     pub fn num_local_trajectories(&self) -> usize {
-        self.shard.departures.len()
+        self.num_trajectories
+            .saturating_sub(self.shard_id)
+            .div_ceil(self.num_shards)
     }
 
     /// Trajectories in the *whole* store the shard was cut from — what the
@@ -173,13 +175,6 @@ impl IndexShard {
     /// (ascending global id, then position).
     pub fn postings(&self, q: Sym) -> &[Posting] {
         &self.shard.postings[q as usize]
-    }
-
-    /// Departure-sorted prefix of this shard's list for `q` with departure
-    /// `<= t_max`; `None` until
-    /// [`enable_temporal_postings`](IndexShard::enable_temporal_postings).
-    pub fn postings_departing_by(&self, q: Sym, t_max: f64) -> Option<&[(f64, Posting)]> {
-        self.shard.departing_by(q, t_max)
     }
 
     pub fn total_postings(&self) -> usize {
@@ -208,7 +203,7 @@ impl PostingSource for ShardedIndex {
     }
 
     fn span(&self, id: TrajId) -> (f64, f64) {
-        self.shards[id as usize % self.shards.len()].span(id)
+        self.spans[id as usize]
     }
 
     /// Shard-major; **departure-sorted within each shard only**. Complete
@@ -236,7 +231,7 @@ impl PostingSource for ShardedIndex {
     }
 
     fn num_trajectories(&self) -> usize {
-        self.num_trajectories
+        self.spans.len()
     }
 
     fn total_postings(&self) -> usize {
@@ -244,9 +239,11 @@ impl PostingSource for ShardedIndex {
     }
 
     /// Every shard keeps a full per-symbol list table, so the list headers
-    /// are the one component that grows with the shard count.
+    /// are the one component that grows with the shard count; the span
+    /// table is held once.
     fn size_bytes(&self) -> usize {
-        self.shards.iter().map(Shard::size_bytes).sum()
+        self.shards.iter().map(Shard::size_bytes).sum::<usize>()
+            + span_table_bytes(self.spans.len())
     }
 }
 
@@ -326,40 +323,23 @@ mod tests {
     fn index_shard_is_byte_identical_to_the_sharded_index_shard() {
         let s = store();
         for num_shards in [1, 2, 3, 5] {
-            let mut whole = ShardedIndex::build_parallel(&s, 6, num_shards);
-            whole.enable_temporal_postings();
+            let whole = ShardedIndex::build_parallel(&s, 6, num_shards);
             for k in 0..num_shards {
-                let mut solo = IndexShard::build(&s, 6, k, num_shards);
-                solo.enable_temporal_postings();
+                let solo = IndexShard::build(&s, 6, k, num_shards);
                 let inner = &whole.shards[k];
                 assert_eq!(solo.shard_id(), k);
                 assert_eq!(solo.num_shards(), num_shards);
                 assert_eq!(solo.num_trajectories(), s.len());
-                assert_eq!(solo.num_local_trajectories(), inner.departures.len());
+                assert_eq!(
+                    solo.num_local_trajectories(),
+                    (k..s.len()).step_by(num_shards).count()
+                );
                 assert_eq!(solo.total_postings(), inner.total_postings);
-                assert_eq!(solo.shard.departures, inner.departures);
-                assert_eq!(solo.shard.arrivals, inner.arrivals);
                 for q in 0..6u32 {
                     assert_eq!(solo.postings(q), &inner.postings[q as usize][..]);
-                    for t_max in [0.0, 6.0, 25.0, 1e9] {
-                        let want = &inner.dep_postings.as_ref().unwrap()[q as usize];
-                        let cut = want.partition_point(|&(dep, _)| dep <= t_max);
-                        assert_eq!(
-                            solo.postings_departing_by(q, t_max).unwrap(),
-                            &want[..cut],
-                            "shards={num_shards} k={k} q={q} t_max={t_max}"
-                        );
-                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn index_shard_without_temporal_returns_none() {
-        let solo = IndexShard::build(&store(), 6, 0, 2);
-        assert!(!solo.has_temporal_postings());
-        assert!(solo.postings_departing_by(1, 10.0).is_none());
     }
 
     #[test]
@@ -384,11 +364,11 @@ mod tests {
             wide.size_bytes() - single.size_bytes(),
             3 * 6 * size_of::<Vec<Posting>>()
         );
-        // The whole is the sum of its standalone shards.
+        // The whole is the sum of its standalone shards plus one span table.
         let solo_sum: usize = (0..4)
             .map(|k| IndexShard::build(&s, 6, k, 4).size_bytes())
             .sum();
-        assert_eq!(wide.size_bytes(), solo_sum);
+        assert_eq!(wide.size_bytes(), solo_sum + s.len() * 2 * size_of::<f64>());
     }
 
     #[test]

@@ -65,8 +65,7 @@ fn main() {
 
     let args = parse_args();
     let store = testdata::store(args.trajectories, args.len, args.seed, args.alphabet);
-    let mut shard = IndexShard::build(&store, args.alphabet, args.shard, args.num_shards);
-    shard.enable_temporal_postings();
+    let shard = IndexShard::build(&store, args.alphabet, args.shard, args.num_shards);
     let source = IndexShardSource::new(&shard, args.epoch);
 
     let server = Server::bind(ServerConfig {

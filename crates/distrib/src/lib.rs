@@ -6,8 +6,8 @@
 //! result byte:
 //!
 //! * **Shard servers** hold one
-//!   [`IndexShard`](trajsearch_core::IndexShard) each and answer the
-//!   `shard_*` RPCs via
+//!   [`IndexShard`](trajsearch_core::IndexShard) each, postings only, and
+//!   answer the two shard RPCs (`shard_info`, `shard_postings`) via
 //!   [`Server::serve_shard`](trajsearch_serve::Server::serve_shard)
 //!   (`trajsearch-serve` owns the wire protocol and the role).
 //! * [`RemoteShards`] is a [`PostingSource`](trajsearch_core::PostingSource)
@@ -16,7 +16,8 @@
 //!   epoch-checked, deadline-bounded, with a degraded log for shards that
 //!   stop answering or send postings that are not theirs. Frequencies and
 //!   spans it derives from the store the shards indexed, which the
-//!   coordinator holds, so the MinCand plan costs no round trip.
+//!   coordinator holds, so the MinCand plan costs no round trip; by-departure
+//!   candidates (§4.3) are its cached postings filtered by those spans.
 //! * A [`Coordinator`] runs the full engine (store, model, MinCand,
 //!   verification) locally over `RemoteShards` and serves the ordinary
 //!   query protocol, answering with typed *degraded* replies whenever a

@@ -16,10 +16,12 @@
 //!   and each trajectory's span from it in one pass: `freq` and `span`
 //!   never touch the network. The same pass checks the shards' self
 //!   descriptions against the store.
-//! * **Caching** — postings and departing-by prefixes are cached after the
-//!   first fetch. Only *complete* results (every shard answered, every
-//!   posting checked) enter the cache, so a degraded fetch is retried on
-//!   the next query rather than frozen in.
+//! * **Caching** — one cache: each symbol's postings list, after its first
+//!   fetch. By-departure candidates (§4.3) come from that list filtered by
+//!   the store's departures, so they cost no RPC and no second copy. Only
+//!   *complete* lists (every shard answered, every posting checked) enter
+//!   the cache, so a degraded fetch is retried on the next query rather
+//!   than frozen in.
 //! * **Degradation** — a shard that fails to answer (transport error,
 //!   epoch mismatch, expired RPC deadline), or that lies (a posting of a
 //!   trajectory it does not hold, or at a position past that trajectory's
@@ -30,7 +32,7 @@
 //!   partial answer as complete.
 //!
 //! No lock here turns a panicked thread into a panic for every later query.
-//! The two caches and the degraded log hold whole answers and whole
+//! The cache and the degraded log hold whole answers and whole
 //! events only, so a poisoned one is recovered and used as it is. A shard
 //! connection poisoned mid-RPC may hold half a frame, so it is marked dead
 //! and the shard degrades, as after a transport failure.
@@ -165,20 +167,14 @@ struct DegradedLog {
     events: Vec<(u32, String)>,
 }
 
-/// `(departure_time, posting)` entries, sorted by departure — the shape
-/// `postings_departing_by` returns and the departing cache stores.
-type DepartingEntries = Vec<(f64, Posting)>;
-
 /// A [`PostingSource`] whose postings live in remote shard-server
 /// processes; see the [module docs](self) for the contract.
 pub struct RemoteShards {
     /// Ordered by shard id (position == `shard_id`).
     conns: Vec<ShardConn>,
     alphabet_size: usize,
-    num_trajectories: usize,
     total_postings: usize,
     size_bytes: usize,
-    has_temporal: bool,
     /// Postings-list lengths by symbol, counted from the store the shards
     /// indexed; shorter than the alphabet when its top symbols never occur.
     freqs: Vec<u32>,
@@ -188,9 +184,6 @@ pub struct RemoteShards {
     /// position must fall inside its trajectory.
     lens: Vec<u32>,
     postings_cache: Mutex<HashMap<Sym, Vec<Posting>>>,
-    /// Keyed by `(symbol, t_max bits)` — the engine re-asks the same
-    /// constraint boundary within one query.
-    departing_cache: Mutex<HashMap<(Sym, u64), DepartingEntries>>,
     log: Mutex<DegradedLog>,
     /// Span sink for `shard_rpc` intervals; `None` leaves fan-outs
     /// untraced even inside a trace scope.
@@ -204,9 +197,8 @@ impl fmt::Debug for RemoteShards {
                 "endpoints",
                 &self.conns.iter().map(|c| &c.endpoint).collect::<Vec<_>>(),
             )
-            .field("num_trajectories", &self.num_trajectories)
+            .field("num_trajectories", &self.spans.len())
             .field("alphabet_size", &self.alphabet_size)
-            .field("has_temporal", &self.has_temporal)
             .finish_non_exhaustive()
     }
 }
@@ -343,16 +335,13 @@ impl RemoteShards {
 
         Ok(RemoteShards {
             alphabet_size: alphabet as usize,
-            num_trajectories,
             total_postings: positions.iter().sum::<u64>() as usize,
             size_bytes: conns.iter().map(|c| c.info.size_bytes as usize).sum(),
-            has_temporal: conns.iter().all(|c| c.info.has_temporal_postings),
             freqs,
             spans,
             lens,
             conns,
             postings_cache: Mutex::new(HashMap::new()),
-            departing_cache: Mutex::new(HashMap::new()),
             log: Mutex::new(DegradedLog::default()),
             sink: None,
         })
@@ -516,39 +505,13 @@ impl RemoteShards {
             .collect()
     }
 
-    /// Each answering shard's reply through `take`, in shard order, and
-    /// whether every shard answered with a reply `take` accepts. A reply it
-    /// refuses comes from a lying shard, which degrades like a silent one.
-    fn accept<T>(
-        &self,
-        replies: Vec<Option<Reply>>,
-        take: impl Fn(usize, Reply) -> Result<T, String>,
-    ) -> (Vec<T>, bool) {
-        let mut out = Vec::with_capacity(replies.len());
-        let mut complete = true;
-        for (k, reply) in replies.into_iter().enumerate() {
-            match reply.map(|r| take(k, r)) {
-                Some(Ok(value)) => out.push(value),
-                Some(Err(why)) => {
-                    self.record_degraded(k as u32, why);
-                    complete = false;
-                }
-                None => complete = false,
-            }
-        }
-        (out, complete)
-    }
-
     /// Checks, once per fetched list, that shard `k` sent only postings of
     /// its own trajectories (`id % n == k`) at positions inside them: the
-    /// verifier indexes the store with both.
-    fn check_postings<'p>(
-        &self,
-        k: usize,
-        postings: impl IntoIterator<Item = &'p Posting>,
-    ) -> Result<(), String> {
+    /// verifier indexes the store with both, and `postings_departing_by`
+    /// the span table with the id.
+    fn check_postings(&self, k: usize, postings: &[Posting]) -> Result<(), String> {
         let n = self.conns.len();
-        let lying = postings.into_iter().find(|&&(id, j)| {
+        let lying = postings.iter().find(|&&(id, j)| {
             let id = id as usize;
             id % n != k || self.lens.get(id).is_none_or(|&len| j >= len)
         });
@@ -561,7 +524,9 @@ impl RemoteShards {
     }
 
     /// Fetches one symbol's postings from every shard, concatenated
-    /// shard-major; cached only when every shard answered.
+    /// shard-major; cached only when every shard answered with a checked
+    /// list. A reply of the wrong shape or with a posting that is not the
+    /// shard's comes from a lying shard, which degrades like a silent one.
     fn fetch_postings(&self, q: Sym) -> Vec<Posting> {
         if let Some(hit) = recover(&self.postings_cache).get(&q) {
             return hit.clone();
@@ -573,15 +538,28 @@ impl RemoteShards {
             trace_id: None,
             syms: vec![q],
         });
-        let (lists, complete) = self.accept(replies, |k, reply| match reply {
-            Reply::ShardPostings { mut lists, .. } if lists.len() == 1 => {
-                let list = lists.pop().expect("one list");
-                self.check_postings(k, &list)?;
-                Ok(list)
+        let mut out = Vec::new();
+        let mut complete = true;
+        for (k, reply) in replies.into_iter().enumerate() {
+            let checked = match reply {
+                None => {
+                    complete = false;
+                    continue;
+                }
+                Some(Reply::ShardPostings { mut lists, .. }) if lists.len() == 1 => {
+                    let list = lists.pop().expect("one list");
+                    self.check_postings(k, &list).map(|()| list)
+                }
+                Some(_) => Err(WRONG_REPLY.to_string()),
+            };
+            match checked {
+                Ok(list) => out.extend(list),
+                Err(why) => {
+                    self.record_degraded(k as u32, why);
+                    complete = false;
+                }
             }
-            _ => Err(WRONG_REPLY.into()),
-        });
-        let out = lists.concat();
+        }
         if complete {
             recover(&self.postings_cache).insert(q, out.clone());
         }
@@ -626,46 +604,25 @@ impl PostingSource for RemoteShards {
         self.spans[id as usize]
     }
 
-    /// Shard-major concatenation of each shard's departure-sorted prefix —
-    /// the same "sorted within each shard only" order the in-process
-    /// [`ShardedIndex`](trajsearch_core::ShardedIndex) produces.
+    /// The (cached) postings list filtered by the store's departures: the
+    /// postings whose trajectory departs no later than `t_max`, in the
+    /// shard-major order of [`postings`](PostingSource::postings).
     fn postings_departing_by(
         &self,
         q: Sym,
         t_max: f64,
     ) -> impl Iterator<Item = (f64, Posting)> + '_ {
-        assert!(
-            self.has_temporal,
-            "temporal postings not enabled on the remote shards"
-        );
-        let key = (q, t_max.to_bits());
-        if let Some(hit) = recover(&self.departing_cache).get(&key) {
-            return hit.clone().into_iter();
-        }
-        let replies = self.fanout(|id, info| Request::ShardDepartingBy {
-            id,
-            epoch: info.epoch,
-            deadline_ms: Some(RPC_DEADLINE_MS),
-            trace_id: None,
-            sym: q,
-            t_max,
-        });
-        let (lists, complete) = self.accept(replies, |k, reply| match reply {
-            Reply::ShardDepartingBy { entries, .. } => {
-                self.check_postings(k, entries.iter().map(|(_, p)| p))?;
-                Ok(entries)
-            }
-            _ => Err(WRONG_REPLY.into()),
-        });
-        let out = lists.concat();
-        if complete {
-            recover(&self.departing_cache).insert(key, out.clone());
-        }
-        out.into_iter()
+        self.fetch_postings(q)
+            .into_iter()
+            .filter_map(move |posting| {
+                let departure = self.spans[posting.0 as usize].0;
+                (departure <= t_max).then_some((departure, posting))
+            })
     }
 
+    /// Always: by-departure candidates need only postings and spans.
     fn has_temporal_postings(&self) -> bool {
-        self.has_temporal
+        true
     }
 
     fn alphabet_size(&self) -> usize {
@@ -673,7 +630,7 @@ impl PostingSource for RemoteShards {
     }
 
     fn num_trajectories(&self) -> usize {
-        self.num_trajectories
+        self.spans.len()
     }
 
     fn total_postings(&self) -> usize {
@@ -690,7 +647,7 @@ mod tests {
     use super::*;
     use crate::testdata;
     use traj::{Trajectory, TrajectoryStore};
-    use trajsearch_core::IndexShard;
+    use trajsearch_core::{IndexShard, ShardedIndex};
     use trajsearch_serve::{IndexShardSource, Server, ServerConfig, ServerHandle};
 
     const ALPHABET: usize = 16;
@@ -706,10 +663,9 @@ mod tests {
     }
 
     /// Runs `body` against one loopback shard server holding all of
-    /// `store`, by-departure postings included.
+    /// `store`.
     fn with_one_shard(store: &TrajectoryStore, body: impl FnOnce(&[ShardEndpoint])) {
-        let mut shard = IndexShard::build(store, ALPHABET, 0, 1);
-        shard.enable_temporal_postings();
+        let shard = IndexShard::build(store, ALPHABET, 0, 1);
         let source = IndexShardSource::new(&shard, 1);
         let server = Server::bind(ServerConfig::default()).expect("bind shard server");
         let handle = server.handle();
@@ -747,13 +703,12 @@ mod tests {
                 let departing: Vec<_> = r.postings_departing_by(q, 150.0).collect();
                 (r.freq(q), r.postings(q).collect::<Vec<_>>(), departing)
             };
-            // Warm half the symbols, then let a thread die in each cache and
+            // Warm half the symbols, then let a thread die in the cache and
             // in the degraded log.
             for q in 0..4 {
                 fetch(&remote, q);
             }
             poison(&remote.postings_cache);
-            poison(&remote.departing_cache);
             poison(&remote.log);
             // Cached and fresh symbols alike get the right value, and nothing
             // degrades: those locks guard whole answers and whole events.
@@ -762,6 +717,25 @@ mod tests {
             }
             assert_eq!(remote.degraded_total(), 0);
             assert!(remote.degraded_since(0).is_none());
+
+            // At a realised departure the bound is inclusive, as in-process.
+            let mut local = ShardedIndex::build_parallel(&store, ALPHABET, 1);
+            local.enable_temporal_postings();
+            let t_max = store.get(21).departure();
+            let sorted = |mut v: Vec<(f64, Posting)>| {
+                v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                v
+            };
+            for q in 0..8 {
+                let got = sorted(remote.postings_departing_by(q, t_max).collect());
+                let want = sorted(local.postings_departing_by(q, t_max).collect());
+                assert_eq!(got, want, "symbol {q}");
+            }
+            assert!((0..8).any(|q| {
+                local
+                    .postings_departing_by(q, t_max)
+                    .any(|(departure, _)| departure == t_max)
+            }));
 
             // A connection poisoned mid-RPC may hold half a frame: the shard
             // is dead from then on, and each later fetch is a degraded

@@ -55,7 +55,8 @@ fn pattern_from(store: &TrajectoryStore, state: &mut u64, len: usize, alphabet: 
 
 /// A mixed workload covering every distributed code path: plain and
 /// Smith–Waterman thresholds, top-k, temporal filtering, by-departure
-/// temporal postings (the `shard_departing_by` RPC), a DTW query (which the
+/// temporal postings (which the coordinator derives from cached postings
+/// and the store's departures), a DTW query (which the
 /// coordinator verifies itself, like every metric), and the exact fallback
 /// scan (an infeasible threshold — postings cannot
 /// prune, the engine scans the store it holds locally).

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use trajsearch_core::{
     Deadline, EngineBuilder, IndexShard, Posting, PostingSource, Query, RemoteSpec,
+    TemporalConstraint, TimeInterval,
 };
 use trajsearch_distrib::{testdata, Coordinator, DistribError, RemoteShards, ShardEndpoint};
 use trajsearch_serve::{
@@ -125,16 +126,13 @@ impl ShardSource for Liar<'_> {
         }
         lists
     }
-
-    fn departing_by(&self, sym: Sym, t_max: f64) -> Option<Vec<(f64, Posting)>> {
-        self.honest.departing_by(sym, t_max)
-    }
 }
 
 /// A shard that sends a posting outside its own trajectories degrades the
 /// query it lied to instead of panicking the coordinator, and nothing it
 /// sent is cached: the next query gets the honest list and a complete
-/// answer. A lying posting count or alphabet fails the connect.
+/// answer. By-departure (temporal postings) queries read the same checked
+/// lists. A lying posting count or alphabet fails the connect.
 #[test]
 fn a_lying_shard_degrades_the_query_it_lied_to() {
     let store = testdata::store(40, 12, 11, ALPHABET);
@@ -143,16 +141,36 @@ fn a_lying_shard_degrades_the_query_it_lied_to() {
         .collect();
     // One symbol of trajectory 1, which shard 1 holds: the plan fetches
     // that symbol's list from both shards.
-    let query = Query::threshold(vec![store.get(1).path()[3]], 1.0)
+    let pattern = vec![store.get(1).path()[3]];
+    let plain = Query::threshold(pattern.clone(), 1.0).build().unwrap();
+    let temporal = Query::threshold(pattern, 1.0)
+        .temporal(TemporalConstraint::overlaps(TimeInterval::new(0.0, 150.0)))
+        .temporal_postings(true)
         .build()
         .unwrap();
-    let want = EngineBuilder::new(Lev, &store, ALPHABET)
+    let want_plain = EngineBuilder::new(Lev, &store, ALPHABET)
         .build()
-        .run(&query)
+        .run(&plain)
         .expect("in-process run");
-    assert!(want.matches.iter().any(|m| m.id % 2 == 1));
+    let want_temporal = EngineBuilder::new(Lev, &store, ALPHABET)
+        .temporal_postings(true)
+        .build()
+        .run(&temporal)
+        .expect("in-process run");
+    for want in [&want_plain, &want_temporal] {
+        assert!(want.matches.iter().any(|m| m.id % 2 == 1));
+    }
+    assert!(want_temporal.matches.len() < want_plain.matches.len());
 
-    for lie in [Lie::Id, Lie::Position, Lie::TotalPostings, Lie::Alphabet] {
+    for (lie, query, want) in [
+        (Lie::Id, &plain, &want_plain),
+        (Lie::Id, &temporal, &want_temporal),
+        (Lie::Position, &plain, &want_plain),
+        (Lie::Position, &temporal, &want_temporal),
+        (Lie::TotalPostings, &plain, &want_plain),
+        (Lie::Alphabet, &plain, &want_plain),
+    ] {
+        let case = format!("{lie:?}, temporal postings {}", query.temporal_postings());
         let honest = IndexShardSource::new(&shards[0], EPOCH);
         let liar = Liar {
             honest: IndexShardSource::new(&shards[1], EPOCH),
@@ -174,19 +192,19 @@ fn a_lying_shard_degrades_the_query_it_lied_to() {
             let refused = matches!(lie, Lie::TotalPostings | Lie::Alphabet);
             let coordinator = match Coordinator::connect(Lev, &store, ALPHABET, &spec) {
                 Err(DistribError::Topology(_)) if refused => return,
-                Err(e) => panic!("{lie:?}: connect failed: {e}"),
-                Ok(_) if refused => panic!("{lie:?}: the lie was accepted"),
+                Err(e) => panic!("{case}: connect failed: {e}"),
+                Ok(_) if refused => panic!("{case}: the lie was accepted"),
                 Ok(coordinator) => coordinator,
             };
-            match coordinator.handle(&query, Deadline::NONE) {
+            match coordinator.handle(query, Deadline::NONE) {
                 Handled::Degraded { degraded, .. } => {
-                    assert_eq!(degraded.missing_shards, vec![1], "{lie:?}")
+                    assert_eq!(degraded.missing_shards, vec![1], "{case}")
                 }
-                other => panic!("{lie:?}: the lie went unnoticed: {other:?}"),
+                other => panic!("{case}: the lie went unnoticed: {other:?}"),
             }
-            match coordinator.handle(&query, Deadline::NONE) {
-                Handled::Response(got) => assert_eq!(got.matches, want.matches, "{lie:?}"),
-                other => panic!("{lie:?}: the next query was not answered: {other:?}"),
+            match coordinator.handle(query, Deadline::NONE) {
+                Handled::Response(got) => assert_eq!(got.matches, want.matches, "{case}"),
+                other => panic!("{case}: the next query was not answered: {other:?}"),
             }
         });
     }

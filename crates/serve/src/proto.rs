@@ -52,13 +52,16 @@
 //!   `malformed`, so clients can tell "speak an older protocol" apart from
 //!   "you sent garbage".
 //!
-//! Minor 4 is the one minor that removed frames: it retired the shard RPCs
-//! `shard_freqs` and `shard_spans`, whose answers a coordinator now derives
-//! from the store it holds. Only this workspace's coordinator ever sent
-//! them. A shard server answers either frame `malformed`, with its `id`
-//! echoed, and keeps serving the connection, so an older coordinator fails
-//! `connect` (where it pages the span table) with a typed error, never with
-//! a wrong answer.
+//! Minors 4 and 5 are the two minors that removed frames, all of them
+//! shard RPCs whose answers a coordinator now derives from the store it
+//! holds and the postings it fetches. Only this workspace's coordinator
+//! ever sent them. Minor 4 retired `shard_freqs` and `shard_spans`; minor 5
+//! retired `shard_departing_by` and the `has_temporal_postings` key of
+//! [`ShardInfo`]. A shard server answers a retired frame `malformed`, with
+//! its `id` echoed, and keeps serving the connection. An older coordinator
+//! therefore fails `connect` with a typed error, never with a wrong answer:
+//! a minor-3 one when it pages the span table, a minor-4 one when it
+//! decodes a `shard_info` reply without `has_temporal_postings`.
 //!
 //! Peers that care negotiate up front with `hello` (and get the server's
 //! `major`/`minor` back); peers that don't just send frames and rely on the
@@ -81,12 +84,10 @@
 //! ```json
 //! {"v":1,"type":"shard_info","id":2}
 //! {"v":1,"type":"shard_postings","id":4,"epoch":7,"syms":[4]}
-//! {"v":1,"type":"shard_departing_by","id":5,"epoch":7,"sym":4,"t_max":180.5}
 //! ```
 //!
-//! Postings are `[traj_id, pos]` pairs (global ids), departing entries
-//! `[departure, traj_id, pos]` triples. Floats use Rust's shortest
-//! round-trip rendering, so values survive the wire bit-for-bit.
+//! Postings are `[traj_id, pos]` pairs (global ids). Floats use Rust's
+//! shortest round-trip rendering, so values survive the wire bit-for-bit.
 //!
 //! # Tracing (minor 3)
 //!
@@ -140,9 +141,10 @@ pub const PROTO_MAJOR: u32 = 1;
 /// `degraded`; minor 2 added the `metrics` capability list on the hello
 /// reply; minor 3 added the optional `trace_id` field on `query` and shard
 /// data RPCs plus the `trace` and `metrics_text` requests; minor 4 retired
-/// the shard RPCs `shard_freqs` and `shard_spans`, see the [module
-/// docs](self)). Exchanged via `hello`, not per frame.
-pub const PROTO_MINOR: u32 = 4;
+/// the shard RPCs `shard_freqs` and `shard_spans`; minor 5 retired
+/// `shard_departing_by` and `ShardInfo`'s `has_temporal_postings`, see the
+/// [module docs](self)). Exchanged via `hello`, not per frame.
+pub const PROTO_MINOR: u32 = 5;
 
 /// Distance metrics this build can verify, in the wire names of
 /// `trajsearch_core::Metric`. Advertised on the hello reply (minor ≥ 2) so
@@ -334,7 +336,6 @@ wire_struct! {
         /// Postings held by this shard.
         pub total_postings: u64,
         pub size_bytes: u64,
-        pub has_temporal_postings: bool,
     }
 }
 
@@ -412,16 +413,6 @@ wire_enum! {
             trace_id: Option<u64>,
             syms: Vec<Sym>,
         },
-        /// The departure-sorted prefix of one symbol's list with departure
-        /// `<= t_max` (finite).
-        ShardDepartingBy as "shard_departing_by" {
-            id: u64,
-            epoch: u64,
-            deadline_ms: Option<u64>,
-            trace_id: Option<u64>,
-            sym: Sym,
-            t_max: f64,
-        },
     }
     pub fn id(&self) -> u64;
 }
@@ -430,9 +421,7 @@ impl Request {
     /// The trace id this frame carries, for the variants that can.
     pub fn trace_id(&self) -> Option<u64> {
         match self {
-            Request::Query { trace_id, .. }
-            | Request::ShardPostings { trace_id, .. }
-            | Request::ShardDepartingBy { trace_id, .. } => *trace_id,
+            Request::Query { trace_id, .. } | Request::ShardPostings { trace_id, .. } => *trace_id,
             _ => None,
         }
     }
@@ -442,9 +431,9 @@ impl Request {
     /// generically. A no-op for variants without the field.
     pub fn set_trace_id(&mut self, trace: u64) {
         match self {
-            Request::Query { trace_id, .. }
-            | Request::ShardPostings { trace_id, .. }
-            | Request::ShardDepartingBy { trace_id, .. } => *trace_id = Some(trace),
+            Request::Query { trace_id, .. } | Request::ShardPostings { trace_id, .. } => {
+                *trace_id = Some(trace)
+            }
             _ => {}
         }
     }
@@ -528,7 +517,6 @@ wire_enum! {
         ShardInfo as "shard_info" { id: u64, info: ShardInfo },
         /// Lists, parallel to the request's `syms`.
         ShardPostings as "shard_postings" { id: u64, lists: Vec<Vec<Posting>> },
-        ShardDepartingBy as "shard_departing_by" { id: u64, entries: Vec<(f64, Posting)> },
     }
 }
 
@@ -543,8 +531,7 @@ impl Reply {
             | Reply::MetricsText { id, .. }
             | Reply::Hello { id, .. }
             | Reply::ShardInfo { id, .. }
-            | Reply::ShardPostings { id, .. }
-            | Reply::ShardDepartingBy { id, .. } => Some(*id),
+            | Reply::ShardPostings { id, .. } => Some(*id),
         }
     }
 
@@ -941,13 +928,6 @@ mod tests {
         let (id, err) =
             Request::from_json(r#"{"v":1,"type":"shard_postings","id":1,"syms":[1]}"#).unwrap_err();
         assert_eq!(id, Some(1));
-        assert_eq!(err.kind, ServerErrorKind::Malformed);
-        // Non-finite t_max (JSON can't write NaN; overflowing exponent
-        // parses to infinity and must be rejected).
-        let (_, err) = Request::from_json(
-            r#"{"v":1,"type":"shard_departing_by","id":2,"epoch":0,"sym":1,"t_max":1e999}"#,
-        )
-        .unwrap_err();
         assert_eq!(err.kind, ServerErrorKind::Malformed);
         // Negative symbol.
         let (_, err) =

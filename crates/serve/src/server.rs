@@ -352,9 +352,8 @@ impl Server {
         self.serve_role(&QueryRole { handler })
     }
 
-    /// Serves shard RPCs (`shard_info`, `shard_postings`,
-    /// `shard_departing_by`) from `source`
-    /// until shutdown — the *shard-server role*. RPCs are answered inline
+    /// Serves the two shard RPCs (`shard_info`, `shard_postings`) from
+    /// `source` until shutdown — the *shard-server role*. RPCs are answered inline
     /// on reader threads (no worker pool: every RPC is a bounded slice
     /// lookup); `query` frames get a typed `invalid_query` pointing the
     /// client at a coordinator.

@@ -1,9 +1,11 @@
-//! The shard-server role: answering the
-//! [`PostingSource`](trajsearch_core::PostingSource) contract over the wire.
+//! The shard-server role: serving postings lists, the remote half of the
+//! [`PostingSource`](trajsearch_core::PostingSource) contract, over the
+//! wire.
 //!
 //! A process holding one [`IndexShard`] runs
-//! [`Server::serve_shard`](crate::Server::serve_shard) and answers the
-//! `shard_*` RPCs from [`crate::proto`]. Shard RPCs are cheap slice
+//! [`Server::serve_shard`](crate::Server::serve_shard) and answers the two
+//! shard RPCs from [`crate::proto`], `shard_info` and `shard_postings`.
+//! Shard RPCs are cheap slice
 //! lookups, so they are answered **inline on the reader thread** — no
 //! admission queue, no worker pool, replies stream back in request order
 //! per connection (cross-connection parallelism comes from one reader per
@@ -24,11 +26,11 @@ use std::time::{Duration, Instant};
 use trajsearch_core::{IndexShard, Posting};
 use wed::Sym;
 
-/// What a shard server serves: the postings half of the `PostingSource`
-/// contract plus self-description (a coordinator derives frequencies and
-/// spans from the store it holds). Implementations must be total over
-/// hostile inputs — out-of-alphabet symbols have no postings (empty
-/// results), never a panic.
+/// What a shard server serves: postings lists plus self-description (a
+/// coordinator derives frequencies, spans and by-departure candidates from
+/// the store it holds and the postings it fetched). Implementations must be
+/// total over hostile inputs — out-of-alphabet symbols have no postings
+/// (empty results), never a panic.
 pub trait ShardSource: Sync {
     fn info(&self) -> ShardInfo;
     /// The shard's build epoch; data RPCs echoing a different value are
@@ -38,9 +40,6 @@ pub trait ShardSource: Sync {
     }
     /// Postings lists in build order, parallel to `syms`.
     fn postings(&self, syms: &[Sym]) -> Vec<Vec<Posting>>;
-    /// Departure-sorted prefix with departure `<= t_max`; `None` when the
-    /// temporal orderings are not built.
-    fn departing_by(&self, sym: Sym, t_max: f64) -> Option<Vec<(f64, Posting)>>;
 }
 
 /// [`ShardSource`] over an in-memory [`IndexShard`]. The `epoch` is
@@ -72,7 +71,6 @@ impl ShardSource for IndexShardSource<'_> {
             num_trajectories: self.shard.num_trajectories() as u64,
             total_postings: self.shard.total_postings() as u64,
             size_bytes: self.shard.size_bytes() as u64,
-            has_temporal_postings: self.shard.has_temporal_postings(),
         }
     }
 
@@ -91,17 +89,6 @@ impl ShardSource for IndexShardSource<'_> {
             })
             .collect()
     }
-
-    fn departing_by(&self, sym: Sym, t_max: f64) -> Option<Vec<(f64, Posting)>> {
-        if !self.in_alphabet(sym) {
-            // In-alphabet misses return empty prefixes; a symbol outside
-            // the alphabet has no list at all but is still answerable.
-            return self.shard.has_temporal_postings().then(Vec::new);
-        }
-        self.shard
-            .postings_departing_by(sym, t_max)
-            .map(|s| s.to_vec())
-    }
 }
 
 /// Classifies how a shard RPC was answered, for the server's metrics.
@@ -118,11 +105,11 @@ pub(crate) fn answer_shard_rpc<S: ShardSource>(
     request: Request,
     arrived: Instant,
 ) -> (Reply, RpcDisposition) {
-    let (id, epoch, deadline_ms) = match &request {
+    let (id, epoch, deadline_ms, syms) = match request {
         Request::ShardInfo { id } => {
             return (
                 Reply::ShardInfo {
-                    id: *id,
+                    id,
                     info: source.info(),
                 },
                 RpcDisposition::Ok,
@@ -132,14 +119,9 @@ pub(crate) fn answer_shard_rpc<S: ShardSource>(
             id,
             epoch,
             deadline_ms,
+            syms,
             ..
-        }
-        | Request::ShardDepartingBy {
-            id,
-            epoch,
-            deadline_ms,
-            ..
-        } => (*id, *epoch, *deadline_ms),
+        } => (id, epoch, deadline_ms, syms),
         other => {
             return (
                 Reply::Error {
@@ -182,27 +164,9 @@ pub(crate) fn answer_shard_rpc<S: ShardSource>(
             );
         }
     }
-    let reply = match request {
-        Request::ShardPostings { id, syms, .. } => Reply::ShardPostings {
-            id,
-            lists: source.postings(&syms),
-        },
-        Request::ShardDepartingBy { id, sym, t_max, .. } => match source.departing_by(sym, t_max) {
-            Some(entries) => Reply::ShardDepartingBy { id, entries },
-            None => {
-                return (
-                    Reply::Error {
-                        id: Some(id),
-                        error: ServerError::new(
-                            ServerErrorKind::InvalidQuery,
-                            "temporal postings are not enabled on this shard",
-                        ),
-                    },
-                    RpcDisposition::Invalid,
-                )
-            }
-        },
-        _ => unreachable!("non-data RPCs returned above"),
+    let reply = Reply::ShardPostings {
+        id,
+        lists: source.postings(&syms),
     };
     (reply, RpcDisposition::Ok)
 }
@@ -218,9 +182,7 @@ mod tests {
         s.push(Trajectory::new(vec![2, 1], vec![5.0, 6.0]));
         s.push(Trajectory::new(vec![3, 0], vec![20.0, 21.0]));
         s.push(Trajectory::new(vec![1, 1, 3], vec![1.0, 2.0, 3.0]));
-        let mut shard = IndexShard::build(&s, 4, 1, 2);
-        shard.enable_temporal_postings();
-        shard
+        IndexShard::build(&s, 4, 1, 2)
     }
 
     #[test]
@@ -233,7 +195,6 @@ mod tests {
         assert_eq!(info.epoch, 7);
         assert_eq!(info.num_trajectories, 4);
         assert_eq!(info.local_trajectories, 2);
-        assert!(info.has_temporal_postings);
         assert_eq!(src.postings(&[1]), vec![shard.postings(1).to_vec()]);
     }
 
@@ -242,7 +203,6 @@ mod tests {
         let shard = shard();
         let src = IndexShardSource::new(&shard, 7);
         assert_eq!(src.postings(&[99]), vec![Vec::new()]);
-        assert_eq!(src.departing_by(99, 1e9), Some(Vec::new()));
     }
 
     #[test]

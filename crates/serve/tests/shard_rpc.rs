@@ -9,7 +9,7 @@
 //! * **Shard role** — `serve_shard` answers its half of the
 //!   `PostingSource` contract byte-identically to the local `IndexShard`,
 //!   and every guard (epoch, deadline, wrong role, a frame retired in
-//!   minor 4) is a typed error that leaves the connection usable.
+//!   minor 4 or 5) is a typed error that leaves the connection usable.
 //! * **Exactly once** — the client never resubmits: a counting handler
 //!   proves a pipelined batch applies each query once, an `overloaded`
 //!   admission rejection applies none, and a `deadline_exceeded` query is
@@ -48,8 +48,7 @@ impl Drop for ShutdownOnDrop {
 }
 
 /// Deterministic store (no RNG): enough symbol overlap that every list is
-/// non-trivial, increasing timestamps so the temporal orderings differ
-/// from build order.
+/// non-trivial, with increasing timestamps.
 fn small_store(n: usize, len: usize) -> TrajectoryStore {
     let mut store = TrajectoryStore::new();
     for i in 0..n {
@@ -91,7 +90,7 @@ fn slow_query(deadline_ms: Option<u64>) -> Query {
     }
 }
 
-/// One of each data RPC, for mutation-style properties.
+/// One of each shard RPC, for mutation-style properties.
 fn sample_request(which: usize) -> Request {
     match which % 2 {
         0 => Request::ShardPostings {
@@ -101,14 +100,7 @@ fn sample_request(which: usize) -> Request {
             trace_id: Some(9),
             syms: vec![2, 2, 9],
         },
-        _ => Request::ShardDepartingBy {
-            id: 9,
-            epoch: 3,
-            deadline_ms: Some(1000),
-            trace_id: None,
-            sym: 4,
-            t_max: 123.5,
-        },
+        _ => Request::ShardInfo { id: 9 },
     }
 }
 
@@ -126,8 +118,6 @@ proptest! {
         deadline in 0u64..100_000,
         has_deadline in 0usize..2,
         syms in proptest::collection::vec(0u32..4096, 0..12),
-        sym in 0u32..4096,
-        t_raw in 0i64..8_000_000,
         major in 0u32..9,
         minor in 0u32..9,
         has_trace in 0usize..2,
@@ -135,12 +125,8 @@ proptest! {
     ) {
         let deadline_ms = (has_deadline == 1).then_some(deadline);
         let trace_id = (has_trace == 1).then_some(trace);
-        // Quarters exercise non-integer departures; the codec's `{x}`
-        // rendering is shortest-round-trip, so equality is exact.
-        let t_max = t_raw as f64 * 0.25 - 1000.0;
         let frames = vec![
             Request::ShardPostings { id, epoch, deadline_ms, trace_id, syms: syms.clone() },
-            Request::ShardDepartingBy { id, epoch, deadline_ms, trace_id, sym, t_max },
             Request::ShardInfo { id },
             Request::Hello { id, major, minor },
         ];
@@ -156,17 +142,11 @@ proptest! {
     fn shard_reply_frames_round_trip(
         id in 0u64..1_000_000_000,
         pairs in proptest::collection::vec((0u32..100_000, 0u32..256), 0..12),
-        deps in proptest::collection::vec(0i64..4_000_000, 0..12),
         start in 0u64..10_000,
         shards in proptest::collection::vec(0u32..64, 0..6),
         major in 0u32..9,
         minor in 0u32..9,
     ) {
-        let entries: Vec<(f64, (u32, u32))> = deps
-            .iter()
-            .zip(pairs.iter().cycle())
-            .map(|(&d, &p)| (d as f64 * 0.5, p))
-            .collect();
         let mut missing = shards.clone();
         missing.sort_unstable();
         missing.dedup();
@@ -189,11 +169,9 @@ proptest! {
                     num_trajectories: start,
                     total_postings: id,
                     size_bytes: id * 2,
-                    has_temporal_postings: minor % 2 == 0,
                 },
             },
             Reply::ShardPostings { id, lists: vec![pairs.clone(), Vec::new()] },
-            Reply::ShardDepartingBy { id, entries },
             Reply::Degraded {
                 id,
                 degraded: DegradedInfo {
@@ -286,8 +264,7 @@ fn rpc(client: &mut Client, make: impl FnOnce(u64) -> Request) -> Reply {
 fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
     const EPOCH: u64 = 42;
     let store = small_store(24, 12);
-    let mut shard = IndexShard::build(&store, ALPHABET, 1, 3);
-    shard.enable_temporal_postings();
+    let shard = IndexShard::build(&store, ALPHABET, 1, 3);
     let source = IndexShardSource::new(&shard, EPOCH);
 
     let server = Server::bind(ServerConfig::default()).expect("bind shard server");
@@ -302,7 +279,7 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
         assert_eq!(client.hello().expect("hello"), (PROTO_MAJOR, PROTO_MINOR));
         assert_eq!(client.shard_info().expect("shard_info"), source.info());
 
-        // Every data RPC answers byte-identically to the local shard,
+        // The data RPC answers byte-identically to the local shard,
         // including an out-of-alphabet symbol (empty, not an error).
         let syms: Vec<Sym> = (0..ALPHABET as u32).chain([999]).collect();
         match rpc(&mut client, |id| Request::ShardPostings {
@@ -315,21 +292,18 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
             Reply::ShardPostings { lists, .. } => assert_eq!(lists, source.postings(&syms)),
             other => panic!("expected postings, got {other:?}"),
         }
-        for (sym, t_max) in [(1u32, 60.0), (5, 1e9), (9, -1.0)] {
-            match rpc(&mut client, |id| Request::ShardDepartingBy {
+        for sym in [1u32, 5, 9] {
+            match rpc(&mut client, |id| Request::ShardPostings {
                 id,
                 epoch: EPOCH,
                 deadline_ms: None,
                 trace_id: None,
-                sym,
-                t_max,
+                syms: vec![sym],
             }) {
-                Reply::ShardDepartingBy { entries, .. } => assert_eq!(
-                    entries,
-                    source.departing_by(sym, t_max).expect("temporal enabled"),
-                    "sym {sym} t_max {t_max}"
-                ),
-                other => panic!("expected departing prefix, got {other:?}"),
+                Reply::ShardPostings { lists, .. } => {
+                    assert_eq!(lists, source.postings(&[sym]), "sym {sym}")
+                }
+                other => panic!("expected postings, got {other:?}"),
             }
         }
         // Guards, in order: stale epoch, expired deadline, wrong role.
@@ -403,9 +377,10 @@ fn serve_shard_answers_the_posting_source_contract_over_the_wire() {
     });
 }
 
-/// Minor 4 retired `shard_freqs` and `shard_spans`. A coordinator from
-/// before it still sends them: each gets a typed `malformed` reply that
-/// echoes its id, and the connection keeps serving the RPCs that remain.
+/// Minor 4 retired `shard_freqs` and `shard_spans`, minor 5
+/// `shard_departing_by`. A coordinator from before them still sends them:
+/// each gets a typed `malformed` reply that echoes its id, and the
+/// connection keeps serving the RPCs that remain.
 #[test]
 fn retired_shard_rpcs_are_malformed_and_the_connection_keeps_serving() {
     use std::io::{BufRead, BufReader, Write};
@@ -437,6 +412,10 @@ fn retired_shard_rpcs_are_malformed_and_the_connection_keeps_serving() {
             (
                 22,
                 r#"{"v":1,"type":"shard_spans","id":22,"epoch":3,"start":0,"count":65536}"#,
+            ),
+            (
+                24,
+                r#"{"v":1,"type":"shard_departing_by","id":24,"epoch":3,"deadline_ms":250,"sym":4,"t_max":180.5}"#,
             ),
         ] {
             match roundtrip(frame) {

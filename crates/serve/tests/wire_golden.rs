@@ -1,4 +1,4 @@
-//! Byte-identity gate for the wire protocol (minors 1–4).
+//! Byte-identity gate for the wire protocol (minors 1–5).
 //!
 //! Every `Request` and `Reply` variant — each optional field both present
 //! and absent — and one `Query` body per objective × option set is pinned
@@ -197,28 +197,6 @@ fn request_rows() -> Vec<(Request, &'static str)> {
             },
             r#"{"v":1,"type":"shard_postings","id":12,"epoch":18446744073709551615,"deadline_ms":1,"trace_id":31,"syms":[0,4294967295]}"#,
         ),
-        (
-            Request::ShardDepartingBy {
-                id: 5,
-                epoch: 7,
-                deadline_ms: None,
-                trace_id: None,
-                sym: 4,
-                t_max: 180.5,
-            },
-            r#"{"v":1,"type":"shard_departing_by","id":5,"epoch":7,"sym":4,"t_max":180.5}"#,
-        ),
-        (
-            Request::ShardDepartingBy {
-                id: 13,
-                epoch: 7,
-                deadline_ms: Some(1),
-                trace_id: Some(31),
-                sym: 4,
-                t_max: -0.125,
-            },
-            r#"{"v":1,"type":"shard_departing_by","id":13,"epoch":7,"deadline_ms":1,"trace_id":31,"sym":4,"t_max":-0.125}"#,
-        ),
     ]
 }
 
@@ -346,10 +324,9 @@ fn reply_rows() -> Vec<(Reply, &'static str)> {
                     num_trajectories: 120,
                     total_postings: 960,
                     size_bytes: 7680,
-                    has_temporal_postings: true,
                 },
             },
-            r#"{"v":1,"type":"shard_info","id":20,"info":{"shard_id":1,"num_shards":3,"epoch":7,"alphabet_size":64,"local_trajectories":40,"num_trajectories":120,"total_postings":960,"size_bytes":7680,"has_temporal_postings":true}}"#,
+            r#"{"v":1,"type":"shard_info","id":20,"info":{"shard_id":1,"num_shards":3,"epoch":7,"alphabet_size":64,"local_trajectories":40,"num_trajectories":120,"total_postings":960,"size_bytes":7680}}"#,
         ),
         (
             Reply::ShardPostings {
@@ -357,13 +334,6 @@ fn reply_rows() -> Vec<(Reply, &'static str)> {
                 lists: vec![vec![(1, 0), (4, 2)], vec![]],
             },
             r#"{"v":1,"type":"shard_postings","id":22,"lists":[[[1,0],[4,2]],[]]}"#,
-        ),
-        (
-            Reply::ShardDepartingBy {
-                id: 23,
-                entries: vec![(0.25, (1, 0)), (180.5, (4, 2))],
-            },
-            r#"{"v":1,"type":"shard_departing_by","id":23,"entries":[[0.25,1,0],[180.5,4,2]]}"#,
         ),
     ]
 }
