@@ -1,9 +1,9 @@
 //! Compact postings: delta+varint encoded lists in one contiguous arena.
 //!
-//! [`CompactIndex`] is the third [`PostingSource`] layout, built for the
-//! persistence path (the `trajsearch-persist` crate snapshots it to disk
-//! and reopens it without a rebuild): every symbol's postings list is
-//! canonicalized to ascending `(id, j)` order and encoded as
+//! [`CompactIndex`] is the third [`PostingSource`] layout, the one a
+//! reopened snapshot serves (the `trajsearch-persist` crate stores only the
+//! trajectories and builds this index from them on open): every symbol's
+//! postings list is kept in ascending `(id, j)` order and encoded as
 //! `varint(id - prev_id), varint(j)` records into **one arena** shared by
 //! the whole alphabet. Per symbol the index keeps only a `u64` arena offset
 //! and a `u32` frequency — no per-list `Vec` headers, no per-record
@@ -17,17 +17,19 @@
 //! `tests/index_equivalence.rs` exactly like sharding was.
 //!
 //! The optional §4.3 by-departure ordering gets its own arena: per symbol
-//! the qualifying records in ascending `(departure, id, j)` order, encoded
-//! as `varint(zigzag(id - prev_id)), varint(j)` (ids are not monotone once
+//! the records in ascending `(departure, id, j)` order, encoded as
+//! `varint(zigzag(id - prev_id)), varint(j)` (ids are not monotone once
 //! sorted by departure, hence the zigzag). Departure times are not stored
 //! again — they are looked up in the span table while decoding, and the
 //! iterator early-stops at the first record departing after `t_max`.
 //!
-//! The arena is immutable, like every layout here. An engine serves it
-//! through [`EngineBuilder::build_with`](crate::EngineBuilder::build_with),
-//! given either a built index compacted by [`CompactIndex::from_source`]
-//! (or [`InvertedIndex::to_compact`](crate::index::InvertedIndex::to_compact))
-//! or a reopened snapshot.
+//! Both arenas are derived data. [`CompactIndex::build`] writes them from a
+//! store in one walk each (ids in order, then ids by departure), appending
+//! every occurrence to its symbol's run as the walk meets it;
+//! [`CompactIndex::from_source`] compacts an index that holds no store.
+//! Both encode through the same run encoder, so they produce the same
+//! arenas. The index is immutable, like every layout here. An engine serves
+//! it through [`EngineBuilder::build_with`](crate::EngineBuilder::build_with).
 
 use crate::index::{Posting, PostingSource};
 use traj::{TrajId, TrajectoryStore};
@@ -70,12 +72,12 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// Maps a signed delta onto the unsigned varint domain (0, -1, 1, -2, …).
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverts [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -83,305 +85,202 @@ pub fn unzigzag(v: u64) -> i64 {
 // CompactIndex
 // ---------------------------------------------------------------------------
 
-/// The by-departure arena: same shape as the main one, zigzag id deltas.
+/// The run encoder: appends `(id, j)` to a symbol's run as
+/// `varint(id - prev), varint(j)`, the delta zigzagged when `signed`
+/// (by-departure runs, whose ids are not monotone), and makes `id` the
+/// run's `prev`.
+fn put(run: &mut Vec<u8>, prev: &mut TrajId, (id, j): Posting, signed: bool) {
+    let delta = i64::from(id) - i64::from(*prev);
+    write_varint(run, if signed { zigzag(delta) } else { delta as u64 });
+    write_varint(run, u64::from(j));
+    *prev = id;
+}
+
+/// One arena: every symbol's run of records, back to back. A symbol past
+/// the offset table has an empty run.
 #[derive(Debug, Clone)]
-struct TemporalArena {
-    /// `alphabet_size + 1` prefix offsets into `arena`.
+struct Runs {
+    /// One prefix offset into `arena` per symbol, plus one.
     offsets: Vec<u64>,
     arena: Vec<u8>,
 }
 
+impl Runs {
+    fn with_capacity(symbols: usize, bytes: usize) -> Runs {
+        let mut offsets = Vec::with_capacity(symbols + 1);
+        offsets.push(0);
+        Runs {
+            offsets,
+            arena: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Appends the next symbol's run, encoding `postings` in order.
+    fn encode(&mut self, postings: impl IntoIterator<Item = Posting>, signed: bool) {
+        let mut prev = 0;
+        for posting in postings {
+            put(&mut self.arena, &mut prev, posting, signed);
+        }
+        self.offsets.push(self.arena.len() as u64);
+    }
+
+    /// Encodes the occurrences `ids`' paths hold, in walk order, as one run
+    /// per symbol below `freqs.len()`: each occurrence goes straight to
+    /// its symbol's buffer, and the buffers are then laid end to end.
+    fn from_walk(
+        store: &TrajectoryStore,
+        ids: impl IntoIterator<Item = TrajId>,
+        freqs: &[u32],
+        signed: bool,
+    ) -> Runs {
+        // Three bytes a record: a one-byte position and an id delta below
+        // 2^14 fit, so a run seldom grows.
+        let mut runs: Vec<(Vec<u8>, TrajId)> = freqs
+            .iter()
+            .map(|&f| (Vec::with_capacity(3 * f as usize), 0))
+            .collect();
+        for id in ids {
+            for (j, &q) in store.get(id).path().iter().enumerate() {
+                let (run, prev) = &mut runs[q as usize];
+                put(run, prev, (id, j as u32), signed);
+            }
+        }
+        let bytes = runs.iter().map(|(run, _)| run.len()).sum();
+        let mut out = Runs::with_capacity(runs.len(), bytes);
+        for (run, _) in &runs {
+            out.arena.extend_from_slice(run);
+            out.offsets.push(out.arena.len() as u64);
+        }
+        out
+    }
+
+    fn run(&self, q: Sym) -> &[u8] {
+        match self.offsets.get(q as usize..q as usize + 2) {
+            Some(&[lo, hi]) => &self.arena[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.arena.len() + self.offsets.len() * std::mem::size_of::<u64>()
+    }
+}
+
 /// Delta+varint postings in one contiguous arena — the compact, immutable
-/// [`PostingSource`] the snapshot format loads into. See the [module
+/// [`PostingSource`] a reopened snapshot serves. See the [module
 /// docs](self) for the encoding.
 #[derive(Debug, Clone)]
 pub struct CompactIndex {
-    /// Per-symbol `n(q)` (the MinCand frequency table).
+    alphabet_size: usize,
+    /// Per-symbol `n(q)` (the MinCand frequency table), as long as the
+    /// offset tables; a symbol past it occurs nowhere.
     freqs: Vec<u32>,
-    /// `alphabet_size + 1` prefix offsets into `arena`.
-    offsets: Vec<u64>,
-    /// All symbols' encoded postings, back to back.
-    arena: Vec<u8>,
+    /// `L_q` in ascending `(id, j)` order.
+    lists: Runs,
     departures: Vec<f64>,
     arrivals: Vec<f64>,
-    temporal: Option<TemporalArena>,
+    /// `L_q` in ascending `(departure, id, j)` order, if built.
+    temporal: Option<Runs>,
     total_postings: usize,
 }
 
 impl CompactIndex {
-    /// Compacts any [`PostingSource`]: collects each symbol's postings,
-    /// sorts them into the canonical ascending `(id, j)` order and encodes
-    /// the arena. If the source has temporal postings, the by-departure
-    /// arena is built too (ascending `(departure, id, j)`), so the compact
-    /// index answers the same temporal queries.
+    /// Indexes `store` over an alphabet of `alphabet` symbols, with the
+    /// by-departure arena when `temporal`. Frequencies are counted once;
+    /// then each arena is one walk of the store (ids ascending for `L_q`,
+    /// ids by `(departure, id)` for the by-departure one), which meets
+    /// every symbol's occurrences in that arena's order.
     ///
-    /// Canonicalization makes the result **layout-independent**: the same
-    /// logical index compacted from an `InvertedIndex` or any
-    /// `ShardedIndex` produces identical bytes — which is what gives the
-    /// snapshot format reproducible files.
+    /// The per-symbol tables are as long as the largest symbol that occurs,
+    /// plus one, not as the alphabet: a claimed alphabet costs nothing until
+    /// its symbols occur.
+    ///
+    /// # Panics
+    /// Panics if a path symbol is not below `alphabet`.
+    pub fn build(store: &TrajectoryStore, alphabet: usize, temporal: bool) -> CompactIndex {
+        let mut freqs: Vec<u32> = Vec::new();
+        for (_, t) in store.iter() {
+            let top = t.path().iter().max().map_or(0, |&q| q as usize);
+            assert!(
+                top < alphabet,
+                "store symbol {top} outside the alphabet ({alphabet})"
+            );
+            if top >= freqs.len() {
+                freqs.resize(top + 1, 0);
+            }
+            for &q in t.path() {
+                freqs[q as usize] += 1;
+            }
+        }
+        let (departures, arrivals): (Vec<f64>, Vec<f64>) =
+            store.iter().map(|(_, t)| t.span()).unzip();
+        let ids = 0..store.len() as TrajId;
+        let lists = Runs::from_walk(store, ids.clone(), &freqs, false);
+        let temporal = temporal.then(|| {
+            // A stable sort: ids that tie on departure stay ascending.
+            let mut ids: Vec<TrajId> = ids.collect();
+            ids.sort_by(|&a, &b| departures[a as usize].total_cmp(&departures[b as usize]));
+            Runs::from_walk(store, ids, &freqs, true)
+        });
+        CompactIndex {
+            alphabet_size: alphabet,
+            total_postings: freqs.iter().map(|&f| f as usize).sum(),
+            freqs,
+            lists,
+            departures,
+            arrivals,
+            temporal,
+        }
+    }
+
+    /// Compacts any [`PostingSource`]: collects each symbol's postings,
+    /// sorts them into ascending `(id, j)` order and encodes the arena. If
+    /// the source has temporal postings, the by-departure arena is built
+    /// too (ascending `(departure, id, j)`), so the compact index answers
+    /// the same temporal queries.
+    ///
+    /// The sorts make the result **layout-independent**: the same logical
+    /// index compacted from an `InvertedIndex` or any `ShardedIndex`
+    /// produces the arenas [`build`](CompactIndex::build) writes from its
+    /// store.
     pub fn from_source<I: PostingSource>(source: &I) -> CompactIndex {
         let alphabet = source.alphabet_size();
-        let n = source.num_trajectories();
-
+        // Every record takes at least two bytes.
+        let bytes = 2 * source.total_postings();
         let mut freqs = Vec::with_capacity(alphabet);
-        let mut offsets = Vec::with_capacity(alphabet + 1);
-        let mut arena = Vec::new();
+        let mut lists = Runs::with_capacity(alphabet, bytes);
         let mut scratch: Vec<Posting> = Vec::new();
-        let mut total = 0usize;
-        offsets.push(0);
         for q in 0..alphabet as Sym {
             scratch.clear();
             scratch.extend(source.postings(q));
             scratch.sort_unstable();
-            let mut prev = 0u64;
-            for &(id, j) in &scratch {
-                write_varint(&mut arena, u64::from(id) - prev);
-                write_varint(&mut arena, u64::from(j));
-                prev = u64::from(id);
-            }
             freqs.push(scratch.len() as u32);
-            offsets.push(arena.len() as u64);
-            total += scratch.len();
+            lists.encode(scratch.iter().copied(), false);
         }
-
-        let mut departures = Vec::with_capacity(n);
-        let mut arrivals = Vec::with_capacity(n);
-        for id in 0..n as TrajId {
-            let (dep, arr) = source.span(id);
-            departures.push(dep);
-            arrivals.push(arr);
-        }
-
+        let (departures, arrivals) = (0..source.num_trajectories() as TrajId)
+            .map(|id| source.span(id))
+            .unzip();
         let temporal = source.has_temporal_postings().then(|| {
-            let mut offsets = Vec::with_capacity(alphabet + 1);
-            let mut arena = Vec::new();
-            let mut scratch: Vec<(f64, Posting)> = Vec::new();
-            offsets.push(0);
+            let mut runs = Runs::with_capacity(alphabet, bytes);
+            let mut by_departure: Vec<(f64, Posting)> = Vec::new();
             for q in 0..alphabet as Sym {
-                scratch.clear();
-                scratch.extend(source.postings_departing_by(q, f64::INFINITY));
-                scratch.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let mut prev = 0i64;
-                for &(_, (id, j)) in &scratch {
-                    write_varint(&mut arena, zigzag(i64::from(id) - prev));
-                    write_varint(&mut arena, u64::from(j));
-                    prev = i64::from(id);
-                }
-                offsets.push(arena.len() as u64);
+                by_departure.clear();
+                by_departure.extend(source.postings_departing_by(q, f64::INFINITY));
+                by_departure.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                runs.encode(by_departure.iter().map(|&(_, p)| p), true);
             }
-            TemporalArena { offsets, arena }
+            runs
         });
-
         CompactIndex {
+            alphabet_size: alphabet,
+            total_postings: freqs.iter().map(|&f| f as usize).sum(),
             freqs,
-            offsets,
-            arena,
+            lists,
             departures,
             arrivals,
             temporal,
-            total_postings: total,
         }
     }
-
-    /// Reassembles a `CompactIndex` from decoded snapshot sections, **proving
-    /// they index `store`**: each arena is walked once, in lockstep with the
-    /// store, and must be record for record the sequence
-    /// [`from_source`](CompactIndex::from_source) would have written (see
-    /// [`PartsError`] for what that covers). The span tables are taken from
-    /// `store` itself. On success the iterators can neither panic nor
-    /// mis-answer; on failure the error names the first record that lies.
-    ///
-    /// By-departure records that tie on departure have one accepted order,
-    /// ascending `(id, j)` — the one `from_source` writes. Any other
-    /// permutation of a tie answers queries identically but is refused as
-    /// non-canonical.
-    pub fn from_parts(
-        store: &TrajectoryStore,
-        freqs: Vec<u32>,
-        offsets: Vec<u64>,
-        arena: Vec<u8>,
-        temporal: Option<(Vec<u64>, Vec<u8>)>,
-    ) -> Result<CompactIndex, PartsError> {
-        let n = store.len() as TrajId;
-        prove_arena(Arena::Main, store, 0..n, &freqs, &offsets, &arena)?;
-        let (departures, arrivals): (Vec<f64>, Vec<f64>) =
-            store.iter().map(|(_, t)| t.span()).unzip();
-        let temporal = match temporal {
-            None => None,
-            Some((t_offsets, t_arena)) => {
-                let mut ids: Vec<TrajId> = (0..n).collect();
-                let key = |id: TrajId| departures[id as usize];
-                ids.sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
-                prove_arena(Arena::Temporal, store, ids, &freqs, &t_offsets, &t_arena)?;
-                Some(TemporalArena {
-                    offsets: t_offsets,
-                    arena: t_arena,
-                })
-            }
-        };
-        let total_postings = freqs.iter().map(|&f| f as usize).sum();
-        Ok(CompactIndex {
-            freqs,
-            offsets,
-            arena,
-            departures,
-            arrivals,
-            temporal,
-            total_postings,
-        })
-    }
-
-    /// Per-symbol frequency table, dense over the alphabet.
-    pub fn freqs(&self) -> &[u32] {
-        &self.freqs
-    }
-
-    /// Prefix offsets into [`arena`](CompactIndex::arena)
-    /// (`alphabet_size + 1` entries).
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// The encoded postings arena (all symbols, back to back).
-    pub fn arena(&self) -> &[u8] {
-        &self.arena
-    }
-
-    /// Dense per-trajectory departure times.
-    pub fn departures(&self) -> &[f64] {
-        &self.departures
-    }
-
-    /// Dense per-trajectory arrival times.
-    pub fn arrivals(&self) -> &[f64] {
-        &self.arrivals
-    }
-
-    /// The by-departure arena as `(offsets, arena)`, if built.
-    pub fn temporal_parts(&self) -> Option<(&[u64], &[u8])> {
-        self.temporal
-            .as_ref()
-            .map(|t| (t.offsets.as_slice(), t.arena.as_slice()))
-    }
-}
-
-/// Which arena a [`PartsError`] is about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arena {
-    /// The `L_q` arena: ascending `(id, j)`, plain id deltas.
-    Main,
-    /// The by-departure arena: ascending `(departure, id, j)`, zigzag deltas.
-    Temporal,
-}
-
-/// Why [`CompactIndex::from_parts`] refused its input: where an arena first
-/// stops being the store's own occurrence sequence.
-///
-/// The canonical order of a list is the order in which a walk over the
-/// store meets that symbol, so acceptance is *sequence equality* with the
-/// walk. That one condition covers ids and positions in range, strict
-/// order, no duplicate and no missing record, `freqs[q]` records per list,
-/// no trailing bytes — and that every record is a real occurrence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartsError {
-    pub arena: Arena,
-    /// The symbol whose list (or offset-table entry) is at fault.
-    pub symbol: Sym,
-    /// Records of that list already matched when the fault showed.
-    pub record: u32,
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for PartsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (arena, symbol, record) = (self.arena, self.symbol, self.record);
-        write!(f, "{arena:?} arena, symbol {symbol}, record {record}: ")?;
-        f.write_str(self.reason)
-    }
-}
-
-impl std::error::Error for PartsError {}
-
-/// One list's state in the lockstep walk: where its next record starts,
-/// the id that record's delta is relative to, and how many records `freqs`
-/// still promises. 16 bytes, so a road network's alphabet stays in cache.
-struct Cursor {
-    pos: usize,
-    prev: TrajId,
-    left: u32,
-}
-
-/// Visits `ids` in order and each path left to right — which meets every
-/// symbol's occurrences in `which` arena's canonical order — and requires
-/// the next undecoded record of list `path[j]` to be `(id, j)`; at the end
-/// every list must be used up.
-fn prove_arena(
-    which: Arena,
-    store: &TrajectoryStore,
-    ids: impl IntoIterator<Item = TrajId>,
-    freqs: &[u32],
-    offsets: &[u64],
-    arena: &[u8],
-) -> Result<(), PartsError> {
-    let fail = |q: usize, record: u32, reason: &'static str| PartsError {
-        arena: which,
-        symbol: q as Sym,
-        record,
-        reason,
-    };
-    if offsets.len() != freqs.len() + 1 {
-        return Err(fail(0, 0, "offset table is not alphabet + 1 entries"));
-    }
-    if offsets[0] != 0 || offsets[freqs.len()] != arena.len() as u64 {
-        return Err(fail(0, 0, "offset table does not span the arena"));
-    }
-    if let Some(q) = offsets.windows(2).position(|w| w[0] > w[1]) {
-        return Err(fail(q, 0, "offset table is not monotone"));
-    }
-    let mut cursors: Vec<Cursor> = std::iter::zip(freqs, offsets)
-        .map(|(&left, &offset)| Cursor {
-            pos: offset as usize,
-            prev: 0,
-            left,
-        })
-        .collect();
-    let at = |q: usize, c: &Cursor, reason| fail(q, freqs[q] - c.left, reason);
-    for id in ids {
-        for (j, &q) in store.get(id).path().iter().enumerate() {
-            let q = q as usize;
-            let Some(c) = cursors.get_mut(q) else {
-                return Err(fail(q, 0, "store symbol outside the index alphabet"));
-            };
-            if c.left == 0 {
-                return Err(at(q, c, "the store has more occurrences"));
-            }
-            // Bounded by the arena, not the list: a cursor only moves
-            // forward and must finish exactly on its list's end (below), so
-            // a record that strays past that end cannot go unnoticed.
-            let (delta, pos) = (
-                read_varint(arena, &mut c.pos),
-                read_varint(arena, &mut c.pos),
-            );
-            let want = match which {
-                Arena::Main => u64::from(id - c.prev),
-                Arena::Temporal => zigzag(i64::from(id) - i64::from(c.prev)),
-            };
-            if (delta, pos) != (Some(want), Some(j as u64)) {
-                return Err(at(q, c, "not the store's next occurrence"));
-            }
-            c.prev = id;
-            c.left -= 1;
-        }
-    }
-    for (q, c) in cursors.iter().enumerate() {
-        if c.left != 0 {
-            return Err(at(q, c, "the store has no more occurrences"));
-        }
-        if c.pos as u64 != offsets[q + 1] {
-            return Err(at(q, c, "list does not end at its offset-table entry"));
-        }
-    }
-    Ok(())
 }
 
 /// Decode-on-iterate view of one symbol's arena slice.
@@ -398,8 +297,8 @@ impl Iterator for PostingsIter<'_> {
         if self.pos >= self.slice.len() {
             return None;
         }
-        // Construction validated the arena, so decode cannot fail here;
-        // the guards keep even a logic bug from panicking in release.
+        // The arena was encoded here, so decode cannot fail; the guards
+        // keep even a logic bug from panicking in release.
         let delta = read_varint(self.slice, &mut self.pos)?;
         let j = read_varint(self.slice, &mut self.pos)?;
         self.prev_id += delta;
@@ -438,18 +337,17 @@ impl Iterator for DepartingIter<'_> {
 }
 
 impl PostingSource for CompactIndex {
-    /// Canonical ascending `(id, j)` order (the sort applied at build).
+    /// Ascending `(id, j)` order.
     fn postings(&self, q: Sym) -> impl Iterator<Item = Posting> + '_ {
-        let (lo, hi) = (self.offsets[q as usize], self.offsets[q as usize + 1]);
         PostingsIter {
-            slice: &self.arena[lo as usize..hi as usize],
+            slice: self.lists.run(q),
             pos: 0,
             prev_id: 0,
         }
     }
 
     fn freq(&self, q: Sym) -> u32 {
-        self.freqs[q as usize]
+        self.freqs.get(q as usize).copied().unwrap_or(0)
     }
 
     fn span(&self, id: TrajId) -> (f64, f64) {
@@ -467,9 +365,8 @@ impl PostingSource for CompactIndex {
             .temporal
             .as_ref()
             .expect("temporal postings not enabled");
-        let (lo, hi) = (t.offsets[q as usize], t.offsets[q as usize + 1]);
         DepartingIter {
-            slice: &t.arena[lo as usize..hi as usize],
+            slice: t.run(q),
             departures: &self.departures,
             pos: 0,
             prev_id: 0,
@@ -482,7 +379,7 @@ impl PostingSource for CompactIndex {
     }
 
     fn alphabet_size(&self) -> usize {
-        self.freqs.len()
+        self.alphabet_size
     }
 
     fn num_trajectories(&self) -> usize {
@@ -497,15 +394,10 @@ impl PostingSource for CompactIndex {
     /// when built, the temporal arena with its offsets.
     fn size_bytes(&self) -> usize {
         use std::mem::size_of;
-        let temporal = self
-            .temporal
-            .as_ref()
-            .map_or(0, |t| t.arena.len() + t.offsets.len() * size_of::<u64>());
-        self.arena.len()
-            + self.offsets.len() * size_of::<u64>()
+        self.lists.size_bytes()
             + self.freqs.len() * size_of::<u32>()
             + (self.departures.len() + self.arrivals.len()) * size_of::<f64>()
-            + temporal
+            + self.temporal.as_ref().map_or(0, Runs::size_bytes)
     }
 }
 
@@ -560,45 +452,69 @@ mod tests {
         let s = store();
         let mut reference = InvertedIndex::build(&s, 5);
         reference.enable_temporal_postings();
-        let compact = CompactIndex::from_source(&reference);
+        let built = CompactIndex::build(&s, 5, true);
+        for compact in [CompactIndex::from_source(&reference), built] {
+            check_surface(&compact, &reference, &s);
+        }
+    }
 
+    fn check_surface(compact: &CompactIndex, reference: &InvertedIndex, s: &TrajectoryStore) {
         assert_eq!(compact.alphabet_size(), 5);
         assert_eq!(compact.num_trajectories(), s.len());
         assert_eq!(
-            PostingSource::total_postings(&compact),
+            PostingSource::total_postings(compact),
             reference.total_postings()
         );
         assert!(compact.has_temporal_postings());
         for q in 0..5u32 {
-            let got: Vec<Posting> = PostingSource::postings(&compact, q).collect();
+            let got: Vec<Posting> = PostingSource::postings(compact, q).collect();
             assert_eq!(got, reference.postings(q), "q={q}");
-            assert_eq!(PostingSource::freq(&compact, q), reference.freq(q));
+            assert_eq!(PostingSource::freq(compact, q), reference.freq(q));
             for t_max in [0.0, 6.5, 15.0, 1e9] {
                 let got: Vec<(f64, Posting)> =
-                    PostingSource::postings_departing_by(&compact, q, t_max).collect();
+                    PostingSource::postings_departing_by(compact, q, t_max).collect();
                 let want = reference.postings_departing_by(q, t_max).to_vec();
                 assert_eq!(got, want, "q={q} t_max={t_max}");
             }
         }
         for id in 0..s.len() as TrajId {
-            assert_eq!(PostingSource::span(&compact, id), reference.span(id));
+            assert_eq!(PostingSource::span(compact, id), reference.span(id));
         }
+    }
+
+    /// Every symbol's run in both arenas, over the whole alphabet.
+    fn runs(c: &CompactIndex) -> (Vec<&[u8]>, Option<Vec<&[u8]>>) {
+        let symbols = 0..c.alphabet_size() as Sym;
+        let temporal = c.temporal.as_ref();
+        (
+            symbols.clone().map(|q| c.lists.run(q)).collect(),
+            temporal.map(|t| symbols.map(|q| t.run(q)).collect()),
+        )
     }
 
     #[test]
     fn canonical_across_layouts() {
         let s = store();
-        let mut inv = InvertedIndex::build(&s, 5);
-        inv.enable_temporal_postings();
-        let a = CompactIndex::from_source(&inv);
-        for shards in [1, 2, 3] {
-            let mut sh = ShardedIndex::build_parallel(&s, 5, shards);
-            sh.enable_temporal_postings();
-            let b = CompactIndex::from_source(&sh);
-            assert_eq!(a.arena(), b.arena(), "shards={shards}");
-            assert_eq!(a.offsets(), b.offsets());
-            assert_eq!(a.freqs(), b.freqs());
-            assert_eq!(a.temporal_parts().unwrap().1, b.temporal_parts().unwrap().1);
+        for temporal in [false, true] {
+            let built = CompactIndex::build(&s, 5, temporal);
+            let mut inv = InvertedIndex::build(&s, 5);
+            let mut sharded: Vec<ShardedIndex> = [1, 2, 3]
+                .map(|shards| ShardedIndex::build_parallel(&s, 5, shards))
+                .into();
+            if temporal {
+                inv.enable_temporal_postings();
+                sharded
+                    .iter_mut()
+                    .for_each(ShardedIndex::enable_temporal_postings);
+            }
+            let want = runs(&built);
+            assert_eq!(runs(&CompactIndex::from_source(&inv)), want);
+            for sh in &sharded {
+                assert_eq!(runs(&CompactIndex::from_source(sh)), want);
+            }
+            // Symbol 4 never occurs: its tables stop at symbol 3.
+            assert_eq!((built.freqs.len(), built.lists.offsets.len()), (4, 5));
+            assert_eq!((built.freq(4), built.postings(4).count()), (0, 0));
         }
     }
 
@@ -615,86 +531,14 @@ mod tests {
         );
         assert_eq!(
             PostingSource::size_bytes(&compact),
-            compact.arena().len() + 6 * 8 + 5 * 4 + 2 * s.len() * 8
+            compact.lists.arena.len() + 6 * 8 + 5 * 4 + 2 * s.len() * 8
         );
     }
 
     #[test]
-    fn from_parts_round_trips_and_rejects_garbage() {
-        let s = store();
-        let mut reference = InvertedIndex::build(&s, 5);
-        reference.enable_temporal_postings();
-        let c = CompactIndex::from_source(&reference);
-        let temporal = || c.temporal_parts().map(|(o, a)| (o.to_vec(), a.to_vec()));
-        let (freqs, offsets, arena) = (c.freqs().to_vec(), c.offsets().to_vec(), c.arena());
-        let rebuilt = CompactIndex::from_parts(
-            &s,
-            freqs.clone(),
-            offsets.clone(),
-            arena.to_vec(),
-            temporal(),
-        )
-        .expect("faithful parts must validate");
-        assert_eq!(rebuilt.arena(), c.arena());
-        assert_eq!(rebuilt.temporal_parts(), c.temporal_parts());
-        assert_eq!(rebuilt.departures(), c.departures());
-        assert_eq!(rebuilt.arrivals(), c.arrivals());
-        assert_eq!(rebuilt.total_postings, c.total_postings);
-
-        let refused = |s: &TrajectoryStore, freqs: &[u32], offsets: &[u64], arena: &[u8]| {
-            CompactIndex::from_parts(s, freqs.to_vec(), offsets.to_vec(), arena.to_vec(), None)
-                .expect_err("garbage must be refused")
-        };
-        // Truncated arena.
-        let e = refused(&s, &freqs, &offsets, &arena[..arena.len() - 1]);
-        assert_eq!(e.reason, "offset table does not span the arena");
-        // Non-monotone offsets.
-        let mut bad = offsets.clone();
-        bad[1] = bad[2] + 1;
-        let e = refused(&s, &freqs, &bad, arena);
-        assert_eq!((e.symbol, e.reason), (1, "offset table is not monotone"));
-        // Frequency table lying about a list's length, either way.
-        let mut bad = freqs.clone();
-        bad[1] += 1;
-        let e = refused(&s, &bad, &offsets, arena);
-        assert_eq!((e.arena, e.symbol, e.record), (Arena::Main, 1, freqs[1]));
-        bad[1] -= 2;
-        let e = refused(&s, &bad, &offsets, arena);
-        assert_eq!((e.arena, e.symbol, e.record), (Arena::Main, 1, bad[1]));
-        // Two frequencies swapped: offsets stay valid prefix sums.
-        let mut bad = freqs.clone();
-        bad.swap(0, 1);
-        assert_eq!(refused(&s, &bad, &offsets, arena).arena, Arena::Main);
-        // Faithful parts of a *different* store: the first record of symbol
-        // 0's list is (0, 0), but this store's trajectory 0 starts with 4.
-        let mut other = TrajectoryStore::new();
-        other.push(Trajectory::new(vec![4, 1, 2], vec![10.0, 11.0, 12.0]));
-        for (_, t) in s.iter().skip(1) {
-            other.push(t.clone());
-        }
-        let e = refused(&other, &freqs, &offsets, arena);
-        assert_eq!((e.symbol, e.record), (4, 0));
-        // A symbol the index alphabet does not have.
-        other = TrajectoryStore::new();
-        other.push(Trajectory::untimed(vec![5]));
-        let e = refused(&other, &freqs, &offsets, arena);
-        assert_eq!(e.reason, "store symbol outside the index alphabet");
-        // A lie confined to the by-departure arena is named as such.
-        let (t_offsets, mut t_arena) = temporal().unwrap();
-        t_arena[1] ^= 1; // position of symbol 0's first by-departure record
-        let e = CompactIndex::from_parts(
-            &s,
-            freqs,
-            offsets,
-            arena.to_vec(),
-            Some((t_offsets, t_arena)),
-        )
-        .expect_err("temporal lie");
-        assert_eq!((e.arena, e.symbol, e.record), (Arena::Temporal, 0, 0));
-        assert_eq!(
-            e.to_string(),
-            "Temporal arena, symbol 0, record 0: not the store's next occurrence"
-        );
+    #[should_panic(expected = "store symbol 3 outside the alphabet (3)")]
+    fn build_refuses_a_symbol_outside_the_alphabet() {
+        CompactIndex::build(&store(), 3, false);
     }
 
     #[test]
@@ -707,10 +551,17 @@ mod tests {
 
     #[test]
     fn empty_store_compacts() {
-        let c = CompactIndex::from_source(&InvertedIndex::build(&TrajectoryStore::new(), 4));
-        assert_eq!(c.num_trajectories(), 0);
-        assert_eq!(PostingSource::total_postings(&c), 0);
-        assert_eq!(PostingSource::postings(&c, 0).count(), 0);
-        assert!(!c.has_temporal_postings());
+        let empty = TrajectoryStore::new();
+        let built = CompactIndex::build(&empty, 4, false);
+        for c in [
+            CompactIndex::from_source(&InvertedIndex::build(&empty, 4)),
+            built,
+        ] {
+            assert_eq!(c.num_trajectories(), 0);
+            assert_eq!(c.alphabet_size(), 4);
+            assert_eq!(PostingSource::total_postings(&c), 0);
+            assert_eq!(PostingSource::postings(&c, 0).count(), 0);
+            assert!(!c.has_temporal_postings());
+        }
     }
 }

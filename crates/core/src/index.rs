@@ -277,10 +277,9 @@ impl InvertedIndex {
         self.lists.size_bytes() + span_table_bytes(self.spans.len())
     }
 
-    /// Snapshot hook: compacts this index into the immutable delta+varint
-    /// arena layout ([`CompactIndex`](crate::compact::CompactIndex)) —
-    /// what `trajsearch-persist` writes to disk and reopens without a
-    /// rebuild.
+    /// Compacts this index into the immutable delta+varint arena layout
+    /// ([`CompactIndex`](crate::compact::CompactIndex)), the one a
+    /// reopened `trajsearch-persist` snapshot serves.
     pub fn to_compact(&self) -> crate::compact::CompactIndex {
         crate::compact::CompactIndex::from_source(self)
     }

@@ -21,9 +21,9 @@
 //!   construction on scoped threads, identical search results at any shard
 //!   count.
 //! * [`compact`] — delta+varint postings in one contiguous arena
-//!   ([`CompactIndex`]): the immutable, memory-compact layout the
-//!   `trajsearch-persist` snapshot format writes to disk and reopens
-//!   without a rebuild, again with identical search results.
+//!   ([`CompactIndex`]): the immutable, memory-compact layout a reopened
+//!   `trajsearch-persist` snapshot builds from its store, again with
+//!   identical search results.
 //! * [`verify`] — **local verification** growing bidirectionally from
 //!   candidate anchors with the Eq. (11) early-termination bound, both
 //!   directions of an anchor stopping on one budget (the second walk gets

@@ -207,12 +207,15 @@ proptest! {
         let mut sharded = ShardedIndex::build_parallel(&full, ALPHABET, shards);
         check_index_surface(&sharded, &reference)?;
         check_index_surface(&reference.to_compact(), &reference)?;
+        check_index_surface(&CompactIndex::build(&full, ALPHABET, false), &reference)?;
         reference.enable_temporal_postings();
         sharded.enable_temporal_postings();
         check_index_surface(&sharded, &reference)?;
         // Compacting either layout yields the same surface again.
         check_index_surface(&reference.to_compact(), &reference)?;
         check_index_surface(&CompactIndex::from_source(&sharded), &reference)?;
+        // So does building from the store.
+        check_index_surface(&CompactIndex::build(&full, ALPHABET, true), &reference)?;
     }
 
     /// Engine surface: full search results are byte-identical across shard

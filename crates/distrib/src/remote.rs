@@ -17,8 +17,10 @@
 //!   never touch the network. The same pass checks the shards' self
 //!   descriptions against the store.
 //! * **Caching** — one cache: each symbol's postings list, after its first
-//!   fetch. By-departure candidates (§4.3) come from that list filtered by
-//!   the store's departures, so they cost no RPC and no second copy. Only
+//!   fetch, shared (`Arc<[Posting]>`) with every reader rather than copied
+//!   per query. By-departure candidates (§4.3) come from that list
+//!   filtered by the store's departures, so they cost no RPC and no second
+//!   copy. Only
 //!   *complete* lists (every shard answered, every posting checked) enter
 //!   the cache, so a degraded fetch is retried on the next query rather
 //!   than frozen in.
@@ -183,7 +185,7 @@ pub struct RemoteShards {
     /// Trajectory lengths by global id, from the store: a posting's
     /// position must fall inside its trajectory.
     lens: Vec<u32>,
-    postings_cache: Mutex<HashMap<Sym, Vec<Posting>>>,
+    postings_cache: Mutex<HashMap<Sym, Arc<[Posting]>>>,
     log: Mutex<DegradedLog>,
     /// Span sink for `shard_rpc` intervals; `None` leaves fan-outs
     /// untraced even inside a trace scope.
@@ -524,12 +526,12 @@ impl RemoteShards {
     }
 
     /// Fetches one symbol's postings from every shard, concatenated
-    /// shard-major; cached only when every shard answered with a checked
+    /// shard-major, or shares the cached list; cached only when every shard answered with a checked
     /// list. A reply of the wrong shape or with a posting that is not the
     /// shard's comes from a lying shard, which degrades like a silent one.
-    fn fetch_postings(&self, q: Sym) -> Vec<Posting> {
+    fn fetch_postings(&self, q: Sym) -> Arc<[Posting]> {
         if let Some(hit) = recover(&self.postings_cache).get(&q) {
-            return hit.clone();
+            return Arc::clone(hit);
         }
         let replies = self.fanout(|id, info| Request::ShardPostings {
             id,
@@ -560,8 +562,9 @@ impl RemoteShards {
                 }
             }
         }
+        let out: Arc<[Posting]> = out.into();
         if complete {
-            recover(&self.postings_cache).insert(q, out.clone());
+            recover(&self.postings_cache).insert(q, Arc::clone(&out));
         }
         out
     }
@@ -592,7 +595,8 @@ impl PostingSource for RemoteShards {
     /// [`ShardedIndex::postings`](trajsearch_core::ShardedIndex) exactly:
     /// shard 0's build-order records, then shard 1's, …
     fn postings(&self, q: Sym) -> impl Iterator<Item = Posting> + '_ {
-        self.fetch_postings(q).into_iter()
+        let list = self.fetch_postings(q);
+        (0..list.len()).map(move |i| list[i])
     }
 
     /// From the store, so equal to the sum of the shards' list lengths.
@@ -612,12 +616,12 @@ impl PostingSource for RemoteShards {
         q: Sym,
         t_max: f64,
     ) -> impl Iterator<Item = (f64, Posting)> + '_ {
-        self.fetch_postings(q)
-            .into_iter()
-            .filter_map(move |posting| {
-                let departure = self.spans[posting.0 as usize].0;
-                (departure <= t_max).then_some((departure, posting))
-            })
+        let list = self.fetch_postings(q);
+        (0..list.len()).filter_map(move |i| {
+            let posting = list[i];
+            let departure = self.spans[posting.0 as usize].0;
+            (departure <= t_max).then_some((departure, posting))
+        })
     }
 
     /// Always: by-departure candidates need only postings and spans.

@@ -79,10 +79,6 @@ pub(crate) fn read_u64(buf: &[u8], pos: usize) -> Option<u64> {
     Some(u64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?))
 }
 
-pub(crate) fn read_f64(buf: &[u8], pos: usize) -> Option<f64> {
-    Some(f64::from_bits(read_u64(buf, pos)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +135,5 @@ mod tests {
         assert_eq!(read_u16(&buf, 2), None);
         assert_eq!(read_u32(&buf, 0), None);
         assert_eq!(read_u64(&buf, 0), None);
-        assert_eq!(read_f64(&buf, 0), None);
     }
 }

@@ -3,24 +3,28 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"TSNP"
-//! 4       2     format version (little-endian, currently 1)
-//! 6       2     flags  (bit 0: temporal section present)
+//! 4       2     format version (little-endian, currently 2)
+//! 6       2     flags  (bit 0: build the by-departure arena on open)
 //! 8       4     section count
 //! 12      4     header CRC32 (over bytes 0..12 ++ the manifest)
 //! 16      24·k  manifest: per section {kind u32, offset u64, len u64, crc u32}
 //! ...           section payloads (contiguous, in manifest order)
 //! ```
 //!
-//! Sections of version 1 (`kind`):
+//! Sections of version 2 (`kind`):
 //!
 //! | kind | name     | payload                                              |
 //! |------|----------|------------------------------------------------------|
 //! | 1    | meta     | varints: num_trajectories, alphabet_size, postings   |
 //! | 2    | paths    | per trajectory: varint len, then varint symbols      |
 //! | 3    | times    | raw `f64` LE timestamps, trajectory-major            |
-//! | 4    | spans    | raw `f64` LE departures ×n, then arrivals ×n         |
-//! | 5    | postings | freqs `u32` LE ×a · offsets `u64` LE ×(a+1) · arena  |
-//! | 6    | temporal | offsets `u64` LE ×(a+1) · arena (flag bit 0 only)    |
+//!
+//! The file holds the store only. The index is derived data: on open,
+//! [`CompactIndex::build`] writes it from the decoded store, so no stored
+//! byte can make it disagree with the trajectories. Version 1 files, which
+//! also carried the index (kinds 4 `spans`, 5 `postings`, 6 `temporal`),
+//! still open: those sections must pass the manifest and checksum steps
+//! and are then ignored.
 //!
 //! The reader validates in strict order, each step trusting only what the
 //! steps before it established:
@@ -30,30 +34,23 @@
 //! 3. manifest entries: known kinds, no duplicates, ranges inside the file;
 //! 4. each section's CRC, before its payload is parsed;
 //! 5. `meta`, every count bounded by the bytes that actually exist;
-//! 6. `paths` + `times` into the store, with nothing left over in either;
-//! 7. `spans`, bitwise equal to the store's own first and last times;
-//! 8. `postings` and `temporal`: each arena is walked **once, in lockstep
-//!    with the store** ([`CompactIndex::from_parts`]) and must be, record for
-//!    record, the sequence the store's occurrences form in canonical order.
+//! 6. `paths` + `times` into the store, with nothing left over in either.
 //!
-//! Step 8 is the structural and the semantic validation at once, so even a
-//! CRC-consistent file written by a buggy tool cannot serve wrong answers.
-//! Canonical order is part of the format: by-departure records that tie on
-//! departure are accepted in ascending `(id, j)` order only. No writer in
-//! this repository produces another order.
+//! The claimed alphabet is bounded by no section, so nothing is sized by
+//! it: the builder's tables end at the largest symbol the paths use.
 
 use crate::error::SnapshotError;
-use crate::format::{crc32, read_f64, read_u16, read_u32, read_u64};
+use crate::format::{crc32, read_u16, read_u32, read_u64};
 use std::path::Path;
 use traj::{Trajectory, TrajectoryStore};
-use trajsearch_core::compact::{read_varint, write_varint, Arena};
+use trajsearch_core::compact::{read_varint, write_varint};
 use trajsearch_core::{CompactIndex, PostingSource};
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"TSNP";
 /// The format version this build writes and the newest it can read.
-pub const FORMAT_VERSION: u16 = 1;
-/// Flags bit 0: the temporal (by-departure) section is present.
+pub const FORMAT_VERSION: u16 = 2;
+/// Flags bit 0: the reopened index has the by-departure arena.
 pub const FLAG_TEMPORAL: u16 = 1 << 0;
 /// Fixed header size in bytes (the manifest follows immediately).
 pub const HEADER_LEN: usize = 16;
@@ -63,23 +60,11 @@ pub const MANIFEST_ENTRY_LEN: usize = 24;
 const SEC_META: u32 = 1;
 const SEC_PATHS: u32 = 2;
 const SEC_TIMES: u32 = 3;
-const SEC_SPANS: u32 = 4;
-const SEC_POSTINGS: u32 = 5;
-const SEC_TEMPORAL: u32 = 6;
+/// Section names by kind: version 2's three, then the three index
+/// sections version 1 also wrote.
+const SECTION_NAMES: [&str; 6] = ["meta", "paths", "times", "spans", "postings", "temporal"];
 /// Backstop against absurd manifests before any allocation happens.
 const MAX_SECTIONS: u32 = 64;
-
-fn section_name(kind: u32) -> &'static str {
-    match kind {
-        SEC_META => "meta",
-        SEC_PATHS => "paths",
-        SEC_TIMES => "times",
-        SEC_SPANS => "spans",
-        SEC_POSTINGS => "postings",
-        SEC_TEMPORAL => "temporal",
-        _ => "unknown",
-    }
-}
 
 /// What [`Snapshot::write`] produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +73,7 @@ pub struct SnapshotInfo {
     pub file_bytes: usize,
     /// Number of sections in the manifest.
     pub sections: usize,
-    /// Whether the by-departure orderings were included.
+    /// Whether the reopened index gets the by-departure arena.
     pub temporal: bool,
 }
 
@@ -102,16 +87,18 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes `store` + `index` and writes the file atomically: the
-    /// bytes go to `<file name>.tmp` beside `path`, which is then renamed
-    /// over it, and removed again if either step fails. A process that
-    /// crashes mid-write therefore never leaves a torn snapshot under the
-    /// real name. Power loss is not covered: nothing here calls `sync_all`,
-    /// so the rename can reach the disk before the data does.
+    /// Serializes `store` and writes the file atomically: the bytes go to
+    /// `<file name>.tmp` beside `path`, which is then renamed over it, and
+    /// removed again if either step fails. A process that crashes
+    /// mid-write therefore never leaves a torn snapshot under the real
+    /// name. Power loss is not covered: nothing here calls `sync_all`, so
+    /// the rename can reach the disk before the data does.
     ///
-    /// `index` may be any [`PostingSource`] — single-list, sharded at any
-    /// count, or an already-compact index; canonicalization makes the bytes
-    /// identical in every case.
+    /// `index` may be any [`PostingSource`] over `store` — single-list,
+    /// sharded at any count, or compact. The file keeps its alphabet size
+    /// and whether it has temporal postings; the postings themselves are
+    /// rebuilt from the store on open, so every layout writes the same
+    /// bytes.
     pub fn write<I: PostingSource>(
         path: &Path,
         store: &TrajectoryStore,
@@ -151,16 +138,17 @@ impl Snapshot {
         Snapshot::decode(&bytes)
     }
 
-    /// Validates and decodes snapshot bytes. Validation runs in strict
+    /// Validates and decodes snapshot bytes, then builds the index from
+    /// the store it decoded ([`CompactIndex::build`], with the by-departure
+    /// arena when the temporal flag is set). Validation runs in strict
     /// order — magic, version, flags, manifest bounds, header CRC,
-    /// per-section CRCs, bounded parses, then one lockstep walk of each
-    /// arena against the decoded store ([`CompactIndex::from_parts`]); any
-    /// defect yields a typed [`SnapshotError`], never a panic.
+    /// per-section CRCs, then bounded parses of `meta`, `paths` and
+    /// `times`; any defect yields a typed [`SnapshotError`], never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let (store, index) = decode_validated(bytes)?;
+        let (store, alphabet, temporal) = decode_validated(bytes)?;
         Ok(Snapshot {
+            index: CompactIndex::build(&store, alphabet, temporal),
             store,
-            index,
             file_bytes: bytes.len(),
         })
     }
@@ -170,7 +158,7 @@ impl Snapshot {
         &self.store
     }
 
-    /// The decoded compact index.
+    /// The index built from the store on decode.
     pub fn index(&self) -> &CompactIndex {
         &self.index
     }
@@ -235,67 +223,35 @@ fn encode_sections<I: PostingSource>(
     index: &I,
 ) -> Result<(Vec<u8>, SnapshotInfo), SnapshotError> {
     check_encode_coherence(store, index)?;
-    let compact = CompactIndex::from_source(index);
-    let (n, total) = (store.len(), compact.total_postings());
-    let temporal = compact.temporal_parts();
-    let temporal_len = temporal.map_or(0, |(offsets, arena)| offsets.len() * 8 + arena.len());
+    let (n, total) = (store.len(), index.total_postings());
+    let temporal = index.has_temporal_postings();
 
-    let section_count = if temporal.is_some() { 6 } else { 5 };
-    let body_start = HEADER_LEN + section_count * MANIFEST_ENTRY_LEN;
+    const SECTIONS: [u32; 3] = [SEC_META, SEC_PATHS, SEC_TIMES];
+    let body_start = HEADER_LEN + SECTIONS.len() * MANIFEST_ENTRY_LEN;
     // Exact but for `paths`, budgeted at two bytes a symbol (alphabets up
     // to 16 384); past that the buffer grows, the bytes are the same.
-    let mut out = Vec::with_capacity(
-        body_start
-            + 3 * 10
-            + (n + total) * 2
-            + (total + 2 * n) * 8
-            + compact.freqs().len() * 4
-            + compact.offsets().len() * 8
-            + compact.arena().len()
-            + temporal_len,
-    );
+    let mut out = Vec::with_capacity(body_start + 3 * 10 + (n + total) * 2 + total * 8);
     out.resize(body_start, 0);
-    let mut starts = Vec::with_capacity(section_count);
-    let put_f64s = |out: &mut Vec<u8>, values: &[f64]| {
-        out.extend(values.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-    };
-    let put_u64s = |out: &mut Vec<u8>, values: &[u64]| {
-        out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
-    };
+    let mut starts = [0usize; SECTIONS.len()];
 
-    starts.push((SEC_META, out.len()));
-    for count in [n, compact.alphabet_size(), total] {
+    starts[0] = out.len();
+    for count in [n, index.alphabet_size(), total] {
         write_varint(&mut out, count as u64);
     }
-    starts.push((SEC_PATHS, out.len()));
+    starts[1] = out.len();
     for (_, t) in store.iter() {
         write_varint(&mut out, t.path().len() as u64);
         for &sym in t.path() {
             write_varint(&mut out, u64::from(sym));
         }
     }
-    starts.push((SEC_TIMES, out.len()));
+    starts[2] = out.len();
     for (_, t) in store.iter() {
-        put_f64s(&mut out, t.times());
-    }
-    starts.push((SEC_SPANS, out.len()));
-    put_f64s(&mut out, compact.departures());
-    put_f64s(&mut out, compact.arrivals());
-    starts.push((SEC_POSTINGS, out.len()));
-    for f in compact.freqs() {
-        out.extend_from_slice(&f.to_le_bytes());
-    }
-    put_u64s(&mut out, compact.offsets());
-    out.extend_from_slice(compact.arena());
-    if let Some((t_offsets, t_arena)) = temporal {
-        starts.push((SEC_TEMPORAL, out.len()));
-        put_u64s(&mut out, t_offsets);
-        out.extend_from_slice(t_arena);
+        out.extend(t.times().iter().flat_map(|v| v.to_bits().to_le_bytes()));
     }
 
-    debug_assert_eq!(starts.len(), section_count, "manifest space reserved");
-    for (i, &(kind, start)) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).map_or(out.len(), |&(_, next)| next);
+    for (i, (kind, &start)) in SECTIONS.iter().zip(&starts).enumerate() {
+        let end = starts.get(i + 1).copied().unwrap_or(out.len());
         let crc = crc32(&out[start..end]);
         let entry = &mut out[HEADER_LEN + i * MANIFEST_ENTRY_LEN..][..MANIFEST_ENTRY_LEN];
         entry[..4].copy_from_slice(&kind.to_le_bytes());
@@ -303,18 +259,18 @@ fn encode_sections<I: PostingSource>(
         entry[12..20].copy_from_slice(&((end - start) as u64).to_le_bytes());
         entry[20..].copy_from_slice(&crc.to_le_bytes());
     }
-    let flags = if temporal.is_some() { FLAG_TEMPORAL } else { 0 };
+    let flags = if temporal { FLAG_TEMPORAL } else { 0 };
     out[..4].copy_from_slice(&MAGIC);
     out[4..6].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     out[6..8].copy_from_slice(&flags.to_le_bytes());
-    out[8..12].copy_from_slice(&(starts.len() as u32).to_le_bytes());
+    out[8..12].copy_from_slice(&(SECTIONS.len() as u32).to_le_bytes());
     let crc = header_crc(&out, body_start);
     out[12..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 
     let info = SnapshotInfo {
         file_bytes: out.len(),
-        sections: starts.len(),
-        temporal: temporal.is_some(),
+        sections: SECTIONS.len(),
+        temporal,
     };
     Ok((out, info))
 }
@@ -328,7 +284,9 @@ fn header_crc(bytes: &[u8], body_start: usize) -> u32 {
     crc32(&head)
 }
 
-fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), SnapshotError> {
+/// Steps 1–6: the validated store, the claimed alphabet size and the
+/// temporal flag.
+fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, usize, bool), SnapshotError> {
     let have = bytes.len() as u64;
     let truncated =
         |what: &'static str, needed: u64| SnapshotError::Truncated { what, needed, have };
@@ -346,7 +304,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
         });
     }
     let version = read_u16(bytes, 4).expect("header length checked");
-    if version != FORMAT_VERSION {
+    if !(1..=FORMAT_VERSION).contains(&version) {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -380,18 +338,24 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
         });
     }
 
-    // 3. Manifest entries: known kinds, unique, in-bounds ranges.
-    let mut sections: [Option<&[u8]>; 6] = [None; 6];
+    // 3. Manifest entries: known kinds, unique, in-bounds ranges. Version 1
+    //    also knows its three index sections.
+    let known = if version == 1 {
+        SECTION_NAMES.len() as u32
+    } else {
+        SEC_TIMES
+    };
+    let mut sections: [Option<&[u8]>; SECTION_NAMES.len()] = [None; SECTION_NAMES.len()];
     for i in 0..section_count as usize {
         let base = HEADER_LEN + i * MANIFEST_ENTRY_LEN;
         let kind = read_u32(bytes, base).expect("manifest length checked");
         let offset = read_u64(bytes, base + 4).expect("manifest length checked");
         let len = read_u64(bytes, base + 12).expect("manifest length checked");
         let crc = read_u32(bytes, base + 20).expect("manifest length checked");
-        if !(SEC_META..=SEC_TEMPORAL).contains(&kind) {
+        if !(SEC_META..=known).contains(&kind) {
             return Err(corrupt("manifest", format!("unknown section kind {kind}")));
         }
-        let name = section_name(kind);
+        let name = SECTION_NAMES[kind as usize - 1];
         let slot = &mut sections[kind as usize - 1];
         if slot.is_some() {
             return Err(corrupt("manifest", format!("duplicate {name} section")));
@@ -420,26 +384,15 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
         }
         *slot = Some(payload);
     }
-    let want_temporal = flags & FLAG_TEMPORAL != 0;
-    let required: &[u32] = &[SEC_META, SEC_PATHS, SEC_TIMES, SEC_SPANS, SEC_POSTINGS];
-    for &kind in required {
-        if sections[kind as usize - 1].is_none() {
-            return Err(corrupt(
-                "manifest",
-                format!("missing {} section", section_name(kind)),
-            ));
-        }
-    }
-    if want_temporal != sections[SEC_TEMPORAL as usize - 1].is_some() {
-        return Err(corrupt(
-            "manifest",
-            "temporal flag and temporal section disagree".into(),
-        ));
-    }
-    let section = |kind: u32| sections[kind as usize - 1].expect("presence checked above");
+    let section = |kind: u32| {
+        let name = SECTION_NAMES[kind as usize - 1];
+        sections[kind as usize - 1]
+            .ok_or_else(|| corrupt("manifest", format!("missing {name} section")))
+    };
+    let (meta, paths_sec, times_sec) =
+        (section(SEC_META)?, section(SEC_PATHS)?, section(SEC_TIMES)?);
 
     // 5. Meta, with every count bounded by real bytes before allocation.
-    let meta = section(SEC_META);
     let mut pos = 0usize;
     let mut meta_varint = |what: &'static str| {
         read_varint(meta, &mut pos).ok_or_else(|| corrupt("meta", format!("{what} truncated")))
@@ -462,16 +415,12 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
             format!("alphabet {alphabet} overflows u32"),
         ));
     }
-    let paths_sec = section(SEC_PATHS);
-    let times_sec = section(SEC_TIMES);
-    let spans_sec = section(SEC_SPANS);
-    let postings_sec = section(SEC_POSTINGS);
     // Each trajectory needs >= 2 bytes of path encoding (length + one
-    // symbol) and 16 span bytes; each posting one time stamp.
-    if n * 2 > paths_sec.len() as u64 || n * 16 != spans_sec.len() as u64 {
+    // symbol); each posting one time stamp.
+    if n * 2 > paths_sec.len() as u64 {
         return Err(corrupt(
             "meta",
-            format!("{n} trajectories do not fit the paths/spans sections"),
+            format!("{n} trajectories do not fit the paths section"),
         ));
     }
     let time_bytes = total.checked_mul(8).ok_or_else(|| {
@@ -489,16 +438,6 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
             ),
         ));
     }
-    let tables_len = (alphabet * 4)
-        .checked_add((alphabet + 1) * 8)
-        .filter(|&need| need <= postings_sec.len() as u64)
-        .ok_or_else(|| {
-            corrupt(
-                "meta",
-                format!("alphabet {alphabet} does not fit the postings section"),
-            )
-        })?;
-    let (n, alphabet) = (n as usize, alphabet as usize);
 
     // 6. Store sections.
     let mut store = TrajectoryStore::new();
@@ -521,7 +460,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
             let sym = read_varint(paths_sec, &mut path_pos).ok_or_else(|| {
                 corrupt("paths", format!("trajectory {id} truncated at symbol {k}"))
             })?;
-            if sym >= alphabet as u64 {
+            if sym >= alphabet {
                 return Err(corrupt(
                     "paths",
                     format!("trajectory {id} symbol {sym} outside alphabet {alphabet}"),
@@ -553,52 +492,7 @@ fn decode_validated(bytes: &[u8]) -> Result<(TrajectoryStore, CompactIndex), Sna
     if stamps.next().is_some() {
         return Err(corrupt("times", "trailing bytes".into()));
     }
-
-    // 7. Spans must agree bitwise with the store's own times (the index
-    //    takes its span tables from the store, so this is their check).
-    for (id, t) in store.iter() {
-        let dep = read_f64(spans_sec, id as usize * 8).expect("length checked");
-        let arr = read_f64(spans_sec, (n + id as usize) * 8).expect("length checked");
-        if dep.to_bits() != t.departure().to_bits() || arr.to_bits() != t.arrival().to_bits() {
-            return Err(corrupt(
-                "spans",
-                format!("span of trajectory {id} disagrees with the times section"),
-            ));
-        }
-    }
-
-    // 8. Postings tables + arenas, proven against the store in one lockstep
-    //    walk each. With step 6 (`total` time stamps, all consumed) this
-    //    also settles that the frequencies sum to `total`.
-    let u64s = |table: &[u8]| -> Vec<u64> {
-        let le = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("chunk of 8"));
-        table.chunks_exact(8).map(le).collect()
-    };
-    let (tables, arena) = postings_sec.split_at(tables_len as usize);
-    let (freqs, offsets) = tables.split_at(alphabet * 4);
-    let freqs = freqs
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect();
-    let temporal = if want_temporal {
-        let temporal_sec = section(SEC_TEMPORAL);
-        let (t_offsets, t_arena) = temporal_sec
-            .split_at_checked((alphabet + 1) * 8)
-            .ok_or_else(|| corrupt("temporal", "shorter than its offset table".into()))?;
-        Some((u64s(t_offsets), t_arena.to_vec()))
-    } else {
-        None
-    };
-    let index = CompactIndex::from_parts(&store, freqs, u64s(offsets), arena.to_vec(), temporal)
-        .map_err(|e| {
-            let section = match e.arena {
-                Arena::Main => "postings",
-                Arena::Temporal => "temporal",
-            };
-            corrupt(section, e.to_string())
-        })?;
-
-    Ok((store, index))
+    Ok((store, alphabet as usize, flags & FLAG_TEMPORAL != 0))
 }
 
 #[cfg(test)]
@@ -679,7 +573,7 @@ mod tests {
         let path = std::env::temp_dir().join("trajsearch_persist_unit.snap");
         let info = Snapshot::write(&path, &s, &idx).unwrap();
         assert!(!info.temporal);
-        assert_eq!(info.sections, 5);
+        assert_eq!(info.sections, 3);
         assert_eq!(
             info.file_bytes,
             std::fs::metadata(&path).unwrap().len() as usize
@@ -815,7 +709,7 @@ mod tests {
         ];
         assert_eq!(
             infos.map(|i| (i.sections, i.temporal)),
-            [(5, false), (6, true)]
+            [(3, false), (3, true)]
         );
         for (name, info) in ["day.v1", "day.v2"].iter().zip(infos) {
             let snap = Snapshot::open(&dir.join(name)).unwrap();

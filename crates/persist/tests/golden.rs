@@ -1,18 +1,46 @@
-//! Format version 1, pinned byte for byte.
+//! Snapshot files pinned byte for byte.
 //!
-//! The two literals below are `Snapshot::encode` of the four-trajectory
-//! unit-test store, without and with the by-departure section, **as written
-//! by the commit before the encoder and decoder were rewritten** (PR 18). A
-//! writer change that moves one byte, or a reader change that stops
-//! accepting these files, fails here by assertion rather than by proptest
-//! luck. Regenerating a literal is a format change: bump `FORMAT_VERSION`.
+//! The version-2 literals are `Snapshot::encode` of the four-trajectory
+//! unit-test store, without and with the temporal flag, pinned
+//! both ways: the writer produces exactly these bytes, and the reader
+//! recovers the store and index from them. A writer change that moves one
+//! byte, or a reader change that stops accepting these files, fails here by
+//! assertion rather than by proptest luck. Regenerating a version-2 literal
+//! is a format change: bump `FORMAT_VERSION`.
+//!
+//! The version-1 literals come from the version-1 writer, which also
+//! stored the `spans`, `postings` and `temporal` sections. No writer
+//! produces them any more, but they must still decode to the same store and
+//! the same postings.
 
 use traj::{Trajectory, TrajectoryStore};
 use trajsearch_core::{InvertedIndex, Posting, PostingSource};
 use trajsearch_persist::{Snapshot, FORMAT_VERSION};
 
-/// 407 bytes: five sections.
+/// 203 bytes: `meta`, `paths`, `times`.
 const GOLDEN_PLAIN: &str = "\
+    54534e500200000003000000bc5330ea01000000580000000000000003000000\
+    00000000a0c9898c020000005b0000000000000010000000000000009a55c769\
+    030000006b0000000000000060000000000000005b47d11704050c0300010203\
+    0201020203000401010103000000000000244000000000000026400000000000\
+    002840000000000000144000000000000018400000000000001c400000000000\
+    0034400000000000003540000000000000f03f00000000000000400000000000\
+    0008400000000000001040\
+";
+
+/// 203 bytes: the same three sections under the temporal flag.
+const GOLDEN_TEMPORAL: &str = "\
+    54534e5002000100030000009945931701000000580000000000000003000000\
+    00000000a0c9898c020000005b0000000000000010000000000000009a55c769\
+    030000006b0000000000000060000000000000005b47d11704050c0300010203\
+    0201020203000401010103000000000000244000000000000026400000000000\
+    002840000000000000144000000000000018400000000000001c400000000000\
+    0034400000000000003540000000000000f03f00000000000000400000000000\
+    0008400000000000001040\
+";
+
+/// Version 1, 407 bytes: five sections.
+const V1_PLAIN: &str = "\
     54534e50010000000500000047d2355401000000880000000000000003000000\
     00000000a0c9898c020000008b0000000000000010000000000000009a55c769\
     030000009b0000000000000060000000000000005b47d11704000000fb000000\
@@ -28,8 +56,8 @@ const GOLDEN_PLAIN: &str = "\
     0002010001010102000001000200020100000202000103\
 ";
 
-/// 503 bytes: the same five sections plus `temporal`.
-const GOLDEN_TEMPORAL: &str = "\
+/// Version 1, 503 bytes: the same five sections plus `temporal`.
+const V1_TEMPORAL: &str = "\
     54534e5001000100060000005a9392b201000000a00000000000000003000000\
     00000000a0c9898c02000000a30000000000000010000000000000009a55c769\
     03000000b30000000000000060000000000000005b47d1170400000013010000\
@@ -76,9 +104,35 @@ fn unhex(hex: &str) -> Vec<u8> {
         .collect()
 }
 
+/// The decoded snapshot holds `s` and answers every postings list, and
+/// with the temporal flag every by-departure list, like the reference.
+fn assert_decodes_to(golden: &str, s: &TrajectoryStore, reference: &InvertedIndex) {
+    let snap = Snapshot::decode(&unhex(golden)).expect("golden file decodes");
+    assert_eq!(snap.file_bytes(), golden.len() / 2);
+    assert_eq!(snap.store().len(), s.len());
+    for (id, t) in s.iter() {
+        assert_eq!(snap.store().get(id).path(), t.path());
+        assert_eq!(snap.store().get(id).times(), t.times());
+    }
+    let temporal = reference.has_temporal_postings();
+    assert_eq!(snap.index().has_temporal_postings(), temporal);
+    assert_eq!(snap.index().alphabet_size(), reference.alphabet_size());
+    for q in 0..5u32 {
+        let got: Vec<Posting> = snap.index().postings(q).collect();
+        assert_eq!(got, reference.postings(q), "q={q}");
+        if temporal {
+            let got: Vec<(f64, Posting)> = snap
+                .index()
+                .postings_departing_by(q, f64::INFINITY)
+                .collect();
+            assert_eq!(got, reference.postings_departing_by(q, f64::INFINITY));
+        }
+    }
+}
+
 #[test]
-fn version_1_bytes_are_pinned() {
-    assert_eq!(FORMAT_VERSION, 1, "new version, new golden files");
+fn version_2_bytes_are_pinned() {
+    assert_eq!(FORMAT_VERSION, 2, "new version, new golden files");
     let s = store();
     for (golden, temporal) in [(GOLDEN_PLAIN, false), (GOLDEN_TEMPORAL, true)] {
         // The writer produces exactly the pinned file ...
@@ -90,30 +144,21 @@ fn version_1_bytes_are_pinned() {
         );
 
         // ... the reader accepts it and recovers store and index ...
-        let snap = Snapshot::decode(&unhex(golden)).expect("golden file decodes");
-        assert_eq!(snap.file_bytes(), golden.len() / 2);
-        assert_eq!(snap.store().len(), s.len());
-        for (id, t) in s.iter() {
-            assert_eq!(snap.store().get(id).path(), t.path());
-            assert_eq!(snap.store().get(id).times(), t.times());
-        }
-        assert_eq!(snap.index().has_temporal_postings(), temporal);
-        for q in 0..5u32 {
-            let got: Vec<Posting> = snap.index().postings(q).collect();
-            assert_eq!(got, reference.postings(q), "q={q}");
-            if temporal {
-                let got: Vec<(f64, Posting)> = snap
-                    .index()
-                    .postings_departing_by(q, f64::INFINITY)
-                    .collect();
-                assert_eq!(got, reference.postings_departing_by(q, f64::INFINITY));
-            }
-        }
+        assert_decodes_to(golden, &s, &reference);
 
         // ... and writing what was read is a fixed point.
+        let snap = Snapshot::decode(&unhex(golden)).unwrap();
         assert_eq!(
             hex(&Snapshot::encode(snap.store(), snap.index()).unwrap()),
             golden
         );
+    }
+}
+
+#[test]
+fn version_1_files_decode_to_the_reference() {
+    let s = store();
+    for (golden, temporal) in [(V1_PLAIN, false), (V1_TEMPORAL, true)] {
+        assert_decodes_to(golden, &s, &index(&s, temporal));
     }
 }

@@ -1,7 +1,8 @@
-//! Snapshot persistence round trip: build a store + index, persist them to
-//! a versioned, checksummed snapshot file, reopen cold, and serve a query
-//! from the reopened engine — verified byte-identical to the engine that
-//! never left memory.
+//! Snapshot persistence round trip: build a store + index, persist the
+//! store to a versioned, checksummed snapshot file, reopen cold (which
+//! builds the index from the stored trajectories), and serve a query from
+//! the reopened engine — verified byte-identical to the engine that never
+//! left memory.
 //!
 //! The reopened index is a `CompactIndex`: delta+varint postings in one
 //! contiguous arena, decoded on iteration, with a footprint well below the
@@ -65,8 +66,9 @@ fn main() {
         t0.elapsed()
     );
 
-    // Cold start in a "new process": open + checksum + validated decode,
-    // no rebuild. The reopened index answers byte-identically.
+    // Cold start in a "new process": open + checksum + validated decode +
+    // one build pass over the decoded store. The reopened index answers
+    // byte-identically.
     let t0 = Instant::now();
     let snapshot = Snapshot::open(&path).expect("snapshot reopens");
     let (cold_store, compact) = snapshot.into_parts();
